@@ -1055,7 +1055,10 @@ mod tests {
         let y = b.not(q);
         b.output("y", y);
         let m = b.finish();
-        let low = Lowering::validated(&m, &lib).unwrap();
+        let low = {
+            let _builds = crate::lowering::TEST_BUILDS_LOCK.lock().unwrap();
+            Lowering::validated(&m, &lib).unwrap()
+        };
         (low.symbols().clone(), low)
     }
 
@@ -1168,6 +1171,7 @@ mod tests {
         let (syms, low) = sample_symbols();
         let bytes = roundtrip_section(SectionId::Lowering, encode_lowering(&low));
         let reader = ArtifactReader::parse(&bytes).unwrap();
+        let _builds = crate::lowering::TEST_BUILDS_LOCK.lock().unwrap();
         let builds_before = Lowering::builds();
         let mut r = reader.reader(SectionId::Lowering).unwrap();
         let back = decode_lowering(&mut r, &syms).unwrap();

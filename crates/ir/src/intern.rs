@@ -13,12 +13,29 @@
 //!
 //! The split is deliberate:
 //!
-//! * [`InternerBuilder`] — mutable, deduplicating (hash-indexed), used
-//!   only while [`Symbols::from_module`] walks the module once;
+//! * [`InternerBuilder`] — mutable, deduplicating, used only while
+//!   [`Symbols::from_module`] walks the module once;
 //! * [`Interner`] — frozen, resolve-only: a contiguous byte arena plus
 //!   an end-offset table, so its retained memory is exactly
-//!   `Σ unique name bytes + 4 bytes per symbol` with no hash-map
+//!   `Σ unique name bytes + 4 bytes per symbol` with no hash-table
 //!   overhead surviving the build.
+//!
+//! The builder's dedup index is an open-addressed table of `u32`
+//! symbol ids, never of strings: a probe hashes the candidate name and
+//! compares it against the arena bytes of the id in the slot, so every
+//! name is copied exactly once, into the arena. The hash is a fixed
+//! in-crate 64-bit multiplicative hash over 8-byte chunks, and the slot
+//! is taken from its *high* bits (the well-mixed end of a product; the
+//! low bits cluster badly on counter-suffixed names such as `_n<k>` or
+//! `u<k>`). It is fixed rather than randomly seeded (`RandomState`) on
+//! purpose: symbol ids are dense in first-occurrence order whatever the
+//! hash, but a fixed hash also makes the build's probe sequence — and
+//! so its cost — identical on every run, and nothing about a build
+//! depends on per-process state. Ids feed every `Symbols` table and the
+//! `.scim` symbol section, whose save → load → save byte fixpoint the
+//! artifact tests pin. The names come from the netlist generators, not
+//! from outside input (decoded artifacts skip the builder), so a fixed
+//! hash opens no collision-flooding attack.
 //!
 //! [`Symbols`] is the module-shaped view: per-net / per-instance /
 //! per-group symbol tables (each an `Arc` slice, shared rather than
@@ -58,9 +75,43 @@ impl Symbol {
 pub struct InternerBuilder {
     buf: String,
     ends: Vec<u32>,
-    /// Build-time lookup only — dropped by `freeze`, so duplicate
-    /// string storage never survives into the retained artifact.
-    index: HashMap<String, u32>,
+    /// Build-time lookup only — dropped by `freeze`. An open-addressed
+    /// (linear-probing) table of symbol ids, `EMPTY` for a free slot;
+    /// its length is zero or a power of two kept at least
+    /// `MAX_LOAD_INV` times `ends.len()`.
+    slots: Vec<u32>,
+}
+
+/// A free slot in [`InternerBuilder`]'s index.
+const EMPTY: u32 = u32::MAX;
+
+/// Inverse of the index's maximum load factor. Every probe past the
+/// home slot compares arena bytes at a random offset, so the table is
+/// kept sparse: interning the scale tier's 779k symbols makes 0.14
+/// stray compares per call in a 4M-slot table, 0.36 in a 2M-slot one.
+const MAX_LOAD_INV: usize = 4;
+
+/// Odd 64-bit multiplier (2⁶⁴ / φ) of the interner's hash.
+const HASH_K: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The builder's fixed hash: each little-endian 8-byte chunk (the tail
+/// zero-padded) is folded in by rotate–xor–multiply, seeded with the
+/// length, and the result gets one final xor-shift–multiply so every
+/// input bit reaches the high bits the slot index is taken from.
+fn hash(bytes: &[u8]) -> u64 {
+    let mut h = bytes.len() as u64;
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let w = u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
+        h = (h.rotate_left(5) ^ w).wrapping_mul(HASH_K);
+    }
+    let tail = chunks.remainder();
+    if !tail.is_empty() {
+        let mut w = [0u8; 8];
+        w[..tail.len()].copy_from_slice(tail);
+        h = (h.rotate_left(5) ^ u64::from_le_bytes(w)).wrapping_mul(HASH_K);
+    }
+    (h ^ (h >> 32)).wrapping_mul(HASH_K)
 }
 
 impl InternerBuilder {
@@ -69,17 +120,67 @@ impl InternerBuilder {
         Self::default()
     }
 
+    /// An empty builder sized for `symbols` distinct names totalling
+    /// `bytes` bytes, so building that many never rehashes or regrows
+    /// the arena.
+    pub(crate) fn with_capacity(symbols: usize, bytes: usize) -> Self {
+        InternerBuilder {
+            buf: String::with_capacity(bytes),
+            ends: Vec::with_capacity(symbols),
+            slots: vec![EMPTY; (symbols * MAX_LOAD_INV).next_power_of_two().max(16)],
+        }
+    }
+
+    /// The arena bytes of symbol `id`.
+    fn bytes_of(&self, id: u32) -> &[u8] {
+        let i = id as usize;
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.buf.as_bytes()[start..self.ends[i] as usize]
+    }
+
+    /// The slot a hash starts probing at (its high bits).
+    fn home(&self, h: u64) -> usize {
+        (h >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// Double the index (or create it) and re-place every id, hashing
+    /// each name again from the arena.
+    fn grow(&mut self) {
+        let len = (self.slots.len() * 2).max(16);
+        self.slots = vec![EMPTY; len];
+        let mask = len - 1;
+        for id in 0..self.ends.len() as u32 {
+            let mut slot = self.home(hash(self.bytes_of(id)));
+            while self.slots[slot] != EMPTY {
+                slot = (slot + 1) & mask;
+            }
+            self.slots[slot] = id;
+        }
+    }
+
     /// Intern `s`, returning the existing symbol if the exact string
     /// was interned before (dedup is by full string equality).
     pub fn intern(&mut self, s: &str) -> Symbol {
-        if let Some(&i) = self.index.get(s) {
-            return Symbol(i);
+        if (self.ends.len() + 1) * MAX_LOAD_INV > self.slots.len() {
+            self.grow();
         }
-        let i = self.ends.len() as u32;
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(hash(s.as_bytes()));
+        loop {
+            let id = self.slots[slot];
+            if id == EMPTY {
+                break;
+            }
+            if self.bytes_of(id) == s.as_bytes() {
+                return Symbol(id);
+            }
+            slot = (slot + 1) & mask;
+        }
+        let id = self.ends.len() as u32;
         self.buf.push_str(s);
         self.ends.push(self.buf.len() as u32);
-        self.index.insert(s.to_string(), i);
-        Symbol(i)
+        self.slots[slot] = id;
+        Symbol(id)
     }
 
     /// Number of distinct strings interned so far.
@@ -208,7 +309,12 @@ impl Symbols {
     /// the per-group parent links are derived here, while the
     /// deduplicating builder index is still alive.
     pub fn from_module(module: &Module) -> Symbols {
-        let mut b = InternerBuilder::new();
+        // Presize from the element counts: every net, instance, port
+        // and group name is one symbol at most (group-path prefixes are
+        // few), and scale-tier names are about one 8-byte hash chunk
+        // long. Both are estimates; the builder grows past them.
+        let symbols = module.nets.len() + module.instances.len() + module.ports.len() + module.groups.len();
+        let mut b = InternerBuilder::with_capacity(symbols, 8 * symbols);
         let net_syms: Vec<Symbol> = module.nets.iter().map(|n| b.intern(&n.name)).collect();
         let inst_syms: Vec<Symbol> = module.instances.iter().map(|i| b.intern(&i.name)).collect();
         let inst_group: Vec<u32> = module.instances.iter().map(|i| i.group.0).collect();
@@ -220,24 +326,41 @@ impl Symbols {
         // share one node, and every `/`-prefix gets a node of its own
         // (created before its children, so node ids are topologically
         // ordered parents-first).
+        //
+        // Group names repeat heavily (the scale tier has 132,136 groups
+        // over 1,317 path nodes), so only a path's first occurrence is
+        // split: a path that already has a node had its head and every
+        // prefix interned with it, so re-interning them would add no
+        // symbol, and its head is the root its parent chain ends at.
         let mut node_index: HashMap<Symbol, u32> = HashMap::new();
         let mut node_syms: Vec<Symbol> = Vec::new();
         let mut node_parent: Vec<u32> = Vec::new();
         for name in &module.groups {
-            group_syms.push(b.intern(name));
-            group_head_syms.push(b.intern(name.split('/').next().unwrap_or(name)));
-            let mut parent = NO_PARENT;
-            let mut node = NO_PARENT;
-            let bounds = name.match_indices('/').map(|(i, _)| i).chain(std::iter::once(name.len()));
-            for end in bounds {
-                let sym = b.intern(&name[..end]);
-                node = *node_index.entry(sym).or_insert_with(|| {
-                    node_syms.push(sym);
-                    node_parent.push(parent);
-                    node_syms.len() as u32 - 1
-                });
-                parent = node;
+            let sym = b.intern(name);
+            let node = match node_index.get(&sym) {
+                Some(&node) => node,
+                None => {
+                    // The first prefix is the head, so this interns the
+                    // same sequence as name, head, then every prefix.
+                    let mut parent = NO_PARENT;
+                    let bounds = name.match_indices('/').map(|(i, _)| i).chain(std::iter::once(name.len()));
+                    for end in bounds {
+                        let prefix = b.intern(&name[..end]);
+                        parent = *node_index.entry(prefix).or_insert_with(|| {
+                            node_syms.push(prefix);
+                            node_parent.push(parent);
+                            node_syms.len() as u32 - 1
+                        });
+                    }
+                    parent
+                }
+            };
+            let mut root = node;
+            while node_parent[root as usize] != NO_PARENT {
+                root = node_parent[root as usize];
             }
+            group_syms.push(sym);
+            group_head_syms.push(node_syms[root as usize]);
             group_node.push(node);
         }
 
@@ -366,6 +489,11 @@ impl Symbols {
         self.port_syms.len()
     }
 
+    /// Interned name of boundary port `i`, counting in name order.
+    pub fn port_sym(&self, i: usize) -> Symbol {
+        self.port_syms[i]
+    }
+
     /// Net slot bound to the boundary port `name`, by binary search
     /// over the shared sorted port table — no per-caller name map, no
     /// allocation. This is the lookup the simulation backends'
@@ -415,6 +543,103 @@ mod tests {
         assert_eq!(frozen.resolve(empty), "");
         assert_eq!(frozen.len(), 3);
         assert_eq!(frozen.heap_bytes(), "alphabeta".len() + 3 * 4);
+    }
+
+    /// First-occurrence ids from a plain `HashMap<String, u32>`: the
+    /// reference every builder id is pinned against.
+    fn reference_ids<'a>(names: impl IntoIterator<Item = &'a str>) -> Vec<u32> {
+        let mut index: HashMap<String, u32> = HashMap::new();
+        names
+            .into_iter()
+            .map(|s| {
+                let next = index.len() as u32;
+                *index.entry(s.to_string()).or_insert(next)
+            })
+            .collect()
+    }
+
+    /// Intern `names` in order into `b` and pin every id against the
+    /// reference, then pin that the frozen arena resolves each back.
+    fn assert_matches_reference(mut b: InternerBuilder, names: &[String]) {
+        let want = reference_ids(names.iter().map(String::as_str));
+        let got: Vec<Symbol> = names.iter().map(|s| b.intern(s)).collect();
+        for (i, (g, &w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g.0, w, "name #{i} {:?}", names[i]);
+        }
+        assert_eq!(b.len(), want.iter().max().map_or(0, |&m| m as usize + 1));
+        let frozen = b.freeze();
+        for (sym, name) in got.iter().zip(names) {
+            assert_eq!(frozen.resolve(*sym), name);
+        }
+    }
+
+    #[test]
+    fn ids_match_reference_on_long_shared_prefixes() {
+        // 200k names that share a long prefix and suffix and differ in
+        // the block number plus one middle byte, then a second pass of
+        // every seventh name: duplicates after many resizes.
+        let mut names = Vec::new();
+        for block in 0..2106 {
+            for c in 0x20u8..0x7F {
+                names.push(format!(
+                    "macro/adder_tree/column_{block:04}/compressor_row/{}/carry_save_tail",
+                    c as char
+                ));
+            }
+        }
+        assert!(names.len() >= 200_000);
+        let again: Vec<String> = names.iter().step_by(7).cloned().collect();
+        names.extend(again);
+        assert_matches_reference(InternerBuilder::default(), &names);
+        assert_matches_reference(InternerBuilder::with_capacity(names.len(), 0), &names);
+    }
+
+    #[test]
+    fn ids_match_reference_at_chunk_edges() {
+        // Lengths 0, 7, 8, 9 and 16 straddle the hash's 8-byte chunks;
+        // a trailing NUL must not collide with the zero-padded tail.
+        let mut names = Vec::new();
+        for len in [0usize, 7, 8, 9, 16] {
+            for last in [b'a', b'b', 0] {
+                let mut name: Vec<u8> = (0..len).map(|i| b'a' + (i % 26) as u8).collect();
+                if let Some(byte) = name.last_mut() {
+                    *byte = last;
+                }
+                names.push(String::from_utf8(name).unwrap());
+            }
+        }
+        names.extend(["a", "a\0", "a\0\0", "abcdefg", "abcdefg\0"].map(String::from));
+        let again = names.clone();
+        names.extend(again);
+        assert_matches_reference(InternerBuilder::new(), &names);
+    }
+
+    #[test]
+    fn ids_match_reference_on_multibyte_utf8() {
+        let mut names: Vec<String> = ["µ", "Ω/β", "日本語/回路", "🦀", "grün/öl", "1234567µ", "123456🦀"]
+            .into_iter()
+            .map(String::from)
+            .collect();
+        names.extend((0..500).map(|i| format!("ächse_{i}/Ω{}", i % 17)));
+        let again = names.clone();
+        names.extend(again.into_iter().rev());
+        assert_matches_reference(InternerBuilder::new(), &names);
+    }
+
+    #[test]
+    fn duplicates_spanning_a_resize_keep_their_ids() {
+        // The default builder starts with 16 slots; 1,000 names force
+        // several doublings between the first and second occurrences.
+        let mut b = InternerBuilder::default();
+        let first: Vec<Symbol> = (0..1000).map(|i| b.intern(&format!("u{i}"))).collect();
+        for (i, sym) in first.iter().enumerate() {
+            assert_eq!(sym.index(), i);
+            let _ = b.intern(&format!("_n{i}"));
+        }
+        for (i, &sym) in first.iter().enumerate() {
+            assert_eq!(b.intern(&format!("u{i}")), sym, "u{i} after resizes");
+        }
+        assert_eq!(b.len(), 2000);
     }
 
     #[test]

@@ -26,6 +26,12 @@ use crate::intern::Symbols;
 /// tests to pin the "one lowering per compiled macro" contract.
 static BUILDS: AtomicU64 = AtomicU64::new(0);
 
+/// Serializes this crate's tests that build lowerings against the one
+/// that reads [`Lowering::builds`] across a decode: the counter is
+/// process-global, so a build on a concurrent test thread would skew it.
+#[cfg(test)]
+pub(crate) static TEST_BUILDS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// The shared front half of netlist compilation: connectivity tables,
 /// the levelized combinational instance order and the dense net→slot
 /// map.
@@ -56,6 +62,24 @@ impl Lowering {
     /// Returns an error if a net has multiple drivers or the
     /// combinational part of the design is cyclic.
     pub fn new(module: &Module, lib: &CellLibrary) -> Result<Self, NetlistError> {
+        Self::build(module, lib, false)
+    }
+
+    /// Like [`Lowering::new`], but additionally rejects floating nets
+    /// that are read by an instance or output port — the contract the
+    /// simulation backends require.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error under the same conditions as [`Lowering::new`],
+    /// plus [`NetlistError::FloatingNet`] for read-but-undriven nets.
+    pub fn validated(module: &Module, lib: &CellLibrary) -> Result<Self, NetlistError> {
+        Self::build(module, lib, true)
+    }
+
+    /// The one lowering walk behind both constructors; the floating-net
+    /// check runs inside the `lowering` span, so it reports as a child.
+    fn build(module: &Module, lib: &CellLibrary, validated: bool) -> Result<Self, NetlistError> {
         telemetry::span!("lowering");
         telemetry::counter("ir.lowerings").incr();
         BUILDS.fetch_add(1, Ordering::Relaxed);
@@ -71,25 +95,11 @@ impl Lowering {
             telemetry::span!("lowering.intern");
             Symbols::from_module(module)
         };
-        Ok(Lowering { conn, order, net_count: module.net_count(), symbols, validated: false })
-    }
-
-    /// Like [`Lowering::new`], but additionally rejects floating nets
-    /// that are read by an instance or output port — the contract the
-    /// simulation backends require.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error under the same conditions as [`Lowering::new`],
-    /// plus [`NetlistError::FloatingNet`] for read-but-undriven nets.
-    pub fn validated(module: &Module, lib: &CellLibrary) -> Result<Self, NetlistError> {
-        let mut low = Self::new(module, lib)?;
-        {
+        if validated {
             telemetry::span!("lowering.validate");
-            validate(module, &low.conn)?;
+            validate(module, &conn)?;
         }
-        low.validated = true;
-        Ok(low)
+        Ok(Lowering { conn, order, net_count: module.net_count(), symbols, validated })
     }
 
     /// `true` if this lowering was built with [`Lowering::validated`]
@@ -164,6 +174,7 @@ mod tests {
 
     #[test]
     fn lowering_orders_match_levelize() {
+        let _builds = TEST_BUILDS_LOCK.lock().unwrap();
         let lib = CellLibrary::syn40();
         let mut b = NetlistBuilder::new("chain", &lib);
         let a = b.input("a");
@@ -180,6 +191,7 @@ mod tests {
 
     #[test]
     fn validated_rejects_floating_reads_but_new_tolerates_them() {
+        let _builds = TEST_BUILDS_LOCK.lock().unwrap();
         let lib = CellLibrary::syn40();
         let mut b = NetlistBuilder::new("float", &lib);
         let dangling = b.net("dangling");
@@ -192,6 +204,7 @@ mod tests {
 
     #[test]
     fn build_counter_counts_builds_not_clones() {
+        let _builds = TEST_BUILDS_LOCK.lock().unwrap();
         let lib = CellLibrary::syn40();
         let mut b = NetlistBuilder::new("inv", &lib);
         let a = b.input("a");

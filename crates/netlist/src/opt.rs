@@ -6,9 +6,9 @@
 //! passes fold such constants through the logic and remove gates whose
 //! outputs reach no port and no sequential element.
 
-use crate::analyze::{Connectivity, Driver};
 use crate::graph::{Module, NetId, PortDir};
 use syndcim_pdk::{CellFunction, CellKind, CellLibrary};
+use syndcim_telemetry as telemetry;
 
 /// Result of running [`optimize`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -32,16 +32,27 @@ enum Known {
 /// rebuilt with unused instances removed (net ids are preserved — nets
 /// may become dangling, which is harmless for all downstream consumers).
 ///
+/// A pass that folds nothing also ends the loop once its constant
+/// propagation settled: the sweep computes the full liveness closure in
+/// one go and removes no gate a survivor reads, so a further pass would
+/// see the same constants and could neither fold nor sweep anything.
+///
 /// Returns a report of the work done.
 pub fn optimize(module: &mut Module, lib: &CellLibrary) -> OptReport {
     let mut report = OptReport::default();
     loop {
         report.passes += 1;
-        let folded = fold_constants(module, lib);
-        let swept = sweep_dead(module, lib);
+        let (folded, settled) = {
+            telemetry::span!("optimize.fold");
+            fold_constants(module, lib)
+        };
+        let swept = {
+            telemetry::span!("optimize.sweep");
+            sweep_dead(module, lib)
+        };
         report.folded += folded;
         report.swept += swept;
-        if folded == 0 && swept == 0 {
+        if folded == 0 && (swept == 0 || settled) {
             return report;
         }
         // Safety valve: the passes strictly shrink the instance list, so
@@ -54,8 +65,15 @@ pub fn optimize(module: &mut Module, lib: &CellLibrary) -> OptReport {
 
 /// One pass of constant folding. A gate all of whose *controlling* inputs
 /// are known constants is replaced by rewiring its output to a tie net.
-/// Returns the number of gates removed.
-fn fold_constants(module: &mut Module, lib: &CellLibrary) -> usize {
+/// Returns the number of gates removed, and whether the propagation
+/// reached its fixpoint (rather than its iteration cap).
+///
+/// Gates without a single known-constant input are skipped before any
+/// evaluation. The skip is exact: with every input unknown the check
+/// below enumerates the cell's whole truth table, and no library function
+/// that has inputs is constant over all of them (only the input-less tie
+/// cells are), so such a gate can never fold.
+fn fold_constants(module: &mut Module, lib: &CellLibrary) -> (usize, bool) {
     let mut known = vec![Known::Unknown; module.net_count()];
     // Seed with tie cells.
     for inst in &module.instances {
@@ -65,64 +83,58 @@ fn fold_constants(module: &mut Module, lib: &CellLibrary) -> usize {
         }
     }
     // Propagate in instance order repeatedly (cheap fixpoint; the graphs
-    // we build are shallow in constants).
+    // we build are shallow in constants). The evaluation buffers are reused
+    // by every gate that reaches evaluation.
+    let mut ins: Vec<bool> = Vec::new();
+    let mut unknowns: Vec<usize> = Vec::new();
+    let mut out_buf = Vec::new();
     let mut changed = true;
     let mut evals = 0usize;
     while changed && evals < 8 {
         changed = false;
         evals += 1;
-        let mut out_buf = Vec::new();
         for inst in &module.instances {
+            if inst.inputs.iter().all(|n| known[n.index()] == Known::Unknown) {
+                continue;
+            }
             let cell = lib.cell(inst.cell);
             if cell.is_sequential() || matches!(cell.function, CellFunction::Const(_)) {
                 continue;
             }
-            let unknowns: Vec<usize> = inst
-                .inputs
-                .iter()
-                .enumerate()
-                .filter(|(_, n)| known[n.index()] == Known::Unknown)
-                .map(|(i, _)| i)
-                .collect();
-            if unknowns.is_empty() && inst.inputs.is_empty() {
-                continue;
-            }
             // A cell output is constant iff it agrees across every
             // assignment of the unknown inputs (cells have ≤ 5 inputs, so
-            // this exact check costs at most 32 evaluations).
-            let mut ins: Vec<bool> = inst
-                .inputs
-                .iter()
-                .map(|n| match known[n.index()] {
-                    Known::Const(v) => v,
-                    Known::Unknown => false,
-                })
-                .collect();
-            let n_out = cell.function.output_count();
-            let mut agreed: Vec<Option<bool>> = vec![None; n_out];
-            let mut consistent = vec![true; n_out];
+            // this exact check costs at most 16 evaluations here).
+            ins.clear();
+            unknowns.clear();
+            for (pin, n) in inst.inputs.iter().enumerate() {
+                match known[n.index()] {
+                    Known::Const(v) => ins.push(v),
+                    Known::Unknown => {
+                        ins.push(false);
+                        unknowns.push(pin);
+                    }
+                }
+            }
+            // Bit `pin` of `seen[v]` is set once output `pin` took value `v`.
+            let mut seen = [0u8; 2];
             for combo in 0u32..(1 << unknowns.len()) {
                 for (k, &pin) in unknowns.iter().enumerate() {
                     ins[pin] = combo >> k & 1 == 1;
                 }
                 cell.function.eval(&ins, false, &mut out_buf);
                 for (pin, &v) in out_buf.iter().enumerate() {
-                    match agreed[pin] {
-                        None => agreed[pin] = Some(v),
-                        Some(prev) if prev != v => consistent[pin] = false,
-                        Some(_) => {}
-                    }
+                    seen[v as usize] |= 1 << pin;
                 }
             }
-            for pin in 0..n_out {
-                if consistent[pin] {
-                    if let Some(v) = agreed[pin] {
-                        let net = inst.outputs[pin];
-                        if known[net.index()] != Known::Const(v) {
-                            known[net.index()] = Known::Const(v);
-                            changed = true;
-                        }
-                    }
+            for (pin, &net) in inst.outputs.iter().enumerate() {
+                let v = match (seen[0] >> pin & 1, seen[1] >> pin & 1) {
+                    (1, 0) => false,
+                    (0, 1) => true,
+                    _ => continue,
+                };
+                if known[net.index()] != Known::Const(v) {
+                    known[net.index()] = Known::Const(v);
+                    changed = true;
                 }
             }
         }
@@ -142,8 +154,9 @@ fn fold_constants(module: &mut Module, lib: &CellLibrary) -> usize {
             to_fold.push(i);
         }
     }
+    let settled = !changed;
     if to_fold.is_empty() {
-        return 0;
+        return (0, settled);
     }
     let need0 = to_fold
         .iter()
@@ -177,12 +190,10 @@ fn fold_constants(module: &mut Module, lib: &CellLibrary) -> usize {
         }
     }
     // Remove gates whose every output folded (their nets now drive nothing).
-    let fully: Vec<bool> = module
-        .instances
-        .iter()
-        .enumerate()
-        .map(|(i, inst)| to_fold.contains(&i) && inst.outputs.iter().all(|n| subst[n.index()].is_some()))
-        .collect();
+    let mut fully = vec![false; module.instances.len()];
+    for &i in &to_fold {
+        fully[i] = module.instances[i].outputs.iter().all(|n| subst[n.index()].is_some());
+    }
     let before = module.instances.len();
     let mut idx = 0;
     module.instances.retain(|_| {
@@ -190,7 +201,7 @@ fn fold_constants(module: &mut Module, lib: &CellLibrary) -> usize {
         idx += 1;
         !drop_it
     });
-    before - module.instances.len()
+    (before - module.instances.len(), settled)
 }
 
 fn ensure_tie(module: &mut Module, lib: &CellLibrary, value: bool) -> NetId {
@@ -212,29 +223,50 @@ fn ensure_tie(module: &mut Module, lib: &CellLibrary, value: bool) -> NetId {
     id
 }
 
+/// Driver-table entry of a net nothing drives.
+const UNDRIVEN: u32 = u32::MAX;
+/// Driver-table entry of a net driven by an input port.
+const PORT: u32 = u32::MAX - 1;
+
 /// One pass of dead-gate sweeping: remove combinational instances none of
 /// whose outputs reach an output port or any other live instance.
 /// Returns the number removed.
+///
+/// Only drivers are needed, so the pass builds a flat per-net driver table
+/// instead of a full [`Connectivity`](crate::Connectivity). A module with a
+/// multiply-driven net is transiently inconsistent and is left untouched.
 fn sweep_dead(module: &mut Module, lib: &CellLibrary) -> usize {
-    let conn = match Connectivity::build(module) {
-        Ok(c) => c,
-        // A transiently inconsistent module is left untouched.
-        Err(_) => return 0,
-    };
+    let mut driver = vec![UNDRIVEN; module.net_count()];
+    for p in module.input_ports() {
+        if driver[p.net.index()] != UNDRIVEN {
+            return 0;
+        }
+        driver[p.net.index()] = PORT;
+    }
+    for (i, inst) in module.instances.iter().enumerate() {
+        for &net in &inst.outputs {
+            if driver[net.index()] != UNDRIVEN {
+                return 0;
+            }
+            driver[net.index()] = i as u32;
+        }
+    }
     let n = module.instances.len();
     let mut live = vec![false; n];
     let mut stack: Vec<usize> = Vec::new();
+    let mark = |net: NetId, live: &mut [bool], stack: &mut Vec<usize>| {
+        let d = driver[net.index()];
+        if d < PORT && !live[d as usize] {
+            live[d as usize] = true;
+            stack.push(d as usize);
+        }
+    };
 
     // Roots: drivers of output ports, and all sequential instances (their
     // state is observable behaviour), plus everything feeding a sequential
     // data pin.
     for p in module.output_ports() {
-        if let Driver::Inst { inst, .. } = conn.driver_of(p.net) {
-            if !live[inst.index()] {
-                live[inst.index()] = true;
-                stack.push(inst.index());
-            }
-        }
+        mark(p.net, &mut live, &mut stack);
     }
     for (i, inst) in module.instances.iter().enumerate() {
         if lib.cell(inst.cell).is_sequential() && !live[i] {
@@ -244,12 +276,7 @@ fn sweep_dead(module: &mut Module, lib: &CellLibrary) -> usize {
     }
     while let Some(i) = stack.pop() {
         for &net in &module.instances[i].inputs {
-            if let Driver::Inst { inst, .. } = conn.driver_of(net) {
-                if !live[inst.index()] {
-                    live[inst.index()] = true;
-                    stack.push(inst.index());
-                }
-            }
+            mark(net, &mut live, &mut stack);
         }
     }
 
@@ -266,7 +293,7 @@ fn sweep_dead(module: &mut Module, lib: &CellLibrary) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze::validate;
+    use crate::analyze::{validate, Connectivity, Driver};
     use crate::builder::NetlistBuilder;
 
     #[test]
@@ -332,6 +359,40 @@ mod tests {
             1,
             "register must survive the sweep"
         );
+    }
+
+    #[test]
+    fn constants_deeper_than_one_pass_still_fold() {
+        // A half-adder carry chain stored in reverse order: each
+        // propagation iteration learns one more constant carry, so one
+        // pass hits its iteration cap having folded nothing (every half
+        // adder keeps a live-looking sum). The loop must not stop there.
+        const DEPTH: usize = 12;
+        let lib = CellLibrary::syn40();
+        let mut b = NetlistBuilder::new("t", &lib);
+        let a = b.input("a");
+        let zero = b.const0();
+        let _dead = b.not(a);
+        let first = b.module().instances.len();
+        let carries: Vec<NetId> = (0..DEPTH).map(|_| b.ha(a, a).1).collect();
+        // Instance `first + k` is chain level `DEPTH - 1 - k`.
+        for k in 0..DEPTH {
+            let feed = if k == DEPTH - 1 { zero } else { carries[k + 1] };
+            b.patch_instance_input(first + k, 0, feed);
+        }
+        let y = b.and2(carries[0], a);
+        b.output("y", y);
+        let mut m = b.finish();
+        let rep = optimize(&mut m, &lib);
+        assert_eq!(rep.folded, 1, "the AND at the end of the chain folds: {rep:?}");
+        assert!(rep.passes > 1, "{rep:?}");
+        let conn = Connectivity::build(&m).unwrap();
+        match conn.driver_of(m.port("y").unwrap().net) {
+            Driver::Inst { inst, .. } => {
+                assert_eq!(lib.cell(m.instances[inst.index()].cell).kind, CellKind::TieLo)
+            }
+            other => panic!("expected tie driver, got {other:?}"),
+        }
     }
 
     #[test]

@@ -11,8 +11,11 @@
 //! workload, plus the structural invariants of the new hierarchical
 //! group-path tree behind `CompiledPower::by_path_pj`.
 
+use std::collections::HashMap;
+
 use syndcim_core::{assemble, DesignChoice, MacroSpec};
 use syndcim_engine::{Lowering, Program};
+use syndcim_ir::Symbols;
 use syndcim_pdk::{CellLibrary, OperatingPoint};
 use syndcim_power::PowerAnalyzer;
 use syndcim_sim::Simulator;
@@ -158,4 +161,63 @@ fn interpreter_with_lowering_is_bit_identical_on_paper_chip() {
     }
     assert_eq!(fresh.toggle_table(), shared.toggle_table(), "toggle tables must be bit-identical");
     assert_eq!(fresh.cycles(), shared.cycles());
+}
+
+/// Every symbol of the paper chip's `Symbols` — net, instance, group,
+/// group head, path-tree node and port — carries exactly the id a plain
+/// `HashMap<String, u32>` assigns in first-occurrence order over the
+/// same interning sequence, and the interner holds nothing else. The
+/// ids are what the `.scim` symbol section stores, so this pins the
+/// builder's index implementation out of the artifact bytes.
+#[test]
+fn paper_chip_symbol_ids_match_first_occurrence_reference() {
+    let lib = CellLibrary::syn40();
+    let mac = assemble(&lib, &MacroSpec::paper_test_chip(), &DesignChoice::default());
+    let m = &mac.module;
+    let syms = Symbols::from_module(m);
+
+    let mut index: HashMap<String, u32> = HashMap::new();
+    let mut id = |s: &str| {
+        let next = index.len() as u32;
+        *index.entry(s.to_string()).or_insert(next) as usize
+    };
+    for (i, net) in m.nets.iter().enumerate() {
+        assert_eq!(syms.net_sym(i).index(), id(&net.name), "net {i}");
+    }
+    for (i, inst) in m.instances.iter().enumerate() {
+        assert_eq!(syms.inst_sym(i).index(), id(&inst.name), "instance {i}");
+    }
+    for (g, name) in m.groups.iter().enumerate() {
+        let g = g as u32;
+        assert_eq!(syms.group_sym(g).index(), id(name), "group {name}");
+        assert_eq!(syms.group_head_sym(g).index(), id(name.split('/').next().unwrap()), "head of {name}");
+        for (end, _) in name.match_indices('/') {
+            id(&name[..end]);
+        }
+        assert_eq!(syms.node_sym(syms.group_node(g)), syms.group_sym(g), "node of {name}");
+    }
+    let mut ports: Vec<&str> = m.ports.iter().map(|p| p.name.as_str()).collect();
+    ports.sort_unstable();
+    assert_eq!(syms.port_count(), ports.len());
+    for (i, name) in ports.iter().enumerate() {
+        assert_eq!(syms.port_sym(i).index(), id(name), "port {name}");
+    }
+    assert_eq!(syms.interner().len(), index.len(), "no symbol beyond the reference sequence");
+
+    // Path-tree nodes: one per distinct full path or `/`-prefix, each
+    // resolving to its reference id and hanging under its parent path.
+    let mut paths: Vec<&str> = m
+        .groups
+        .iter()
+        .flat_map(|name| name.match_indices('/').map(|(end, _)| &name[..end]).chain([name.as_str()]))
+        .collect();
+    paths.sort_unstable();
+    paths.dedup();
+    assert_eq!(syms.node_count(), paths.len());
+    for node in 0..syms.node_count() as u32 {
+        let name = syms.node_name(node);
+        assert_eq!(syms.node_sym(node).index() as u32, index[name], "node {name}");
+        let parent = syms.node_parent(node).map(|p| syms.node_name(p));
+        assert_eq!(parent, name.rsplit_once('/').map(|(head, _)| head), "parent of {name}");
+    }
 }

@@ -1,0 +1,263 @@
+//! `optimize` preserves observable behaviour.
+//!
+//! Constant folding and the dead-gate sweep rewrite the netlist every
+//! `implement` signs off, so they must never change what the macro does.
+//! Each case here builds a seeded random levelized netlist — tie-fed
+//! constant cones, DFF/DFFE registers and SRAM bitcells with feedback,
+//! dead logic and multi-output cells (HA/FA/C42) — and runs the
+//! reference `Simulator` on the module before and after `optimize`
+//! under the same random stimulus. Every output port must agree on every
+//! cycle, before and after the clock edge, and so must every register's
+//! stored state; registers are matched by instance name because the
+//! sweep re-indexes instances. The paper chip gets the same check.
+//!
+//! Cases run as seeded loops in the `tests/properties.rs` style; set
+//! `SYNDCIM_FUZZ_CASES=N` to run more of them (CI runs a larger count).
+
+use std::collections::HashMap;
+
+use rand::Rng;
+use syndcim_core::{assemble, DesignChoice, MacroSpec};
+use syndcim_netlist::{optimize, validate, Connectivity, Driver, Module, NetId, NetlistBuilder, OptReport};
+use syndcim_pdk::{CellKind, CellLibrary};
+use syndcim_sim::vectors::seeded_rng;
+use syndcim_sim::Simulator;
+
+/// Cases run by plain `cargo test`.
+const DEFAULT_CASES: u64 = 24;
+/// Clock cycles each case is simulated for.
+const CYCLES: usize = 40;
+
+fn cases() -> u64 {
+    std::env::var("SYNDCIM_FUZZ_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(DEFAULT_CASES)
+}
+
+/// Combinational cell kinds the generator draws from.
+const COMB: [CellKind; 19] = [
+    CellKind::Inv,
+    CellKind::Buf,
+    CellKind::Nand2,
+    CellKind::Nor2,
+    CellKind::And2,
+    CellKind::Or2,
+    CellKind::Xor2,
+    CellKind::Xnor2,
+    CellKind::Mux2,
+    CellKind::Oai21,
+    CellKind::Oai22,
+    CellKind::Aoi21,
+    CellKind::Ha,
+    CellKind::Fa,
+    CellKind::C42,
+    CellKind::MultNor,
+    CellKind::MuxPg2,
+    CellKind::MuxTg2,
+    CellKind::Oai22Fused,
+];
+
+/// Sequential kinds: their inputs are patched after the logic exists,
+/// closing feedback loops through state.
+const SEQ: [CellKind; 3] = [CellKind::Dff, CellKind::DffEn, CellKind::Sram6T2T];
+
+/// A seeded random levelized netlist. Gates read earlier nets only (so
+/// the combinational part is acyclic), with a bias towards tie nets so
+/// constant cones form; some gate outputs reach no port (dead logic).
+fn random_module(lib: &CellLibrary, seed: u64) -> Module {
+    let mut rng = seeded_rng(seed);
+    let mut b = NetlistBuilder::new("fuzz", lib);
+    let mut pool: Vec<NetId> = b.input_bus("in", rng.gen_range(3usize..10));
+    let ties = [b.const0(), b.const1()];
+    pool.extend(ties);
+
+    let mut regs = Vec::new();
+    for _ in 0..rng.gen_range(2usize..12) {
+        let kind = SEQ[rng.gen_range(0..SEQ.len())];
+        let inputs = lib.cell(lib.id_of(kind)).inputs.len();
+        regs.push(b.module().instances.len());
+        pool.extend(b.add(kind, &vec![ties[0]; inputs]));
+    }
+
+    for _ in 0..rng.gen_range(20usize..300) {
+        let kind = COMB[rng.gen_range(0..COMB.len())];
+        let inputs = lib.cell(lib.id_of(kind)).inputs.len();
+        let ins: Vec<NetId> = (0..inputs)
+            .map(|_| {
+                if rng.gen_bool(0.3) {
+                    ties[rng.gen_range(0usize..2)]
+                } else {
+                    pool[rng.gen_range(0..pool.len())]
+                }
+            })
+            .collect();
+        pool.extend(b.add(kind, &ins));
+    }
+
+    for &r in &regs {
+        for pin in 0..b.module().instances[r].inputs.len() {
+            let net = pool[rng.gen_range(0..pool.len())];
+            b.patch_instance_input(r, pin, net);
+        }
+    }
+    let outs: Vec<NetId> =
+        (0..rng.gen_range(1usize..24)).map(|_| pool[rng.gen_range(0..pool.len())]).collect();
+    b.output_bus("out", &outs);
+    b.finish()
+}
+
+/// Simulate `before` and `after` side by side under one seeded random
+/// stimulus and assert identical outputs and register states.
+fn assert_equivalent(lib: &CellLibrary, before: &Module, after: &Module, seed: u64, label: &str) {
+    let mut rng = seeded_rng(seed ^ 0x5717);
+    let mut sims = [Simulator::new(before, lib).unwrap(), Simulator::new(after, lib).unwrap()];
+    let inputs: Vec<&str> = before.input_ports().map(|p| p.name.as_str()).collect();
+    let outputs: Vec<&str> = before.output_ports().map(|p| p.name.as_str()).collect();
+    let by_name: HashMap<&str, usize> =
+        after.instances.iter().enumerate().map(|(i, inst)| (inst.name.as_str(), i)).collect();
+    let regs: Vec<(syndcim_netlist::InstId, syndcim_netlist::InstId)> = before
+        .instances
+        .iter()
+        .enumerate()
+        .filter(|(_, inst)| lib.cell(inst.cell).is_sequential())
+        .map(|(i, inst)| {
+            let j = by_name
+                .get(inst.name.as_str())
+                .unwrap_or_else(|| panic!("{label}: register `{}` swept", inst.name));
+            (syndcim_netlist::InstId(i as u32), syndcim_netlist::InstId(*j as u32))
+        })
+        .collect();
+    assert_eq!(
+        regs.len(),
+        after.instances.iter().filter(|i| lib.cell(i.cell).is_sequential()).count(),
+        "{label}: register count"
+    );
+
+    for cycle in 0..CYCLES {
+        for name in &inputs {
+            let v = rng.gen_bool(0.5);
+            for sim in &mut sims {
+                sim.set(name, v);
+            }
+        }
+        for phase in ["settle", "step"] {
+            for sim in &mut sims {
+                if phase == "settle" {
+                    sim.settle();
+                } else {
+                    sim.step();
+                }
+            }
+            let [a, b] = &sims;
+            for name in &outputs {
+                assert_eq!(a.get(name), b.get(name), "{label}: output `{name}` at cycle {cycle} ({phase})");
+            }
+            for &(ra, rb) in &regs {
+                assert_eq!(
+                    a.state_of(ra),
+                    b.state_of(rb),
+                    "{label}: register {ra:?} at cycle {cycle} ({phase})"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn optimize_preserves_behaviour_on_random_netlists() {
+    let lib = CellLibrary::syn40();
+    let mut total = OptReport::default();
+    for case in 0..cases() {
+        let seed = 0x0F7_0000 + case;
+        let before = random_module(&lib, seed);
+        let mut after = before.clone();
+        let rep = optimize(&mut after, &lib);
+        validate(&after, &Connectivity::build(&after).unwrap()).unwrap();
+        assert_equivalent(&lib, &before, &after, seed, &format!("case {case} (seed {seed:#x}, {rep:?})"));
+        total.folded += rep.folded;
+        total.swept += rep.swept;
+    }
+    // The generator must actually exercise both passes.
+    assert!(total.folded > 0 && total.swept > 0, "{total:?}");
+}
+
+#[test]
+fn optimize_preserves_behaviour_on_the_paper_chip() {
+    let lib = CellLibrary::syn40();
+    let before = assemble(&lib, &MacroSpec::paper_test_chip(), &DesignChoice::default()).module;
+    let mut after = before.clone();
+    let rep = optimize(&mut after, &lib);
+    assert!(rep.swept > 0, "{rep:?}");
+    assert_equivalent(&lib, &before, &after, 1, "paper chip");
+}
+
+/// The fold path at volume: 12k tie-controlled gates over several cell
+/// kinds plus a second rank fed by the first, so every rewire step has
+/// thousands of folded gates to mask. Counts are exact.
+#[test]
+fn folding_ten_thousand_tie_fed_gates_is_exact() {
+    const RANK: usize = 6_000;
+    let lib = CellLibrary::syn40();
+    let mut b = NetlistBuilder::new("ties", &lib);
+    let a = b.input("a");
+    let mut expect: Vec<(NetId, bool)> = Vec::new();
+    for i in 0..RANK {
+        let (y, v) = match i % 5 {
+            0 => {
+                let zero = b.const0();
+                (b.and2(a, zero), false)
+            }
+            1 => {
+                let one = b.const1();
+                (b.or2(one, a), true)
+            }
+            2 => {
+                let zero = b.const0();
+                (b.nand2(a, zero), true)
+            }
+            3 => {
+                let one = b.const1();
+                (b.nor2(a, one), false)
+            }
+            _ => {
+                let zero = b.const0();
+                (b.add(CellKind::Oai21, &[a, a, zero])[0], true)
+            }
+        };
+        // Second rank: XOR with a constant operand is constant too, and
+        // only folds once the first rank's value is known.
+        let one = b.const1();
+        expect.push((b.xor2(y, one), !v));
+        expect.push((y, v));
+    }
+    // A half adder with one tie input keeps its live sum; only its carry
+    // is constant, so it is rewired but not removed.
+    let zero = b.const0();
+    let (s, c) = b.ha(a, zero);
+    let outs: Vec<NetId> = expect.iter().map(|&(n, _)| n).chain([s, c]).collect();
+    b.output_bus("y", &outs);
+    let mut m = b.finish();
+
+    let rep = optimize(&mut m, &lib);
+    // The sweep count depends on how many replicated tie cells the
+    // rewire leaves unread, so only the fold count and passes are pinned.
+    assert_eq!((rep.folded, rep.passes), (2 * RANK, 2), "{rep:?}");
+    let conn = Connectivity::build(&m).unwrap();
+    validate(&m, &conn).unwrap();
+    let tie_value = |net: NetId| match conn.driver_of(net) {
+        Driver::Inst { inst, .. } => match lib.cell(m.instances[inst.index()].cell).kind {
+            CellKind::TieLo => Some(false),
+            CellKind::TieHi => Some(true),
+            _ => None,
+        },
+        _ => None,
+    };
+    for (i, &(_, v)) in expect.iter().enumerate() {
+        let port = m.port(&format!("y[{i}]")).unwrap();
+        assert_eq!(tie_value(port.net), Some(v), "y[{i}]");
+    }
+    let n = expect.len();
+    assert_eq!(tie_value(m.port(&format!("y[{n}]")).unwrap().net), None, "the sum stays live");
+    assert_eq!(tie_value(m.port(&format!("y[{}]", n + 1)).unwrap().net), Some(false), "carry of a + 0");
+    let gates =
+        m.instances.iter().filter(|i| !matches!(lib.cell(i.cell).kind, CellKind::TieLo | CellKind::TieHi));
+    assert_eq!(gates.count(), 1, "only the half adder survives");
+}

@@ -73,10 +73,21 @@ fn implement_span_tree_nests_the_flow_phases() {
 
     // One lowering — hoisted before placement so layout can reuse its
     // symbols — feeds the whole compiled trinity.
-    let lowering = child(child(imp, "implement.lower"), "lowering");
+    let lower = child(imp, "implement.lower");
+    let lowering = child(lower, "lowering");
     assert_eq!(lowering.count, 1, "one lowering per implement, observed by telemetry");
-    for sub in ["lowering.connectivity", "lowering.levelize", "lowering.intern"] {
+    for sub in ["lowering.connectivity", "lowering.levelize", "lowering.intern", "lowering.validate"] {
         assert_eq!(child(lowering, sub).count, 1, "{sub}");
+    }
+    assert_eq!(lower.children.len(), 1, "the validate walk nests inside `lowering`: {:?}", lower.children);
+
+    // optimize's two passes are leaf spans, entered once per pass.
+    let opt = child(imp, "implement.optimize");
+    let names: Vec<&str> = opt.children.iter().map(|c| c.name.as_str()).collect();
+    assert_eq!(names, ["optimize.fold", "optimize.sweep"]);
+    for pass in &opt.children {
+        assert_eq!(pass.count, im.synth_report.passes as u64, "{}", pass.name);
+        assert!(pass.children.is_empty(), "{} is a leaf", pass.name);
     }
     let compile = child(imp, "implement.compile");
     assert_eq!(child(compile, "engine.compile").count, 1);
