@@ -122,8 +122,10 @@ impl Flags {
 }
 
 /// Deterministic spec → compiled bundle (the byte source of both
-/// `compile` and `verify`'s reference).
+/// `compile` and `verify`'s reference). An invalid spec is a command
+/// error, never a generator panic.
 fn compile_spec(spec: &MacroSpec) -> Result<CompiledMacro, String> {
+    spec.validate().map_err(|e| format!("invalid spec: {e}"))?;
     let lib = CellLibrary::syn40();
     let mac = assemble(&lib, spec, &DesignChoice::default());
     CompiledMacro::compile(&mac.module, &lib, &WireLoads::zero(mac.module.net_count()))
@@ -254,6 +256,29 @@ fn main() -> ExitCode {
         Err(msg) => {
             eprintln!("syndcim: {msg}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use syndcim_core::SpecError;
+
+    /// Spec flags the generators cannot build (or `implement` rejects)
+    /// fail validation as a command error before anything is assembled.
+    #[test]
+    fn bad_spec_flags_are_command_errors_not_panics() {
+        for (flag, value, want) in [
+            ("--mcr", "3", SpecError::BadMcr),
+            ("--h", "0", SpecError::BadDimensions),
+            ("--h", "3", SpecError::BadDimensions),
+            ("--w", "2", SpecError::BadDimensions),
+        ] {
+            let spec = parse_flags(&[flag.to_string(), value.to_string()]).unwrap().spec();
+            assert_eq!(spec.validate(), Err(want.clone()), "{flag} {value}");
+            let err = compile_spec(&spec).unwrap_err();
+            assert_eq!(err, format!("invalid spec: {want}"), "{flag} {value}");
         }
     }
 }

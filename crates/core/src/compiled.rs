@@ -1,22 +1,19 @@
 //! The compiled-macro bundle: one shared [`Lowering`] feeding all three
 //! compiled analysis backends.
 //!
-//! Before this bundle existed each fast path walked the netlist on its
-//! own — `Program::compile` for simulation, `Sta::new().compile()` for
-//! timing, `PowerAnalyzer::with_wire_caps` for power — three identical
-//! connectivity/levelization traversals per implemented macro.
-//! [`CompiledMacro::compile`] performs the traversal **once** (pinned
-//! by `tests/one_lowering_per_implement.rs` via
-//! [`Lowering::builds`]) and hands the same IR to the simulation,
-//! timing and power compilers, so every later sign-off query — engine
-//! evaluation, shmoo timing, power annotation — runs on programs that
-//! agree on slot assignment by construction.
+//! [`CompiledMacro::compile`] walks the netlist **once** (pinned by
+//! `tests/one_lowering_per_implement.rs` via [`Lowering::builds`]) and
+//! hands the same IR straight to the simulation, timing and power
+//! compilers ([`Program::from_lowering`], [`CompiledSta::from_lowering`],
+//! [`CompiledPower::from_lowering`]), so every later sign-off query —
+//! engine evaluation, shmoo timing, power annotation — runs on programs
+//! that agree on slot assignment by construction.
 
 use syndcim_ir::Lowering;
 use syndcim_netlist::{Module, NetlistError};
 use syndcim_pdk::CellLibrary;
-use syndcim_power::{CompiledPower, PowerAnalyzer};
-use syndcim_sta::{CompiledSta, Sta, WireLoads};
+use syndcim_power::CompiledPower;
+use syndcim_sta::{CompiledSta, WireLoads};
 
 use syndcim_engine::Program;
 
@@ -64,6 +61,10 @@ impl CompiledMacro {
     /// hands it here afterwards, so the one-lowering-per-implement
     /// contract holds even though layout runs in between. Infallible:
     /// validation happened when `lowering` was built.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the wire tables do not cover every net.
     pub fn compile_with_lowering(
         module: &Module,
         lib: &CellLibrary,
@@ -71,11 +72,8 @@ impl CompiledMacro {
         lowering: Lowering,
     ) -> Self {
         let program = Program::from_lowering(&lowering, module, lib);
-        let power = PowerAnalyzer::from_lowering(module, lib, &lowering, &wires.cap_ff).compile();
-        // `with_lowering` takes the IR by value; the clone is a memcpy of
-        // already-built tables, not a netlist walk (Lowering::builds()
-        // stays put — that is the whole point of the bundle).
-        let sta = Sta::with_lowering(module, lib, lowering.clone()).with_wire_loads(wires.clone()).compile();
+        let power = CompiledPower::from_lowering(&lowering, module, lib, &wires.cap_ff);
+        let sta = CompiledSta::from_lowering(&lowering, module, lib, wires);
         CompiledMacro { lowering, program, sta, power }
     }
 }
@@ -85,6 +83,8 @@ mod tests {
     use super::*;
     use syndcim_netlist::NetlistBuilder;
     use syndcim_pdk::OperatingPoint;
+    use syndcim_power::PowerAnalyzer;
+    use syndcim_sta::Sta;
 
     #[test]
     fn bundle_compiles_all_three_programs_from_one_walk() {

@@ -4,38 +4,30 @@
 //! the "post-layout simulation" sign-off of the paper, plus the
 //! measurement conditions of its evaluation section.
 //!
-//! Every measurement drives a [`SimBackend`]. Two backends exist:
+//! Every measurement drives the compiled bit-parallel `syndcim_engine`
+//! backend: up to 512 measurement passes evaluate simultaneously (`u64`
+//! lane words up to 64 lanes, wider portable or ISA-native SIMD words
+//! beyond — `EngineSim` picks the word per chunk, honoring the
+//! `SYNDCIM_SIMD` pin), and pass chunks fan out across worker threads
+//! sharing one compiled program. Measurement drivers use the
+//! incremental (`drive_word_at`) stimulus path, skipping input ports
+//! whose lane word is unchanged between cycles. Activity converts to
+//! power on the macro's compiled power program, built at `implement`
+//! from the shared lowering.
 //!
-//! * [`EvalBackend::Engine`] (default) — the compiled bit-parallel
-//!   `syndcim_engine` backend: up to 512 measurement passes evaluate
-//!   simultaneously (`u64` lane words up to 64 lanes, wider portable or
-//!   ISA-native SIMD words beyond — `EngineSim` picks the word per
-//!   chunk, honoring the `SYNDCIM_SIMD` pin), and pass chunks fan out
-//!   across worker threads sharing one compiled program.
-//!   Measurement drivers use the incremental (`drive_word_at`) stimulus
-//!   path, skipping input ports whose lane word is unchanged between
-//!   cycles;
-//! * [`EvalBackend::Interpreter`] — the levelized reference
-//!   `syndcim_sim::Simulator`, running passes sequentially exactly as
-//!   the original sign-off flow did.
-//!
-//! The backend choice carries through to power conversion: the engine
-//! arm reports through the macro's compiled power program (built at
-//! `implement` from the shared lowering), the interpreter arm through
-//! the reference `PowerAnalyzer` rebuilt per call — two genuinely
-//! independent measurement pipelines, end to end.
-//!
-//! Outputs are golden-model-checked in both backends and the derived
-//! measurements are bit-identical (pinned by the backend-agreement
-//! tests), so a divergence between the pipelines can never go
-//! unnoticed.
+//! The workload drivers are generic over [`SimBackend`], so the
+//! backend-agreement tests drive the reference `syndcim_sim::Simulator`
+//! (and convert with the reference `PowerAnalyzer`) through the very
+//! same stimulus and golden checks, pinning the measurements
+//! bit-identical.
 
-use syndcim_engine::{default_threads, parallel_map, EngineSim, SimdPolicy};
+use syndcim_engine::{EngineSim, SimdPolicy};
+use syndcim_ir::{default_threads, parallel_map};
 use syndcim_netlist::NetId;
 use syndcim_pdk::{CellLibrary, OperatingPoint};
-use syndcim_power::{tops_per_mm2, tops_per_w, MacThroughput, PowerAnalyzer, PowerReport};
+use syndcim_power::{tops_per_mm2, tops_per_w, MacThroughput, PowerReport};
 use syndcim_sim::golden::{bit_serial_schedule, fp_align, int_dot, twos_complement_bit, DcimChannelTrace};
-use syndcim_sim::{FpValue, Precision, SimBackend, Simulator};
+use syndcim_sim::{FpValue, Precision, SimBackend};
 use syndcim_telemetry as telemetry;
 
 use crate::assemble::MacroNetlist;
@@ -60,16 +52,6 @@ pub(crate) fn chunk_lanes(passes: usize) -> usize {
         let cap = SimdPolicy::from_env().map(SimdPolicy::max_lanes).unwrap_or(MAX_LANES);
         MAX_LANES.min(cap)
     }
-}
-
-/// Which simulation backend a measurement drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvalBackend {
-    /// Compiled bit-parallel engine (lanes + worker threads).
-    #[default]
-    Engine,
-    /// Interpreted levelized reference simulator.
-    Interpreter,
 }
 
 /// Result of one measured workload.
@@ -114,14 +96,15 @@ impl Activity {
 
 /// Measure an integer MAC workload at `pa`-bit precision (activations
 /// and weights both `pa` bits, `pa` a power of two ≤ the macro's
-/// configured precision) on the default (engine) backend.
+/// configured precision) on the compiled engine.
 ///
 /// `passes` holds one activation vector (length `h`) per pass;
 /// `weights[ch]` holds the `h` signed weights of output channel `ch`
 /// (`ch < w / pa`). Weights are preloaded into bank 0.
 ///
 /// Every channel output of every pass is compared against
-/// [`DcimChannelTrace`]; power comes from the observed toggles.
+/// [`DcimChannelTrace`]; power comes from the observed toggles. The
+/// library goes unused: the macro carries its compiled programs.
 ///
 /// ```
 /// use syndcim_core::{implement, measure_int, DesignChoice, MacroSpec};
@@ -154,57 +137,34 @@ impl Activity {
 /// `pa`, and [`CoreError::Dimension`] for mis-shaped vectors.
 pub fn measure_int(
     im: &ImplementedMacro,
-    lib: &CellLibrary,
+    _lib: &CellLibrary,
     pa: u32,
     passes: &[Vec<i64>],
     weights: &[Vec<i64>],
     op: OperatingPoint,
     f_mhz: f64,
 ) -> Result<MacMeasurement, CoreError> {
-    measure_int_with(im, lib, pa, passes, weights, op, f_mhz, EvalBackend::default())
+    let activity = int_activity(im, pa, passes, weights)?;
+    let power = im.compiled.power.report(&activity.toggles, activity.lane_cycles.max(1), f_mhz, op);
+    Ok(finish_measurement(im, power, activity.checked, pa, pa, f_mhz))
 }
 
-/// [`measure_int`] with an explicit backend choice.
-///
-/// # Errors
-///
-/// Returns [`CoreError::FunctionalMismatch`] if any output disagrees
-/// with the golden model.
-#[allow(clippy::too_many_arguments)]
-pub fn measure_int_with(
-    im: &ImplementedMacro,
-    lib: &CellLibrary,
-    pa: u32,
-    passes: &[Vec<i64>],
-    weights: &[Vec<i64>],
-    op: OperatingPoint,
-    f_mhz: f64,
-    backend: EvalBackend,
-) -> Result<MacMeasurement, CoreError> {
-    let activity = int_activity(im, lib, pa, passes, weights, backend)?;
-    let measurement = finish_measurement(im, lib, &activity, pa, pa, op, f_mhz, backend);
-    Ok(MacMeasurement { checked_outputs: activity.checked, ..measurement })
-}
-
-/// Run the INT workload on the chosen backend and return its activity.
-/// The engine backend executes the simulation program the macro has
-/// carried since `implement` (compiled from the shared lowering) — no
-/// per-call netlist walk.
+/// Run the INT workload on the engine and return its activity. The
+/// engine executes the simulation program the macro has carried since
+/// `implement` (compiled from the shared lowering) — no per-call
+/// netlist walk.
 ///
 /// # Errors
 ///
 /// [`CoreError::Precision`] for an unsupported `pa`,
 /// [`CoreError::Dimension`] for mis-shaped vectors,
 /// [`CoreError::FunctionalMismatch`] for golden-model disagreement —
-/// the same contract as [`measure_int`] (the seed flow panicked on the
-/// first two).
+/// the same contract as [`measure_int`].
 pub(crate) fn int_activity(
     im: &ImplementedMacro,
-    lib: &CellLibrary,
     pa: u32,
     passes: &[Vec<i64>],
     weights: &[Vec<i64>],
-    backend: EvalBackend,
 ) -> Result<Activity, CoreError> {
     let mac = &im.mac;
     if !pa.is_power_of_two() || pa > mac.w_bits {
@@ -222,48 +182,20 @@ pub(crate) fn int_activity(
     }
     let golden =
         |lane_acts: &Vec<i64>, ch: usize| DcimChannelTrace::run(lane_acts, &weights[ch], pa, pa).output;
-    match backend {
-        EvalBackend::Interpreter => {
-            telemetry::span!("eval.int.interpreter");
-            // Each measurement pass is an independent vector sample from
-            // the quiesced state — the same condition an engine lane
-            // sees, so both backends produce bit-identical activity.
-            // Every instance rides the macro's shared lowering (same
-            // levelize order, shared symbol-keyed port table — no owned
-            // name map per pass).
-            let results: Vec<Result<Activity, CoreError>> = passes
-                .iter()
-                .map(|acts| {
-                    let mut sim = Simulator::with_lowering(&mac.module, lib, &im.compiled.lowering)?;
-                    setup_int(&mut sim, mac, pa, weights);
-                    run_pass_lanes(&mut sim, mac, pa, std::slice::from_ref(acts));
-                    let checked = check_channels(&sim, mac, pa, pa, std::slice::from_ref(acts), &golden)?;
-                    Ok(Activity {
-                        toggles: sim.toggle_table().to_vec(),
-                        lane_cycles: sim.lane_cycles(),
-                        checked,
-                    })
-                })
-                .collect();
-            merge_activities(mac, results)
-        }
-        EvalBackend::Engine => {
-            telemetry::span!("eval.int.engine");
-            // Surface a bad SYNDCIM_SIMD as a typed error before any
-            // worker thread constructs an executor.
-            SimdPolicy::from_env()?;
-            let prog = &im.compiled.program;
-            let chunks: Vec<&[Vec<i64>]> = passes.chunks(chunk_lanes(passes.len())).collect();
-            let results = parallel_map(chunks, |_, chunk| -> Result<Activity, CoreError> {
-                let mut sim = EngineSim::try_new(prog, &mac.module, chunk.len())?;
-                setup_int(&mut sim, mac, pa, weights);
-                run_pass_lanes(&mut sim, mac, pa, chunk);
-                let checked = check_channels(&sim, mac, pa, pa, chunk, &golden)?;
-                Ok(Activity { toggles: sim.toggle_table().to_vec(), lane_cycles: sim.lane_cycles(), checked })
-            });
-            merge_activities(mac, results)
-        }
-    }
+    telemetry::span!("eval.int.engine");
+    // Surface a bad SYNDCIM_SIMD as a typed error before any worker
+    // thread constructs an executor.
+    SimdPolicy::from_env()?;
+    let prog = &im.compiled.program;
+    let chunks: Vec<&[Vec<i64>]> = passes.chunks(chunk_lanes(passes.len())).collect();
+    let results = parallel_map(chunks, |_, chunk| -> Result<Activity, CoreError> {
+        let mut sim = EngineSim::try_new(prog, &mac.module, chunk.len())?;
+        setup_int(&mut sim, mac, pa, weights);
+        run_pass_lanes(&mut sim, mac, pa, chunk);
+        let checked = check_channels(&sim, mac, pa, pa, chunk, &golden)?;
+        Ok(Activity { toggles: sim.toggle_table().to_vec(), lane_cycles: sim.lane_cycles(), checked })
+    });
+    merge_activities(mac, results)
 }
 
 fn merge_activities(
@@ -277,11 +209,12 @@ fn merge_activities(
     Ok(acc)
 }
 
-/// Measure an FP MAC workload in the macro's configured FP format, on
-/// the default (engine) backend. FP activations go through the on-macro
+/// Measure an FP MAC workload in the macro's configured FP format on
+/// the compiled engine. FP activations go through the on-macro
 /// alignment unit; FP weights are pre-aligned (as the paper's flow
 /// stores them) and written as signed mantissas across
-/// `next_power_of_two(man+2)` columns.
+/// `next_power_of_two(man+2)` columns. The library goes unused: the
+/// macro carries its compiled programs.
 ///
 /// # Errors
 ///
@@ -291,32 +224,11 @@ fn merge_activities(
 /// precision, and [`CoreError::Dimension`] for mis-shaped vectors.
 pub fn measure_fp(
     im: &ImplementedMacro,
-    lib: &CellLibrary,
+    _lib: &CellLibrary,
     passes: &[Vec<FpValue>],
     weights: &[Vec<FpValue>],
     op: OperatingPoint,
     f_mhz: f64,
-) -> Result<MacMeasurement, CoreError> {
-    measure_fp_with(im, lib, passes, weights, op, f_mhz, EvalBackend::default())
-}
-
-/// [`measure_fp`] with an explicit backend choice.
-///
-/// # Errors
-///
-/// Returns [`CoreError::FunctionalMismatch`] if the hardware disagrees
-/// with the golden model, [`CoreError::MissingFpUnit`] if the macro was
-/// built without an FP precision, and [`CoreError::Dimension`] for
-/// mis-shaped vectors.
-#[allow(clippy::too_many_arguments)]
-pub fn measure_fp_with(
-    im: &ImplementedMacro,
-    lib: &CellLibrary,
-    passes: &[Vec<FpValue>],
-    weights: &[Vec<FpValue>],
-    op: OperatingPoint,
-    f_mhz: f64,
-    backend: EvalBackend,
 ) -> Result<MacMeasurement, CoreError> {
     let mac = &im.mac;
     let Some(fmt) = mac.fp else {
@@ -377,34 +289,18 @@ pub fn measure_fp_with(
         Ok(Activity { toggles: sim.toggle_table().to_vec(), lane_cycles: sim.lane_cycles(), checked })
     };
 
-    let activity = match backend {
-        EvalBackend::Interpreter => {
-            // Independent reference pass per vector (see int_activity).
-            let results: Vec<Result<Activity, CoreError>> = passes
-                .iter()
-                .map(|acts| {
-                    let mut sim = Simulator::with_lowering(&mac.module, lib, &im.compiled.lowering)?;
-                    setup_fp(&mut sim, mac, pw, &aligned_w);
-                    run_chunk(&mut sim, std::slice::from_ref(acts))
-                })
-                .collect();
-            merge_activities(mac, results)?
-        }
-        EvalBackend::Engine => {
-            SimdPolicy::from_env()?;
-            let prog = &im.compiled.program;
-            let chunks: Vec<&[Vec<FpValue>]> = passes.chunks(chunk_lanes(passes.len())).collect();
-            let results = parallel_map(chunks, |_, chunk| -> Result<Activity, CoreError> {
-                let mut sim = EngineSim::try_new(prog, &mac.module, chunk.len())?;
-                setup_fp(&mut sim, mac, pw, &aligned_w);
-                run_chunk(&mut sim, chunk)
-            });
-            merge_activities(mac, results)?
-        }
-    };
+    SimdPolicy::from_env()?;
+    let prog = &im.compiled.program;
+    let chunks: Vec<&[Vec<FpValue>]> = passes.chunks(chunk_lanes(passes.len())).collect();
+    let results = parallel_map(chunks, |_, chunk| -> Result<Activity, CoreError> {
+        let mut sim = EngineSim::try_new(prog, &mac.module, chunk.len())?;
+        setup_fp(&mut sim, mac, pw, &aligned_w);
+        run_chunk(&mut sim, chunk)
+    });
+    let activity = merge_activities(mac, results)?;
 
-    let measurement = finish_measurement(im, lib, &activity, pa, pw, op, f_mhz, backend);
-    Ok(MacMeasurement { checked_outputs: activity.checked, ..measurement })
+    let power = im.compiled.power.report(&activity.toggles, activity.lane_cycles.max(1), f_mhz, op);
+    Ok(finish_measurement(im, power, activity.checked, pa, pw, f_mhz))
 }
 
 /// Result of a weight-update measurement over one or more independent
@@ -428,9 +324,9 @@ pub struct WeightUpdateMeasurement {
 /// default — each occupies one engine lane.
 pub const DEFAULT_WU_PATTERNS: usize = 8;
 
-/// Measure the weight-update path on the default (engine) backend:
-/// stream random weights into every (bank, row) through the real write
-/// port (BL drivers + address decoder + bitcell capture) and account the
+/// Measure the weight-update path on the compiled engine: stream random
+/// weights into every (bank, row) through the real write port (BL
+/// drivers + address decoder + bitcell capture) and account the
 /// switching energy — the dimension-dependent driver cost the paper
 /// attributes to WL/BL drivers, and the per-bitcell write cost that
 /// differentiates the cell variants. [`DEFAULT_WU_PATTERNS`] independent
@@ -448,97 +344,62 @@ pub fn measure_weight_update(
     f_mhz: f64,
     seed: u64,
 ) -> Result<WeightUpdateMeasurement, CoreError> {
-    measure_weight_update_with(im, lib, op, f_mhz, seed, EvalBackend::default())
-}
-
-/// [`measure_weight_update`] with an explicit backend choice.
-///
-/// # Errors
-///
-/// Returns [`CoreError::FunctionalMismatch`] if any bitcell fails to
-/// capture its written value.
-pub fn measure_weight_update_with(
-    im: &ImplementedMacro,
-    lib: &CellLibrary,
-    op: OperatingPoint,
-    f_mhz: f64,
-    seed: u64,
-    backend: EvalBackend,
-) -> Result<WeightUpdateMeasurement, CoreError> {
-    measure_weight_update_patterns(im, lib, op, f_mhz, seed, DEFAULT_WU_PATTERNS, backend)
+    measure_weight_update_patterns(im, lib, op, f_mhz, seed, DEFAULT_WU_PATTERNS)
 }
 
 /// [`measure_weight_update`] over an explicit number of independent
-/// write patterns. On the engine backend every pattern occupies one
-/// lane of a single executor (per-lane toggle accounting attributes the
-/// energy); the interpreter runs the same per-pattern stimulus streams
-/// sequentially, so both backends report identical per-pattern energies.
+/// write patterns. Every pattern occupies one lane of a single engine
+/// executor, and per-lane toggle accounting attributes the energy. The
+/// library goes unused: the macro carries its compiled programs.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::FunctionalMismatch`] if any bitcell fails to
 /// capture its written value in any pattern, and
 /// [`CoreError::PatternCount`] if `patterns` is zero or exceeds the
-/// engine's lane capacity (the seed flow panicked here).
+/// engine's lane capacity.
 pub fn measure_weight_update_patterns(
     im: &ImplementedMacro,
-    lib: &CellLibrary,
+    _lib: &CellLibrary,
     op: OperatingPoint,
     f_mhz: f64,
     seed: u64,
     patterns: usize,
-    backend: EvalBackend,
 ) -> Result<WeightUpdateMeasurement, CoreError> {
     if !(1..=MAX_LANES).contains(&patterns) {
         return Err(CoreError::PatternCount { patterns, max: MAX_LANES });
     }
     let mac = &im.mac;
-    let per_pattern: Vec<Activity> = match backend {
-        EvalBackend::Interpreter => {
-            let mut acts = Vec::with_capacity(patterns);
-            for l in 0..patterns {
-                let mut sim = Simulator::with_lowering(&mac.module, lib, &im.compiled.lowering)?;
-                acts.push(run_weight_update(&mut sim, mac, pattern_seed(seed, l as u64))?);
-            }
-            acts
-        }
-        EvalBackend::Engine => {
-            let mut sim = EngineSim::try_new(&im.compiled.program, &mac.module, patterns)?;
-            sim.enable_lane_toggles();
-            run_weight_update_lanes(&mut sim, mac, seed, patterns)?
-        }
-    };
+    let mut sim = EngineSim::try_new(&im.compiled.program, &mac.module, patterns)?;
+    sim.enable_lane_toggles();
+    let per_pattern = run_weight_update_lanes(&mut sim, mac, seed, patterns)?;
+    Ok(summarize_weight_update(mac, &per_pattern, f_mhz, |a| {
+        im.compiled.power.report(&a.toggles, a.lane_cycles, f_mhz, op)
+    }))
+}
 
+/// Mean and spread of the per-bit write energy over per-pattern
+/// activities, each converted to power by `power`.
+fn summarize_weight_update(
+    mac: &MacroNetlist,
+    per_pattern: &[Activity],
+    f_mhz: f64,
+    power: impl Fn(&Activity) -> PowerReport,
+) -> WeightUpdateMeasurement {
     let bits = mac.w * mac.h * mac.mcr;
-    // The engine arm rides the macro's compiled power program (wire
-    // caps baked at implement time); the interpreter arm keeps the
-    // seed's reference analyzer so the backend knob exercises two
-    // genuinely independent power paths — bit-identical by the
-    // differential pinning, cross-checked by the backend-agreement
-    // tests below.
-    let reference_pa = match backend {
-        EvalBackend::Engine => None,
-        EvalBackend::Interpreter => Some(PowerAnalyzer::with_wire_caps(&mac.module, lib, &im.wires.cap_ff)?),
-    };
     let energies: Vec<f64> = per_pattern
         .iter()
-        .map(|a| {
-            let power = match &reference_pa {
-                None => im.compiled.power.report(&a.toggles, a.lane_cycles, f_mhz, op),
-                Some(pa) => pa.from_activity(&a.toggles, a.lane_cycles, f_mhz, op),
-            };
-            power.energy_per_cycle_pj * 1000.0 * a.lane_cycles as f64 / bits as f64
-        })
+        .map(|a| power(a).energy_per_cycle_pj * 1000.0 * a.lane_cycles as f64 / bits as f64)
         .collect();
     let mean = energies.iter().sum::<f64>() / energies.len() as f64;
     let var = energies.iter().map(|e| (e - mean) * (e - mean)).sum::<f64>() / energies.len() as f64;
-    Ok(WeightUpdateMeasurement {
+    WeightUpdateMeasurement {
         energy_per_bit_fj: mean,
         energy_per_bit_std_fj: var.sqrt(),
-        patterns,
+        patterns: per_pattern.len(),
         bandwidth_gbps: mac.w as f64 * f_mhz * 1e6 / 1e9,
         bits_written: bits,
-    })
+    }
 }
 
 /// Derive the xorshift stream of one write pattern. Pattern 0 keeps the
@@ -546,50 +407,6 @@ pub fn measure_weight_update_patterns(
 /// reproduce historical numbers.
 pub(crate) fn pattern_seed(seed: u64, pattern: u64) -> u64 {
     seed.wrapping_add(pattern.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
-
-fn run_weight_update<B: SimBackend>(
-    sim: &mut B,
-    mac: &MacroNetlist,
-    seed: u64,
-) -> Result<Activity, CoreError> {
-    use rand_like::next_bit;
-    configure_precision(sim, mac, mac.w_bits);
-    quiesce(sim, mac);
-    sim.reset_activity();
-
-    let wbl_nets: Vec<NetId> = (0..mac.w).map(|c| sim.net_of(&format!("wbl[{c}]"))).collect();
-    let mut state = seed | 1;
-    let mut expect: Vec<Vec<Vec<bool>>> = vec![vec![vec![false; mac.w]; mac.h]; mac.mcr];
-    for (bank, expect_bank) in expect.iter_mut().enumerate() {
-        for (row, expect_row) in expect_bank.iter_mut().enumerate() {
-            sim.set_all("wr_en", true);
-            sim.set_bus_all("wr_row", mac.h.trailing_zeros(), row as i64);
-            if mac.mcr > 1 {
-                sim.set_bus_all("wr_bank", mac.mcr.trailing_zeros(), bank as i64);
-            }
-            for (&net, e) in wbl_nets.iter().zip(expect_row.iter_mut()) {
-                let bit = next_bit(&mut state);
-                *e = bit;
-                sim.drive_word_at(net, 0, if bit { !0 } else { 0 });
-            }
-            sim.step();
-        }
-    }
-    sim.set_all("wr_en", false);
-
-    // Verify every bitcell captured its bit.
-    for bc in &mac.bitcells {
-        let want = expect[bc.bank][bc.row][bc.col];
-        if sim.state_of_lane(bc.inst, 0) != want {
-            return Err(CoreError::FunctionalMismatch {
-                channel: bc.col,
-                got: sim.state_of_lane(bc.inst, 0) as i64,
-                want: want as i64,
-            });
-        }
-    }
-    Ok(Activity { toggles: sim.toggle_table().to_vec(), lane_cycles: sim.lane_cycles(), checked: 0 })
 }
 
 /// Drive `patterns` independent random write streams simultaneously —
@@ -817,41 +634,25 @@ fn read_channel_lane(
     raw >> scale_shift
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Throughput and efficiency figures of a measured `pa`×`pw` workload
+/// at `f_mhz`, from its power report.
 fn finish_measurement(
     im: &ImplementedMacro,
-    lib: &CellLibrary,
-    activity: &Activity,
+    power: PowerReport,
+    checked_outputs: usize,
     pa: u32,
     pw: u32,
-    op: OperatingPoint,
     f_mhz: f64,
-    backend: EvalBackend,
 ) -> MacMeasurement {
     let mac = &im.mac;
-    let pa_prec = Precision::Int(pa);
-    let pw_prec = Precision::Int(pw);
-    // Engine backend: one linear pass on the macro's compiled power
-    // program (wire caps baked at implement time). Interpreter backend:
-    // the seed's reference analyzer, rebuilt per call — keeping the
-    // two measurement arms independent end to end (sim *and* power),
-    // bit-identical by the differential pinning.
-    let cycles = activity.lane_cycles.max(1);
-    let power = match backend {
-        EvalBackend::Engine => im.compiled.power.report(&activity.toggles, cycles, f_mhz, op),
-        EvalBackend::Interpreter => PowerAnalyzer::with_wire_caps(&mac.module, lib, &im.wires.cap_ff)
-            .expect("implemented macros are well-formed")
-            .from_activity(&activity.toggles, cycles, f_mhz, op),
-    };
-
-    let tput = MacThroughput { h: mac.h, w: mac.w, act: pa_prec, weight: pw_prec };
+    let tput = MacThroughput { h: mac.h, w: mac.w, act: Precision::Int(pa), weight: Precision::Int(pw) };
     let tops = tput.tops(f_mhz);
     let tops_1b = tput.tops_1b(f_mhz);
     let total_uw = power.total_uw();
     let macs_per_sec = tput.macs_per_pass() / tput.cycles_per_pass() * f_mhz * 1e6;
     let energy_per_mac_fj = total_uw * 1e-6 / macs_per_sec * 1e15;
     MacMeasurement {
-        checked_outputs: 0,
+        checked_outputs,
         power,
         tops,
         tops_per_w: tops_per_w(tops, total_uw),
@@ -867,8 +668,9 @@ mod tests {
     use crate::design::DesignChoice;
     use crate::flow::implement;
     use crate::spec::MacroSpec;
+    use syndcim_power::PowerAnalyzer;
     use syndcim_sim::vectors::{random_ints, seeded_rng, sparse_ints};
-    use syndcim_sim::FpFormat;
+    use syndcim_sim::{FpFormat, Simulator};
 
     fn spec_int() -> MacroSpec {
         MacroSpec {
@@ -882,6 +684,64 @@ mod tests {
             vdd_v: 0.9,
             ppa: Default::default(),
         }
+    }
+
+    /// A reference interpreter on the macro's own lowering.
+    fn interpreter<'a>(im: &'a ImplementedMacro, lib: &'a CellLibrary) -> Simulator<'a> {
+        Simulator::with_lowering(&im.mac.module, lib, &im.compiled.lowering).unwrap()
+    }
+
+    /// The reference power analyzer on the macro's own lowering and
+    /// extracted wire caps.
+    fn reference_power<'a>(im: &'a ImplementedMacro, lib: &'a CellLibrary) -> PowerAnalyzer<'a> {
+        PowerAnalyzer::from_lowering(&im.mac.module, lib, &im.compiled.lowering, &im.wires.cap_ff)
+    }
+
+    /// The single-pattern weight-update driver: the same write stream
+    /// as lane `l` of `run_weight_update_lanes` when `seed` is
+    /// `pattern_seed(.., l)`, on any backend.
+    fn run_weight_update<B: SimBackend>(
+        sim: &mut B,
+        mac: &MacroNetlist,
+        seed: u64,
+    ) -> Result<Activity, CoreError> {
+        use rand_like::next_bit;
+        configure_precision(sim, mac, mac.w_bits);
+        quiesce(sim, mac);
+        sim.reset_activity();
+
+        let wbl_nets: Vec<NetId> = (0..mac.w).map(|c| sim.net_of(&format!("wbl[{c}]"))).collect();
+        let mut state = seed | 1;
+        let mut expect: Vec<Vec<Vec<bool>>> = vec![vec![vec![false; mac.w]; mac.h]; mac.mcr];
+        for (bank, expect_bank) in expect.iter_mut().enumerate() {
+            for (row, expect_row) in expect_bank.iter_mut().enumerate() {
+                sim.set_all("wr_en", true);
+                sim.set_bus_all("wr_row", mac.h.trailing_zeros(), row as i64);
+                if mac.mcr > 1 {
+                    sim.set_bus_all("wr_bank", mac.mcr.trailing_zeros(), bank as i64);
+                }
+                for (&net, e) in wbl_nets.iter().zip(expect_row.iter_mut()) {
+                    let bit = next_bit(&mut state);
+                    *e = bit;
+                    sim.drive_word_at(net, 0, if bit { !0 } else { 0 });
+                }
+                sim.step();
+            }
+        }
+        sim.set_all("wr_en", false);
+
+        // Verify every bitcell captured its bit.
+        for bc in &mac.bitcells {
+            let want = expect[bc.bank][bc.row][bc.col];
+            if sim.state_of_lane(bc.inst, 0) != want {
+                return Err(CoreError::FunctionalMismatch {
+                    channel: bc.col,
+                    got: sim.state_of_lane(bc.inst, 0) as i64,
+                    want: want as i64,
+                });
+            }
+        }
+        Ok(Activity { toggles: sim.toggle_table().to_vec(), lane_cycles: sim.lane_cycles(), checked: 0 })
     }
 
     #[test]
@@ -929,19 +789,35 @@ mod tests {
         let passes: Vec<Vec<i64>> = (0..5).map(|_| random_ints(&mut rng, 8, 4)).collect();
         let op = OperatingPoint::at_voltage(0.9);
 
-        // Both backends run each pass as an independent vector sample
-        // from the quiesced state → bit-identical activity.
-        let eng = int_activity(&im, &lib, 4, &passes, &weights, EvalBackend::Engine).unwrap();
-        let itp = int_activity(&im, &lib, 4, &passes, &weights, EvalBackend::Interpreter).unwrap();
+        // The reference: one interpreter per pass, each an independent
+        // vector sample from the quiesced state (the condition an engine
+        // lane sees), driven and golden-checked by the same drivers.
+        let golden = |acts: &Vec<i64>, ch: usize| DcimChannelTrace::run(acts, &weights[ch], 4, 4).output;
+        let per_pass: Vec<Result<Activity, CoreError>> = passes
+            .iter()
+            .map(|acts| {
+                let mut sim = interpreter(&im, &lib);
+                let acts = std::slice::from_ref(acts);
+                setup_int(&mut sim, &im.mac, 4, &weights);
+                run_pass_lanes(&mut sim, &im.mac, 4, acts);
+                let checked = check_channels(&sim, &im.mac, 4, 4, acts, &golden)?;
+                Ok(Activity { toggles: sim.toggle_table().to_vec(), lane_cycles: sim.lane_cycles(), checked })
+            })
+            .collect();
+        let itp = merge_activities(&im.mac, per_pass).unwrap();
+
+        // Bit-identical activity.
+        let eng = int_activity(&im, 4, &passes, &weights).unwrap();
         assert_eq!(eng.checked, itp.checked);
         assert_eq!(eng.lane_cycles, itp.lane_cycles);
         assert_eq!(eng.toggles, itp.toggles, "per-net toggle counts must be bit-identical");
 
-        // And the derived measurements therefore agree exactly.
-        let m_eng =
-            measure_int_with(&im, &lib, 4, &passes, &weights, op, 400.0, EvalBackend::Engine).unwrap();
-        let m_itp =
-            measure_int_with(&im, &lib, 4, &passes, &weights, op, 400.0, EvalBackend::Interpreter).unwrap();
+        // And the derived measurements therefore agree exactly, the
+        // reference converting through the reference power analyzer.
+        let m_eng = measure_int(&im, &lib, 4, &passes, &weights, op, 400.0).unwrap();
+        let itp_power =
+            reference_power(&im, &lib).from_activity(&itp.toggles, itp.lane_cycles.max(1), 400.0, op);
+        let m_itp = finish_measurement(&im, itp_power, itp.checked, 4, 4, 400.0);
         assert_eq!(m_eng.checked_outputs, m_itp.checked_outputs);
         assert_eq!(m_eng.power.dynamic_uw, m_itp.power.dynamic_uw);
         assert_eq!(m_eng.energy_per_mac_fj, m_itp.energy_per_mac_fj);
@@ -983,18 +859,6 @@ mod tests {
             (0..3).map(|_| syndcim_sim::vectors::random_fp(&mut rng, 8, FpFormat::FP4)).collect();
         let m = measure_fp(&im, &lib, &passes, &weights, OperatingPoint::at_voltage(0.9), 400.0).unwrap();
         assert_eq!(m.checked_outputs, channels * 3);
-        // Both backends pass the same golden checks.
-        let m2 = measure_fp_with(
-            &im,
-            &lib,
-            &passes,
-            &weights,
-            OperatingPoint::at_voltage(0.9),
-            400.0,
-            EvalBackend::Interpreter,
-        )
-        .unwrap();
-        assert_eq!(m2.checked_outputs, m.checked_outputs);
     }
 
     #[test]
@@ -1026,8 +890,17 @@ mod tests {
         let lib = CellLibrary::syn40();
         let op = OperatingPoint::at_voltage(0.9);
         let im = implement(&lib, &spec_int(), &DesignChoice::default()).unwrap();
-        let eng = measure_weight_update_with(&im, &lib, op, 400.0, 1234, EvalBackend::Engine).unwrap();
-        let itp = measure_weight_update_with(&im, &lib, op, 400.0, 1234, EvalBackend::Interpreter).unwrap();
+        let eng = measure_weight_update(&im, &lib, op, 400.0, 1234).unwrap();
+        // The reference: pattern l's stimulus stream on its own
+        // interpreter, converted by the reference power analyzer.
+        let per_pattern: Vec<Activity> = (0..DEFAULT_WU_PATTERNS)
+            .map(|l| run_weight_update(&mut interpreter(&im, &lib), &im.mac, pattern_seed(1234, l as u64)))
+            .collect::<Result<_, _>>()
+            .unwrap();
+        let pa = reference_power(&im, &lib);
+        let itp = summarize_weight_update(&im.mac, &per_pattern, 400.0, |a| {
+            pa.from_activity(&a.toggles, a.lane_cycles, 400.0, op)
+        });
         // Pattern l runs the same stimulus stream on both backends: the
         // engine's per-lane toggle tables match the interpreter's
         // per-pattern runs, so mean AND spread agree exactly.
@@ -1045,8 +918,8 @@ mod tests {
         let lib = CellLibrary::syn40();
         let op = OperatingPoint::at_voltage(0.9);
         let im = implement(&lib, &spec_int(), &DesignChoice::default()).unwrap();
-        let narrow = measure_weight_update_patterns(&im, &lib, op, 400.0, 7, 8, EvalBackend::Engine).unwrap();
-        let wide = measure_weight_update_patterns(&im, &lib, op, 400.0, 7, 72, EvalBackend::Engine).unwrap();
+        let narrow = measure_weight_update_patterns(&im, &lib, op, 400.0, 7, 8).unwrap();
+        let wide = measure_weight_update_patterns(&im, &lib, op, 400.0, 7, 72).unwrap();
         assert_eq!(wide.patterns, 72);
         // Pattern 0..8 share streams with the narrow run; the means are
         // estimates of the same distribution.

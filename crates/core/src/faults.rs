@@ -296,7 +296,6 @@ mod tests {
             400.0,
             99,
             1,
-            crate::eval::EvalBackend::Engine,
         )
         .unwrap();
         assert!((r.golden_energy_per_bit_fj - wu.energy_per_bit_fj).abs() < 1e-9, "{r:?} vs {wu:?}");

@@ -8,7 +8,7 @@ use syndcim_layout::{
 };
 use syndcim_netlist::{optimize, OptReport};
 use syndcim_pdk::{CellLibrary, OperatingPoint};
-use syndcim_sta::{Sta, TimingReport, WireLoads};
+use syndcim_sta::{TimingReport, WireLoads};
 use syndcim_telemetry as telemetry;
 
 /// The run report attached to every [`ImplementedMacro`]: the merged
@@ -25,49 +25,6 @@ use crate::compiled::CompiledMacro;
 use crate::design::DesignChoice;
 use crate::error::CoreError;
 use crate::spec::MacroSpec;
-
-/// Which static timing analyzer a sign-off query runs on (the timing
-/// analogue of [`crate::eval::EvalBackend`]).
-///
-/// Both backends produce **bit-identical** reports — the compiled
-/// program replays the reference analyzer's arithmetic over
-/// struct-of-arrays buffers — so the choice is purely a speed/assurance
-/// trade: `Compiled` amortizes one lowering across the hundreds of
-/// `(V, f)` points a shmoo or search evaluates, `Reference` rebuilds
-/// and walks the timing graph per query exactly as the seed flow did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StaBackend {
-    /// Engine-lowered [`syndcim_sta::CompiledSta`]: compile once per
-    /// implemented macro, one SoA pass per operating point (default).
-    #[default]
-    Compiled,
-    /// The reference graph-walking [`Sta`], rebuilt per query.
-    Reference,
-}
-
-/// Which power analyzer a sign-off query runs on (the power analogue of
-/// [`StaBackend`] and [`crate::eval::EvalBackend`], completing the
-/// compiled trinity).
-///
-/// Both backends produce **bit-identical** reports — the compiled
-/// program replays the reference analyzer's arithmetic over
-/// struct-of-arrays columns (pinned by
-/// `tests/power_compiled_differential.rs`) — so the choice is purely a
-/// speed/assurance trade: `Compiled` amortizes one lowering across the
-/// hundreds of `(V, f)` points a power shmoo evaluates, `Reference`
-/// rebuilds and walks the module per query exactly as the seed flow
-/// did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PowerBackend {
-    /// IR-lowered [`syndcim_power::CompiledPower`]: compile once per
-    /// implemented macro, one linear `toggles·column` pass per corner,
-    /// corners batched over shared rate columns (default).
-    #[default]
-    Compiled,
-    /// The reference module-walking [`syndcim_power::PowerAnalyzer`],
-    /// rebuilt per query.
-    Reference,
-}
 
 /// A fully implemented macro: netlist + layout + post-layout timing.
 #[derive(Debug)]
@@ -102,53 +59,22 @@ impl ImplementedMacro {
         self.placement.die_area_mm2()
     }
 
-    /// Build the reference analyzer over this macro's netlist and
-    /// extracted wires (the seed's per-query path).
-    fn reference_sta<'a>(&'a self, lib: &'a CellLibrary) -> Sta<'a> {
-        Sta::new(&self.mac.module, lib).expect("implemented macros are well-formed").with_wire_loads(
-            WireLoads { cap_ff: self.wires.cap_ff.clone(), delay_ps: self.wires.delay_ps.clone() },
-        )
+    /// Post-layout maximum frequency in MHz at an operating point, on
+    /// the macro's compiled timing program (which carries its own
+    /// process parameters, so the library goes unused).
+    pub fn fmax_mhz(&self, _lib: &CellLibrary, op: OperatingPoint) -> f64 {
+        self.compiled.sta.fmax_mhz(op)
     }
 
-    /// Post-layout maximum frequency in MHz at an operating point
-    /// (compiled fast path; see [`ImplementedMacro::fmax_mhz_with`]).
-    pub fn fmax_mhz(&self, lib: &CellLibrary, op: OperatingPoint) -> f64 {
-        self.fmax_mhz_with(lib, op, StaBackend::default())
-    }
-
-    /// [`ImplementedMacro::fmax_mhz`] on an explicit STA backend. Both
-    /// backends return bit-identical values.
-    pub fn fmax_mhz_with(&self, lib: &CellLibrary, op: OperatingPoint, backend: StaBackend) -> f64 {
-        match backend {
-            StaBackend::Compiled => self.compiled.sta.fmax_mhz(op),
-            StaBackend::Reference => self.reference_sta(lib).fmax_mhz(op),
-        }
-    }
-
-    /// Post-layout timing report at an arbitrary period/corner
-    /// (compiled fast path).
-    pub fn timing_at(&self, lib: &CellLibrary, period_ps: f64, op: OperatingPoint) -> TimingReport {
-        self.timing_at_with(lib, period_ps, op, StaBackend::default())
-    }
-
-    /// [`ImplementedMacro::timing_at`] on an explicit STA backend.
-    pub fn timing_at_with(
-        &self,
-        lib: &CellLibrary,
-        period_ps: f64,
-        op: OperatingPoint,
-        backend: StaBackend,
-    ) -> TimingReport {
-        match backend {
-            StaBackend::Compiled => self.compiled.sta.analyze_at(period_ps, op),
-            StaBackend::Reference => self.reference_sta(lib).analyze_at(period_ps, op),
-        }
+    /// Post-layout timing report at an arbitrary period/corner, on the
+    /// macro's compiled timing program.
+    pub fn timing_at(&self, _lib: &CellLibrary, period_ps: f64, op: OperatingPoint) -> TimingReport {
+        self.compiled.sta.analyze_at(period_ps, op)
     }
 }
 
 /// Run the full implementation flow for one design choice, signing off
-/// timing on the compiled STA (see [`implement_with`] for backend
-/// selection).
+/// timing on the compiled STA.
 ///
 /// # Errors
 ///
@@ -158,27 +84,6 @@ pub fn implement(
     lib: &CellLibrary,
     spec: &MacroSpec,
     choice: &DesignChoice,
-) -> Result<ImplementedMacro, CoreError> {
-    implement_with(lib, spec, choice, StaBackend::default())
-}
-
-/// [`implement`] with an explicit sign-off STA backend.
-///
-/// The compiled analysis bundle is built either way (it is part of the
-/// returned macro); `backend` selects which analyzer produces the
-/// recorded sign-off [`TimingReport`]. The two are bit-identical — the
-/// knob exists so differential tests and paranoid sign-off runs can pin
-/// the fast path against the reference.
-///
-/// # Errors
-///
-/// Returns [`CoreError`] if the spec is invalid, the netlist fails
-/// validation, or the layout violates design rules.
-pub fn implement_with(
-    lib: &CellLibrary,
-    spec: &MacroSpec,
-    choice: &DesignChoice,
-    backend: StaBackend,
 ) -> Result<ImplementedMacro, CoreError> {
     telemetry::span!("implement");
     spec.validate()?;
@@ -217,28 +122,18 @@ pub fn implement_with(
         extract_wires(&mac.module, lib, &placement)?
     };
 
-    // Post-layout sign-off at the spec corner: lower the wire-annotated
-    // netlist exactly once and compile all three analysis programs
-    // (simulation, timing, power) from that shared IR; the bundle stays
-    // with the macro so evaluation, shmoo grids, fmax sweeps and power
-    // annotation never re-walk the netlist.
+    // Post-layout sign-off at the spec corner: compile all three
+    // analysis programs (simulation, timing, power) straight from the
+    // shared IR; the bundle stays with the macro so evaluation, shmoo
+    // grids, fmax sweeps and power annotation never re-walk the netlist.
     let wire_loads = WireLoads { cap_ff: wires.cap_ff.clone(), delay_ps: wires.delay_ps.clone() };
     let compiled = {
         telemetry::span!("implement.compile");
         CompiledMacro::compile_with_lowering(&mac.module, lib, &wire_loads, lowering)
     };
-    let (period, op) = (spec.mac_period_ps(), OperatingPoint::at_voltage(spec.vdd_v));
     let timing = {
         telemetry::span!("implement.signoff");
-        match backend {
-            StaBackend::Compiled => compiled.sta.analyze_at(period, op),
-            // The reference arm reuses the bundle's lowering (a clone is
-            // a memcpy, not a walk) so the one-lowering contract holds
-            // on both backends.
-            StaBackend::Reference => Sta::with_lowering(&mac.module, lib, compiled.lowering.clone())
-                .with_wire_loads(wire_loads)
-                .analyze_at(period, op),
-        }
+        compiled.sta.analyze_at(spec.mac_period_ps(), OperatingPoint::at_voltage(spec.vdd_v))
     };
 
     let report = telemetry::snapshot();
@@ -248,6 +143,7 @@ pub fn implement_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use syndcim_sta::Sta;
 
     fn tiny_spec() -> MacroSpec {
         MacroSpec {
@@ -285,27 +181,27 @@ mod tests {
         assert!(post > pre, "wires must add delay: pre={pre} post={post}");
     }
 
-    /// Compiled and reference sign-off must record bit-identical
-    /// timing, and the per-query helpers must agree across backends.
+    /// The recorded sign-off and the per-query helpers must be
+    /// bit-identical to the reference analyzer built on the macro's own
+    /// lowering and extracted wires.
     #[test]
-    fn sta_backends_sign_off_identically() {
+    fn signoff_and_queries_match_the_reference_sta() {
         let lib = CellLibrary::syn40();
-        let compiled = implement(&lib, &tiny_spec(), &DesignChoice::default()).unwrap();
+        let im = implement(&lib, &tiny_spec(), &DesignChoice::default()).unwrap();
+        let wires = WireLoads { cap_ff: im.wires.cap_ff.clone(), delay_ps: im.wires.delay_ps.clone() };
         let reference =
-            implement_with(&lib, &tiny_spec(), &DesignChoice::default(), StaBackend::Reference).unwrap();
-        assert_eq!(compiled.timing.max_delay_ps, reference.timing.max_delay_ps);
-        assert_eq!(compiled.timing.wns_ps, reference.timing.wns_ps);
-        assert_eq!(compiled.timing.arrival_ps, reference.timing.arrival_ps);
-        assert_eq!(compiled.timing.critical_path, reference.timing.critical_path);
+            Sta::with_lowering(&im.mac.module, &lib, im.compiled.lowering.clone()).with_wire_loads(wires);
+        let signoff =
+            reference.analyze_at(im.spec.mac_period_ps(), OperatingPoint::at_voltage(im.spec.vdd_v));
+        assert_eq!(im.timing.max_delay_ps, signoff.max_delay_ps);
+        assert_eq!(im.timing.wns_ps, signoff.wns_ps);
+        assert_eq!(im.timing.arrival_ps, signoff.arrival_ps);
+        assert_eq!(im.timing.critical_path, signoff.critical_path);
         for v in [0.7, 0.9, 1.2] {
             let op = OperatingPoint::at_voltage(v);
-            assert_eq!(
-                compiled.fmax_mhz(&lib, op),
-                compiled.fmax_mhz_with(&lib, op, StaBackend::Reference),
-                "fmax backends must be bit-identical at {v} V"
-            );
-            let fast = compiled.timing_at(&lib, 1_000.0, op);
-            let slow = compiled.timing_at_with(&lib, 1_000.0, op, StaBackend::Reference);
+            assert_eq!(im.fmax_mhz(&lib, op), reference.fmax_mhz(op), "fmax must be bit-identical at {v} V");
+            let fast = im.timing_at(&lib, 1_000.0, op);
+            let slow = reference.analyze_at(1_000.0, op);
             assert_eq!(fast.max_delay_ps, slow.max_delay_ps);
             assert_eq!(fast.critical_path, slow.critical_path);
         }

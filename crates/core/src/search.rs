@@ -17,7 +17,7 @@
 //! for power or area are applied by substituting power/area-efficient
 //! subcircuits."
 
-use syndcim_engine::parallel_map;
+use syndcim_ir::parallel_map;
 use syndcim_pdk::OperatingPoint;
 use syndcim_scl::Scl;
 use syndcim_sim::Precision;

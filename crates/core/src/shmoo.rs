@@ -9,16 +9,50 @@
 use syndcim_engine::EngineSim;
 use syndcim_pdk::{CellLibrary, OperatingPoint};
 use syndcim_power::PowerAnalyzer;
-use syndcim_sta::VariationModel;
+use syndcim_sta::{Sta, VariationModel, WireLoads};
 use syndcim_telemetry as telemetry;
 
 use crate::error::CoreError;
-use crate::eval::{int_activity, EvalBackend};
-use crate::flow::{ImplementedMacro, PowerBackend, StaBackend};
+use crate::eval::int_activity;
+use crate::flow::ImplementedMacro;
 
 /// Minimum supply for reliable bitcell operation (read/write margin),
 /// in volts.
 pub const V_MIN_FUNCTIONAL: f64 = 0.58;
+
+/// Which static timing analyzer [`shmoo_with_power_on`] resolves the
+/// pass/fail grid on.
+///
+/// Both produce **bit-identical** grids — the compiled program replays
+/// the reference analyzer's arithmetic over struct-of-arrays buffers —
+/// so `Reference` exists only as the oracle that pins the compiled path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum StaBackend {
+    /// The macro's [`syndcim_sta::CompiledSta`]: the whole voltage axis
+    /// in one batched pass (default).
+    #[default]
+    Compiled,
+    /// One reference graph-walking [`Sta`] per call, built on the
+    /// macro's own lowering and extracted wires, walked per voltage.
+    Reference,
+}
+
+/// Which power analyzer [`shmoo_with_power_on`] annotates the passing
+/// points with.
+///
+/// Both produce **bit-identical** power (pinned by
+/// `tests/power_compiled_differential.rs`), so `Reference` exists only
+/// as the oracle that pins the compiled path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum PowerBackend {
+    /// The macro's [`syndcim_power::CompiledPower`]: every passing
+    /// corner in one batch over shared toggle-rate columns (default).
+    #[default]
+    Compiled,
+    /// The reference module-walking [`PowerAnalyzer`], rebuilt per call
+    /// and walked per passing point.
+    Reference,
+}
 
 /// One shmoo grid.
 #[derive(Debug, Clone)]
@@ -58,57 +92,37 @@ impl Shmoo {
     }
 }
 
-/// Sweep the shmoo grid for `im` on the compiled STA (the macro's
-/// timing program evaluates every functional voltage in one batch).
-pub fn shmoo(im: &ImplementedMacro, lib: &CellLibrary, voltages: &[f64], freqs_mhz: &[f64]) -> Shmoo {
-    shmoo_with(im, lib, voltages, freqs_mhz, StaBackend::default())
+/// Sweep the shmoo grid for `im` on the compiled STA: the macro's
+/// timing program resolves every functional voltage in one
+/// [`syndcim_sta::CompiledSta::fmax_many`] batch. The library goes
+/// unused (the program carries its own process parameters).
+pub fn shmoo(im: &ImplementedMacro, _lib: &CellLibrary, voltages: &[f64], freqs_mhz: &[f64]) -> Shmoo {
+    telemetry::span!("shmoo");
+    let ops: Vec<OperatingPoint> = functional_corners(voltages).collect();
+    pass_grid(voltages, freqs_mhz, im.compiled.sta.fmax_many(&ops))
 }
 
-/// [`shmoo`] on an explicit STA backend.
-///
-/// `Compiled` resolves the whole voltage axis with
-/// [`syndcim_sta::CompiledSta::fmax_many`] on the macro's cached timing
-/// program; `Reference` rebuilds and walks the reference analyzer per
-/// voltage (the seed behaviour). The two grids are identical — pinned
-/// by the shmoo regression tests.
-pub fn shmoo_with(
-    im: &ImplementedMacro,
-    lib: &CellLibrary,
-    voltages: &[f64],
-    freqs_mhz: &[f64],
-    backend: StaBackend,
-) -> Shmoo {
-    telemetry::span!("shmoo");
+/// The operating point of every voltage at or above the bitcell
+/// retention limit, in axis order.
+fn functional_corners(voltages: &[f64]) -> impl Iterator<Item = OperatingPoint> + '_ {
+    voltages.iter().filter(|&&v| v >= V_MIN_FUNCTIONAL).map(|&v| OperatingPoint::at_voltage(v))
+}
+
+/// The pass/fail grid from one `fmax` per [`functional_corners`] entry;
+/// voltages below the retention limit fail at every frequency.
+fn pass_grid(voltages: &[f64], freqs_mhz: &[f64], fmaxes: Vec<f64>) -> Shmoo {
     telemetry::counter("shmoo.grids").incr();
     telemetry::counter("shmoo.points").add((voltages.len() * freqs_mhz.len()) as u64);
-    // `fmax` per voltage; `None` below the bitcell retention limit.
-    let fmaxes: Vec<Option<f64>> = match backend {
-        StaBackend::Compiled => {
-            let ops: Vec<OperatingPoint> = voltages
-                .iter()
-                .filter(|&&v| v >= V_MIN_FUNCTIONAL)
-                .map(|&v| OperatingPoint::at_voltage(v))
-                .collect();
-            let mut batch = im.compiled.sta.fmax_many(&ops).into_iter();
-            voltages
-                .iter()
-                .map(|&v| (v >= V_MIN_FUNCTIONAL).then(|| batch.next().expect("one fmax per op")))
-                .collect()
-        }
-        StaBackend::Reference => voltages
-            .iter()
-            .map(|&v| {
-                (v >= V_MIN_FUNCTIONAL)
-                    .then(|| im.fmax_mhz_with(lib, OperatingPoint::at_voltage(v), StaBackend::Reference))
-            })
-            .collect(),
-    };
-
-    let pass = fmaxes
+    let mut fmaxes = fmaxes.into_iter();
+    let pass = voltages
         .iter()
-        .map(|fmax| match fmax {
-            None => vec![false; freqs_mhz.len()],
-            Some(fmax) => freqs_mhz.iter().map(|&f| f <= *fmax).collect(),
+        .map(|&v| {
+            if v >= V_MIN_FUNCTIONAL {
+                let fmax = fmaxes.next().expect("one fmax per functional voltage");
+                freqs_mhz.iter().map(|&f| f <= fmax).collect()
+            } else {
+                vec![false; freqs_mhz.len()]
+            }
         })
         .collect();
     Shmoo { voltages: voltages.to_vec(), freqs_mhz: freqs_mhz.to_vec(), pass }
@@ -164,9 +178,10 @@ pub fn shmoo_with_power(
 }
 
 /// [`shmoo_with_power`] with explicit STA and power backends (activity
-/// measurement stays on the simulation engine either way). Exists so
-/// regression tests can pin the compiled grid — pass map *and*
-/// annotated power — against the reference analyzers.
+/// measurement stays on the simulation engine either way) — the single
+/// oracle entry point: regression tests and the benchmark pin the
+/// compiled grid, pass map *and* annotated power, against the reference
+/// analyzers. Neither reference arm lowers the netlist again.
 ///
 /// # Errors
 ///
@@ -185,8 +200,20 @@ pub fn shmoo_with_power_on(
     power: PowerBackend,
 ) -> Result<PowerShmoo, CoreError> {
     telemetry::span!("shmoo.power");
-    let grid = shmoo_with(im, lib, voltages, freqs_mhz, sta);
-    let activity = int_activity(im, lib, pa, passes, weights, EvalBackend::Engine)?;
+    let grid = match sta {
+        StaBackend::Compiled => shmoo(im, lib, voltages, freqs_mhz),
+        StaBackend::Reference => {
+            let wires = WireLoads { cap_ff: im.wires.cap_ff.clone(), delay_ps: im.wires.delay_ps.clone() };
+            let reference =
+                Sta::with_lowering(&im.mac.module, lib, im.compiled.lowering.clone()).with_wire_loads(wires);
+            pass_grid(
+                voltages,
+                freqs_mhz,
+                functional_corners(voltages).map(|op| reference.fmax_mhz(op)).collect(),
+            )
+        }
+    };
+    let activity = int_activity(im, pa, passes, weights)?;
     let cycles = activity.lane_cycles.max(1);
     let power_uw = match power {
         PowerBackend::Compiled => {
@@ -215,8 +242,8 @@ pub fn shmoo_with_power_on(
                 .collect()
         }
         PowerBackend::Reference => {
-            // The seed behaviour: rebuild the analyzer, then one module
-            // walk per passing grid point.
+            // Rebuild the reference analyzer, then one module walk per
+            // passing grid point.
             let analyzer = PowerAnalyzer::with_wire_caps(&im.mac.module, lib, &im.wires.cap_ff)?;
             grid.pass
                 .iter()
@@ -348,11 +375,8 @@ pub fn shmoo_yield(
     // One multiplier per virtual die, shared across the voltage axis
     // (the same die is measured at every supply, as on a tester).
     let scales = model.sample(seed, samples);
-    let points: Vec<(OperatingPoint, f64)> = voltages
-        .iter()
-        .filter(|&&v| v >= V_MIN_FUNCTIONAL)
-        .flat_map(|&v| scales.iter().map(move |&s| (OperatingPoint::at_voltage(v), s)))
-        .collect();
+    let points: Vec<(OperatingPoint, f64)> =
+        functional_corners(voltages).flat_map(|op| scales.iter().map(move |&s| (op, s))).collect();
     let fmaxes = im.compiled.sta.fmax_many_scaled(&points);
     let mut per_voltage = fmaxes.chunks(samples);
 
@@ -447,6 +471,15 @@ mod tests {
     use crate::flow::implement;
     use crate::spec::MacroSpec;
 
+    /// The reference shmoo, built by the test: one reference analyzer on
+    /// the macro's own lowering and extracted wires, walked per voltage.
+    fn reference_shmoo(im: &ImplementedMacro, lib: &CellLibrary, vs: &[f64], fs: &[f64]) -> Shmoo {
+        let wires = WireLoads { cap_ff: im.wires.cap_ff.clone(), delay_ps: im.wires.delay_ps.clone() };
+        let sta =
+            Sta::with_lowering(&im.mac.module, lib, im.compiled.lowering.clone()).with_wire_loads(wires);
+        pass_grid(vs, fs, functional_corners(vs).map(|op| sta.fmax_mhz(op)).collect())
+    }
+
     fn implemented() -> (ImplementedMacro, CellLibrary) {
         let lib = CellLibrary::syn40();
         let spec = MacroSpec {
@@ -530,7 +563,7 @@ mod tests {
         let fs = [50.0, 150.0, 400.0, 900.0, 1500.0, 3000.0];
 
         let fast = shmoo(&im, &lib, &vs, &fs);
-        let slow = shmoo_with(&im, &lib, &vs, &fs, StaBackend::Reference);
+        let slow = reference_shmoo(&im, &lib, &vs, &fs);
         assert_eq!(fast.pass, slow.pass, "pass/fail maps must be identical");
         assert_eq!(fast.voltages, slow.voltages);
         assert_eq!(fast.freqs_mhz, slow.freqs_mhz);
@@ -564,7 +597,7 @@ mod tests {
         let vs: Vec<f64> = (0..46).map(|i| 0.56 + 0.015 * i as f64).collect();
         let fs = [100.0, 350.0, 700.0, 1400.0, 2800.0];
         let fast = shmoo(&im, &lib, &vs, &fs);
-        let slow = shmoo_with(&im, &lib, &vs, &fs, StaBackend::Reference);
+        let slow = reference_shmoo(&im, &lib, &vs, &fs);
         assert_eq!(fast.pass, slow.pass, "parallel fmax_many must keep corner order");
         for vi in 0..vs.len() {
             assert_eq!(fast.fmax_at(vi), slow.fmax_at(vi), "fmax at index {vi}");

@@ -7,8 +7,8 @@
 //! [`BatchSim512`] (`[u64; 8]`, 512 lanes) multiply the vectors per
 //! pass on straight-line element-wise code that LLVM lowers to the
 //! target's vector unit; the ISA-native words in the arch-gated
-//! `crate::word::x86_64` / `crate::word::aarch64` modules run the same
-//! generic passes on explicit AVX2/AVX-512/NEON intrinsics.
+//! `crate::word::x86_64` module run the same generic passes on explicit
+//! AVX2/AVX-512 intrinsics.
 //! [`EngineSim`] picks the word at run time — narrowest width that
 //! fits the lane count, widest detected ISA for that width (overridable
 //! with `SYNDCIM_SIMD`, see [`crate::SimdPolicy`]) — so callers never
@@ -32,8 +32,6 @@ use syndcim_telemetry as telemetry;
 use crate::fault::{EngineError, FaultKind, FaultPlan};
 use crate::program::{Op, Program};
 use crate::simd::{SimdBackend, SimdPolicy};
-#[cfg(target_arch = "aarch64")]
-use crate::word::aarch64::W256Neon;
 #[cfg(target_arch = "x86_64")]
 use crate::word::x86_64::{W256Avx2, W512Avx512};
 use crate::word::{LaneWord, W256, W512};
@@ -540,7 +538,7 @@ impl<W: LaneWord> Drop for BatchExec<'_, W> {
 /// widest vector ISA the CPU supports ([`SimdPolicy::select`]). One
 /// type for callers that size their batches at run time.
 ///
-/// Set `SYNDCIM_SIMD=portable|avx2|avx512|neon|auto` to pin the data
+/// Set `SYNDCIM_SIMD=portable|avx2|avx512|auto` to pin the data
 /// path; invalid or unsupported values are typed errors from
 /// [`EngineSim::try_new`] (and panics from [`EngineSim::new`]), never a
 /// silent fallback. Every construction records the selected backend on
@@ -562,7 +560,7 @@ impl<W: LaneWord> Drop for BatchExec<'_, W> {
 /// let prog = Program::compile(&m, &lib)?;
 ///
 /// // 100 lanes does not fit a u64, so a 256-lane word is selected —
-/// // AVX2/NEON if the CPU has it, portable [u64; 4] otherwise.
+/// // AVX2 if the CPU has it, portable [u64; 4] otherwise.
 /// let mut sim = EngineSim::new(&prog, &m, 100);
 /// assert_eq!(sim.lanes(), 100);
 /// assert_eq!(sim.word_lanes(), 256);
@@ -588,9 +586,6 @@ pub enum EngineSim<'a> {
     /// AVX-512 `__m512i` lane word, 65..=512 lanes.
     #[cfg(target_arch = "x86_64")]
     Avx512(BatchExec<'a, W512Avx512>),
-    /// NEON `uint64x2_t` lane word, 65..=256 lanes.
-    #[cfg(target_arch = "aarch64")]
-    Neon(BatchExec<'a, W256Neon>),
 }
 
 macro_rules! delegate {
@@ -603,8 +598,6 @@ macro_rules! delegate {
             EngineSim::Avx2($sim) => $body,
             #[cfg(target_arch = "x86_64")]
             EngineSim::Avx512($sim) => $body,
-            #[cfg(target_arch = "aarch64")]
-            EngineSim::Neon($sim) => $body,
         }
     };
 }
@@ -701,8 +694,6 @@ impl<'a> EngineSim<'a> {
             SimdBackend::Avx2 => EngineSim::Avx2(BatchExec::new(prog, module, lanes)),
             #[cfg(target_arch = "x86_64")]
             SimdBackend::Avx512 => EngineSim::Avx512(BatchExec::new(prog, module, lanes)),
-            #[cfg(target_arch = "aarch64")]
-            SimdBackend::Neon => EngineSim::Neon(BatchExec::new(prog, module, lanes)),
             #[allow(unreachable_patterns)]
             _ => unreachable!("backend {backend} passed detection on an architecture without it"),
         };
@@ -725,8 +716,6 @@ impl<'a> EngineSim<'a> {
             EngineSim::Avx2(_) => SimdBackend::Avx2,
             #[cfg(target_arch = "x86_64")]
             EngineSim::Avx512(_) => SimdBackend::Avx512,
-            #[cfg(target_arch = "aarch64")]
-            EngineSim::Neon(_) => SimdBackend::Neon,
         }
     }
 
@@ -740,8 +729,6 @@ impl<'a> EngineSim<'a> {
             EngineSim::Avx2(_) => W256Avx2::LANES,
             #[cfg(target_arch = "x86_64")]
             EngineSim::Avx512(_) => W512Avx512::LANES,
-            #[cfg(target_arch = "aarch64")]
-            EngineSim::Neon(_) => W256Neon::LANES,
         }
     }
 

@@ -240,7 +240,7 @@ impl std::fmt::Display for EngineError {
             }
             EngineError::ZeroLanes => write!(f, "lane set cannot be empty"),
             EngineError::SimdUnknown => {
-                write!(f, "unknown SYNDCIM_SIMD value (expected portable|avx2|avx512|neon|auto)")
+                write!(f, "unknown SYNDCIM_SIMD value (expected portable|avx2|avx512|auto)")
             }
             EngineError::SimdUnsupported { backend } => {
                 write!(f, "SIMD backend `{backend}` is not supported by this CPU")

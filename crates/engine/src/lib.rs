@@ -4,26 +4,24 @@
 //! instance-by-instance, one vector at a time — fine as a reference,
 //! but it is the hot path of every `eval`, shmoo and Pareto-search
 //! iteration. This crate compiles a validated module once into a flat
-//! program and then evaluates **up to 256 test vectors per pass**:
+//! program and then evaluates **up to 512 test vectors per pass**:
 //!
 //! * [`Program::compile`] — levelizes the combinational instances and
 //!   lowers every cell to AND/OR/XOR/NOT/MUX/CONST micro-ops over dense
-//!   slots; sequential cells become per-cycle commit records;
+//!   slots; sequential cells become per-cycle commit records.
+//!   [`Program::from_lowering`] compiles from the shared
+//!   `syndcim_ir::Lowering` the compiled timing and power programs
+//!   consume too, so every fast path walks the netlist exactly once and
+//!   agrees on slot assignment;
 //! * [`BatchExec`] — executes the op stream on [`LaneWord`]s (one bit
 //!   per lane), accumulating per-net toggles as `popcount(prev ^ next)`
 //!   so `syndcim_power` consumes its activity unchanged. [`BatchSim`]
 //!   is the 64-lane `u64` instantiation, [`BatchSim256`] the 256-lane
-//!   `[u64; 4]` wide word, and [`EngineSim`] auto-selects the narrowest
-//!   width that fits a requested lane count;
-//! * [`parallel_map`] — scoped-thread batch runner for scaling beyond
+//!   `[u64; 4]` wide word, [`BatchSim512`] the 512-lane `[u64; 8]`
+//!   word, and [`EngineSim`] auto-selects the narrowest width that fits
+//!   a requested lane count. `syndcim_ir::parallel_map` scales beyond
 //!   one word across cores (one executor per worker, all sharing one
-//!   compiled [`Program`]); lives in `syndcim-ir` and is re-exported
-//!   here for back-compatibility;
-//! * [`Lowering`] — the shared compilation front end (connectivity,
-//!   levelized order, dense net slots), now owned by the `syndcim-ir`
-//!   crate (re-exported here) and consumed by the compiled timing and
-//!   power programs too, so every fast path walks the netlist exactly
-//!   once and agrees on slot assignment.
+//!   compiled [`Program`]).
 //!
 //! Both backends implement [`syndcim_sim::SimBackend`]; the interpreter
 //! remains the bit-exact reference the engine is differentially tested
@@ -76,13 +74,13 @@ pub use exec::{BatchExec, BatchSim, BatchSim256, BatchSim512, EngineSim};
 pub use fault::{EngineError, Fault, FaultKind, FaultPlan};
 pub use program::Program;
 pub use simd::{SimdBackend, SimdPolicy};
-pub use syndcim_ir::{default_threads, parallel_map, parallel_map_threads, Lowering, Symbol, Symbols};
 pub use word::{LaneWord, W256, W512};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::Rng;
+    use syndcim_ir::Lowering;
     use syndcim_netlist::{NetId, NetlistBuilder};
     use syndcim_pdk::{CellKind, CellLibrary};
     use syndcim_sim::vectors::seeded_rng;
@@ -317,7 +315,7 @@ mod tests {
         let prog = Program::compile(&m, &lib).unwrap();
         let in_nets: Vec<NetId> = (0..6).map(|i| m.port(&format!("in[{i}]")).unwrap().net).collect();
         let cycles = 8;
-        for backend in [SimdBackend::Avx2, SimdBackend::Avx512, SimdBackend::Neon] {
+        for backend in [SimdBackend::Avx2, SimdBackend::Avx512] {
             if !backend.detected() {
                 continue;
             }
@@ -377,12 +375,6 @@ mod tests {
             assert!(matches!(
                 EngineSim::with_backend(&prog, &m, 100, SimdBackend::Avx2),
                 Err(EngineError::SimdUnsupported { backend: SimdBackend::Avx2 })
-            ));
-        }
-        if !SimdBackend::Neon.detected() {
-            assert!(matches!(
-                EngineSim::with_backend(&prog, &m, 100, SimdBackend::Neon),
-                Err(EngineError::SimdUnsupported { backend: SimdBackend::Neon })
             ));
         }
     }

@@ -11,8 +11,9 @@
 //! SYNDCIM_SIMD=portable  # element-wise [u64; N] words, no intrinsics
 //! SYNDCIM_SIMD=avx2      # pin the AVX2 word (x86-64, ≤ 256 lanes)
 //! SYNDCIM_SIMD=avx512    # pin the AVX-512 word (x86-64, ≤ 512 lanes)
-//! SYNDCIM_SIMD=neon      # pin the NEON word (aarch64, ≤ 256 lanes)
 //! ```
+//!
+//! Other architectures run the portable words.
 //!
 //! Validation is strict and typed: an unknown value or a pinned ISA the
 //! host CPU lacks is an [`EngineError`] at parse time — never a silent
@@ -42,19 +43,16 @@ pub enum SimdBackend {
     /// AVX-512 `__m512i` word with `vpopcntdq` toggle accounting
     /// (x86-64, up to 512 lanes).
     Avx512,
-    /// NEON `uint64x2_t` word (aarch64, up to 256 lanes).
-    Neon,
 }
 
 impl SimdBackend {
     /// Stable numeric code for the `engine.simd_backend` telemetry
-    /// gauge: portable 0, avx2 1, avx512 2, neon 3.
+    /// gauge: portable 0, avx2 1, avx512 2.
     pub fn code(self) -> u64 {
         match self {
             SimdBackend::Portable => 0,
             SimdBackend::Avx2 => 1,
             SimdBackend::Avx512 => 2,
-            SimdBackend::Neon => 3,
         }
     }
 
@@ -64,7 +62,6 @@ impl SimdBackend {
             SimdBackend::Portable => "portable",
             SimdBackend::Avx2 => "avx2",
             SimdBackend::Avx512 => "avx512",
-            SimdBackend::Neon => "neon",
         }
     }
 
@@ -72,7 +69,7 @@ impl SimdBackend {
     pub fn max_lanes(self) -> usize {
         match self {
             SimdBackend::Portable | SimdBackend::Avx512 => 512,
-            SimdBackend::Avx2 | SimdBackend::Neon => 256,
+            SimdBackend::Avx2 => 256,
         }
     }
 
@@ -90,8 +87,6 @@ impl SimdBackend {
             SimdBackend::Avx512 => {
                 is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vpopcntdq")
             }
-            #[cfg(target_arch = "aarch64")]
-            SimdBackend::Neon => std::arch::is_aarch64_feature_detected!("neon"),
             #[allow(unreachable_patterns)]
             _ => false,
         }
@@ -135,7 +130,6 @@ impl SimdPolicy {
             "portable" => SimdPolicy::Pin(SimdBackend::Portable),
             "avx2" => SimdPolicy::Pin(SimdBackend::Avx2),
             "avx512" => SimdPolicy::Pin(SimdBackend::Avx512),
-            "neon" => SimdPolicy::Pin(SimdBackend::Neon),
             _ => return Err(EngineError::SimdUnknown),
         };
         if let SimdPolicy::Pin(backend) = policy {
@@ -196,16 +190,8 @@ impl SimdPolicy {
         match self {
             SimdPolicy::Pin(backend) => Ok(backend),
             SimdPolicy::Auto => {
-                if lanes <= 256 {
-                    for b in [SimdBackend::Avx2, SimdBackend::Neon] {
-                        if b.detected() {
-                            return Ok(b);
-                        }
-                    }
-                } else if SimdBackend::Avx512.detected() {
-                    return Ok(SimdBackend::Avx512);
-                }
-                Ok(SimdBackend::Portable)
+                let isa = if lanes <= 256 { SimdBackend::Avx2 } else { SimdBackend::Avx512 };
+                Ok(if isa.detected() { isa } else { SimdBackend::Portable })
             }
         }
     }
@@ -222,16 +208,15 @@ mod tests {
         assert_eq!(SimdPolicy::parse(" Portable "), Ok(SimdPolicy::Pin(SimdBackend::Portable)));
         assert_eq!(SimdPolicy::parse("sse9"), Err(EngineError::SimdUnknown));
         assert_eq!(SimdPolicy::parse("avx-512"), Err(EngineError::SimdUnknown));
+        assert_eq!(SimdPolicy::parse("neon"), Err(EngineError::SimdUnknown));
     }
 
     #[test]
     fn pinning_an_undetected_isa_is_a_typed_error_not_a_fallback() {
-        // Whatever the host, at least one ISA spelling is absent
-        // (neon on x86-64, avx2/avx512 on aarch64) — pinning it must
-        // error with the backend named, never degrade to portable.
-        for (spelling, backend) in
-            [("avx2", SimdBackend::Avx2), ("avx512", SimdBackend::Avx512), ("neon", SimdBackend::Neon)]
-        {
+        // An ISA spelling the host lacks (avx512 on most x86-64 hosts,
+        // both on other architectures) must error with the backend
+        // named, never degrade to portable.
+        for (spelling, backend) in [("avx2", SimdBackend::Avx2), ("avx512", SimdBackend::Avx512)] {
             match SimdPolicy::parse(spelling) {
                 Ok(SimdPolicy::Pin(b)) => {
                     assert_eq!(b, backend);

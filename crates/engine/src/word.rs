@@ -12,14 +12,13 @@
 //! * [`W512`] — 512 lanes as `[u64; 8]`, the full-width register an
 //!   AVX-512 machine can fill.
 //!
-//! ISA-native words live in per-ISA submodules (`x86_64` on x86-64,
-//! `aarch64` on ARM — each compiled only on its own architecture, so
-//! neither is intra-doc-linkable from here) with every intrinsic
-//! confined to
-//! `#[target_feature]` leaf functions; [`crate::SimdBackend`] selects
-//! among them at run time. The [`LaneWord::dispatch`] hook is how a
-//! whole settle pass runs inside one `#[target_feature]` context —
-//! dispatch happens once per batch, never per op.
+//! ISA-native words live in the `x86_64` submodule (compiled only on
+//! x86-64, so not intra-doc-linkable from here) with every intrinsic
+//! confined to `#[target_feature]` leaf functions;
+//! [`crate::SimdBackend`] selects among them at run time. Other
+//! architectures run the portable words. The [`LaneWord::dispatch`]
+//! hook is how a whole settle pass runs inside one `#[target_feature]`
+//! context — dispatch happens once per batch, never per op.
 //!
 //! Toggle accounting is *defined* per lane word — `popcount_accum`
 //! counts the set lanes of `(prev ^ next) & mask` — so any width
@@ -28,8 +27,6 @@
 //! in `syndcim-engine` and `tests/engine_differential.rs` pin that
 //! equivalence down bit by bit.
 
-#[cfg(target_arch = "aarch64")]
-pub mod aarch64;
 #[cfg(target_arch = "x86_64")]
 pub mod x86_64;
 

@@ -4,7 +4,7 @@
 //! Every intrinsic lives in a `#[target_feature]`-annotated leaf
 //! function in this module — nothing above the [`LaneWord`] impls ever
 //! touches `core::arch` — following the per-ISA-module idiom of
-//! ckt-engine's `x86_64`/`aarch64` split. The leaf functions only
+//! ckt-engine. The leaf functions only
 //! inline into callers compiled with a superset of their features,
 //! which is exactly what [`LaneWord::dispatch`] provides: the executor
 //! wraps each settle pass in one `dispatch` call, the

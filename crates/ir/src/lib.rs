@@ -54,5 +54,5 @@ pub use artifact::{
     ArtifactError, ArtifactMeta, ArtifactReader, ArtifactWriter, SectionId, SectionReader, SectionWriter,
 };
 pub use intern::{Interner, InternerBuilder, Symbol, Symbols};
-pub use lowering::Lowering;
+pub use lowering::{net_loads_ff, Lowering};
 pub use runner::{default_threads, parallel_map, parallel_map_threads};

@@ -16,7 +16,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use syndcim_netlist::{levelize, validate, Connectivity, InstId, Module, NetId, NetlistError};
+use syndcim_netlist::{levelize, validate, Connectivity, InstId, Module, NetId, NetlistError, PortDir};
 use syndcim_pdk::CellLibrary;
 use syndcim_telemetry as telemetry;
 
@@ -165,6 +165,31 @@ impl Lowering {
     pub fn builds() -> u64 {
         BUILDS.load(Ordering::Relaxed)
     }
+}
+
+/// Total capacitive load per net in fF, indexed by [`NetId::index`]:
+/// every sink pin's input capacitance (instance order), plus
+/// `4 × cin_unit` per output port, plus the net's entry of
+/// `wire_cap_ff` (missing entries count as zero), summed in that order.
+///
+/// The one load formula shared by the reference and the compiled timing
+/// and power analyzers, so their per-net loads agree bit for bit.
+pub fn net_loads_ff(module: &Module, lib: &CellLibrary, wire_cap_ff: &[f64]) -> Vec<f64> {
+    let mut load = vec![0.0f64; module.net_count()];
+    for inst in &module.instances {
+        let cell = lib.cell(inst.cell);
+        for (pin, &net) in inst.inputs.iter().enumerate() {
+            load[net.index()] += cell.input_cap_ff[pin];
+        }
+    }
+    let port_load_ff = 4.0 * lib.process().cin_unit_ff;
+    for p in module.ports.iter().filter(|p| p.dir == PortDir::Output) {
+        load[p.net.index()] += port_load_ff;
+    }
+    for (l, &wire) in load.iter_mut().zip(wire_cap_ff) {
+        *l += wire;
+    }
+    load
 }
 
 #[cfg(test)]

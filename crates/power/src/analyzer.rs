@@ -19,9 +19,15 @@
 
 use std::collections::BTreeMap;
 
-use syndcim_ir::{Lowering, Symbols};
-use syndcim_netlist::{Connectivity, Module, NetlistError, PortDir};
+use syndcim_ir::{net_loads_ff, Lowering, Symbols};
+use syndcim_netlist::{Connectivity, Module, NetlistError};
 use syndcim_pdk::{CellLibrary, OperatingPoint};
+
+/// Default glitch multiplier on combinational dynamic energy.
+pub(crate) const DEFAULT_GLITCH_FACTOR: f64 = 1.25;
+
+/// Clock-tree distribution overhead on top of register clock pins.
+pub(crate) const CLOCK_TREE_OVERHEAD: f64 = 0.30;
 
 /// Result of one power analysis run.
 #[derive(Debug, Clone)]
@@ -55,9 +61,9 @@ impl PowerReport {
 /// Power analyzer bound to one module.
 ///
 /// This is the *reference* analyzer: a direct walk over the module's
-/// instances per report. The engine-style fast path is obtained by
-/// lowering it once with [`PowerAnalyzer::compile`] into a
-/// [`CompiledPower`](crate::CompiledPower), which is differentially
+/// instances per report. The engine-style fast path,
+/// [`CompiledPower::from_lowering`](crate::CompiledPower::from_lowering),
+/// compiles straight from the shared lowering and is differentially
 /// pinned to this implementation.
 #[derive(Debug)]
 pub struct PowerAnalyzer<'a> {
@@ -124,23 +130,7 @@ impl<'a> PowerAnalyzer<'a> {
     /// The shared constructor body: per-net loads, driver internal
     /// energies and group heads in one instance pass.
     fn build(module: &'a Module, lib: &'a CellLibrary, wire_cap_ff: &[f64], symbols: Symbols) -> Self {
-        let n = module.net_count();
-        let mut load = vec![0.0f64; n];
-        for inst in &module.instances {
-            let cell = lib.cell(inst.cell);
-            for (pin, &net) in inst.inputs.iter().enumerate() {
-                load[net.index()] += cell.input_cap_ff[pin];
-            }
-        }
-        let port_load = 4.0 * lib.process().cin_unit_ff;
-        for p in module.ports.iter().filter(|p| p.dir == PortDir::Output) {
-            load[p.net.index()] += port_load;
-        }
-        for (i, l) in load.iter_mut().enumerate() {
-            *l += wire_cap_ff.get(i).copied().unwrap_or(0.0);
-        }
-
-        let mut driver_internal = vec![0.0f64; n];
+        let mut driver_internal = vec![0.0f64; module.net_count()];
         for inst in &module.instances {
             let cell = lib.cell(inst.cell);
             for &net in &inst.outputs {
@@ -151,11 +141,11 @@ impl<'a> PowerAnalyzer<'a> {
         PowerAnalyzer {
             module,
             lib,
-            load_ff: load,
+            load_ff: net_loads_ff(module, lib, wire_cap_ff),
             driver_internal_fj: driver_internal,
             symbols,
-            glitch_factor: 1.25,
-            clock_tree_overhead: 0.30,
+            glitch_factor: DEFAULT_GLITCH_FACTOR,
+            clock_tree_overhead: CLOCK_TREE_OVERHEAD,
         }
     }
 

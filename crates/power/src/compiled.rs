@@ -7,8 +7,8 @@
 //! loop once `shmoo_with_power` grids and SCL characterization ask for
 //! hundreds of operating points over the *same* netlist. This module
 //! applies the same compile-once/evaluate-many structure the simulation
-//! engine and the compiled STA use: [`PowerAnalyzer::compile`] bakes
-//! per-net switched capacitance, per-driver internal energy, clock-tree
+//! engine and the compiled STA use: [`CompiledPower::from_lowering`]
+//! bakes per-net switched capacitance, per-driver internal energy, clock-tree
 //! load, leakage and group membership into dense struct-of-arrays
 //! columns indexed by the shared IR's net slots, and every report is
 //! then one linear `toggles·column` pass.
@@ -25,19 +25,22 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use syndcim_ir::{Symbol, Symbols};
-use syndcim_pdk::{OperatingPoint, Process};
+use syndcim_ir::{net_loads_ff, Lowering, Symbol, Symbols};
+use syndcim_netlist::Module;
+use syndcim_pdk::{CellLibrary, OperatingPoint, Process};
 use syndcim_telemetry as telemetry;
 
-use crate::analyzer::{PowerAnalyzer, PowerReport};
+use crate::analyzer::{PowerAnalyzer, PowerReport, CLOCK_TREE_OVERHEAD, DEFAULT_GLITCH_FACTOR};
 
 /// A power analyzer compiled into struct-of-arrays form.
 ///
-/// Build one from a configured (wire-annotated, glitch-adjusted)
-/// [`PowerAnalyzer`] with [`PowerAnalyzer::compile`]. The compiled
-/// program has no borrow of the module and can be stored in long-lived
-/// structures (`syndcim_core::CompiledMacro` keeps one per implemented
-/// macro); the group names used for breakdowns are interned
+/// Build one from the shared lowering with
+/// [`CompiledPower::from_lowering`] ([`PowerAnalyzer::compile`] runs
+/// the same emitter on a configured, glitch-adjusted reference
+/// analyzer). The compiled program has no borrow of the module and can
+/// be stored in long-lived structures (`syndcim_core::CompiledMacro`
+/// keeps one per implemented macro); the group names used for
+/// breakdowns are interned
 /// [`Symbols`] shared with the lowering and resolved lazily per report
 /// — never owned `String` tables. Group membership is carried as a
 /// hierarchical parent/prefix tree over the interned group ids, so the
@@ -123,18 +126,38 @@ pub struct CompiledPower {
     pub(crate) clock_tree_overhead: f64,
 }
 
-impl<'a> PowerAnalyzer<'a> {
-    /// Lower this analyzer into a [`CompiledPower`].
-    ///
-    /// Compilation bakes in the current wire annotation and glitch
-    /// factor — call it *after* [`PowerAnalyzer::with_wire_caps`] /
-    /// [`PowerAnalyzer::set_glitch_factor`]. The one-time cost is a
-    /// single linear pass over the instances; every subsequent report
-    /// saves the module walk and the per-instance group-string churn.
+impl PowerAnalyzer<'_> {
+    /// Lower this analyzer into a [`CompiledPower`]: the emitter behind
+    /// [`CompiledPower::from_lowering`], run over the analyzer's loads
+    /// and its current glitch factor — call it *after*
+    /// [`PowerAnalyzer::set_glitch_factor`].
     pub fn compile(&self) -> CompiledPower {
         telemetry::span!("power.compile");
-        let module = self.module;
-        let syms = self.symbols.clone();
+        CompiledPower::emit(self.module, self.lib, &self.load_ff, self.symbols.clone(), self.glitch_factor)
+    }
+}
+
+impl CompiledPower {
+    /// Compile the power program of `module` straight from its shared
+    /// [`Lowering`] (whose interned group tables the breakdowns resolve
+    /// against), baking in the per-net wire capacitance in fF (missing
+    /// entries count as zero) and the default glitch factor. The
+    /// one-time cost is one load pass plus one linear pass over the
+    /// instances; every subsequent report saves the module walk and the
+    /// per-instance group-string churn.
+    ///
+    /// The lowering must have been built from the same `module`.
+    pub fn from_lowering(low: &Lowering, module: &Module, lib: &CellLibrary, wire_cap_ff: &[f64]) -> Self {
+        telemetry::span!("power.compile");
+        debug_assert_eq!(low.net_count(), module.net_count(), "lowering belongs to a different module");
+        let load_ff = net_loads_ff(module, lib, wire_cap_ff);
+        Self::emit(module, lib, &load_ff, low.symbols().clone(), DEFAULT_GLITCH_FACTOR)
+    }
+
+    /// The emitter both compile paths share: one pass over the
+    /// instances turning per-net loads (`load_ff`) into the
+    /// struct-of-arrays columns.
+    fn emit(module: &Module, lib: &CellLibrary, load_ff: &[f64], syms: Symbols, glitch_factor: f64) -> Self {
         let mut out_slot = Vec::new();
         let mut out_cap_ff = Vec::new();
         let mut out_internal_fj = Vec::new();
@@ -153,10 +176,13 @@ impl<'a> PowerAnalyzer<'a> {
         let mut node_leakage_nw = vec![0.0f64; syms.node_count()];
 
         for inst in module.instances.iter() {
+            let cell = lib.cell(inst.cell);
             for &net in &inst.outputs {
                 out_slot.push(net.index() as u32);
-                out_cap_ff.push(self.load_ff[net.index()]);
-                out_internal_fj.push(self.driver_internal_fj[net.index()]);
+                out_cap_ff.push(load_ff[net.index()]);
+                // Lowered netlists have one driver per net, so the
+                // net's driver is this instance.
+                out_internal_fj.push(cell.internal_energy_fj);
             }
             inst_out_start.push(out_slot.len() as u32);
             let head = syms.group_head_sym(inst.group.0);
@@ -166,7 +192,6 @@ impl<'a> PowerAnalyzer<'a> {
                 group_head_syms.len() as u32 - 1
             });
             inst_group.push(g);
-            let cell = self.lib.cell(inst.cell);
             let node = syms.group_node(inst.group.0) as usize;
             node_leakage_nw[node] += cell.leakage_nw;
             if let Some(seq) = cell.seq {
@@ -176,14 +201,14 @@ impl<'a> PowerAnalyzer<'a> {
         }
 
         let in_port_slot: Vec<u32> = module.input_ports().map(|p| p.net.index() as u32).collect();
-        let in_port_load_ff: Vec<f64> = module.input_ports().map(|p| self.load_ff[p.net.index()]).collect();
+        let in_port_load_ff: Vec<f64> = module.input_ports().map(|p| load_ff[p.net.index()]).collect();
 
         let clock_regs_fj: f64 =
-            module.instances.iter().filter_map(|i| self.lib.cell(i.cell).seq).map(|s| s.clk_energy_fj).sum();
-        let leakage_total_nw: f64 = module.instances.iter().map(|i| self.lib.cell(i.cell).leakage_nw).sum();
+            module.instances.iter().filter_map(|i| lib.cell(i.cell).seq).map(|s| s.clk_energy_fj).sum();
+        let leakage_total_nw: f64 = module.instances.iter().map(|i| lib.cell(i.cell).leakage_nw).sum();
 
         let cp = CompiledPower {
-            process: self.lib.process().clone(),
+            process: lib.process().clone(),
             net_count: module.net_count(),
             out_slot,
             out_cap_ff,
@@ -199,15 +224,13 @@ impl<'a> PowerAnalyzer<'a> {
             head_clock_fj,
             node_clock_fj,
             node_leakage_nw,
-            glitch_factor: self.glitch_factor,
-            clock_tree_overhead: self.clock_tree_overhead,
+            glitch_factor,
+            clock_tree_overhead: CLOCK_TREE_OVERHEAD,
         };
         telemetry::gauge("power.retained_bytes").set(cp.retained_bytes() as u64);
         cp
     }
-}
 
-impl CompiledPower {
     /// Number of nets the program analyzes.
     pub fn net_count(&self) -> usize {
         self.net_count
@@ -456,10 +479,9 @@ impl CompiledPower {
 mod tests {
     use super::*;
     use syndcim_netlist::NetlistBuilder;
-    use syndcim_pdk::CellLibrary;
     use syndcim_sim::Simulator;
 
-    fn toggler() -> (syndcim_netlist::Module, CellLibrary) {
+    fn toggler() -> (Module, CellLibrary) {
         let lib = CellLibrary::syn40();
         let mut b = NetlistBuilder::new("t", &lib);
         let a = b.input("a");
@@ -476,7 +498,7 @@ mod tests {
         (b.finish(), lib)
     }
 
-    fn measured_toggles(m: &syndcim_netlist::Module, lib: &CellLibrary) -> (Vec<u64>, u64) {
+    fn measured_toggles(m: &Module, lib: &CellLibrary) -> (Vec<u64>, u64) {
         let mut sim = Simulator::new(m, lib).unwrap();
         for i in 0..100 {
             sim.set("a", i % 2 == 0);

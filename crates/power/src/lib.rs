@@ -6,8 +6,8 @@
 //!
 //! Like simulation and timing, power analysis has a reference and a
 //! compiled backend: [`PowerAnalyzer`] walks the module per report,
-//! [`CompiledPower`] (from [`PowerAnalyzer::compile`]) bakes the walk
-//! into dense struct-of-arrays columns over the shared IR's net slots
+//! [`CompiledPower`] (from [`CompiledPower::from_lowering`]) bakes the
+//! walk into dense struct-of-arrays columns over the shared IR's net slots
 //! so one report is one linear `toggles·column` pass — bit-identical to
 //! the reference, batched over corners by
 //! [`CompiledPower::report_many`].

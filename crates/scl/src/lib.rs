@@ -39,10 +39,10 @@ use syndcim_engine::{EngineSim, Program};
 use syndcim_ir::Lowering;
 use syndcim_netlist::{Module, NetId, NetlistBuilder, NetlistStats};
 use syndcim_pdk::{CellLibrary, OperatingPoint};
-use syndcim_power::PowerAnalyzer;
+use syndcim_power::{CompiledPower, PowerAnalyzer};
 use syndcim_sim::vectors::seeded_rng;
 use syndcim_sim::{FpFormat, SimBackend, Simulator};
-use syndcim_sta::Sta;
+use syndcim_sta::{CompiledSta, Sta, WireLoads};
 use syndcim_subckt::{
     build_adder_tree, build_array, build_drivers, build_ofu, build_shift_add, AdderTreeConfig, ArrayConfig,
     BitcellKind, DriverRole, FpRowPorts, MultMuxKind, OfuConfig, ShiftAddConfig, TreeOutput,
@@ -384,29 +384,38 @@ fn characterize_module(
 
     let stats = NetlistStats::of(&module, lib);
     let low = Lowering::validated(&module, lib).expect("generated subcircuits are well-formed");
-    let sta = Sta::with_lowering(&module, lib, low.clone());
     // Delay rides the backend choice like energy does: the engine path
-    // runs the compiled SoA pass (bit-identical to the reference walk,
-    // pinned by the `backends_agree` test), so the search ladder's
-    // timing gates are fed by compiled STA while `Scl::interpreted()`
-    // keeps the seed's reference analyzer.
+    // compiles the timing program straight from the lowering
+    // (bit-identical to the reference walk, pinned by the
+    // `backends_agree` test), so the search ladder's timing gates are
+    // fed by compiled STA while `Scl::interpreted()` keeps the seed's
+    // reference analyzer.
     let delay = match backend {
-        SclBackend::Engine => sta.compile().analyze(1e9).max_delay_ps,
-        SclBackend::Interpreter => sta.analyze(1e9).max_delay_ps,
+        SclBackend::Engine => {
+            let wires = WireLoads::zero(module.net_count());
+            CompiledSta::from_lowering(&low, &module, lib, &wires).analyze(1e9).max_delay_ps
+        }
+        SclBackend::Interpreter => Sta::with_lowering(&module, lib, low.clone()).analyze(1e9).max_delay_ps,
     };
 
     let (toggles, lane_cycles) = match backend {
         SclBackend::Engine => engine_energy_activity(lib, &module, &low, energy_cycles),
         SclBackend::Interpreter => interpreter_energy_activity(lib, &module, energy_cycles),
     };
-    let pa = PowerAnalyzer::from_lowering(&module, lib, &low, &[]);
     let op = OperatingPoint::nominal(lib.process());
     // The engine backend completes the compiled trinity (sim + STA +
-    // power all on the shared IR); the reference path keeps the seed's
-    // module-walking report, fed by the hoisted analyzer.
+    // power all compiled from the shared IR); the reference path keeps
+    // the seed's module-walking report over the same lowering.
     let report = match backend {
-        SclBackend::Engine => pa.compile().report(&toggles, lane_cycles, 1000.0, op),
-        SclBackend::Interpreter => pa.from_activity(&toggles, lane_cycles, 1000.0, op),
+        SclBackend::Engine => {
+            CompiledPower::from_lowering(&low, &module, lib, &[]).report(&toggles, lane_cycles, 1000.0, op)
+        }
+        SclBackend::Interpreter => PowerAnalyzer::from_lowering(&module, lib, &low, &[]).from_activity(
+            &toggles,
+            lane_cycles,
+            1000.0,
+            op,
+        ),
     };
 
     PpaRecord {

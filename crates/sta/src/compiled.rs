@@ -5,10 +5,11 @@
 //! fine for one report but dominates the sign-off loop once shmoo grids
 //! and search ladders ask for hundreds of operating points. This module
 //! applies the same compile-once/evaluate-many structure the simulation
-//! engine uses: [`Sta::compile`] lowers the analyzer into a
-//! [`CompiledSta`] whose launches, timing arcs and endpoints live in
-//! flat struct-of-arrays buffers over the engine's dense net slots, and
-//! every analysis is then one linear pass over those arrays.
+//! engine uses: [`CompiledSta::from_lowering`] compiles the shared
+//! netlist IR into a [`CompiledSta`] whose launches, timing arcs and
+//! endpoints live in flat struct-of-arrays buffers over the engine's
+//! dense net slots, and every analysis is then one linear pass over
+//! those arrays.
 //!
 //! The transformation is exact, not approximate. Per arc the reference
 //! computes `arc_delay_ps(arc, τ, load) · scale + wire`, where only
@@ -20,11 +21,12 @@
 //! `tests/sta_compiled_differential.rs` and in the shmoo regression
 //! suite.
 
-use syndcim_ir::{parallel_map, Symbols};
-use syndcim_pdk::{OperatingPoint, Process};
+use syndcim_ir::{net_loads_ff, parallel_map, Lowering, Symbols};
+use syndcim_netlist::Module;
+use syndcim_pdk::{CellLibrary, OperatingPoint, Process};
 use syndcim_telemetry as telemetry;
 
-use crate::{PathStep, Sta, TimingReport};
+use crate::{PathStep, Sta, TimingReport, WireLoads};
 
 /// Sentinel for "no predecessor recorded" in the path-reconstruction
 /// tables (the net is a primary input or unreached).
@@ -42,10 +44,12 @@ const FMAX_PARALLEL_CHUNK: usize = 8;
 
 /// A timing analyzer compiled into struct-of-arrays form.
 ///
-/// Build one from a configured (wire-annotated) [`Sta`] with
-/// [`Sta::compile`]. The compiled program has no borrow of the module
-/// and can be stored in long-lived structures
-/// (`syndcim_core::ImplementedMacro` keeps one per implemented macro);
+/// Build one from the shared lowering with
+/// [`CompiledSta::from_lowering`] ([`Sta::compile`] runs the same
+/// emitter on a configured reference analyzer). The compiled program
+/// has no borrow of the module and can be stored in long-lived
+/// structures (`syndcim_core::ImplementedMacro` keeps one per
+/// implemented macro);
 /// the net/instance names used for critical-path reports are interned
 /// [`Symbols`] shared with the lowering and resolved lazily — never
 /// owned `String` tables.
@@ -117,88 +121,14 @@ pub struct CompiledSta {
     pub(crate) syms: Symbols,
 }
 
-impl<'a> Sta<'a> {
-    /// Lower this analyzer into a [`CompiledSta`].
-    ///
-    /// Compilation reuses the traversal already performed by
-    /// [`Sta::new`] (the engine's shared lowering: levelized order and
-    /// dense net slots) and bakes in the current wire annotation — call
-    /// it *after* [`Sta::with_wire_loads`]. The one-time cost is a
-    /// single linear pass over the instances; every subsequent analysis
-    /// saves the graph walk.
+impl Sta<'_> {
+    /// Lower this analyzer into a [`CompiledSta`]: the emitter behind
+    /// [`CompiledSta::from_lowering`], run over the analyzer's own
+    /// lowering, loads and wire annotation — call it *after*
+    /// [`Sta::with_wire_loads`].
     pub fn compile(&self) -> CompiledSta {
         telemetry::span!("sta.compile");
-        let module = self.module;
-        let process = self.lib.process();
-        let n = module.net_count();
-
-        let input_slots = module.input_ports().map(|p| self.low.slot(p.net)).collect();
-
-        let mut launch_slot = Vec::new();
-        let mut launch_base_ps = Vec::new();
-        let mut launch_wire_ps = Vec::new();
-        let mut launch_inst = Vec::new();
-        let mut seq_end_slot = Vec::new();
-        let mut seq_end_setup_ps = Vec::new();
-        for (i, inst) in module.instances.iter().enumerate() {
-            let cell = self.lib.cell(inst.cell);
-            let Some(seq) = cell.seq else { continue };
-            let qnet = inst.outputs[0];
-            launch_slot.push(self.low.slot(qnet));
-            launch_base_ps.push(seq.clk_to_q_ps);
-            launch_wire_ps.push(self.wire_delay(qnet));
-            launch_inst.push(i as u32);
-            for &dnet in &inst.inputs {
-                seq_end_slot.push(self.low.slot(dnet));
-                seq_end_setup_ps.push(seq.setup_ps);
-            }
-        }
-
-        let mut arc_src = Vec::new();
-        let mut arc_dst = Vec::new();
-        let mut arc_base_ps = Vec::new();
-        let mut arc_wire_ps = Vec::new();
-        let mut arc_inst = Vec::new();
-        for &id in self.low.order() {
-            let inst = &module.instances[id.index()];
-            let cell = self.lib.cell(inst.cell);
-            for arc in &cell.arcs {
-                let in_net = inst.inputs[arc.from_input];
-                let out_net = inst.outputs[arc.to_output];
-                arc_src.push(self.low.slot(in_net));
-                arc_dst.push(self.low.slot(out_net));
-                arc_base_ps.push(cell.arc_delay_ps(arc, process.tau_ps, self.load_ff[out_net.index()]));
-                arc_wire_ps.push(self.wire_delay(out_net));
-                arc_inst.push(id.index() as u32);
-            }
-        }
-
-        let port_end_slot = module.output_ports().map(|p| self.low.slot(p.net)).collect();
-
-        let csta = CompiledSta {
-            process: process.clone(),
-            net_count: n,
-            input_slots,
-            launch_slot,
-            launch_base_ps,
-            launch_wire_ps,
-            launch_inst,
-            arc_src,
-            arc_dst,
-            arc_base_ps,
-            arc_wire_ps,
-            arc_inst,
-            port_end_slot,
-            seq_end_slot,
-            seq_end_setup_ps,
-            // A few Arc bumps — the lowering's interned tables are
-            // shared, not cloned (ROADMAP: "interned names would shrink
-            // the program if macros grow to ~10⁶ nets").
-            syms: self.low.symbols().clone(),
-        };
-        telemetry::counter("sta.arcs_emitted").add(csta.arc_count() as u64);
-        telemetry::gauge("sta.retained_bytes").set(csta.retained_bytes() as u64);
-        csta
+        CompiledSta::emit(&self.low, self.module, self.lib, &self.wires.delay_ps, &self.load_ff)
     }
 }
 
@@ -213,6 +143,106 @@ struct Scratch {
 }
 
 impl CompiledSta {
+    /// Compile the timing program of `module` straight from its shared
+    /// [`Lowering`] (levelized order and dense net slots), baking in
+    /// the wire annotation. The one-time cost is one
+    /// [`net_loads_ff`] pass plus one linear pass over the instances;
+    /// every subsequent analysis saves the graph walk.
+    ///
+    /// The lowering must have been built from the same `module`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the annotation tables do not cover every net (the
+    /// [`Sta::with_wire_loads`] contract).
+    pub fn from_lowering(low: &Lowering, module: &Module, lib: &CellLibrary, wires: &WireLoads) -> Self {
+        telemetry::span!("sta.compile");
+        debug_assert_eq!(low.net_count(), module.net_count(), "lowering belongs to a different module");
+        wires.assert_covers(module.net_count());
+        let load_ff = net_loads_ff(module, lib, &wires.cap_ff);
+        Self::emit(low, module, lib, &wires.delay_ps, &load_ff)
+    }
+
+    /// The emitter both compile paths share: one pass over the
+    /// instances turning per-net loads (`load_ff`) and unscaled wire
+    /// delays into the struct-of-arrays columns.
+    fn emit(
+        low: &Lowering,
+        module: &Module,
+        lib: &CellLibrary,
+        wire_delay_ps: &[f64],
+        load_ff: &[f64],
+    ) -> Self {
+        let process = lib.process();
+
+        let input_slots = module.input_ports().map(|p| low.slot(p.net)).collect();
+
+        let mut launch_slot = Vec::new();
+        let mut launch_base_ps = Vec::new();
+        let mut launch_wire_ps = Vec::new();
+        let mut launch_inst = Vec::new();
+        let mut seq_end_slot = Vec::new();
+        let mut seq_end_setup_ps = Vec::new();
+        for (i, inst) in module.instances.iter().enumerate() {
+            let cell = lib.cell(inst.cell);
+            let Some(seq) = cell.seq else { continue };
+            let qnet = inst.outputs[0];
+            launch_slot.push(low.slot(qnet));
+            launch_base_ps.push(seq.clk_to_q_ps);
+            launch_wire_ps.push(wire_delay_ps[qnet.index()]);
+            launch_inst.push(i as u32);
+            for &dnet in &inst.inputs {
+                seq_end_slot.push(low.slot(dnet));
+                seq_end_setup_ps.push(seq.setup_ps);
+            }
+        }
+
+        let mut arc_src = Vec::new();
+        let mut arc_dst = Vec::new();
+        let mut arc_base_ps = Vec::new();
+        let mut arc_wire_ps = Vec::new();
+        let mut arc_inst = Vec::new();
+        for &id in low.order() {
+            let inst = &module.instances[id.index()];
+            let cell = lib.cell(inst.cell);
+            for arc in &cell.arcs {
+                let in_net = inst.inputs[arc.from_input];
+                let out_net = inst.outputs[arc.to_output];
+                arc_src.push(low.slot(in_net));
+                arc_dst.push(low.slot(out_net));
+                arc_base_ps.push(cell.arc_delay_ps(arc, process.tau_ps, load_ff[out_net.index()]));
+                arc_wire_ps.push(wire_delay_ps[out_net.index()]);
+                arc_inst.push(id.index() as u32);
+            }
+        }
+
+        let port_end_slot = module.output_ports().map(|p| low.slot(p.net)).collect();
+
+        let csta = CompiledSta {
+            process: process.clone(),
+            net_count: module.net_count(),
+            input_slots,
+            launch_slot,
+            launch_base_ps,
+            launch_wire_ps,
+            launch_inst,
+            arc_src,
+            arc_dst,
+            arc_base_ps,
+            arc_wire_ps,
+            arc_inst,
+            port_end_slot,
+            seq_end_slot,
+            seq_end_setup_ps,
+            // A few Arc bumps — the lowering's interned tables are
+            // shared, not cloned.
+            syms: low.symbols().clone(),
+        };
+        telemetry::counter("sta.arcs_emitted").add(csta.arc_count() as u64);
+        telemetry::gauge("sta.retained_bytes").set(csta.retained_bytes() as u64);
+        csta
+    }
+
     /// Number of nets the program analyzes.
     pub fn net_count(&self) -> usize {
         self.net_count
@@ -538,9 +568,8 @@ impl CompiledSta {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::WireLoads;
-    use syndcim_netlist::{Module, NetlistBuilder};
-    use syndcim_pdk::{CellKind, CellLibrary};
+    use syndcim_netlist::NetlistBuilder;
+    use syndcim_pdk::CellKind;
 
     fn lib() -> CellLibrary {
         CellLibrary::syn40()

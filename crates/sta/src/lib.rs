@@ -39,8 +39,8 @@
 
 #![warn(missing_docs)]
 
-use syndcim_ir::Lowering;
-use syndcim_netlist::{Connectivity, InstId, Module, NetId, NetlistError, PortDir};
+use syndcim_ir::{net_loads_ff, Lowering};
+use syndcim_netlist::{InstId, Module, NetId, NetlistError};
 use syndcim_pdk::{CellLibrary, OperatingPoint};
 
 pub mod artifact;
@@ -63,6 +63,13 @@ impl WireLoads {
     /// No-wire (pre-layout) annotation for a module with `nets` nets.
     pub fn zero(nets: usize) -> Self {
         WireLoads { cap_ff: vec![0.0; nets], delay_ps: vec![0.0; nets] }
+    }
+
+    /// The annotation contract of both analyzers: each table covers
+    /// every one of `nets` nets.
+    fn assert_covers(&self, nets: usize) {
+        assert!(self.cap_ff.len() >= nets, "wire cap table too short");
+        assert!(self.delay_ps.len() >= nets, "wire delay table too short");
     }
 }
 
@@ -119,9 +126,9 @@ impl TimingReport {
 /// Static timing analyzer bound to one module.
 ///
 /// `Sta` is the *reference* analyzer: a direct graph walk, kept simple
-/// and obviously correct. The engine-style fast path is obtained by
-/// lowering it once with [`Sta::compile`] into a [`CompiledSta`], which
-/// is differentially pinned to this implementation.
+/// and obviously correct. The engine-style fast path,
+/// [`CompiledSta::from_lowering`], compiles straight from the shared
+/// lowering and is differentially pinned to this implementation.
 #[derive(Debug)]
 pub struct Sta<'a> {
     module: &'a Module,
@@ -130,10 +137,9 @@ pub struct Sta<'a> {
     /// slots), reused by [`Sta::compile`].
     low: Lowering,
     wires: WireLoads,
-    /// Total load per net in fF (sink pins + port load + wire).
+    /// Total load per net in fF ([`net_loads_ff`]: sink pins + port
+    /// load + wire).
     load_ff: Vec<f64>,
-    /// Capacitive load assumed on each output port, in fF.
-    port_load_ff: f64,
 }
 
 impl<'a> Sta<'a> {
@@ -158,17 +164,9 @@ impl<'a> Sta<'a> {
     /// have been built from the same `module`.
     pub fn with_lowering(module: &'a Module, lib: &'a CellLibrary, low: Lowering) -> Self {
         debug_assert_eq!(low.net_count(), module.net_count(), "lowering belongs to a different module");
-        let port_load_ff = 4.0 * lib.process().cin_unit_ff;
-        let mut sta = Sta {
-            module,
-            lib,
-            low,
-            wires: WireLoads::zero(module.net_count()),
-            load_ff: Vec::new(),
-            port_load_ff,
-        };
-        sta.rebuild_loads();
-        sta
+        let wires = WireLoads::zero(module.net_count());
+        let load_ff = net_loads_ff(module, lib, &wires.cap_ff);
+        Sta { module, lib, low, wires, load_ff }
     }
 
     /// Annotate post-layout wire parasitics (replacing any previous
@@ -178,29 +176,10 @@ impl<'a> Sta<'a> {
     ///
     /// Panics if the annotation tables do not cover every net.
     pub fn with_wire_loads(mut self, wires: WireLoads) -> Self {
-        assert!(wires.cap_ff.len() >= self.module.net_count(), "wire cap table too short");
-        assert!(wires.delay_ps.len() >= self.module.net_count(), "wire delay table too short");
+        wires.assert_covers(self.module.net_count());
+        self.load_ff = net_loads_ff(self.module, self.lib, &wires.cap_ff);
         self.wires = wires;
-        self.rebuild_loads();
         self
-    }
-
-    fn rebuild_loads(&mut self) {
-        let n = self.module.net_count();
-        let mut load = vec![0.0f64; n];
-        for inst in &self.module.instances {
-            let cell = self.lib.cell(inst.cell);
-            for (pin, &net) in inst.inputs.iter().enumerate() {
-                load[net.index()] += cell.input_cap_ff[pin];
-            }
-        }
-        for p in self.module.ports.iter().filter(|p| p.dir == PortDir::Output) {
-            load[p.net.index()] += self.port_load_ff;
-        }
-        for (i, l) in load.iter_mut().enumerate() {
-            *l += self.wires.cap_ff.get(i).copied().unwrap_or(0.0);
-        }
-        self.load_ff = load;
     }
 
     /// Analyze at the nominal operating point against `period_ps`.
@@ -338,23 +317,6 @@ impl<'a> Sta<'a> {
     /// affect arrival times, so no search is needed).
     pub fn fmax_mhz(&self, op: OperatingPoint) -> f64 {
         self.analyze_at(1.0, op).fmax_mhz
-    }
-
-    /// Total load on a net in fF (for inspection/tests).
-    pub fn net_load_ff(&self, net: NetId) -> f64 {
-        self.load_ff[net.index()]
-    }
-
-    /// Connectivity tables (shared with other consumers).
-    pub fn connectivity(&self) -> &Connectivity {
-        self.low.connectivity()
-    }
-
-    /// Fanout count of the most-loaded net (diagnostics for driver
-    /// sizing).
-    pub fn max_fanout(&self) -> usize {
-        let conn = self.low.connectivity();
-        (0..self.module.net_count()).map(|i| conn.fanout(NetId(i as u32))).max().unwrap_or(0)
     }
 }
 

@@ -22,17 +22,26 @@
 //!    backends (`u64` and `W256`) in lockstep with the fresh program
 //!    under adversarial xorshift stimulus: every net, every word, every
 //!    cycle, plus the aggregate toggle tables.
+//! 5. **Compiled = reference-built bytes** — on the implemented chip,
+//!    with real extracted wires, the timing and power programs
+//!    `implement` compiles straight from its lowering encode exactly
+//!    like the ones the reference analyzers compile on the same
+//!    lowering and wires.
 //!
 //! A scale-tier arm (gated by `SYNDCIM_SLOW_TESTS=1`) repeats the
 //! exercise on the 256×256 generator macro (~4×10⁵ nets) and asserts
 //! the load takes a small fraction of the compile it replaces.
 
-use syndcim_core::{assemble, CompiledMacro, DesignChoice, MacroSpec};
-use syndcim_engine::{BatchSim, BatchSim256, Lowering};
+use syndcim_core::{assemble, implement, CompiledMacro, DesignChoice, MacroSpec};
+use syndcim_engine::{BatchSim, BatchSim256};
+use syndcim_ir::Lowering;
 use syndcim_netlist::{Module, NetId};
 use syndcim_pdk::{CellLibrary, OperatingPoint};
+use syndcim_power::artifact::encode_power;
+use syndcim_power::PowerAnalyzer;
 use syndcim_sim::SimBackend;
-use syndcim_sta::WireLoads;
+use syndcim_sta::artifact::encode_sta;
+use syndcim_sta::{Sta, WireLoads};
 
 /// Operating points the paper's shmoo sweeps: slow/low-V, nominal,
 /// fast/high-V, plus a hot corner exercising the temperature derate.
@@ -162,6 +171,27 @@ fn loaded_power_is_bit_identical_across_corners() {
         );
         assert_eq!(loaded.power.leakage_uw(op), cm.power.leakage_uw(op), "leakage at {:.2} V", op.vdd_v);
     }
+}
+
+#[test]
+fn implemented_programs_encode_like_reference_compiles_with_real_wires() {
+    let lib = CellLibrary::syn40();
+    let im = implement(&lib, &MacroSpec::paper_test_chip(), &DesignChoice::default()).unwrap();
+    let (module, low) = (&im.mac.module, &im.compiled.lowering);
+    assert!(im.wires.cap_ff.iter().any(|&c| c > 0.0), "extraction annotates real wire caps");
+    assert!(im.wires.delay_ps.iter().any(|&d| d > 0.0), "extraction annotates real wire delays");
+
+    let wires = WireLoads { cap_ff: im.wires.cap_ff.clone(), delay_ps: im.wires.delay_ps.clone() };
+    let sta = Sta::with_lowering(module, &lib, low.clone()).with_wire_loads(wires).compile();
+    assert!(
+        encode_sta(&im.compiled.sta).into_bytes() == encode_sta(&sta).into_bytes(),
+        "timing program bytes must match the reference analyzer's compile"
+    );
+    let power = PowerAnalyzer::from_lowering(module, &lib, low, &im.wires.cap_ff).compile();
+    assert!(
+        encode_power(&im.compiled.power).into_bytes() == encode_power(&power).into_bytes(),
+        "power program bytes must match the reference analyzer's compile"
+    );
 }
 
 /// Drive fresh-program and loaded-program sims in lockstep and assert

@@ -16,7 +16,8 @@
 
 use rand::Rng;
 use syndcim_core::{assemble, DesignChoice, MacroSpec};
-use syndcim_engine::{BatchSim, EngineSim, Lowering, Program, SimdBackend};
+use syndcim_engine::{BatchSim, EngineSim, Program, SimdBackend};
+use syndcim_ir::Lowering;
 use syndcim_netlist::NetId;
 use syndcim_sim::golden::{bit_serial_schedule, twos_complement_bit, DcimChannelTrace};
 use syndcim_sim::vectors::{random_ints, seeded_rng};
@@ -257,7 +258,7 @@ fn simd_backends_agree_at_every_word_seam() {
 
         let (snapshots, toggles, lane_cycles) = run(SimdBackend::Portable);
         assert_eq!(lane_cycles, (lanes * cycles) as u64);
-        for backend in [SimdBackend::Avx2, SimdBackend::Avx512, SimdBackend::Neon] {
+        for backend in [SimdBackend::Avx2, SimdBackend::Avx512] {
             if !backend.detected() || backend.max_lanes() < lanes {
                 continue;
             }

@@ -23,9 +23,10 @@
 use rand::Rng;
 use syndcim_core::{
     assemble, implement, measure_fp, measure_int, measure_weight_update_patterns, shmoo_yield, CompiledMacro,
-    DesignChoice, EvalBackend, FaultPlan, FlowError, MacroSpec, VariationModel,
+    DesignChoice, FaultPlan, FlowError, MacroSpec, VariationModel,
 };
-use syndcim_engine::{BatchSim, BatchSim256, EngineError, EngineSim, Lowering, Program, SimdBackend};
+use syndcim_engine::{BatchSim, BatchSim256, EngineError, EngineSim, Program, SimdBackend};
+use syndcim_ir::Lowering;
 use syndcim_netlist::NetId;
 use syndcim_pdk::{CellLibrary, OperatingPoint};
 use syndcim_sim::vectors::seeded_rng;
@@ -188,11 +189,10 @@ fn w512_seam_fault_masks_are_bit_identical_across_backends() {
     let in_nets: Vec<NetId> = module.input_ports().map(|p| p.net).collect();
 
     let seams = [255usize, 256, 448, 511];
-    let backends: Vec<SimdBackend> =
-        [SimdBackend::Portable, SimdBackend::Avx2, SimdBackend::Avx512, SimdBackend::Neon]
-            .into_iter()
-            .filter(|b| b.detected() && b.max_lanes() >= 512)
-            .collect();
+    let backends: Vec<SimdBackend> = [SimdBackend::Portable, SimdBackend::Avx2, SimdBackend::Avx512]
+        .into_iter()
+        .filter(|b| b.detected() && b.max_lanes() >= 512)
+        .collect();
     assert!(backends.contains(&SimdBackend::Portable));
 
     // Stuck-at masks at the seams: `mismatch_mask` reports exactly the
@@ -345,7 +345,7 @@ fn malformed_plans_lanes_and_corners_error_instead_of_aborting() {
     ));
     assert!(matches!(measure_fp(&im, &lib, &[], &[], op, 400.0).unwrap_err(), FlowError::MissingFpUnit));
     assert!(matches!(
-        measure_weight_update_patterns(&im, &lib, op, 400.0, 1, 0, EvalBackend::Engine).unwrap_err(),
+        measure_weight_update_patterns(&im, &lib, op, 400.0, 1, 0).unwrap_err(),
         FlowError::PatternCount { patterns: 0, .. }
     ));
 

@@ -14,8 +14,8 @@
 use std::collections::HashMap;
 
 use syndcim_core::{assemble, DesignChoice, MacroSpec};
-use syndcim_engine::{Lowering, Program};
-use syndcim_ir::Symbols;
+use syndcim_engine::Program;
+use syndcim_ir::{Lowering, Symbols};
 use syndcim_pdk::{CellLibrary, OperatingPoint};
 use syndcim_power::PowerAnalyzer;
 use syndcim_sim::Simulator;

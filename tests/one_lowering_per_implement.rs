@@ -9,7 +9,9 @@
 //! concurrently running tests (each test file is its own process; tests
 //! *within* a file share one).
 
-use syndcim_core::{implement, implement_with, DesignChoice, MacroSpec, StaBackend};
+use syndcim_core::{
+    implement, shmoo_with_power, shmoo_with_power_on, DesignChoice, MacroSpec, PowerBackend, StaBackend,
+};
 use syndcim_ir::Lowering;
 use syndcim_pdk::{CellLibrary, OperatingPoint};
 
@@ -55,10 +57,26 @@ fn implement_builds_exactly_one_lowering_shared_by_sim_sta_power() {
     let _power = im.compiled.power.report(&toggles, 4, 400.0, op);
     assert_eq!(Lowering::builds(), mid, "sign-off queries must not re-walk the netlist");
 
-    // The reference sign-off arm reuses the bundle's lowering too (a
-    // clone is a memcpy, not a walk).
+    // The reference oracle arms reuse the bundle's lowering too (a
+    // clone is a memcpy, not a walk) and reproduce the compiled grid.
+    let (vs, fs) = ([0.5, 0.7, 0.9, 1.2], [100.0, 400.0, 1_600.0]);
+    let weights = vec![vec![1i64, -2, 3, 0, -4, 5, 2, -1], vec![2i64; 8]];
+    let passes = vec![vec![3i64, -1, 0, 7, -8, 2, 1, 4]];
+    let compiled = shmoo_with_power(&im, &lib, &vs, &fs, 4, &passes, &weights).unwrap();
     let before_ref = Lowering::builds();
-    let im_ref = implement_with(&lib, &tiny_spec(), &DesignChoice::default(), StaBackend::Reference).unwrap();
-    assert_eq!(Lowering::builds(), before_ref + 1, "the reference arm shares the single lowering");
-    assert_eq!(im_ref.timing.max_delay_ps, im.timing.max_delay_ps, "backends stay bit-identical");
+    let reference = shmoo_with_power_on(
+        &im,
+        &lib,
+        &vs,
+        &fs,
+        4,
+        &passes,
+        &weights,
+        StaBackend::Reference,
+        PowerBackend::Reference,
+    )
+    .unwrap();
+    assert_eq!(Lowering::builds(), before_ref, "the reference oracle arms must not re-walk the netlist");
+    assert_eq!(reference.shmoo.pass, compiled.shmoo.pass, "reference pass map stays bit-identical");
+    assert_eq!(reference.power_uw, compiled.power_uw, "reference power stays bit-identical");
 }
