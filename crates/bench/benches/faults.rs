@@ -19,7 +19,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use syndcim_core::{assemble, DesignChoice, MacroSpec};
-use syndcim_engine::{BatchSim, FaultPlan, Program};
+use syndcim_engine::{BatchExec, FaultPlan, Program};
 use syndcim_netlist::NetId;
 use syndcim_pdk::CellLibrary;
 use syndcim_sim::SimBackend;
@@ -44,7 +44,7 @@ fn bench_faults(c: &mut Criterion) {
     let in_nets: Vec<NetId> = module.input_ports().map(|p| p.net).collect();
 
     let nominal = c.bench_stats("engine_64vectors_no_plan", |b| {
-        let mut sim = BatchSim::new(&prog, module, 64);
+        let mut sim = BatchExec::<u64>::new(&prog, module, 64);
         let mut state = 0x5EED;
         b.iter(|| {
             for &net in &in_nets {
@@ -55,7 +55,7 @@ fn bench_faults(c: &mut Criterion) {
     });
 
     let empty = c.bench_stats("engine_64vectors_empty_plan", |b| {
-        let mut sim = BatchSim::new(&prog, module, 64);
+        let mut sim = BatchExec::<u64>::new(&prog, module, 64);
         sim.install_faults(&FaultPlan::new()).expect("empty plan installs");
         let mut state = 0x5EED;
         b.iter(|| {
@@ -67,7 +67,7 @@ fn bench_faults(c: &mut Criterion) {
     });
 
     let dormant = c.bench_stats("engine_64vectors_dormant_plan", |b| {
-        let mut sim = BatchSim::new(&prog, module, 64);
+        let mut sim = BatchExec::<u64>::new(&prog, module, 64);
         let mut plan = FaultPlan::new();
         plan.flip_at(in_nets[0], 0, u64::MAX);
         sim.install_faults(&plan).expect("dormant plan installs");

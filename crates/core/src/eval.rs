@@ -6,10 +6,11 @@
 //!
 //! Every measurement drives the compiled bit-parallel `syndcim_engine`
 //! backend: up to 512 measurement passes evaluate simultaneously (`u64`
-//! lane words up to 64 lanes, wider portable or ISA-native SIMD words
-//! beyond — `EngineSim` picks the word per chunk, honoring the
-//! `SYNDCIM_SIMD` pin), and pass chunks fan out across worker threads
-//! sharing one compiled program. Measurement drivers use the
+//! lane words up to 64 lanes, the wider `[u64; N]` words beyond —
+//! `EngineSim` picks the word per chunk and runs it in the widest
+//! vector-ISA frame the CPU has, honoring the `SYNDCIM_SIMD` pin), and
+//! pass chunks fan out across worker threads sharing one compiled
+//! program. Measurement drivers use the
 //! incremental (`drive_word_at`) stimulus path, skipping input ports
 //! whose lane word is unchanged between cycles. Activity converts to
 //! power on the macro's compiled power program, built at `implement`
@@ -38,19 +39,17 @@ use crate::flow::ImplementedMacro;
 const MAX_LANES: usize = EngineSim::MAX_LANES;
 
 /// Lane count for measurement chunks: 64-lane `u64` chunks while they
-/// keep every worker thread busy, the widest word the `SYNDCIM_SIMD`
-/// policy allows once per-thread batches saturate (one wide pass beats
-/// several narrow passes on one core, but not narrow passes spread over
-/// idle cores). Capped by [`SimdPolicy::max_lanes`] so a pinned backend
-/// (e.g. `SYNDCIM_SIMD=avx2`, a 256-lane word) never receives a chunk
-/// its word cannot carry — worker-thread construction must not fail.
+/// keep every worker thread busy, the 512-lane word once per-thread
+/// batches saturate (one wide pass beats several narrow passes on one
+/// core, but not narrow passes spread over idle cores). Every
+/// `SYNDCIM_SIMD` backend carries the 512-lane word, so the size does
+/// not depend on the pin.
 pub(crate) fn chunk_lanes(passes: usize) -> usize {
     let threads = default_threads(passes.div_ceil(64));
     if passes <= 64 * threads {
         64
     } else {
-        let cap = SimdPolicy::from_env().map(SimdPolicy::max_lanes).unwrap_or(MAX_LANES);
-        MAX_LANES.min(cap)
+        MAX_LANES
     }
 }
 

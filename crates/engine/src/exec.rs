@@ -2,27 +2,24 @@
 //!
 //! [`BatchExec`] is generic over its [`LaneWord`]: every slot holds one
 //! word whose lane `l` is the logic value of one independent test
-//! vector. [`BatchSim`] (`u64`, 64 lanes) is the classic single-register
-//! hot path; [`BatchSim256`] (`[u64; 4]`, 256 lanes) and
-//! [`BatchSim512`] (`[u64; 8]`, 512 lanes) multiply the vectors per
-//! pass on straight-line element-wise code that LLVM lowers to the
-//! target's vector unit; the ISA-native words in the arch-gated
-//! `crate::word::x86_64` module run the same generic passes on explicit
-//! AVX2/AVX-512 intrinsics.
-//! [`EngineSim`] picks the word at run time — narrowest width that
-//! fits the lane count, widest detected ISA for that width (overridable
-//! with `SYNDCIM_SIMD`, see [`crate::SimdPolicy`]) — so callers never
-//! pay the wide word for small batches and never select a data path the
-//! CPU lacks.
+//! vector. The `u64` word (64 lanes) is the classic single-register hot
+//! path; [`W256`] (`[u64; 4]`, 256 lanes) and [`W512`] (`[u64; 8]`, 512
+//! lanes) multiply the vectors per pass on straight-line element-wise
+//! code that LLVM lowers to whatever vector unit the pass is compiled
+//! for. [`EngineSim`] picks the word at run time — the narrowest that
+//! fits the lane count — and the frame its passes run in: the widest
+//! detected ISA (overridable with `SYNDCIM_SIMD`, see
+//! [`crate::SimdPolicy`]), so callers never pay the wide word for small
+//! batches and never run a frame the CPU lacks.
 //!
 //! A settle is one linear pass over the op stream — no hash maps, no
 //! per-cell dispatch through `Vec<bool>` buffers — and per-net toggles
 //! accumulate as `popcount((prev ^ next) & lane_mask)`, which makes an
 //! L-lane run report exactly the toggle totals of L separate interpreter
-//! runs over the same per-lane stimulus, at any word width. Each pass
-//! runs inside one [`LaneWord::dispatch`] call, so an ISA word pays one
-//! runtime dispatch per settle (never per op) and its intrinsic leaf
-//! functions inline into the pass.
+//! runs over the same per-lane stimulus, at any word width. An ISA
+//! frame is one `#[target_feature]` method per pass and ISA: the pass
+//! inlines into it down to the slot write, so the executor pays one
+//! runtime branch per pass, never per op.
 
 use syndcim_netlist::{InstId, Module, NetId};
 use syndcim_pdk::SeqUpdate;
@@ -32,8 +29,6 @@ use syndcim_telemetry as telemetry;
 use crate::fault::{EngineError, FaultKind, FaultPlan};
 use crate::program::{Op, Program};
 use crate::simd::{SimdBackend, SimdPolicy};
-#[cfg(target_arch = "x86_64")]
-use crate::word::x86_64::{W256Avx2, W512Avx512};
 use crate::word::{LaneWord, W256, W512};
 
 /// Compiled form of an installed [`FaultPlan`]: dense per-net-slot
@@ -60,8 +55,8 @@ struct FaultState<W> {
 }
 
 /// Word-level batch executor over one compiled program, generic over
-/// the lane word `W`. Use the [`BatchSim`] / [`BatchSim256`] aliases or
-/// the width-selecting [`EngineSim`].
+/// the lane word `W` (e.g. `BatchExec::<u64>::new`). Most callers use
+/// the width- and frame-selecting [`EngineSim`].
 #[derive(Debug)]
 pub struct BatchExec<'a, W: LaneWord> {
     prog: &'a Program,
@@ -85,6 +80,10 @@ pub struct BatchExec<'a, W: LaneWord> {
     lanes: usize,
     mask: W,
     lane_cycles: u64,
+    /// The frame every settle and capture/commit pass runs in. Only
+    /// [`BatchExec::in_frame`] sets an ISA, after asserting
+    /// [`SimdBackend::detected`].
+    backend: SimdBackend,
     /// Cached telemetry handles, resolved once per executor so the
     /// settle hot path pays one relaxed atomic load per *pass* (never
     /// per op) when telemetry is off. Toggle and lane-cycle totals are
@@ -94,15 +93,6 @@ pub struct BatchExec<'a, W: LaneWord> {
     ctr_settles: telemetry::Counter,
     ctr_ops: telemetry::Counter,
 }
-
-/// The 64-lane executor (one `u64` per slot).
-pub type BatchSim<'a> = BatchExec<'a, u64>;
-
-/// The 256-lane wide-word executor (`[u64; 4]` per slot).
-pub type BatchSim256<'a> = BatchExec<'a, W256>;
-
-/// The 512-lane wide-word executor (`[u64; 8]` per slot).
-pub type BatchSim512<'a> = BatchExec<'a, W512>;
 
 impl<'a, W: LaneWord> BatchExec<'a, W> {
     /// Create an executor with `lanes` active lanes (`1..=W::LANES`).
@@ -116,6 +106,17 @@ impl<'a, W: LaneWord> BatchExec<'a, W> {
     /// caller is responsible for pairing a program with the exact module
     /// it was compiled from).
     pub fn new(prog: &'a Program, module: &'a Module, lanes: usize) -> Self {
+        Self::in_frame(prog, module, lanes, SimdBackend::Portable)
+    }
+
+    /// [`BatchExec::new`] running its passes in `backend`'s frame.
+    ///
+    /// # Panics
+    ///
+    /// As [`BatchExec::new`], and if this CPU cannot run `backend` —
+    /// the passes enter its frame unchecked.
+    fn in_frame(prog: &'a Program, module: &'a Module, lanes: usize, backend: SimdBackend) -> Self {
+        assert!(backend.detected(), "SIMD backend `{backend}` is not supported by this CPU");
         assert_eq!(prog.net_count, module.net_count(), "program/module net-count mismatch");
         assert_eq!(prog.seq_of_inst.len(), module.instance_count(), "program/module instance-count mismatch");
         telemetry::counter("engine.executors").incr();
@@ -131,6 +132,7 @@ impl<'a, W: LaneWord> BatchExec<'a, W> {
             lanes,
             mask: W::mask(lanes),
             lane_cycles: 0,
+            backend,
             ctr_settles: telemetry::counter("engine.settles"),
             ctr_ops: telemetry::counter("engine.ops_executed"),
         }
@@ -202,9 +204,9 @@ impl<'a, W: LaneWord> BatchExec<'a, W> {
     /// The single slot-write choke point: fault masks, aggregate and
     /// per-lane toggle accounting all hang here, width-generically.
     /// `inline(always)` is load-bearing: every settle/commit op funnels
-    /// through this function, and it must land inside the
-    /// `#[target_feature]` dispatch frame — outlined, it compiles
-    /// without the ISA features and every op pays a vector-ABI call.
+    /// through this function, and it must land inside the per-ISA
+    /// `#[target_feature]` frame — outlined, it compiles without the
+    /// ISA features and every op pays a vector-ABI call.
     #[inline(always)]
     fn write(&mut self, dst: u32, mut val: W) {
         let d = dst as usize;
@@ -373,11 +375,9 @@ impl<'a, W: LaneWord> BatchExec<'a, W> {
         self.write(net.index() as u32, word);
     }
 
-    /// One linear pass over the levelized op stream. Runs inside
-    /// [`LaneWord::dispatch`] (see [`SimBackend::settle`]) so an ISA
-    /// word's intrinsic leaf functions inline here; keep it
-    /// `inline(always)` so the closure body actually lands in the
-    /// `#[target_feature]` trampoline.
+    /// One linear pass over the levelized op stream. Keep it
+    /// `inline(always)` so it compiles inside each per-ISA frame
+    /// ([`SimBackend::settle`] picks the frame).
     #[inline(always)]
     fn settle_pass(&mut self) {
         for k in 0..self.prog.ops.len() {
@@ -408,7 +408,7 @@ impl<'a, W: LaneWord> BatchExec<'a, W> {
 
     /// Capture every next state from pre-edge values, then commit
     /// states and q nets — the sequential half of [`SimBackend::step`].
-    /// Runs inside [`LaneWord::dispatch`] like [`BatchExec::settle_pass`].
+    /// `inline(always)` like [`BatchExec::settle_pass`].
     #[inline(always)]
     fn capture_commit_pass(&mut self) {
         for (i, c) in self.prog.commits.iter().enumerate() {
@@ -427,6 +427,35 @@ impl<'a, W: LaneWord> BatchExec<'a, W> {
             self.state[i] = nv;
             self.write(q, nv);
         }
+    }
+
+    // The ISA frames: one `#[target_feature]` method per pass and ISA,
+    // into which the whole pass inlines. Each must call its pass
+    // directly — a pass routed through a closure shared by several
+    // frames gets outlined and compiles without the ISA.
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn settle_avx2(&mut self) {
+        self.settle_pass()
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    fn settle_avx512(&mut self) {
+        self.settle_pass()
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn capture_commit_avx2(&mut self) {
+        self.capture_commit_pass()
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    fn capture_commit_avx512(&mut self) {
+        self.capture_commit_pass()
     }
 }
 
@@ -462,16 +491,28 @@ impl<W: LaneWord> SimBackend for BatchExec<'_, W> {
     fn settle(&mut self) {
         self.ctr_settles.incr();
         self.ctr_ops.add(self.prog.ops.len() as u64);
-        // One runtime dispatch for the whole pass: the closure compiles
-        // inside the word's `#[target_feature]` trampoline (identity
-        // for portable words).
-        W::dispatch(|| self.settle_pass());
+        // SAFETY (both ISA arms): `in_frame` asserted that the CPU has
+        // `self.backend`'s features, which are all the frame enables.
+        match self.backend {
+            #[cfg(target_arch = "x86_64")]
+            SimdBackend::Avx2 => unsafe { self.settle_avx2() },
+            #[cfg(target_arch = "x86_64")]
+            SimdBackend::Avx512 => unsafe { self.settle_avx512() },
+            _ => self.settle_pass(),
+        }
     }
 
     fn step(&mut self) {
         self.advance_fault_cycle();
         self.settle();
-        W::dispatch(|| self.capture_commit_pass());
+        // SAFETY (both ISA arms): as in `settle`.
+        match self.backend {
+            #[cfg(target_arch = "x86_64")]
+            SimdBackend::Avx2 => unsafe { self.capture_commit_avx2() },
+            #[cfg(target_arch = "x86_64")]
+            SimdBackend::Avx512 => unsafe { self.capture_commit_avx512() },
+            _ => self.capture_commit_pass(),
+        }
         self.lane_cycles += self.lanes as u64;
         self.settle();
     }
@@ -533,10 +574,11 @@ impl<W: LaneWord> Drop for BatchExec<'_, W> {
     }
 }
 
-/// Width- and ISA-selecting engine executor: [`BatchSim`] (`u64`) for
-/// up to 64 lanes, then the narrowest wide word that fits — on the
-/// widest vector ISA the CPU supports ([`SimdPolicy::select`]). One
-/// type for callers that size their batches at run time.
+/// Width- and frame-selecting engine executor: the `u64` word for up to
+/// 64 lanes, then the narrowest wide word that fits, its passes running
+/// in the widest vector-ISA frame the CPU supports
+/// ([`SimdPolicy::select`]). One type for callers that size their
+/// batches at run time.
 ///
 /// Set `SYNDCIM_SIMD=portable|avx2|avx512|auto` to pin the data
 /// path; invalid or unsupported values are typed errors from
@@ -559,8 +601,8 @@ impl<W: LaneWord> Drop for BatchExec<'_, W> {
 /// let m = b.finish();
 /// let prog = Program::compile(&m, &lib)?;
 ///
-/// // 100 lanes does not fit a u64, so a 256-lane word is selected —
-/// // AVX2 if the CPU has it, portable [u64; 4] otherwise.
+/// // 100 lanes does not fit a u64, so the 256-lane [u64; 4] word is
+/// // selected, running in the widest ISA frame the CPU has.
 /// let mut sim = EngineSim::new(&prog, &m, 100);
 /// assert_eq!(sim.lanes(), 100);
 /// assert_eq!(sim.word_lanes(), 256);
@@ -574,18 +616,12 @@ impl<W: LaneWord> Drop for BatchExec<'_, W> {
 /// ```
 #[derive(Debug)]
 pub enum EngineSim<'a> {
-    /// `u64` lane word, 1..=64 lanes.
-    Narrow(BatchSim<'a>),
-    /// Portable `[u64; 4]` lane word, 65..=256 lanes.
-    Wide(BatchSim256<'a>),
-    /// Portable `[u64; 8]` lane word, 257..=512 lanes.
-    Wide512(BatchSim512<'a>),
-    /// AVX2 `__m256i` lane word, 65..=256 lanes.
-    #[cfg(target_arch = "x86_64")]
-    Avx2(BatchExec<'a, W256Avx2>),
-    /// AVX-512 `__m512i` lane word, 65..=512 lanes.
-    #[cfg(target_arch = "x86_64")]
-    Avx512(BatchExec<'a, W512Avx512>),
+    /// `u64` lane word, 1..=64 lanes, never in an ISA frame.
+    Narrow(BatchExec<'a, u64>),
+    /// [`W256`] lane word, 65..=256 lanes.
+    Wide(BatchExec<'a, W256>),
+    /// [`W512`] lane word, 257..=512 lanes.
+    Wide512(BatchExec<'a, W512>),
 }
 
 macro_rules! delegate {
@@ -594,10 +630,6 @@ macro_rules! delegate {
             EngineSim::Narrow($sim) => $body,
             EngineSim::Wide($sim) => $body,
             EngineSim::Wide512($sim) => $body,
-            #[cfg(target_arch = "x86_64")]
-            EngineSim::Avx2($sim) => $body,
-            #[cfg(target_arch = "x86_64")]
-            EngineSim::Avx512($sim) => $body,
         }
     };
 }
@@ -607,15 +639,14 @@ impl<'a> EngineSim<'a> {
     pub const MAX_LANES: usize = W512::LANES;
 
     /// Create an executor for `lanes` lanes on the narrowest lane word
-    /// that fits, using the widest vector ISA the `SYNDCIM_SIMD` policy
-    /// allows and the CPU supports.
+    /// that fits, in the widest vector-ISA frame the `SYNDCIM_SIMD`
+    /// policy allows and the CPU supports.
     ///
     /// # Panics
     ///
-    /// Panics if `lanes` is zero or exceeds what the policy carries
-    /// ([`EngineSim::MAX_LANES`] under `auto`), if `SYNDCIM_SIMD` is
-    /// invalid or unsupported on this CPU, or on a program/module shape
-    /// mismatch. Flows that want these as values call
+    /// Panics if `lanes` is zero or exceeds [`EngineSim::MAX_LANES`], if
+    /// `SYNDCIM_SIMD` is invalid or unsupported on this CPU, or on a
+    /// program/module shape mismatch. Flows that want these as values call
     /// [`EngineSim::try_new`] (and validate the policy once up front
     /// with [`SimdPolicy::from_env`]).
     pub fn new(prog: &'a Program, module: &'a Module, lanes: usize) -> Self {
@@ -630,7 +661,7 @@ impl<'a> EngineSim<'a> {
     ///
     /// [`EngineError::SimdUnknown`] / [`EngineError::SimdUnsupported`]
     /// for a bad `SYNDCIM_SIMD` value, [`EngineError::SimdLaneCap`]
-    /// when `lanes` exceeds the policy's widest word, and
+    /// when `lanes` exceeds [`EngineSim::MAX_LANES`], and
     /// [`EngineError::ZeroLanes`] for an empty lane set.
     pub fn try_new(prog: &'a Program, module: &'a Module, lanes: usize) -> Result<Self, EngineError> {
         Self::with_policy(prog, module, lanes, SimdPolicy::from_env()?)
@@ -654,17 +685,19 @@ impl<'a> EngineSim<'a> {
         Self::with_backend(prog, module, lanes, policy.select(lanes)?)
     }
 
-    /// Construct on an explicit [`SimdBackend`] — the knob the
-    /// differential tests and benches use to compare data paths on
-    /// identical stimulus. The portable backend still picks the
-    /// narrowest `u64`/[`W256`]/[`W512`] word that fits `lanes`.
+    /// Construct in an explicit [`SimdBackend`]'s frame — the knob the
+    /// differential tests and benches use to compare frames on
+    /// identical stimulus. Every backend picks the narrowest
+    /// `u64`/[`W256`]/[`W512`] word that fits `lanes`; the `u64` word
+    /// always runs outside any frame, so up to 64 lanes report
+    /// [`SimdBackend::Portable`].
     ///
     /// # Errors
     ///
     /// [`EngineError::SimdUnsupported`] if this CPU cannot run
-    /// `backend`, [`EngineError::SimdLaneCap`] if `lanes` exceeds the
-    /// backend's word, [`EngineError::ZeroLanes`] for an empty lane
-    /// set.
+    /// `backend`, [`EngineError::SimdLaneCap`] if `lanes` exceeds
+    /// [`EngineSim::MAX_LANES`], [`EngineError::ZeroLanes`] for an
+    /// empty lane set.
     pub fn with_backend(
         prog: &'a Program,
         module: &'a Module,
@@ -677,46 +710,23 @@ impl<'a> EngineSim<'a> {
         if !backend.detected() {
             return Err(EngineError::SimdUnsupported { backend });
         }
-        if lanes > backend.max_lanes() {
-            return Err(EngineError::SimdLaneCap { backend, lanes, max: backend.max_lanes() });
+        if lanes > Self::MAX_LANES {
+            return Err(EngineError::SimdLaneCap { backend, lanes, max: Self::MAX_LANES });
         }
-        let sim = match backend {
-            SimdBackend::Portable => {
-                if lanes <= u64::LANES {
-                    EngineSim::Narrow(BatchExec::new(prog, module, lanes))
-                } else if lanes <= W256::LANES {
-                    EngineSim::Wide(BatchExec::new(prog, module, lanes))
-                } else {
-                    EngineSim::Wide512(BatchExec::new(prog, module, lanes))
-                }
-            }
-            #[cfg(target_arch = "x86_64")]
-            SimdBackend::Avx2 => EngineSim::Avx2(BatchExec::new(prog, module, lanes)),
-            #[cfg(target_arch = "x86_64")]
-            SimdBackend::Avx512 => EngineSim::Avx512(BatchExec::new(prog, module, lanes)),
-            #[allow(unreachable_patterns)]
-            _ => unreachable!("backend {backend} passed detection on an architecture without it"),
+        let sim = if lanes <= u64::LANES {
+            EngineSim::Narrow(BatchExec::new(prog, module, lanes))
+        } else if lanes <= W256::LANES {
+            EngineSim::Wide(BatchExec::in_frame(prog, module, lanes, backend))
+        } else {
+            EngineSim::Wide512(BatchExec::in_frame(prog, module, lanes, backend))
         };
-        telemetry::gauge("engine.simd_backend").set(backend.code());
+        telemetry::gauge("engine.simd_backend").set(sim.simd_backend().code());
         Ok(sim)
     }
 
-    /// Force the portable wide (`[u64; 4]`) word even for small lane
-    /// counts — the historical knob width-comparison tests use; ISA
-    /// comparisons go through [`EngineSim::with_backend`].
-    pub fn new_wide(prog: &'a Program, module: &'a Module, lanes: usize) -> Self {
-        EngineSim::Wide(BatchExec::new(prog, module, lanes))
-    }
-
-    /// Which SIMD data path this executor runs on.
+    /// The frame this executor's passes run in.
     pub fn simd_backend(&self) -> SimdBackend {
-        match self {
-            EngineSim::Narrow(_) | EngineSim::Wide(_) | EngineSim::Wide512(_) => SimdBackend::Portable,
-            #[cfg(target_arch = "x86_64")]
-            EngineSim::Avx2(_) => SimdBackend::Avx2,
-            #[cfg(target_arch = "x86_64")]
-            EngineSim::Avx512(_) => SimdBackend::Avx512,
-        }
+        delegate!(self, s => s.backend)
     }
 
     /// Lane capacity of the selected word (≥ the active lane count).
@@ -725,10 +735,6 @@ impl<'a> EngineSim<'a> {
             EngineSim::Narrow(_) => u64::LANES,
             EngineSim::Wide(_) => W256::LANES,
             EngineSim::Wide512(_) => W512::LANES,
-            #[cfg(target_arch = "x86_64")]
-            EngineSim::Avx2(_) => W256Avx2::LANES,
-            #[cfg(target_arch = "x86_64")]
-            EngineSim::Avx512(_) => W512Avx512::LANES,
         }
     }
 

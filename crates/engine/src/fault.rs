@@ -202,14 +202,14 @@ pub enum EngineError {
         /// The backend that was pinned.
         backend: crate::SimdBackend,
     },
-    /// The requested lane count exceeds what the selected SIMD policy
-    /// can carry in one executor.
+    /// The requested lane count exceeds what one executor carries
+    /// ([`crate::EngineSim::MAX_LANES`], the same for every backend).
     SimdLaneCap {
-        /// The widest backend the policy allows.
+        /// The backend the policy selected.
         backend: crate::SimdBackend,
         /// Requested lane count.
         lanes: usize,
-        /// The backend word's lane capacity.
+        /// The widest word's lane capacity.
         max: usize,
     },
 }

@@ -15,20 +15,20 @@
 //!   agrees on slot assignment;
 //! * [`BatchExec`] — executes the op stream on [`LaneWord`]s (one bit
 //!   per lane), accumulating per-net toggles as `popcount(prev ^ next)`
-//!   so `syndcim_power` consumes its activity unchanged. [`BatchSim`]
-//!   is the 64-lane `u64` instantiation, [`BatchSim256`] the 256-lane
-//!   `[u64; 4]` wide word, [`BatchSim512`] the 512-lane `[u64; 8]`
-//!   word, and [`EngineSim`] auto-selects the narrowest width that fits
-//!   a requested lane count. `syndcim_ir::parallel_map` scales beyond
-//!   one word across cores (one executor per worker, all sharing one
-//!   compiled [`Program`]).
+//!   so `syndcim_power` consumes its activity unchanged. The words are
+//!   the 64-lane `u64`, the 256-lane `[u64; 4]` [`W256`] and the
+//!   512-lane `[u64; 8]` [`W512`]; [`EngineSim`] auto-selects the
+//!   narrowest that fits a requested lane count and runs its passes in
+//!   the widest vector-ISA frame the CPU has ([`SimdBackend`]).
+//!   `syndcim_ir::parallel_map` scales beyond one word across cores
+//!   (one executor per worker, all sharing one compiled [`Program`]).
 //!
 //! Both backends implement [`syndcim_sim::SimBackend`]; the interpreter
 //! remains the bit-exact reference the engine is differentially tested
 //! against (same outputs, same per-net toggle counts).
 //!
 //! ```
-//! use syndcim_engine::{BatchSim, Program};
+//! use syndcim_engine::{EngineSim, Program};
 //! use syndcim_netlist::NetlistBuilder;
 //! use syndcim_pdk::CellLibrary;
 //! use syndcim_sim::SimBackend;
@@ -43,12 +43,12 @@
 //! let m = b.finish();
 //!
 //! let prog = Program::compile(&m, &lib)?;
-//! let mut sim = BatchSim::new(&prog, &m, 8); // 8 vectors at once
+//! let mut sim = EngineSim::new(&prog, &m, 8); // 8 vectors at once
 //! for v in 0..8u64 {
 //!     // Lane v simulates input pattern v.
-//!     sim.poke_lane(m.port("a").unwrap().net, v as usize, v & 1 == 1);
-//!     sim.poke_lane(m.port("b").unwrap().net, v as usize, v >> 1 & 1 == 1);
-//!     sim.poke_lane(m.port("cin").unwrap().net, v as usize, v >> 2 & 1 == 1);
+//!     sim.set_lane("a", v as usize, v & 1 == 1);
+//!     sim.set_lane("b", v as usize, v >> 1 & 1 == 1);
+//!     sim.set_lane("cin", v as usize, v >> 2 & 1 == 1);
 //! }
 //! sim.settle();
 //! for v in 0..8u64 {
@@ -70,7 +70,7 @@ pub mod program;
 pub mod simd;
 pub mod word;
 
-pub use exec::{BatchExec, BatchSim, BatchSim256, BatchSim512, EngineSim};
+pub use exec::{BatchExec, EngineSim};
 pub use fault::{EngineError, Fault, FaultKind, FaultPlan};
 pub use program::Program;
 pub use simd::{SimdBackend, SimdPolicy};
@@ -141,7 +141,7 @@ mod tests {
         let y_net = m.port("y").unwrap().net;
 
         // Engine: all lanes at once.
-        let mut eng = BatchSim::new(&prog, &m, lanes);
+        let mut eng = EngineSim::new(&prog, &m, lanes);
         let mut eng_outputs = vec![Vec::new(); lanes];
         for c in 0..cycles {
             for (i, &net) in in_nets.iter().enumerate() {
@@ -188,7 +188,7 @@ mod tests {
         b.output("rbl", rbl);
         let m = b.finish();
         let prog = Program::compile(&m, &lib).unwrap();
-        let mut eng = BatchSim::new(&prog, &m, 2);
+        let mut eng = EngineSim::new(&prog, &m, 2);
         let inst = syndcim_netlist::InstId(0);
         eng.force_state_word(inst, 0b01);
         assert!(eng.state_of_lane(inst, 0));
@@ -221,8 +221,8 @@ mod tests {
             .collect();
         let in_nets: Vec<NetId> = (0..6).map(|i| m.port(&format!("in[{i}]")).unwrap().net).collect();
 
-        // Pin the portable word: this test is about width semantics;
-        // the ISA words get the same treatment in the workspace
+        // Pin the portable backend: this test is about width semantics;
+        // the ISA frames get the same treatment in the workspace
         // differential suites.
         let mut eng =
             EngineSim::with_policy(&prog, &m, lanes, SimdPolicy::Pin(SimdBackend::Portable)).unwrap();
@@ -305,9 +305,10 @@ mod tests {
         assert_eq!(EngineSim::MAX_LANES, 512);
     }
 
-    /// Every backend this host supports must run the mixed circuit
-    /// bit-identically to the portable word at the same lane count —
-    /// states, aggregate toggles, lane cycles.
+    /// Every frame this host supports must run the mixed circuit
+    /// bit-identically to the same portable word outside any frame —
+    /// states, aggregate toggles, lane cycles — on a full W256, a
+    /// ragged W512 and a full W512.
     #[test]
     fn every_detected_backend_matches_portable() {
         let lib = CellLibrary::syn40();
@@ -315,18 +316,15 @@ mod tests {
         let prog = Program::compile(&m, &lib).unwrap();
         let in_nets: Vec<NetId> = (0..6).map(|i| m.port(&format!("in[{i}]")).unwrap().net).collect();
         let cycles = 8;
-        for backend in [SimdBackend::Avx2, SimdBackend::Avx512] {
-            if !backend.detected() {
-                continue;
-            }
-            let lanes = backend.max_lanes();
+        let detected = [SimdBackend::Avx2, SimdBackend::Avx512].into_iter().filter(|b| b.detected());
+        for (backend, lanes) in detected.flat_map(|b| [(b, 256), (b, 300), (b, 512)]) {
             let mut gold = EngineSim::with_backend(&prog, &m, lanes, SimdBackend::Portable).unwrap();
             let mut isa = EngineSim::with_backend(&prog, &m, lanes, backend).unwrap();
             assert_eq!(isa.simd_backend(), backend);
             let mut rng = seeded_rng(0x51D * lanes as u64);
             for _ in 0..cycles {
                 for &net in &in_nets {
-                    for wi in 0..lanes / 64 {
+                    for wi in 0..lanes.div_ceil(64) {
                         let word = rng.next_u64();
                         gold.poke_word_at(net, wi, word);
                         isa.poke_word_at(net, wi, word);
@@ -335,16 +333,16 @@ mod tests {
                 gold.step();
                 isa.step();
                 for n in 0..m.net_count() {
-                    for wi in 0..lanes / 64 {
+                    for wi in 0..lanes.div_ceil(64) {
                         assert_eq!(
                             isa.peek_word_at(NetId(n as u32), wi),
                             gold.peek_word_at(NetId(n as u32), wi),
-                            "{backend}: net {n} word {wi}"
+                            "{backend} at {lanes} lanes: net {n} word {wi}"
                         );
                     }
                 }
             }
-            assert_eq!(isa.toggle_table(), gold.toggle_table(), "{backend}: toggle tables");
+            assert_eq!(isa.toggle_table(), gold.toggle_table(), "{backend} at {lanes} lanes: toggle tables");
             assert_eq!(isa.lane_cycles(), gold.lane_cycles());
         }
     }
@@ -366,16 +364,21 @@ mod tests {
             EngineSim::try_new(&prog, &m, 513),
             Err(EngineError::SimdLaneCap { lanes: 513, max: 512, .. })
         ));
-        if SimdBackend::Avx2.detected() {
-            assert!(matches!(
-                EngineSim::with_policy(&prog, &m, 300, SimdPolicy::Pin(SimdBackend::Avx2)),
-                Err(EngineError::SimdLaneCap { lanes: 300, max: 256, .. })
-            ));
-        } else {
-            assert!(matches!(
-                EngineSim::with_backend(&prog, &m, 100, SimdBackend::Avx2),
-                Err(EngineError::SimdUnsupported { backend: SimdBackend::Avx2 })
-            ));
+        for backend in [SimdBackend::Portable, SimdBackend::Avx2, SimdBackend::Avx512] {
+            assert_eq!(
+                EngineSim::with_policy(&prog, &m, 513, SimdPolicy::Pin(backend)).unwrap_err(),
+                EngineError::SimdLaneCap { backend, lanes: 513, max: 512 }
+            );
+            if backend.detected() {
+                // Every frame carries the 512-lane word.
+                let sim = EngineSim::with_policy(&prog, &m, 300, SimdPolicy::Pin(backend)).unwrap();
+                assert_eq!((sim.simd_backend(), sim.word_lanes()), (backend, 512));
+            } else {
+                assert!(matches!(
+                    EngineSim::with_backend(&prog, &m, 100, backend),
+                    Err(EngineError::SimdUnsupported { backend: b }) if b == backend
+                ));
+            }
         }
     }
 
@@ -391,8 +394,8 @@ mod tests {
         let m = b.finish();
         let a_net = m.port("a").unwrap().net;
         let prog = Program::compile(&m, &lib).unwrap();
-        let mut poked = BatchSim::new(&prog, &m, 64);
-        let mut driven = BatchSim::new(&prog, &m, 64);
+        let mut poked = EngineSim::new(&prog, &m, 64);
+        let mut driven = EngineSim::new(&prog, &m, 64);
         let words = [0xDEAD, 0xDEAD, 0, 0, 0xBEEF];
         for &w in &words {
             poked.poke_word(a_net, w);
@@ -416,7 +419,7 @@ mod tests {
         let y_net = m.port("y").unwrap().net;
         let a_net = m.port("a").unwrap().net;
         let prog = Program::compile(&m, &lib).unwrap();
-        let mut eng = BatchSim::new(&prog, &m, 64);
+        let mut eng = EngineSim::new(&prog, &m, 64);
         eng.settle(); // y rises in all 64 lanes
         assert_eq!(eng.toggle_table()[y_net.index()], 64);
         eng.set_lanes(4).unwrap();

@@ -55,7 +55,7 @@ pub(crate) struct Commit {
 /// A compiled, levelized bit-parallel simulation program.
 ///
 /// Build one with [`Program::compile`][crate::Program::compile]; execute
-/// it with [`BatchSim`][crate::BatchSim]. Compiling is a one-time cost —
+/// it with [`EngineSim`][crate::EngineSim]. Compiling is a one-time cost —
 /// the same program can back any number of concurrent executors.
 #[derive(Debug, Clone)]
 pub struct Program {

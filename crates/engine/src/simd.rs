@@ -1,47 +1,52 @@
-//! Runtime SIMD backend selection for [`EngineSim`](crate::EngineSim).
+//! Runtime SIMD backend selection for [`EngineSim`].
 //!
-//! [`SimdBackend`] names the lane-word data paths the engine can run
-//! on; [`SimdPolicy`] is the user-facing knob — `Auto` (probe the CPU
-//! once per construction and take the widest supported backend for the
-//! requested lane count) or a pin, normally supplied through the
-//! `SYNDCIM_SIMD` environment variable:
+//! A [`SimdBackend`] is a compilation frame, not a lane word: every
+//! backend runs the same portable words ([`u64`], [`crate::W256`],
+//! [`crate::W512`]), and an ISA backend runs each settle and
+//! capture/commit pass inside a `#[target_feature]` function, so the
+//! whole pass compiles with that vector ISA enabled. [`SimdPolicy`] is
+//! the user-facing knob — `Auto` (probe the CPU once per construction
+//! and take the widest detected frame) or a pin, normally supplied
+//! through the `SYNDCIM_SIMD` environment variable:
 //!
 //! ```text
-//! SYNDCIM_SIMD=auto      # default: widest detected backend
-//! SYNDCIM_SIMD=portable  # element-wise [u64; N] words, no intrinsics
-//! SYNDCIM_SIMD=avx2      # pin the AVX2 word (x86-64, ≤ 256 lanes)
-//! SYNDCIM_SIMD=avx512    # pin the AVX-512 word (x86-64, ≤ 512 lanes)
+//! SYNDCIM_SIMD=auto      # default: widest detected frame
+//! SYNDCIM_SIMD=portable  # no frame: the build's baseline target
+//! SYNDCIM_SIMD=avx2      # pin the AVX2 frame (x86-64)
+//! SYNDCIM_SIMD=avx512    # pin the AVX-512 frame (x86-64)
 //! ```
 //!
-//! Other architectures run the portable words.
+//! Other architectures run the portable backend. Every backend carries
+//! up to [`EngineSim::MAX_LANES`] lanes.
 //!
 //! Validation is strict and typed: an unknown value or a pinned ISA the
 //! host CPU lacks is an [`EngineError`] at parse time — never a silent
 //! portable fallback — so a CI matrix arm that sets `SYNDCIM_SIMD`
 //! fails loudly when the runner cannot honour it. `Auto` never errors:
-//! it degrades to the portable words on any host. Lane counts of 64 or
-//! fewer always use the scalar `u64` word — a single register is
-//! already the cheapest data path, and pinning an ISA does not change
-//! that.
+//! it degrades to the portable backend on any host. Lane counts of 64
+//! or fewer always run the scalar `u64` word outside any frame — a
+//! single register is already the cheapest data path, and pinning an
+//! ISA does not change that.
 //!
 //! The selected backend is recorded on the
 //! `engine.simd_backend` telemetry gauge (value = [`SimdBackend::code`])
 //! every time an executor is constructed, so flow reports show which
 //! data path actually ran.
 
+use crate::exec::EngineSim;
 use crate::fault::EngineError;
 
-/// The lane-word data paths [`EngineSim`](crate::EngineSim) selects
-/// among at run time.
+/// The compilation frames [`EngineSim`] selects among at run time for
+/// its settle and capture/commit passes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdBackend {
-    /// Element-wise `[u64; N]` words ([`u64`], [`crate::W256`],
-    /// [`crate::W512`]) — no intrinsics, available everywhere.
+    /// No frame: the passes compile for the build's baseline target.
+    /// Available everywhere.
     Portable,
-    /// AVX2 `__m256i` word (x86-64, up to 256 lanes).
+    /// AVX2 frame (x86-64).
     Avx2,
-    /// AVX-512 `__m512i` word with `vpopcntdq` toggle accounting
-    /// (x86-64, up to 512 lanes).
+    /// AVX-512 frame with `vpopcntdq` for the toggle popcounts
+    /// (x86-64).
     Avx512,
 }
 
@@ -65,19 +70,10 @@ impl SimdBackend {
         }
     }
 
-    /// Widest lane count the backend's word carries.
-    pub fn max_lanes(self) -> usize {
-        match self {
-            SimdBackend::Portable | SimdBackend::Avx512 => 512,
-            SimdBackend::Avx2 => 256,
-        }
-    }
-
     /// Whether this host's CPU can run the backend, probed with the
     /// standard library's runtime feature detection (cached by `std`,
     /// so repeated calls are cheap). The AVX-512 backend requires both
-    /// `avx512f` and `avx512vpopcntdq` — its toggle accounting leans on
-    /// the vector popcount.
+    /// `avx512f` and `avx512vpopcntdq`, the features its frame enables.
     pub fn detected(self) -> bool {
         match self {
             SimdBackend::Portable => true,
@@ -99,15 +95,14 @@ impl std::fmt::Display for SimdBackend {
     }
 }
 
-/// How [`EngineSim`](crate::EngineSim) picks its lane word: probe and
-/// take the widest supported backend, or honour a pin.
+/// How [`EngineSim`] picks its frame: probe and take the widest
+/// detected backend, or honour a pin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimdPolicy {
-    /// Probe the CPU, prefer ISA-native words, fall back portable.
+    /// Probe the CPU, prefer the widest ISA frame, fall back portable.
     #[default]
     Auto,
-    /// Always use the pinned backend; constructing an executor whose
-    /// lane count exceeds the backend's word is a typed error.
+    /// Always run wide words in the pinned backend's frame.
     Pin(SimdBackend),
 }
 
@@ -155,45 +150,29 @@ impl SimdPolicy {
         }
     }
 
-    /// Widest lane count one executor may carry under this policy —
-    /// what batch-sizing callers (core's `chunk_lanes`) must cap at so
-    /// construction cannot fail on lane count.
-    pub fn max_lanes(self) -> usize {
-        match self {
-            SimdPolicy::Auto | SimdPolicy::Pin(SimdBackend::Portable) => 512,
-            SimdPolicy::Pin(b) => b.max_lanes(),
-        }
-    }
-
     /// Resolve the backend for `lanes` lanes under this policy.
-    /// `Auto` prefers the widest detected ISA word that the lane count
-    /// fits (falling back portable); a pin is honoured exactly. Lane
-    /// counts of 64 or fewer report [`SimdBackend::Portable`] — they
-    /// run on the scalar `u64` word regardless of policy.
+    /// `Auto` takes the widest detected ISA (AVX-512, then AVX2, then
+    /// portable); a pin is honoured exactly. Lane counts of 64 or fewer
+    /// report [`SimdBackend::Portable`] — they run on the scalar `u64`
+    /// word outside any frame regardless of policy.
     ///
     /// # Errors
     ///
     /// [`EngineError::SimdLaneCap`] when `lanes` exceeds
-    /// [`SimdPolicy::max_lanes`] — a pinned backend's word is narrower
-    /// than the batch, or any batch beyond 512 lanes.
+    /// [`EngineSim::MAX_LANES`].
     pub fn select(self, lanes: usize) -> Result<SimdBackend, EngineError> {
-        if lanes <= 64 {
-            return Ok(SimdBackend::Portable);
-        }
-        let cap_backend = match self {
-            SimdPolicy::Auto => SimdBackend::Portable,
-            SimdPolicy::Pin(b) => b,
+        let backend = match self {
+            SimdPolicy::Pin(backend) => backend,
+            SimdPolicy::Auto => [SimdBackend::Avx512, SimdBackend::Avx2]
+                .into_iter()
+                .find(|b| b.detected())
+                .unwrap_or(SimdBackend::Portable),
         };
-        if lanes > self.max_lanes() {
-            return Err(EngineError::SimdLaneCap { backend: cap_backend, lanes, max: self.max_lanes() });
+        let max = EngineSim::MAX_LANES;
+        if lanes > max {
+            return Err(EngineError::SimdLaneCap { backend, lanes, max });
         }
-        match self {
-            SimdPolicy::Pin(backend) => Ok(backend),
-            SimdPolicy::Auto => {
-                let isa = if lanes <= 256 { SimdBackend::Avx2 } else { SimdBackend::Avx512 };
-                Ok(if isa.detected() { isa } else { SimdBackend::Portable })
-            }
-        }
+        Ok(if lanes <= 64 { SimdBackend::Portable } else { backend })
     }
 }
 
@@ -238,16 +217,14 @@ mod tests {
 
     #[test]
     fn pinned_backend_lane_caps_are_enforced() {
-        let avx2 = SimdPolicy::Pin(SimdBackend::Avx2);
-        assert_eq!(
-            avx2.select(257),
-            Err(EngineError::SimdLaneCap { backend: SimdBackend::Avx2, lanes: 257, max: 256 })
-        );
-        assert_eq!(avx2.max_lanes(), 256);
-        assert_eq!(SimdPolicy::Auto.max_lanes(), 512);
-        let portable = SimdPolicy::Pin(SimdBackend::Portable);
-        assert_eq!(portable.select(512), Ok(SimdBackend::Portable));
-        assert!(portable.select(513).is_err());
+        // Every frame runs the same portable words, so every pin carries
+        // the 512-lane word.
+        for backend in [SimdBackend::Portable, SimdBackend::Avx2, SimdBackend::Avx512] {
+            let pin = SimdPolicy::Pin(backend);
+            assert_eq!(pin.select(512), Ok(backend));
+            assert_eq!(pin.select(513), Err(EngineError::SimdLaneCap { backend, lanes: 513, max: 512 }));
+        }
+        assert!(matches!(SimdPolicy::Auto.select(513), Err(EngineError::SimdLaneCap { lanes: 513, .. })));
     }
 
     #[test]
@@ -255,7 +232,6 @@ mod tests {
         for lanes in [65, 256, 257, 512] {
             let b = SimdPolicy::Auto.select(lanes).expect("auto never errors in range");
             assert!(b.detected());
-            assert!(lanes <= b.max_lanes());
         }
     }
 }

@@ -1,24 +1,22 @@
 //! The [`LaneWord`] abstraction: one machine word carrying N independent
 //! simulation lanes, one bit per lane.
 //!
-//! The executor ([`crate::BatchSim`]) is generic over its lane word.
-//! Portable widths are provided here:
+//! The executor ([`crate::BatchExec`]) is generic over its lane word.
+//! Three portable widths are provided here, and they are the only lane
+//! words:
 //!
 //! * [`u64`] — 64 lanes, the classic single-register hot path;
 //! * [`W256`] — 256 lanes as `[u64; 4]`, written as straight-line
 //!   element-wise code (no intrinsics) so LLVM lowers it to whatever
-//!   vector unit the target has (SSE2 pairs, AVX2 one register); the
-//!   idiom follows ckt-engine's wide-word module, kept portable.
+//!   vector unit the pass is compiled for (SSE2 pairs, AVX2 one
+//!   register); the idiom follows ckt-engine's wide-word module.
 //! * [`W512`] — 512 lanes as `[u64; 8]`, the full-width register an
 //!   AVX-512 machine can fill.
 //!
-//! ISA-native words live in the `x86_64` submodule (compiled only on
-//! x86-64, so not intra-doc-linkable from here) with every intrinsic
-//! confined to `#[target_feature]` leaf functions;
-//! [`crate::SimdBackend`] selects among them at run time. Other
-//! architectures run the portable words. The [`LaneWord::dispatch`]
-//! hook is how a whole settle pass runs inside one `#[target_feature]`
-//! context — dispatch happens once per batch, never per op.
+//! Vector ISAs are not separate words: [`crate::SimdBackend`] selects a
+//! `#[target_feature]` frame at run time, and the executor's whole pass
+//! — these words' operations included — inlines into it and compiles
+//! with the ISA enabled.
 //!
 //! Toggle accounting is *defined* per lane word — `popcount_accum`
 //! counts the set lanes of `(prev ^ next) & mask` — so any width
@@ -27,12 +25,8 @@
 //! in `syndcim-engine` and `tests/engine_differential.rs` pin that
 //! equivalence down bit by bit.
 
-#[cfg(target_arch = "x86_64")]
-pub mod x86_64;
-
 /// Low-`lanes` mask as `N` 64-bit chunks — shared by every multi-chunk
-/// lane word (portable and ISA-native alike) so mask semantics cannot
-/// drift between backends.
+/// lane word so mask semantics cannot drift between widths.
 ///
 /// # Panics
 ///
@@ -102,18 +96,6 @@ pub trait LaneWord: Copy + PartialEq + Send + Sync + std::fmt::Debug + 'static {
     ///
     /// Panics if `idx >= Self::WORDS`.
     fn set_u64(&mut self, idx: usize, word: u64);
-
-    /// Run `f` inside this word's ISA context. Portable words run it
-    /// directly; ISA-native words override this with a
-    /// `#[target_feature]`-annotated trampoline so the whole closure —
-    /// typically one settle pass over the op stream — is compiled (and
-    /// its feature-matching intrinsic leaf functions inlined) with the
-    /// word's vector ISA enabled. The executor calls this once per
-    /// batch/settle, never per op.
-    #[inline(always)]
-    fn dispatch<R>(f: impl FnOnce() -> R) -> R {
-        f()
-    }
 
     /// Read one lane.
     #[inline]

@@ -5,11 +5,12 @@
 //!
 //! * [`crate::Simulator`] — the interpreted, levelized reference
 //!   implementation (1 lane);
-//! * `syndcim_engine::BatchSim` — the compiled bit-parallel engine on
-//!   `u64` lane words (up to 64 lanes);
-//! * `syndcim_engine::BatchSim256` — the same engine on `[u64; 4]` wide
-//!   words (up to 256 lanes), usually reached through
-//!   `syndcim_engine::EngineSim`, which auto-selects the width.
+//! * `syndcim_engine::BatchExec` — the compiled bit-parallel engine,
+//!   generic over its lane word: `u64` (up to 64 lanes), `[u64; 4]`
+//!   (up to 256) or `[u64; 8]` (up to 512);
+//! * `syndcim_engine::EngineSim` — the same engine with the word
+//!   selected per lane count, each pass compiled for the widest vector
+//!   ISA the CPU has.
 //!
 //! The trait is *word-oriented*: lanes are independent simulations of
 //! the same module, packed 64 per `u64` word. A backend exposes

@@ -33,7 +33,7 @@
 //! the load takes a small fraction of the compile it replaces.
 
 use syndcim_core::{assemble, implement, CompiledMacro, DesignChoice, MacroSpec};
-use syndcim_engine::{BatchSim, BatchSim256};
+use syndcim_engine::{EngineSim, SimdBackend};
 use syndcim_ir::Lowering;
 use syndcim_netlist::{Module, NetId};
 use syndcim_pdk::{CellLibrary, OperatingPoint};
@@ -130,7 +130,7 @@ fn loaded_power_is_bit_identical_across_corners() {
     let loaded = CompiledMacro::load_from_bytes(&cm.save_to_vec().unwrap()).unwrap();
 
     // Real switching activity from a short engine run.
-    let mut sim = BatchSim::new(&cm.program, &module, 64);
+    let mut sim = EngineSim::new(&cm.program, &module, 64);
     let in_nets: Vec<NetId> = module.input_ports().map(|p| p.net).collect();
     let mut state = 0x5EED_CAFEu64;
     let mut next = || {
@@ -242,13 +242,13 @@ fn loaded_engine_program_matches_fresh_on_both_backends() {
     let in_nets: Vec<NetId> = module.input_ports().map(|p| p.net).collect();
 
     // Narrow (u64) backend.
-    let mut fresh = BatchSim::new(&cm.program, &module, 64);
-    let mut back = BatchSim::new(&loaded.program, &module, 64);
+    let mut fresh = EngineSim::new(&cm.program, &module, 64);
+    let mut back = EngineSim::new(&loaded.program, &module, 64);
     assert_engines_lockstep(&mut fresh, &mut back, &in_nets, 12, 0xA57F_AC75);
 
     // Wide (W256) backend.
-    let mut fresh_w = BatchSim256::new(&cm.program, &module, 256);
-    let mut back_w = BatchSim256::new(&loaded.program, &module, 256);
+    let mut fresh_w = EngineSim::with_backend(&cm.program, &module, 256, SimdBackend::Portable).unwrap();
+    let mut back_w = EngineSim::with_backend(&loaded.program, &module, 256, SimdBackend::Portable).unwrap();
     assert_engines_lockstep(&mut fresh_w, &mut back_w, &in_nets, 6, 0xA57F_AC76);
 }
 

@@ -16,7 +16,7 @@
 
 use rand::Rng;
 use syndcim_core::{assemble, DesignChoice, MacroSpec};
-use syndcim_engine::{BatchSim, EngineSim, Program, SimdBackend};
+use syndcim_engine::{EngineSim, Program, SimdBackend};
 use syndcim_ir::Lowering;
 use syndcim_netlist::NetId;
 use syndcim_sim::golden::{bit_serial_schedule, twos_complement_bit, DcimChannelTrace};
@@ -48,7 +48,7 @@ fn engine_matches_interpreter_on_paper_test_chip_random_stimulus() {
         .collect();
 
     // Engine: all lanes at once, snapshotting every net after each cycle.
-    let mut eng = BatchSim::new(&prog, module, lanes);
+    let mut eng = EngineSim::new(&prog, module, lanes);
     let mut snapshots: Vec<Vec<u64>> = Vec::with_capacity(cycles);
     for c in 0..cycles {
         for (pi, &net) in in_nets.iter().enumerate() {
@@ -130,7 +130,7 @@ fn wide_backend_matches_u64_backend_and_interpreter_on_paper_test_chip() {
     };
 
     // Wide backend: all 256 lanes in one executor.
-    let mut wide = EngineSim::new_wide(&prog, module, lanes);
+    let mut wide = EngineSim::with_backend(&prog, module, lanes, SimdBackend::Portable).unwrap();
     let mut snapshots: Vec<Vec<[u64; 4]>> = Vec::with_capacity(cycles); // [cycle][net][word]
     for c in 0..cycles {
         for (pi, &net) in in_nets.iter().enumerate() {
@@ -151,7 +151,7 @@ fn wide_backend_matches_u64_backend_and_interpreter_on_paper_test_chip() {
     // to the wide table.
     let mut narrow_toggles = vec![0u64; module.net_count()];
     for wi in 0..4 {
-        let mut eng = BatchSim::new(&prog, module, 64);
+        let mut eng = EngineSim::new(&prog, module, 64);
         for (c, snap) in snapshots.iter().enumerate() {
             for (pi, &net) in in_nets.iter().enumerate() {
                 eng.poke_word(net, word_of(c, pi, wi));
@@ -197,15 +197,16 @@ fn wide_backend_matches_u64_backend_and_interpreter_on_paper_test_chip() {
     }
 }
 
-/// Word-seam differential at the SIMD widths: every backend this host
-/// can run (portable `[u64; N]`, AVX2, AVX-512, NEON) must produce
-/// bit-identical per-net state snapshots and toggle tables on the paper
-/// test chip, at 256 and at 512 lanes. The portable run is additionally
-/// re-chunked onto the `u64` backend (chunk toggle tables summing to
-/// the wide table), and in the 512-lane arm the lanes at every `u64`
-/// seam of the 512-lane word — 255/256/448/511 and friends — are re-run
-/// on the interpreter, closing `isa == portable == u64 == interpreter`
-/// exactly at the seams.
+/// Word-seam differential at the SIMD widths: every frame this host can
+/// run (portable, AVX2, AVX-512) must produce bit-identical per-net
+/// state snapshots and toggle tables on the paper test chip, at 256, at
+/// 300 (a ragged W512 tail, as `measure_int` runs) and at 512 lanes.
+/// The portable run is additionally re-chunked onto the `u64` word
+/// (chunk toggle tables summing to the wide table, the last chunk of
+/// the 300-lane run on 44 lanes), and in the 512-lane arm the lanes at
+/// every `u64` seam of the 512-lane word — 255/256/448/511 and friends
+/// — are re-run on the interpreter, closing
+/// `isa == portable == u64 == interpreter` exactly at the seams.
 #[test]
 fn simd_backends_agree_at_every_word_seam() {
     let lib = syndcim_pdk::CellLibrary::syn40();
@@ -217,8 +218,8 @@ fn simd_backends_agree_at_every_word_seam() {
     let in_nets: Vec<NetId> = module.input_ports().map(|p| p.net).collect();
     let cycles = 6usize;
 
-    for lanes in [256usize, 512] {
-        let words = lanes / 64;
+    for lanes in [256usize, 300, 512] {
+        let words = lanes.div_ceil(64);
         // stimulus[lane][cycle][port] — derived from per-lane seeds.
         let stimulus: Vec<Vec<Vec<bool>>> = (0..lanes)
             .map(|l| {
@@ -259,7 +260,7 @@ fn simd_backends_agree_at_every_word_seam() {
         let (snapshots, toggles, lane_cycles) = run(SimdBackend::Portable);
         assert_eq!(lane_cycles, (lanes * cycles) as u64);
         for backend in [SimdBackend::Avx2, SimdBackend::Avx512] {
-            if !backend.detected() || backend.max_lanes() < lanes {
+            if !backend.detected() {
                 continue;
             }
             let (snap, tog, lc) = run(backend);
@@ -268,12 +269,11 @@ fn simd_backends_agree_at_every_word_seam() {
             assert_eq!(lc, lane_cycles, "{backend}: lane cycles diverge at {lanes} lanes");
         }
 
-        // The portable wide run re-chunked on the u64 backend: every
-        // net, every cycle, every chunk; chunk toggles sum to the wide
-        // table.
+        // The portable wide run re-chunked on the u64 word: every net,
+        // every cycle, every chunk; chunk toggles sum to the wide table.
         let mut narrow_toggles = vec![0u64; module.net_count()];
         for wi in 0..words {
-            let mut eng = BatchSim::new(&prog, module, 64);
+            let mut eng = EngineSim::new(&prog, module, (lanes - wi * 64).min(64));
             for (c, snap) in snapshots.iter().enumerate() {
                 for (pi, &net) in in_nets.iter().enumerate() {
                     eng.poke_word(net, word_of(c, pi, wi));
@@ -362,7 +362,7 @@ fn engine_runs_golden_int8_mac_pass_on_paper_test_chip() {
     let weights: Vec<Vec<i64>> = (0..channels).map(|_| random_ints(&mut rng, mac.h, pa)).collect();
     let lane_acts: Vec<Vec<i64>> = (0..lanes).map(|_| random_ints(&mut rng, mac.h, pa)).collect();
 
-    let mut sim = BatchSim::new(&prog, module, lanes);
+    let mut sim = EngineSim::new(&prog, module, lanes);
     // Preload bank-0 weights (broadcast to every lane).
     for bc in &mac.bitcells {
         if bc.bank != 0 {

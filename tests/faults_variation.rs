@@ -12,7 +12,7 @@
 //!    lanes 63, 64, 191 and 255 (the `u64`/`W256` word seams) and at
 //!    255, 256, 448 and 511 (the `W512` seams) touch exactly their
 //!    lane, on every backend this host can run — portable and, where
-//!    detected, the ISA-native AVX-512 word.
+//!    detected, the AVX2 and AVX-512 frames.
 //! 3. **Monte-Carlo = sequential** — a 256-lane
 //!    [`fmax_distribution`](syndcim_sta::CompiledSta::fmax_distribution)
 //!    batch equals 256 sequential single-lane queries bit for bit.
@@ -25,7 +25,7 @@ use syndcim_core::{
     assemble, implement, measure_fp, measure_int, measure_weight_update_patterns, shmoo_yield, CompiledMacro,
     DesignChoice, FaultPlan, FlowError, MacroSpec, VariationModel,
 };
-use syndcim_engine::{BatchSim, BatchSim256, EngineError, EngineSim, Program, SimdBackend};
+use syndcim_engine::{EngineError, EngineSim, Program, SimdBackend};
 use syndcim_ir::Lowering;
 use syndcim_netlist::NetId;
 use syndcim_pdk::{CellLibrary, OperatingPoint};
@@ -102,20 +102,21 @@ fn empty_and_never_firing_fault_plans_are_bit_identical_to_nominal() {
     dormant.flip_at(in_nets[0], 0, 1_000_000);
 
     // Narrow (u64) backend, 4 lanes.
-    let mut nominal = BatchSim::new(&prog, module, 4);
-    let mut empty = BatchSim::new(&prog, module, 4);
+    let mut nominal = EngineSim::new(&prog, module, 4);
+    let mut empty = EngineSim::new(&prog, module, 4);
     empty.install_faults(&FaultPlan::new()).unwrap();
     assert!(!empty.faults_installed(), "empty plan must not leave state behind");
-    let mut armed = BatchSim::new(&prog, module, 4);
+    let mut armed = EngineSim::new(&prog, module, 4);
     armed.install_faults(&dormant).unwrap();
     assert!(armed.faults_installed());
     assert_lockstep(&mut [&mut nominal, &mut empty, &mut armed], &in_nets, 24, 0xFA17);
 
     // Wide (W256) backend, 70 lanes (spans two lane words).
-    let mut nominal_w = BatchSim256::new(&prog, module, 70);
-    let mut empty_w = BatchSim256::new(&prog, module, 70);
+    let wide = || EngineSim::with_backend(&prog, module, 70, SimdBackend::Portable).unwrap();
+    let mut nominal_w = wide();
+    let mut empty_w = wide();
     empty_w.install_faults(&FaultPlan::new()).unwrap();
-    let mut armed_w = BatchSim256::new(&prog, module, 70);
+    let mut armed_w = wide();
     armed_w.install_faults(&dormant).unwrap();
     assert_lockstep(&mut [&mut nominal_w, &mut empty_w, &mut armed_w], &in_nets, 24, 0xFA18);
 }
@@ -173,8 +174,8 @@ fn word_boundary_lane_pokes_and_faults_touch_exactly_their_lane() {
 
 /// The 512-lane word's `u64` seams — lanes 255, 256, 448 and 511 —
 /// carry per-lane fault masks bit-exactly on every backend this host
-/// can run: the portable `[u64; 8]` word and, where detected, the
-/// AVX-512 word. Stuck-at masks land in exactly the seam bits of
+/// can run: the portable `[u64; 8]` word outside any frame and, where
+/// detected, in the AVX2 and AVX-512 frames. Stuck-at masks land in exactly the seam bits of
 /// `mismatch_mask`, and a fault plan that actually fires mid-run
 /// (stuck-ats plus transient flips at the seams) keeps all backends in
 /// lockstep — every net, every lane, every cycle, and the toggle
@@ -191,7 +192,7 @@ fn w512_seam_fault_masks_are_bit_identical_across_backends() {
     let seams = [255usize, 256, 448, 511];
     let backends: Vec<SimdBackend> = [SimdBackend::Portable, SimdBackend::Avx2, SimdBackend::Avx512]
         .into_iter()
-        .filter(|b| b.detected() && b.max_lanes() >= 512)
+        .filter(|b| b.detected())
         .collect();
     assert!(backends.contains(&SimdBackend::Portable));
 
@@ -273,9 +274,9 @@ fn loaded_artifacts_accept_faults_and_variation_bit_identically() {
     plan.flip_at(in_nets[2], 3, 11);
 
     // Narrow (u64) backend.
-    let mut fresh = BatchSim::new(&cm.program, module, 4);
+    let mut fresh = EngineSim::new(&cm.program, module, 4);
     fresh.install_faults(&plan).unwrap();
-    let mut back = BatchSim::new(&loaded.program, module, 4);
+    let mut back = EngineSim::new(&loaded.program, module, 4);
     back.install_faults(&plan).unwrap();
     assert_lockstep(&mut [&mut fresh, &mut back], &in_nets, 24, 0xFA19);
 
@@ -283,9 +284,9 @@ fn loaded_artifacts_accept_faults_and_variation_bit_identically() {
     let mut plan_w = FaultPlan::new();
     plan_w.stuck_at(in_nets[0], 63, true);
     plan_w.flip_at(in_nets[1], 64, 7);
-    let mut fresh_w = BatchSim256::new(&cm.program, module, 70);
+    let mut fresh_w = EngineSim::with_backend(&cm.program, module, 70, SimdBackend::Portable).unwrap();
     fresh_w.install_faults(&plan_w).unwrap();
-    let mut back_w = BatchSim256::new(&loaded.program, module, 70);
+    let mut back_w = EngineSim::with_backend(&loaded.program, module, 70, SimdBackend::Portable).unwrap();
     back_w.install_faults(&plan_w).unwrap();
     assert_lockstep(&mut [&mut fresh_w, &mut back_w], &in_nets, 24, 0xFA1A);
 

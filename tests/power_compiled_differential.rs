@@ -12,7 +12,7 @@
 //! caps and annotated parasitics) and glitch factors.
 
 use syndcim_core::{assemble, DesignChoice, MacroSpec};
-use syndcim_engine::{BatchSim, Program};
+use syndcim_engine::{EngineSim, Program};
 use syndcim_netlist::{Module, NetId};
 use syndcim_pdk::{CellLibrary, OperatingPoint};
 use syndcim_power::{PowerAnalyzer, PowerReport};
@@ -42,7 +42,7 @@ fn synthetic_caps(nets: usize) -> Vec<f64> {
 /// per-net toggle counts).
 fn measured_toggles(module: &Module, lib: &CellLibrary) -> (Vec<u64>, u64) {
     let prog = Program::compile(module, lib).expect("paper chip compiles");
-    let mut sim = BatchSim::new(&prog, module, 64);
+    let mut sim = EngineSim::new(&prog, module, 64);
     let in_nets: Vec<NetId> = module.input_ports().map(|p| p.net).collect();
     let mut state = 0xD1FF_5EEDu64;
     let mut next = || {
