@@ -4,8 +4,9 @@
 //! `shmoo` entry point returns: spec, netlist and layout failures from
 //! the implementation flow, golden-model mismatches from evaluation,
 //! and — since the fault-injection subsystem landed — malformed fault
-//! plans, out-of-range lanes, unsupported precisions and dimension
-//! mismatches that previously panicked mid-measurement. [`CoreError`]
+//! plans, out-of-range lanes, unsupported precisions, dimension
+//! mismatches and out-of-range operands that previously panicked
+//! mid-measurement. [`CoreError`]
 //! remains as an alias so existing call sites keep compiling unchanged.
 
 use std::fmt;
@@ -59,6 +60,15 @@ pub enum FlowError {
         /// Length required.
         want: usize,
     },
+    /// A measurement operand does not fit the requested precision.
+    OperandRange {
+        /// Which operand (`"activation"` or `"weight"`).
+        what: &'static str,
+        /// The offending value.
+        value: i64,
+        /// Signed two's-complement width it must fit.
+        bits: u32,
+    },
     /// A lane-parallel measurement asked for more concurrent patterns
     /// or samples than the engine carries (or zero).
     PatternCount {
@@ -93,6 +103,9 @@ impl fmt::Display for FlowError {
             }
             FlowError::Dimension { what, got, want } => {
                 write!(f, "dimension mismatch: {what} has length {got}, expected {want}")
+            }
+            FlowError::OperandRange { what, value, bits } => {
+                write!(f, "{what} {value} not representable in INT{bits}")
             }
             FlowError::PatternCount { patterns, max } => {
                 write!(f, "pattern count {patterns} outside 1..={max}")
@@ -163,5 +176,9 @@ mod tests {
         assert!(FlowError::Dimension { what: "weight vectors", got: 3, want: 2 }
             .to_string()
             .contains("weight vectors"));
+        assert_eq!(
+            FlowError::OperandRange { what: "activation", value: 9, bits: 4 }.to_string(),
+            "activation 9 not representable in INT4"
+        );
     }
 }

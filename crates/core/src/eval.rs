@@ -4,6 +4,11 @@
 //! the "post-layout simulation" sign-off of the paper, plus the
 //! measurement conditions of its evaluation section.
 //!
+//! The golden value of a channel is the exact dot product [`int_dot`]
+//! (`syndcim_sim::golden` pins its bit-serial schedule model equal to
+//! it). Each chunk resolves its ports once and reads every channel bus
+//! once for all lanes; the checker only reads, so it adds no toggles.
+//!
 //! Every measurement drives the compiled bit-parallel `syndcim_engine`
 //! backend: up to 512 measurement passes evaluate simultaneously (`u64`
 //! lane words up to 64 lanes, the wider `[u64; N]` words beyond —
@@ -24,10 +29,9 @@
 
 use syndcim_engine::{EngineSim, SimdPolicy};
 use syndcim_ir::{default_threads, parallel_map};
-use syndcim_netlist::NetId;
 use syndcim_pdk::{CellLibrary, OperatingPoint};
 use syndcim_power::{tops_per_mm2, tops_per_w, MacThroughput, PowerReport};
-use syndcim_sim::golden::{bit_serial_schedule, fp_align, int_dot, twos_complement_bit, DcimChannelTrace};
+use syndcim_sim::golden::{fp_align, int_dot, twos_complement_bit};
 use syndcim_sim::{FpValue, Precision, SimBackend};
 use syndcim_telemetry as telemetry;
 
@@ -101,8 +105,8 @@ impl Activity {
 /// `weights[ch]` holds the `h` signed weights of output channel `ch`
 /// (`ch < w / pa`). Weights are preloaded into bank 0.
 ///
-/// Every channel output of every pass is compared against
-/// [`DcimChannelTrace`]; power comes from the observed toggles. The
+/// Every channel output of every pass is compared against [`int_dot`]
+/// of that pass and channel; power comes from the observed toggles. The
 /// library goes unused: the macro carries its compiled programs.
 ///
 /// ```
@@ -133,7 +137,9 @@ impl Activity {
 ///
 /// Returns [`CoreError::FunctionalMismatch`] if any output disagrees
 /// with the golden model, [`CoreError::Precision`] for an unsupported
-/// `pa`, and [`CoreError::Dimension`] for mis-shaped vectors.
+/// `pa`, [`CoreError::Dimension`] for mis-shaped vectors, and
+/// [`CoreError::OperandRange`] for an activation or weight outside
+/// `pa`-bit two's complement.
 pub fn measure_int(
     im: &ImplementedMacro,
     _lib: &CellLibrary,
@@ -157,6 +163,7 @@ pub fn measure_int(
 ///
 /// [`CoreError::Precision`] for an unsupported `pa`,
 /// [`CoreError::Dimension`] for mis-shaped vectors,
+/// [`CoreError::OperandRange`] for operands outside `pa` bits,
 /// [`CoreError::FunctionalMismatch`] for golden-model disagreement —
 /// the same contract as [`measure_int`].
 pub(crate) fn int_activity(
@@ -179,8 +186,12 @@ pub(crate) fn int_activity(
     if let Some(a) = passes.iter().find(|a| a.len() != mac.h) {
         return Err(CoreError::Dimension { what: "activation vector entries", got: a.len(), want: mac.h });
     }
-    let golden =
-        |lane_acts: &Vec<i64>, ch: usize| DcimChannelTrace::run(lane_acts, &weights[ch], pa, pa).output;
+    let range = -(1i64 << (pa - 1))..=(1i64 << (pa - 1)) - 1;
+    for (what, vectors) in [("activation", passes), ("weight", weights)] {
+        if let Some(&value) = vectors.iter().flatten().find(|v| !range.contains(v)) {
+            return Err(CoreError::OperandRange { what, value, bits: pa });
+        }
+    }
     telemetry::span!("eval.int.engine");
     // Surface a bad SYNDCIM_SIMD as a typed error before any worker
     // thread constructs an executor.
@@ -189,9 +200,9 @@ pub(crate) fn int_activity(
     let chunks: Vec<&[Vec<i64>]> = passes.chunks(chunk_lanes(passes.len())).collect();
     let results = parallel_map(chunks, |_, chunk| -> Result<Activity, CoreError> {
         let mut sim = EngineSim::try_new(prog, &mac.module, chunk.len())?;
-        setup_int(&mut sim, mac, pa, weights);
+        setup(&mut sim, mac, pa, weights);
         run_pass_lanes(&mut sim, mac, pa, chunk);
-        let checked = check_channels(&sim, mac, pa, pa, chunk, &golden)?;
+        let checked = check_channels(&sim, mac, pa, pa, chunk, weights)?;
         Ok(Activity { toggles: sim.toggle_table().to_vec(), lane_cycles: sim.lane_cycles(), checked })
     });
     merge_activities(mac, results)
@@ -249,17 +260,19 @@ pub fn measure_fp(
     // Pre-align weights per channel (offline, like the paper's flow).
     let aligned_w: Vec<Vec<i64>> = weights.iter().map(|wv| fp_align(wv, fmt).0).collect();
 
-    let run_chunk = |sim: &mut dyn SimBackend, chunk: &[Vec<FpValue>]| -> Result<Activity, CoreError> {
-        let golden = |lane_acts: &Vec<i64>, ch: usize| int_dot(lane_acts, &aligned_w[ch]);
-        let mut checked = 0usize;
+    SimdPolicy::from_env()?;
+    let prog = &im.compiled.program;
+    let chunks: Vec<&[Vec<FpValue>]> = passes.chunks(chunk_lanes(passes.len())).collect();
+    let results = parallel_map(chunks, |_, chunk| -> Result<Activity, CoreError> {
+        let mut sim = EngineSim::try_new(prog, &mac.module, chunk.len())?;
+        setup(&mut sim, mac, pw, &aligned_w);
         // Feed the FP operands through the alignment unit (one cycle to
         // its output register).
-        for (lane, acts) in chunk.iter().enumerate() {
-            for (r, v) in acts.iter().enumerate() {
-                sim.set_lane(&format!("fp_s{r}"), lane, v.sign);
-                sim.set_bus_lane(&format!("fp_e{r}"), fmt.exp_bits, lane, v.exp_field as i64);
-                sim.set_bus_lane(&format!("fp_m{r}"), fmt.man_bits, lane, v.man_field as i64);
-            }
+        for r in 0..mac.h {
+            let field = |f: fn(&FpValue) -> i64| chunk.iter().map(|acts| f(&acts[r])).collect::<Vec<i64>>();
+            sim.drive_bus(&[sim.net_of(&format!("fp_s{r}"))], &field(|v| v.sign as i64));
+            sim.drive_bus(&sim.bus(&format!("fp_e{r}"), fmt.exp_bits), &field(|v| v.exp_field as i64));
+            sim.drive_bus(&sim.bus(&format!("fp_m{r}"), fmt.man_bits), &field(|v| v.man_field as i64));
         }
         sim.step();
         if mac.choice.align_pipelined {
@@ -267,34 +280,23 @@ pub fn measure_fp(
             sim.step();
             sim.step();
         }
-        let mut aligned_chunk: Vec<Vec<i64>> = Vec::with_capacity(chunk.len());
-        for (lane, acts) in chunk.iter().enumerate() {
-            let aligned_a: Vec<i64> =
-                (0..mac.h).map(|r| sim.get_bus_signed_lane(&format!("al{r}"), pa, lane)).collect();
-            // The on-macro alignment must match the golden model bit-exactly.
-            let (golden_a, _emax) = fp_align(acts, fmt);
-            if aligned_a != golden_a {
+        // The on-macro alignment must match the golden model bit-exactly
+        // (hw[r][lane] against aligned[lane][r]).
+        let hw: Vec<Vec<i64>> = (0..mac.h).map(|r| sim.read_bus(&sim.bus(&format!("al{r}"), pa))).collect();
+        let aligned: Vec<Vec<i64>> = chunk.iter().map(|acts| fp_align(acts, fmt).0).collect();
+        for (lane, want) in aligned.iter().enumerate() {
+            if let Some(r) = (0..mac.h).find(|&r| hw[r][lane] != want[r]) {
                 return Err(CoreError::FunctionalMismatch {
                     channel: usize::MAX,
-                    got: aligned_a[0],
-                    want: golden_a[0],
+                    got: hw[r][lane],
+                    want: want[r],
                 });
             }
-            aligned_chunk.push(aligned_a);
         }
         // Bit-serial MAC over the aligned mantissas.
-        run_pass_lanes(sim, mac, pa, &aligned_chunk);
-        checked += check_channels(sim, mac, pa, pw, &aligned_chunk, &golden)?;
+        run_pass_lanes(&mut sim, mac, pa, &aligned);
+        let checked = check_channels(&sim, mac, pa, pw, &aligned, &aligned_w)?;
         Ok(Activity { toggles: sim.toggle_table().to_vec(), lane_cycles: sim.lane_cycles(), checked })
-    };
-
-    SimdPolicy::from_env()?;
-    let prog = &im.compiled.program;
-    let chunks: Vec<&[Vec<FpValue>]> = passes.chunks(chunk_lanes(passes.len())).collect();
-    let results = parallel_map(chunks, |_, chunk| -> Result<Activity, CoreError> {
-        let mut sim = EngineSim::try_new(prog, &mac.module, chunk.len())?;
-        setup_fp(&mut sim, mac, pw, &aligned_w);
-        run_chunk(&mut sim, chunk)
     });
     let activity = merge_activities(mac, results)?;
 
@@ -424,18 +426,18 @@ fn run_weight_update_lanes(
     quiesce(sim, mac);
     sim.reset_activity();
 
-    let wbl_nets: Vec<NetId> = (0..mac.w).map(|c| sim.net_of(&format!("wbl[{c}]"))).collect();
+    let wbl = sim.bus("wbl", mac.w as u32);
+    let wr_row = sim.bus("wr_row", mac.h.trailing_zeros());
+    let wr_bank = sim.bus("wr_bank", mac.mcr.trailing_zeros());
     let mut streams: Vec<u64> = (0..patterns).map(|l| pattern_seed(seed, l as u64) | 1).collect();
     // expect[lane][bank][row][col]
     let mut expect = vec![vec![vec![vec![false; mac.w]; mac.h]; mac.mcr]; patterns];
+    sim.set_all("wr_en", true);
     for bank in 0..mac.mcr {
         for row in 0..mac.h {
-            sim.set_all("wr_en", true);
-            sim.set_bus_all("wr_row", mac.h.trailing_zeros(), row as i64);
-            if mac.mcr > 1 {
-                sim.set_bus_all("wr_bank", mac.mcr.trailing_zeros(), bank as i64);
-            }
-            for (col, &net) in wbl_nets.iter().enumerate() {
+            sim.drive_bus(&wr_row, &vec![row as i64; patterns]);
+            sim.drive_bus(&wr_bank, &vec![bank as i64; patterns]);
+            for (col, &net) in wbl.iter().enumerate() {
                 for wi in 0..sim.words() {
                     let mut word = 0u64;
                     for l in wi * 64..patterns.min(wi * 64 + 64) {
@@ -488,15 +490,10 @@ pub(crate) mod rand_like {
 // Backend-generic workload drivers.
 // ----------------------------------------------------------------------
 
-fn setup_int<B: SimBackend>(sim: &mut B, mac: &MacroNetlist, pa: u32, weights: &[Vec<i64>]) {
-    preload_weights(sim, mac, pa, weights);
-    configure_precision(sim, mac, pa);
-    quiesce(sim, mac);
-    sim.reset_activity();
-}
-
-fn setup_fp<B: SimBackend>(sim: &mut B, mac: &MacroNetlist, pw: u32, aligned_w: &[Vec<i64>]) {
-    preload_weights(sim, mac, pw, aligned_w);
+/// Preload `pw`-bit weights into bank 0, select precision `pw`, quiesce
+/// and zero the activity counters.
+fn setup<B: SimBackend>(sim: &mut B, mac: &MacroNetlist, pw: u32, weights: &[Vec<i64>]) {
+    preload_weights(sim, mac, pw, weights);
     configure_precision(sim, mac, pw);
     quiesce(sim, mac);
     sim.reset_activity();
@@ -539,39 +536,33 @@ pub(crate) fn quiesce<B: SimBackend + ?Sized>(sim: &mut B, mac: &MacroNetlist) {
 }
 
 /// Drive one bit-serial pass of `pa`-bit activations in every lane
-/// simultaneously (lane `l` computes `lanes_acts[l]`), leaving the
-/// accumulators holding the completed pass. Stimulus goes through the
-/// incremental [`SimBackend::drive_word_at`] path, so input ports whose
-/// lane word repeats between cycles are not re-driven — bit-identical
-/// toggles, less driver overhead.
+/// simultaneously (lane `l` computes `lanes_acts[l]`, one value per
+/// active lane), leaving the accumulators holding the completed pass.
+/// Cycle `t < pa` drives row `r` with bit `t` of `lanes_acts[l][r]`
+/// (LSB first), exact for operands in `pa`-bit range. Stimulus goes
+/// through the incremental [`SimBackend::drive_word_at`] path, so input
+/// ports whose lane word repeats between cycles are not re-driven —
+/// bit-identical toggles, less driver overhead.
 fn run_pass_lanes(
     sim: &mut (impl SimBackend + ?Sized),
     mac: &MacroNetlist,
     pa: u32,
     lanes_acts: &[Vec<i64>],
 ) {
-    assert!(lanes_acts.len() <= sim.lanes(), "more passes than active lanes");
     let depth = mac.mac_pipeline_depth as u32;
-    // schedules[lane][cycle][row]
-    let schedules: Vec<Vec<Vec<bool>>> =
-        lanes_acts.iter().map(|acts| bit_serial_schedule(acts, pa)).collect();
-    let act_nets: Vec<NetId> = (0..mac.h).map(|r| sim.net_of(&format!("act[{r}]"))).collect();
+    let act = sim.bus("act", mac.h as u32);
     let clear_net = sim.net_of("clear");
     let neg_net = sim.net_of("neg");
     let words = sim.words();
     let total = pa + depth + u32::from(mac.choice.ofu_extra_pipe);
+    let mut row_bits = vec![0i64; lanes_acts.len()];
     for cycle in 0..total {
         // Activation bits enter on cycles 0..pa.
-        for (r, &net) in act_nets.iter().enumerate() {
-            for wi in 0..words {
-                let mut word = 0u64;
-                if cycle < pa {
-                    for (l, sched) in schedules.iter().enumerate().skip(wi * 64).take(64) {
-                        word |= (sched[cycle as usize][r] as u64) << (l - wi * 64);
-                    }
-                }
-                sim.drive_word_at(net, wi, word);
+        for r in 0..mac.h {
+            for (bits, acts) in row_bits.iter_mut().zip(lanes_acts) {
+                *bits = if cycle < pa { acts[r] >> cycle } else { 0 };
             }
+            sim.drive_bus(&act[r..=r], &row_bits);
         }
         // S&A controls are aligned to the psum arrival (delayed by the
         // pipeline registers between tree and accumulator).
@@ -586,51 +577,39 @@ fn run_pass_lanes(
     }
 }
 
-/// Golden-check every channel of every lane after a completed pass.
-/// `golden(lane_acts, ch)` supplies the expected channel value.
+/// Golden-check every channel of every lane after a completed `pa`-bit
+/// pass over weights fused across `pw` columns: lane `l`, channel `ch`
+/// must read `int_dot(lanes_acts[l], weights[ch])`. Each channel bus is
+/// resolved and read once. The S&A places results at a fixed offset for
+/// the macro's full serial width, so shorter passes come out scaled by
+/// `2^(act_bits − pa)`. Returns the number of outputs checked.
 fn check_channels(
     sim: &(impl SimBackend + ?Sized),
     mac: &MacroNetlist,
     pa: u32,
     pw: u32,
     lanes_acts: &[Vec<i64>],
-    golden: &impl Fn(&Vec<i64>, usize) -> i64,
+    weights: &[Vec<i64>],
 ) -> Result<usize, CoreError> {
-    let channels = mac.w / pw as usize;
-    let mut checked = 0usize;
+    let level = pw.trailing_zeros() as usize;
+    let per_group = (mac.w_bits / pw) as usize;
+    let width = mac.output_width(level) as u32;
+    let scale_shift = mac.act_bits - pa;
+    // raw[ch][lane]
+    let raw: Vec<Vec<i64>> = (0..mac.w / pw as usize)
+        .map(|ch| sim.read_bus(&sim.bus(&mac.output_port(ch / per_group, level, ch % per_group), width)))
+        .collect();
     for (lane, acts) in lanes_acts.iter().enumerate() {
-        for ch in 0..channels {
-            let got = read_channel_lane(sim, mac, pa, pw, ch, lane);
-            let want = golden(acts, ch);
+        for (ch, (ch_raw, w)) in raw.iter().zip(weights).enumerate() {
+            let raw = ch_raw[lane];
+            debug_assert_eq!(raw & ((1 << scale_shift) - 1), 0, "nonzero bits below the serial offset");
+            let (got, want) = (raw >> scale_shift, int_dot(acts, w));
             if got != want {
                 return Err(CoreError::FunctionalMismatch { channel: ch, got, want });
             }
-            checked += 1;
         }
     }
-    Ok(checked)
-}
-
-/// Read channel `ch` fused over `pw` columns after a `pa`-bit pass, in
-/// one lane. The S&A places results at a fixed offset for the macro's
-/// full serial width, so shorter passes come out scaled by `2^(n−pa)`.
-fn read_channel_lane(
-    sim: &(impl SimBackend + ?Sized),
-    mac: &MacroNetlist,
-    pa: u32,
-    pw: u32,
-    ch: usize,
-    lane: usize,
-) -> i64 {
-    let level = pw.trailing_zeros() as usize;
-    let per_group = (mac.w_bits / pw) as usize;
-    let g = ch / per_group;
-    let i = ch % per_group;
-    let width = mac.output_width(level) as u32;
-    let raw = sim.get_bus_signed_lane(&mac.output_port(g, level, i), width, lane);
-    let scale_shift = mac.act_bits - pa;
-    debug_assert_eq!(raw & ((1 << scale_shift) - 1), 0, "low bits below the serial offset must be zero");
-    raw >> scale_shift
+    Ok(lanes_acts.len() * raw.len())
 }
 
 /// Throughput and efficiency figures of a measured `pa`×`pw` workload
@@ -709,17 +688,17 @@ mod tests {
         quiesce(sim, mac);
         sim.reset_activity();
 
-        let wbl_nets: Vec<NetId> = (0..mac.w).map(|c| sim.net_of(&format!("wbl[{c}]"))).collect();
+        let wbl = sim.bus("wbl", mac.w as u32);
+        let wr_row = sim.bus("wr_row", mac.h.trailing_zeros());
+        let wr_bank = sim.bus("wr_bank", mac.mcr.trailing_zeros());
         let mut state = seed | 1;
         let mut expect: Vec<Vec<Vec<bool>>> = vec![vec![vec![false; mac.w]; mac.h]; mac.mcr];
+        sim.set_all("wr_en", true);
         for (bank, expect_bank) in expect.iter_mut().enumerate() {
             for (row, expect_row) in expect_bank.iter_mut().enumerate() {
-                sim.set_all("wr_en", true);
-                sim.set_bus_all("wr_row", mac.h.trailing_zeros(), row as i64);
-                if mac.mcr > 1 {
-                    sim.set_bus_all("wr_bank", mac.mcr.trailing_zeros(), bank as i64);
-                }
-                for (&net, e) in wbl_nets.iter().zip(expect_row.iter_mut()) {
+                sim.drive_bus(&wr_row, &[row as i64]);
+                sim.drive_bus(&wr_bank, &[bank as i64]);
+                for (&net, e) in wbl.iter().zip(expect_row.iter_mut()) {
                     let bit = next_bit(&mut state);
                     *e = bit;
                     sim.drive_word_at(net, 0, if bit { !0 } else { 0 });
@@ -791,15 +770,14 @@ mod tests {
         // The reference: one interpreter per pass, each an independent
         // vector sample from the quiesced state (the condition an engine
         // lane sees), driven and golden-checked by the same drivers.
-        let golden = |acts: &Vec<i64>, ch: usize| DcimChannelTrace::run(acts, &weights[ch], 4, 4).output;
         let per_pass: Vec<Result<Activity, CoreError>> = passes
             .iter()
             .map(|acts| {
                 let mut sim = interpreter(&im, &lib);
                 let acts = std::slice::from_ref(acts);
-                setup_int(&mut sim, &im.mac, 4, &weights);
+                setup(&mut sim, &im.mac, 4, &weights);
                 run_pass_lanes(&mut sim, &im.mac, 4, acts);
-                let checked = check_channels(&sim, &im.mac, 4, 4, acts, &golden)?;
+                let checked = check_channels(&sim, &im.mac, 4, 4, acts, &weights)?;
                 Ok(Activity { toggles: sim.toggle_table().to_vec(), lane_cycles: sim.lane_cycles(), checked })
             })
             .collect();
@@ -820,6 +798,62 @@ mod tests {
         assert_eq!(m_eng.checked_outputs, m_itp.checked_outputs);
         assert_eq!(m_eng.power.dynamic_uw, m_itp.power.dynamic_uw);
         assert_eq!(m_eng.energy_per_mac_fj, m_itp.energy_per_mac_fj);
+    }
+
+    /// The checker reads every lane of a ragged 300-lane chunk (the
+    /// 512-lane word in the detected frame) and names the channel of a
+    /// single corrupted output bit in the last lane.
+    #[test]
+    fn planted_output_bit_flip_is_a_functional_mismatch() {
+        let lib = CellLibrary::syn40();
+        let im = implement(&lib, &spec_int(), &DesignChoice::default()).unwrap();
+        let mac = &im.mac;
+        let mut rng = seeded_rng(31);
+        let weights: Vec<Vec<i64>> = (0..2).map(|_| random_ints(&mut rng, 8, 4)).collect();
+        let passes: Vec<Vec<i64>> = (0..300).map(|_| random_ints(&mut rng, 8, 4)).collect();
+        let mut sim = EngineSim::try_new(&im.compiled.program, &mac.module, passes.len()).unwrap();
+        setup(&mut sim, mac, 4, &weights);
+        run_pass_lanes(&mut sim, mac, 4, &passes);
+        assert_eq!(check_channels(&sim, mac, 4, 4, &passes, &weights).unwrap(), 600);
+
+        // Flip the MSB of channel 1 (group 1 at the INT4 level) in lane
+        // 299; the MSB keeps the serial-offset low bits clean.
+        let bus = sim.bus(&mac.output_port(1, 2, 0), mac.output_width(2) as u32);
+        let msb = *bus.last().unwrap();
+        let (wi, bit) = (299 / 64, 299 % 64);
+        let word = sim.peek_word_at(msb, wi);
+        sim.poke_word_at(msb, wi, word ^ 1 << bit);
+        assert!(matches!(
+            check_channels(&sim, mac, 4, 4, &passes, &weights),
+            Err(CoreError::FunctionalMismatch { channel: 1, .. })
+        ));
+    }
+
+    /// Operands outside the requested precision are typed errors from
+    /// both INT entry points, raised before any worker starts.
+    #[test]
+    fn out_of_range_operands_are_typed_errors() {
+        let lib = CellLibrary::syn40();
+        let im = implement(&lib, &spec_int(), &DesignChoice::default()).unwrap();
+        let op = OperatingPoint::at_voltage(0.9);
+        let ok = vec![vec![1i64; 8]; 2];
+        let mut bad_act = vec![vec![1i64; 8]; 2];
+        bad_act[1][3] = 9;
+        let mut bad_w = ok.clone();
+        bad_w[0][5] = 8;
+        for (passes, weights, what, value) in [(&bad_act, &ok, "activation", 9), (&ok, &bad_w, "weight", 8)] {
+            let want = CoreError::OperandRange { what, value, bits: 4 };
+            assert_eq!(measure_int(&im, &lib, 4, passes, weights, op, 400.0).unwrap_err(), want);
+            let shmoo = crate::shmoo::shmoo_with_power(&im, &lib, &[0.9], &[400.0], 4, passes, weights);
+            assert_eq!(shmoo.unwrap_err(), want);
+        }
+        // The lower bound is checked too.
+        let mut low = ok.clone();
+        low[1][0] = -9;
+        assert!(matches!(
+            measure_int(&im, &lib, 4, &ok, &low, op, 400.0).unwrap_err(),
+            CoreError::OperandRange { what: "weight", value: -9, bits: 4 }
+        ));
     }
 
     #[test]

@@ -149,16 +149,16 @@ pub fn measure_weight_update_coverage(
 
     // Identical write stream in every lane (the golden lane's pattern-0
     // stream), broadcast across all lane words.
-    let wbl_nets: Vec<NetId> = (0..mac.w).map(|c| sim.net_of(&format!("wbl[{c}]"))).collect();
+    let wbl = sim.bus("wbl", mac.w as u32);
+    let wr_row = sim.bus("wr_row", mac.h.trailing_zeros());
+    let wr_bank = sim.bus("wr_bank", mac.mcr.trailing_zeros());
     let mut state = pattern_seed(seed, 0) | 1;
+    sim.set_all("wr_en", true);
     for bank in 0..mac.mcr {
         for row in 0..mac.h {
-            sim.set_all("wr_en", true);
-            sim.set_bus_all("wr_row", mac.h.trailing_zeros(), row as i64);
-            if mac.mcr > 1 {
-                sim.set_bus_all("wr_bank", mac.mcr.trailing_zeros(), bank as i64);
-            }
-            for &net in &wbl_nets {
+            sim.drive_bus(&wr_row, &vec![row as i64; lanes]);
+            sim.drive_bus(&wr_bank, &vec![bank as i64; lanes]);
+            for &net in &wbl {
                 let word = if next_bit(&mut state) { !0u64 } else { 0 };
                 for wi in 0..sim.words() {
                     sim.drive_word_at(net, wi, word);

@@ -364,17 +364,6 @@ impl<'a, W: LaneWord> BatchExec<'a, W> {
         }
     }
 
-    /// Drive one lane of a net, leaving the others unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is not an active lane.
-    pub fn poke_lane(&mut self, net: NetId, lane: usize, value: bool) {
-        assert!(lane < self.lanes, "lane {lane} out of range (executor has {} lanes)", self.lanes);
-        let word = self.slots[net.index()].with_lane(lane, value);
-        self.write(net.index() as u32, word);
-    }
-
     /// One linear pass over the levelized op stream. Keep it
     /// `inline(always)` so it compiles inside each per-ISA frame
     /// ([`SimBackend::settle`] picks the frame).
@@ -609,8 +598,9 @@ impl<W: LaneWord> Drop for BatchExec<'_, W> {
 /// let a_net = m.port("a").unwrap().net;
 /// sim.poke_word_at(a_net, 0, !0); // drive lanes 0..64 high
 /// sim.settle();
-/// assert!(!sim.get_lane("y", 3)); // inverted
-/// assert!(sim.get_lane("y", 99)); // lane 99 still low
+/// let y = sim.read_bus(&[sim.net_of("y")]); // a 1-bit bus reads high as −1
+/// assert_eq!(y[3], 0); // inverted
+/// assert_eq!(y[99], -1); // lane 99's input still low
 /// # Ok(())
 /// # }
 /// ```

@@ -44,17 +44,14 @@
 //!
 //! let prog = Program::compile(&m, &lib)?;
 //! let mut sim = EngineSim::new(&prog, &m, 8); // 8 vectors at once
-//! for v in 0..8u64 {
-//!     // Lane v simulates input pattern v.
-//!     sim.set_lane("a", v as usize, v & 1 == 1);
-//!     sim.set_lane("b", v as usize, v >> 1 & 1 == 1);
-//!     sim.set_lane("cin", v as usize, v >> 2 & 1 == 1);
-//! }
+//! // Lane v simulates input pattern v: {a, b, cin} as a 3-bit bus.
+//! let ins = [sim.net_of("a"), sim.net_of("b"), sim.net_of("cin")];
+//! sim.drive_bus(&ins, &(0..8).collect::<Vec<i64>>());
 //! sim.settle();
-//! for v in 0..8u64 {
-//!     let total = (v & 1) + (v >> 1 & 1) + (v >> 2 & 1);
-//!     assert_eq!(sim.get_lane("s", v as usize), total & 1 == 1);
-//!     assert_eq!(sim.get_lane("co", v as usize), total >= 2);
+//! // {s, co} read as a 2-bit bus is a + b + cin (masked: reads sign-extend).
+//! let sums = sim.read_bus(&[sim.net_of("s"), sim.net_of("co")]);
+//! for (v, sum) in sums.iter().enumerate() {
+//!     assert_eq!(sum & 0b11, v.count_ones() as i64);
 //! }
 //! # Ok(())
 //! # }
@@ -194,8 +191,8 @@ mod tests {
         assert!(eng.state_of_lane(inst, 0));
         assert!(!eng.state_of_lane(inst, 1));
         eng.settle();
-        assert!(eng.get_lane("rbl", 0));
-        assert!(!eng.get_lane("rbl", 1));
+        // A 1-bit bus reads a high lane as −1.
+        assert_eq!(eng.read_bus(&[eng.net_of("rbl")]), vec![-1, 0]);
         eng.reset_activity();
         assert_eq!(eng.lane_cycles(), 0);
         assert!(eng.toggle_table().iter().all(|&t| t == 0));

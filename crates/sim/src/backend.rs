@@ -24,6 +24,10 @@
 //! same totals as L separate 1-lane runs over the same per-lane stimulus
 //! — the property the power analyzer and the engine differential tests
 //! rely on.
+//!
+//! Ports are resolved by name once ([`SimBackend::net_of`],
+//! [`SimBackend::bus`]); [`SimBackend::drive_bus`] and
+//! [`SimBackend::read_bus`] then move one value per lane through them.
 
 use syndcim_netlist::{InstId, Module, NetId};
 
@@ -127,7 +131,8 @@ pub trait SimBackend {
     fn toggle_table(&self) -> &[u64];
 
     // ------------------------------------------------------------------
-    // Name-based convenience helpers over the word primitives.
+    // Port helpers over the word primitives: resolve a name once, then
+    // drive and read by net.
     // ------------------------------------------------------------------
 
     /// Net bound to a port.
@@ -148,58 +153,53 @@ pub trait SimBackend {
         }
     }
 
-    /// Set one lane of a port, leaving other lanes unchanged.
+    /// Nets of the bit-blasted bus `base[0..width]`, LSB first.
     ///
     /// # Panics
     ///
-    /// Panics if `lane` is not an active lane.
-    fn set_lane(&mut self, port: &str, lane: usize, value: bool) {
-        assert!(lane < self.lanes(), "lane {lane} out of range (backend has {} lanes)", self.lanes());
-        let net = self.net_of(port);
-        let old = self.peek_word_at(net, lane / 64);
-        let bit = 1u64 << (lane % 64);
-        self.poke_word_at(net, lane / 64, if value { old | bit } else { old & !bit });
+    /// Panics if any bit of the bus has no port.
+    fn bus(&self, base: &str, width: u32) -> Vec<NetId> {
+        (0..width).map(|i| self.net_of(&format!("{base}[{i}]"))).collect()
     }
 
-    /// Drive a bit-blasted bus with the same two's-complement value in
-    /// every lane.
-    fn set_bus_all(&mut self, base: &str, width: u32, value: i64) {
-        for i in 0..width {
-            self.set_all(&format!("{base}[{i}]"), (value as u64 >> i) & 1 == 1);
-        }
-    }
-
-    /// Drive one lane of a bit-blasted bus.
-    fn set_bus_lane(&mut self, base: &str, width: u32, lane: usize, value: i64) {
-        for i in 0..width {
-            self.set_lane(&format!("{base}[{i}]"), lane, (value as u64 >> i) & 1 == 1);
-        }
-    }
-
-    /// Read one lane of a port.
+    /// Drive a resolved bus with one two's-complement value per lane
+    /// (`values[l]` to lane `l`, sign-extended past 64 bits), one
+    /// [`SimBackend::drive_word_at`] per bit and 64-lane word. An empty
+    /// bus is a no-op.
     ///
     /// # Panics
     ///
-    /// Panics if `lane` is not an active lane.
-    fn get_lane(&self, port: &str, lane: usize) -> bool {
-        assert!(lane < self.lanes(), "lane {lane} out of range (backend has {} lanes)", self.lanes());
-        (self.peek_word_at(self.net_of(port), lane / 64) >> (lane % 64)) & 1 == 1
-    }
-
-    /// Read one lane of a bit-blasted bus as an unsigned integer.
-    fn get_bus_unsigned_lane(&self, base: &str, width: u32, lane: usize) -> u64 {
-        (0..width).fold(0u64, |acc, i| acc | (self.get_lane(&format!("{base}[{i}]"), lane) as u64) << i)
-    }
-
-    /// Read one lane of a bit-blasted bus as a signed integer.
-    fn get_bus_signed_lane(&self, base: &str, width: u32, lane: usize) -> i64 {
-        let u = self.get_bus_unsigned_lane(base, width, lane);
-        let sign = 1u64 << (width - 1);
-        if u & sign != 0 {
-            (u as i64) - (1i64 << width)
-        } else {
-            u as i64
+    /// Panics unless `values` holds exactly one value per active lane.
+    fn drive_bus(&mut self, bus: &[NetId], values: &[i64]) {
+        assert_eq!(values.len(), self.lanes(), "drive_bus takes one value per active lane");
+        for (i, &net) in bus.iter().enumerate() {
+            for (wi, word_vals) in values.chunks(64).enumerate() {
+                let bit = |v: i64| (v >> i.min(63)) as u64 & 1;
+                let word = word_vals.iter().enumerate().fold(0u64, |w, (b, &v)| w | bit(v) << b);
+                self.drive_word_at(net, wi, word);
+            }
         }
+    }
+
+    /// Read a resolved bus in every active lane as a signed
+    /// two's-complement integer (the last net is the sign bit).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the bus has 1..=64 bits.
+    fn read_bus(&self, bus: &[NetId]) -> Vec<i64> {
+        assert!((1..=64).contains(&bus.len()), "read_bus takes 1..=64 bits, got {}", bus.len());
+        let mut raw = vec![0u64; self.lanes()];
+        for (i, &net) in bus.iter().enumerate() {
+            for (wi, word_vals) in raw.chunks_mut(64).enumerate() {
+                let word = self.peek_word_at(net, wi);
+                for (b, v) in word_vals.iter_mut().enumerate() {
+                    *v |= (word >> b & 1) << i;
+                }
+            }
+        }
+        let pad = 64 - bus.len();
+        raw.into_iter().map(|u| (u << pad) as i64 >> pad).collect()
     }
 
     /// Force a sequential instance's state to the same value in every
@@ -302,12 +302,13 @@ mod tests {
         assert_eq!(be.lanes(), 1);
         be.set_all("a", true);
         be.set_all("b", true);
-        be.set_lane("cin", 0, true);
+        let cin = [be.net_of("cin")];
+        be.drive_bus(&cin, &[1]);
         be.settle();
-        assert!(be.get_lane("s", 0));
-        assert!(be.get_lane("co", 0));
-        let s_net = be.net_of("s");
-        assert_eq!(be.peek_word(s_net) & 1, 1);
+        // {s, co} read as a 2-bit bus: 1 + 1 + 1 = 0b11, signed −1.
+        let sum = [be.net_of("s"), be.net_of("co")];
+        assert_eq!(be.read_bus(&sum), vec![-1]);
+        assert_eq!(be.peek_word(sum[0]) & 1, 1);
     }
 
     #[test]
@@ -318,10 +319,33 @@ mod tests {
         b.output_bus("y", &xs);
         let m = b.finish();
         let mut sim = Simulator::new(&m, &lib).unwrap();
+        let (x, y) = (sim.bus("x", 8), sim.bus("y", 8));
         for v in [-128i64, -1, 0, 1, 127, -77] {
-            SimBackend::set_bus_all(&mut sim, "x", 8, v);
+            sim.drive_bus(&x, &[v]);
             SimBackend::settle(&mut sim);
-            assert_eq!(sim.get_bus_signed_lane("y", 8, 0), v);
+            assert_eq!(sim.read_bus(&y), vec![v]);
         }
+        // Bits above the bus width are dropped on drive; the top resolved
+        // bit sign-extends on read.
+        sim.drive_bus(&x, &[0x1F0]);
+        SimBackend::settle(&mut sim);
+        assert_eq!(sim.read_bus(&y), vec![-16]);
+        assert_eq!(sim.read_bus(&y[..4]), vec![0]);
+        // An empty bus drives nothing.
+        sim.drive_bus(&[], &[7]);
+        assert_eq!(sim.read_bus(&x), vec![-16]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one value per active lane")]
+    fn drive_bus_takes_one_value_per_lane() {
+        let lib = CellLibrary::syn40();
+        let mut b = NetlistBuilder::new("bus", &lib);
+        let xs = b.input_bus("x", 2);
+        b.output_bus("y", &xs);
+        let m = b.finish();
+        let mut sim = Simulator::new(&m, &lib).unwrap();
+        let x = sim.bus("x", 2);
+        sim.drive_bus(&x, &[1, 2]);
     }
 }

@@ -4,8 +4,10 @@
 //! activations (LSB first, MSB cycle negatively weighted), per-column
 //! 1-bit weights fused across columns by the output fusion unit, and
 //! FP operands aligned to the group maximum exponent with truncation of
-//! shifted-out mantissa bits. Every generated netlist is verified against
-//! them bit-for-bit.
+//! shifted-out mantissa bits. Sign-off checks every generated netlist's
+//! channels bit-for-bit against [`int_dot`] (over [`fp_align`]ed
+//! mantissas for FP); [`DcimChannelTrace`] is the cycle-level oracle the
+//! tests here and in the property suite pin equal to it.
 
 use crate::formats::{FpFormat, FpValue};
 
@@ -53,8 +55,8 @@ pub fn column_psum(act_bits: &[bool], w_bits: &[bool]) -> u64 {
 /// * the output fusion unit (column fusion with a negatively weighted
 ///   MSB column for signed weights).
 ///
-/// The result is exactly `Σᵢ actᵢ·weightᵢ`, which
-/// [`DcimChannelTrace::output`] asserts structurally.
+/// The result is exactly `Σᵢ actᵢ·weightᵢ` ([`int_dot`]) for in-range
+/// operands, which the tests pin.
 #[derive(Debug, Clone)]
 pub struct DcimChannelTrace {
     /// `psum[j][t]` = adder-tree output of weight-bit column `j` in input

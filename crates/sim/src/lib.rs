@@ -8,9 +8,10 @@
 //! * [`SimBackend`] — the word-oriented backend trait shared with the
 //!   compiled bit-parallel engine (`syndcim-engine`); the interpreter
 //!   is its 1-lane reference implementation;
-//! * [`golden`] — behavioural models of the bit-serial DCIM MAC schedule
-//!   (integer and aligned-FP), against which every generated netlist is
-//!   checked bit-for-bit;
+//! * [`golden`] — the exact dot product `int_dot` every generated
+//!   netlist's channels are checked against bit-for-bit (over aligned
+//!   mantissas for FP), and `DcimChannelTrace`, the cycle-level oracle
+//!   of the bit-serial DCIM MAC schedule pinned equal to it;
 //! * [`formats`] — INT1/2/4/8, FP4, FP8, BF16 operand formats;
 //! * [`vectors`] — operand generators with controllable sparsity and bit
 //!   density, reproducing the paper's measurement conditions.

@@ -393,12 +393,12 @@ fn engine_runs_golden_int8_mac_pass_on_paper_test_chip() {
     let depth = mac.mac_pipeline_depth as u32;
     let schedules: Vec<Vec<Vec<bool>>> = lane_acts.iter().map(|a| bit_serial_schedule(a, pa)).collect();
     let total = pa + depth + u32::from(mac.choice.ofu_extra_pipe);
+    let act = sim.bus("act", mac.h as u32);
     for cycle in 0..total {
         for r in 0..mac.h {
-            for (l, sched) in schedules.iter().enumerate() {
-                let bit = cycle < pa && sched[cycle as usize][r];
-                sim.set_lane(&format!("act[{r}]"), l, bit);
-            }
+            let bits: Vec<i64> =
+                schedules.iter().map(|sched| (cycle < pa && sched[cycle as usize][r]) as i64).collect();
+            sim.drive_bus(&act[r..=r], &bits);
         }
         sim.set_all("clear", cycle == depth);
         sim.set_all("neg", cycle == pa - 1 + depth);
@@ -412,7 +412,7 @@ fn engine_runs_golden_int8_mac_pass_on_paper_test_chip() {
             let g = ch / per_group;
             let i = ch % per_group;
             let width = mac.output_width(level) as u32;
-            let raw = sim.get_bus_signed_lane(&mac.output_port(g, level, i), width, l);
+            let raw = sim.read_bus(&sim.bus(&mac.output_port(g, level, i), width))[l];
             let got = raw >> (mac.act_bits - pa);
             let want = DcimChannelTrace::run(acts, wv, pa, pa).output;
             assert_eq!(got, want, "lane {l} channel {ch}");

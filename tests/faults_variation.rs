@@ -129,24 +129,36 @@ fn word_boundary_lane_pokes_and_faults_touch_exactly_their_lane() {
     let low = Lowering::validated(module, &lib).unwrap();
     let prog = Program::from_lowering(&low, module, &lib);
 
-    // Per-lane poke/peek at the word seams, both backends.
-    for (lanes, boundary_lanes) in
-        [(64usize, vec![0usize, 63]), (256, vec![63, 64, 191, 255]), (512, vec![255, 256, 448, 511])]
-    {
-        let mut sim = EngineSim::new(&prog, module, lanes);
-        let net = sim.net_of("act[0]");
-        for &l in &boundary_lanes {
-            sim.set_lane("act[0]", l, true);
-            assert!(sim.get_lane("act[0]", l), "{lanes} lanes: lane {l} must read back");
+    // Per-lane bus drive/read at the word seams, every word width.
+    // Lane values visit all of -128..=127 in each 256-lane span, so
+    // neighbours across a seam differ and half the lanes are negative.
+    fn assert_bus(sim: &EngineSim, act: &[NetId], values: &[i64], ctx: &str) {
+        assert_eq!(sim.read_bus(act), values, "{ctx}: read-back");
+        for (bit, &net) in act.iter().enumerate() {
             for wi in 0..sim.words() {
-                let expect: u64 = boundary_lanes
-                    .iter()
-                    .take_while(|&&b| b <= l)
-                    .filter(|&&b| b / 64 == wi)
-                    .map(|&b| 1u64 << (b % 64))
+                let want: u64 = (wi * 64..values.len().min(wi * 64 + 64))
+                    .map(|l| ((values[l] >> bit) as u64 & 1) << (l % 64))
                     .sum();
-                assert_eq!(sim.peek_word_at(net, wi), expect, "{lanes} lanes: word {wi} after lane {l}");
+                assert_eq!(sim.peek_word_at(net, wi), want, "{ctx}: bit {bit} word {wi}");
             }
+        }
+    }
+    for (lanes, boundary_lanes) in [
+        (64usize, vec![0usize, 63]),
+        (256, vec![63, 64, 191, 255]),
+        (300, vec![255, 256, 299]),
+        (512, vec![255, 256, 448, 511]),
+    ] {
+        let mut sim = EngineSim::new(&prog, module, lanes);
+        let act = sim.bus("act", 8);
+        let mut values: Vec<i64> = (0..lanes as i64).map(|l| (l * 77 + 5) % 256 - 128).collect();
+        sim.drive_bus(&act, &values);
+        assert_bus(&sim, &act, &values, &format!("{lanes} lanes"));
+        // Re-driving one boundary lane touches exactly that lane's bits.
+        for &l in &boundary_lanes {
+            values[l] = !values[l];
+            sim.drive_bus(&act, &values);
+            assert_bus(&sim, &act, &values, &format!("{lanes} lanes, after lane {l}"));
         }
     }
 

@@ -8,7 +8,7 @@
 use rand::Rng;
 use syndcim_netlist::NetlistBuilder;
 use syndcim_pdk::CellLibrary;
-use syndcim_sim::golden::{fp_align, DcimChannelTrace};
+use syndcim_sim::golden::{fp_align, int_dot, DcimChannelTrace};
 use syndcim_sim::vectors::seeded_rng;
 use syndcim_sim::{FpFormat, FpValue, Simulator};
 use syndcim_subckt::{build_adder_tree, AdderTreeConfig, AdderTreeKind, TreeOutput};
@@ -49,7 +49,9 @@ fn adder_tree_counts() {
 }
 
 /// The golden bit-serial channel model equals the plain dot product for
-/// every signed precision combination.
+/// every signed precision combination: INT8 × INT4, and the equal
+/// precisions `measure_int` checks against `int_dot` at up to the paper
+/// chip's 64 rows.
 #[test]
 fn golden_channel_is_exact() {
     for case in 0..CASES {
@@ -58,8 +60,15 @@ fn golden_channel_is_exact() {
         let acts: Vec<i64> = (0..n).map(|_| rng.gen_range(-128i64..=127)).collect();
         let ws: Vec<i64> = (0..n).map(|_| rng.gen_range(-8i64..=7)).collect();
         let tr = DcimChannelTrace::run(&acts, &ws, 8, 4);
-        let want: i64 = acts.iter().zip(&ws).map(|(a, w)| a * w).sum();
-        assert_eq!(tr.output, want, "case {case}");
+        assert_eq!(tr.output, int_dot(&acts, &ws), "case {case}");
+
+        let p = [1u32, 2, 4, 8][rng.gen_range(0usize..4)];
+        let n = rng.gen_range(1usize..=64);
+        let lim = 1i64 << (p - 1);
+        let acts: Vec<i64> = (0..n).map(|_| rng.gen_range(-lim..lim)).collect();
+        let ws: Vec<i64> = (0..n).map(|_| rng.gen_range(-lim..lim)).collect();
+        let tr = DcimChannelTrace::run(&acts, &ws, p, p);
+        assert_eq!(tr.output, int_dot(&acts, &ws), "case {case}: INT{p}, n={n}");
     }
 }
 
