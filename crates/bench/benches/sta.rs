@@ -10,6 +10,9 @@
 //! * **single analysis** — pure propagation speed on the 64×64 paper
 //!   test-chip netlist, both analyzers prebuilt (isolates the SoA pass
 //!   from `Sta::new` construction).
+//! * **die spread** — `CompiledSta::fmax_distribution` over 2,048
+//!   `VariationModel::gaussian(0.05)` dies at 0.9 V on the same paper
+//!   chip: the die-major batch path (`sta_fmax_distribution_ms`).
 //!
 //! Fails if the compiled shmoo grid is not ≥ 5× the reference. Numbers
 //! are merged into `BENCH_engine.json` (same artifact the engine bench
@@ -25,7 +28,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use syndcim_core::shmoo::V_MIN_FUNCTIONAL;
 use syndcim_core::{assemble, implement, shmoo, DesignChoice, ImplementedMacro, MacroSpec};
 use syndcim_pdk::{CellLibrary, OperatingPoint};
-use syndcim_sta::{Sta, WireLoads};
+use syndcim_sta::{Sta, VariationModel, WireLoads};
 
 /// The shmoo grid swept by both arms: the paper's Fig. 9 axes at a
 /// realistic density (13 voltages × 12 frequencies).
@@ -118,6 +121,9 @@ fn bench_sta(c: &mut Criterion) {
         let ops = [0.7, 0.8, 0.9, 1.05, 1.2].map(OperatingPoint::at_voltage);
         b.iter(|| csta.fmax_many(&ops))
     });
+    let dies = VariationModel::gaussian(0.05).sample(1, 2048);
+    let spread =
+        c.bench_stats("sta_fmax_distribution_paper_chip", |b| b.iter(|| csta.fmax_distribution(op, &dies)));
     let analyze_ratio = walk.ns_per_iter / soa.ns_per_iter;
 
     println!(
@@ -132,6 +138,7 @@ fn bench_sta(c: &mut Criterion) {
         soa.ns_per_iter / 1e6
     );
     println!("fmax_many(5 corners): {:>9.3} ms", fmax.ns_per_iter / 1e6);
+    println!("fmax_distribution(2048 dies): {:>9.3} ms", spread.ns_per_iter / 1e6);
 
     syndcim_bench::merge_bench_artifact(
         &["sta_"],
@@ -143,6 +150,7 @@ fn bench_sta(c: &mut Criterion) {
             ("sta_analyze_reference_ms", walk.ns_per_iter / 1e6),
             ("sta_analyze_compiled_ms", soa.ns_per_iter / 1e6),
             ("sta_analyze_speedup", analyze_ratio),
+            ("sta_fmax_distribution_ms", spread.ns_per_iter / 1e6),
         ],
     );
 

@@ -586,14 +586,14 @@ mod tests {
         }
     }
 
-    /// Dense voltage axes push `CompiledSta::fmax_many` over its
-    /// parallel threshold; the fanned-out grid must stay
-    /// order-identical to the reference per-voltage sweep.
+    /// Dense voltage axes fill several of `CompiledSta::fmax_many`'s
+    /// eight-corner lane groups; the grid must stay order-identical to
+    /// the reference per-voltage sweep.
     #[test]
     fn dense_shmoo_parallel_fmax_matches_reference_order() {
         let (im, lib) = implemented();
-        // 44 functional voltages — well past the 32-corner parallel
-        // threshold — plus two below the retention limit.
+        // 44 functional voltages — five full lane groups and a ragged
+        // one of four — plus two below the retention limit.
         let vs: Vec<f64> = (0..46).map(|i| 0.56 + 0.015 * i as f64).collect();
         let fs = [100.0, 350.0, 700.0, 1400.0, 2800.0];
         let fast = shmoo(&im, &lib, &vs, &fs);

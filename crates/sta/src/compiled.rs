@@ -20,6 +20,19 @@
 //! the reference analyzer — pinned by differential tests here, in
 //! `tests/sta_compiled_differential.rs` and in the shmoo regression
 //! suite.
+//!
+//! Batched `f_max` queries run die-major. The arrival table holds one
+//! `[f64; 8]` row per net, one corner per lane, so each walk of the arc
+//! columns serves eight corners, and every lane runs the scalar pass's
+//! arithmetic in the scalar pass's order. The one difference is that the
+//! scalar pass skips an arc whose input arrival is `−∞` (an unreached
+//! net, e.g. a tie cell's output), while the lane pass applies the
+//! select `if cand > d { cand } else { d }` to every arc. That changes
+//! no bit: `−∞` plus a finite delay is `−∞`, `−∞` plus `+∞` (the delay
+//! at a sub-threshold scale) is NaN, and neither compares greater than
+//! any arrival, so the arrival keeps its value exactly as if the arc had
+//! been skipped. The endpoint reduction's skip of unreached endpoints
+//! becomes the same select for the same reason.
 
 use syndcim_ir::{net_loads_ff, parallel_map, Lowering, Symbols};
 use syndcim_netlist::Module;
@@ -32,15 +45,14 @@ use crate::{PathStep, Sta, TimingReport, WireLoads};
 /// tables (the net is a primary input or unreached).
 const NO_PRED: u32 = u32::MAX;
 
-/// Corner count above which [`CompiledSta::fmax_many`] fans the batch
-/// across worker threads. Each grid point is an independent pass over
-/// shared read-only arrays, but one 16×16-macro pass is only ~10 µs —
-/// below this, thread spawn overhead beats the parallel win.
-const FMAX_PARALLEL_THRESHOLD: usize = 32;
+/// Corners per arrival row of the die-major `f_max` pass: one walk of
+/// the arc columns serves this many corners.
+const LANES: usize = 8;
 
-/// Corners per parallel job: small enough to load-balance across
-/// workers, large enough to amortize each job's arrival buffer.
-const FMAX_PARALLEL_CHUNK: usize = 8;
+/// Corners per `parallel_map` job of the batched `f_max` path (eight
+/// lane passes sharing one row table); a batch this size or smaller
+/// runs inline on the calling thread.
+const FMAX_JOB: usize = 64;
 
 /// A timing analyzer compiled into struct-of-arrays form.
 ///
@@ -314,53 +326,21 @@ impl CompiledSta {
         self.analyze_at(1.0, op).fmax_mhz
     }
 
-    /// `f_max` in MHz at each operating point of a batch.
+    /// `f_max` in MHz at each operating point of a batch, in corner
+    /// order.
     ///
-    /// This is the shmoo/search fast path: path reconstruction is
-    /// skipped entirely (predecessor tracking off), so each point costs
-    /// exactly one arrival pass plus the endpoint max-reduction. The
-    /// values are identical to per-point [`CompiledSta::fmax_mhz`]
-    /// calls — predecessor tracking never affects arrival times.
-    ///
-    /// Dense grids fan out across cores: every corner is an independent
-    /// pass over the shared read-only arc arrays, so batches of
-    /// `FMAX_PARALLEL_THRESHOLD` (32) or more corners are chunked onto
-    /// the scoped-thread runner. Results come back in corner order and each
-    /// corner runs the identical serial arithmetic, so the output is
-    /// order-identical to the sequential evaluation (pinned by tests
-    /// here and by the shmoo regression suite).
+    /// This is the shmoo/search fast path: no predecessor tracking and
+    /// no path reconstruction, and corners run die-major, so one walk of
+    /// the arc columns serves eight corners (the module docs say why
+    /// that changes no bit). The values are identical to per-point
+    /// [`CompiledSta::fmax_mhz`] calls. Batches of more than 64 corners
+    /// fan out across cores in 64-corner jobs; a corner's arithmetic
+    /// does not depend on its job, its lane or its neighbours (pinned by
+    /// tests here and by the shmoo regression suite).
     pub fn fmax_many(&self, ops: &[OperatingPoint]) -> Vec<f64> {
         telemetry::span!("sta.fmax_many");
-        telemetry::counter("sta.fmax_batches").incr();
-        telemetry::counter("sta.fmax_points").add(ops.len() as u64);
-        let start = telemetry::enabled().then(std::time::Instant::now);
-        let out = if ops.len() >= FMAX_PARALLEL_THRESHOLD {
-            let chunks: Vec<&[OperatingPoint]> = ops.chunks(FMAX_PARALLEL_CHUNK).collect();
-            parallel_map(chunks, |_, chunk| self.fmax_serial(chunk)).into_iter().flatten().collect()
-        } else {
-            self.fmax_serial(ops)
-        };
-        if let Some(t) = start {
-            telemetry::histogram("sta.fmax_batch_ns").record(t.elapsed());
-        }
-        out
-    }
-
-    /// Sequential `f_max` batch sharing one arrival buffer.
-    fn fmax_serial(&self, ops: &[OperatingPoint]) -> Vec<f64> {
-        let mut arrival = vec![f64::NEG_INFINITY; self.net_count];
-        ops.iter()
-            .map(|op| {
-                let scale = op.delay_scale(&self.process);
-                self.propagate::<false>(scale, &mut arrival, &mut [], &mut []);
-                let (max_delay, _) = self.reduce_endpoints(scale, &arrival);
-                if max_delay > 0.0 {
-                    1e6 / max_delay
-                } else {
-                    f64::INFINITY
-                }
-            })
-            .collect()
+        let scales: Vec<f64> = ops.iter().map(|op| op.delay_scale(&self.process)).collect();
+        self.fmax_batch(&scales)
     }
 
     /// `f_max` at each `(operating point, gate-delay multiplier)` pair —
@@ -373,19 +353,40 @@ impl CompiledSta {
     /// model reserved. A multiplier of `1.0` reproduces the plain
     /// corner **bit-identically** (IEEE-754 multiplication by one is
     /// exact), so a zero-variation Monte-Carlo grid equals the nominal
-    /// shmoo run. Batches at or above the parallel threshold fan out
-    /// across cores with the same chunking — and therefore the same
-    /// order-identical results — as `fmax_many`.
+    /// shmoo run. The batch runs on the same die-major pass and jobs as
+    /// `fmax_many`.
     pub fn fmax_many_scaled(&self, points: &[(OperatingPoint, f64)]) -> Vec<f64> {
         telemetry::span!("sta.fmax_many_scaled");
+        let scales: Vec<f64> =
+            points.iter().map(|&(op, mult)| op.delay_scale(&self.process) * mult).collect();
+        self.fmax_batch(&scales)
+    }
+
+    /// `f_max` of every Monte-Carlo sample at one operating point:
+    /// `lane_scales[l]` is lane `l`'s gate-delay multiplier (drawn from
+    /// a [`crate::VariationModel`]), and entry `l` of the result is
+    /// that virtual die's `f_max`. A thin lane-indexed veneer over
+    /// [`CompiledSta::fmax_many_scaled`]: eight dies share each arc
+    /// pass.
+    pub fn fmax_distribution(&self, op: OperatingPoint, lane_scales: &[f64]) -> Vec<f64> {
+        let points: Vec<(OperatingPoint, f64)> = lane_scales.iter().map(|&s| (op, s)).collect();
+        self.fmax_many_scaled(&points)
+    }
+
+    /// The batch behind every `fmax_many*` entry point, one total delay
+    /// scale per corner: 64-corner jobs, inline when there is only one.
+    fn fmax_batch(&self, scales: &[f64]) -> Vec<f64> {
         telemetry::counter("sta.fmax_batches").incr();
-        telemetry::counter("sta.fmax_points").add(points.len() as u64);
+        telemetry::counter("sta.fmax_points").add(scales.len() as u64);
+        // Jobs hold whole lane groups except the last, so a batch takes
+        // one arc pass per eight corners, rounded up.
+        telemetry::counter("sta.fmax_lane_passes").add(scales.len().div_ceil(LANES) as u64);
         let start = telemetry::enabled().then(std::time::Instant::now);
-        let out = if points.len() >= FMAX_PARALLEL_THRESHOLD {
-            let chunks: Vec<&[(OperatingPoint, f64)]> = points.chunks(FMAX_PARALLEL_CHUNK).collect();
-            parallel_map(chunks, |_, chunk| self.fmax_serial_scaled(chunk)).into_iter().flatten().collect()
+        let out = if scales.len() <= FMAX_JOB {
+            self.fmax_job(scales)
         } else {
-            self.fmax_serial_scaled(points)
+            let jobs: Vec<&[f64]> = scales.chunks(FMAX_JOB).collect();
+            parallel_map(jobs, |_, job| self.fmax_job(job)).into_iter().flatten().collect()
         };
         if let Some(t) = start {
             telemetry::histogram("sta.fmax_batch_ns").record(t.elapsed());
@@ -393,33 +394,19 @@ impl CompiledSta {
         out
     }
 
-    /// `f_max` of every Monte-Carlo sample at one operating point:
-    /// `lane_scales[l]` is lane `l`'s gate-delay multiplier (drawn from
-    /// a [`crate::VariationModel`]), and entry `l` of the result is
-    /// that virtual die's `f_max`. A thin lane-indexed veneer over
-    /// [`CompiledSta::fmax_many_scaled`], so 256 samples ride the same
-    /// parallel batch machinery as a 256-corner shmoo row.
-    pub fn fmax_distribution(&self, op: OperatingPoint, lane_scales: &[f64]) -> Vec<f64> {
-        let points: Vec<(OperatingPoint, f64)> = lane_scales.iter().map(|&s| (op, s)).collect();
-        self.fmax_many_scaled(&points)
-    }
-
-    /// Sequential scaled batch sharing one arrival buffer.
-    fn fmax_serial_scaled(&self, points: &[(OperatingPoint, f64)]) -> Vec<f64> {
-        let mut arrival = vec![f64::NEG_INFINITY; self.net_count];
-        points
-            .iter()
-            .map(|&(op, mult)| {
-                let scale = op.delay_scale(&self.process) * mult;
-                self.propagate::<false>(scale, &mut arrival, &mut [], &mut []);
-                let (max_delay, _) = self.reduce_endpoints(scale, &arrival);
-                if max_delay > 0.0 {
-                    1e6 / max_delay
-                } else {
-                    f64::INFINITY
-                }
-            })
-            .collect()
+    /// One job: lane groups of eight corners over one row table. The
+    /// last group pads with scale 1.0 and drops those lanes.
+    fn fmax_job(&self, scales: &[f64]) -> Vec<f64> {
+        let mut arrival = vec![[f64::NEG_INFINITY; LANES]; self.net_count];
+        let mut out = Vec::with_capacity(scales.len());
+        for group in scales.chunks(LANES) {
+            let mut scale = [1.0; LANES];
+            scale[..group.len()].copy_from_slice(group);
+            self.propagate_lanes(&scale, &mut arrival);
+            let max_delay = self.reduce_endpoints_lanes(&scale, &arrival);
+            out.extend(max_delay[..group.len()].iter().map(|&d| fmax_from_delay(d)));
+        }
+        out
     }
 
     /// One full analysis into caller-provided scratch space.
@@ -431,13 +418,13 @@ impl CompiledSta {
         scratch.pred_from.clear();
         scratch.pred_from.resize(self.net_count, 0);
 
-        self.propagate::<true>(scale, &mut scratch.arrival, &mut scratch.pred_inst, &mut scratch.pred_from);
+        self.propagate(scale, &mut scratch.arrival, &mut scratch.pred_inst, &mut scratch.pred_from);
         let (max_delay, worst_slot) = self.reduce_endpoints(scale, &scratch.arrival);
 
         let critical_path = worst_slot
             .map(|w| self.walk_path(w, &scratch.arrival, &scratch.pred_inst, &scratch.pred_from))
             .unwrap_or_default();
-        let fmax_mhz = if max_delay > 0.0 { 1e6 / max_delay } else { f64::INFINITY };
+        let fmax_mhz = fmax_from_delay(max_delay);
         TimingReport {
             arrival_ps: scratch.arrival.clone(),
             max_delay_ps: max_delay,
@@ -448,17 +435,11 @@ impl CompiledSta {
         }
     }
 
-    /// Forward arrival propagation: launches, then the levelized arc
-    /// stream. With `TRACK` the predecessor tables record the winning
-    /// arc per net for path reconstruction; without it the pass is pure
-    /// SoA arithmetic.
-    fn propagate<const TRACK: bool>(
-        &self,
-        scale: f64,
-        arrival: &mut [f64],
-        pred_inst: &mut [u32],
-        pred_from: &mut [u32],
-    ) {
+    /// Forward arrival propagation at one corner: launches, then the
+    /// levelized arc stream, with the predecessor tables recording the
+    /// winning arc per net for path reconstruction. The die-major
+    /// `propagate_lanes` is pinned to this pass.
+    fn propagate(&self, scale: f64, arrival: &mut [f64], pred_inst: &mut [u32], pred_from: &mut [u32]) {
         arrival.fill(f64::NEG_INFINITY);
         for &s in &self.input_slots {
             arrival[s as usize] = 0.0;
@@ -470,10 +451,8 @@ impl CompiledSta {
             let a = base * scale + wire;
             if a > arrival[q] {
                 arrival[q] = a;
-                if TRACK {
-                    pred_inst[q] = self.launch_inst[k];
-                    pred_from[q] = slot; // from == self: launch point
-                }
+                pred_inst[q] = self.launch_inst[k];
+                pred_from[q] = slot; // from == self: launch point
             }
         }
 
@@ -487,10 +466,36 @@ impl CompiledSta {
             let dst = dst as usize;
             if cand > arrival[dst] {
                 arrival[dst] = cand;
-                if TRACK {
-                    pred_inst[dst] = self.arc_inst[k];
-                    pred_from[dst] = src;
-                }
+                pred_inst[dst] = self.arc_inst[k];
+                pred_from[dst] = src;
+            }
+        }
+    }
+
+    /// `propagate` for eight corners at once, without predecessor
+    /// tracking: row `n` of `arrival` holds net `n`'s arrival in every
+    /// lane. The unreached-input skip is the `later` select, which the
+    /// module docs show to be exact.
+    fn propagate_lanes(&self, scale: &[f64; LANES], arrival: &mut [[f64; LANES]]) {
+        arrival.fill([f64::NEG_INFINITY; LANES]);
+        for &s in &self.input_slots {
+            arrival[s as usize] = [0.0; LANES];
+        }
+
+        let launches = self.launch_slot.iter().zip(&self.launch_base_ps).zip(&self.launch_wire_ps);
+        for ((&slot, &base), &wire) in launches {
+            let q = &mut arrival[slot as usize];
+            for (d, &s) in q.iter_mut().zip(scale) {
+                *d = later(base * s + wire, *d);
+            }
+        }
+
+        let arcs = self.arc_src.iter().zip(&self.arc_dst).zip(&self.arc_base_ps).zip(&self.arc_wire_ps);
+        for (((&src, &dst), &base), &wire) in arcs {
+            let a_in = arrival[src as usize];
+            let row = &mut arrival[dst as usize];
+            for ((d, &a), &s) in row.iter_mut().zip(&a_in).zip(scale) {
+                *d = later(a + (base * s + wire), *d);
             }
         }
     }
@@ -524,6 +529,23 @@ impl CompiledSta {
             }
         }
         (max_delay, worst)
+    }
+
+    /// `reduce_endpoints` for eight corners at once, without the worst
+    /// slot: the worst total delay of every lane.
+    fn reduce_endpoints_lanes(&self, scale: &[f64; LANES], arrival: &[[f64; LANES]]) -> [f64; LANES] {
+        let mut max_delay = [0.0f64; LANES];
+        for &s in &self.port_end_slot {
+            for (m, &a) in max_delay.iter_mut().zip(&arrival[s as usize]) {
+                *m = later(a, *m);
+            }
+        }
+        for (&s, &setup) in self.seq_end_slot.iter().zip(&self.seq_end_setup_ps) {
+            for ((m, &a), &sc) in max_delay.iter_mut().zip(&arrival[s as usize]).zip(scale) {
+                *m = later(a + setup * sc, *m);
+            }
+        }
+        max_delay
     }
 
     /// Reconstruct the critical path from the predecessor tables
@@ -565,6 +587,27 @@ impl CompiledSta {
     }
 }
 
+/// The scalar pass's update rule as a select: `cand` if it is strictly
+/// later than `cur`, else `cur`. A NaN or `−∞` candidate never wins.
+#[inline(always)]
+fn later(cand: f64, cur: f64) -> f64 {
+    if cand > cur {
+        cand
+    } else {
+        cur
+    }
+}
+
+/// `f_max` in MHz for a worst total delay (infinite when no path is
+/// timed, zero when the delay is infinite).
+fn fmax_from_delay(max_delay: f64) -> f64 {
+    if max_delay > 0.0 {
+        1e6 / max_delay
+    } else {
+        f64::INFINITY
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -600,6 +643,18 @@ mod tests {
         b.finish()
     }
 
+    /// Distinct, reproducible wire caps and delays for every net.
+    fn synthetic_wires(m: &Module) -> WireLoads {
+        let mut wires = WireLoads::zero(m.net_count());
+        for (i, c) in wires.cap_ff.iter_mut().enumerate() {
+            *c = (i % 7) as f64 * 3.5;
+        }
+        for (i, d) in wires.delay_ps.iter_mut().enumerate() {
+            *d = (i % 5) as f64 * 11.0;
+        }
+        wires
+    }
+
     fn assert_reports_identical(r: &TimingReport, c: &TimingReport) {
         assert_eq!(r.arrival_ps, c.arrival_ps, "arrival times must be bit-identical");
         assert_eq!(r.max_delay_ps, c.max_delay_ps);
@@ -627,14 +682,7 @@ mod tests {
     fn compiled_matches_reference_with_wire_loads() {
         let lib = lib();
         let m = mixed_module(&lib);
-        let mut wires = WireLoads::zero(m.net_count());
-        for (i, c) in wires.cap_ff.iter_mut().enumerate() {
-            *c = (i % 7) as f64 * 3.5;
-        }
-        for (i, d) in wires.delay_ps.iter_mut().enumerate() {
-            *d = (i % 5) as f64 * 11.0;
-        }
-        let sta = Sta::new(&m, &lib).unwrap().with_wire_loads(wires);
+        let sta = Sta::new(&m, &lib).unwrap().with_wire_loads(synthetic_wires(&m));
         let csta = sta.compile();
         let op = OperatingPoint { vdd_v: 0.8, temp_c: 85.0 };
         assert_reports_identical(&sta.analyze_at(900.0, op), &csta.analyze_at(900.0, op));
@@ -654,6 +702,29 @@ mod tests {
         }
     }
 
+    /// The scalar oracle of the die-major pass: one tracking `propagate`
+    /// plus `reduce_endpoints` per total delay scale.
+    fn scalar_fmax(csta: &CompiledSta, scales: &[f64]) -> Vec<f64> {
+        let n = csta.net_count;
+        let (mut arrival, mut pred_inst, mut pred_from) = (vec![0.0; n], vec![NO_PRED; n], vec![0; n]);
+        scales
+            .iter()
+            .map(|&scale| {
+                csta.propagate(scale, &mut arrival, &mut pred_inst, &mut pred_from);
+                fmax_from_delay(csta.reduce_endpoints(scale, &arrival).0)
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Total delay scale of each die multiplier at `op`.
+    fn total_scales(csta: &CompiledSta, op: OperatingPoint, mults: &[f64]) -> Vec<f64> {
+        mults.iter().map(|&m| op.delay_scale(&csta.process) * m).collect()
+    }
+
     /// Above the parallel threshold `fmax_many` fans corners across
     /// worker threads; the result must stay order-identical to the
     /// per-point serial queries, corner for corner.
@@ -663,14 +734,97 @@ mod tests {
         let m = mixed_module(&lib);
         let sta = Sta::new(&m, &lib).unwrap();
         let csta = sta.compile();
-        let ops: Vec<OperatingPoint> = (0..(FMAX_PARALLEL_THRESHOLD * 2 + 3))
-            .map(|i| OperatingPoint::at_voltage(0.55 + 0.01 * i as f64))
-            .collect();
-        assert!(ops.len() >= FMAX_PARALLEL_THRESHOLD);
+        let ops: Vec<OperatingPoint> =
+            (0..(FMAX_JOB + 3)).map(|i| OperatingPoint::at_voltage(0.55 + 0.01 * i as f64)).collect();
+        assert!(ops.len() > FMAX_JOB);
         let batch = csta.fmax_many(&ops);
-        assert_eq!(batch, csta.fmax_serial(&ops), "parallel batch must equal the serial pass");
+        let scales: Vec<f64> = ops.iter().map(|op| op.delay_scale(&csta.process)).collect();
+        assert_eq!(batch, scalar_fmax(&csta, &scales), "parallel batch must equal the serial pass");
         for (op, f) in ops.iter().zip(&batch) {
             assert_eq!(*f, sta.fmax_mhz(*op), "corner {op:?} must match the reference");
+        }
+    }
+
+    /// The lane pass equals the scalar pass bit for bit at every batch
+    /// shape: one die, a ragged group, a full group, a group plus one, a
+    /// full job, a job plus one (the first job seam) and 2,051 dies (32
+    /// full jobs and a three-die tail), with and without wire delays.
+    #[test]
+    fn lane_pass_is_bit_identical_to_scalar_pass_at_ragged_batch_sizes() {
+        let lib = lib();
+        let m = mixed_module(&lib);
+        let op = OperatingPoint::at_voltage(0.85);
+        for wires in [WireLoads::zero(m.net_count()), synthetic_wires(&m)] {
+            let csta = Sta::new(&m, &lib).unwrap().with_wire_loads(wires).compile();
+            for n in [1, 7, 8, 9, 64, 65, 2051] {
+                let mults = crate::VariationModel::gaussian(0.08).sample(n as u64, n);
+                let got = csta.fmax_distribution(op, &mults);
+                let want = scalar_fmax(&csta, &total_scales(&csta, op, &mults));
+                assert_eq!(bits(&got), bits(&want), "{n} dies");
+            }
+        }
+    }
+
+    /// A lane group mixing sub-threshold lanes (`+∞` scale) with normal
+    /// ones: every lane's arrival column and worst delay equal the
+    /// scalar pass bit for bit. The AND2 fed by `const1` makes the
+    /// `−∞ + ∞ = NaN` candidate real in the `+∞` lanes, and it must lose.
+    #[test]
+    fn sub_threshold_lanes_mix_bit_identically_with_normal_lanes() {
+        let lib = lib();
+        let m = mixed_module(&lib);
+        let csta = Sta::new(&m, &lib).unwrap().compile();
+        let (dead, live) = (OperatingPoint::at_voltage(0.3), OperatingPoint::at_voltage(0.85));
+        let points =
+            [(dead, 1.0), (live, 0.9), (live, 1.0), (dead, 0.7), (live, 1.3), (dead, 1.2), (live, 2.5)];
+        let scales: Vec<f64> = points.iter().map(|&(op, m)| op.delay_scale(&csta.process) * m).collect();
+        assert_eq!(scales.iter().filter(|s| s.is_infinite()).count(), 3);
+
+        let mut lanes = [1.0; LANES];
+        lanes[..scales.len()].copy_from_slice(&scales);
+        let mut rows = vec![[0.0; LANES]; csta.net_count];
+        csta.propagate_lanes(&lanes, &mut rows);
+        let max_delay = csta.reduce_endpoints_lanes(&lanes, &rows);
+        let n = csta.net_count;
+        let (mut arrival, mut pred_inst, mut pred_from) = (vec![0.0; n], vec![NO_PRED; n], vec![0; n]);
+        for (l, &s) in lanes.iter().enumerate() {
+            csta.propagate(s, &mut arrival, &mut pred_inst, &mut pred_from);
+            let column: Vec<f64> = rows.iter().map(|r| r[l]).collect();
+            assert_eq!(bits(&column), bits(&arrival), "lane {l} arrivals");
+            assert_eq!(max_delay[l].to_bits(), csta.reduce_endpoints(s, &arrival).0.to_bits(), "lane {l}");
+        }
+        let nan_candidate = (0..csta.arc_count()).any(|k| {
+            let a_in = rows[csta.arc_src[k] as usize][0];
+            a_in == f64::NEG_INFINITY
+                && (a_in + (csta.arc_base_ps[k] * lanes[0] + csta.arc_wire_ps[k])).is_nan()
+        });
+        assert!(nan_candidate, "some arc must read an unreached input at an infinite delay");
+
+        let got = csta.fmax_many_scaled(&points);
+        assert_eq!(bits(&got), bits(&scalar_fmax(&csta, &scales)));
+        for (l, &(op, _)) in points.iter().enumerate() {
+            assert_eq!(got[l] == 0.0, op == dead, "lane {l}: sub-threshold dies, and only they, read 0");
+        }
+    }
+
+    /// One distinctive die moved through every lane position of two
+    /// groups reads the same `f_max` wherever it sits, and its
+    /// neighbours keep their scalar values.
+    #[test]
+    fn a_die_reads_the_same_in_every_lane_position() {
+        let lib = lib();
+        let m = mixed_module(&lib);
+        let csta = Sta::new(&m, &lib).unwrap().compile();
+        let op = OperatingPoint::at_voltage(0.85);
+        let background = crate::VariationModel::gaussian(0.08).sample(0x1A4E, 2 * LANES);
+        let probe = 1.37;
+        let alone = csta.fmax_distribution(op, &[probe])[0];
+        for pos in 0..background.len() {
+            let mut mults = background.clone();
+            mults[pos] = probe;
+            let got = csta.fmax_distribution(op, &mults);
+            assert_eq!(bits(&got), bits(&scalar_fmax(&csta, &total_scales(&csta, op, &mults))), "lane {pos}");
+            assert_eq!(got[pos].to_bits(), alone.to_bits(), "lane {pos}");
         }
     }
 
@@ -712,9 +866,8 @@ mod tests {
         let lib = lib();
         let m = mixed_module(&lib);
         let csta = Sta::new(&m, &lib).unwrap().compile();
-        let ops: Vec<OperatingPoint> = (0..(FMAX_PARALLEL_THRESHOLD + 5))
-            .map(|i| OperatingPoint::at_voltage(0.55 + 0.01 * i as f64))
-            .collect();
+        let ops: Vec<OperatingPoint> =
+            (0..(FMAX_JOB + 5)).map(|i| OperatingPoint::at_voltage(0.55 + 0.01 * i as f64)).collect();
         let unit: Vec<(OperatingPoint, f64)> = ops.iter().map(|&op| (op, 1.0)).collect();
         assert_eq!(csta.fmax_many_scaled(&unit), csta.fmax_many(&ops));
     }

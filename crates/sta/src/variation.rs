@@ -9,7 +9,10 @@
 //! `1.0` for every lane, which
 //! [`CompiledSta::fmax_distribution`](crate::CompiledSta::fmax_distribution)
 //! turns into a run bit-identical to the nominal `fmax_many` pass
-//! (pinned by `tests/faults_variation.rs`).
+//! (pinned by `tests/faults_variation.rs`). That batch runs die-major:
+//! eight dies share each pass over the timing arcs, one per lane of the
+//! arrival table, and each lane computes exactly what a single-die query
+//! would.
 //!
 //! The gaussian draw is an Irwin–Hall sum (twelve uniforms minus six):
 //! mean 0, variance 1, no transcendental functions, so the sampled

@@ -93,6 +93,40 @@ fn compiled_sta_matches_reference_on_paper_test_chip() {
     }
 }
 
+/// The die-major `fmax_many` on the paper chip: the sign-off shmoo's 13
+/// supply voltages (0.60–1.20 V) plus [`corners`] are 17 corners in
+/// three eight-lane groups, the last one ragged, and every corner equals
+/// the reference analyzer's `fmax_mhz` under both wire-load
+/// configurations.
+#[test]
+fn fmax_many_over_the_signoff_shmoo_axis_matches_reference() {
+    let lib = CellLibrary::syn40();
+    let spec = MacroSpec::paper_test_chip();
+    let mac = assemble(&lib, &spec, &DesignChoice::default());
+    let module = &mac.module;
+    let mut ops: Vec<OperatingPoint> =
+        (0..13).map(|i| OperatingPoint::at_voltage(0.60 + 0.05 * f64::from(i))).collect();
+    ops.extend(corners());
+    assert_eq!(ops.len(), 17);
+
+    for (wires, label) in [
+        (WireLoads::zero(module.net_count()), "pre-layout"),
+        (synthetic_wires(module.net_count()), "wire-annotated"),
+    ] {
+        let sta = Sta::new(module, &lib).unwrap().with_wire_loads(wires);
+        let fmaxes = sta.compile().fmax_many(&ops);
+        for (op, fmax) in ops.iter().zip(&fmaxes) {
+            assert_eq!(
+                fmax.to_bits(),
+                sta.fmax_mhz(*op).to_bits(),
+                "{label}: fmax at {:.2} V / {:.0} C",
+                op.vdd_v,
+                op.temp_c
+            );
+        }
+    }
+}
+
 /// The timing program must be reusable and order-independent: analyzing
 /// the corners in a different order, twice, from a clone, changes
 /// nothing (guards against scratch-state leakage between analyses).

@@ -12,6 +12,7 @@ use syndcim_core::{implement, measure_int, DesignChoice, MacroSpec};
 use syndcim_ir::parallel_map_threads;
 use syndcim_pdk::{CellLibrary, OperatingPoint};
 use syndcim_sim::Simulator;
+use syndcim_sta::VariationModel;
 use syndcim_telemetry as telemetry;
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -163,6 +164,25 @@ fn shared_port_lookup_allocates_no_owned_tables() {
     // The standalone constructor is the one remaining owned-table path.
     let _sim = Simulator::new(&im.mac.module, &lib).unwrap();
     assert_eq!(telemetry::snapshot().counter("sim.port_table_allocs"), Some(1));
+}
+
+/// The die-major `f_max` pass reports its lane utilisation: 2,051 dies
+/// are 2,051 points in 257 eight-lane arc passes (32 full 64-die jobs
+/// and one pass carrying three dies and five padding lanes).
+#[test]
+fn fmax_distribution_counts_its_lane_passes() {
+    let _guard = LOCK.lock().unwrap();
+    telemetry::set_mode(telemetry::Mode::Summary);
+
+    let lib = CellLibrary::syn40();
+    let im = implement(&lib, &tiny_spec(), &DesignChoice::default()).unwrap();
+    let dies = VariationModel::gaussian(0.05).sample(7, 2051);
+    telemetry::reset();
+    let fmax = im.compiled.sta.fmax_distribution(OperatingPoint::at_voltage(0.9), &dies);
+    assert_eq!(fmax.len(), 2051);
+    let report = telemetry::snapshot();
+    assert_eq!(report.counter("sta.fmax_points"), Some(2051));
+    assert_eq!(report.counter("sta.fmax_lane_passes"), Some(257));
 }
 
 /// Disabled mode records nothing — spans, counters, gauges all stay
