@@ -12,7 +12,13 @@
 //!   from `Sta::new` construction).
 //! * **die spread** — `CompiledSta::fmax_distribution` over 2,048
 //!   `VariationModel::gaussian(0.05)` dies at 0.9 V on the same paper
-//!   chip: the die-major batch path (`sta_fmax_distribution_ms`).
+//!   chip: the die-major batch path over a narrow scale window
+//!   (`sta_fmax_distribution_ms`).
+//! * **yield grid** — the batch `shmoo_yield` sends for the yield
+//!   explorer, 7 functional voltages (0.65–1.25 V) × 128
+//!   `VariationModel::gaussian(0.08)` dies through
+//!   `CompiledSta::fmax_many_scaled`: a scale window spanning voltages,
+//!   so the window prune keeps more arcs (`sta_fmax_yield_grid_ms`).
 //!
 //! Fails if the compiled shmoo grid is not ≥ 5× the reference. Numbers
 //! are merged into `BENCH_engine.json` (same artifact the engine bench
@@ -124,6 +130,14 @@ fn bench_sta(c: &mut Criterion) {
     let dies = VariationModel::gaussian(0.05).sample(1, 2048);
     let spread =
         c.bench_stats("sta_fmax_distribution_paper_chip", |b| b.iter(|| csta.fmax_distribution(op, &dies)));
+    let yield_dies = VariationModel::gaussian(0.08).sample(0xD1CE, 128);
+    let yield_points: Vec<(OperatingPoint, f64)> = (0..8)
+        .map(|i| 0.55 + 0.1 * i as f64)
+        .filter(|&v| v >= V_MIN_FUNCTIONAL)
+        .flat_map(|v| yield_dies.iter().map(move |&s| (OperatingPoint::at_voltage(v), s)))
+        .collect();
+    let yield_grid =
+        c.bench_stats("sta_fmax_yield_grid_paper_chip", |b| b.iter(|| csta.fmax_many_scaled(&yield_points)));
     let analyze_ratio = walk.ns_per_iter / soa.ns_per_iter;
 
     println!(
@@ -139,6 +153,7 @@ fn bench_sta(c: &mut Criterion) {
     );
     println!("fmax_many(5 corners): {:>9.3} ms", fmax.ns_per_iter / 1e6);
     println!("fmax_distribution(2048 dies): {:>9.3} ms", spread.ns_per_iter / 1e6);
+    println!("fmax_many_scaled(7 V x 128 dies): {:>9.3} ms", yield_grid.ns_per_iter / 1e6);
 
     syndcim_bench::merge_bench_artifact(
         &["sta_"],
@@ -151,6 +166,7 @@ fn bench_sta(c: &mut Criterion) {
             ("sta_analyze_compiled_ms", soa.ns_per_iter / 1e6),
             ("sta_analyze_speedup", analyze_ratio),
             ("sta_fmax_distribution_ms", spread.ns_per_iter / 1e6),
+            ("sta_fmax_yield_grid_ms", yield_grid.ns_per_iter / 1e6),
         ],
     );
 

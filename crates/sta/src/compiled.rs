@@ -33,6 +33,31 @@
 //! any arrival, so the arrival keeps its value exactly as if the arc had
 //! been skipped. The endpoint reduction's skip of unreached endpoints
 //! becomes the same select for the same reason.
+//!
+//! A batch of more than 64 corners, the size that fans out across
+//! cores, first prunes the program to its scale window `[lo, hi]`, the
+//! smallest and largest total delay scale in the batch. The pruning is
+//! exact. Take every scale finite and every arc base, launch base and
+//! setup time finite and `≥ 0`. Then every candidate
+//! `a_in + (base · s + wire)`, every arrival and every endpoint total is
+//! non-decreasing in the scale `s`: the exact real values are, and
+//! IEEE-754 round-to-nearest is monotone, so rounding keeps their order.
+//! (A NaN only arises as `−∞ + ∞` on an unreached net, and never wins.)
+//! One lane pass gives every net's arrival at `lo` and at `hi`. If an
+//! arc's candidate at `hi` is below its output net's arrival at `lo`,
+//! the candidate stays strictly below that net's arrival at every scale
+//! in the window. The same holds for an endpoint whose total at `hi` is
+//! below the worst delay at `lo`. Every select keeps the first candidate
+//! equal to the maximum. A candidate strictly below the maximum is never
+//! that one, so dropping it changes no bit. A reverse walk over the
+//! levelized arcs drops such endpoints and arcs, and with them the arcs
+//! that feed only dropped nets; ties are kept. The kept arcs hold the
+//! winner of every select at every scale in the window. Their inputs are
+//! kept nets, reproduced the same way, so every corner reads the full
+//! program's bits. The full columns run when the argument does not
+//! cover a batch: a `+∞` (sub-threshold) or NaN scale, or a negative or
+//! non-finite base or setup. They also run for 64 corners or fewer,
+//! where a prune costs more than it saves.
 
 use syndcim_ir::{net_loads_ff, parallel_map, Lowering, Symbols};
 use syndcim_netlist::Module;
@@ -334,9 +359,12 @@ impl CompiledSta {
     /// the arc columns serves eight corners (the module docs say why
     /// that changes no bit). The values are identical to per-point
     /// [`CompiledSta::fmax_mhz`] calls. Batches of more than 64 corners
-    /// fan out across cores in 64-corner jobs; a corner's arithmetic
-    /// does not depend on its job, its lane or its neighbours (pinned by
-    /// tests here and by the shmoo regression suite).
+    /// fan out across cores in 64-corner jobs and walk only the arcs
+    /// that can set some corner's `f_max` in the batch's scale window
+    /// (the module docs prove that exact); a corner's value does not
+    /// depend on its job, its lane or its neighbours (pinned by tests
+    /// here, in `tests/sta_compiled_differential.rs` and by the shmoo
+    /// regression suite).
     pub fn fmax_many(&self, ops: &[OperatingPoint]) -> Vec<f64> {
         telemetry::span!("sta.fmax_many");
         let scales: Vec<f64> = ops.iter().map(|op| op.delay_scale(&self.process)).collect();
@@ -353,8 +381,8 @@ impl CompiledSta {
     /// model reserved. A multiplier of `1.0` reproduces the plain
     /// corner **bit-identically** (IEEE-754 multiplication by one is
     /// exact), so a zero-variation Monte-Carlo grid equals the nominal
-    /// shmoo run. The batch runs on the same die-major pass and jobs as
-    /// `fmax_many`.
+    /// shmoo run. The batch runs on the same die-major pass, jobs and
+    /// window prune as `fmax_many`.
     pub fn fmax_many_scaled(&self, points: &[(OperatingPoint, f64)]) -> Vec<f64> {
         telemetry::span!("sta.fmax_many_scaled");
         let scales: Vec<f64> =
@@ -367,7 +395,9 @@ impl CompiledSta {
     /// a [`crate::VariationModel`]), and entry `l` of the result is
     /// that virtual die's `f_max`. A thin lane-indexed veneer over
     /// [`CompiledSta::fmax_many_scaled`]: eight dies share each arc
-    /// pass.
+    /// pass, and a spread of more than 64 dies walks only the arcs that
+    /// can time some die in its narrow scale window (a few percent of
+    /// the paper chip's).
     pub fn fmax_distribution(&self, op: OperatingPoint, lane_scales: &[f64]) -> Vec<f64> {
         let points: Vec<(OperatingPoint, f64)> = lane_scales.iter().map(|&s| (op, s)).collect();
         self.fmax_many_scaled(&points)
@@ -375,6 +405,8 @@ impl CompiledSta {
 
     /// The batch behind every `fmax_many*` entry point, one total delay
     /// scale per corner: 64-corner jobs, inline when there is only one.
+    /// A fanned-out batch walks its window-pruned program when
+    /// [`CompiledSta::prune`] finds one, the full columns otherwise.
     fn fmax_batch(&self, scales: &[f64]) -> Vec<f64> {
         telemetry::counter("sta.fmax_batches").incr();
         telemetry::counter("sta.fmax_points").add(scales.len() as u64);
@@ -382,11 +414,14 @@ impl CompiledSta {
         // one arc pass per eight corners, rounded up.
         telemetry::counter("sta.fmax_lane_passes").add(scales.len().div_ceil(LANES) as u64);
         let start = telemetry::enabled().then(std::time::Instant::now);
+        let pruned = (scales.len() > FMAX_JOB).then(|| self.prune(scales)).flatten();
+        let program = pruned.as_ref().map_or_else(|| self.lane_program(), Columns::view);
+        telemetry::counter("sta.fmax_kept_arcs").add(program.arc_src.len() as u64);
         let out = if scales.len() <= FMAX_JOB {
-            self.fmax_job(scales)
+            program.fmax_job(scales)
         } else {
             let jobs: Vec<&[f64]> = scales.chunks(FMAX_JOB).collect();
-            parallel_map(jobs, |_, job| self.fmax_job(job)).into_iter().flatten().collect()
+            parallel_map(jobs, |_, job| program.fmax_job(job)).into_iter().flatten().collect()
         };
         if let Some(t) = start {
             telemetry::histogram("sta.fmax_batch_ns").record(t.elapsed());
@@ -394,19 +429,116 @@ impl CompiledSta {
         out
     }
 
-    /// One job: lane groups of eight corners over one row table. The
-    /// last group pads with scale 1.0 and drops those lanes.
-    fn fmax_job(&self, scales: &[f64]) -> Vec<f64> {
-        let mut arrival = vec![[f64::NEG_INFINITY; LANES]; self.net_count];
-        let mut out = Vec::with_capacity(scales.len());
-        for group in scales.chunks(LANES) {
-            let mut scale = [1.0; LANES];
-            scale[..group.len()].copy_from_slice(group);
-            self.propagate_lanes(&scale, &mut arrival);
-            let max_delay = self.reduce_endpoints_lanes(&scale, &arrival);
-            out.extend(max_delay[..group.len()].iter().map(|&d| fmax_from_delay(d)));
+    /// The full compiled columns as a lane-pass program over one row
+    /// per net.
+    fn lane_program(&self) -> LaneProgram<'_> {
+        Columns {
+            rows: self.net_count,
+            input_row: &self.input_slots,
+            launch_row: &self.launch_slot,
+            launch_base_ps: &self.launch_base_ps,
+            launch_wire_ps: &self.launch_wire_ps,
+            arc_src: &self.arc_src,
+            arc_dst: &self.arc_dst,
+            arc_base_ps: &self.arc_base_ps,
+            arc_wire_ps: &self.arc_wire_ps,
+            port_end_row: &self.port_end_slot,
+            seq_end_row: &self.seq_end_slot,
+            seq_end_setup_ps: &self.seq_end_setup_ps,
         }
-        out
+    }
+
+    /// The program restricted to the elements that can set some
+    /// corner's `f_max` when every total delay scale lies in the
+    /// batch's window `[lo, hi]`, or `None` when the pruning would not
+    /// be exact (a non-finite scale; a negative or non-finite base delay
+    /// or setup time) and the full columns must run. The module docs
+    /// prove the kept program bit-identical to the full one.
+    ///
+    /// One lane pass gives every net's arrival at both ends of the
+    /// window. A reverse walk then keeps an endpoint whose total at `hi`
+    /// reaches the worst delay at `lo`, and an arc (or launch) whose
+    /// output net is kept and whose candidate at `hi` reaches that net's
+    /// arrival at `lo`, ties kept. Arcs are levelized, so every reader
+    /// of a net has been visited before the walk reaches its writers.
+    /// Kept elements stay in their original order; kept nets are
+    /// renumbered onto dense rows in slot order.
+    fn prune(&self, scales: &[f64]) -> Option<Columns<Vec<u32>, Vec<f64>>> {
+        let finite_non_negative = |v: &[f64]| v.iter().all(|&x| x.is_finite() && x >= 0.0);
+        let exact = scales.iter().all(|s| s.is_finite())
+            && finite_non_negative(&self.arc_base_ps)
+            && finite_non_negative(&self.launch_base_ps)
+            && finite_non_negative(&self.seq_end_setup_ps);
+        if !exact {
+            return None;
+        }
+        let lo = scales.iter().copied().fold(f64::INFINITY, f64::min);
+        let hi = scales.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+
+        // Lane 0 runs at `lo`, every other lane at `hi`.
+        let full = self.lane_program();
+        let mut scale = [hi; LANES];
+        scale[0] = lo;
+        let mut bound = vec![[f64::NEG_INFINITY; LANES]; self.net_count];
+        full.propagate_lanes(&scale, &mut bound);
+        let worst_lo = full.reduce_endpoints_lanes(&scale, &bound)[0];
+        let at_lo = |slot: u32| bound[slot as usize][0];
+        let at_hi = |slot: u32| bound[slot as usize][1];
+
+        let ports: Vec<usize> =
+            (0..self.port_end_slot.len()).filter(|&k| at_hi(self.port_end_slot[k]) >= worst_lo).collect();
+        let seqs: Vec<usize> = (0..self.seq_end_slot.len())
+            .filter(|&k| at_hi(self.seq_end_slot[k]) + self.seq_end_setup_ps[k] * hi >= worst_lo)
+            .collect();
+        let mut kept = vec![false; self.net_count];
+        for &k in &ports {
+            kept[self.port_end_slot[k] as usize] = true;
+        }
+        for &k in &seqs {
+            kept[self.seq_end_slot[k] as usize] = true;
+        }
+        let mut arcs = Vec::new();
+        for k in (0..self.arc_count()).rev() {
+            let (src, dst) = (self.arc_src[k], self.arc_dst[k]);
+            let cand_hi = at_hi(src) + (self.arc_base_ps[k] * hi + self.arc_wire_ps[k]);
+            if kept[dst as usize] && cand_hi >= at_lo(dst) {
+                kept[src as usize] = true;
+                arcs.push(k);
+            }
+        }
+        arcs.reverse();
+        let launches: Vec<usize> = (0..self.launch_slot.len())
+            .filter(|&k| {
+                let q = self.launch_slot[k];
+                kept[q as usize] && self.launch_base_ps[k] * hi + self.launch_wire_ps[k] >= at_lo(q)
+            })
+            .collect();
+
+        let mut row = vec![u32::MAX; self.net_count];
+        let mut rows = 0;
+        for (r, _) in row.iter_mut().zip(&kept).filter(|(_, &k)| k) {
+            *r = rows;
+            rows += 1;
+        }
+        let inputs: Vec<usize> =
+            (0..self.input_slots.len()).filter(|&k| kept[self.input_slots[k] as usize]).collect();
+        let rows_of =
+            |slots: &[u32], picks: &[usize]| picks.iter().map(|&k| row[slots[k] as usize]).collect();
+        let values = |v: &[f64], picks: &[usize]| picks.iter().map(|&k| v[k]).collect();
+        Some(Columns {
+            rows: rows as usize,
+            input_row: rows_of(&self.input_slots, &inputs),
+            launch_row: rows_of(&self.launch_slot, &launches),
+            launch_base_ps: values(&self.launch_base_ps, &launches),
+            launch_wire_ps: values(&self.launch_wire_ps, &launches),
+            arc_src: rows_of(&self.arc_src, &arcs),
+            arc_dst: rows_of(&self.arc_dst, &arcs),
+            arc_base_ps: values(&self.arc_base_ps, &arcs),
+            arc_wire_ps: values(&self.arc_wire_ps, &arcs),
+            port_end_row: rows_of(&self.port_end_slot, &ports),
+            seq_end_row: rows_of(&self.seq_end_slot, &seqs),
+            seq_end_setup_ps: values(&self.seq_end_setup_ps, &seqs),
+        })
     }
 
     /// One full analysis into caller-provided scratch space.
@@ -472,34 +604,6 @@ impl CompiledSta {
         }
     }
 
-    /// `propagate` for eight corners at once, without predecessor
-    /// tracking: row `n` of `arrival` holds net `n`'s arrival in every
-    /// lane. The unreached-input skip is the `later` select, which the
-    /// module docs show to be exact.
-    fn propagate_lanes(&self, scale: &[f64; LANES], arrival: &mut [[f64; LANES]]) {
-        arrival.fill([f64::NEG_INFINITY; LANES]);
-        for &s in &self.input_slots {
-            arrival[s as usize] = [0.0; LANES];
-        }
-
-        let launches = self.launch_slot.iter().zip(&self.launch_base_ps).zip(&self.launch_wire_ps);
-        for ((&slot, &base), &wire) in launches {
-            let q = &mut arrival[slot as usize];
-            for (d, &s) in q.iter_mut().zip(scale) {
-                *d = later(base * s + wire, *d);
-            }
-        }
-
-        let arcs = self.arc_src.iter().zip(&self.arc_dst).zip(&self.arc_base_ps).zip(&self.arc_wire_ps);
-        for (((&src, &dst), &base), &wire) in arcs {
-            let a_in = arrival[src as usize];
-            let row = &mut arrival[dst as usize];
-            for ((d, &a), &s) in row.iter_mut().zip(&a_in).zip(scale) {
-                *d = later(a + (base * s + wire), *d);
-            }
-        }
-    }
-
     /// Max-reduce the endpoint set (ports, then sequential data pins
     /// with scaled setup), returning the worst total delay and the slot
     /// it ends on.
@@ -529,23 +633,6 @@ impl CompiledSta {
             }
         }
         (max_delay, worst)
-    }
-
-    /// `reduce_endpoints` for eight corners at once, without the worst
-    /// slot: the worst total delay of every lane.
-    fn reduce_endpoints_lanes(&self, scale: &[f64; LANES], arrival: &[[f64; LANES]]) -> [f64; LANES] {
-        let mut max_delay = [0.0f64; LANES];
-        for &s in &self.port_end_slot {
-            for (m, &a) in max_delay.iter_mut().zip(&arrival[s as usize]) {
-                *m = later(a, *m);
-            }
-        }
-        for (&s, &setup) in self.seq_end_slot.iter().zip(&self.seq_end_setup_ps) {
-            for ((m, &a), &sc) in max_delay.iter_mut().zip(&arrival[s as usize]).zip(scale) {
-                *m = later(a + setup * sc, *m);
-            }
-        }
-        max_delay
     }
 
     /// Reconstruct the critical path from the predecessor tables
@@ -584,6 +671,110 @@ impl CompiledSta {
         }
         steps.reverse();
         steps
+    }
+}
+
+/// The columns the die-major lane pass walks over `rows` arrival rows:
+/// input rows, launches, arcs and endpoints, each in compiled order.
+/// `U` and `F` are the storage: slices for a pass ([`LaneProgram`]),
+/// vectors for a window-pruned copy ([`CompiledSta::prune`]).
+struct Columns<U, F> {
+    rows: usize,
+    input_row: U,
+    launch_row: U,
+    launch_base_ps: F,
+    launch_wire_ps: F,
+    arc_src: U,
+    arc_dst: U,
+    arc_base_ps: F,
+    arc_wire_ps: F,
+    port_end_row: U,
+    seq_end_row: U,
+    seq_end_setup_ps: F,
+}
+
+/// A borrowed lane-pass program: the full compiled columns or a pruned
+/// copy of them.
+type LaneProgram<'a> = Columns<&'a [u32], &'a [f64]>;
+
+impl Columns<Vec<u32>, Vec<f64>> {
+    fn view(&self) -> LaneProgram<'_> {
+        Columns {
+            rows: self.rows,
+            input_row: &self.input_row,
+            launch_row: &self.launch_row,
+            launch_base_ps: &self.launch_base_ps,
+            launch_wire_ps: &self.launch_wire_ps,
+            arc_src: &self.arc_src,
+            arc_dst: &self.arc_dst,
+            arc_base_ps: &self.arc_base_ps,
+            arc_wire_ps: &self.arc_wire_ps,
+            port_end_row: &self.port_end_row,
+            seq_end_row: &self.seq_end_row,
+            seq_end_setup_ps: &self.seq_end_setup_ps,
+        }
+    }
+}
+
+impl LaneProgram<'_> {
+    /// One job: lane groups of eight corners over one row table. The
+    /// last group pads with scale 1.0 and drops those lanes.
+    fn fmax_job(&self, scales: &[f64]) -> Vec<f64> {
+        let mut arrival = vec![[f64::NEG_INFINITY; LANES]; self.rows];
+        let mut out = Vec::with_capacity(scales.len());
+        for group in scales.chunks(LANES) {
+            let mut scale = [1.0; LANES];
+            scale[..group.len()].copy_from_slice(group);
+            self.propagate_lanes(&scale, &mut arrival);
+            let max_delay = self.reduce_endpoints_lanes(&scale, &arrival);
+            out.extend(max_delay[..group.len()].iter().map(|&d| fmax_from_delay(d)));
+        }
+        out
+    }
+
+    /// `CompiledSta::propagate` for eight corners at once, without
+    /// predecessor tracking: row `r` of `arrival` holds the arrival of
+    /// the net on row `r` in every lane. The unreached-input skip is the
+    /// `later` select, which the module docs show to be exact.
+    fn propagate_lanes(&self, scale: &[f64; LANES], arrival: &mut [[f64; LANES]]) {
+        arrival.fill([f64::NEG_INFINITY; LANES]);
+        for &r in self.input_row {
+            arrival[r as usize] = [0.0; LANES];
+        }
+
+        let launches = self.launch_row.iter().zip(self.launch_base_ps).zip(self.launch_wire_ps);
+        for ((&r, &base), &wire) in launches {
+            let q = &mut arrival[r as usize];
+            for (d, &s) in q.iter_mut().zip(scale) {
+                *d = later(base * s + wire, *d);
+            }
+        }
+
+        let arcs = self.arc_src.iter().zip(self.arc_dst).zip(self.arc_base_ps).zip(self.arc_wire_ps);
+        for (((&src, &dst), &base), &wire) in arcs {
+            let a_in = arrival[src as usize];
+            let row = &mut arrival[dst as usize];
+            for ((d, &a), &s) in row.iter_mut().zip(&a_in).zip(scale) {
+                *d = later(a + (base * s + wire), *d);
+            }
+        }
+    }
+
+    /// `CompiledSta::reduce_endpoints` for eight corners at once,
+    /// without the worst slot: the worst total delay of every lane.
+    fn reduce_endpoints_lanes(&self, scale: &[f64; LANES], arrival: &[[f64; LANES]]) -> [f64; LANES] {
+        let mut max_delay = [0.0f64; LANES];
+        for &r in self.port_end_row {
+            for (m, &a) in max_delay.iter_mut().zip(&arrival[r as usize]) {
+                *m = later(a, *m);
+            }
+        }
+        for (&r, &setup) in self.seq_end_row.iter().zip(self.seq_end_setup_ps) {
+            for ((m, &a), &sc) in max_delay.iter_mut().zip(&arrival[r as usize]).zip(scale) {
+                *m = later(a + setup * sc, *m);
+            }
+        }
+        max_delay
     }
 }
 
@@ -783,8 +974,8 @@ mod tests {
         let mut lanes = [1.0; LANES];
         lanes[..scales.len()].copy_from_slice(&scales);
         let mut rows = vec![[0.0; LANES]; csta.net_count];
-        csta.propagate_lanes(&lanes, &mut rows);
-        let max_delay = csta.reduce_endpoints_lanes(&lanes, &rows);
+        csta.lane_program().propagate_lanes(&lanes, &mut rows);
+        let max_delay = csta.lane_program().reduce_endpoints_lanes(&lanes, &rows);
         let n = csta.net_count;
         let (mut arrival, mut pred_inst, mut pred_from) = (vec![0.0; n], vec![NO_PRED; n], vec![0; n]);
         for (l, &s) in lanes.iter().enumerate() {
@@ -826,6 +1017,167 @@ mod tests {
             assert_eq!(bits(&got), bits(&scalar_fmax(&csta, &total_scales(&csta, op, &mults))), "lane {pos}");
             assert_eq!(got[pos].to_bits(), alone.to_bits(), "lane {pos}");
         }
+    }
+
+    /// Two paths from input `a`: ten inverters with no wire delay, and
+    /// one buffer driving a wire as slow as the inverters' lead over the
+    /// buffer at `op`. Gate delay scales with the die and wire delay
+    /// does not, so fast dies are timed through the wire and slow ones
+    /// through the inverters. A one-inverter branch `short` is dominated
+    /// at every scale. With `reconverge` the two paths meet in an AND2
+    /// (the order flips between two arcs), which meets `short` in a
+    /// second AND2 driving the only output. Otherwise each of the three
+    /// drives an output port and a register's data pin, whose output
+    /// nobody reads (the order flips between endpoints of both kinds).
+    /// Returns the program, the slots of the inverters' output and of the
+    /// wire, and the slots the prune must drop.
+    fn crossover_program(
+        lib: &CellLibrary,
+        op: OperatingPoint,
+        reconverge: bool,
+    ) -> (CompiledSta, [u32; 2], Vec<u32>) {
+        let mut b = NetlistBuilder::new("cross", lib);
+        let a = b.input("a");
+        let mut gates = a;
+        for _ in 0..10 {
+            gates = b.not(gates);
+        }
+        let wire = b.buf(a);
+        let short = b.not(a);
+        let mut dropped = vec![short];
+        if reconverge {
+            let z = b.and2(gates, wire);
+            let y = b.and2(z, short);
+            b.output("y", y);
+        } else {
+            for (name, net) in [("g", gates), ("w", wire), ("s", short)] {
+                b.output(name, net);
+                dropped.push(b.dff(net));
+            }
+        }
+        let m = b.finish();
+        let sta = Sta::new(&m, lib).unwrap();
+        let nominal = sta.analyze_at(1.0, op).arrival_ps;
+        let mut wires = WireLoads::zero(m.net_count());
+        wires.delay_ps[wire.index()] = nominal[gates.index()] - nominal[wire.index()];
+        let slot = |n: syndcim_netlist::NetId| n.index() as u32;
+        (
+            sta.with_wire_loads(wires).compile(),
+            [slot(gates), slot(wire)],
+            dropped.into_iter().map(slot).collect(),
+        )
+    }
+
+    /// Paths whose order flips inside a fanned-out batch's scale window
+    /// both survive the prune, whether they meet in a gate or end on
+    /// endpoints: it drops exactly the dominated branch and the unread
+    /// register outputs, and dies on both sides of the crossover read the
+    /// scalar pass's bits.
+    #[test]
+    fn paths_that_trade_places_inside_the_window_are_both_kept() {
+        let lib = lib();
+        let op = OperatingPoint::at_voltage(0.85);
+        let mults: Vec<f64> = (0..99).map(|i| 0.7 + 0.6 * f64::from(i) / 98.0).collect();
+        for reconverge in [true, false] {
+            let (csta, [gates, wire], dropped) = crossover_program(&lib, op, reconverge);
+            let scales = total_scales(&csta, op, &mults);
+
+            // Walk back from a die's worst endpoint to the path it took.
+            let n = csta.net_count;
+            let (mut arrival, mut pred_inst, mut pred_from) = (vec![0.0; n], vec![NO_PRED; n], vec![0; n]);
+            let mut timed_through = |scale: f64| {
+                csta.propagate(scale, &mut arrival, &mut pred_inst, &mut pred_from);
+                let mut net = csta.reduce_endpoints(scale, &arrival).1.unwrap();
+                while net != gates && net != wire {
+                    net = pred_from[net as usize];
+                }
+                net
+            };
+            assert_eq!(timed_through(scales[0]), wire, "the fastest die is timed through the wire");
+            assert_eq!(timed_through(scales[98]), gates, "the slowest die is timed through the inverters");
+
+            let pruned = csta.prune(&scales).expect("finite scales and delays prune");
+            let live = |s: u32| !dropped.contains(&s);
+            let row = |s: u32| s - dropped.iter().filter(|&&d| d < s).count() as u32;
+            let rows =
+                |slots: &[u32], keep: &[usize]| keep.iter().map(|&k| row(slots[k])).collect::<Vec<_>>();
+            let pick = |v: &[f64], keep: &[usize]| keep.iter().map(|&k| v[k].to_bits()).collect::<Vec<_>>();
+            let live_of = |slots: &[u32]| (0..slots.len()).filter(|&k| live(slots[k])).collect::<Vec<_>>();
+            let arcs: Vec<usize> =
+                (0..csta.arc_count()).filter(|&k| live(csta.arc_src[k]) && live(csta.arc_dst[k])).collect();
+            let (launches, ports, seqs) =
+                (live_of(&csta.launch_slot), live_of(&csta.port_end_slot), live_of(&csta.seq_end_slot));
+            assert_eq!(pruned.rows, n - dropped.len());
+            assert_eq!(pruned.arc_src, rows(&csta.arc_src, &arcs));
+            assert_eq!(pruned.arc_dst, rows(&csta.arc_dst, &arcs));
+            assert_eq!(bits(&pruned.arc_base_ps), pick(&csta.arc_base_ps, &arcs));
+            assert_eq!(bits(&pruned.arc_wire_ps), pick(&csta.arc_wire_ps, &arcs));
+            assert_eq!(pruned.launch_row, rows(&csta.launch_slot, &launches));
+            assert_eq!(pruned.port_end_row, rows(&csta.port_end_slot, &ports));
+            assert_eq!(pruned.seq_end_row, rows(&csta.seq_end_slot, &seqs));
+
+            assert_eq!(bits(&csta.fmax_distribution(op, &mults)), bits(&scalar_fmax(&csta, &scales)));
+        }
+    }
+
+    /// A zero-variation spread is a window of zero width, where every
+    /// winning candidate ties the arrival it sets: the prune keeps ties,
+    /// so every die reads the nominal corner's bits.
+    #[test]
+    fn a_zero_width_window_keeps_its_tied_winners() {
+        let lib = lib();
+        let m = mixed_module(&lib);
+        let csta = Sta::new(&m, &lib).unwrap().with_wire_loads(synthetic_wires(&m)).compile();
+        let op = OperatingPoint::at_voltage(0.85);
+        let dies = crate::VariationModel::gaussian(0.0).sample(1, FMAX_JOB + 1);
+        assert!(csta.prune(&total_scales(&csta, op, &dies)).is_some());
+        let nominal = csta.fmax_mhz(op).to_bits();
+        assert!(csta.fmax_distribution(op, &dies).iter().all(|f| f.to_bits() == nominal));
+    }
+
+    /// On the wire-annotated mixed module a fanned-out batch drops the
+    /// branches that cannot set any die's `f_max`, and still reads the
+    /// scalar pass's bits.
+    #[test]
+    fn dominated_branches_of_the_mixed_module_are_dropped() {
+        let lib = lib();
+        let m = mixed_module(&lib);
+        let csta = Sta::new(&m, &lib).unwrap().with_wire_loads(synthetic_wires(&m)).compile();
+        let op = OperatingPoint::at_voltage(0.85);
+        let mults = crate::VariationModel::gaussian(0.05).sample(0xB0B, 2 * FMAX_JOB + 1);
+        let scales = total_scales(&csta, op, &mults);
+        let kept = csta.prune(&scales).expect("finite scales and delays prune").arc_src.len();
+        assert!(kept < csta.arc_count(), "{kept} of {} arcs kept", csta.arc_count());
+        assert_eq!(bits(&csta.fmax_distribution(op, &mults)), bits(&scalar_fmax(&csta, &scales)));
+    }
+
+    /// Fanned-out batches the prune cannot serve exactly — a `+∞`
+    /// (sub-threshold) or NaN scale, or a negative arc base from a
+    /// negative wire cap — run the full columns and stay bit-identical
+    /// to the scalar pass.
+    #[test]
+    fn unprunable_batches_run_the_full_columns_bit_identically() {
+        let lib = lib();
+        let m = mixed_module(&lib);
+        let (dead, live) = (OperatingPoint::at_voltage(0.3), OperatingPoint::at_voltage(0.85));
+        let mults = crate::VariationModel::gaussian(0.08).sample(0xF00, FMAX_JOB + 9);
+        let csta = Sta::new(&m, &lib).unwrap().compile();
+        for (op, mult) in [(dead, 1.0), (live, f64::NAN)] {
+            let mut points: Vec<(OperatingPoint, f64)> = mults.iter().map(|&s| (live, s)).collect();
+            points[FMAX_JOB + 2] = (op, mult);
+            let scales: Vec<f64> = points.iter().map(|&(op, m)| op.delay_scale(&csta.process) * m).collect();
+            assert!(!scales[FMAX_JOB + 2].is_finite());
+            assert!(csta.prune(&scales).is_none());
+            assert_eq!(bits(&csta.fmax_many_scaled(&points)), bits(&scalar_fmax(&csta, &scales)));
+        }
+
+        let mut wires = synthetic_wires(&m);
+        wires.cap_ff.fill(-60.0);
+        let csta = Sta::new(&m, &lib).unwrap().with_wire_loads(wires).compile();
+        assert!(csta.arc_base_ps.iter().any(|&b| b < 0.0), "a negative load makes a negative base");
+        let scales = total_scales(&csta, live, &mults);
+        assert!(csta.prune(&scales).is_none());
+        assert_eq!(bits(&csta.fmax_distribution(live, &mults)), bits(&scalar_fmax(&csta, &scales)));
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! points (voltage *and* temperature corners) and wire-load
 //! configurations (pre-layout zero wires and annotated parasitics).
 
+use syndcim_core::shmoo::V_MIN_FUNCTIONAL;
 use syndcim_core::{assemble, DesignChoice, MacroSpec};
 use syndcim_pdk::{CellLibrary, OperatingPoint};
-use syndcim_sta::{Sta, TimingReport, WireLoads};
+use syndcim_sta::{Sta, TimingReport, VariationModel, WireLoads};
 
 /// Operating points the paper's shmoo sweeps: slow/low-V, nominal,
 /// fast/high-V, plus a hot corner exercising the temperature derate.
@@ -125,6 +126,51 @@ fn fmax_many_over_the_signoff_shmoo_axis_matches_reference() {
             );
         }
     }
+}
+
+/// A batch of more than 64 corners walks its window-pruned program,
+/// while a call of 64 runs inline on the full columns. On the paper
+/// chip, each pruned batch equals its 64-corner calls concatenated, bit
+/// for bit: the sign-off die spread (2,048 `gaussian(0.05)` dies at
+/// 0.9 V) and the batch the yield explorer's `shmoo_yield` sends (7
+/// functional voltages, 0.65–1.25 V, × 128 `gaussian(0.08)` dies),
+/// whose window spans voltages. The unpruned calls are the slow side
+/// without optimization, so a debug build checks every eighth call; an
+/// optimized build (CI's release step) checks them all.
+fn assert_pruned_batches_equal_64_corner_calls(wires: impl FnOnce(usize) -> WireLoads, label: &str) {
+    let lib = CellLibrary::syn40();
+    let mac = assemble(&lib, &MacroSpec::paper_test_chip(), &DesignChoice::default());
+    let csta = Sta::new(&mac.module, &lib).unwrap().with_wire_loads(wires(mac.module.net_count())).compile();
+    let op = OperatingPoint::at_voltage(0.9);
+    let dies = VariationModel::gaussian(0.05).sample(1, 2048);
+    let yield_dies = VariationModel::gaussian(0.08).sample(0xD1CE, 128);
+    let yield_points: Vec<(OperatingPoint, f64)> = (0..8)
+        .map(|i| 0.55 + 0.1 * f64::from(i))
+        .filter(|&v| v >= V_MIN_FUNCTIONAL)
+        .flat_map(|v| yield_dies.iter().map(move |&s| (OperatingPoint::at_voltage(v), s)))
+        .collect();
+    assert_eq!(yield_points.len(), 7 * 128);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let stride = if cfg!(debug_assertions) { 8 } else { 1 };
+
+    let spread = csta.fmax_distribution(op, &dies);
+    for (k, (got, call)) in spread.chunks(64).zip(dies.chunks(64)).enumerate().step_by(stride) {
+        assert_eq!(bits(got), bits(&csta.fmax_distribution(op, call)), "{label}: die call {k}");
+    }
+    let grid = csta.fmax_many_scaled(&yield_points);
+    for (k, (got, call)) in grid.chunks(64).zip(yield_points.chunks(64)).enumerate().step_by(stride) {
+        assert_eq!(bits(got), bits(&csta.fmax_many_scaled(call)), "{label}: yield call {k}");
+    }
+}
+
+#[test]
+fn window_pruned_batches_equal_unpruned_64_corner_calls_pre_layout() {
+    assert_pruned_batches_equal_64_corner_calls(WireLoads::zero, "pre-layout");
+}
+
+#[test]
+fn window_pruned_batches_equal_unpruned_64_corner_calls_wire_annotated() {
+    assert_pruned_batches_equal_64_corner_calls(synthetic_wires, "wire-annotated");
 }
 
 /// The timing program must be reusable and order-independent: analyzing

@@ -168,7 +168,9 @@ fn shared_port_lookup_allocates_no_owned_tables() {
 
 /// The die-major `f_max` pass reports its lane utilisation: 2,051 dies
 /// are 2,051 points in 257 eight-lane arc passes (32 full 64-die jobs
-/// and one pass carrying three dies and five padding lanes).
+/// and one pass carrying three dies and five padding lanes). The batch
+/// is window-pruned, so those passes walk fewer arcs than the program
+/// holds, and a repeat run walks the same number.
 #[test]
 fn fmax_distribution_counts_its_lane_passes() {
     let _guard = LOCK.lock().unwrap();
@@ -177,12 +179,19 @@ fn fmax_distribution_counts_its_lane_passes() {
     let lib = CellLibrary::syn40();
     let im = implement(&lib, &tiny_spec(), &DesignChoice::default()).unwrap();
     let dies = VariationModel::gaussian(0.05).sample(7, 2051);
-    telemetry::reset();
-    let fmax = im.compiled.sta.fmax_distribution(OperatingPoint::at_voltage(0.9), &dies);
-    assert_eq!(fmax.len(), 2051);
-    let report = telemetry::snapshot();
+    let run = || {
+        telemetry::reset();
+        let fmax = im.compiled.sta.fmax_distribution(OperatingPoint::at_voltage(0.9), &dies);
+        assert_eq!(fmax.len(), 2051);
+        telemetry::snapshot()
+    };
+    let report = run();
     assert_eq!(report.counter("sta.fmax_points"), Some(2051));
     assert_eq!(report.counter("sta.fmax_lane_passes"), Some(257));
+    let kept = report.counter("sta.fmax_kept_arcs").unwrap();
+    let arcs = im.compiled.sta.arc_count() as u64;
+    assert!(kept < arcs, "the pruned batch walks {kept} of {arcs} arcs");
+    assert_eq!(run().counter("sta.fmax_kept_arcs"), Some(kept), "the kept-arc count repeats");
 }
 
 /// Disabled mode records nothing — spans, counters, gauges all stay
