@@ -17,7 +17,11 @@
 //!
 //! Fails if the compiled grid is not ≥ 3× the reference. A second pair
 //! isolates the per-report cost on the 64×64 paper test-chip netlist
-//! (both analyzers prebuilt). Numbers are merged into
+//! (both analyzers prebuilt). A third timing runs `report_many` over
+//! that netlist's voltage-major 13 V × 40 f shmoo grid (520 points on
+//! 13 corners) and fails if it costs more than 4× the 16-corner batch:
+//! the batch runs one switching pass per corner, so its cost follows the
+//! corner count, not the point count. Numbers are merged into
 //! `BENCH_engine.json` (override the path with `BENCH_ENGINE_JSON`),
 //! preserving any keys already recorded there.
 //!
@@ -146,6 +150,17 @@ fn bench_power(c: &mut Criterion) {
         b.iter(|| cp.report_many(&toggles, 64, &corners).iter().map(|r| r.total_uw()).sum::<f64>())
     });
     let report_ratio = walk.ns_per_iter / soa.ns_per_iter;
+    // The sign-off shmoo's axes, voltage-major like `shmoo_with_power`.
+    let grid_points: Vec<(f64, OperatingPoint)> = (0..13)
+        .flat_map(|vi| {
+            let op = OperatingPoint::at_voltage(0.60 + 0.05 * f64::from(vi));
+            (1..=40).map(move |fi| (50.0 * f64::from(fi), op))
+        })
+        .collect();
+    let grid_batch = c.bench_stats("power_report_grid_compiled_paper_chip", |b| {
+        b.iter(|| cp.report_many(&toggles, 64, &grid_points).iter().map(|r| r.total_uw()).sum::<f64>())
+    });
+    let grid_ratio = grid_batch.ns_per_iter / soa.ns_per_iter;
 
     println!(
         "power shmoo ({annotated} annotated pts): reference {:>9.1} ms   compiled {:>9.3} ms   ({shmoo_ratio:.1}x)",
@@ -157,6 +172,11 @@ fn bench_power(c: &mut Criterion) {
         walk.ns_per_iter / 1e6,
         soa.ns_per_iter / 1e6
     );
+    println!(
+        "13 V x 40 f report grid (paper chip, {} pts): compiled {:>9.3} ms   ({grid_ratio:.2}x the 16-corner batch)",
+        grid_points.len(),
+        grid_batch.ns_per_iter / 1e6
+    );
 
     syndcim_bench::merge_bench_artifact(
         &["power_"],
@@ -167,12 +187,17 @@ fn bench_power(c: &mut Criterion) {
             ("power_report_reference_ms", walk.ns_per_iter / 1e6),
             ("power_report_compiled_ms", soa.ns_per_iter / 1e6),
             ("power_report_speedup", report_ratio),
+            ("power_report_grid_ms", grid_batch.ns_per_iter / 1e6),
         ],
     );
 
     assert!(
         shmoo_ratio >= 3.0,
         "compiled power must deliver >= 3x on a power-annotated shmoo grid, got {shmoo_ratio:.1}x"
+    );
+    assert!(
+        grid_ratio <= 4.0,
+        "a 13-corner report grid must cost <= 4x the 16-corner batch, got {grid_ratio:.2}x"
     );
 }
 

@@ -12,14 +12,26 @@
 //! Every measurement drives the compiled bit-parallel `syndcim_engine`
 //! backend: up to 512 measurement passes evaluate simultaneously (`u64`
 //! lane words up to 64 lanes, the wider `[u64; N]` words beyond —
-//! `EngineSim` picks the word per chunk and runs it in the widest
-//! vector-ISA frame the CPU has, honoring the `SYNDCIM_SIMD` pin), and
-//! pass chunks fan out across worker threads sharing one compiled
-//! program. Measurement drivers use the
-//! incremental (`drive_word_at`) stimulus path, skipping input ports
-//! whose lane word is unchanged between cycles. Activity converts to
-//! power on the macro's compiled power program, built at `implement`
-//! from the shared lowering.
+//! `EngineSim` picks the word per executor and runs it in the widest
+//! vector-ISA frame the CPU has, honoring the `SYNDCIM_SIMD` pin).
+//! Measurement drivers use the incremental (`drive_word_at`) stimulus
+//! path, skipping input ports whose lane word is unchanged between
+//! cycles. Activity converts to power on the macro's compiled power
+//! program, built at `implement` from the shared lowering.
+//!
+//! `measure_int`, `measure_fp` and the power shmoo's activity share one
+//! chunk runner. The preparation every pass starts from — bank-0 weight
+//! preload, precision select and a two-cycle quiesce — broadcasts the
+//! same value to every lane, so the runner performs it once, on a
+//! 1-lane executor, and keeps that lane's image (`EngineSim::lane_image`).
+//! The pass chunks are dealt round-robin to the worker threads; each
+//! worker builds one executor, sized for its first chunk and shrunk
+//! (`set_lanes`) for the ragged last one. Before every chunk it loads
+//! the image into all lanes without counting toggles, and it keeps
+//! accumulating toggles and lane-cycles across its chunks. Lanes never
+//! interact, so the summed activity is bit-identical to preparing a
+//! fresh executor per chunk. The first failing chunk, in pass order,
+//! names the error.
 //!
 //! The workload drivers are generic over [`SimBackend`], so the
 //! backend-agreement tests drive the reference `syndcim_sim::Simulator`
@@ -27,7 +39,7 @@
 //! same stimulus and golden checks, pinning the measurements
 //! bit-identical.
 
-use syndcim_engine::{EngineSim, SimdPolicy};
+use syndcim_engine::EngineSim;
 use syndcim_ir::{default_threads, parallel_map};
 use syndcim_pdk::{CellLibrary, OperatingPoint};
 use syndcim_power::{tops_per_mm2, tops_per_w, MacThroughput, PowerReport};
@@ -87,6 +99,11 @@ pub(crate) struct Activity {
 }
 
 impl Activity {
+    /// No activity over a module of `net_count` nets.
+    fn idle(net_count: usize) -> Activity {
+        Activity { toggles: vec![0; net_count], lane_cycles: 0, checked: 0 }
+    }
+
     fn merge(mut acc: Activity, other: &Activity) -> Activity {
         for (t, o) in acc.toggles.iter_mut().zip(&other.toggles) {
             *t += o;
@@ -193,30 +210,70 @@ pub(crate) fn int_activity(
         }
     }
     telemetry::span!("eval.int.engine");
-    // Surface a bad SYNDCIM_SIMD as a typed error before any worker
-    // thread constructs an executor.
-    SimdPolicy::from_env()?;
-    let prog = &im.compiled.program;
-    let chunks: Vec<&[Vec<i64>]> = passes.chunks(chunk_lanes(passes.len())).collect();
-    let results = parallel_map(chunks, |_, chunk| -> Result<Activity, CoreError> {
-        let mut sim = EngineSim::try_new(prog, &mac.module, chunk.len())?;
-        setup(&mut sim, mac, pa, weights);
-        run_pass_lanes(&mut sim, mac, pa, chunk);
-        let checked = check_channels(&sim, mac, pa, pa, chunk, weights)?;
-        Ok(Activity { toggles: sim.toggle_table().to_vec(), lane_cycles: sim.lane_cycles(), checked })
-    });
-    merge_activities(mac, results)
+    run_chunks(im, pa, weights, passes, |sim, chunk| {
+        run_pass_lanes(sim, mac, pa, chunk);
+        check_channels(sim, mac, pa, pa, chunk, weights)
+    })
 }
 
-fn merge_activities(
-    mac: &MacroNetlist,
-    results: Vec<Result<Activity, CoreError>>,
+/// The chunk runner behind every engine measurement: split `passes`
+/// into [`chunk_lanes`]-lane chunks, prepare one lane with [`setup`]
+/// (`pw`-bit `weights` in bank 0) and run every chunk from that lane's
+/// image, `run` driving and checking the chunk's passes and returning
+/// the outputs it checked. Chunks go round-robin to
+/// [`default_threads`] workers, one executor each, so the summed
+/// activity is the same for any worker count.
+///
+/// # Errors
+///
+/// [`CoreError::Engine`] if an executor cannot be built, and the error
+/// of the first chunk (in pass order) whose `run` fails.
+fn run_chunks<T: Sync>(
+    im: &ImplementedMacro,
+    pw: u32,
+    weights: &[Vec<i64>],
+    passes: &[T],
+    run: impl Fn(&mut EngineSim<'_>, &[T]) -> Result<usize, CoreError> + Sync,
 ) -> Result<Activity, CoreError> {
-    let mut acc = Activity { toggles: vec![0; mac.module.net_count()], lane_cycles: 0, checked: 0 };
+    let (mac, prog) = (&im.mac, &im.compiled.program);
+    // Building the template also surfaces a bad SYNDCIM_SIMD as a typed
+    // error before any worker thread starts.
+    let image = {
+        let mut template = EngineSim::try_new(prog, &mac.module, 1)?;
+        setup(&mut template, mac, pw, weights);
+        template.lane_image(0)?
+    };
+    let chunks: Vec<(usize, &[T])> = passes.chunks(chunk_lanes(passes.len())).enumerate().collect();
+    // No pass, no worker: every group holds at least its lead chunk.
+    let workers = default_threads(chunks.len()).min(chunks.len());
+    let groups: Vec<Vec<(usize, &[T])>> =
+        (0..workers).map(|w| chunks.iter().copied().skip(w).step_by(workers).collect()).collect();
+    let results = parallel_map(groups, |_, group| -> Result<Activity, (usize, CoreError)> {
+        let (first, lead) = group[0];
+        let mut sim = EngineSim::try_new(prog, &mac.module, lead.len()).map_err(|e| (first, e.into()))?;
+        let mut checked = 0;
+        for (i, chunk) in group {
+            let mut run_chunk = || -> Result<usize, CoreError> {
+                sim.set_lanes(chunk.len())?;
+                sim.load_image(&image)?;
+                run(&mut sim, chunk)
+            };
+            checked += run_chunk().map_err(|e| (i, e))?;
+        }
+        Ok(Activity { toggles: sim.toggle_table().to_vec(), lane_cycles: sim.lane_cycles(), checked })
+    });
+    let mut acc = Activity::idle(mac.module.net_count());
+    let mut errors = Vec::new();
     for r in results {
-        acc = Activity::merge(acc, &r?);
+        match r {
+            Ok(a) => acc = Activity::merge(acc, &a),
+            Err(e) => errors.push(e),
+        }
     }
-    Ok(acc)
+    match errors.into_iter().min_by_key(|&(i, _)| i) {
+        Some((_, e)) => Err(e),
+        None => Ok(acc),
+    }
 }
 
 /// Measure an FP MAC workload in the macro's configured FP format on
@@ -260,12 +317,7 @@ pub fn measure_fp(
     // Pre-align weights per channel (offline, like the paper's flow).
     let aligned_w: Vec<Vec<i64>> = weights.iter().map(|wv| fp_align(wv, fmt).0).collect();
 
-    SimdPolicy::from_env()?;
-    let prog = &im.compiled.program;
-    let chunks: Vec<&[Vec<FpValue>]> = passes.chunks(chunk_lanes(passes.len())).collect();
-    let results = parallel_map(chunks, |_, chunk| -> Result<Activity, CoreError> {
-        let mut sim = EngineSim::try_new(prog, &mac.module, chunk.len())?;
-        setup(&mut sim, mac, pw, &aligned_w);
+    let activity = run_chunks(im, pw, &aligned_w, passes, |sim, chunk| {
         // Feed the FP operands through the alignment unit (one cycle to
         // its output register).
         for r in 0..mac.h {
@@ -294,11 +346,9 @@ pub fn measure_fp(
             }
         }
         // Bit-serial MAC over the aligned mantissas.
-        run_pass_lanes(&mut sim, mac, pa, &aligned);
-        let checked = check_channels(&sim, mac, pa, pw, &aligned, &aligned_w)?;
-        Ok(Activity { toggles: sim.toggle_table().to_vec(), lane_cycles: sim.lane_cycles(), checked })
-    });
-    let activity = merge_activities(mac, results)?;
+        run_pass_lanes(sim, mac, pa, &aligned);
+        check_channels(sim, mac, pa, pw, &aligned, &aligned_w)
+    })?;
 
     let power = im.compiled.power.report(&activity.toggles, activity.lane_cycles.max(1), f_mhz, op);
     Ok(finish_measurement(im, power, activity.checked, pa, pw, f_mhz))
@@ -582,7 +632,9 @@ fn run_pass_lanes(
 /// must read `int_dot(lanes_acts[l], weights[ch])`. Each channel bus is
 /// resolved and read once. The S&A places results at a fixed offset for
 /// the macro's full serial width, so shorter passes come out scaled by
-/// `2^(act_bits − pa)`. Returns the number of outputs checked.
+/// `2^(act_bits − pa)`: the whole bus must read the golden value shifted
+/// by that offset, low bits included, and a mismatch reports both bus
+/// values. Returns the number of outputs checked.
 fn check_channels(
     sim: &(impl SimBackend + ?Sized),
     mac: &MacroNetlist,
@@ -601,9 +653,7 @@ fn check_channels(
         .collect();
     for (lane, acts) in lanes_acts.iter().enumerate() {
         for (ch, (ch_raw, w)) in raw.iter().zip(weights).enumerate() {
-            let raw = ch_raw[lane];
-            debug_assert_eq!(raw & ((1 << scale_shift) - 1), 0, "nonzero bits below the serial offset");
-            let (got, want) = (raw >> scale_shift, int_dot(acts, w));
+            let (got, want) = (ch_raw[lane], int_dot(acts, w) << scale_shift);
             if got != want {
                 return Err(CoreError::FunctionalMismatch { channel: ch, got, want });
             }
@@ -781,7 +831,8 @@ mod tests {
                 Ok(Activity { toggles: sim.toggle_table().to_vec(), lane_cycles: sim.lane_cycles(), checked })
             })
             .collect();
-        let itp = merge_activities(&im.mac, per_pass).unwrap();
+        let itp = per_pass.into_iter().collect::<Result<Vec<_>, _>>().unwrap();
+        let itp = itp.iter().fold(Activity::idle(im.mac.module.net_count()), Activity::merge);
 
         // Bit-identical activity.
         let eng = int_activity(&im, 4, &passes, &weights).unwrap();
@@ -827,6 +878,105 @@ mod tests {
             check_channels(&sim, mac, 4, 4, &passes, &weights),
             Err(CoreError::FunctionalMismatch { channel: 1, .. })
         ));
+    }
+
+    /// An INT2 pass reads out at the serial offset of the macro's INT4
+    /// width, so its result has two low bits that must read zero. A
+    /// single flipped low bit (bit 0 of channel 1 in lane 69) is a
+    /// mismatch in every build, reported as the two bus values.
+    #[test]
+    fn planted_low_bit_flip_is_a_functional_mismatch() {
+        let lib = CellLibrary::syn40();
+        let im = implement(&lib, &spec_int(), &DesignChoice::default()).unwrap();
+        let mac = &im.mac;
+        assert_eq!(mac.act_bits, 4, "INT2 results sit two bits above the bus LSB");
+        let mut rng = seeded_rng(37);
+        let weights: Vec<Vec<i64>> = (0..4).map(|_| random_ints(&mut rng, 8, 2)).collect();
+        let passes: Vec<Vec<i64>> = (0..100).map(|_| random_ints(&mut rng, 8, 2)).collect();
+        let mut sim = EngineSim::try_new(&im.compiled.program, &mac.module, passes.len()).unwrap();
+        setup(&mut sim, mac, 2, &weights);
+        run_pass_lanes(&mut sim, mac, 2, &passes);
+        assert_eq!(check_channels(&sim, mac, 2, 2, &passes, &weights).unwrap(), 400);
+
+        // Channel 1 at the INT2 level is index 1 of group 0.
+        let lsb = sim.bus(&mac.output_port(0, 1, 1), mac.output_width(1) as u32)[0];
+        let (wi, bit) = (69 / 64, 69 % 64);
+        let word = sim.peek_word_at(lsb, wi);
+        sim.poke_word_at(lsb, wi, word ^ 1 << bit);
+        let err = check_channels(&sim, mac, 2, 2, &passes, &weights).unwrap_err();
+        let want = int_dot(&passes[69], &weights[1]) << 2;
+        assert_eq!(err, CoreError::FunctionalMismatch { channel: 1, got: want ^ 1, want });
+    }
+
+    /// The chunk runner is exact: 1,100 passes split 512/512/76, run
+    /// from one prepared lane image on one executor per worker (on a
+    /// 2-core host one worker shrinks its executor for the 76-lane
+    /// chunk), add up to the same toggles, lane-cycles and checked
+    /// outputs as a fresh executor prepared per chunk.
+    #[test]
+    fn prepared_image_chunks_equal_fresh_executors_per_chunk() {
+        let lib = CellLibrary::syn40();
+        let im = implement(&lib, &spec_int(), &DesignChoice::default()).unwrap();
+        let mac = &im.mac;
+        let mut rng = seeded_rng(41);
+        let weights: Vec<Vec<i64>> = (0..2).map(|_| random_ints(&mut rng, 8, 4)).collect();
+        let passes: Vec<Vec<i64>> = (0..1100).map(|_| random_ints(&mut rng, 8, 4)).collect();
+        let lanes = chunk_lanes(passes.len());
+        assert_eq!(passes.chunks(lanes).map(<[_]>::len).collect::<Vec<_>>(), [512, 512, 76]);
+
+        let got = int_activity(&im, 4, &passes, &weights).unwrap();
+        let mut want = Activity::idle(mac.module.net_count());
+        for chunk in passes.chunks(lanes) {
+            let mut sim = EngineSim::try_new(&im.compiled.program, &mac.module, chunk.len()).unwrap();
+            setup(&mut sim, mac, 4, &weights);
+            run_pass_lanes(&mut sim, mac, 4, chunk);
+            let checked = check_channels(&sim, mac, 4, 4, chunk, &weights).unwrap();
+            let chunk_activity =
+                Activity { toggles: sim.toggle_table().to_vec(), lane_cycles: sim.lane_cycles(), checked };
+            want = Activity::merge(want, &chunk_activity);
+        }
+        assert_eq!(got.checked, 2 * 1100);
+        assert_eq!(got.checked, want.checked);
+        assert_eq!(got.lane_cycles, want.lane_cycles);
+        assert_eq!(got.toggles, want.toggles, "per-net toggle counts must be bit-identical");
+    }
+
+    /// The runner names the first failing chunk in pass order, whichever
+    /// worker ran it. 2,600 passes make six chunks; on a 2-core host
+    /// worker 0 runs chunks 0, 2 and 4 and worker 1 runs 1, 3 and 5, so
+    /// failing from chunk 2 on puts the first failure in worker 0 and
+    /// failing from chunk 3 on puts it in worker 1.
+    #[test]
+    fn chunk_errors_surface_in_pass_order() {
+        let lib = CellLibrary::syn40();
+        let im = implement(&lib, &spec_int(), &DesignChoice::default()).unwrap();
+        let weights = vec![vec![1i64; 8]; 2];
+        let passes: Vec<usize> = (0..2600).collect();
+        assert_eq!(chunk_lanes(passes.len()), 512);
+        for failing in [2, 3] {
+            let err = run_chunks(&im, 4, &weights, &passes, |_, chunk| match chunk[0] / 512 {
+                c if c >= failing => Err(CoreError::FunctionalMismatch { channel: c, got: 0, want: 0 }),
+                _ => Ok(chunk.len()),
+            })
+            .unwrap_err();
+            assert_eq!(err, CoreError::FunctionalMismatch { channel: failing, got: 0, want: 0 });
+        }
+    }
+
+    /// An empty pass list measures nothing and is not an error: no chunk,
+    /// no worker, zero checked outputs.
+    #[test]
+    fn empty_pass_lists_measure_nothing() {
+        let lib = CellLibrary::syn40();
+        let im = implement(&lib, &spec_int(), &DesignChoice::default()).unwrap();
+        let weights = vec![vec![1i64; 8]; 2];
+        let activity = int_activity(&im, 4, &[], &weights).unwrap();
+        assert_eq!((activity.checked, activity.lane_cycles), (0, 0));
+        assert!(activity.toggles.iter().all(|&t| t == 0));
+        let m = measure_int(&im, &lib, 4, &[], &weights, OperatingPoint::at_voltage(0.9), 400.0).unwrap();
+        assert_eq!(m.checked_outputs, 0);
+        let shmoo = crate::shmoo::shmoo_with_power(&im, &lib, &[0.9], &[400.0], 4, &[], &weights).unwrap();
+        assert_eq!(shmoo.power_uw.len(), 1);
     }
 
     /// Operands outside the requested precision are typed errors from

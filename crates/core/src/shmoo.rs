@@ -148,13 +148,19 @@ pub struct PowerShmoo {
 /// analytically across the grid — one simulation instead of one per
 /// grid point. The per-corner rescaling runs on the macro's compiled
 /// power program ([`syndcim_power::CompiledPower::report_many`]
-/// resolves every passing point in one batch over shared rate
-/// columns); see [`shmoo_with_power_on`] for backend selection.
+/// resolves every passing point in one batch over shared rate columns,
+/// voltage-major, so one switching pass serves all frequencies of a
+/// voltage); see [`shmoo_with_power_on`] for backend selection.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::FunctionalMismatch`] if the workload fails its
-/// golden-model check.
+/// golden-model check, and the other errors of the workload's
+/// measurement: [`CoreError::Precision`] for an unsupported `pa`,
+/// [`CoreError::Dimension`] for mis-shaped vectors,
+/// [`CoreError::OperandRange`] for operands outside `pa` bits and
+/// [`CoreError::Engine`] when no engine executor can be built (e.g. a
+/// bad `SYNDCIM_SIMD`).
 pub fn shmoo_with_power(
     im: &ImplementedMacro,
     lib: &CellLibrary,
@@ -185,8 +191,8 @@ pub fn shmoo_with_power(
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::FunctionalMismatch`] if the workload fails its
-/// golden-model check.
+/// As [`shmoo_with_power`]; the reference power arm also returns
+/// [`CoreError::Netlist`] if the module fails its connectivity check.
 #[allow(clippy::too_many_arguments)]
 pub fn shmoo_with_power_on(
     im: &ImplementedMacro,
@@ -218,8 +224,9 @@ pub fn shmoo_with_power_on(
     let power_uw = match power {
         PowerBackend::Compiled => {
             // One batch over the macro's compiled power program: the
-            // toggle-rate columns are resolved once and every passing
-            // point is a linear pass over shared read-only arrays.
+            // toggle-rate columns are resolved once, and the points go
+            // voltage-major so each voltage's frequencies share one
+            // switching pass over the read-only arrays.
             let points: Vec<(f64, OperatingPoint)> = grid
                 .pass
                 .iter()

@@ -54,6 +54,21 @@ struct FaultState<W> {
     cycle: u64,
 }
 
+/// One lane's complete simulation state: its value in every slot (nets
+/// and scratch) and in every stored state, taken by
+/// [`EngineSim::lane_image`] and broadcast to every lane of an executor
+/// by [`EngineSim::load_image`]. Toggle counts are not part of it.
+///
+/// An image lets many executors start from one prepared state without
+/// replaying the preparation: every lane is an independent simulation,
+/// so a lane set to the image continues exactly as a lane that ran the
+/// preparation itself would.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LaneImage {
+    slots: Vec<bool>,
+    state: Vec<bool>,
+}
+
 /// Word-level batch executor over one compiled program, generic over
 /// the lane word `W` (e.g. `BatchExec::<u64>::new`). Most callers use
 /// the width- and frame-selecting [`EngineSim`].
@@ -119,6 +134,9 @@ impl<'a, W: LaneWord> BatchExec<'a, W> {
         assert!(backend.detected(), "SIMD backend `{backend}` is not supported by this CPU");
         assert_eq!(prog.net_count, module.net_count(), "program/module net-count mismatch");
         assert_eq!(prog.seq_of_inst.len(), module.instance_count(), "program/module instance-count mismatch");
+        // A measurement builds a 1-lane template plus one executor per
+        // worker thread, so this is the one engine counter that varies
+        // with the worker count.
         telemetry::counter("engine.executors").incr();
         BatchExec {
             prog,
@@ -293,6 +311,50 @@ impl<'a, W: LaneWord> BatchExec<'a, W> {
     /// Whether a non-empty fault plan is currently installed.
     pub fn faults_installed(&self) -> bool {
         self.faults.is_some()
+    }
+
+    /// Capture lane `lane`'s value of every slot and every stored state.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::LaneOutOfRange`] if `lane` is not an active lane.
+    pub fn lane_image(&self, lane: usize) -> Result<LaneImage, EngineError> {
+        if lane >= self.lanes {
+            return Err(EngineError::LaneOutOfRange { lane, lanes: self.lanes });
+        }
+        Ok(LaneImage {
+            slots: self.slots.iter().map(|w| w.lane(lane)).collect(),
+            state: self.state.iter().map(|w| w.lane(lane)).collect(),
+        })
+    }
+
+    /// Set every lane of the word, active or not, to `image`, counting
+    /// no toggles. Toggle and lane-cycle totals are kept, so an executor
+    /// can accumulate activity over several batches that each start
+    /// from the same prepared state.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::ImageShape`] if the image comes from a program
+    /// with other slot or state counts, and
+    /// [`EngineError::FaultPlanPinned`] while a fault plan is installed
+    /// (the loaded values would bypass its masks).
+    pub fn load_image(&mut self, image: &LaneImage) -> Result<(), EngineError> {
+        let shape = (image.slots.len(), image.state.len());
+        let program = (self.slots.len(), self.state.len());
+        if shape != program {
+            return Err(EngineError::ImageShape { image: shape, program });
+        }
+        if self.faults.is_some() {
+            return Err(EngineError::FaultPlanPinned);
+        }
+        for (w, &v) in self.slots.iter_mut().zip(&image.slots) {
+            *w = W::splat(v);
+        }
+        for (w, &v) in self.state.iter_mut().zip(&image.state) {
+            *w = W::splat(v);
+        }
+        Ok(())
     }
 
     /// Per-lane compare of `net` against a designated golden lane:
@@ -758,6 +820,17 @@ impl<'a> EngineSim<'a> {
     /// Whether a non-empty fault plan is installed.
     pub fn faults_installed(&self) -> bool {
         delegate!(self, s => s.faults_installed())
+    }
+
+    /// Capture one lane's state (see [`BatchExec::lane_image`]).
+    pub fn lane_image(&self, lane: usize) -> Result<LaneImage, EngineError> {
+        delegate!(self, s => s.lane_image(lane))
+    }
+
+    /// Set every lane to a captured state without counting toggles (see
+    /// [`BatchExec::load_image`]).
+    pub fn load_image(&mut self, image: &LaneImage) -> Result<(), EngineError> {
+        delegate!(self, s => s.load_image(image))
     }
 
     /// Per-lane compare against a golden lane (see

@@ -187,9 +187,18 @@ pub enum EngineError {
     /// `set_lanes` after `enable_lane_toggles` (per-lane storage is
     /// strided by the lane count at enable time).
     LaneTogglesPinned,
-    /// `set_lanes` while a fault plan is installed (its masks were
-    /// validated against the lane set) — clear the plan first.
+    /// `set_lanes` or `load_image` while a fault plan is installed (its
+    /// masks were validated against the lane set, and a loaded image
+    /// would bypass them) — clear the plan first.
     FaultPlanPinned,
+    /// `load_image` was given a lane image from a program of another
+    /// shape.
+    ImageShape {
+        /// Slot and stored-state counts of the image.
+        image: (usize, usize),
+        /// Slot and stored-state counts of the executor's program.
+        program: (usize, usize),
+    },
     /// A lane set of zero lanes was requested.
     ZeroLanes,
     /// `SYNDCIM_SIMD` (or [`crate::SimdPolicy::parse`]) was given a
@@ -236,8 +245,13 @@ impl std::fmt::Display for EngineError {
                 write!(f, "cannot resize the lane set once per-lane toggle accounting is enabled")
             }
             EngineError::FaultPlanPinned => {
-                write!(f, "cannot resize the lane set while a fault plan is installed")
+                write!(f, "cannot resize the lane set or load a lane image while a fault plan is installed")
             }
+            EngineError::ImageShape { image, program } => write!(
+                f,
+                "lane image holds {} slots and {} states, but the program has {} and {}",
+                image.0, image.1, program.0, program.1
+            ),
             EngineError::ZeroLanes => write!(f, "lane set cannot be empty"),
             EngineError::SimdUnknown => {
                 write!(f, "unknown SYNDCIM_SIMD value (expected portable|avx2|avx512|auto)")

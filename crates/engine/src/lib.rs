@@ -67,7 +67,7 @@ pub mod program;
 pub mod simd;
 pub mod word;
 
-pub use exec::{BatchExec, EngineSim};
+pub use exec::{BatchExec, EngineSim, LaneImage};
 pub use fault::{EngineError, Fault, FaultKind, FaultPlan};
 pub use program::Program;
 pub use simd::{SimdBackend, SimdPolicy};

@@ -22,6 +22,13 @@
 //! is **bit-identical** to the reference analyzer. Pinned by
 //! `tests/power_compiled_differential.rs` on the 64×64 paper test-chip
 //! across corners, wire loads and glitch factors.
+//!
+//! A report splits into a switching pass, which depends only on the
+//! corner (supply and temperature), and a per-frequency finish that
+//! scales two of the pass's sums. [`CompiledPower::report_many`] runs
+//! one pass per run of consecutive same-corner points, so callers
+//! should order their points corner-major: a voltage-major shmoo grid
+//! then costs one pass per voltage, not one per (V, f) point.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -287,9 +294,14 @@ impl CompiledPower {
 
     /// One report per `(freq_mhz, operating point)` over a shared
     /// activity measurement — the shmoo fast path. The toggle-rate
-    /// column is resolved once and every corner is then a linear pass
-    /// over the shared read-only arrays; each report equals the
-    /// corresponding [`CompiledPower::report`] call exactly.
+    /// column is resolved once, and each run of consecutive points at
+    /// the same corner (`vdd_v` and `temp_c` bitwise equal) shares one
+    /// switching pass over the read-only arrays; a point then only
+    /// scales that pass by its frequency. Order the points corner-major
+    /// (every frequency of a voltage together) to run one pass per
+    /// corner. Each report equals the corresponding
+    /// [`CompiledPower::report`] call exactly, because every field comes
+    /// from the same expression on the same operands.
     ///
     /// # Panics
     ///
@@ -311,10 +323,17 @@ impl CompiledPower {
             self.out_slot.iter().map(|&s| toggles[s as usize] as f64 / cycles as f64).collect();
         let port_rate: Vec<f64> =
             self.in_port_slot.iter().map(|&s| toggles[s as usize] as f64 / cycles as f64).collect();
-        let reports: Vec<PowerReport> = points
-            .iter()
-            .map(|&(freq_mhz, op)| self.pass(&out_rate, Some(&port_rate), freq_mhz, op))
-            .collect();
+        let same_corner = |(_, a): &(f64, OperatingPoint), (_, b): &(f64, OperatingPoint)| {
+            a.vdd_v.to_bits() == b.vdd_v.to_bits() && a.temp_c.to_bits() == b.temp_c.to_bits()
+        };
+        let mut reports = Vec::with_capacity(points.len());
+        let mut corner_passes = 0;
+        for run in points.chunk_by(same_corner) {
+            let corner = self.corner_pass(&out_rate, Some(&port_rate), run[0].1);
+            reports.extend(run.iter().map(|&(freq_mhz, _)| corner.at(freq_mhz)));
+            corner_passes += 1;
+        }
+        telemetry::counter("power.corner_passes").add(corner_passes);
         if let Some(t) = start {
             telemetry::histogram("power.report_batch_ns").record(t.elapsed());
         }
@@ -326,7 +345,7 @@ impl CompiledPower {
     /// [`PowerAnalyzer::from_static_activity`], bit-identical to it.
     pub fn report_static(&self, alpha: f64, freq_mhz: f64, op: OperatingPoint) -> PowerReport {
         let out_rate = vec![alpha; self.out_slot.len()];
-        self.pass(&out_rate, None, freq_mhz, op)
+        self.corner_pass(&out_rate, None, op).at(freq_mhz)
     }
 
     /// Leakage power in µW at a corner (mirrors
@@ -336,17 +355,12 @@ impl CompiledPower {
         self.leakage_total_nw * scale / 1000.0
     }
 
-    /// One corner's linear pass: per-instance switching energy from the
-    /// rate columns (instance-major, replaying the reference analyzer's
-    /// accumulation order exactly), plus the optional input-port pin
-    /// charge, clock tree and leakage.
-    fn pass(
-        &self,
-        out_rate: &[f64],
-        port_rate: Option<&[f64]>,
-        freq_mhz: f64,
-        op: OperatingPoint,
-    ) -> PowerReport {
+    /// One corner's linear switching pass: per-instance switching
+    /// energy from the rate columns (instance-major, replaying the
+    /// reference analyzer's accumulation order exactly), plus the
+    /// optional input-port pin charge, clock tree and leakage — every
+    /// report field that does not depend on the frequency.
+    fn corner_pass(&self, out_rate: &[f64], port_rate: Option<&[f64]>, op: OperatingPoint) -> CornerPass {
         let escale = self.process.energy_scale(op.vdd_v);
         let v = op.vdd_v;
 
@@ -374,15 +388,17 @@ impl CompiledPower {
         }
 
         let clock_fj = self.clock_regs_fj * escale * (1.0 + self.clock_tree_overhead);
-        let leakage_uw = self.leakage_uw(op);
-        let energy_per_cycle_pj = (switch_fj_total + clock_fj) / 1000.0;
-        let dynamic_uw = switch_fj_total * freq_mhz * 1e-3;
-        let clock_uw = clock_fj * freq_mhz * 1e-3;
-        // Names materialize only here, per report — the program stores
+        // Names materialize only here, per corner — the program stores
         // interned symbols, never owned group-name strings.
-        let by_group_pj: BTreeMap<String, f64> =
+        let by_group_pj =
             self.group_head_syms.iter().map(|&s| self.syms.resolve(s).to_string()).zip(by_group).collect();
-        PowerReport { dynamic_uw, clock_uw, leakage_uw, energy_per_cycle_pj, freq_mhz, by_group_pj }
+        CornerPass {
+            switch_fj_total,
+            clock_fj,
+            leakage_uw: self.leakage_uw(op),
+            energy_per_cycle_pj: (switch_fj_total + clock_fj) / 1000.0,
+            by_group_pj,
+        }
     }
 
     /// Hierarchical drill-down of the per-cycle dynamic energy: one
@@ -475,6 +491,30 @@ impl CompiledPower {
     }
 }
 
+/// The frequency-independent half of a report: the sums of one
+/// switching pass at one corner.
+struct CornerPass {
+    switch_fj_total: f64,
+    clock_fj: f64,
+    leakage_uw: f64,
+    energy_per_cycle_pj: f64,
+    by_group_pj: BTreeMap<String, f64>,
+}
+
+impl CornerPass {
+    /// The per-frequency finish: the two frequency-scaled power terms.
+    fn at(&self, freq_mhz: f64) -> PowerReport {
+        PowerReport {
+            dynamic_uw: self.switch_fj_total * freq_mhz * 1e-3,
+            clock_uw: self.clock_fj * freq_mhz * 1e-3,
+            leakage_uw: self.leakage_uw,
+            energy_per_cycle_pj: self.energy_per_cycle_pj,
+            freq_mhz,
+            by_group_pj: self.by_group_pj.clone(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -542,20 +582,31 @@ mod tests {
         }
     }
 
+    /// Interleaved and repeated corners: each run of same-corner points
+    /// shares one switching pass, and every report still equals its
+    /// per-point call field for field. A second temperature at A's
+    /// supply is a different corner (its leakage differs).
     #[test]
     fn report_many_equals_per_point_reports() {
         let (m, lib) = toggler();
         let (toggles, cycles) = measured_toggles(&m, &lib);
         let cp = PowerAnalyzer::new(&m, &lib).unwrap().compile();
-        let points: Vec<(f64, OperatingPoint)> = [(200.0, 0.7), (800.0, 0.9), (1500.0, 1.2)]
-            .map(|(f, v)| (f, OperatingPoint::at_voltage(v)))
-            .into();
+        let a = OperatingPoint::at_voltage(0.8);
+        let b = OperatingPoint::at_voltage(1.1);
+        let a_hot = OperatingPoint { temp_c: 85.0, ..a };
+        let points = [(200.0, a), (700.0, a), (200.0, b), (1300.0, a), (700.0, a_hot)];
         let batch = cp.report_many(&toggles, cycles, &points);
+        assert_eq!(batch.len(), points.len());
         for (&(f, op), got) in points.iter().zip(&batch) {
             let want = cp.report(&toggles, cycles, f, op);
-            assert_eq!(got.total_uw(), want.total_uw());
+            assert_eq!(got.dynamic_uw.to_bits(), want.dynamic_uw.to_bits(), "{f} MHz at {op:?}");
+            assert_eq!(got.clock_uw.to_bits(), want.clock_uw.to_bits());
+            assert_eq!(got.leakage_uw.to_bits(), want.leakage_uw.to_bits());
+            assert_eq!(got.energy_per_cycle_pj.to_bits(), want.energy_per_cycle_pj.to_bits());
+            assert_eq!(got.freq_mhz.to_bits(), want.freq_mhz.to_bits());
             assert_eq!(got.by_group_pj, want.by_group_pj);
         }
+        assert_ne!(batch[1].leakage_uw, batch[4].leakage_uw, "temperature is part of the corner");
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //! [`CompiledPower`] (from [`CompiledPower::from_lowering`]) bakes the
 //! walk into dense struct-of-arrays columns over the shared IR's net slots
 //! so one report is one linear `toggles·column` pass — bit-identical to
-//! the reference, batched over corners by
-//! [`CompiledPower::report_many`].
+//! the reference. [`CompiledPower::report_many`] batches reports and
+//! runs one such pass per run of consecutive same-corner points,
+//! scaling it per frequency, so callers order their points
+//! corner-major.
 //!
 //! ```
 //! use syndcim_power::{MacThroughput, tops_per_w};

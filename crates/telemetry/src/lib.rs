@@ -20,6 +20,10 @@
 //!    counts are identical regardless of thread count or interleaving.
 //!    Only the duration fields vary run to run, and consumers are
 //!    expected not to assert on them (see [`SpanSnapshot::signature`]).
+//!    One counter depends on the host by design: an engine measurement
+//!    builds a 1-lane template plus one executor per worker thread, so
+//!    `engine.executors` is the only engine counter that varies with
+//!    the worker count.
 //! 3. **Thread-aware nesting.** The current span is thread-local;
 //!    `syndcim_ir::parallel_map` captures the caller's span with
 //!    [`current_span`] and adopts it in every worker via [`adopt`], so

@@ -16,9 +16,9 @@
 
 use rand::Rng;
 use syndcim_core::{assemble, DesignChoice, MacroSpec};
-use syndcim_engine::{EngineSim, Program, SimdBackend};
+use syndcim_engine::{EngineError, EngineSim, FaultPlan, Program, SimdBackend};
 use syndcim_ir::Lowering;
-use syndcim_netlist::NetId;
+use syndcim_netlist::{InstId, NetId, NetlistBuilder};
 use syndcim_sim::golden::{bit_serial_schedule, twos_complement_bit, DcimChannelTrace};
 use syndcim_sim::vectors::{random_ints, seeded_rng};
 use syndcim_sim::{SimBackend, Simulator};
@@ -316,6 +316,110 @@ fn simd_backends_agree_at_every_word_seam() {
             }
         }
     }
+}
+
+/// A lane image taken from a prepared 1-lane executor and loaded into
+/// 65-, 256-, 300- and 512-lane executors, in every frame this host can
+/// run, equals running the same preparation in all lanes: every net and
+/// stored state of every lane word, right after the load and again
+/// after per-lane random stimulus, which must also leave equal
+/// aggregate toggle tables. The preparation broadcasts random weights
+/// and input values and clocks twice, like `measure_int`'s preload and
+/// quiesce. The three typed errors close the test.
+#[test]
+fn loaded_lane_images_equal_preparing_every_lane() {
+    let lib = syndcim_pdk::CellLibrary::syn40();
+    let spec = MacroSpec::paper_test_chip();
+    let mac = assemble(&lib, &spec, &DesignChoice::default());
+    let module = &mac.module;
+    let low = Lowering::validated(module, &lib).unwrap();
+    let prog = Program::from_lowering(&low, module, &lib);
+    let in_nets: Vec<NetId> = module.input_ports().map(|p| p.net).collect();
+    let seq: Vec<InstId> = (0..module.instance_count())
+        .map(|i| InstId(i as u32))
+        .filter(|&i| lib.cell(module.instances[i.index()].cell).is_sequential())
+        .collect();
+    let prepare = |sim: &mut EngineSim<'_>| {
+        let mut rng = seeded_rng(0x1A6E);
+        for bc in &mac.bitcells {
+            sim.force_state_all(bc.inst, rng.gen_bool(0.5));
+        }
+        for &net in &in_nets {
+            let word = if rng.gen_bool(0.5) { !0 } else { 0 };
+            for wi in 0..sim.words() {
+                sim.poke_word_at(net, wi, word);
+            }
+        }
+        sim.step();
+        sim.step();
+        sim.reset_activity();
+    };
+    let assert_same_state = |a: &EngineSim<'_>, b: &EngineSim<'_>, what: &str| {
+        for wi in 0..a.words() {
+            for n in 0..module.net_count() {
+                let net = NetId(n as u32);
+                assert_eq!(a.peek_word_at(net, wi), b.peek_word_at(net, wi), "{what}: net {n} word {wi}");
+            }
+            for &inst in &seq {
+                assert_eq!(
+                    a.state_word_at(inst, wi),
+                    b.state_word_at(inst, wi),
+                    "{what}: {inst:?} word {wi}"
+                );
+            }
+        }
+    };
+
+    let mut template = EngineSim::new(&prog, module, 1);
+    prepare(&mut template);
+    let image = template.lane_image(0).unwrap();
+    let backends = [SimdBackend::Portable, SimdBackend::Avx2, SimdBackend::Avx512];
+    for backend in backends.into_iter().filter(|b| b.detected()) {
+        for lanes in [65usize, 256, 300, 512] {
+            let what = format!("{backend} at {lanes} lanes");
+            let mut prepared = EngineSim::with_backend(&prog, module, lanes, backend).unwrap();
+            prepare(&mut prepared);
+            let mut loaded = EngineSim::with_backend(&prog, module, lanes, backend).unwrap();
+            loaded.load_image(&image).unwrap();
+            assert!(loaded.toggle_table().iter().all(|&t| t == 0), "{what}: loading counts no toggles");
+            assert_same_state(&prepared, &loaded, &what);
+
+            let mut rng = seeded_rng(0x1A6E + lanes as u64);
+            for _ in 0..2 {
+                for &net in &in_nets {
+                    for wi in 0..prepared.words() {
+                        let word = rng.next_u64();
+                        prepared.poke_word_at(net, wi, word);
+                        loaded.poke_word_at(net, wi, word);
+                    }
+                }
+                prepared.step();
+                loaded.step();
+            }
+            assert_same_state(&prepared, &loaded, &what);
+            assert_eq!(loaded.toggle_table(), prepared.toggle_table(), "{what}: toggle tables");
+            assert_eq!(loaded.lane_cycles(), prepared.lane_cycles());
+        }
+    }
+
+    // The typed errors: a lane outside the active set, an image of a
+    // program with another shape, and a load under a fault plan.
+    assert_eq!(template.lane_image(1), Err(EngineError::LaneOutOfRange { lane: 1, lanes: 1 }));
+    let mut b = NetlistBuilder::new("inv", &lib);
+    let a = b.input("a");
+    let y = b.not(a);
+    b.output("y", y);
+    let inv = b.finish();
+    let inv_prog = Program::compile(&inv, &lib).unwrap();
+    let inv_image = EngineSim::new(&inv_prog, &inv, 1).lane_image(0).unwrap();
+    let mut sim = EngineSim::new(&prog, module, 300);
+    assert!(matches!(sim.load_image(&inv_image), Err(EngineError::ImageShape { .. })));
+    let mut plan = FaultPlan::new();
+    plan.stuck_at(in_nets[0], 299, true);
+    sim.install_faults(&plan).unwrap();
+    assert_eq!(sim.load_image(&image), Err(EngineError::FaultPlanPinned));
+    sim.clear_faults();
+    assert_eq!(sim.load_image(&image), Ok(()));
 }
 
 /// Engine-backed SCL characterization must reproduce the seed's

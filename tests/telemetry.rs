@@ -8,7 +8,7 @@
 
 use std::sync::Mutex;
 
-use syndcim_core::{implement, measure_int, DesignChoice, MacroSpec};
+use syndcim_core::{implement, measure_int, shmoo_with_power, DesignChoice, MacroSpec};
 use syndcim_ir::parallel_map_threads;
 use syndcim_pdk::{CellLibrary, OperatingPoint};
 use syndcim_sim::Simulator;
@@ -192,6 +192,37 @@ fn fmax_distribution_counts_its_lane_passes() {
     let arcs = im.compiled.sta.arc_count() as u64;
     assert!(kept < arcs, "the pruned batch walks {kept} of {arcs} arcs");
     assert_eq!(run().counter("sta.fmax_kept_arcs"), Some(kept), "the kept-arc count repeats");
+}
+
+/// A voltage-major power shmoo runs one switching pass per corner: a
+/// 13 V × 40 f grid records one `power.corner_passes` per voltage with a
+/// passing point, however many frequencies pass there, and a repeat run
+/// records the same count. Its two-pass measurement is one chunk, so it
+/// builds the 1-lane template plus one worker's executor.
+#[test]
+fn power_shmoo_runs_one_switching_pass_per_passing_voltage() {
+    let _guard = LOCK.lock().unwrap();
+    telemetry::set_mode(telemetry::Mode::Summary);
+
+    let lib = CellLibrary::syn40();
+    let im = implement(&lib, &tiny_spec(), &DesignChoice::default()).unwrap();
+    let voltages: Vec<f64> = (0..13).map(|i| 0.60 + 0.05 * f64::from(i)).collect();
+    let freqs: Vec<f64> = (1..=40).map(|i| 50.0 * f64::from(i)).collect();
+    let weights = vec![vec![3, -2, 1, 0, -4, 5, 2, -1], vec![1; 8]];
+    let passes = vec![vec![1; 8], vec![-3; 8]];
+    let run = || {
+        telemetry::reset();
+        let ps = shmoo_with_power(&im, &lib, &voltages, &freqs, 4, &passes, &weights).unwrap();
+        (ps, telemetry::snapshot())
+    };
+    let (ps, report) = run();
+    let points = ps.shmoo.pass.iter().flatten().filter(|&&p| p).count() as u64;
+    let corners = ps.shmoo.pass.iter().filter(|row| row.contains(&true)).count() as u64;
+    assert!(points > corners && corners > 1, "{points} passing points over {corners} voltages");
+    assert_eq!(report.counter("power.report_points"), Some(points));
+    assert_eq!(report.counter("power.corner_passes"), Some(corners));
+    assert_eq!(report.counter("engine.executors"), Some(2), "the template plus one worker");
+    assert_eq!(run().1.counter("power.corner_passes"), Some(corners), "the pass count repeats");
 }
 
 /// Disabled mode records nothing — spans, counters, gauges all stay
