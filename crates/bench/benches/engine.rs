@@ -8,6 +8,12 @@
 //! `u64` engine 64 (one per lane); the wide `[u64; 4]` engine 256 and
 //! the `[u64; 8]` engine 512, each outside any ISA frame (portable) and,
 //! where the CPU has them, inside the AVX2 and AVX-512 frames.
+//! These arms toggle every input port every cycle, so most ops are
+//! re-evaluated each settle. `engine_mac_pass_vps` measures the
+//! workload the activity-driven passes are built for instead: INT4
+//! bit-serial passes on weights preloaded once, driving only the
+//! activation and S&A control ports, at 512 lanes in the widest detected
+//! frame (one vector per lane per cycle).
 //! The bench reports iteration times, derived per-vector throughput
 //! ratios and wall-clock timings for `Scl` warm-up and `search`, and
 //! fails if
@@ -32,7 +38,7 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use syndcim_core::{assemble, search, DesignChoice, MacroSpec};
-use syndcim_engine::{BatchExec, EngineSim, Program, SimdBackend};
+use syndcim_engine::{BatchExec, EngineSim, Program, SimdBackend, SimdPolicy};
 use syndcim_netlist::NetId;
 use syndcim_pdk::CellLibrary;
 use syndcim_scl::Scl;
@@ -140,6 +146,44 @@ fn bench_engine(c: &mut Criterion) {
         .detected()
         .then(|| bench_backend("engine_avx512_512vectors", 512, SimdBackend::Avx512));
 
+    // Weight-stationary INT4 passes: bank-0 weights preloaded and the
+    // precision selected once, then each iteration is one bit-serial
+    // pass of fresh per-lane activations, driven like `measure_int`.
+    let mac_pass_vps = {
+        const PA: u32 = 4;
+        let mut sim = EngineSim::with_policy(&prog, module, 512, SimdPolicy::Auto).unwrap();
+        let mut state = 0x5EED;
+        for bc in mac.bitcells.iter().filter(|bc| bc.bank == 0) {
+            sim.force_state_all(bc.inst, next_word(&mut state) & 1 == 1);
+        }
+        for k in 0..=(mac.w_bits.trailing_zeros() as usize) {
+            sim.set_all(&format!("prec[{k}]"), k == PA.trailing_zeros() as usize);
+        }
+        sim.step();
+        sim.step();
+        let act = sim.bus("act", mac.h as u32);
+        let (clear, neg) = (sim.net_of("clear"), sim.net_of("neg"));
+        let depth = mac.mac_pipeline_depth as u32;
+        let cycles = PA + depth + u32::from(mac.choice.ofu_extra_pipe);
+        let stats = c.bench_stats("engine_mac_pass_512vectors", |b| {
+            b.iter(|| {
+                for cycle in 0..cycles {
+                    for &net in &act {
+                        for wi in 0..sim.words() {
+                            sim.drive_word_at(net, wi, if cycle < PA { next_word(&mut state) } else { 0 });
+                        }
+                    }
+                    for wi in 0..sim.words() {
+                        sim.drive_word_at(clear, wi, if cycle == depth { !0 } else { 0 });
+                        sim.drive_word_at(neg, wi, if cycle == PA - 1 + depth { !0 } else { 0 });
+                    }
+                    sim.step();
+                }
+            });
+        });
+        512.0 * f64::from(cycles) * 1e9 / stats.ns_per_iter
+    };
+
     let interp_vps = 1e9 / interp.ns_per_iter;
     let engine64_vps = 64.0 * 1e9 / engine64.ns_per_iter;
     let engine256_vps = 256.0 * 1e9 / engine256.ns_per_iter;
@@ -159,6 +203,7 @@ fn bench_engine(c: &mut Criterion) {
             vps / engine256_vps
         );
     }
+    println!("engine mac:   {mac_pass_vps:>12.0} vectors/s  (INT4 passes, weights held, widest frame)");
 
     // SCL characterization: engine-backed vs the interpreter path over
     // the same record set at the same stimulus-sample target (512 per
@@ -212,6 +257,7 @@ fn bench_engine(c: &mut Criterion) {
         ("engine64_vps", engine64_vps),
         ("engine256_vps", engine256_vps),
         ("engine512_vps", engine512_vps),
+        ("engine_mac_pass_vps", mac_pass_vps),
         ("engine64_over_interpreter", ratio64),
         ("engine256_over_engine64", wide_ratio),
         ("scl_engine_ms", scl_engine_ms),

@@ -1,23 +1,35 @@
 //! `.scim` codec for the compiled simulation [`Program`]
 //! ([`SectionId::Program`](syndcim_ir::artifact::SectionId)).
 //!
-//! The op stream is the bulk of the section, so op *types* are packed
-//! two-per-byte as 4-bit nibbles while the operand slots follow as one
-//! contiguous `u32` stream in op order — each kind has a fixed operand
-//! arity, so the nibble alone determines how many operands to pull.
-//! Decoding re-validates every invariant the executor's unchecked slot
-//! indexing relies on: every operand below `slot_count`, every commit
-//! slot in range, every `seq_of_inst` entry either the
-//! combinational sentinel or a real commit index, so a hostile artifact
-//! can never make [`BatchExec`](crate::BatchExec) read out of bounds.
+//! The section stores the op stream as AND/OR/XOR/NOT/MUX/CONST
+//! micro-ops over slots: each op expands through its kind's
+//! *template*, a fixed micro-op sequence over the op's pins and scratch
+//! slots `net_count..net_count + SCRATCH_SLOTS`. The templates are the
+//! encoding only — the executor runs the fused op and holds no scratch
+//! slots. Micro-op types are packed two per byte as 4-bit nibbles while
+//! the operand slots follow as one contiguous `u32` stream in micro-op
+//! order; each type has a fixed operand arity, so the nibble alone
+//! determines how many operands to pull.
+//!
+//! Decoding accepts exactly the template expansions: it matches a
+//! template at every position of the micro-op stream, binding pins to
+//! net slots and requiring every scratch operand to be that template's
+//! own temporary. Anything else is [`ArtifactError::Malformed`]: a
+//! scratch operand outside a template, a template cut off by the end of
+//! the stream, an op that writes one of its own inputs (its micro-ops
+//! would then read the new value where the fused op reads the old one),
+//! or any slot past the scratch range. Commit slots and `seq_of_inst`
+//! entries are re-validated too, so a hostile artifact can never make
+//! [`BatchExec`](crate::BatchExec) read out of bounds, and a decoded
+//! program re-encodes to the same bytes.
 
 use syndcim_ir::artifact::{ArtifactError, SectionReader, SectionWriter};
 use syndcim_ir::Symbols;
 use syndcim_pdk::SeqUpdate;
 
-use crate::program::{Commit, Op, Program};
+use crate::program::{Commit, Op, OpKind, Program, MAX_PINS};
 
-/// Op-kind nibbles (two per byte, low nibble first). `Const` splits by
+/// Micro-op nibbles (two per byte, low nibble first). `Const` splits by
 /// its immediate so the operand stream stays pure slot indices.
 const OP_CONST0: u8 = 0;
 const OP_CONST1: u8 = 1;
@@ -28,6 +40,17 @@ const OP_OR: u8 = 5;
 const OP_XOR: u8 = 6;
 const OP_MUX: u8 = 7;
 
+/// Operand count of a micro-op nibble (`None` for an unknown nibble).
+fn arity(nib: u8) -> Option<usize> {
+    match nib {
+        OP_CONST0 | OP_CONST1 => Some(1),
+        OP_COPY | OP_NOT => Some(2),
+        OP_AND | OP_OR | OP_XOR => Some(3),
+        OP_MUX => Some(4),
+        _ => None,
+    }
+}
+
 /// Sequential-update tags.
 const SEQ_EDGE: u8 = 0;
 const SEQ_EDGE_ENABLE: u8 = 1;
@@ -36,30 +59,72 @@ const SEQ_BITCELL_WRITE: u8 = 2;
 /// Sentinel mirrored from `seq_of_inst`: "combinational instance".
 const NO_SEQ: u32 = u32::MAX;
 
-/// Decode limit on `slot_count - net_count`: the compiler appends a
-/// handful of scratch slots (currently 8), so anything beyond this is a
-/// corrupt count that would only inflate executor allocations.
-const MAX_SCRATCH: u64 = 4096;
+/// Scratch slots the format reserves past the nets (the widest
+/// template, the 4-2 compressor's, uses five); the section's slot count
+/// is always `net_count + SCRATCH_SLOTS`.
+const SCRATCH_SLOTS: usize = 8;
 
-fn op_nibble(op: &Op) -> u8 {
-    match op {
-        Op::Const { ones: false, .. } => OP_CONST0,
-        Op::Const { ones: true, .. } => OP_CONST1,
-        Op::Copy { .. } => OP_COPY,
-        Op::Not { .. } => OP_NOT,
-        Op::And { .. } => OP_AND,
-        Op::Or { .. } => OP_OR,
-        Op::Xor { .. } => OP_XOR,
-        Op::Mux { .. } => OP_MUX,
-    }
+/// A template operand: pin `p` of the op (outputs first, then inputs),
+/// or scratch temporary `t` (slot `net_count + t`).
+#[derive(Clone, Copy)]
+enum Arg {
+    P(usize),
+    T(u32),
 }
+use Arg::{P, T};
 
-fn op_operands(op: &Op, out: &mut Vec<u32>) {
-    match *op {
-        Op::Const { dst, .. } => out.push(dst),
-        Op::Copy { dst, a } | Op::Not { dst, a } => out.extend([dst, a]),
-        Op::And { dst, a, b } | Op::Or { dst, a, b } | Op::Xor { dst, a, b } => out.extend([dst, a, b]),
-        Op::Mux { dst, d0, d1, s } => out.extend([dst, d0, d1, s]),
+/// The micro-op sequence `kind` encodes as, each micro-op its nibble
+/// and operands (destination first; a mux reads `d0, d1, s`).
+fn template(kind: OpKind) -> &'static [(u8, &'static [Arg])] {
+    match kind {
+        OpKind::Const0 => &[(OP_CONST0, &[P(0)])],
+        OpKind::Const1 => &[(OP_CONST1, &[P(0)])],
+        OpKind::Copy => &[(OP_COPY, &[P(0), P(1)])],
+        OpKind::Not => &[(OP_NOT, &[P(0), P(1)])],
+        OpKind::And => &[(OP_AND, &[P(0), P(1), P(2)])],
+        OpKind::Or => &[(OP_OR, &[P(0), P(1), P(2)])],
+        OpKind::Xor => &[(OP_XOR, &[P(0), P(1), P(2)])],
+        OpKind::Mux => &[(OP_MUX, &[P(0), P(1), P(2), P(3)])],
+        OpKind::Nand => &[(OP_AND, &[T(0), P(1), P(2)]), (OP_NOT, &[P(0), T(0)])],
+        OpKind::Nor => &[(OP_OR, &[T(0), P(1), P(2)]), (OP_NOT, &[P(0), T(0)])],
+        OpKind::Xnor => &[(OP_XOR, &[T(0), P(1), P(2)]), (OP_NOT, &[P(0), T(0)])],
+        // !((a | b) & c)
+        OpKind::Oai21 => {
+            &[(OP_OR, &[T(0), P(1), P(2)]), (OP_AND, &[T(1), T(0), P(3)]), (OP_NOT, &[P(0), T(1)])]
+        }
+        // !((a | b) & (c | d))
+        OpKind::Oai22 => &[
+            (OP_OR, &[T(0), P(1), P(2)]),
+            (OP_OR, &[T(1), P(3), P(4)]),
+            (OP_AND, &[T(2), T(0), T(1)]),
+            (OP_NOT, &[P(0), T(2)]),
+        ],
+        // !((a & b) | c)
+        OpKind::Aoi21 => {
+            &[(OP_AND, &[T(0), P(1), P(2)]), (OP_OR, &[T(1), T(0), P(3)]), (OP_NOT, &[P(0), T(1)])]
+        }
+        // s = a ^ b ^ cin; co = (a & b) | ((a ^ b) & cin)
+        OpKind::FullAdder => &[
+            (OP_XOR, &[T(0), P(2), P(3)]),
+            (OP_AND, &[T(1), P(2), P(3)]),
+            (OP_AND, &[T(2), T(0), P(4)]),
+            (OP_XOR, &[P(0), T(0), P(4)]),
+            (OP_OR, &[P(1), T(1), T(2)]),
+        ],
+        // x = a^b^c^d; s = x^cin; carry = x ? cin : d;
+        // cout = (a & b) | (c & (a ^ b))
+        OpKind::Compressor42 => &[
+            (OP_XOR, &[T(0), P(3), P(4)]),
+            (OP_XOR, &[T(1), P(5), P(6)]),
+            (OP_XOR, &[T(2), T(0), T(1)]),
+            (OP_XOR, &[P(0), T(2), P(7)]),
+            (OP_MUX, &[P(1), P(6), P(7), T(2)]),
+            (OP_AND, &[T(3), P(3), P(4)]),
+            (OP_AND, &[T(4), P(5), T(0)]),
+            (OP_OR, &[P(2), T(3), T(4)]),
+        ],
+        // act & (s ? w1 : w0)
+        OpKind::MultMux => &[(OP_MUX, &[T(0), P(2), P(3), P(4)]), (OP_AND, &[P(0), P(1), T(0)])],
     }
 }
 
@@ -69,18 +134,24 @@ fn op_operands(op: &Op, out: &mut Vec<u32>) {
 /// once per artifact no matter how many programs reference it.
 pub fn encode_program(prog: &Program) -> SectionWriter {
     let mut w = SectionWriter::new();
+    let scratch = prog.net_count as u32;
     w.put_u64(prog.net_count as u64);
-    w.put_u64(prog.slot_count as u64);
+    w.put_u64((prog.net_count + SCRATCH_SLOTS) as u64);
 
-    w.put_u32(prog.ops.len() as u32);
-    let mut nibbles = vec![0u8; prog.ops.len().div_ceil(2)];
+    let mut nibbles = Vec::new();
     let mut operands = Vec::new();
-    for (i, op) in prog.ops.iter().enumerate() {
-        nibbles[i / 2] |= op_nibble(op) << ((i % 2) * 4);
-        op_operands(op, &mut operands);
+    for op in &prog.ops {
+        for &(nib, args) in template(op.kind) {
+            nibbles.push(nib);
+            operands.extend(args.iter().map(|&arg| match arg {
+                P(p) => op.pins[p],
+                T(t) => scratch + t,
+            }));
+        }
     }
-    for b in nibbles {
-        w.put_u8(b);
+    w.put_u32(nibbles.len() as u32);
+    for pair in nibbles.chunks(2) {
+        w.put_u8(pair[0] | pair.get(1).map_or(0, |hi| hi << 4));
     }
     w.put_u32s(&operands);
 
@@ -99,8 +170,46 @@ pub fn encode_program(prog: &Program) -> SectionWriter {
     w
 }
 
+/// Match `kind`'s template against the micro-ops starting at nibble
+/// `at` and operand `cursor`, binding its pins to net slots. Returns the
+/// op and the operands it consumed, or `None` if the stream differs
+/// anywhere (including running out).
+fn match_template(
+    kind: OpKind,
+    nibbles: &[u8],
+    operands: &[u32],
+    at: usize,
+    cursor: usize,
+    net_count: usize,
+) -> Option<(Op, usize)> {
+    let tpl = template(kind);
+    let mut pins = [None::<u32>; MAX_PINS];
+    let mut used = 0;
+    for (k, &(nib, args)) in tpl.iter().enumerate() {
+        if nibbles.get(at + k) != Some(&nib) {
+            return None;
+        }
+        for (&arg, &slot) in args.iter().zip(operands.get(cursor + used..)?) {
+            let ok = match arg {
+                T(t) => slot as usize == net_count + t as usize,
+                P(p) => (slot as usize) < net_count && *pins[p].get_or_insert(slot) == slot,
+            };
+            if !ok {
+                return None;
+            }
+        }
+        used += args.len();
+        if cursor + used > operands.len() {
+            return None;
+        }
+    }
+    let pins: [u32; MAX_PINS] = std::array::from_fn(|p| pins[p].unwrap_or(0));
+    Some((Op::new(kind, &pins[..kind.pins()]), used))
+}
+
 /// Decode a [`SectionId::Program`](syndcim_ir::artifact::SectionId) payload against the already-decoded
-/// shared `symbols`, re-validating every slot and index bound.
+/// shared `symbols`, re-validating every slot and index bound and
+/// folding each template back into its op.
 pub fn decode_program(r: &mut SectionReader<'_>, symbols: &Symbols) -> Result<Program, ArtifactError> {
     let net_count = r.get_u64("program net count")? as usize;
     if net_count != symbols.net_count() {
@@ -109,84 +218,50 @@ pub fn decode_program(r: &mut SectionReader<'_>, symbols: &Symbols) -> Result<Pr
         );
     }
     let slot_count = r.get_u64("program slot count")?;
-    if slot_count < net_count as u64 || slot_count - net_count as u64 > MAX_SCRATCH {
-        return Err(r.malformed(format!("slot count {slot_count} inconsistent with {net_count} nets")));
+    if slot_count != (net_count + SCRATCH_SLOTS) as u64 {
+        return Err(r.malformed(format!(
+            "slot count {slot_count} is not {net_count} nets plus {SCRATCH_SLOTS} scratch slots"
+        )));
     }
-    let slot_count = slot_count as usize;
-    let check_slot = |r: &SectionReader<'_>, s: u32, what: &'static str| {
-        if (s as usize) < slot_count {
-            Ok(s)
-        } else {
-            Err(r.malformed(format!("{what}: slot {s} out of range (program has {slot_count} slots)")))
-        }
-    };
 
-    let op_count = r.get_count(1, "op nibbles")?;
-    let mut nibbles = Vec::with_capacity(op_count.div_ceil(2));
-    for _ in 0..op_count.div_ceil(2) {
-        nibbles.push(r.get_u8("op nibble")?);
+    let micro_count = r.get_count(1, "op nibbles")?;
+    let mut nibbles = Vec::with_capacity(micro_count + 1);
+    for _ in 0..micro_count.div_ceil(2) {
+        let b = r.get_u8("op nibble")?;
+        nibbles.extend([b & 0xF, b >> 4]);
+    }
+    // A stray high nibble on an odd-count tail is corruption too.
+    if nibbles.len() > micro_count && nibbles.pop() != Some(0) {
+        return Err(r.malformed("nonzero padding nibble after the op stream"));
+    }
+    if let Some(&nib) = nibbles.iter().find(|&&nib| arity(nib).is_none()) {
+        return Err(r.malformed(format!("unknown op nibble {nib}")));
     }
     let operands = r.get_u32s("op operands")?;
-    let mut ops = Vec::with_capacity(op_count);
-    let mut cursor = 0usize;
-    fn pull<'o>(
-        r: &SectionReader<'_>,
-        operands: &'o [u32],
-        cursor: &mut usize,
-        n: usize,
-    ) -> Result<&'o [u32], ArtifactError> {
-        if *cursor + n > operands.len() {
-            return Err(r.malformed("operand stream shorter than the op stream requires"));
-        }
-        let s = &operands[*cursor..*cursor + n];
-        *cursor += n;
-        Ok(s)
+    // The kinds whose template starts with each nibble, so a position
+    // tries only the templates that can start there.
+    let mut by_first: [Vec<OpKind>; 8] = Default::default();
+    for kind in OpKind::ALL {
+        by_first[usize::from(template(kind)[0].0)].push(kind);
     }
-    for i in 0..op_count {
-        let nib = (nibbles[i / 2] >> ((i % 2) * 4)) & 0xF;
-        let op = match nib {
-            OP_CONST0 | OP_CONST1 => {
-                let v = pull(r, &operands, &mut cursor, 1)?;
-                Op::Const { dst: check_slot(r, v[0], "const dst")?, ones: nib == OP_CONST1 }
-            }
-            OP_COPY | OP_NOT => {
-                let v = pull(r, &operands, &mut cursor, 2)?;
-                let dst = check_slot(r, v[0], "unary dst")?;
-                let a = check_slot(r, v[1], "unary src")?;
-                if nib == OP_COPY {
-                    Op::Copy { dst, a }
-                } else {
-                    Op::Not { dst, a }
-                }
-            }
-            OP_AND | OP_OR | OP_XOR => {
-                let v = pull(r, &operands, &mut cursor, 3)?;
-                let dst = check_slot(r, v[0], "binary dst")?;
-                let a = check_slot(r, v[1], "binary src a")?;
-                let b = check_slot(r, v[2], "binary src b")?;
-                match nib {
-                    OP_AND => Op::And { dst, a, b },
-                    OP_OR => Op::Or { dst, a, b },
-                    _ => Op::Xor { dst, a, b },
-                }
-            }
-            OP_MUX => {
-                let v = pull(r, &operands, &mut cursor, 4)?;
-                Op::Mux {
-                    dst: check_slot(r, v[0], "mux dst")?,
-                    d0: check_slot(r, v[1], "mux d0")?,
-                    d1: check_slot(r, v[2], "mux d1")?,
-                    s: check_slot(r, v[3], "mux select")?,
-                }
-            }
-            _ => return Err(r.malformed(format!("unknown op nibble {nib}"))),
+    let mut ops = Vec::new();
+    let (mut at, mut cursor) = (0usize, 0usize);
+    while at < micro_count {
+        let Some((op, used)) = by_first[usize::from(nibbles[at])]
+            .iter()
+            .find_map(|&kind| match_template(kind, &nibbles, &operands, at, cursor, net_count))
+        else {
+            return Err(r.malformed(format!(
+                "micro-op {at} starts no cell template (scratch operand outside a template, \
+                 slot out of range, or a template cut off)"
+            )));
         };
+        if op.outputs().iter().any(|o| op.inputs().contains(o)) {
+            return Err(r.malformed(format!("micro-op {at}: a {:?} op writes one of its inputs", op.kind)));
+        }
+        at += template(op.kind).len();
+        cursor += used;
         ops.push(op);
-    }
-    // A stray high nibble on an odd-count tail, or operands beyond the
-    // op stream, are corruption too.
-    if op_count % 2 == 1 && nibbles[op_count / 2] >> 4 != 0 {
-        return Err(r.malformed("nonzero padding nibble after the op stream"));
     }
     if cursor != operands.len() {
         return Err(r.malformed(format!("{} operand(s) beyond the op stream", operands.len() - cursor)));
@@ -194,6 +269,13 @@ pub fn decode_program(r: &mut SectionReader<'_>, symbols: &Symbols) -> Result<Pr
 
     let commit_count = r.get_count(13, "commit table")?;
     let mut commits = Vec::with_capacity(commit_count);
+    let check_net = |r: &SectionReader<'_>, s: u32, what: &'static str| {
+        if (s as usize) < net_count {
+            Ok(s)
+        } else {
+            Err(r.malformed(format!("{what}: slot {s} out of range (program has {net_count} nets)")))
+        }
+    };
     for _ in 0..commit_count {
         let update = match r.get_u8("commit update tag")? {
             SEQ_EDGE => SeqUpdate::Edge,
@@ -204,9 +286,9 @@ pub fn decode_program(r: &mut SectionReader<'_>, symbols: &Symbols) -> Result<Pr
         let in0 = r.get_u32("commit in0")?;
         let in1 = r.get_u32("commit in1")?;
         let q = r.get_u32("commit q")?;
-        let in0 = check_slot(r, in0, "commit in0")?;
-        let in1 = check_slot(r, in1, "commit in1")?;
-        let q = check_slot(r, q, "commit q")?;
+        let in0 = check_net(r, in0, "commit in0")?;
+        let in1 = check_net(r, in1, "commit in1")?;
+        let q = check_net(r, q, "commit q")?;
         commits.push(Commit { update, in0, in1, q });
     }
 
@@ -224,7 +306,7 @@ pub fn decode_program(r: &mut SectionReader<'_>, symbols: &Symbols) -> Result<Pr
         }
     }
 
-    Ok(Program { net_count, slot_count, ops, commits, seq_of_inst, syms: symbols.clone() })
+    Ok(Program { net_count, ops, commits, seq_of_inst, syms: symbols.clone() })
 }
 
 #[cfg(test)]
@@ -235,15 +317,21 @@ mod tests {
     use syndcim_netlist::NetlistBuilder;
     use syndcim_pdk::{CellKind, CellLibrary};
 
+    /// Every combinational cell of the library over shared inputs, plus
+    /// all three sequential update rules.
     fn sample() -> (Program, Symbols) {
         let lib = CellLibrary::syn40();
         let mut b = NetlistBuilder::new("mix", &lib);
-        let a = b.input("a");
-        let c = b.input("b");
-        let s = b.xor2(a, c);
-        let q = b.dff(s);
-        let qe = b.dffe(s, a);
-        let rbl = b.add(CellKind::Sram6T2T, &[a, c])[0];
+        let ins: Vec<_> = (0..5).map(|i| b.input(format!("in{i}"))).collect();
+        let mut acc = b.xor2(ins[0], ins[1]);
+        for cell in lib.cells().iter().filter(|c| !c.is_sequential()) {
+            for out in b.add(cell.kind, &ins[..cell.function.input_count()]) {
+                acc = b.xor2(acc, out);
+            }
+        }
+        let q = b.dff(acc);
+        let qe = b.dffe(acc, ins[0]);
+        let rbl = b.add(CellKind::Sram6T2T, &[ins[0], ins[1]])[0];
         let m1 = b.xor2(q, qe);
         let y = b.xor2(m1, rbl);
         b.output("y", y);
@@ -261,39 +349,59 @@ mod tests {
         out
     }
 
+    fn decode(bytes: &[u8], syms: &Symbols) -> Result<Program, ArtifactError> {
+        let reader = ArtifactReader::parse(bytes).unwrap();
+        let mut r = reader.reader(SectionId::Program).unwrap();
+        let prog = decode_program(&mut r, syms)?;
+        r.finish().unwrap();
+        Ok(prog)
+    }
+
+    #[test]
+    fn every_template_names_each_pin_and_fits_its_micro_op_arity() {
+        for kind in OpKind::ALL {
+            let mut named = vec![false; kind.pins()];
+            for &(nib, args) in template(kind) {
+                assert_eq!(arity(nib), Some(args.len()), "{kind:?}");
+                for &arg in args {
+                    match arg {
+                        P(p) => named[p] = true,
+                        T(t) => assert!((t as usize) < SCRATCH_SLOTS, "{kind:?}"),
+                    }
+                }
+            }
+            assert!(named.iter().all(|&n| n), "{kind:?} leaves a pin unnamed");
+        }
+    }
+
     #[test]
     fn program_codec_roundtrips_ops_commits_and_seq_map() {
         let (prog, syms) = sample();
+        let kinds: Vec<OpKind> = prog.ops.iter().map(|op| op.kind).collect();
+        assert!(OpKind::ALL.iter().all(|k| kinds.contains(k)), "the sample holds every op kind");
         let bytes = frame(encode_program(&prog));
-        let reader = ArtifactReader::parse(&bytes).unwrap();
-        let mut r = reader.reader(SectionId::Program).unwrap();
-        let back = decode_program(&mut r, &syms).unwrap();
-        r.finish().unwrap();
+        let back = decode(&bytes, &syms).unwrap();
         assert_eq!(back.net_count, prog.net_count);
-        assert_eq!(back.slot_count, prog.slot_count);
         assert_eq!(back.ops, prog.ops);
         assert_eq!(back.seq_of_inst, prog.seq_of_inst);
         assert_eq!(back.commits.len(), prog.commits.len());
         for (a, b) in back.commits.iter().zip(&prog.commits) {
             assert_eq!((a.update, a.in0, a.in1, a.q), (b.update, b.in0, b.in1, b.q));
         }
+        assert_eq!(frame(encode_program(&back)), bytes, "a decoded program re-encodes to its bytes");
     }
 
     #[test]
     fn hostile_slots_and_tags_are_rejected() {
         let (prog, syms) = sample();
 
-        // An operand slot beyond slot_count.
+        // An operand slot beyond the scratch range.
         let mut mutated = prog.clone();
-        if let Some(Op::Xor { a, .. }) = mutated.ops.last_mut() {
-            *a = u32::MAX;
-        } else {
-            panic!("sample ends in an xor");
-        }
+        let last = mutated.ops.last_mut().unwrap();
+        assert_eq!(last.kind, OpKind::Xor, "sample ends in an xor");
+        last.pins[1] = u32::MAX;
         let bytes = frame(encode_program(&mutated));
-        let reader = ArtifactReader::parse(&bytes).unwrap();
-        let mut r = reader.reader(SectionId::Program).unwrap();
-        assert!(matches!(decode_program(&mut r, &syms), Err(ArtifactError::Malformed { .. })));
+        assert!(matches!(decode(&bytes, &syms), Err(ArtifactError::Malformed { .. })));
 
         // A dangling sequential index.
         let mut mutated = prog.clone();
@@ -301,8 +409,6 @@ mod tests {
             mutated.seq_of_inst.iter().position(|&s| s != NO_SEQ).expect("sample has sequential cells");
         mutated.seq_of_inst[seq_slot] = 1000;
         let bytes = frame(encode_program(&mutated));
-        let reader = ArtifactReader::parse(&bytes).unwrap();
-        let mut r = reader.reader(SectionId::Program).unwrap();
-        assert!(matches!(decode_program(&mut r, &syms), Err(ArtifactError::Malformed { .. })));
+        assert!(matches!(decode(&bytes, &syms), Err(ArtifactError::Malformed { .. })));
     }
 }

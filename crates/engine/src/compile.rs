@@ -3,10 +3,10 @@
 //! The shared [`Lowering`] pass validates connectivity and levelizes
 //! the combinational instances (the same `syndcim_netlist::levelize`
 //! order the interpreter uses, so both backends agree on evaluation
-//! semantics); this module then lowers every cell's [`CellFunction`]
-//! into AND/OR/XOR/NOT/MUX/CONST micro-ops over dense slots. Multi-op
-//! lowerings route intermediate values through scratch slots so only
-//! real net slots ever enter toggle accounting. The compiled timing
+//! semantics); this module then maps every cell's [`CellFunction`] to
+//! one op over the cell's net slots (the half adder to an XOR and an
+//! AND), so only real nets are ever computed or toggle-accounted. The
+//! compiled timing
 //! program in `syndcim-sta` consumes the same [`Lowering`], emitting
 //! delay arcs where this module emits boolean ops.
 
@@ -16,7 +16,7 @@ use syndcim_telemetry as telemetry;
 
 use syndcim_ir::Lowering;
 
-use crate::program::{Commit, Op, Program, SCRATCH_SLOTS};
+use crate::program::{Commit, Op, OpKind, Program, MAX_PINS};
 
 impl Program {
     /// Compile `module` against `lib`.
@@ -39,86 +39,47 @@ impl Program {
     /// netlist.
     pub fn from_lowering(low: &Lowering, module: &Module, lib: &CellLibrary) -> Program {
         telemetry::span!("engine.compile");
-        let net_count = low.net_count();
-        let scratch = net_count as u32;
-        let mut ops = Vec::new();
-
+        // One op per cell, two per half adder (about 6% of the paper
+        // chip's cells): a quarter more than the cell count keeps the
+        // stream from regrowing while it is written.
+        let mut ops = Vec::with_capacity(low.order().len() + low.order().len() / 4);
         for &id in low.order() {
             let inst = &module.instances[id.index()];
-            let cell = lib.cell(inst.cell);
-            let i = |pin: usize| inst.inputs[pin].index() as u32;
-            let o = |pin: usize| inst.outputs[pin].index() as u32;
-            let (t0, t1, t2, t3, t4) = (scratch, scratch + 1, scratch + 2, scratch + 3, scratch + 4);
-            match cell.function {
-                CellFunction::Const(v) => ops.push(Op::Const { dst: o(0), ones: v }),
-                CellFunction::Not => ops.push(Op::Not { dst: o(0), a: i(0) }),
-                CellFunction::Identity => ops.push(Op::Copy { dst: o(0), a: i(0) }),
-                CellFunction::And => ops.push(Op::And { dst: o(0), a: i(0), b: i(1) }),
-                CellFunction::Nand => {
-                    ops.push(Op::And { dst: t0, a: i(0), b: i(1) });
-                    ops.push(Op::Not { dst: o(0), a: t0 });
-                }
-                CellFunction::Or => ops.push(Op::Or { dst: o(0), a: i(0), b: i(1) }),
-                CellFunction::Nor => {
-                    ops.push(Op::Or { dst: t0, a: i(0), b: i(1) });
-                    ops.push(Op::Not { dst: o(0), a: t0 });
-                }
-                CellFunction::Xor => ops.push(Op::Xor { dst: o(0), a: i(0), b: i(1) }),
-                CellFunction::Xnor => {
-                    ops.push(Op::Xor { dst: t0, a: i(0), b: i(1) });
-                    ops.push(Op::Not { dst: o(0), a: t0 });
-                }
-                CellFunction::Mux2 => ops.push(Op::Mux { dst: o(0), d0: i(0), d1: i(1), s: i(2) }),
-                CellFunction::Oai21 => {
-                    // !((a | b) & c)
-                    ops.push(Op::Or { dst: t0, a: i(0), b: i(1) });
-                    ops.push(Op::And { dst: t1, a: t0, b: i(2) });
-                    ops.push(Op::Not { dst: o(0), a: t1 });
-                }
-                CellFunction::Oai22 => {
-                    // !((a | b) & (c | d))
-                    ops.push(Op::Or { dst: t0, a: i(0), b: i(1) });
-                    ops.push(Op::Or { dst: t1, a: i(2), b: i(3) });
-                    ops.push(Op::And { dst: t2, a: t0, b: t1 });
-                    ops.push(Op::Not { dst: o(0), a: t2 });
-                }
-                CellFunction::Aoi21 => {
-                    // !((a & b) | c)
-                    ops.push(Op::And { dst: t0, a: i(0), b: i(1) });
-                    ops.push(Op::Or { dst: t1, a: t0, b: i(2) });
-                    ops.push(Op::Not { dst: o(0), a: t1 });
-                }
+            let kind = match lib.cell(inst.cell).function {
+                CellFunction::Const(false) => OpKind::Const0,
+                CellFunction::Const(true) => OpKind::Const1,
+                CellFunction::Identity => OpKind::Copy,
+                CellFunction::Not => OpKind::Not,
+                CellFunction::And => OpKind::And,
+                CellFunction::Or => OpKind::Or,
+                CellFunction::Xor => OpKind::Xor,
+                CellFunction::Mux2 => OpKind::Mux,
+                CellFunction::Nand => OpKind::Nand,
+                CellFunction::Nor => OpKind::Nor,
+                CellFunction::Xnor => OpKind::Xnor,
+                CellFunction::Oai21 => OpKind::Oai21,
+                CellFunction::Oai22 => OpKind::Oai22,
+                CellFunction::Aoi21 => OpKind::Aoi21,
+                CellFunction::FullAdder => OpKind::FullAdder,
+                CellFunction::Compressor42 => OpKind::Compressor42,
+                CellFunction::MultMuxFused => OpKind::MultMux,
                 CellFunction::HalfAdder => {
-                    ops.push(Op::Xor { dst: o(0), a: i(0), b: i(1) });
-                    ops.push(Op::And { dst: o(1), a: i(0), b: i(1) });
-                }
-                CellFunction::FullAdder => {
-                    // s = a ^ b ^ cin; co = (a & b) | ((a ^ b) & cin)
-                    ops.push(Op::Xor { dst: t0, a: i(0), b: i(1) });
-                    ops.push(Op::And { dst: t1, a: i(0), b: i(1) });
-                    ops.push(Op::And { dst: t2, a: t0, b: i(2) });
-                    ops.push(Op::Xor { dst: o(0), a: t0, b: i(2) });
-                    ops.push(Op::Or { dst: o(1), a: t1, b: t2 });
-                }
-                CellFunction::Compressor42 => {
-                    // x = a^b^c^d; s = x^cin; carry = x ? cin : d;
-                    // cout = maj(a, b, c) = (a & b) | (c & (a ^ b)).
-                    ops.push(Op::Xor { dst: t0, a: i(0), b: i(1) });
-                    ops.push(Op::Xor { dst: t1, a: i(2), b: i(3) });
-                    ops.push(Op::Xor { dst: t2, a: t0, b: t1 });
-                    ops.push(Op::Xor { dst: o(0), a: t2, b: i(4) });
-                    ops.push(Op::Mux { dst: o(1), d0: i(3), d1: i(4), s: t2 });
-                    ops.push(Op::And { dst: t3, a: i(0), b: i(1) });
-                    ops.push(Op::And { dst: t4, a: i(2), b: t0 });
-                    ops.push(Op::Or { dst: o(2), a: t3, b: t4 });
-                }
-                CellFunction::MultMuxFused => {
-                    // act & (s ? w1 : w0), inputs act, w0, w1, s.
-                    ops.push(Op::Mux { dst: t0, d0: i(1), d1: i(2), s: i(3) });
-                    ops.push(Op::And { dst: o(0), a: i(0), b: t0 });
+                    // s = a ^ b; co = a & b — two plain ops, no scratch.
+                    let (i, o) = (&inst.inputs, &inst.outputs);
+                    let (a, b) = (i[0].index() as u32, i[1].index() as u32);
+                    ops.push(Op::new(OpKind::Xor, &[o[0].index() as u32, a, b]));
+                    ops.push(Op::new(OpKind::And, &[o[1].index() as u32, a, b]));
+                    continue;
                 }
                 CellFunction::SeqQ => unreachable!("sequential cells are excluded from levelize order"),
+            };
+            let (outs, ins) = (&inst.outputs, &inst.inputs);
+            debug_assert_eq!(outs.len() + ins.len(), kind.pins(), "{kind:?} pin count");
+            let mut pins = [outs[0].index() as u32; MAX_PINS];
+            for (pin, net) in pins.iter_mut().zip(outs.iter().chain(ins)) {
+                *pin = net.index() as u32;
             }
+            ops.push(Op { kind, pins });
         }
 
         let mut commits = Vec::new();
@@ -132,14 +93,8 @@ impl Program {
             commits.push(Commit { update: seq.update, in0, in1, q: inst.outputs[0].index() as u32 });
         }
 
-        let prog = Program {
-            net_count,
-            slot_count: net_count + SCRATCH_SLOTS,
-            ops,
-            commits,
-            seq_of_inst,
-            syms: low.symbols().clone(),
-        };
+        let prog =
+            Program { net_count: low.net_count(), ops, commits, seq_of_inst, syms: low.symbols().clone() };
         telemetry::counter("engine.ops_emitted").add(prog.op_count() as u64);
         telemetry::gauge("engine.retained_bytes").set(prog.retained_bytes() as u64);
         prog
@@ -202,14 +157,14 @@ mod tests {
         b.output("y", y);
         let m = b.finish();
         let p = Program::compile(&m, &lib).unwrap();
-        // Every real slot resolves to its net name; scratch slots don't.
+        // Every slot resolves to its net name; nothing past the nets does.
         for (i, net) in m.nets.iter().enumerate() {
             assert_eq!(p.net_label(i as u32), Some(net.name.as_str()));
         }
-        assert_eq!(p.net_label(m.net_count() as u32), None, "scratch slots have no net label");
-        // The NAND lowers to AND-into-scratch then NOT-into-`y`'s net.
-        assert_eq!(p.op_label(0), format!("%{} = `a` & `c`", m.net_count()));
-        assert_eq!(p.op_label(1), format!("`{}` = !%{}", m.nets[y.index()].name, m.net_count()));
+        assert_eq!(p.net_label(m.net_count() as u32), None, "no slot past the nets");
+        // The NAND is one fused op reading `a` and `c` into `y`'s net.
+        assert_eq!(p.op_count(), 1);
+        assert_eq!(p.op_label(0), format!("`{}` = !(`a` & `c`)", m.nets[y.index()].name));
     }
 
     #[test]

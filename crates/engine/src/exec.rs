@@ -20,6 +20,41 @@
 //! frame is one `#[target_feature]` method per pass and ISA: the pass
 //! inlines into it down to the slot write, so the executor pays one
 //! runtime branch per pass, never per op.
+//!
+//! # Activity-driven passes
+//!
+//! The program holds one op per cell and every op writes only nets (see
+//! [`crate::program`]), so the executor keeps one slot per net and one
+//! flag byte per net with two bits: *changed since the last settle* and
+//! *changed since the last capture*. Every store that changes the word
+//! in any lane, active or not, sets both bits. A settle evaluates an op
+//! only if one of its input or output nets has the settle bit, then
+//! clears every settle bit; output nets count so that a poke or a
+//! stuck-at force on a gate output is still overwritten by the next
+//! settle. A clock edge recaptures a state element only if its `in0`,
+//! `in1` or `q` net has the capture bit, and clears every capture bit
+//! before the commits write `q` (so a commit that changes `q` flags the
+//! elements it feeds for the next edge). Checking flags costs about a
+//! third of evaluating an op, so under stimulus that changes most nets
+//! every cycle the checks cost more than they skip: after four settles
+//! in a row that each evaluated at least five eighths of the ops, a
+//! settle evaluates every op without checking, and every sixteenth
+//! settle checks again to see whether the streak still holds.
+//!
+//! Skipping is exact. The op stream is levelized and each net has one
+//! driver, so after every settle each op's outputs hold its function of
+//! its inputs; an op none of whose nets changed would store the values
+//! its outputs already hold, which flips no lane. A state element's
+//! update `f(inputs, state)` is idempotent for all three rules
+//! (`f(i, f(i, s)) = f(i, s)` for an edge, an enabled edge and a bitcell
+//! write), and without faults an unflagged `q` equals the state, so a
+//! skipped element would capture the state it already holds. Values,
+//! toggle tables and per-lane toggles are therefore bit-identical to
+//! evaluating everything. Fault masks void both premises — a masked
+//! store need not be its op's function of its inputs, and a stuck `q`
+//! need not equal the state — so nothing is skipped while a fault plan
+//! is installed, and [`BatchExec::clear_faults`] flags every net, as
+//! construction and [`BatchExec::load_image`] do.
 
 use syndcim_netlist::{InstId, Module, NetId};
 use syndcim_pdk::SeqUpdate;
@@ -27,7 +62,7 @@ use syndcim_sim::SimBackend;
 use syndcim_telemetry as telemetry;
 
 use crate::fault::{EngineError, FaultKind, FaultPlan};
-use crate::program::{Op, Program};
+use crate::program::{OpKind, Program};
 use crate::simd::{SimdBackend, SimdPolicy};
 use crate::word::{LaneWord, W256, W512};
 
@@ -54,8 +89,8 @@ struct FaultState<W> {
     cycle: u64,
 }
 
-/// One lane's complete simulation state: its value in every slot (nets
-/// and scratch) and in every stored state, taken by
+/// One lane's complete simulation state: its value on every net and in
+/// every stored state, taken by
 /// [`EngineSim::lane_image`] and broadcast to every lane of an executor
 /// by [`EngineSim::load_image`]. Toggle counts are not part of it.
 ///
@@ -76,12 +111,20 @@ pub struct LaneImage {
 pub struct BatchExec<'a, W: LaneWord> {
     prog: &'a Program,
     module: &'a Module,
-    /// Value word per slot (net slots first, then scratch).
+    /// Value word per net.
     slots: Vec<W>,
+    /// Change flags per net: [`SETTLE`] and [`CAPTURE`] (module doc).
+    flags: Vec<u8>,
     /// Stored state word per sequential element (dense commit order).
     state: Vec<W>,
-    /// Capture buffer reused every step.
+    /// Next state per sequential element, valid for the elements in
+    /// `captured`; both buffers are reused every step.
     next: Vec<W>,
+    /// Elements the last clock edge captured, in commit order.
+    captured: Vec<u32>,
+    /// Settles in a row that evaluated at least [`DENSE_EIGHTHS`]/8 of
+    /// the ops (see [`BatchExec::settle_pass`]).
+    dense_streak: u32,
     /// Per-net toggle counts summed over active lanes.
     toggles: Vec<u64>,
     /// Optional per-lane toggle counts, `net * lanes + lane` — enabled
@@ -107,7 +150,17 @@ pub struct BatchExec<'a, W: LaneWord> {
     /// instrumentation at all.
     ctr_settles: telemetry::Counter,
     ctr_ops: telemetry::Counter,
+    ctr_ops_skipped: telemetry::Counter,
+    ctr_captures_skipped: telemetry::Counter,
 }
+
+/// Flag bit: the net changed since the last settle.
+const SETTLE: u8 = 1;
+/// Flag bit: the net changed since the last clock edge's capture.
+const CAPTURE: u8 = 2;
+/// A settle that evaluates at least this many eighths of the ops is
+/// dense: checking flags cost it more than skipping saved.
+const DENSE_EIGHTHS: usize = 5;
 
 impl<'a, W: LaneWord> BatchExec<'a, W> {
     /// Create an executor with `lanes` active lanes (`1..=W::LANES`).
@@ -141,9 +194,12 @@ impl<'a, W: LaneWord> BatchExec<'a, W> {
         BatchExec {
             prog,
             module,
-            slots: vec![W::splat(false); prog.slot_count],
+            slots: vec![W::splat(false); prog.net_count],
+            flags: vec![SETTLE | CAPTURE; prog.net_count],
             state: vec![W::splat(false); prog.commits.len()],
             next: vec![W::splat(false); prog.commits.len()],
+            captured: Vec::with_capacity(prog.commits.len()),
+            dense_streak: 0,
             toggles: vec![0; prog.net_count],
             lane_toggles: None,
             faults: None,
@@ -153,6 +209,8 @@ impl<'a, W: LaneWord> BatchExec<'a, W> {
             backend,
             ctr_settles: telemetry::counter("engine.settles"),
             ctr_ops: telemetry::counter("engine.ops_executed"),
+            ctr_ops_skipped: telemetry::counter("engine.ops_skipped"),
+            ctr_captures_skipped: telemetry::counter("engine.captures_skipped"),
         }
     }
 
@@ -172,8 +230,11 @@ impl<'a, W: LaneWord> BatchExec<'a, W> {
         self.prog
     }
 
-    /// Shrink the active lane set (values in deactivated lanes keep
-    /// evaluating but stop contributing toggles). Growing is rejected:
+    /// Shrink the active lane set. Deactivated lanes keep evaluating —
+    /// their values stay those of independent runs, and a change in any
+    /// lane, active or not, still marks its net changed, so the
+    /// activity-driven passes skip nothing they need — but stop
+    /// contributing toggles. Growing is rejected:
     /// a deactivated lane's uncounted transitions would corrupt the
     /// "toggles == sum of L independent runs" invariant if it were
     /// re-activated — create a new executor instead. Also rejected once
@@ -219,8 +280,10 @@ impl<'a, W: LaneWord> BatchExec<'a, W> {
         Some((0..self.prog.net_count).map(|n| lt[n * self.lanes + lane]).collect())
     }
 
-    /// The single slot-write choke point: fault masks, aggregate and
-    /// per-lane toggle accounting all hang here, width-generically.
+    /// The single slot-write choke point: fault masks, change flags,
+    /// aggregate and per-lane toggle accounting all hang here,
+    /// width-generically. A store that changes the word in any lane
+    /// sets both change flags of the net.
     /// `inline(always)` is load-bearing: every settle/commit op funnels
     /// through this function, and it must land inside the per-ISA
     /// `#[target_feature]` frame — outlined, it compiles without the
@@ -228,21 +291,20 @@ impl<'a, W: LaneWord> BatchExec<'a, W> {
     #[inline(always)]
     fn write(&mut self, dst: u32, mut val: W) {
         let d = dst as usize;
-        if d < self.prog.net_count {
-            if let Some(f) = &self.faults {
-                val = val.and(f.and[d]).or(f.or[d]).xor(f.xor[d]);
-            }
-            let old = self.slots[d];
-            let flips = old.xor(val).and(self.mask);
-            flips.popcount_accum(W::splat(true), &mut self.toggles[d]);
-            if let Some(lt) = &mut self.lane_toggles {
-                for wi in 0..W::WORDS {
-                    let mut chunk = flips.get_u64(wi);
-                    while chunk != 0 {
-                        let lane = wi * 64 + chunk.trailing_zeros() as usize;
-                        lt[d * self.lanes + lane] += 1;
-                        chunk &= chunk - 1;
-                    }
+        if let Some(f) = &self.faults {
+            val = val.and(f.and[d]).or(f.or[d]).xor(f.xor[d]);
+        }
+        let diff = self.slots[d].xor(val);
+        self.flags[d] |= u8::from(diff.any()) * (SETTLE | CAPTURE);
+        let flips = diff.and(self.mask);
+        flips.popcount_accum(W::splat(true), &mut self.toggles[d]);
+        if let Some(lt) = &mut self.lane_toggles {
+            for wi in 0..W::WORDS {
+                let mut chunk = flips.get_u64(wi);
+                while chunk != 0 {
+                    let lane = wi * 64 + chunk.trailing_zeros() as usize;
+                    lt[d * self.lanes + lane] += 1;
+                    chunk &= chunk - 1;
                 }
             }
         }
@@ -256,10 +318,13 @@ impl<'a, W: LaneWord> BatchExec<'a, W> {
     /// other transition); transient flips wait for their cycle, counted
     /// in [`SimBackend::step`] calls from this installation. Installing
     /// an empty plan is equivalent to [`BatchExec::clear_faults`].
+    /// Replacing a plan flags nothing: while any plan is installed every
+    /// op and state element is evaluated, so values the old plan forced
+    /// are recomputed at the next settle and edge.
     pub fn install_faults(&mut self, plan: &FaultPlan) -> Result<(), EngineError> {
         plan.validate(self.prog.net_count, self.lanes)?;
-        self.faults = None;
         if plan.is_empty() {
+            self.clear_faults();
             return Ok(());
         }
         let n = self.prog.net_count;
@@ -301,11 +366,13 @@ impl<'a, W: LaneWord> BatchExec<'a, W> {
     }
 
     /// Remove the installed fault plan (if any). Slot values are left
-    /// as they are — the next settle recomputes every internal net
-    /// fault-free; input nets keep their last (possibly forced) value
-    /// until re-driven.
+    /// as they are — every net is flagged changed, so the next settle
+    /// recomputes every internal net fault-free and the next edge
+    /// recaptures every state element; input nets keep their last
+    /// (possibly forced) value until re-driven.
     pub fn clear_faults(&mut self) {
         self.faults = None;
+        self.flags.fill(SETTLE | CAPTURE);
     }
 
     /// Whether a non-empty fault plan is currently installed.
@@ -329,7 +396,8 @@ impl<'a, W: LaneWord> BatchExec<'a, W> {
     }
 
     /// Set every lane of the word, active or not, to `image`, counting
-    /// no toggles. Toggle and lane-cycle totals are kept, so an executor
+    /// no toggles and flagging every net changed. Toggle and lane-cycle
+    /// totals are kept, so an executor
     /// can accumulate activity over several batches that each start
     /// from the same prepared state.
     ///
@@ -354,6 +422,7 @@ impl<'a, W: LaneWord> BatchExec<'a, W> {
         for (w, &v) in self.state.iter_mut().zip(&image.state) {
             *w = W::splat(v);
         }
+        self.flags.fill(SETTLE | CAPTURE);
         Ok(())
     }
 
@@ -426,43 +495,85 @@ impl<'a, W: LaneWord> BatchExec<'a, W> {
         }
     }
 
-    /// One linear pass over the levelized op stream. Keep it
-    /// `inline(always)` so it compiles inside each per-ISA frame
-    /// ([`SimBackend::settle`] picks the frame).
+    /// One linear pass over the levelized op stream, evaluating the ops
+    /// whose nets changed, then clearing every settle flag. Returns the
+    /// ops evaluated. Every op is evaluated while a fault plan is
+    /// installed, and after four dense settles in a row (stimulus that
+    /// changes most nets every cycle), except on every sixteenth
+    /// settle, which checks flags again and ends the streak if it finds
+    /// the settle sparse. Evaluating an op none of whose nets changed
+    /// stores what its outputs hold, so this changes no value or
+    /// toggle. Keep it `inline(always)` so it compiles inside each
+    /// per-ISA frame ([`SimBackend::settle`] picks the frame).
     #[inline(always)]
-    fn settle_pass(&mut self) {
-        for k in 0..self.prog.ops.len() {
-            let op = self.prog.ops[k];
-            let val = match op {
-                Op::Const { ones, .. } => W::splat(ones),
-                Op::Copy { a, .. } => self.slots[a as usize],
-                Op::Not { a, .. } => self.slots[a as usize].not(),
-                Op::And { a, b, .. } => self.slots[a as usize].and(self.slots[b as usize]),
-                Op::Or { a, b, .. } => self.slots[a as usize].or(self.slots[b as usize]),
-                Op::Xor { a, b, .. } => self.slots[a as usize].xor(self.slots[b as usize]),
-                Op::Mux { d0, d1, s, .. } => {
-                    W::mux(self.slots[d0 as usize], self.slots[d1 as usize], self.slots[s as usize])
+    fn settle_pass(&mut self) -> usize {
+        let streak = self.dense_streak;
+        let every = self.faults.is_some() || (streak >= 4 && !streak.is_multiple_of(16));
+        let mut evaluated = 0;
+        let prog = self.prog;
+        for op in &prog.ops {
+            let n = op.pins;
+            if !every && n.iter().fold(0, |f, &x| f | self.flags[x as usize]) & SETTLE == 0 {
+                continue;
+            }
+            evaluated += 1;
+            let v = |p: usize| self.slots[n[p] as usize];
+            match op.kind {
+                OpKind::Const0 => self.write(n[0], W::splat(false)),
+                OpKind::Const1 => self.write(n[0], W::splat(true)),
+                OpKind::Copy => self.write(n[0], v(1)),
+                OpKind::Not => self.write(n[0], v(1).not()),
+                OpKind::And => self.write(n[0], v(1).and(v(2))),
+                OpKind::Or => self.write(n[0], v(1).or(v(2))),
+                OpKind::Xor => self.write(n[0], v(1).xor(v(2))),
+                OpKind::Mux => self.write(n[0], W::mux(v(1), v(2), v(3))),
+                OpKind::Nand => self.write(n[0], v(1).and(v(2)).not()),
+                OpKind::Nor => self.write(n[0], v(1).or(v(2)).not()),
+                OpKind::Xnor => self.write(n[0], v(1).xor(v(2)).not()),
+                OpKind::Oai21 => self.write(n[0], v(1).or(v(2)).and(v(3)).not()),
+                OpKind::Oai22 => self.write(n[0], v(1).or(v(2)).and(v(3).or(v(4))).not()),
+                OpKind::Aoi21 => self.write(n[0], v(1).and(v(2)).or(v(3)).not()),
+                OpKind::FullAdder => {
+                    let (a, b, cin) = (v(2), v(3), v(4));
+                    let x = a.xor(b);
+                    self.write(n[0], x.xor(cin));
+                    self.write(n[1], a.and(b).or(x.and(cin)));
                 }
-            };
-            let dst = match op {
-                Op::Const { dst, .. }
-                | Op::Copy { dst, .. }
-                | Op::Not { dst, .. }
-                | Op::And { dst, .. }
-                | Op::Or { dst, .. }
-                | Op::Xor { dst, .. }
-                | Op::Mux { dst, .. } => dst,
-            };
-            self.write(dst, val);
+                OpKind::Compressor42 => {
+                    let (a, b, c, d, cin) = (v(3), v(4), v(5), v(6), v(7));
+                    let ab = a.xor(b);
+                    let x = ab.xor(c.xor(d));
+                    self.write(n[0], x.xor(cin));
+                    self.write(n[1], W::mux(d, cin, x));
+                    self.write(n[2], a.and(b).or(c.and(ab)));
+                }
+                OpKind::MultMux => self.write(n[0], v(1).and(W::mux(v(2), v(3), v(4)))),
+            }
         }
+        for f in &mut self.flags {
+            *f &= !SETTLE;
+        }
+        let dense = evaluated * 8 >= prog.ops.len() * DENSE_EIGHTHS;
+        self.dense_streak = if dense { streak.saturating_add(1) } else { 0 };
+        evaluated
     }
 
-    /// Capture every next state from pre-edge values, then commit
-    /// states and q nets — the sequential half of [`SimBackend::step`].
+    /// Capture the next state of every element whose `in0`, `in1` or `q`
+    /// changed (every element while a fault plan is installed) from
+    /// pre-edge values, clear every capture flag, then commit the
+    /// captured states and q nets — the sequential half of
+    /// [`SimBackend::step`]. Returns the elements captured.
     /// `inline(always)` like [`BatchExec::settle_pass`].
     #[inline(always)]
-    fn capture_commit_pass(&mut self) {
-        for (i, c) in self.prog.commits.iter().enumerate() {
+    fn capture_commit_pass(&mut self) -> usize {
+        let every = self.faults.is_some();
+        let prog = self.prog;
+        self.captured.clear();
+        for (i, c) in prog.commits.iter().enumerate() {
+            let changed = self.flags[c.in0 as usize] | self.flags[c.in1 as usize] | self.flags[c.q as usize];
+            if !every && changed & CAPTURE == 0 {
+                continue;
+            }
             let cur = self.state[i];
             self.next[i] = match c.update {
                 SeqUpdate::Edge => self.slots[c.in0 as usize],
@@ -471,13 +582,18 @@ impl<'a, W: LaneWord> BatchExec<'a, W> {
                     W::mux(cur, self.slots[c.in1 as usize], self.slots[c.in0 as usize])
                 }
             };
+            self.captured.push(i as u32);
         }
-        for i in 0..self.prog.commits.len() {
+        for f in &mut self.flags {
+            *f &= !CAPTURE;
+        }
+        for k in 0..self.captured.len() {
+            let i = self.captured[k] as usize;
             let nv = self.next[i];
-            let q = self.prog.commits[i].q;
             self.state[i] = nv;
-            self.write(q, nv);
+            self.write(prog.commits[i].q, nv);
         }
+        self.captured.len()
     }
 
     // The ISA frames: one `#[target_feature]` method per pass and ISA,
@@ -487,25 +603,25 @@ impl<'a, W: LaneWord> BatchExec<'a, W> {
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    fn settle_avx2(&mut self) {
+    fn settle_avx2(&mut self) -> usize {
         self.settle_pass()
     }
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-    fn settle_avx512(&mut self) {
+    fn settle_avx512(&mut self) -> usize {
         self.settle_pass()
     }
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    fn capture_commit_avx2(&mut self) {
+    fn capture_commit_avx2(&mut self) -> usize {
         self.capture_commit_pass()
     }
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-    fn capture_commit_avx512(&mut self) {
+    fn capture_commit_avx512(&mut self) -> usize {
         self.capture_commit_pass()
     }
 }
@@ -540,30 +656,32 @@ impl<W: LaneWord> SimBackend for BatchExec<'_, W> {
     }
 
     fn settle(&mut self) {
-        self.ctr_settles.incr();
-        self.ctr_ops.add(self.prog.ops.len() as u64);
         // SAFETY (both ISA arms): `in_frame` asserted that the CPU has
         // `self.backend`'s features, which are all the frame enables.
-        match self.backend {
+        let evaluated = match self.backend {
             #[cfg(target_arch = "x86_64")]
             SimdBackend::Avx2 => unsafe { self.settle_avx2() },
             #[cfg(target_arch = "x86_64")]
             SimdBackend::Avx512 => unsafe { self.settle_avx512() },
             _ => self.settle_pass(),
-        }
+        };
+        self.ctr_settles.incr();
+        self.ctr_ops.add(evaluated as u64);
+        self.ctr_ops_skipped.add((self.prog.ops.len() - evaluated) as u64);
     }
 
     fn step(&mut self) {
         self.advance_fault_cycle();
         self.settle();
         // SAFETY (both ISA arms): as in `settle`.
-        match self.backend {
+        let captured = match self.backend {
             #[cfg(target_arch = "x86_64")]
             SimdBackend::Avx2 => unsafe { self.capture_commit_avx2() },
             #[cfg(target_arch = "x86_64")]
             SimdBackend::Avx512 => unsafe { self.capture_commit_avx512() },
             _ => self.capture_commit_pass(),
-        }
+        };
+        self.ctr_captures_skipped.add((self.prog.commits.len() - captured) as u64);
         self.lane_cycles += self.lanes as u64;
         self.settle();
     }

@@ -7,15 +7,23 @@
 //! program and then evaluates **up to 512 test vectors per pass**:
 //!
 //! * [`Program::compile`] — levelizes the combinational instances and
-//!   lowers every cell to AND/OR/XOR/NOT/MUX/CONST micro-ops over dense
-//!   slots; sequential cells become per-cycle commit records.
-//!   [`Program::from_lowering`] compiles from the shared
-//!   `syndcim_ir::Lowering` the compiled timing and power programs
-//!   consume too, so every fast path walks the netlist exactly once and
-//!   agrees on slot assignment;
+//!   maps every cell to one op over its net slots (the half adder to an
+//!   XOR and an AND): an op reads its input nets once and writes its
+//!   output nets, so no op needs a scratch slot. Sequential cells
+//!   become per-cycle commit records. [`Program::from_lowering`]
+//!   compiles from the shared `syndcim_ir::Lowering` the compiled
+//!   timing and power programs consume too, so every fast path walks
+//!   the netlist exactly once and agrees on slot assignment;
 //! * [`BatchExec`] — executes the op stream on [`LaneWord`]s (one bit
 //!   per lane), accumulating per-net toggles as `popcount(prev ^ next)`
-//!   so `syndcim_power` consumes its activity unchanged. The words are
+//!   so `syndcim_power` consumes its activity unchanged. Its passes are
+//!   activity-driven: every net carries a "changed since the last
+//!   settle" and a "changed since the last capture" flag, a settle
+//!   evaluates only ops with a changed input or output net, and a
+//!   clock edge recaptures only state elements with a changed `in0`,
+//!   `in1` or `q` — exactly, because a skipped op or element would
+//!   store what it already holds ([`exec`] has the argument). Nothing
+//!   is skipped while a fault plan is installed. The words are
 //!   the 64-lane `u64`, the 256-lane `[u64; 4]` [`W256`] and the
 //!   512-lane `[u64; 8]` [`W512`]; [`EngineSim`] auto-selects the
 //!   narrowest that fits a requested lane count and runs its passes in
@@ -25,7 +33,9 @@
 //!
 //! Both backends implement [`syndcim_sim::SimBackend`]; the interpreter
 //! remains the bit-exact reference the engine is differentially tested
-//! against (same outputs, same per-net toggle counts).
+//! against (same outputs, same per-net toggle counts). The `.scim`
+//! codec ([`artifact`]) stores the op stream as AND/OR/XOR/NOT/MUX/CONST
+//! micro-op templates and folds them back into ops on load.
 //!
 //! ```
 //! use syndcim_engine::{EngineSim, Program};

@@ -1,39 +1,141 @@
 //! The compiled program representation.
 //!
 //! A [`Program`] is the netlist lowered into a flat, levelized stream of
-//! word-level micro-ops over dense *slots*. Slots `0..net_count` mirror
-//! the module's nets one-to-one (so per-net toggle accounting stays
-//! compatible with the interpreter and the power analyzer); slots
-//! `net_count..slot_count` are scratch registers reused by every
-//! multi-op cell lowering. Sequential cells contribute no combinational
-//! ops — they appear as `Commit` records executed once per clock
-//! cycle.
+//! word-level ops over dense *slots* that mirror the module's nets
+//! one-to-one (so per-net toggle accounting stays compatible with the
+//! interpreter and the power analyzer). There is one op per
+//! combinational cell (the half adder alone takes two, an XOR and an
+//! AND over the same inputs): an op reads its input nets once and then
+//! writes its output nets, so no op needs a temporary and the executor
+//! keeps no scratch slots. Sequential cells contribute no combinational
+//! ops — they appear as `Commit` records executed once per clock cycle.
+//!
+//! Because every value an op computes lands on a net, the executor can
+//! tell from per-net change flags alone whether an op would store
+//! anything new, which is what lets a settle skip it (see
+//! [`crate::exec`]).
 
 use syndcim_ir::Symbols;
 use syndcim_pdk::SeqUpdate;
 
-/// Number of scratch slots appended after the net slots. The widest
-/// lowering (the 4-2 compressor) uses five temporaries.
-pub(crate) const SCRATCH_SLOTS: usize = 8;
+/// Most pins (outputs plus inputs) one op has: the 4-2 compressor's
+/// three outputs and five inputs.
+pub(crate) const MAX_PINS: usize = 8;
 
-/// One word-level micro-op. All operands are slot indices; every lane
-/// (bit of the `u64` word) evaluates independently.
+/// The boolean function of one op, lane by lane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Op {
-    /// `slot[dst] = ones ? !0 : 0`.
-    Const { dst: u32, ones: bool },
-    /// `slot[dst] = slot[a]`.
-    Copy { dst: u32, a: u32 },
-    /// `slot[dst] = !slot[a]`.
-    Not { dst: u32, a: u32 },
-    /// `slot[dst] = slot[a] & slot[b]`.
-    And { dst: u32, a: u32, b: u32 },
-    /// `slot[dst] = slot[a] | slot[b]`.
-    Or { dst: u32, a: u32, b: u32 },
-    /// `slot[dst] = slot[a] ^ slot[b]`.
-    Xor { dst: u32, a: u32, b: u32 },
-    /// `slot[dst] = (s & d1) | (!s & d0)` — per-lane 2:1 select.
-    Mux { dst: u32, d0: u32, d1: u32, s: u32 },
+pub(crate) enum OpKind {
+    /// `y = 0`.
+    Const0,
+    /// `y = 1`.
+    Const1,
+    /// `y = a`.
+    Copy,
+    /// `y = !a`.
+    Not,
+    /// `y = a & b`.
+    And,
+    /// `y = a | b`.
+    Or,
+    /// `y = a ^ b`.
+    Xor,
+    /// `y = s ? d1 : d0`, inputs `d0, d1, s`.
+    Mux,
+    /// `y = !(a & b)`.
+    Nand,
+    /// `y = !(a | b)`.
+    Nor,
+    /// `y = !(a ^ b)`.
+    Xnor,
+    /// `y = !((a | b) & c)`.
+    Oai21,
+    /// `y = !((a | b) & (c | d))`.
+    Oai22,
+    /// `y = !((a & b) | c)`.
+    Aoi21,
+    /// Outputs `s = a ^ b ^ cin`, `co = maj(a, b, cin)`.
+    FullAdder,
+    /// Inputs `a, b, c, d, cin`; with `x = a ^ b ^ c ^ d`, outputs
+    /// `s = x ^ cin`, `carry = x ? cin : d`, `cout = maj(a, b, c)`.
+    Compressor42,
+    /// `y = act & (s ? w1 : w0)`, inputs `act, w0, w1, s`.
+    MultMux,
+}
+
+impl OpKind {
+    /// Every kind.
+    pub(crate) const ALL: [OpKind; 17] = [
+        OpKind::Const0,
+        OpKind::Const1,
+        OpKind::Copy,
+        OpKind::Not,
+        OpKind::And,
+        OpKind::Or,
+        OpKind::Xor,
+        OpKind::Mux,
+        OpKind::Nand,
+        OpKind::Nor,
+        OpKind::Xnor,
+        OpKind::Oai21,
+        OpKind::Oai22,
+        OpKind::Aoi21,
+        OpKind::FullAdder,
+        OpKind::Compressor42,
+        OpKind::MultMux,
+    ];
+
+    /// Number of output pins.
+    pub(crate) fn outputs(self) -> usize {
+        match self {
+            OpKind::FullAdder => 2,
+            OpKind::Compressor42 => 3,
+            _ => 1,
+        }
+    }
+
+    /// Number of pins, outputs plus inputs.
+    pub(crate) fn pins(self) -> usize {
+        match self {
+            OpKind::Const0 | OpKind::Const1 => 1,
+            OpKind::Copy | OpKind::Not => 2,
+            OpKind::And | OpKind::Or | OpKind::Xor | OpKind::Nand | OpKind::Nor | OpKind::Xnor => 3,
+            OpKind::Mux | OpKind::Oai21 | OpKind::Aoi21 => 4,
+            OpKind::Oai22 | OpKind::FullAdder | OpKind::MultMux => 5,
+            OpKind::Compressor42 => 8,
+        }
+    }
+}
+
+/// One op: its kind and its net slots, the outputs first and then the
+/// inputs in the cell's pin order. Pins past [`OpKind::pins`] repeat
+/// pin 0, so the executor's change check reads all [`MAX_PINS`] slots
+/// without a length.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Op {
+    pub kind: OpKind,
+    pub pins: [u32; MAX_PINS],
+}
+
+impl Op {
+    /// An op of `kind` over `pins` (outputs, then inputs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pins` holds other than `kind.pins()` slots.
+    pub(crate) fn new(kind: OpKind, pins: &[u32]) -> Op {
+        assert_eq!(pins.len(), kind.pins(), "{kind:?} takes {} pins", kind.pins());
+        Op { kind, pins: std::array::from_fn(|i| pins.get(i).copied().unwrap_or(pins[0])) }
+    }
+
+    /// The output slots.
+    pub(crate) fn outputs(&self) -> &[u32] {
+        &self.pins[..self.kind.outputs()]
+    }
+
+    /// The input slots.
+    pub(crate) fn inputs(&self) -> &[u32] {
+        &self.pins[self.kind.outputs()..self.kind.pins()]
+    }
 }
 
 /// Per-cycle state-update record of one sequential instance.
@@ -59,10 +161,8 @@ pub(crate) struct Commit {
 /// the same program can back any number of concurrent executors.
 #[derive(Debug, Clone)]
 pub struct Program {
-    /// Number of real net slots (== the module's net count).
+    /// Number of net slots (== the module's net count).
     pub(crate) net_count: usize,
-    /// Total slots including scratch registers.
-    pub(crate) slot_count: usize,
     /// Levelized combinational op stream (one settle = one linear pass).
     pub(crate) ops: Vec<Op>,
     /// Sequential commits, in instance order.
@@ -82,7 +182,8 @@ impl Program {
         self.net_count
     }
 
-    /// Number of micro-ops in the combinational stream.
+    /// Number of ops in the combinational stream: one per
+    /// combinational cell, two per half adder.
     pub fn op_count(&self) -> usize {
         self.ops.len()
     }
@@ -112,35 +213,42 @@ impl Program {
             + self.syms.heap_bytes()
     }
 
-    /// Name of the net mirrored by `slot`, or `None` for scratch slots
-    /// (`net_count..slot_count`), resolved lazily against the shared
-    /// interner.
+    /// Name of the net mirrored by `slot`, resolved lazily against the
+    /// shared interner, or `None` past the last net.
     pub fn net_label(&self, slot: u32) -> Option<&str> {
         ((slot as usize) < self.net_count).then(|| self.syms.net_name(slot as usize))
     }
 
-    /// Human-readable description of micro-op `idx` with its
-    /// destination labelled by real net name (scratch destinations show
-    /// as `%<slot>`) — the diagnostic view of the op stream.
+    /// Human-readable description of op `idx`, every operand labelled
+    /// by its net name — the diagnostic view of the op stream.
     ///
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
     pub fn op_label(&self, idx: usize) -> String {
-        let slot = |s: u32| match self.net_label(s) {
-            Some(name) => format!("`{name}`"),
-            None => format!("%{s}"),
+        let op = &self.ops[idx];
+        let name = |s: u32| format!("`{}`", self.net_label(s).unwrap_or("?"));
+        let outs = op.outputs().iter().map(|&s| name(s)).collect::<Vec<_>>().join(", ");
+        let i: Vec<String> = op.inputs().iter().map(|&s| name(s)).collect();
+        let rhs = match op.kind {
+            OpKind::Const0 => "const 0".to_string(),
+            OpKind::Const1 => "const 1".to_string(),
+            OpKind::Copy => i[0].clone(),
+            OpKind::Not => format!("!{}", i[0]),
+            OpKind::And => format!("{} & {}", i[0], i[1]),
+            OpKind::Or => format!("{} | {}", i[0], i[1]),
+            OpKind::Xor => format!("{} ^ {}", i[0], i[1]),
+            OpKind::Mux => format!("{} ? {} : {}", i[2], i[1], i[0]),
+            OpKind::Nand => format!("!({} & {})", i[0], i[1]),
+            OpKind::Nor => format!("!({} | {})", i[0], i[1]),
+            OpKind::Xnor => format!("!({} ^ {})", i[0], i[1]),
+            OpKind::Oai21 => format!("!(({} | {}) & {})", i[0], i[1], i[2]),
+            OpKind::Oai22 => format!("!(({} | {}) & ({} | {}))", i[0], i[1], i[2], i[3]),
+            OpKind::Aoi21 => format!("!(({} & {}) | {})", i[0], i[1], i[2]),
+            OpKind::FullAdder => format!("fa({})", i.join(", ")),
+            OpKind::Compressor42 => format!("c42({})", i.join(", ")),
+            OpKind::MultMux => format!("{} & ({} ? {} : {})", i[0], i[3], i[2], i[1]),
         };
-        match self.ops[idx] {
-            Op::Const { dst, ones } => format!("{} = const {}", slot(dst), u8::from(ones)),
-            Op::Copy { dst, a } => format!("{} = {}", slot(dst), slot(a)),
-            Op::Not { dst, a } => format!("{} = !{}", slot(dst), slot(a)),
-            Op::And { dst, a, b } => format!("{} = {} & {}", slot(dst), slot(a), slot(b)),
-            Op::Or { dst, a, b } => format!("{} = {} | {}", slot(dst), slot(a), slot(b)),
-            Op::Xor { dst, a, b } => format!("{} = {} ^ {}", slot(dst), slot(a), slot(b)),
-            Op::Mux { dst, d0, d1, s } => {
-                format!("{} = {} ? {} : {}", slot(dst), slot(s), slot(d1), slot(d0))
-            }
-        }
+        format!("{outs} = {rhs}")
     }
 }

@@ -23,7 +23,12 @@
 //!    One counter depends on the host by design: an engine measurement
 //!    builds a 1-lane template plus one executor per worker thread, so
 //!    `engine.executors` is the only engine counter that varies with
-//!    the worker count.
+//!    the worker count. The engine's activity-driven passes add
+//!    `engine.ops_executed` (ops a settle evaluated) and
+//!    `engine.ops_skipped` (ops it skipped because none of their nets
+//!    changed) once per settle, so the two sum to `engine.settles` ×
+//!    the program's op count, and `engine.captures_skipped` (state
+//!    elements a clock edge did not recapture) once per edge.
 //! 3. **Thread-aware nesting.** The current span is thread-local;
 //!    `syndcim_ir::parallel_map` captures the caller's span with
 //!    [`current_span`] and adopts it in every worker via [`adopt`], so

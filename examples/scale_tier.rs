@@ -63,7 +63,7 @@ fn main() {
             im.placement.utilization * 100.0
         );
         println!(
-            "extraction: {:.1} m total wire, compiled trinity: {} micro-ops, {} timing arcs, {} path nodes",
+            "extraction: {:.1} m total wire, compiled trinity: {} engine ops, {} timing arcs, {} path nodes",
             im.wires.total_wirelength_um * 1e-6,
             im.compiled.program.op_count(),
             im.compiled.sta.arc_count(),

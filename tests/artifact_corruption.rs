@@ -20,9 +20,17 @@
 //!   overwrites, truncations, extensions); every one must return
 //!   `Result`, and any `Ok` must canonically re-encode to the mutated
 //!   input (i.e. only identity mutations decode).
+//! * **Program templates** — hand-built program sections whose
+//!   micro-op stream is not a sequence of cell templates (a scratch
+//!   operand outside a template, a template writing one of its own
+//!   inputs, a template cut off by the end of the stream) are
+//!   `Malformed`, never a panic.
 
 use rand::Rng;
 use syndcim_core::{ArtifactError, ArtifactReader, CompiledMacro, SectionId};
+use syndcim_engine::artifact::decode_program;
+use syndcim_ir::artifact::{SectionReader, SectionWriter};
+use syndcim_ir::Lowering;
 use syndcim_netlist::NetlistBuilder;
 use syndcim_pdk::{CellKind, CellLibrary};
 use syndcim_sim::vectors::seeded_rng;
@@ -217,4 +225,80 @@ fn a_thousand_seeded_random_mutations_never_panic() {
         }
     }
     assert!(rejected > 1_000, "the fuzz loop must actually exercise the error paths ({rejected} rejections)");
+}
+
+/// Decode a hand-built program section for a lone 4-2 compressor:
+/// `micro` gets the scratch base `nets` (slots `nets..nets + 8` are the
+/// scratch slots) and the cell's pins `[s, carry, cout, a, b, c, d,
+/// cin]`, and lists micro-ops as (nibble, operands).
+fn decode_c42_section(micro: impl Fn(u32, [u32; 8]) -> Vec<(u8, Vec<u32>)>) -> Result<(), ArtifactError> {
+    let lib = CellLibrary::syn40();
+    let mut b = NetlistBuilder::new("c42", &lib);
+    let ins: Vec<_> = ["a", "b", "c", "d", "cin"].iter().map(|n| b.input(*n)).collect();
+    for (k, out) in b.add(CellKind::C42, &ins).into_iter().enumerate() {
+        b.output(format!("o{k}"), out);
+    }
+    let m = b.finish();
+    let low = Lowering::validated(&m, &lib).unwrap();
+    let inst = &m.instances[0];
+    let mut pins = inst.outputs.iter().chain(&inst.inputs).map(|n| n.index() as u32);
+    let micro = micro(m.net_count() as u32, std::array::from_fn(|_| pins.next().unwrap()));
+    let nets = m.net_count() as u32;
+
+    let mut w = SectionWriter::new();
+    w.put_u64(u64::from(nets));
+    w.put_u64(u64::from(nets) + 8);
+    w.put_u32(micro.len() as u32);
+    for pair in micro.chunks(2) {
+        w.put_u8(pair[0].0 | pair.get(1).map_or(0, |hi| hi.0 << 4));
+    }
+    w.put_u32s(&micro.iter().flat_map(|(_, ops)| ops.iter().copied()).collect::<Vec<_>>());
+    w.put_u32(0); // no commits
+    w.put_u32s(&vec![u32::MAX; m.instance_count()]);
+    let bytes = w.into_bytes();
+    decode_program(&mut SectionReader::new(SectionId::Program, &bytes), low.symbols()).map(|_| ())
+}
+
+/// The 4-2 compressor's template over pins `[s, carry, cout, a, b, c,
+/// d, cin]` with scratch base `t`, as the `.scim` format stores it
+/// (nibbles: 4 AND, 5 OR, 6 XOR, 7 MUX).
+fn c42_template(p: [u32; 8], t: u32) -> Vec<(u8, Vec<u32>)> {
+    vec![
+        (6, vec![t, p[3], p[4]]),
+        (6, vec![t + 1, p[5], p[6]]),
+        (6, vec![t + 2, t, t + 1]),
+        (6, vec![p[0], t + 2, p[7]]),
+        (7, vec![p[1], p[6], p[7], t + 2]),
+        (4, vec![t + 3, p[3], p[4]]),
+        (4, vec![t + 4, p[5], t]),
+        (5, vec![p[2], t + 3, t + 4]),
+    ]
+}
+
+#[test]
+fn program_streams_outside_the_cell_templates_are_malformed() {
+    let pristine = decode_c42_section(|nets, pins| c42_template(pins, nets));
+    assert!(pristine.is_ok(), "the pristine template decodes: {pristine:?}");
+
+    let malformed = |what: &str, res: Result<(), ArtifactError>| {
+        assert!(matches!(res, Err(ArtifactError::Malformed { .. })), "{what}: got {res:?}");
+    };
+    // A plain AND reading a scratch slot that no template wrote.
+    malformed(
+        "scratch read outside a template",
+        decode_c42_section(|nets, pins| vec![(4, vec![pins[0], pins[3], nets])]),
+    );
+    // The compressor's sum output is also its `cin` input.
+    malformed(
+        "sum output is an input",
+        decode_c42_section(|nets, mut pins| {
+            pins[0] = pins[7];
+            c42_template(pins, nets)
+        }),
+    );
+    // The template cut off after five of its eight micro-ops.
+    malformed(
+        "template cut off at the end of the stream",
+        decode_c42_section(|nets, pins| c42_template(pins, nets)[..5].to_vec()),
+    );
 }

@@ -36,7 +36,7 @@ use syndcim_core::{assemble, implement, CompiledMacro, DesignChoice, MacroSpec};
 use syndcim_engine::{EngineSim, SimdBackend};
 use syndcim_ir::Lowering;
 use syndcim_netlist::{Module, NetId};
-use syndcim_pdk::{CellLibrary, OperatingPoint};
+use syndcim_pdk::{CellFunction, CellLibrary, OperatingPoint};
 use syndcim_power::artifact::encode_power;
 use syndcim_power::PowerAnalyzer;
 use syndcim_sim::SimBackend;
@@ -295,4 +295,26 @@ fn scale_tier_artifact_load_is_a_fraction_of_the_compile() {
     );
     let op = OperatingPoint::at_voltage(0.9);
     assert_eq!(loaded.sta.fmax_mhz(op), cm.sta.fmax_mhz(op), "scale-tier fmax must survive the roundtrip");
+}
+
+/// The program section stores micro-op templates, but a load folds
+/// them back into the compiled ops: the loaded paper-chip program has
+/// the compiled op count and every op's label, so a loaded artifact
+/// runs the same one-op-per-cell kernel as a fresh compile.
+#[test]
+fn loaded_program_equals_the_compiled_one_op_for_op() {
+    let (module, lib, cm) = paper_chip();
+    let loaded = CompiledMacro::load_from_bytes(&cm.save_to_vec().unwrap()).unwrap();
+    let (fresh, back) = (&cm.program, &loaded.program);
+    let ops_per_cell = |i: &syndcim_netlist::Instance| match lib.cell(i.cell) {
+        c if c.is_sequential() => 0,
+        c if c.function == CellFunction::HalfAdder => 2,
+        _ => 1,
+    };
+    let want: usize = module.instances.iter().map(ops_per_cell).sum();
+    assert_eq!(fresh.op_count(), want, "one op per combinational cell, two per half adder");
+    assert_eq!(back.op_count(), fresh.op_count(), "op count");
+    for k in 0..fresh.op_count() {
+        assert_eq!(back.op_label(k), fresh.op_label(k), "op {k}");
+    }
 }

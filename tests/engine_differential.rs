@@ -523,3 +523,343 @@ fn engine_runs_golden_int8_mac_pass_on_paper_test_chip() {
         }
     }
 }
+
+/// One action of [`skip_rules_hold_under_quiet_stimulus`]'s script,
+/// replayed on the engine and on one interpreter per lane class.
+#[derive(Debug, Clone, Copy)]
+enum Act {
+    /// Drive tick `τ`'s activation and control bits in every class and
+    /// clock once, then compare every net of every lane.
+    Tick(u32),
+    /// Drive zero activations with `clear` high in every class and
+    /// clock once, then compare: repeated, the pipeline drains and the
+    /// executor's change flags go quiet.
+    Quiet,
+    /// Invert a net in the lanes of one class.
+    Poke(NetId, usize),
+    /// Invert a stored state in the lanes of one class.
+    Force(InstId, usize),
+    /// Keep lane 0's image (the reference replays class 0 instead).
+    SaveImage,
+    /// Broadcast the kept image to every lane, active or not.
+    LoadImage,
+    /// Deactivate the lanes of classes 2 and 3.
+    Shrink,
+    /// Install a plan holding one net stuck at the inverse of its value
+    /// in the fault lane (the reference has no faults: compares skip
+    /// that lane until the plan is gone).
+    StuckAt(NetId),
+    /// Replace the plan with one whose only fault never fires.
+    NeverFiring,
+    ClearFaults,
+    Settle,
+    Step,
+    /// Compare every net of every lane (but the fault lane if `true`).
+    Compare(bool),
+    /// Compare aggregate toggles and lane-cycles, then reset activity.
+    Checkpoint,
+    /// Reset activity without comparing (after the fault phase).
+    Reset,
+    EnableLaneToggles,
+}
+
+/// Lane `l`'s class: lanes below `active` alternate classes 0 and 1,
+/// the lanes [`Act::Shrink`] deactivates alternate classes 2 and 3.
+fn lane_class(l: usize, active: usize) -> usize {
+    if l < active {
+        l % 2
+    } else {
+        2 + l % 2
+    }
+}
+
+/// The activity-driven skip rules against the interpreter under the
+/// stimulus they are built for: weights preloaded once, then an INT4
+/// bit-serial schedule whose activation bits each hold for two cycles
+/// (classes 0, 2) or three (classes 1, 3), the deactivated classes a
+/// cycle behind, so most steps change few inputs and some change inputs
+/// only in deactivated lanes. Mid-run the script pokes a gate output
+/// and a bitcell `q`, forces one bitcell, shrinks the lane set, loads
+/// an image saved earlier, and installs, replaces and clears a stuck-at
+/// plan on a gate output. After every step (and every settle of the
+/// fault phase) every net of every lane the executor still exposes
+/// (its active lane words), deactivated lanes included, must equal its
+/// class's interpreter; at every checkpoint and at the
+/// end the aggregate toggle tables and lane-cycles, and finally the
+/// per-lane toggle tables, must equal the interpreters'. Runs at 65,
+/// 256, 300 and 512 lanes in every frame this host can run.
+#[test]
+fn skip_rules_hold_under_quiet_stimulus() {
+    const PA: u32 = 4;
+    const FAULT_LANE: usize = 1;
+    let lib = syndcim_pdk::CellLibrary::syn40();
+    let mac = assemble(&lib, &MacroSpec::paper_test_chip(), &DesignChoice::default());
+    let module = &mac.module;
+    let low = Lowering::validated(module, &lib).unwrap();
+    let prog = Program::from_lowering(&low, module, &lib);
+
+    // Per-class activations, a fresh INT4 vector per pass.
+    let mut rng = seeded_rng(0x51EE9);
+    let acts: Vec<Vec<Vec<i64>>> =
+        (0..4).map(|_| (0..3).map(|_| random_ints(&mut rng, mac.h, PA)).collect()).collect();
+    let weights: Vec<Vec<i64>> = (0..mac.w / PA as usize).map(|_| random_ints(&mut rng, mac.h, PA)).collect();
+    let act_nets: Vec<NetId> = (0..mac.h).map(|r| module.port(&format!("act[{r}]")).unwrap().net).collect();
+    let clear = module.port("clear").unwrap().net;
+    let neg = module.port("neg").unwrap().net;
+    // Tick τ's value of every driven input, for class `c`; `None` is
+    // the quiet tick.
+    let drive = |c: usize, tau: Option<u32>| -> Vec<(NetId, bool)> {
+        let Some(tau) = tau else {
+            let mut bits: Vec<(NetId, bool)> = act_nets.iter().map(|&n| (n, false)).collect();
+            bits.extend([(clear, true), (neg, false)]);
+            return bits;
+        };
+        let k = (tau as usize + c / 2) / (2 + c % 2);
+        let (pass, bit) = (k / PA as usize, k % PA as usize);
+        let mut bits: Vec<(NetId, bool)> =
+            act_nets.iter().enumerate().map(|(r, &n)| (n, (acts[c][pass % 3][r] >> bit) & 1 == 1)).collect();
+        bits.push((clear, tau % 8 == 2));
+        bits.push((neg, tau % 8 == 6));
+        bits
+    };
+    let setup = |sim: &mut dyn SimBackend| {
+        for bc in mac.bitcells.iter().filter(|bc| bc.bank == 0) {
+            let (ch, j) = (bc.col / PA as usize, (bc.col % PA as usize) as u32);
+            sim.force_state_all(bc.inst, twos_complement_bit(weights[ch][bc.row], PA, j));
+        }
+        for k in 0..=(mac.w_bits.trailing_zeros() as usize) {
+            sim.set_all(&format!("prec[{k}]"), k == PA.trailing_zeros() as usize);
+        }
+        sim.step();
+        sim.step();
+    };
+
+    // The nets and states the script disturbs: the first gate reading
+    // one bank-0 bitcell (a multiplier, quiet while its activation
+    // holds), a second bitcell's `q`, a third bitcell to force, and the
+    // gate reading a fourth for the stuck-at.
+    let bank0: Vec<InstId> = mac.bitcells.iter().filter(|bc| bc.bank == 0).map(|bc| bc.inst).collect();
+    let q_of = |inst: InstId| module.instances[inst.index()].outputs[0];
+    let gate_reading = |net: NetId| {
+        let inst = module
+            .instances
+            .iter()
+            .find(|i| !lib.cell(i.cell).is_sequential() && i.inputs.contains(&net))
+            .expect("every bitcell feeds a gate");
+        inst.outputs[0]
+    };
+    let script = {
+        use Act::*;
+        let mut s = Vec::new();
+        let ticks = |s: &mut Vec<Act>, r: std::ops::Range<u32>| s.extend(r.map(Tick));
+        ticks(&mut s, 0..4);
+        s.push(SaveImage);
+        ticks(&mut s, 4..5);
+        s.push(Poke(gate_reading(q_of(bank0[0])), 0));
+        ticks(&mut s, 5..7);
+        s.push(Poke(q_of(bank0[1]), 1));
+        ticks(&mut s, 7..9);
+        s.push(Force(bank0[2], 0));
+        ticks(&mut s, 9..11);
+        s.extend([Checkpoint, Shrink]);
+        ticks(&mut s, 11..17);
+        // Load the image saved mid-pass into a drained executor, then
+        // clock once with every input held: only the load's flags can
+        // move the pipeline the image left in flight.
+        s.extend([Quiet; 6]);
+        s.extend([Checkpoint, LoadImage, Step, Compare(false)]);
+        ticks(&mut s, 17..23);
+        s.push(Checkpoint);
+        let stuck = gate_reading(q_of(bank0[3]));
+        s.extend([StuckAt(stuck), Settle, Compare(true), ClearFaults, Settle, Compare(false)]);
+        s.extend([StuckAt(stuck), Settle, Compare(true), NeverFiring, Settle, Compare(false)]);
+        s.extend([Step, Compare(false), ClearFaults, Settle, Compare(false), Reset, EnableLaneToggles]);
+        ticks(&mut s, 23..31);
+        s.push(Checkpoint);
+        s
+    };
+
+    // The reference: one interpreter per class, snapshots of every net
+    // at every compare, per-class toggle tables and cycles at every
+    // checkpoint. Loading the image restarts every class from a replay
+    // of class 0 up to the save.
+    let interp = || {
+        let mut sim = Simulator::with_lowering(module, &lib, &low).unwrap();
+        setup(&mut sim);
+        sim.reset_activity();
+        sim
+    };
+    let mut sims: Vec<Simulator<'_>> = (0..4).map(|_| interp()).collect();
+    let mut saved_at = 0;
+    let mut snaps: Vec<Vec<Vec<bool>>> = Vec::new();
+    let mut checkpoints: Vec<(Vec<Vec<u64>>, u64)> = Vec::new();
+    let values = |sim: &Simulator<'_>| (0..module.net_count()).map(|n| sim.peek(NetId(n as u32))).collect();
+    for act in &script {
+        match *act {
+            Act::Tick(_) | Act::Quiet => {
+                let tau = if let Act::Tick(tau) = *act { Some(tau) } else { None };
+                for (c, sim) in sims.iter_mut().enumerate() {
+                    for (net, v) in drive(c, tau) {
+                        sim.poke(net, v);
+                    }
+                    Simulator::step(sim);
+                }
+                snaps.push(sims.iter().map(values).collect());
+            }
+            Act::Poke(net, c) => {
+                let v = sims[c].peek(net);
+                sims[c].poke(net, !v);
+            }
+            Act::Force(inst, c) => {
+                let v = sims[c].state_of(inst);
+                sims[c].force_state(inst, !v);
+            }
+            // Only ticks compare before the save, so it follows ticks
+            // 0..saved_at.
+            Act::SaveImage => saved_at = snaps.len(),
+            Act::LoadImage => {
+                for sim in &mut sims {
+                    *sim = interp();
+                    for tau in 0..saved_at as u32 {
+                        for (net, v) in drive(0, Some(tau)) {
+                            sim.poke(net, v);
+                        }
+                        Simulator::step(sim);
+                    }
+                    sim.reset_activity();
+                }
+            }
+            Act::Settle => sims.iter_mut().for_each(Simulator::settle),
+            Act::Step => sims.iter_mut().for_each(Simulator::step),
+            Act::Compare(_) => snaps.push(sims.iter().map(values).collect()),
+            Act::Checkpoint | Act::Reset => {
+                checkpoints
+                    .push((sims.iter().map(|s| s.toggle_table().to_vec()).collect(), sims[0].cycles()));
+                sims.iter_mut().for_each(|s| s.reset_activity());
+            }
+            Act::Shrink | Act::StuckAt(_) | Act::NeverFiring | Act::ClearFaults | Act::EnableLaneToggles => {}
+        }
+    }
+
+    let backends = [SimdBackend::Portable, SimdBackend::Avx2, SimdBackend::Avx512];
+    for backend in backends.into_iter().filter(|b| b.detected()) {
+        for lanes in [65usize, 256, 300, 512] {
+            let what = format!("{backend} at {lanes} lanes");
+            let (mut active, shrunk) = (lanes, lanes - lanes / 3);
+            // masks[wi][c]: the lanes of class c in word wi.
+            let masks: Vec<[u64; 4]> = (0..lanes.div_ceil(64))
+                .map(|wi| {
+                    std::array::from_fn(|c| {
+                        (0..64)
+                            .filter(|b| wi * 64 + b < lanes && lane_class(wi * 64 + b, shrunk) == c)
+                            .fold(0, |m, b| m | 1 << b)
+                    })
+                })
+                .collect();
+            let word_of =
+                |bits: &[bool], m: &[u64; 4]| (0..4).fold(0, |w, c| w | if bits[c] { m[c] } else { 0 });
+            let mut sim = EngineSim::with_backend(&prog, module, lanes, backend).unwrap();
+            setup(&mut sim);
+            sim.reset_activity();
+            let (mut snap, mut checkpoint) = (0, 0);
+            let mut image = None;
+            let mut compare = |sim: &EngineSim<'_>, skip_fault_lane: bool, step: &str| {
+                for n in 0..module.net_count() {
+                    let bits: Vec<bool> = snaps[snap].iter().map(|class| class[n]).collect();
+                    for (wi, m) in masks.iter().enumerate().take(sim.words()) {
+                        let skip =
+                            if skip_fault_lane && wi == FAULT_LANE / 64 { 1 << (FAULT_LANE % 64) } else { 0 };
+                        let lanes_in_word = m.iter().fold(0, |all, c| all | c) & !skip;
+                        assert_eq!(
+                            sim.peek_word_at(NetId(n as u32), wi) & lanes_in_word,
+                            word_of(&bits, m) & lanes_in_word,
+                            "{what}, {step}: net `{}` word {wi}",
+                            module.nets[n].name
+                        );
+                    }
+                }
+                snap += 1;
+            };
+            for (i, act) in script.iter().enumerate() {
+                let step = format!("script step {i} ({act:?})");
+                match *act {
+                    Act::Tick(_) | Act::Quiet => {
+                        let tau = if let Act::Tick(tau) = *act { Some(tau) } else { None };
+                        let per_class: Vec<Vec<(NetId, bool)>> = (0..4).map(|c| drive(c, tau)).collect();
+                        for p in 0..per_class[0].len() {
+                            let net = per_class[0][p].0;
+                            let bits: Vec<bool> = per_class.iter().map(|d| d[p].1).collect();
+                            for (wi, m) in masks.iter().enumerate().take(sim.words()) {
+                                sim.poke_word_at(net, wi, word_of(&bits, m));
+                            }
+                        }
+                        sim.step();
+                        compare(&sim, false, &step);
+                    }
+                    Act::Poke(net, c) => {
+                        for (wi, m) in masks.iter().enumerate().take(sim.words()) {
+                            sim.poke_word_at(net, wi, sim.peek_word_at(net, wi) ^ m[c]);
+                        }
+                    }
+                    Act::Force(inst, c) => {
+                        for (wi, m) in masks.iter().enumerate().take(sim.words()) {
+                            sim.force_state_word_at(inst, wi, sim.state_word_at(inst, wi) ^ m[c]);
+                        }
+                    }
+                    Act::SaveImage => image = Some(sim.lane_image(0).unwrap()),
+                    Act::LoadImage => sim.load_image(image.as_ref().unwrap()).unwrap(),
+                    Act::Shrink => {
+                        sim.set_lanes(shrunk).unwrap();
+                        active = shrunk;
+                    }
+                    Act::StuckAt(net) => {
+                        let v = (sim.peek_word_at(net, FAULT_LANE / 64) >> (FAULT_LANE % 64)) & 1 == 1;
+                        let mut plan = FaultPlan::new();
+                        plan.stuck_at(net, FAULT_LANE, !v);
+                        sim.install_faults(&plan).unwrap();
+                    }
+                    Act::NeverFiring => {
+                        let mut plan = FaultPlan::new();
+                        plan.flip_at(clear, 0, u64::MAX);
+                        sim.install_faults(&plan).unwrap();
+                    }
+                    Act::ClearFaults => sim.clear_faults(),
+                    Act::Settle => sim.settle(),
+                    Act::Step => sim.step(),
+                    Act::Compare(skip) => compare(&sim, skip, &step),
+                    Act::Checkpoint | Act::Reset => {
+                        let (tables, cycles) = &checkpoints[checkpoint];
+                        checkpoint += 1;
+                        if matches!(act, Act::Checkpoint) {
+                            let mut want = vec![0u64; module.net_count()];
+                            for l in 0..active {
+                                let class = &tables[lane_class(l, shrunk)];
+                                want.iter_mut().zip(class).for_each(|(t, &s)| *t += s);
+                                if let Some(lane) = sim.lane_toggle_table(l) {
+                                    assert_same_toggles(&lane, class, &format!("{what}, {step}: lane {l}"));
+                                }
+                            }
+                            assert_same_toggles(sim.toggle_table(), &want, &format!("{what}, {step}"));
+                            assert_eq!(
+                                sim.lane_cycles(),
+                                active as u64 * cycles,
+                                "{what}, {step}: lane-cycles"
+                            );
+                        }
+                        sim.reset_activity();
+                    }
+                    Act::EnableLaneToggles => sim.enable_lane_toggles(),
+                }
+            }
+            assert!(sim.lane_toggle_table(0).is_some(), "{what}: the last checkpoint compared lane tables");
+        }
+    }
+}
+
+/// Assert two toggle tables equal, naming the first net that differs.
+fn assert_same_toggles(got: &[u64], want: &[u64], what: &str) {
+    if let Some(n) = (0..want.len()).find(|&n| got[n] != want[n]) {
+        panic!("{what}: net {n} toggled {} times, the interpreters {}", got[n], want[n]);
+    }
+    assert_eq!(got.len(), want.len(), "{what}: table length");
+}

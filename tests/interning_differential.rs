@@ -112,9 +112,9 @@ fn compiled_power_group_names_and_paths_match_reference() {
     assert!(cp.path_count() >= cp.group_count(), "paths include every head");
 }
 
-/// The simulation program's label helpers resolve every real slot to
-/// its net name through the shared interner (and no scratch slot leaks
-/// a name).
+/// The simulation program's label helpers resolve every slot to its
+/// net name through the shared interner (and nothing past the nets
+/// resolves).
 #[test]
 fn program_net_labels_match_module_names() {
     let lib = CellLibrary::syn40();
@@ -125,7 +125,7 @@ fn program_net_labels_match_module_names() {
     for (i, net) in module.nets.iter().enumerate() {
         assert_eq!(prog.net_label(i as u32), Some(net.name.as_str()), "slot {i}");
     }
-    assert_eq!(prog.net_label(module.net_count() as u32), None, "scratch slots are anonymous");
+    assert_eq!(prog.net_label(module.net_count() as u32), None, "no slot past the nets");
     assert!(prog.op_count() > 0);
     // Spot-check the op diagnostics render without panicking and name
     // at least one real net.

@@ -225,6 +225,36 @@ fn power_shmoo_runs_one_switching_pass_per_passing_voltage() {
     assert_eq!(run().1.counter("power.corner_passes"), Some(corners), "the pass count repeats");
 }
 
+/// The activity-driven engine counts its work once per pass. Over one
+/// tiny-spec `measure_int`, every settle evaluates or skips each op
+/// (`ops_executed + ops_skipped == settles × op_count`), the
+/// weight-stationary passes skip both ops and state captures, and a
+/// repeat run records the same counts.
+#[test]
+fn measure_int_counts_evaluated_and_skipped_engine_work() {
+    let _guard = LOCK.lock().unwrap();
+    telemetry::set_mode(telemetry::Mode::Summary);
+
+    let lib = CellLibrary::syn40();
+    let im = implement(&lib, &tiny_spec(), &DesignChoice::default()).unwrap();
+    let weights = vec![vec![3, -2, 1, 0, -4, 5, 2, -1], vec![1; 8]];
+    let passes = vec![vec![1; 8], vec![-3; 8], vec![7, -8, 0, 1, 2, -1, 5, 4]];
+    let run = || {
+        telemetry::reset();
+        measure_int(&im, &lib, 4, &passes, &weights, OperatingPoint::at_voltage(0.9), 400.0).unwrap();
+        let report = telemetry::snapshot();
+        ["engine.settles", "engine.ops_executed", "engine.ops_skipped", "engine.captures_skipped"]
+            .map(|name| report.counter(name).unwrap_or(0))
+    };
+    let counts = run();
+    let [settles, executed, skipped, captures_skipped] = counts;
+    let ops = im.compiled.program.op_count() as u64;
+    assert_eq!(executed + skipped, settles * ops, "every settle evaluates or skips each of the {ops} ops");
+    assert!(skipped > 0, "weight-stationary passes skip ops ({executed} evaluated)");
+    assert!(captures_skipped > 0, "weight-stationary passes skip state captures");
+    assert_eq!(run(), counts, "the counts repeat");
+}
+
 /// Disabled mode records nothing — spans, counters, gauges all stay
 /// empty while the instrumented flow runs at full speed.
 #[test]
