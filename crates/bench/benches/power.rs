@@ -6,9 +6,9 @@
 //! passing `(V, f)` point is converted to µW:
 //!
 //! * **reference** (`PowerBackend::Reference`, the seed behaviour):
-//!   rebuild `PowerAnalyzer` (one connectivity walk), then one full
-//!   module walk with per-instance `BTreeMap<String, _>` group churn
-//!   per point;
+//!   build `PowerAnalyzer` on the macro's own lowering and wire caps,
+//!   then one full module walk with per-instance `BTreeMap<String, _>`
+//!   group churn per point;
 //! * **compiled** (`PowerBackend::Compiled`, the product path): the
 //!   macro's `CompiledPower` — carried since `implement`, built from
 //!   the same lowering as the simulation and timing programs — resolves

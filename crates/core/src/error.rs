@@ -85,6 +85,14 @@ pub enum FlowError {
         /// Which axis was empty.
         axis: &'static str,
     },
+    /// A variation model's mean is not finite and positive, or its
+    /// sigma is not finite and non-negative.
+    Variation {
+        /// The model's mean delay multiplier.
+        mean: f64,
+        /// The model's sigma.
+        sigma: f64,
+    },
 }
 
 impl fmt::Display for FlowError {
@@ -112,6 +120,10 @@ impl fmt::Display for FlowError {
             }
             FlowError::MissingFpUnit => write!(f, "macro has no FP alignment unit"),
             FlowError::EmptyAxis { axis } => write!(f, "sweep axis `{axis}` is empty"),
+            FlowError::Variation { mean, sigma } => write!(
+                f,
+                "variation model needs a finite mean > 0 and a finite sigma >= 0 (mean {mean}, sigma {sigma})"
+            ),
         }
     }
 }
@@ -173,6 +185,7 @@ mod tests {
         assert!(FlowError::PatternCount { patterns: 0, max: 256 }.to_string().contains("0"));
         assert!(FlowError::MissingFpUnit.to_string().contains("FP"));
         assert!(FlowError::EmptyAxis { axis: "voltages" }.to_string().contains("voltages"));
+        assert!(FlowError::Variation { mean: 1.0, sigma: f64::NAN }.to_string().contains("sigma NaN"));
         assert!(FlowError::Dimension { what: "weight vectors", got: 3, want: 2 }
             .to_string()
             .contains("weight vectors"));

@@ -716,7 +716,7 @@ mod tests {
 
     /// A reference interpreter on the macro's own lowering.
     fn interpreter<'a>(im: &'a ImplementedMacro, lib: &'a CellLibrary) -> Simulator<'a> {
-        Simulator::with_lowering(&im.mac.module, lib, &im.compiled.lowering).unwrap()
+        Simulator::with_lowering(&im.mac.module, lib, &im.compiled.lowering)
     }
 
     /// The reference power analyzer on the macro's own lowering and

@@ -191,8 +191,7 @@ pub fn shmoo_with_power(
 ///
 /// # Errors
 ///
-/// As [`shmoo_with_power`]; the reference power arm also returns
-/// [`CoreError::Netlist`] if the module fails its connectivity check.
+/// As [`shmoo_with_power`].
 #[allow(clippy::too_many_arguments)]
 pub fn shmoo_with_power_on(
     im: &ImplementedMacro,
@@ -249,9 +248,10 @@ pub fn shmoo_with_power_on(
                 .collect()
         }
         PowerBackend::Reference => {
-            // Rebuild the reference analyzer, then one module walk per
-            // passing grid point.
-            let analyzer = PowerAnalyzer::with_wire_caps(&im.mac.module, lib, &im.wires.cap_ff)?;
+            // The reference analyzer on the macro's own lowering and
+            // wire caps, then one module walk per passing grid point.
+            let analyzer =
+                PowerAnalyzer::from_lowering(&im.mac.module, lib, &im.compiled.lowering, &im.wires.cap_ff);
             grid.pass
                 .iter()
                 .enumerate()
@@ -354,9 +354,12 @@ impl YieldShmoo {
 /// # Errors
 ///
 /// Returns [`CoreError::EmptyAxis`] for an empty voltage or frequency
-/// axis and [`CoreError::PatternCount`] when `samples` is zero or
+/// axis, [`CoreError::PatternCount`] when `samples` is zero or
 /// exceeds the engine lane capacity (the cap keeps yield grids
-/// commensurate with fault-injection runs, which map samples to lanes).
+/// commensurate with fault-injection runs, which map samples to lanes),
+/// and [`CoreError::Variation`] when `model`'s mean is not finite and
+/// positive or its sigma not finite and non-negative (sampling clamps
+/// a NaN draw to the 0.05 floor, so such a model would pass silently).
 pub fn shmoo_yield(
     im: &ImplementedMacro,
     voltages: &[f64],
@@ -374,6 +377,10 @@ pub fn shmoo_yield(
     }
     if !(1..=EngineSim::MAX_LANES).contains(&samples) {
         return Err(CoreError::PatternCount { patterns: samples, max: EngineSim::MAX_LANES });
+    }
+    let VariationModel { mean, sigma } = model;
+    if !(mean.is_finite() && mean > 0.0 && sigma.is_finite() && sigma >= 0.0) {
+        return Err(CoreError::Variation { mean, sigma });
     }
     telemetry::counter("shmoo.grids").incr();
     telemetry::counter("shmoo.points").add((voltages.len() * freqs_mhz.len()) as u64);
@@ -684,6 +691,22 @@ mod tests {
             shmoo_yield(&im, &[0.9], &[100.0], m, 100_000, 0).unwrap_err(),
             CoreError::PatternCount { patterns: 100_000, .. }
         ));
+        // Non-finite or out-of-range models are rejected before
+        // sampling, which would clamp a NaN draw to the 0.05 floor.
+        for (mean, sigma) in [
+            (1.0, f64::NAN),
+            (1.0, f64::INFINITY),
+            (1.0, -0.01),
+            (f64::NAN, 0.05),
+            (f64::INFINITY, 0.05),
+            (0.0, 0.05),
+            (-1.0, 0.0),
+        ] {
+            let model = VariationModel { mean, sigma };
+            let err = shmoo_yield(&im, &[0.9], &[100.0], model, 8, 0).unwrap_err();
+            assert!(matches!(err, CoreError::Variation { .. }), "mean {mean}, sigma {sigma}: got {err}");
+            assert!(YieldReport::generate(&im, &[0.9], &[100.0], model, 8, 0).is_err());
+        }
     }
 
     #[test]

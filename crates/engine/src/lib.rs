@@ -34,8 +34,8 @@
 //! Both backends implement [`syndcim_sim::SimBackend`]; the interpreter
 //! remains the bit-exact reference the engine is differentially tested
 //! against (same outputs, same per-net toggle counts). The `.scim`
-//! codec ([`artifact`]) stores the op stream as AND/OR/XOR/NOT/MUX/CONST
-//! micro-op templates and folds them back into ops on load.
+//! codec ([`artifact`]) stores the ops themselves: one kind tag per op
+//! and one pin stream.
 //!
 //! ```
 //! use syndcim_engine::{EngineSim, Program};
@@ -168,7 +168,7 @@ mod tests {
         // Interpreter: one run per lane; toggles summed.
         let mut ref_toggles = vec![0u64; m.net_count()];
         for (l, stim) in stimulus.iter().enumerate() {
-            let mut sim = Simulator::with_lowering(&m, &lib, &low).unwrap();
+            let mut sim = Simulator::with_lowering(&m, &lib, &low);
             for (c, vec6) in stim.iter().enumerate() {
                 for (i, &net) in in_nets.iter().enumerate() {
                     sim.poke(net, vec6[i]);
@@ -256,7 +256,7 @@ mod tests {
 
         let mut ref_toggles = vec![0u64; m.net_count()];
         for (l, stim) in stimulus.iter().enumerate() {
-            let mut sim = Simulator::with_lowering(&m, &lib, &low).unwrap();
+            let mut sim = Simulator::with_lowering(&m, &lib, &low);
             for (c, vec6) in stim.iter().enumerate() {
                 for (i, &net) in in_nets.iter().enumerate() {
                     sim.poke(net, vec6[i]);

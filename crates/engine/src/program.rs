@@ -63,7 +63,8 @@ pub(crate) enum OpKind {
 }
 
 impl OpKind {
-    /// Every kind.
+    /// Every kind, in declaration order: `kind as u8` is a kind's
+    /// position here, which is also its `.scim` kind tag.
     pub(crate) const ALL: [OpKind; 17] = [
         OpKind::Const0,
         OpKind::Const1,

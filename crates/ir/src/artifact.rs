@@ -1,4 +1,4 @@
-//! The `.scim` persistent-artifact framing layer (`syndcim-artifact-v1`).
+//! The `.scim` persistent-artifact framing layer (format version 2).
 //!
 //! The compiled trinity — engine `Program`, `CompiledSta`,
 //! `CompiledPower`, all sharing one interned [`Symbols`] layer — exists
@@ -8,7 +8,7 @@
 //! compiled once and served from disk by any number of processes:
 //!
 //! ```text
-//! [ 8B magic "SCIMART1" ][ u32 version = 1 ][ u32 section count ]
+//! [ 8B magic "SCIMART1" ][ u32 version = 2 ][ u32 section count ]
 //! [ u32 id ][ u64 payload len ][ u32 crc32 ][ payload … ]   × count
 //! ```
 //!
@@ -21,6 +21,14 @@
 //! version, truncation at any byte, oversized declared lengths,
 //! checksum corruption, dangling indices — surfaces as a typed
 //! [`ArtifactError`]. Pinned by `tests/artifact_corruption.rs`.
+//!
+//! Sections store tables as columns. Every column of indices into
+//! another table is read through [`SectionReader::get_indices`], which
+//! checks each entry against the table's size, and each section orders
+//! its columns so that size is already decoded when the column is read.
+//! A count is stored once: the net and instance counts live in the
+//! [`Symbols`] section, and every later section checks its tables
+//! against them.
 //!
 //! The split of responsibilities mirrors the compiled trinity itself:
 //! this module owns the *framing* ([`SectionWriter`] / [`SectionReader`]
@@ -44,7 +52,15 @@ pub const MAGIC: [u8; 8] = *b"SCIMART1";
 /// Container format version this build writes and the only one it
 /// reads. Bump on any layout change; readers reject other versions
 /// with [`ArtifactError::UnsupportedVersion`].
-pub const FORMAT_VERSION: u32 = 1;
+///
+/// Version 2 stores the engine program as the ops the executor runs
+/// (one kind tag per op and one pin stream) instead of version 1's
+/// micro-op templates over scratch slots, stores commits, drivers and
+/// sinks as columns, orders the symbol tables so every index column
+/// follows the table it indexes, and drops the net counts the
+/// lowering, program, timing and power sections restated and the
+/// lowering's validated flag.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Hard decode limit on one section's declared payload length. A
 /// declared length beyond this is rejected *before* any allocation or
@@ -70,7 +86,7 @@ pub enum SectionId {
     Symbols,
     /// The shared lowering: connectivity tables + levelized order.
     Lowering,
-    /// The engine simulation program (bit-packed op stream + commits).
+    /// The engine simulation program (op kinds, pins and commits).
     Program,
     /// The compiled timing program (launch/arc/endpoint SoA columns).
     Sta,
@@ -79,7 +95,7 @@ pub enum SectionId {
 }
 
 impl SectionId {
-    /// All sections of a v1 artifact, in canonical file order.
+    /// All sections of an artifact, in canonical file order.
     pub const ALL: [SectionId; 6] = [
         SectionId::Meta,
         SectionId::Symbols,
@@ -138,7 +154,7 @@ pub enum ArtifactError {
         found: [u8; 8],
     },
     /// The container version is not [`FORMAT_VERSION`] (future *or*
-    /// past versions are rejected — v1 readers read v1 files only).
+    /// past versions are rejected — a build reads its own version only).
     UnsupportedVersion {
         /// The version field as read.
         found: u32,
@@ -175,7 +191,7 @@ pub enum ArtifactError {
         /// Checksum computed over the payload as read.
         computed: u32,
     },
-    /// A section tag is not part of the v1 format.
+    /// A section tag is not part of the format.
     UnknownSection {
         /// The unrecognized tag.
         code: u32,
@@ -342,11 +358,6 @@ impl SectionWriter {
         self.buf.is_empty()
     }
 
-    /// Append one byte.
-    pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
     /// Append a little-endian `u32`.
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -364,10 +375,15 @@ impl SectionWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// Append a count-prefixed byte vector.
+    pub fn put_u8s(&mut self, vs: &[u8]) {
+        self.put_u32(vs.len() as u32);
+        self.buf.extend_from_slice(vs);
+    }
+
     /// Append a length-prefixed UTF-8 string.
     pub fn put_str(&mut self, s: &str) {
-        self.put_u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
+        self.put_u8s(s.as_bytes());
     }
 
     /// Append a count-prefixed `u32` vector.
@@ -453,11 +469,6 @@ impl<'a> SectionReader<'a> {
         Ok(s)
     }
 
-    /// Read one byte.
-    pub fn get_u8(&mut self, what: &'static str) -> Result<u8, ArtifactError> {
-        Ok(self.take(1, what)?[0])
-    }
-
     /// Read a little-endian `u32`.
     pub fn get_u32(&mut self, what: &'static str) -> Result<u32, ArtifactError> {
         Ok(u32::from_le_bytes(self.take(4, what)?.try_into().expect("4-byte slice")))
@@ -488,10 +499,15 @@ impl<'a> SectionReader<'a> {
         Ok(n as usize)
     }
 
+    /// Read a count-prefixed byte vector, borrowed from the payload.
+    pub fn get_u8s(&mut self, what: &'static str) -> Result<&'a [u8], ArtifactError> {
+        let n = self.get_count(1, what)?;
+        self.take(n, what)
+    }
+
     /// Read a length-prefixed UTF-8 string.
     pub fn get_str(&mut self, what: &'static str) -> Result<String, ArtifactError> {
-        let n = self.get_count(1, what)?;
-        let bytes = self.take(n, what)?;
+        let bytes = self.get_u8s(what)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| self.malformed(format!("{what}: invalid UTF-8")))
     }
 
@@ -509,6 +525,17 @@ impl<'a> SectionReader<'a> {
         Ok(bytes.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk"))).collect())
     }
 
+    /// Read a count-prefixed index column and check every entry against
+    /// `limit`, the size of the table it indexes. The one bounds check
+    /// of every decoder: an index that passes can be used unchecked.
+    pub fn get_indices(&mut self, limit: usize, what: &'static str) -> Result<Vec<u32>, ArtifactError> {
+        let v = self.get_u32s(what)?;
+        match v.iter().find(|&&i| i as usize >= limit) {
+            Some(i) => Err(self.malformed(format!("{what}: index {i} out of range (limit {limit})"))),
+            None => Ok(v),
+        }
+    }
+
     /// Read a count-prefixed symbol vector, validating every id against
     /// `interner_len` so later lazy resolution cannot go out of bounds.
     pub fn get_symbols(
@@ -516,16 +543,29 @@ impl<'a> SectionReader<'a> {
         interner_len: usize,
         what: &'static str,
     ) -> Result<Vec<Symbol>, ArtifactError> {
-        let raw = self.get_u32s(what)?;
-        raw.into_iter()
-            .map(|v| {
-                if (v as usize) < interner_len {
-                    Ok(Symbol::from_raw(v))
-                } else {
-                    Err(self.malformed(format!("{what}: symbol id {v} outside interner of {interner_len}")))
-                }
-            })
-            .collect()
+        Ok(self.get_indices(interner_len, what)?.into_iter().map(Symbol::from_raw).collect())
+    }
+
+    /// Read the offset column of a CSR table with `rows` rows over
+    /// `total` entries, checking its shape: `rows + 1` monotone offsets
+    /// from 0 to `total`, so every row's range can be sliced unchecked.
+    pub fn get_offsets(
+        &mut self,
+        rows: usize,
+        total: usize,
+        what: &'static str,
+    ) -> Result<Vec<u32>, ArtifactError> {
+        let v = self.get_u32s(what)?;
+        if v.len() != rows + 1
+            || v[0] != 0
+            || v[rows] as usize != total
+            || v.windows(2).any(|pair| pair[0] > pair[1])
+        {
+            return Err(
+                self.malformed(format!("{what}: not {} monotone offsets from 0 to {total}", rows + 1))
+            );
+        }
+        Ok(v)
     }
 }
 
@@ -807,34 +847,25 @@ pub fn get_process(r: &mut SectionReader<'_>) -> Result<Process, ArtifactError> 
 // Symbols codec
 // ---------------------------------------------------------------------
 
-/// Validate that `v` is a legal index below `limit` (dense-id table
-/// cross-check used throughout the decoders).
-fn check_index(r: &SectionReader<'_>, v: u32, limit: usize, what: &'static str) -> Result<(), ArtifactError> {
-    if (v as usize) < limit {
-        Ok(())
-    } else {
-        Err(r.malformed(format!("{what}: index {v} out of range (limit {limit})")))
-    }
-}
-
 /// Sentinel mirrored from `intern.rs`: "no parent node".
 const NO_PARENT: u32 = u32::MAX;
 
 /// Encode the interned name layer: the frozen arena plus every symbol
-/// table of [`Symbols`].
+/// table of [`Symbols`], each index column after the table it indexes
+/// (nodes before groups, groups before instances, nets before ports).
 pub fn encode_symbols(syms: &Symbols) -> SectionWriter {
     let mut w = SectionWriter::new();
     let interner = syms.interner();
     w.put_str(interner.buf());
     w.put_u32s(interner.ends());
     w.put_symbols(&syms.net_syms);
-    w.put_symbols(&syms.inst_syms);
-    w.put_u32s(&syms.inst_group);
+    w.put_symbols(&syms.node_syms);
+    w.put_u32s(&syms.node_parent);
     w.put_symbols(&syms.group_syms);
     w.put_symbols(&syms.group_head_syms);
     w.put_u32s(&syms.group_node);
-    w.put_symbols(&syms.node_syms);
-    w.put_u32s(&syms.node_parent);
+    w.put_symbols(&syms.inst_syms);
+    w.put_u32s(&syms.inst_group);
     w.put_symbols(&syms.port_syms);
     w.put_u32s(&syms.port_nets);
     w
@@ -859,32 +890,18 @@ pub fn decode_symbols(r: &mut SectionReader<'_>) -> Result<Symbols, ArtifactErro
     let n_syms = interner.len();
 
     let net_syms = r.get_symbols(n_syms, "net symbols")?;
-    let inst_syms = r.get_symbols(n_syms, "instance symbols")?;
-    let inst_group = r.get_u32s("instance groups")?;
-    let group_syms = r.get_symbols(n_syms, "group symbols")?;
-    let group_head_syms = r.get_symbols(n_syms, "group head symbols")?;
-    let group_node = r.get_u32s("group nodes")?;
     let node_syms = r.get_symbols(n_syms, "node symbols")?;
     let node_parent = r.get_u32s("node parents")?;
+    let group_syms = r.get_symbols(n_syms, "group symbols")?;
+    let group_head_syms = r.get_symbols(n_syms, "group head symbols")?;
+    let group_node = r.get_indices(node_syms.len(), "group path nodes")?;
+    let inst_syms = r.get_symbols(n_syms, "instance symbols")?;
+    let inst_group = r.get_indices(group_syms.len(), "instance groups")?;
     let port_syms = r.get_symbols(n_syms, "port symbols")?;
-    let port_nets = r.get_u32s("port nets")?;
+    let port_nets = r.get_indices(net_syms.len(), "port nets")?;
 
-    let groups = group_syms.len();
-    let nodes = node_syms.len();
-    if group_head_syms.len() != groups || group_node.len() != groups {
-        return Err(r.malformed("group table lengths disagree"));
-    }
-    if node_parent.len() != nodes {
+    if node_parent.len() != node_syms.len() {
         return Err(r.malformed("node table lengths disagree"));
-    }
-    if inst_group.len() != inst_syms.len() {
-        return Err(r.malformed("instance group table length disagrees with instance count"));
-    }
-    for &g in &inst_group {
-        check_index(r, g, groups, "instance group id")?;
-    }
-    for &n in &group_node {
-        check_index(r, n, nodes, "group path node")?;
     }
     for (i, &p) in node_parent.iter().enumerate() {
         // Parents must precede children: the power rollup's single
@@ -893,11 +910,14 @@ pub fn decode_symbols(r: &mut SectionReader<'_>) -> Result<Symbols, ArtifactErro
             return Err(r.malformed(format!("node {i} parent {p} not topologically earlier")));
         }
     }
+    if group_head_syms.len() != group_syms.len() || group_node.len() != group_syms.len() {
+        return Err(r.malformed("group table lengths disagree"));
+    }
+    if inst_group.len() != inst_syms.len() {
+        return Err(r.malformed("instance group table length disagrees with instance count"));
+    }
     if port_nets.len() != port_syms.len() {
         return Err(r.malformed("port table lengths disagree"));
-    }
-    for &n in &port_nets {
-        check_index(r, n, net_syms.len(), "port net slot")?;
     }
     // `port_net` binary-searches by resolved name; a non-sorted table
     // would silently mis-resolve, so reject it here.
@@ -931,112 +951,100 @@ const DRIVER_NONE: u8 = 0;
 const DRIVER_PORT: u8 = 1;
 const DRIVER_INST: u8 = 2;
 
-/// Encode the shared lowering: the per-net driver table, the sink CSR
-/// and the levelized instance order. Loading these tables back is what
-/// makes `CompiledMacro::load` *wiring-only* — no connectivity build,
-/// no levelization, no interning ever re-runs.
+/// Encode the shared lowering as columns: the levelized instance order,
+/// one driver tag per net with the instance-driven nets' `(inst, pin)`
+/// columns, and the sink CSR (instance and pin columns, then offsets).
+/// Loading these tables back is what makes `CompiledMacro::load`
+/// *wiring-only* — no connectivity build, no levelization, no interning
+/// ever re-runs.
 pub fn encode_lowering(low: &Lowering) -> SectionWriter {
     let mut w = SectionWriter::new();
-    w.put_u64(low.net_count() as u64);
-    w.put_u8(u8::from(low.is_validated()));
     let order: Vec<u32> = low.order().iter().map(|id| id.0).collect();
     w.put_u32s(&order);
 
     let conn = low.connectivity();
-    w.put_u32(conn.driver.len() as u32);
+    let mut tags = Vec::with_capacity(conn.driver.len());
+    let (mut driver_inst, mut driver_pin) = (Vec::new(), Vec::new());
     for d in &conn.driver {
-        match *d {
-            Driver::None => w.put_u8(DRIVER_NONE),
-            Driver::Port => w.put_u8(DRIVER_PORT),
+        tags.push(match *d {
+            Driver::None => DRIVER_NONE,
+            Driver::Port => DRIVER_PORT,
             Driver::Inst { inst, pin } => {
-                w.put_u8(DRIVER_INST);
-                w.put_u32(inst.0);
-                w.put_u32(pin as u32);
+                driver_inst.push(inst.0);
+                driver_pin.push(pin as u32);
+                DRIVER_INST
             }
-        }
+        });
     }
-    // Sink CSR: offsets then flattened (inst, pin) pairs.
+    w.put_u8s(&tags);
+    w.put_u32s(&driver_inst);
+    w.put_u32s(&driver_pin);
+
     let mut offsets = Vec::with_capacity(conn.sinks.len() + 1);
-    let mut flat: Vec<u32> = Vec::new();
+    let (mut sink_inst, mut sink_pin) = (Vec::new(), Vec::new());
     offsets.push(0u32);
     for sinks in &conn.sinks {
         for &(inst, pin) in sinks {
-            flat.push(inst.0);
-            flat.push(pin as u32);
+            sink_inst.push(inst.0);
+            sink_pin.push(pin as u32);
         }
-        offsets.push((flat.len() / 2) as u32);
+        offsets.push(sink_inst.len() as u32);
     }
+    w.put_u32s(&sink_inst);
+    w.put_u32s(&sink_pin);
     w.put_u32s(&offsets);
-    w.put_u32s(&flat);
     w
 }
 
-/// Decode the shared lowering against the already-decoded `symbols`
-/// (net and instance counts cross-check the symbol tables).
+/// Decode the shared lowering against the already-decoded `symbols`,
+/// whose net and instance counts bound every table.
 pub fn decode_lowering(r: &mut SectionReader<'_>, symbols: &Symbols) -> Result<Lowering, ArtifactError> {
-    let net_count = r.get_u64("lowering net count")? as usize;
-    if net_count != symbols.net_count() {
-        return Err(
-            r.malformed(format!("net count {net_count} disagrees with symbols ({})", symbols.net_count()))
-        );
-    }
-    let inst_count = symbols.inst_count();
-    let validated = match r.get_u8("lowering validated flag")? {
-        0 => false,
-        1 => true,
-        v => return Err(r.malformed(format!("validated flag must be 0/1, got {v}"))),
-    };
-    let order_raw = r.get_u32s("levelized order")?;
-    for &i in &order_raw {
-        check_index(r, i, inst_count, "levelized order instance")?;
-    }
-    let order: Vec<InstId> = order_raw.into_iter().map(InstId).collect();
+    let (net_count, inst_count) = (symbols.net_count(), symbols.inst_count());
+    let order = r.get_indices(inst_count, "levelized order")?.into_iter().map(InstId).collect();
 
-    let driver_count = r.get_count(1, "driver table")?;
-    if driver_count != net_count {
-        return Err(r.malformed(format!("driver table covers {driver_count} nets, expected {net_count}")));
+    let tags = r.get_u8s("driver tags")?;
+    let driver_inst = r.get_indices(inst_count, "driver instances")?;
+    let driver_pin = r.get_u32s("driver pins")?;
+    if tags.len() != net_count {
+        return Err(r.malformed(format!("driver table covers {} nets, expected {net_count}", tags.len())));
     }
-    let mut driver = Vec::with_capacity(driver_count);
-    for _ in 0..driver_count {
-        driver.push(match r.get_u8("driver tag")? {
+    if driver_pin.len() != driver_inst.len() {
+        return Err(r.malformed("driver pin column disagrees with the driver instances"));
+    }
+    let mut inst_drivers = driver_inst.into_iter().zip(driver_pin);
+    let mut driver = Vec::with_capacity(net_count);
+    for &tag in tags {
+        driver.push(match tag {
             DRIVER_NONE => Driver::None,
             DRIVER_PORT => Driver::Port,
-            DRIVER_INST => {
-                let inst = r.get_u32("driver instance")?;
-                check_index(r, inst, inst_count, "driver instance")?;
-                let pin = r.get_u32("driver pin")?;
-                Driver::Inst { inst: InstId(inst), pin: pin as usize }
-            }
+            DRIVER_INST => match inst_drivers.next() {
+                Some((inst, pin)) => Driver::Inst { inst: InstId(inst), pin: pin as usize },
+                None => return Err(r.malformed("more instance-driven nets than driver instances")),
+            },
             t => return Err(r.malformed(format!("unknown driver tag {t}"))),
         });
     }
-    let offsets = r.get_u32s("sink offsets")?;
-    let flat = r.get_u32s("sink pairs")?;
-    if offsets.len() != net_count + 1 || offsets.first() != Some(&0) {
-        return Err(r.malformed("sink offset table has wrong shape"));
-    }
-    if flat.len() % 2 != 0 || offsets.last().copied().unwrap_or(0) as usize != flat.len() / 2 {
-        return Err(r.malformed("sink pair table disagrees with offsets"));
-    }
-    for pair in offsets.windows(2) {
-        if pair[0] > pair[1] {
-            return Err(r.malformed("sink offsets not monotone"));
-        }
-    }
-    let mut sinks: Vec<Vec<(InstId, usize)>> = Vec::with_capacity(net_count);
-    for net in 0..net_count {
-        let (s, e) = (offsets[net] as usize, offsets[net + 1] as usize);
-        let mut v = Vec::with_capacity(e - s);
-        for k in s..e {
-            let inst = flat[2 * k];
-            check_index(r, inst, inst_count, "sink instance")?;
-            v.push((InstId(inst), flat[2 * k + 1] as usize));
-        }
-        sinks.push(v);
+    if inst_drivers.next().is_some() {
+        return Err(r.malformed("more driver instances than instance-driven nets"));
     }
 
+    let sink_inst = r.get_indices(inst_count, "sink instances")?;
+    let sink_pin = r.get_u32s("sink pins")?;
+    if sink_pin.len() != sink_inst.len() {
+        return Err(r.malformed("sink pin column disagrees with the sink instances"));
+    }
+    let offsets = r.get_offsets(net_count, sink_inst.len(), "sink offsets")?;
+    let sinks = offsets
+        .windows(2)
+        .map(|span| {
+            (span[0] as usize..span[1] as usize)
+                .map(|k| (InstId(sink_inst[k]), sink_pin[k] as usize))
+                .collect()
+        })
+        .collect();
+
     let conn = Connectivity { driver, sinks };
-    Ok(Lowering::from_parts(conn, order, net_count, symbols.clone(), validated))
+    Ok(Lowering::from_parts(conn, order, symbols.clone()))
 }
 
 #[cfg(test)]
@@ -1179,7 +1187,6 @@ mod tests {
         assert_eq!(Lowering::builds(), builds_before, "decoding must not re-lower");
         assert_eq!(back.order(), low.order());
         assert_eq!(back.net_count(), low.net_count());
-        assert_eq!(back.is_validated(), low.is_validated());
         assert_eq!(back.connectivity().driver, low.connectivity().driver);
         assert_eq!(back.connectivity().sinks, low.connectivity().sinks);
     }

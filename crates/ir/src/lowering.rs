@@ -36,50 +36,30 @@ pub(crate) static TEST_BUILDS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new
 /// the levelized combinational instance order and the dense net→slot
 /// map.
 ///
-/// Build one with [`Lowering::new`] (tolerates unread floating nets,
-/// matching `syndcim_sta::Sta`) or [`Lowering::validated`] (additionally
-/// rejects read-but-undriven nets, matching the simulation backends).
+/// Build one with [`Lowering::validated`], which also rejects nets that
+/// are read but never driven — the contract every backend shares.
 #[derive(Debug, Clone)]
 pub struct Lowering {
     conn: Connectivity,
     order: Vec<InstId>,
-    net_count: usize,
     /// Interned net/instance/group name tables (see [`Symbols`]) —
     /// built once here and shared by every compiled artifact, so no
     /// downstream program ever clones a `String` table again.
     symbols: Symbols,
-    /// Whether this lowering passed the simulation backends' floating
-    /// net check ([`Lowering::validated`]).
-    validated: bool,
 }
 
 impl Lowering {
-    /// Lower `module`: build connectivity and levelize the combinational
-    /// instances.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if a net has multiple drivers or the
-    /// combinational part of the design is cyclic.
-    pub fn new(module: &Module, lib: &CellLibrary) -> Result<Self, NetlistError> {
-        Self::build(module, lib, false)
-    }
-
-    /// Like [`Lowering::new`], but additionally rejects floating nets
-    /// that are read by an instance or output port — the contract the
-    /// simulation backends require.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error under the same conditions as [`Lowering::new`],
-    /// plus [`NetlistError::FloatingNet`] for read-but-undriven nets.
-    pub fn validated(module: &Module, lib: &CellLibrary) -> Result<Self, NetlistError> {
-        Self::build(module, lib, true)
-    }
-
-    /// The one lowering walk behind both constructors; the floating-net
+    /// Lower `module`: build connectivity, levelize the combinational
+    /// instances, intern the names and check that every net an
+    /// instance or output port reads has a driver. The floating-net
     /// check runs inside the `lowering` span, so it reports as a child.
-    fn build(module: &Module, lib: &CellLibrary, validated: bool) -> Result<Self, NetlistError> {
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if a net has multiple drivers, the
+    /// combinational part of the design is cyclic, or a net is read but
+    /// undriven ([`NetlistError::FloatingNet`]).
+    pub fn validated(module: &Module, lib: &CellLibrary) -> Result<Self, NetlistError> {
         telemetry::span!("lowering");
         telemetry::counter("ir.lowerings").incr();
         BUILDS.fetch_add(1, Ordering::Relaxed);
@@ -95,20 +75,11 @@ impl Lowering {
             telemetry::span!("lowering.intern");
             Symbols::from_module(module)
         };
-        if validated {
+        {
             telemetry::span!("lowering.validate");
             validate(module, &conn)?;
         }
-        Ok(Lowering { conn, order, net_count: module.net_count(), symbols, validated })
-    }
-
-    /// `true` if this lowering was built with [`Lowering::validated`]
-    /// (i.e. the floating-net check the simulation backends require has
-    /// already passed). Consumers with the same contract —
-    /// `syndcim_sim::Simulator::with_lowering` — use this to skip a
-    /// redundant validation walk.
-    pub fn is_validated(&self) -> bool {
-        self.validated
+        Ok(Lowering { conn, order, symbols })
     }
 
     /// The interned name tables built from the lowered module: net,
@@ -134,7 +105,7 @@ impl Lowering {
 
     /// Number of real net slots (equals the module's net count).
     pub fn net_count(&self) -> usize {
-        self.net_count
+        self.symbols.net_count()
     }
 
     /// Dense slot of a net. Slots are stable across backends: slot `i`
@@ -148,14 +119,8 @@ impl Lowering {
     /// bump the build counter — loading an artifact is wiring-only, and
     /// `Lowering::builds()` staying flat across a load is exactly the
     /// invariant the roundtrip tests pin.
-    pub(crate) fn from_parts(
-        conn: Connectivity,
-        order: Vec<InstId>,
-        net_count: usize,
-        symbols: Symbols,
-        validated: bool,
-    ) -> Self {
-        Lowering { conn, order, net_count, symbols, validated }
+    pub(crate) fn from_parts(conn: Connectivity, order: Vec<InstId>, symbols: Symbols) -> Self {
+        Lowering { conn, order, symbols }
     }
 
     /// Number of `Lowering`s *built* so far in this process (clones do
@@ -207,7 +172,7 @@ mod tests {
         let y = b.not(x);
         b.output("y", y);
         let m = b.finish();
-        let low = Lowering::new(&m, &lib).unwrap();
+        let low = Lowering::validated(&m, &lib).unwrap();
         let conn = Connectivity::build(&m).unwrap();
         assert_eq!(low.order(), levelize(&m, &lib, &conn).unwrap());
         assert_eq!(low.net_count(), m.net_count());
@@ -215,7 +180,7 @@ mod tests {
     }
 
     #[test]
-    fn validated_rejects_floating_reads_but_new_tolerates_them() {
+    fn validated_rejects_floating_reads() {
         let _builds = TEST_BUILDS_LOCK.lock().unwrap();
         let lib = CellLibrary::syn40();
         let mut b = NetlistBuilder::new("float", &lib);
@@ -223,7 +188,6 @@ mod tests {
         let y = b.not(dangling);
         b.output("y", y);
         let m = b.finish();
-        assert!(Lowering::new(&m, &lib).is_ok(), "the STA contract tolerates unreached nets");
         assert!(matches!(Lowering::validated(&m, &lib), Err(NetlistError::FloatingNet { .. })));
     }
 
@@ -237,9 +201,9 @@ mod tests {
         b.output("y", y);
         let m = b.finish();
         let before = Lowering::builds();
-        let low = Lowering::new(&m, &lib).unwrap();
+        let low = Lowering::validated(&m, &lib).unwrap();
         let _clone = low.clone();
         let _clone2 = low.clone();
-        assert!(Lowering::builds() > before, "new() must bump the counter");
+        assert!(Lowering::builds() > before, "validated() must bump the counter");
     }
 }

@@ -20,7 +20,7 @@
 use std::collections::BTreeMap;
 
 use syndcim_ir::{net_loads_ff, Lowering, Symbols};
-use syndcim_netlist::{Connectivity, Module, NetlistError};
+use syndcim_netlist::{Module, NetlistError};
 use syndcim_pdk::{CellLibrary, OperatingPoint};
 
 /// Default glitch multiplier on combinational dynamic energy.
@@ -73,11 +73,10 @@ pub struct PowerAnalyzer<'a> {
     pub(crate) load_ff: Vec<f64>,
     /// Internal energy of each net's driver in fJ (0 for ports/ties).
     pub(crate) driver_internal_fj: Vec<f64>,
-    /// Interned name tables — shared with the lowering when built via
-    /// [`PowerAnalyzer::from_lowering`], interned locally otherwise.
-    /// Group heads for breakdowns resolve through here (no per-instance
-    /// `String` table), and [`PowerAnalyzer::compile`] hands the same
-    /// handles to the compiled program.
+    /// Interned name tables, shared with the lowering the analyzer was
+    /// built on. Group heads for breakdowns resolve through here (no
+    /// per-instance `String` table), and [`PowerAnalyzer::compile`]
+    /// hands the same handles to the compiled program.
     pub(crate) symbols: Symbols,
     /// Glitch multiplier on combinational dynamic energy.
     pub(crate) glitch_factor: f64,
@@ -86,31 +85,15 @@ pub struct PowerAnalyzer<'a> {
 }
 
 impl<'a> PowerAnalyzer<'a> {
-    /// Build an analyzer with zero wire capacitance (pre-layout power).
+    /// Build an analyzer with zero wire capacitance (pre-layout power)
+    /// over a fresh [`Lowering::validated`] of `module`.
     ///
     /// # Errors
     ///
-    /// Fails if the netlist has connectivity errors.
+    /// Fails if the netlist does not lower (multiple drivers,
+    /// combinational loops, read-but-undriven nets).
     pub fn new(module: &'a Module, lib: &'a CellLibrary) -> Result<Self, NetlistError> {
-        Self::with_wire_caps(module, lib, &[])
-    }
-
-    /// Build an analyzer with per-net wire capacitance in fF (missing
-    /// entries are treated as zero).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the netlist has connectivity errors.
-    pub fn with_wire_caps(
-        module: &'a Module,
-        lib: &'a CellLibrary,
-        wire_cap_ff: &[f64],
-    ) -> Result<Self, NetlistError> {
-        // The walk itself never needs the connectivity tables; building
-        // them here keeps the seed's error contract (reject multi-driven
-        // nets) for callers that have not lowered the module yet.
-        let _conn = Connectivity::build(module)?;
-        Ok(Self::build(module, lib, wire_cap_ff, Symbols::from_module(module)))
+        Ok(Self::from_lowering(module, lib, &Lowering::validated(module, lib)?, &[]))
     }
 
     /// Build an analyzer over an already-performed [`Lowering`] of
@@ -124,12 +107,6 @@ impl<'a> PowerAnalyzer<'a> {
         wire_cap_ff: &[f64],
     ) -> Self {
         debug_assert_eq!(low.net_count(), module.net_count(), "lowering belongs to a different module");
-        Self::build(module, lib, wire_cap_ff, low.symbols().clone())
-    }
-
-    /// The shared constructor body: per-net loads, driver internal
-    /// energies and group heads in one instance pass.
-    fn build(module: &'a Module, lib: &'a CellLibrary, wire_cap_ff: &[f64], symbols: Symbols) -> Self {
         let mut driver_internal = vec![0.0f64; module.net_count()];
         for inst in &module.instances {
             let cell = lib.cell(inst.cell);
@@ -143,7 +120,7 @@ impl<'a> PowerAnalyzer<'a> {
             lib,
             load_ff: net_loads_ff(module, lib, wire_cap_ff),
             driver_internal_fj: driver_internal,
-            symbols,
+            symbols: low.symbols().clone(),
             glitch_factor: DEFAULT_GLITCH_FACTOR,
             clock_tree_overhead: CLOCK_TREE_OVERHEAD,
         }
@@ -371,7 +348,8 @@ mod tests {
             OperatingPoint::at_voltage(0.9),
         );
         let caps = vec![25.0; m.net_count()];
-        let wired = PowerAnalyzer::with_wire_caps(&m, &lib, &caps).unwrap().from_activity(
+        let low = Lowering::validated(&m, &lib).unwrap();
+        let wired = PowerAnalyzer::from_lowering(&m, &lib, &low, &caps).from_activity(
             sim.toggle_table(),
             sim.cycles(),
             800.0,

@@ -7,9 +7,12 @@
 //! the per-head/per-node clock and leakage columns —
 //! every `f64` as its exact bit pattern, so a loaded program's
 //! `report`/`by_group_pj`/`by_path_pj` results are bit-identical to the
-//! in-memory compile (pinned by `tests/artifact_roundtrip.rs`).
-//! Decoding re-validates the CSR shape and every slot, group and symbol
-//! index the report passes rely on.
+//! in-memory compile (pinned by `tests/artifact_roundtrip.rs`). The
+//! net count is the shared [`Symbols`]' and is not stored again; the
+//! group-head table precedes the instance group column so its size
+//! bounds that column when it is read. Decoding re-validates the CSR
+//! shape and every slot, group and symbol index the report passes rely
+//! on.
 
 use syndcim_ir::artifact::{ArtifactError, SectionReader, SectionWriter};
 use syndcim_ir::Symbols;
@@ -23,13 +26,12 @@ use crate::CompiledPower;
 pub fn encode_power(power: &CompiledPower) -> SectionWriter {
     let mut w = SectionWriter::new();
     syndcim_ir::artifact::put_process(&mut w, &power.process);
-    w.put_u64(power.net_count as u64);
     w.put_u32s(&power.out_slot);
     w.put_f64s(&power.out_cap_ff);
     w.put_f64s(&power.out_internal_fj);
     w.put_u32s(&power.inst_out_start);
-    w.put_u32s(&power.inst_group);
     w.put_symbols(&power.group_head_syms);
+    w.put_u32s(&power.inst_group);
     w.put_u32s(&power.in_port_slot);
     w.put_f64s(&power.in_port_load_ff);
     w.put_f64(power.clock_regs_fj);
@@ -45,22 +47,15 @@ pub fn encode_power(power: &CompiledPower) -> SectionWriter {
 /// Decode a [`SectionId::Power`](syndcim_ir::artifact::SectionId)
 /// payload against the already-decoded shared `symbols`.
 pub fn decode_power(r: &mut SectionReader<'_>, symbols: &Symbols) -> Result<CompiledPower, ArtifactError> {
+    let (net_count, inst_count) = (symbols.net_count(), symbols.inst_count());
     let process = syndcim_ir::artifact::get_process(r)?;
-    let net_count = r.get_u64("power net count")? as usize;
-    if net_count != symbols.net_count() {
-        return Err(
-            r.malformed(format!("net count {net_count} disagrees with symbols ({})", symbols.net_count()))
-        );
-    }
-    let inst_count = symbols.inst_count();
-
-    let out_slot = r.get_u32s("output slots")?;
+    let out_slot = r.get_indices(net_count, "output slots")?;
     let out_cap_ff = r.get_f64s("output capacitances")?;
     let out_internal_fj = r.get_f64s("output internal energies")?;
-    let inst_out_start = r.get_u32s("instance output offsets")?;
-    let inst_group = r.get_u32s("instance group ids")?;
+    let inst_out_start = r.get_offsets(inst_count, out_slot.len(), "instance output offsets")?;
     let group_head_syms = r.get_symbols(symbols.interner().len(), "group head symbols")?;
-    let in_port_slot = r.get_u32s("input port slots")?;
+    let inst_group = r.get_indices(group_head_syms.len(), "instance group ids")?;
+    let in_port_slot = r.get_indices(net_count, "input port slots")?;
     let in_port_load_ff = r.get_f64s("input port loads")?;
     let clock_regs_fj = r.get_f64("clock register energy")?;
     let leakage_total_nw = r.get_f64("total leakage")?;
@@ -70,40 +65,14 @@ pub fn decode_power(r: &mut SectionReader<'_>, symbols: &Symbols) -> Result<Comp
     let node_clock_fj = r.get_f64s("per-node clock energies")?;
     let node_leakage_nw = r.get_f64s("per-node leakage")?;
 
-    let outputs = out_slot.len();
-    if out_cap_ff.len() != outputs || out_internal_fj.len() != outputs {
+    if out_cap_ff.len() != out_slot.len() || out_internal_fj.len() != out_slot.len() {
         return Err(r.malformed("output column lengths disagree"));
-    }
-    if inst_out_start.len() != inst_count + 1
-        || inst_out_start.first().copied().unwrap_or(1) != 0
-        || inst_out_start.last().copied().unwrap_or(0) as usize != outputs
-    {
-        return Err(r.malformed("instance output offset table has wrong shape"));
-    }
-    for pair in inst_out_start.windows(2) {
-        if pair[0] > pair[1] {
-            return Err(r.malformed("instance output offsets not monotone"));
-        }
     }
     if inst_group.len() != inst_count {
         return Err(r.malformed(format!(
             "instance group table covers {} instances, symbols have {inst_count}",
             inst_group.len()
         )));
-    }
-    for &g in &inst_group {
-        if g as usize >= group_head_syms.len() {
-            return Err(
-                r.malformed(format!("instance group id {g} out of range ({} heads)", group_head_syms.len()))
-            );
-        }
-    }
-    for (what, slots) in [("output slot", &out_slot), ("input port slot", &in_port_slot)] {
-        for &s in slots.iter() {
-            if s as usize >= net_count {
-                return Err(r.malformed(format!("{what} {s} out of range ({net_count} nets)")));
-            }
-        }
     }
     if in_port_load_ff.len() != in_port_slot.len() {
         return Err(r.malformed("input port column lengths disagree"));

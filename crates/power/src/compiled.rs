@@ -672,7 +672,8 @@ mod tests {
         let (m, lib) = toggler();
         let (toggles, cycles) = measured_toggles(&m, &lib);
         let caps = vec![12.5; m.net_count()];
-        let mut pa = PowerAnalyzer::with_wire_caps(&m, &lib, &caps).unwrap();
+        let low = Lowering::validated(&m, &lib).unwrap();
+        let mut pa = PowerAnalyzer::from_lowering(&m, &lib, &low, &caps);
         pa.set_glitch_factor(1.6);
         let cp = pa.compile();
         let op = OperatingPoint::at_voltage(0.9);

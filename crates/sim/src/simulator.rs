@@ -78,27 +78,15 @@ impl<'a> Simulator<'a> {
     /// connectivity walk and levelization are reused, so differential
     /// tests that run many interpreter instances against one compiled
     /// program stop paying a redundant traversal per instantiation.
-    /// The lowering must have been built from the same `module`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::FloatingNet`] if the lowering was built
-    /// with `Lowering::new` (which tolerates floating reads) and the
-    /// module violates the stricter simulation contract; a lowering
-    /// from `Lowering::validated` skips that re-check entirely.
-    pub fn with_lowering(
-        module: &'a Module,
-        lib: &'a CellLibrary,
-        low: &Lowering,
-    ) -> Result<Self, NetlistError> {
+    /// The lowering must have been built from the same `module`;
+    /// `Lowering::validated` has already run the floating-net check
+    /// [`Simulator::new`] runs, so construction cannot fail.
+    pub fn with_lowering(module: &'a Module, lib: &'a CellLibrary, low: &Lowering) -> Self {
         debug_assert_eq!(low.net_count(), module.net_count(), "lowering belongs to a different module");
-        if !low.is_validated() {
-            validate(module, low.connectivity())?;
-        }
         // Port names resolve through the lowering's shared symbol
         // table: a few `Arc` bumps, no owned name map per simulator.
         let ports = PortLookup::Shared(low.symbols().clone());
-        Ok(Self::build(module, lib, low.order().to_vec(), ports))
+        Self::build(module, lib, low.order().to_vec(), ports)
     }
 
     /// Shared constructor body over a known-good levelized order.
@@ -438,7 +426,7 @@ mod tests {
         let low = Lowering::validated(&m, &lib).unwrap();
 
         let mut fresh = Simulator::new(&m, &lib).unwrap();
-        let mut shared = Simulator::with_lowering(&m, &lib, &low).unwrap();
+        let mut shared = Simulator::with_lowering(&m, &lib, &low);
         for i in 0..20 {
             fresh.set("a", i % 3 == 0);
             shared.set("a", i % 3 == 0);
@@ -448,16 +436,15 @@ mod tests {
         }
         assert_eq!(fresh.toggle_table(), shared.toggle_table(), "toggles must be bit-identical");
 
-        // An unvalidated lowering of a floating-read module is rejected
-        // with the simulator's own contract.
+        // A floating-read module never reaches `with_lowering`: it fails
+        // to lower, with the simulator's own contract.
         let mut b = NetlistBuilder::new("float", &lib);
         let dangling = b.net("dangling");
         let y = b.not(dangling);
         b.output("y", y);
         let m = b.finish();
-        let low = Lowering::new(&m, &lib).unwrap();
-        assert!(!low.is_validated());
-        assert!(Simulator::with_lowering(&m, &lib, &low).is_err(), "floating reads must be rejected");
+        assert!(matches!(Lowering::validated(&m, &lib), Err(NetlistError::FloatingNet { .. })));
+        assert!(matches!(Simulator::new(&m, &lib), Err(NetlistError::FloatingNet { .. })));
     }
 
     #[test]

@@ -6,11 +6,12 @@
 //! two endpoint tables, every `f64` as its exact IEEE-754 bit pattern —
 //! so a loaded program's `fmax_mhz`/`analyze_at` results are
 //! bit-identical to the in-memory compile (pinned by
-//! `tests/artifact_roundtrip.rs`). Decoding re-validates the bounds the
-//! analysis passes index without checking: every slot below
-//! `net_count` (the arrival buffer's extent) and every launch/arc
-//! instance below the symbol tables' instance count (critical-path
-//! reconstruction resolves instance names by index).
+//! `tests/artifact_roundtrip.rs`). The net count is the shared
+//! [`Symbols`]' and is not stored again. Decoding reads every slot
+//! column as indices below the net count (the arrival buffer's extent)
+//! and every launch/arc instance column as indices below the instance
+//! count (critical-path reconstruction resolves instance names by
+//! index), so the analysis passes can index without checking.
 
 use syndcim_ir::artifact::{ArtifactError, SectionReader, SectionWriter};
 use syndcim_ir::Symbols;
@@ -23,7 +24,6 @@ use crate::CompiledSta;
 pub fn encode_sta(sta: &CompiledSta) -> SectionWriter {
     let mut w = SectionWriter::new();
     syndcim_ir::artifact::put_process(&mut w, &sta.process);
-    w.put_u64(sta.net_count as u64);
     w.put_u32s(&sta.input_slots);
     w.put_u32s(&sta.launch_slot);
     w.put_f64s(&sta.launch_base_ps);
@@ -43,27 +43,20 @@ pub fn encode_sta(sta: &CompiledSta) -> SectionWriter {
 /// Decode a [`SectionId::Sta`](syndcim_ir::artifact::SectionId) payload
 /// against the already-decoded shared `symbols`.
 pub fn decode_sta(r: &mut SectionReader<'_>, symbols: &Symbols) -> Result<CompiledSta, ArtifactError> {
+    let (net_count, inst_count) = (symbols.net_count(), symbols.inst_count());
     let process = syndcim_ir::artifact::get_process(r)?;
-    let net_count = r.get_u64("sta net count")? as usize;
-    if net_count != symbols.net_count() {
-        return Err(
-            r.malformed(format!("net count {net_count} disagrees with symbols ({})", symbols.net_count()))
-        );
-    }
-    let inst_count = symbols.inst_count();
-
-    let input_slots = r.get_u32s("input slots")?;
-    let launch_slot = r.get_u32s("launch slots")?;
+    let input_slots = r.get_indices(net_count, "input slots")?;
+    let launch_slot = r.get_indices(net_count, "launch slots")?;
     let launch_base_ps = r.get_f64s("launch base delays")?;
     let launch_wire_ps = r.get_f64s("launch wire delays")?;
-    let launch_inst = r.get_u32s("launch instances")?;
-    let arc_src = r.get_u32s("arc sources")?;
-    let arc_dst = r.get_u32s("arc destinations")?;
+    let launch_inst = r.get_indices(inst_count, "launch instances")?;
+    let arc_src = r.get_indices(net_count, "arc sources")?;
+    let arc_dst = r.get_indices(net_count, "arc destinations")?;
     let arc_base_ps = r.get_f64s("arc base delays")?;
     let arc_wire_ps = r.get_f64s("arc wire delays")?;
-    let arc_inst = r.get_u32s("arc instances")?;
-    let port_end_slot = r.get_u32s("port endpoints")?;
-    let seq_end_slot = r.get_u32s("sequential endpoints")?;
+    let arc_inst = r.get_indices(inst_count, "arc instances")?;
+    let port_end_slot = r.get_indices(net_count, "port endpoints")?;
+    let seq_end_slot = r.get_indices(net_count, "sequential endpoints")?;
     let seq_end_setup_ps = r.get_f64s("sequential setup times")?;
 
     let launches = launch_slot.len();
@@ -80,27 +73,6 @@ pub fn decode_sta(r: &mut SectionReader<'_>, symbols: &Symbols) -> Result<Compil
     }
     if seq_end_setup_ps.len() != seq_end_slot.len() {
         return Err(r.malformed("sequential endpoint column lengths disagree"));
-    }
-    for (what, slots) in [
-        ("input slot", &input_slots),
-        ("launch slot", &launch_slot),
-        ("arc source slot", &arc_src),
-        ("arc destination slot", &arc_dst),
-        ("port endpoint slot", &port_end_slot),
-        ("sequential endpoint slot", &seq_end_slot),
-    ] {
-        for &s in slots.iter() {
-            if s as usize >= net_count {
-                return Err(r.malformed(format!("{what} {s} out of range ({net_count} nets)")));
-            }
-        }
-    }
-    for (what, insts) in [("launch instance", &launch_inst), ("arc instance", &arc_inst)] {
-        for &i in insts.iter() {
-            if i as usize >= inst_count {
-                return Err(r.malformed(format!("{what} {i} out of range ({inst_count} instances)")));
-            }
-        }
     }
 
     Ok(CompiledSta {
@@ -150,7 +122,7 @@ mod tests {
         let q = b.dff(x2);
         b.output("q", q);
         let m = b.finish();
-        let low = Lowering::new(&m, &lib).unwrap();
+        let low = Lowering::validated(&m, &lib).unwrap();
         let mut wires = WireLoads::zero(m.net_count());
         wires.cap_ff[x.index()] = 1.5;
         wires.delay_ps[x.index()] = 2.25;
@@ -180,7 +152,7 @@ mod tests {
         let q = b.dff(a);
         b.output("q", q);
         let m = b.finish();
-        let low = Lowering::new(&m, &lib).unwrap();
+        let low = Lowering::validated(&m, &lib).unwrap();
         let mut sta = Sta::with_lowering(&m, &lib, low.clone()).compile();
         sta.seq_end_slot[0] = 10_000;
         let bytes = frame(encode_sta(&sta));

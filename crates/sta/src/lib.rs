@@ -147,10 +147,10 @@ impl<'a> Sta<'a> {
     ///
     /// # Errors
     ///
-    /// Fails if the netlist has connectivity errors or combinational
-    /// loops.
+    /// Fails if the netlist has connectivity errors, combinational
+    /// loops or read-but-undriven nets ([`Lowering::validated`]).
     pub fn new(module: &'a Module, lib: &'a CellLibrary) -> Result<Self, NetlistError> {
-        let low = Lowering::new(module, lib)?;
+        let low = Lowering::validated(module, lib)?;
         Ok(Self::with_lowering(module, lib, low))
     }
 

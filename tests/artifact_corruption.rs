@@ -20,11 +20,10 @@
 //!   overwrites, truncations, extensions); every one must return
 //!   `Result`, and any `Ok` must canonically re-encode to the mutated
 //!   input (i.e. only identity mutations decode).
-//! * **Program templates** — hand-built program sections whose
-//!   micro-op stream is not a sequence of cell templates (a scratch
-//!   operand outside a template, a template writing one of its own
-//!   inputs, a template cut off by the end of the stream) are
-//!   `Malformed`, never a panic.
+//! * **Program ops** — hand-built program sections with an unknown op
+//!   kind tag, a pin past the nets, an op writing one of its own
+//!   inputs, or a pin stream shorter or longer than the kind tags need
+//!   are `Malformed`, never a panic.
 
 use rand::Rng;
 use syndcim_core::{ArtifactError, ArtifactReader, CompiledMacro, SectionId};
@@ -95,7 +94,7 @@ fn flipped_magic_bytes_are_rejected() {
 #[test]
 fn past_and_future_versions_are_rejected() {
     let bytes = sample_bytes();
-    for version in [0u32, 2, 999, u32::MAX] {
+    for version in [0u32, 1, 3, 999, u32::MAX] {
         let mut m = bytes.clone();
         m[8..12].copy_from_slice(&version.to_le_bytes());
         let err = CompiledMacro::load_from_bytes(&m).unwrap_err();
@@ -227,11 +226,15 @@ fn a_thousand_seeded_random_mutations_never_panic() {
     assert!(rejected > 1_000, "the fuzz loop must actually exercise the error paths ({rejected} rejections)");
 }
 
+/// The kind tag of a 4-2 compressor op: its position in the engine's
+/// op-kind list (`Const0` = 0 … `FullAdder` = 14, `Compressor42` = 15,
+/// `MultMux` = 16).
+const C42_TAG: u8 = 15;
+
 /// Decode a hand-built program section for a lone 4-2 compressor:
-/// `micro` gets the scratch base `nets` (slots `nets..nets + 8` are the
-/// scratch slots) and the cell's pins `[s, carry, cout, a, b, c, d,
-/// cin]`, and lists micro-ops as (nibble, operands).
-fn decode_c42_section(micro: impl Fn(u32, [u32; 8]) -> Vec<(u8, Vec<u32>)>) -> Result<(), ArtifactError> {
+/// `ops` gets the net count and the cell's pins `[s, carry, cout, a, b,
+/// c, d, cin]` and returns the op kind tags and the pin stream.
+fn decode_c42_section(ops: impl Fn(u32, [u32; 8]) -> (Vec<u8>, Vec<u32>)) -> Result<(), ArtifactError> {
     let lib = CellLibrary::syn40();
     let mut b = NetlistBuilder::new("c42", &lib);
     let ins: Vec<_> = ["a", "b", "c", "d", "cin"].iter().map(|n| b.input(*n)).collect();
@@ -242,63 +245,50 @@ fn decode_c42_section(micro: impl Fn(u32, [u32; 8]) -> Vec<(u8, Vec<u32>)>) -> R
     let low = Lowering::validated(&m, &lib).unwrap();
     let inst = &m.instances[0];
     let mut pins = inst.outputs.iter().chain(&inst.inputs).map(|n| n.index() as u32);
-    let micro = micro(m.net_count() as u32, std::array::from_fn(|_| pins.next().unwrap()));
-    let nets = m.net_count() as u32;
+    let (tags, pin_stream) = ops(m.net_count() as u32, std::array::from_fn(|_| pins.next().unwrap()));
 
     let mut w = SectionWriter::new();
-    w.put_u64(u64::from(nets));
-    w.put_u64(u64::from(nets) + 8);
-    w.put_u32(micro.len() as u32);
-    for pair in micro.chunks(2) {
-        w.put_u8(pair[0].0 | pair.get(1).map_or(0, |hi| hi.0 << 4));
+    w.put_u8s(&tags);
+    w.put_u32s(&pin_stream);
+    // No commits: empty update tag, in0, in1 and q columns.
+    w.put_u8s(&[]);
+    for _ in 0..3 {
+        w.put_u32s(&[]);
     }
-    w.put_u32s(&micro.iter().flat_map(|(_, ops)| ops.iter().copied()).collect::<Vec<_>>());
-    w.put_u32(0); // no commits
     w.put_u32s(&vec![u32::MAX; m.instance_count()]);
     let bytes = w.into_bytes();
     decode_program(&mut SectionReader::new(SectionId::Program, &bytes), low.symbols()).map(|_| ())
 }
 
-/// The 4-2 compressor's template over pins `[s, carry, cout, a, b, c,
-/// d, cin]` with scratch base `t`, as the `.scim` format stores it
-/// (nibbles: 4 AND, 5 OR, 6 XOR, 7 MUX).
-fn c42_template(p: [u32; 8], t: u32) -> Vec<(u8, Vec<u32>)> {
-    vec![
-        (6, vec![t, p[3], p[4]]),
-        (6, vec![t + 1, p[5], p[6]]),
-        (6, vec![t + 2, t, t + 1]),
-        (6, vec![p[0], t + 2, p[7]]),
-        (7, vec![p[1], p[6], p[7], t + 2]),
-        (4, vec![t + 3, p[3], p[4]]),
-        (4, vec![t + 4, p[5], t]),
-        (5, vec![p[2], t + 3, t + 4]),
-    ]
-}
-
 #[test]
-fn program_streams_outside_the_cell_templates_are_malformed() {
-    let pristine = decode_c42_section(|nets, pins| c42_template(pins, nets));
-    assert!(pristine.is_ok(), "the pristine template decodes: {pristine:?}");
+fn hand_built_program_sections_with_bad_ops_are_malformed() {
+    let pristine = decode_c42_section(|_, pins| (vec![C42_TAG], pins.to_vec()));
+    assert!(pristine.is_ok(), "the pristine op decodes: {pristine:?}");
 
     let malformed = |what: &str, res: Result<(), ArtifactError>| {
         assert!(matches!(res, Err(ArtifactError::Malformed { .. })), "{what}: got {res:?}");
     };
-    // A plain AND reading a scratch slot that no template wrote.
+    for tag in [C42_TAG + 2, u8::MAX] {
+        malformed("unknown kind tag", decode_c42_section(|_, pins| (vec![tag], pins.to_vec())));
+    }
     malformed(
-        "scratch read outside a template",
-        decode_c42_section(|nets, pins| vec![(4, vec![pins[0], pins[3], nets])]),
+        "pin at the net count",
+        decode_c42_section(|nets, mut pins| {
+            pins[3] = nets;
+            (vec![C42_TAG], pins.to_vec())
+        }),
     );
     // The compressor's sum output is also its `cin` input.
     malformed(
         "sum output is an input",
-        decode_c42_section(|nets, mut pins| {
+        decode_c42_section(|_, mut pins| {
             pins[0] = pins[7];
-            c42_template(pins, nets)
+            (vec![C42_TAG], pins.to_vec())
         }),
     );
-    // The template cut off after five of its eight micro-ops.
+    malformed("pin stream cut short", decode_c42_section(|_, pins| (vec![C42_TAG], pins[..5].to_vec())));
     malformed(
-        "template cut off at the end of the stream",
-        decode_c42_section(|nets, pins| c42_template(pins, nets)[..5].to_vec()),
+        "pin stream past the ops",
+        decode_c42_section(|_, pins| (vec![C42_TAG], [&pins[..], &pins[..1]].concat())),
     );
 }

@@ -32,8 +32,8 @@
 //! exercise on the 256×256 generator macro (~4×10⁵ nets) and asserts
 //! the load takes a small fraction of the compile it replaces.
 
-use syndcim_core::{assemble, implement, CompiledMacro, DesignChoice, MacroSpec};
-use syndcim_engine::{EngineSim, SimdBackend};
+use syndcim_core::{assemble, implement, BaselineKind, CompiledMacro, DesignChoice, MacroSpec};
+use syndcim_engine::{EngineSim, Program, SimdBackend};
 use syndcim_ir::Lowering;
 use syndcim_netlist::{Module, NetId};
 use syndcim_pdk::{CellFunction, CellLibrary, OperatingPoint};
@@ -42,6 +42,7 @@ use syndcim_power::PowerAnalyzer;
 use syndcim_sim::SimBackend;
 use syndcim_sta::artifact::encode_sta;
 use syndcim_sta::{Sta, WireLoads};
+use syndcim_subckt::{AdderTreeKind, MultMuxKind};
 
 /// Operating points the paper's shmoo sweeps: slow/low-V, nominal,
 /// fast/high-V, plus a hot corner exercising the temperature derate.
@@ -297,24 +298,69 @@ fn scale_tier_artifact_load_is_a_fraction_of_the_compile() {
     assert_eq!(loaded.sta.fmax_mhz(op), cm.sta.fmax_mhz(op), "scale-tier fmax must survive the roundtrip");
 }
 
-/// The program section stores micro-op templates, but a load folds
-/// them back into the compiled ops: the loaded paper-chip program has
-/// the compiled op count and every op's label, so a loaded artifact
-/// runs the same one-op-per-cell kernel as a fresh compile.
-#[test]
-fn loaded_program_equals_the_compiled_one_op_for_op() {
-    let (module, lib, cm) = paper_chip();
-    let loaded = CompiledMacro::load_from_bytes(&cm.save_to_vec().unwrap()).unwrap();
-    let (fresh, back) = (&cm.program, &loaded.program);
+/// Assert the loaded program `back` has the compiled op count of
+/// `fresh` (one op per combinational cell of `module`, two per half
+/// adder) and every op's label. Returns the labels.
+fn assert_same_ops(
+    module: &Module,
+    lib: &CellLibrary,
+    fresh: &Program,
+    back: &Program,
+    what: &str,
+) -> Vec<String> {
     let ops_per_cell = |i: &syndcim_netlist::Instance| match lib.cell(i.cell) {
         c if c.is_sequential() => 0,
         c if c.function == CellFunction::HalfAdder => 2,
         _ => 1,
     };
     let want: usize = module.instances.iter().map(ops_per_cell).sum();
-    assert_eq!(fresh.op_count(), want, "one op per combinational cell, two per half adder");
-    assert_eq!(back.op_count(), fresh.op_count(), "op count");
-    for k in 0..fresh.op_count() {
-        assert_eq!(back.op_label(k), fresh.op_label(k), "op {k}");
+    assert_eq!(fresh.op_count(), want, "{what}: one op per combinational cell, two per half adder");
+    assert_eq!(back.op_count(), fresh.op_count(), "{what}: op count");
+    (0..fresh.op_count())
+        .map(|k| {
+            let label = fresh.op_label(k);
+            assert_eq!(back.op_label(k), label, "{what}: op {k}");
+            label
+        })
+        .collect()
+}
+
+/// The program section stores the compiled ops themselves: the loaded
+/// paper-chip program has the compiled op count and every op's label,
+/// so a loaded artifact runs the same one-op-per-cell kernel as a fresh
+/// compile.
+#[test]
+fn loaded_program_equals_the_compiled_one_op_for_op() {
+    let (module, lib, cm) = paper_chip();
+    let loaded = CompiledMacro::load_from_bytes(&cm.save_to_vec().unwrap()).unwrap();
+    assert_same_ops(&module, &lib, &cm.program, &loaded.program, "paper chip");
+}
+
+/// The byte fixpoint and the op-for-op load on more netlists than the
+/// default choice: every baseline template (pass-gate sites and the
+/// RCA tree's full adders among them) and a fused OAI22 mult-mux over
+/// a mixed full-adder / 4-2 compressor tree, each on a 16×16 macro.
+#[test]
+fn every_baseline_and_a_fused_mixed_tree_roundtrip_op_for_op() {
+    let lib = CellLibrary::syn40();
+    let spec = MacroSpec { h: 16, w: 16, ..MacroSpec::paper_test_chip() };
+    let fused = DesignChoice {
+        multmux: MultMuxKind::Oai22Fused,
+        tree_kind: AdderTreeKind::MixedCsa { fa_rounds: 1 },
+        ..DesignChoice::default()
+    };
+    let choices =
+        BaselineKind::ALL.iter().map(|b| (b.label(), b.choice())).chain([("fused mixed tree", fused)]);
+    let mut labels = Vec::new();
+    for (what, choice) in choices {
+        let mac = assemble(&lib, &spec, &choice);
+        let cm = CompiledMacro::compile(&mac.module, &lib, &WireLoads::zero(mac.module.net_count())).unwrap();
+        let bytes = cm.save_to_vec().unwrap();
+        let loaded = CompiledMacro::load_from_bytes(&bytes).unwrap();
+        assert_eq!(loaded.save_to_vec().unwrap(), bytes, "{what}: save→load→save must be byte-identical");
+        labels.extend(assert_same_ops(&mac.module, &lib, &cm.program, &loaded.program, what));
+    }
+    for op in ["fa(", "c42("] {
+        assert!(labels.iter().any(|l| l.contains(op)), "the choices must compile `{op}` ops");
     }
 }

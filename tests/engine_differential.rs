@@ -67,7 +67,7 @@ fn engine_matches_interpreter_on_paper_test_chip_random_stimulus() {
     // the engine's table.
     let mut ref_toggles = vec![0u64; module.net_count()];
     for (l, stim) in stimulus.iter().enumerate() {
-        let mut sim = Simulator::with_lowering(module, &lib, &low).unwrap();
+        let mut sim = Simulator::with_lowering(module, &lib, &low);
         for (c, bits) in stim.iter().enumerate() {
             for (pi, &net) in in_nets.iter().enumerate() {
                 sim.poke(net, bits[pi]);
@@ -179,7 +179,7 @@ fn wide_backend_matches_u64_backend_and_interpreter_on_paper_test_chip() {
 
     // Interpreter spot-check on lanes straddling every word boundary.
     for l in [0usize, 63, 64, 127, 128, 191, 192, 255] {
-        let mut sim = Simulator::with_lowering(module, &lib, &low).unwrap();
+        let mut sim = Simulator::with_lowering(module, &lib, &low);
         for (c, snap) in snapshots.iter().enumerate() {
             for (pi, &net) in in_nets.iter().enumerate() {
                 sim.poke(net, stimulus[l][c][pi]);
@@ -298,7 +298,7 @@ fn simd_backends_agree_at_every_word_seam() {
         // 256-lane seams are interpreter-pinned by the test above).
         if lanes == 512 {
             for l in [0usize, 63, 64, 255, 256, 447, 448, 511] {
-                let mut sim = Simulator::with_lowering(module, &lib, &low).unwrap();
+                let mut sim = Simulator::with_lowering(module, &lib, &low);
                 for (c, snap) in snapshots.iter().enumerate() {
                     for (pi, &net) in in_nets.iter().enumerate() {
                         sim.poke(net, stimulus[l][c][pi]);
@@ -684,7 +684,7 @@ fn skip_rules_hold_under_quiet_stimulus() {
     // checkpoint. Loading the image restarts every class from a replay
     // of class 0 up to the save.
     let interp = || {
-        let mut sim = Simulator::with_lowering(module, &lib, &low).unwrap();
+        let mut sim = Simulator::with_lowering(module, &lib, &low);
         setup(&mut sim);
         sim.reset_activity();
         sim

@@ -144,7 +144,7 @@ fn interpreter_with_lowering_is_bit_identical_on_paper_chip() {
     let low = Lowering::validated(module, &lib).unwrap();
 
     let mut fresh = Simulator::new(module, &lib).unwrap();
-    let mut shared = Simulator::with_lowering(module, &lib, &low).unwrap();
+    let mut shared = Simulator::with_lowering(module, &lib, &low);
     let in_nets: Vec<_> = module.input_ports().map(|p| p.net).collect();
     for c in 0..8u64 {
         for (k, &net) in in_nets.iter().enumerate() {

@@ -13,6 +13,7 @@
 
 use syndcim_core::{assemble, DesignChoice, MacroSpec};
 use syndcim_engine::{EngineSim, Program};
+use syndcim_ir::Lowering;
 use syndcim_netlist::{Module, NetId};
 use syndcim_pdk::{CellLibrary, OperatingPoint};
 use syndcim_power::{PowerAnalyzer, PowerReport};
@@ -79,12 +80,13 @@ fn compiled_power_matches_reference_on_paper_test_chip() {
     let (toggles, cycles) = measured_toggles(module, &lib);
     assert!(toggles.iter().any(|&t| t > 0), "the stimulus must actually toggle nets");
 
+    let low = Lowering::validated(module, &lib).unwrap();
     for (caps, label) in [
         (vec![0.0; module.net_count()], "pre-layout"),
         (synthetic_caps(module.net_count()), "wire-annotated"),
     ] {
         for glitch in [1.25, 1.0, 1.6] {
-            let mut pa = PowerAnalyzer::with_wire_caps(module, &lib, &caps).unwrap();
+            let mut pa = PowerAnalyzer::from_lowering(module, &lib, &low, &caps);
             pa.set_glitch_factor(glitch);
             let cp = pa.compile();
             assert_eq!(cp.net_count(), module.net_count());
