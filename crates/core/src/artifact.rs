@@ -137,14 +137,19 @@ pub fn read_symbols(reader: &ArtifactReader<'_>) -> Result<Symbols, ArtifactErro
     Ok(symbols)
 }
 
-/// Retained in-memory footprint of a loaded bundle in bytes (symbol
-/// arena counted once): what the CLI's `info` command reports alongside
-/// the on-disk section sizes.
+/// Retained in-memory footprint of a bundle in bytes: the lowering's
+/// order and connectivity, the three programs, and the symbol arena
+/// counted once. What the CLI's `info` command reports alongside the
+/// on-disk section sizes.
 pub fn retained_bytes(cm: &CompiledMacro) -> usize {
     // Each program's own retained_bytes() counts its `Symbols` share;
     // the arena is one shared allocation, so count it exactly once.
     let syms_once = cm.lowering.symbols().heap_bytes();
-    cm.program.retained_bytes() + cm.sta.retained_bytes() + cm.power.retained_bytes() - 2 * syms_once
+    cm.lowering.heap_bytes()
+        + cm.program.retained_bytes()
+        + cm.sta.retained_bytes()
+        + cm.power.retained_bytes()
+        - 2 * syms_once
 }
 
 #[cfg(test)]

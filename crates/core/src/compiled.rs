@@ -9,7 +9,7 @@
 //! engine evaluation, shmoo timing, power annotation — runs on programs
 //! that agree on slot assignment by construction.
 
-use syndcim_ir::Lowering;
+use syndcim_ir::{join, Lowering, OVERLAP_MIN_INSTANCES};
 use syndcim_netlist::{Module, NetlistError};
 use syndcim_pdk::CellLibrary;
 use syndcim_power::CompiledPower;
@@ -62,6 +62,10 @@ impl CompiledMacro {
     /// contract holds even though layout runs in between. Infallible:
     /// validation happened when `lowering` was built.
     ///
+    /// The three compilers only read the lowering, so on modules of at
+    /// least [`OVERLAP_MIN_INSTANCES`] instances the timing compiler
+    /// runs beside the simulation and power compilers ([`join`]).
+    ///
     /// # Panics
     ///
     /// Panics if the wire tables do not cover every net.
@@ -71,9 +75,16 @@ impl CompiledMacro {
         wires: &WireLoads,
         lowering: Lowering,
     ) -> Self {
-        let program = Program::from_lowering(&lowering, module, lib);
-        let power = CompiledPower::from_lowering(&lowering, module, lib, &wires.cap_ff);
-        let sta = CompiledSta::from_lowering(&lowering, module, lib, wires);
+        let (sta, (program, power)) = join(
+            module.instance_count() >= OVERLAP_MIN_INSTANCES,
+            || CompiledSta::from_lowering(&lowering, module, lib, wires),
+            || {
+                (
+                    Program::from_lowering(&lowering, module, lib),
+                    CompiledPower::from_lowering(&lowering, module, lib, &wires.cap_ff),
+                )
+            },
+        );
         CompiledMacro { lowering, program, sta, power }
     }
 }

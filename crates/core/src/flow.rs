@@ -2,7 +2,7 @@
 //! SDP placement → DRC/LVS checks → parasitic extraction → post-layout
 //! STA — the Design-Compiler + Innovus + PrimeTime loop of the paper.
 
-use syndcim_ir::Lowering;
+use syndcim_ir::{join, Lowering, OVERLAP_MIN_INSTANCES};
 use syndcim_layout::{
     check_drc, extract_wires, place_with_symbols, FloorplanConfig, Placement, WireEstimates,
 };
@@ -113,14 +113,21 @@ pub fn implement(
         telemetry::span!("implement.place");
         place_with_symbols(&mac.module, lib, FloorplanConfig::default(), lowering.symbols())?
     };
-    {
-        telemetry::span!("implement.drc");
-        check_drc(&mac.module, &placement)?;
-    }
-    let wires = {
-        telemetry::span!("implement.wires");
-        extract_wires(&mac.module, lib, &placement)?
-    };
+    // DRC and extraction only read the placement, so a large module
+    // runs them side by side; DRC's error still wins.
+    let (drc, wires) = join(
+        mac.module.instance_count() >= OVERLAP_MIN_INSTANCES,
+        || {
+            telemetry::span!("implement.drc");
+            check_drc(&mac.module, &placement)
+        },
+        || {
+            telemetry::span!("implement.wires");
+            extract_wires(&mac.module, lib, &placement)
+        },
+    );
+    drc?;
+    let wires = wires?;
 
     // Post-layout sign-off at the spec corner: compile all three
     // analysis programs (simulation, timing, power) straight from the

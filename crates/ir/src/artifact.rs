@@ -40,7 +40,7 @@
 
 use std::sync::Arc;
 
-use syndcim_netlist::{Connectivity, Driver, InstId};
+use syndcim_netlist::{Connectivity, Driver, InstId, NetId};
 use syndcim_pdk::Process;
 
 use crate::intern::{Interner, Symbol, Symbols};
@@ -963,10 +963,10 @@ pub fn encode_lowering(low: &Lowering) -> SectionWriter {
     w.put_u32s(&order);
 
     let conn = low.connectivity();
-    let mut tags = Vec::with_capacity(conn.driver.len());
+    let mut tags = Vec::with_capacity(low.net_count());
     let (mut driver_inst, mut driver_pin) = (Vec::new(), Vec::new());
-    for d in &conn.driver {
-        tags.push(match *d {
+    for net in 0..low.net_count() {
+        tags.push(match conn.driver_of(NetId(net as u32)) {
             Driver::None => DRIVER_NONE,
             Driver::Port => DRIVER_PORT,
             Driver::Inst { inst, pin } => {
@@ -980,19 +980,10 @@ pub fn encode_lowering(low: &Lowering) -> SectionWriter {
     w.put_u32s(&driver_inst);
     w.put_u32s(&driver_pin);
 
-    let mut offsets = Vec::with_capacity(conn.sinks.len() + 1);
-    let (mut sink_inst, mut sink_pin) = (Vec::new(), Vec::new());
-    offsets.push(0u32);
-    for sinks in &conn.sinks {
-        for &(inst, pin) in sinks {
-            sink_inst.push(inst.0);
-            sink_pin.push(pin as u32);
-        }
-        offsets.push(sink_inst.len() as u32);
-    }
-    w.put_u32s(&sink_inst);
-    w.put_u32s(&sink_pin);
-    w.put_u32s(&offsets);
+    let (offsets, sink_inst, sink_pin) = conn.sink_columns();
+    w.put_u32s(sink_inst);
+    w.put_u32s(sink_pin);
+    w.put_u32s(offsets);
     w
 }
 
@@ -1011,21 +1002,15 @@ pub fn decode_lowering(r: &mut SectionReader<'_>, symbols: &Symbols) -> Result<L
     if driver_pin.len() != driver_inst.len() {
         return Err(r.malformed("driver pin column disagrees with the driver instances"));
     }
-    let mut inst_drivers = driver_inst.into_iter().zip(driver_pin);
-    let mut driver = Vec::with_capacity(net_count);
-    for &tag in tags {
-        driver.push(match tag {
-            DRIVER_NONE => Driver::None,
-            DRIVER_PORT => Driver::Port,
-            DRIVER_INST => match inst_drivers.next() {
-                Some((inst, pin)) => Driver::Inst { inst: InstId(inst), pin: pin as usize },
-                None => return Err(r.malformed("more instance-driven nets than driver instances")),
-            },
-            t => return Err(r.malformed(format!("unknown driver tag {t}"))),
-        });
+    if let Some(t) = tags.iter().find(|&&t| t > DRIVER_INST) {
+        return Err(r.malformed(format!("unknown driver tag {t}")));
     }
-    if inst_drivers.next().is_some() {
-        return Err(r.malformed("more driver instances than instance-driven nets"));
+    let inst_driven = tags.iter().filter(|&&t| t == DRIVER_INST).count();
+    if inst_driven != driver_inst.len() {
+        return Err(r.malformed(format!(
+            "{inst_driven} instance-driven nets but {} driver instances",
+            driver_inst.len()
+        )));
     }
 
     let sink_inst = r.get_indices(inst_count, "sink instances")?;
@@ -1034,16 +1019,17 @@ pub fn decode_lowering(r: &mut SectionReader<'_>, symbols: &Symbols) -> Result<L
         return Err(r.malformed("sink pin column disagrees with the sink instances"));
     }
     let offsets = r.get_offsets(net_count, sink_inst.len(), "sink offsets")?;
-    let sinks = offsets
-        .windows(2)
-        .map(|span| {
-            (span[0] as usize..span[1] as usize)
-                .map(|k| (InstId(sink_inst[k]), sink_pin[k] as usize))
-                .collect()
-        })
-        .collect();
 
-    let conn = Connectivity { driver, sinks };
+    let mut inst_drivers = driver_inst.into_iter().zip(driver_pin);
+    let drivers = tags.iter().map(|&tag| match tag {
+        DRIVER_NONE => Driver::None,
+        DRIVER_PORT => Driver::Port,
+        _ => {
+            let (inst, pin) = inst_drivers.next().expect("one driver instance per instance-driven net");
+            Driver::Inst { inst: InstId(inst), pin: pin as usize }
+        }
+    });
+    let conn = Connectivity::from_columns(drivers, offsets, sink_inst, sink_pin);
     Ok(Lowering::from_parts(conn, order, symbols.clone()))
 }
 
@@ -1187,8 +1173,7 @@ mod tests {
         assert_eq!(Lowering::builds(), builds_before, "decoding must not re-lower");
         assert_eq!(back.order(), low.order());
         assert_eq!(back.net_count(), low.net_count());
-        assert_eq!(back.connectivity().driver, low.connectivity().driver);
-        assert_eq!(back.connectivity().sinks, low.connectivity().sinks);
+        assert_eq!(back.connectivity(), low.connectivity());
     }
 
     #[test]

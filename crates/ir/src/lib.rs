@@ -21,9 +21,11 @@
 //! by `cargo bench -p syndcim-bench --bench lowering`.
 //!
 //! It also hosts [`parallel_map`], the scoped-thread batch runner the
-//! compiled backends use to fan independent evaluations across cores —
-//! infrastructure, like the lowering, that must not force a dependency
-//! on any particular backend.
+//! compiled backends use to fan independent evaluations across cores,
+//! and [`join`], which overlaps two independent phases of one
+//! compilation on modules of at least [`OVERLAP_MIN_INSTANCES`]
+//! instances — infrastructure, like the lowering, that must not force a
+//! dependency on any particular backend.
 //!
 //! ```
 //! use syndcim_ir::Lowering;
@@ -55,4 +57,4 @@ pub use artifact::{
 };
 pub use intern::{Interner, InternerBuilder, Symbol, Symbols};
 pub use lowering::{net_loads_ff, Lowering};
-pub use runner::{default_threads, parallel_map, parallel_map_threads};
+pub use runner::{default_threads, join, parallel_map, parallel_map_threads, OVERLAP_MIN_INSTANCES};

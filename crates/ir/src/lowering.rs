@@ -21,6 +21,7 @@ use syndcim_pdk::CellLibrary;
 use syndcim_telemetry as telemetry;
 
 use crate::intern::Symbols;
+use crate::runner::{join, OVERLAP_MIN_INSTANCES};
 
 /// Global count of [`Lowering`] constructions (not clones), used by
 /// tests to pin the "one lowering per compiled macro" contract.
@@ -54,6 +55,11 @@ impl Lowering {
     /// instance or output port reads has a driver. The floating-net
     /// check runs inside the `lowering` span, so it reports as a child.
     ///
+    /// Interning only reads the module, so on modules of at least
+    /// [`OVERLAP_MIN_INSTANCES`] instances it runs beside the
+    /// connectivity → levelize → validate walk ([`join`]); the result is
+    /// the same either way.
+    ///
     /// # Errors
     ///
     /// Returns an error if a net has multiple drivers, the
@@ -63,22 +69,28 @@ impl Lowering {
         telemetry::span!("lowering");
         telemetry::counter("ir.lowerings").incr();
         BUILDS.fetch_add(1, Ordering::Relaxed);
-        let conn = {
-            telemetry::span!("lowering.connectivity");
-            Connectivity::build(module)?
-        };
-        let order = {
-            telemetry::span!("lowering.levelize");
-            levelize(module, lib, &conn)?
-        };
-        let symbols = {
+        // Interning, with its many allocations, stays on the caller: on
+        // the spawned thread it made the scale tier's lowering and the
+        // placement after it slower (traced).
+        let intern = || {
             telemetry::span!("lowering.intern");
             Symbols::from_module(module)
         };
-        {
+        let walk = || {
+            let conn = {
+                telemetry::span!("lowering.connectivity");
+                Connectivity::build(module)?
+            };
+            let order = {
+                telemetry::span!("lowering.levelize");
+                levelize(module, lib, &conn)?
+            };
             telemetry::span!("lowering.validate");
             validate(module, &conn)?;
-        }
+            Ok((conn, order))
+        };
+        let (symbols, walked) = join(module.instance_count() >= OVERLAP_MIN_INSTANCES, intern, walk);
+        let (conn, order) = walked?;
         Ok(Lowering { conn, order, symbols })
     }
 
@@ -106,6 +118,13 @@ impl Lowering {
     /// Number of real net slots (equals the module's net count).
     pub fn net_count(&self) -> usize {
         self.symbols.net_count()
+    }
+
+    /// Heap bytes of the levelized order and the connectivity columns.
+    /// The symbol tables are left out: every compiled program shares
+    /// them, so [`Symbols::heap_bytes`] counts them once.
+    pub fn heap_bytes(&self) -> usize {
+        self.order.len() * std::mem::size_of::<InstId>() + self.conn.heap_bytes()
     }
 
     /// Dense slot of a net. Slots are stable across backends: slot `i`

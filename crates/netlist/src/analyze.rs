@@ -6,7 +6,7 @@
 //! (flip-flops, bitcells) break the graph: their outputs are sources and
 //! their inputs are sinks.
 
-use crate::graph::{InstId, Module, NetId, PortDir};
+use crate::graph::{InstId, Module, NetId};
 use std::fmt;
 use syndcim_pdk::CellLibrary;
 
@@ -60,60 +60,172 @@ impl fmt::Display for NetlistError {
 
 impl std::error::Error for NetlistError {}
 
-/// Precomputed connectivity tables for a module.
-#[derive(Debug, Clone)]
+/// `driver_inst` entry of a net no one drives.
+const UNDRIVEN: u32 = u32::MAX;
+/// `driver_inst` entry of a net driven by a module input port.
+const PORT_DRIVEN: u32 = u32::MAX - 1;
+
+/// Precomputed connectivity tables for a module, as flat columns: one
+/// driver entry per net, and the instance input pins reading each net
+/// as one CSR (compressed sparse row) table. A module of any size costs
+/// five allocations.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Connectivity {
-    /// Driver of each net, indexed by [`NetId::index`].
-    pub driver: Vec<Driver>,
-    /// Instance input sinks of each net: `(instance, input_pin)` pairs.
-    pub sinks: Vec<Vec<(InstId, usize)>>,
+    /// Driving instance of each net, or [`PORT_DRIVEN`] / [`UNDRIVEN`].
+    driver_inst: Vec<u32>,
+    /// Output pin of each net's driving instance (0 for the others).
+    driver_pin: Vec<u32>,
+    /// Net `n`'s sinks are entries `sink_start[n]..sink_start[n + 1]`
+    /// of the two sink columns.
+    sink_start: Vec<u32>,
+    /// Reading instance of each sink, in instance order per net.
+    sink_inst: Vec<u32>,
+    /// Input pin of each sink.
+    sink_pin: Vec<u32>,
 }
 
 impl Connectivity {
-    /// Build connectivity tables for `module`.
+    /// Build connectivity tables for `module`. Each net's sinks come in
+    /// instance order, and in pin order within an instance.
     ///
     /// # Errors
     ///
     /// Returns [`NetlistError::MultipleDrivers`] if any net is driven
-    /// more than once.
+    /// more than once, naming the first conflict met scanning input
+    /// ports, then each instance's outputs in instance order.
     pub fn build(module: &Module) -> Result<Self, NetlistError> {
         let n = module.net_count();
-        let mut driver = vec![Driver::None; n];
-        let mut sinks: Vec<Vec<(InstId, usize)>> = vec![Vec::new(); n];
+        let conflict =
+            |net: NetId| NetlistError::MultipleDrivers { net: module.nets[net.index()].name.clone() };
+        let mut driver_inst = vec![UNDRIVEN; n];
+        let mut driver_pin = vec![0u32; n];
+        // Count each net's sinks one entry ahead, then prefix-sum.
+        let mut sink_start = vec![0u32; n + 1];
 
-        for port in &module.ports {
-            if port.dir == PortDir::Input {
-                if driver[port.net.index()] != Driver::None {
-                    return Err(NetlistError::MultipleDrivers {
-                        net: module.nets[port.net.index()].name.clone(),
-                    });
-                }
-                driver[port.net.index()] = Driver::Port;
+        for port in module.input_ports() {
+            if driver_inst[port.net.index()] != UNDRIVEN {
+                return Err(conflict(port.net));
             }
+            driver_inst[port.net.index()] = PORT_DRIVEN;
         }
         for (i, inst) in module.instances.iter().enumerate() {
-            let id = InstId(i as u32);
             for (pin, &net) in inst.outputs.iter().enumerate() {
-                if driver[net.index()] != Driver::None {
-                    return Err(NetlistError::MultipleDrivers { net: module.nets[net.index()].name.clone() });
+                if driver_inst[net.index()] != UNDRIVEN {
+                    return Err(conflict(net));
                 }
-                driver[net.index()] = Driver::Inst { inst: id, pin };
+                driver_inst[net.index()] = i as u32;
+                driver_pin[net.index()] = pin as u32;
             }
-            for (pin, &net) in inst.inputs.iter().enumerate() {
-                sinks[net.index()].push((id, pin));
+            for &net in &inst.inputs {
+                sink_start[net.index() + 1] += 1;
             }
         }
-        Ok(Connectivity { driver, sinks })
+        for k in 0..n {
+            sink_start[k + 1] += sink_start[k];
+        }
+
+        let total = sink_start[n] as usize;
+        let (mut sink_inst, mut sink_pin) = (vec![0u32; total], vec![0u32; total]);
+        let mut next = sink_start[..n].to_vec();
+        for (i, inst) in module.instances.iter().enumerate() {
+            for (pin, &net) in inst.inputs.iter().enumerate() {
+                let k = &mut next[net.index()];
+                sink_inst[*k as usize] = i as u32;
+                sink_pin[*k as usize] = pin as u32;
+                *k += 1;
+            }
+        }
+        Ok(Connectivity { driver_inst, driver_pin, sink_start, sink_inst, sink_pin })
+    }
+
+    /// Reassemble connectivity from stored columns: each net's driver
+    /// in net order, and the sink table as CSR offsets (one per net,
+    /// plus the total) over the sink instance and pin columns. The
+    /// `.scim` decoder's entry point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the offsets are not a CSR over `drivers` nets and the
+    /// two sink columns, or if an instance index reaches
+    /// `u32::MAX - 1`.
+    pub fn from_columns(
+        drivers: impl IntoIterator<Item = Driver>,
+        sink_start: Vec<u32>,
+        sink_inst: Vec<u32>,
+        sink_pin: Vec<u32>,
+    ) -> Self {
+        let (mut driver_inst, mut driver_pin) = (Vec::new(), Vec::new());
+        for d in drivers {
+            let (inst, pin) = match d {
+                Driver::None => (UNDRIVEN, 0),
+                Driver::Port => (PORT_DRIVEN, 0),
+                Driver::Inst { inst, pin } => {
+                    assert!(inst.0 < PORT_DRIVEN, "instance index {} collides with a sentinel", inst.0);
+                    (inst.0, pin as u32)
+                }
+            };
+            driver_inst.push(inst);
+            driver_pin.push(pin);
+        }
+        assert!(
+            sink_start.len() == driver_inst.len() + 1
+                && sink_start[0] == 0
+                && sink_start.windows(2).all(|w| w[0] <= w[1])
+                && sink_start[driver_inst.len()] as usize == sink_inst.len()
+                && sink_pin.len() == sink_inst.len(),
+            "sink offsets must be a CSR over every net and both sink columns"
+        );
+        Connectivity { driver_inst, driver_pin, sink_start, sink_inst, sink_pin }
     }
 
     /// The driver of `net`.
     pub fn driver_of(&self, net: NetId) -> Driver {
-        self.driver[net.index()]
+        match self.driver_inst[net.index()] {
+            UNDRIVEN => Driver::None,
+            PORT_DRIVEN => Driver::Port,
+            inst => Driver::Inst { inst: InstId(inst), pin: self.driver_pin[net.index()] as usize },
+        }
+    }
+
+    /// The instance input pins reading `net`, as `(instance, pin)`
+    /// pairs in instance order (pin order within an instance).
+    pub fn sinks(&self, net: NetId) -> impl ExactSizeIterator<Item = (InstId, usize)> + '_ {
+        let range = self.sink_range(net);
+        self.sink_inst[range.clone()]
+            .iter()
+            .zip(&self.sink_pin[range])
+            .map(|(&i, &p)| (InstId(i), p as usize))
     }
 
     /// Total fanout (instance input pins) of `net`.
     pub fn fanout(&self, net: NetId) -> usize {
-        self.sinks[net.index()].len()
+        self.sink_range(net).len()
+    }
+
+    /// The sink table's CSR columns: offsets (one per net, plus the
+    /// total), sink instances and sink pins.
+    pub fn sink_columns(&self) -> (&[u32], &[u32], &[u32]) {
+        (&self.sink_start, &self.sink_inst, &self.sink_pin)
+    }
+
+    /// Heap bytes held by the five columns.
+    pub fn heap_bytes(&self) -> usize {
+        let words = self.driver_inst.len()
+            + self.driver_pin.len()
+            + self.sink_start.len()
+            + self.sink_inst.len()
+            + self.sink_pin.len();
+        words * std::mem::size_of::<u32>()
+    }
+
+    fn sink_range(&self, net: NetId) -> std::ops::Range<usize> {
+        self.sink_start[net.index()] as usize..self.sink_start[net.index() + 1] as usize
+    }
+
+    /// Whether anything drives `net`; unlike [`Connectivity::driver_of`]
+    /// it reads only the instance column.
+    fn is_driven(&self, net: NetId) -> bool {
+        self.driver_inst[net.index()] != UNDRIVEN
     }
 }
 
@@ -125,13 +237,13 @@ impl Connectivity {
 pub fn validate(module: &Module, conn: &Connectivity) -> Result<(), NetlistError> {
     for inst in &module.instances {
         for &net in &inst.inputs {
-            if conn.driver_of(net) == Driver::None {
+            if !conn.is_driven(net) {
                 return Err(NetlistError::FloatingNet { net: module.nets[net.index()].name.clone() });
             }
         }
     }
     for port in module.output_ports() {
-        if conn.driver_of(port.net) == Driver::None {
+        if !conn.is_driven(port.net) {
             return Err(NetlistError::FloatingNet { net: module.nets[port.net.index()].name.clone() });
         }
     }
@@ -151,40 +263,34 @@ pub fn levelize(
     conn: &Connectivity,
 ) -> Result<Vec<InstId>, NetlistError> {
     let n = module.instances.len();
+    // One pass over the cells; the sentinels of port-driven and
+    // undriven nets index past the end, so they read as not
+    // combinational.
+    let comb: Vec<bool> = module.instances.iter().map(|inst| !lib.cell(inst.cell).is_sequential()).collect();
+    let comb_driven = |net: &NetId| comb.get(conn.driver_inst[net.index()] as usize) == Some(&true);
     // Pending combinational fan-in count per instance.
     let mut pending = vec![0usize; n];
     let mut order = Vec::with_capacity(n);
     let mut ready = Vec::new();
-    let mut comb = vec![false; n];
 
     for (i, inst) in module.instances.iter().enumerate() {
-        if lib.cell(inst.cell).is_sequential() {
-            continue;
-        }
-        comb[i] = true;
-        let mut deps = 0;
-        for &net in &inst.inputs {
-            if let Driver::Inst { inst: d, .. } = conn.driver_of(net) {
-                if !lib.cell(module.instances[d.index()].cell).is_sequential() {
-                    deps += 1;
-                }
+        if comb[i] {
+            pending[i] = inst.inputs.iter().filter(|net| comb_driven(net)).count();
+            if pending[i] == 0 {
+                ready.push(InstId(i as u32));
             }
-        }
-        pending[i] = deps;
-        if deps == 0 {
-            ready.push(InstId(i as u32));
         }
     }
 
     while let Some(id) = ready.pop() {
         order.push(id);
         for &net in &module.instances[id.index()].outputs {
-            for &(sink, _) in &conn.sinks[net.index()] {
-                let si = sink.index();
+            for &sink in &conn.sink_inst[conn.sink_range(net)] {
+                let si = sink as usize;
                 if comb[si] {
                     pending[si] -= 1;
                     if pending[si] == 0 {
-                        ready.push(sink);
+                        ready.push(InstId(sink));
                     }
                 }
             }
@@ -205,6 +311,7 @@ pub fn levelize(
 mod tests {
     use super::*;
     use crate::builder::NetlistBuilder;
+    use crate::graph::{Port, PortDir};
     use syndcim_pdk::CellKind;
 
     #[test]
@@ -274,6 +381,99 @@ mod tests {
         m.instances[1].outputs[0] = first_out;
         let err = Connectivity::build(&m).unwrap_err();
         assert!(matches!(err, NetlistError::MultipleDrivers { .. }));
+    }
+
+    #[test]
+    fn sinks_come_back_in_instance_then_pin_order() {
+        let lib = CellLibrary::syn40();
+        let mut b = NetlistBuilder::new("fan", &lib);
+        let a = b.input("a");
+        let x = b.and2(a, a); // instance 0 reads `a` on both pins
+        let y = b.not(a);
+        let z = b.xor2(x, a);
+        b.output("y", y);
+        b.output("z", z);
+        let m = b.finish();
+        let conn = Connectivity::build(&m).unwrap();
+
+        let sinks = |net| conn.sinks(net).collect::<Vec<_>>();
+        assert_eq!(sinks(a), [(InstId(0), 0), (InstId(0), 1), (InstId(1), 0), (InstId(2), 1)]);
+        assert_eq!(sinks(x), [(InstId(2), 0)]);
+        assert_eq!((conn.fanout(a), conn.fanout(x)), (4, 1));
+        // Nets read only by output ports have no sinks.
+        for net in [y, z] {
+            assert_eq!(conn.sinks(net).len(), 0);
+            assert_eq!(conn.fanout(net), 0);
+        }
+
+        // The stored columns rebuild the same tables.
+        let (start, inst, pin) = conn.sink_columns();
+        let drivers = (0..m.net_count()).map(|k| conn.driver_of(NetId(k as u32)));
+        let back = Connectivity::from_columns(drivers, start.to_vec(), inst.to_vec(), pin.to_vec());
+        assert_eq!(back, conn);
+    }
+
+    #[test]
+    fn drivers_are_ports_instance_pins_or_none() {
+        let lib = CellLibrary::syn40();
+        let mut b = NetlistBuilder::new("drv", &lib);
+        let a = b.input("a");
+        let c = b.input("c");
+        let (sum, carry) = b.ha(a, c);
+        let unused = b.net("unused");
+        b.output("s", sum);
+        b.output("co", carry);
+        let m = b.finish();
+        let conn = Connectivity::build(&m).unwrap();
+        assert_eq!(conn.driver_of(a), Driver::Port);
+        assert_eq!(conn.driver_of(c), Driver::Port);
+        assert_eq!(conn.driver_of(sum), Driver::Inst { inst: InstId(0), pin: 0 });
+        assert_eq!(conn.driver_of(carry), Driver::Inst { inst: InstId(0), pin: 1 });
+        assert_eq!(conn.driver_of(unused), Driver::None);
+    }
+
+    /// Each conflict kind is reported, and when a module holds several,
+    /// the error names the first met scanning input ports, then each
+    /// instance's outputs in instance order.
+    #[test]
+    fn multiple_drivers_name_the_first_conflict_in_scan_order() {
+        let lib = CellLibrary::syn40();
+        let mut b = NetlistBuilder::new("short", &lib);
+        let a = b.input("a");
+        let outs: Vec<NetId> = (0..4).map(|_| b.not(a)).collect();
+        let m = b.finish();
+        let conflict = |m: &Module| match Connectivity::build(m) {
+            Err(NetlistError::MultipleDrivers { net }) => net,
+            other => panic!("expected MultipleDrivers, got {other:?}"),
+        };
+        let name = |net: NetId| m.nets[net.index()].name.clone();
+        let second_port = |m: &mut Module, net: NetId| {
+            m.ports.push(Port { name: format!("again{}", net.index()), dir: PortDir::Input, net })
+        };
+
+        // Port/port, ahead of a later instance/instance conflict.
+        let mut pp = m.clone();
+        pp.instances[3].outputs[0] = outs[2];
+        second_port(&mut pp, a);
+        assert_eq!(conflict(&pp), "a");
+
+        // Port/instance: the port claims instance 2's net first.
+        let mut pi = m.clone();
+        pi.instances[3].outputs[0] = outs[0];
+        second_port(&mut pi, outs[2]);
+        assert_eq!(conflict(&pi), name(outs[2]));
+
+        // Instance/instance: instance 2 re-drives instance 1's net before
+        // instance 3 re-drives instance 0's.
+        let mut ii = m.clone();
+        ii.instances[2].outputs[0] = outs[1];
+        ii.instances[3].outputs[0] = outs[0];
+        assert_eq!(conflict(&ii), name(outs[1]));
+
+        // An instance driving an input port's net.
+        let mut ip = m.clone();
+        ip.instances[1].outputs[0] = a;
+        assert_eq!(conflict(&ip), "a");
     }
 
     #[test]

@@ -32,6 +32,7 @@
 //! exercise on the 256×256 generator macro (~4×10⁵ nets) and asserts
 //! the load takes a small fraction of the compile it replaces.
 
+use syndcim_core::artifact::retained_bytes;
 use syndcim_core::{assemble, implement, BaselineKind, CompiledMacro, DesignChoice, MacroSpec};
 use syndcim_engine::{EngineSim, Program, SimdBackend};
 use syndcim_ir::Lowering;
@@ -91,6 +92,27 @@ fn save_load_save_is_a_byte_fixpoint_and_load_is_wiring_only() {
     assert_eq!(a.inst_count(), b.inst_count());
     for n in 0..a.net_count() {
         assert_eq!(a.net_name(n), b.net_name(n), "net {n} name");
+    }
+}
+
+/// The retained footprint counts every part once: the lowering's order
+/// and connectivity columns, the three programs, and the symbol arena
+/// they share — and a loaded bundle retains exactly what the compile
+/// did.
+#[test]
+fn retained_bytes_sum_the_lowering_programs_and_one_symbol_arena() {
+    let (module, _, cm) = paper_chip();
+    let loaded = CompiledMacro::load_from_bytes(&cm.save_to_vec().unwrap()).unwrap();
+    let sinks: usize = module.instances.iter().map(|inst| inst.inputs.len()).sum();
+    for (what, m) in [("compiled", &cm), ("loaded", &loaded)] {
+        // Order, then driver instance + pin per net, then the sink CSR.
+        let lowering =
+            4 * (m.lowering.order().len() + 2 * module.net_count() + (module.net_count() + 1) + 2 * sinks);
+        assert_eq!(m.lowering.heap_bytes(), lowering, "{what}: lowering columns");
+        let symbols = m.lowering.symbols().heap_bytes();
+        let programs = [m.program.retained_bytes(), m.sta.retained_bytes(), m.power.retained_bytes()];
+        let parts = lowering + symbols + programs.iter().map(|p| p - symbols).sum::<usize>();
+        assert_eq!(retained_bytes(m), parts, "{what}: retained bytes are the sum of the parts");
     }
 }
 

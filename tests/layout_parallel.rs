@@ -14,8 +14,8 @@
 use syndcim_core::{assemble, implement, DesignChoice, MacroSpec};
 use syndcim_ir::Lowering;
 use syndcim_layout::{
-    check_drc, check_drc_threads, extract_wires_threads, place, place_threads, place_with_symbols,
-    FloorplanConfig, LayoutError, Rect,
+    check_drc, check_drc_threads, extract_wires, extract_wires_threads, place, place_threads,
+    place_with_symbols, FloorplanConfig, LayoutError, Rect,
 };
 use syndcim_netlist::{optimize, Module};
 use syndcim_pdk::{CellLibrary, OperatingPoint};
@@ -148,6 +148,10 @@ fn scale_tier_implement_succeeds_with_clean_drc() {
     // A returned macro already passed check_drc inside the flow; re-run
     // it explicitly so this test stands alone.
     check_drc(&im.mac.module, &im.placement).expect("scale-tier placement is DRC-clean");
+    // The flow extracts beside DRC above the overlap gate; the wires
+    // must equal an extraction run on its own.
+    let wires = extract_wires(&im.mac.module, &lib, &im.placement).expect("scale-tier extraction");
+    assert!(im.wires == wires, "overlapped extraction must equal a standalone one");
     let fmax = im.fmax_mhz(&lib, OperatingPoint::at_voltage(0.9));
     assert!(fmax > 0.0, "scale-tier sign-off must yield positive fmax, got {fmax}");
 }

@@ -14,9 +14,12 @@
 //! Cases run as seeded loops in the `tests/properties.rs` style; set
 //! `SYNDCIM_FUZZ_CASES=N` to run more of them (CI runs a larger count).
 
+mod support;
+
 use std::collections::HashMap;
 
 use rand::Rng;
+use support::random_module;
 use syndcim_core::{assemble, DesignChoice, MacroSpec};
 use syndcim_netlist::{optimize, validate, Connectivity, Driver, Module, NetId, NetlistBuilder, OptReport};
 use syndcim_pdk::{CellKind, CellLibrary};
@@ -30,78 +33,6 @@ const CYCLES: usize = 40;
 
 fn cases() -> u64 {
     std::env::var("SYNDCIM_FUZZ_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(DEFAULT_CASES)
-}
-
-/// Combinational cell kinds the generator draws from.
-const COMB: [CellKind; 19] = [
-    CellKind::Inv,
-    CellKind::Buf,
-    CellKind::Nand2,
-    CellKind::Nor2,
-    CellKind::And2,
-    CellKind::Or2,
-    CellKind::Xor2,
-    CellKind::Xnor2,
-    CellKind::Mux2,
-    CellKind::Oai21,
-    CellKind::Oai22,
-    CellKind::Aoi21,
-    CellKind::Ha,
-    CellKind::Fa,
-    CellKind::C42,
-    CellKind::MultNor,
-    CellKind::MuxPg2,
-    CellKind::MuxTg2,
-    CellKind::Oai22Fused,
-];
-
-/// Sequential kinds: their inputs are patched after the logic exists,
-/// closing feedback loops through state.
-const SEQ: [CellKind; 3] = [CellKind::Dff, CellKind::DffEn, CellKind::Sram6T2T];
-
-/// A seeded random levelized netlist. Gates read earlier nets only (so
-/// the combinational part is acyclic), with a bias towards tie nets so
-/// constant cones form; some gate outputs reach no port (dead logic).
-fn random_module(lib: &CellLibrary, seed: u64) -> Module {
-    let mut rng = seeded_rng(seed);
-    let mut b = NetlistBuilder::new("fuzz", lib);
-    let mut pool: Vec<NetId> = b.input_bus("in", rng.gen_range(3usize..10));
-    let ties = [b.const0(), b.const1()];
-    pool.extend(ties);
-
-    let mut regs = Vec::new();
-    for _ in 0..rng.gen_range(2usize..12) {
-        let kind = SEQ[rng.gen_range(0..SEQ.len())];
-        let inputs = lib.cell(lib.id_of(kind)).inputs.len();
-        regs.push(b.module().instances.len());
-        pool.extend(b.add(kind, &vec![ties[0]; inputs]));
-    }
-
-    for _ in 0..rng.gen_range(20usize..300) {
-        let kind = COMB[rng.gen_range(0..COMB.len())];
-        let inputs = lib.cell(lib.id_of(kind)).inputs.len();
-        let ins: Vec<NetId> = (0..inputs)
-            .map(|_| {
-                if rng.gen_bool(0.3) {
-                    ties[rng.gen_range(0usize..2)]
-                } else {
-                    pool[rng.gen_range(0..pool.len())]
-                }
-            })
-            .collect();
-        pool.extend(b.add(kind, &ins));
-    }
-
-    for &r in &regs {
-        for pin in 0..b.module().instances[r].inputs.len() {
-            let net = pool[rng.gen_range(0..pool.len())];
-            b.patch_instance_input(r, pin, net);
-        }
-    }
-    let outs: Vec<NetId> =
-        (0..rng.gen_range(1usize..24)).map(|_| pool[rng.gen_range(0..pool.len())]).collect();
-    b.output_bus("out", &outs);
-    b.finish()
 }
 
 /// Simulate `before` and `after` side by side under one seeded random
@@ -167,7 +98,7 @@ fn optimize_preserves_behaviour_on_random_netlists() {
     let mut total = OptReport::default();
     for case in 0..cases() {
         let seed = 0x0F7_0000 + case;
-        let before = random_module(&lib, seed);
+        let before = random_module(&lib, seed, 20..300);
         let mut after = before.clone();
         let rep = optimize(&mut after, &lib);
         validate(&after, &Connectivity::build(&after).unwrap()).unwrap();

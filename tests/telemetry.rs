@@ -9,7 +9,7 @@
 use std::sync::Mutex;
 
 use syndcim_core::{implement, measure_int, shmoo_with_power, DesignChoice, MacroSpec};
-use syndcim_ir::parallel_map_threads;
+use syndcim_ir::{join, parallel_map_threads};
 use syndcim_pdk::{CellLibrary, OperatingPoint};
 use syndcim_sim::Simulator;
 use syndcim_sta::VariationModel;
@@ -136,6 +136,48 @@ fn parallel_map_aggregation_is_thread_count_invariant() {
         assert_eq!(ctr, ctr1, "counters must not depend on worker count ({threads} threads)");
     }
     assert_eq!(ctr1.iter().find(|(n, _)| n == "test.fanout_jobs").unwrap().1, 24);
+}
+
+/// Overlap must be invisible too: spans and counters recorded in either
+/// arm of `join` aggregate to the same span signature and counters
+/// whether arm `b` runs on its own thread or inline after `a`. Only
+/// `ir.overlapped_joins` differs: it counts the joins whose gate passed.
+#[test]
+fn join_aggregation_is_overlap_invariant() {
+    let _guard = LOCK.lock().unwrap();
+    telemetry::set_mode(telemetry::Mode::Summary);
+
+    let arm = |name: &'static str, v: u32| {
+        telemetry::span!(name);
+        telemetry::counter("test.join_arms").incr();
+        {
+            telemetry::span!("pair.inner");
+            telemetry::counter("test.join_inner").add(u64::from(v));
+        }
+        v
+    };
+    let run = |overlap: bool| {
+        telemetry::reset();
+        let out = {
+            telemetry::span!("pair");
+            join(overlap, || arm("pair.a", 1), || arm("pair.b", 2))
+        };
+        assert_eq!(out, (1, 2));
+        let report = telemetry::snapshot();
+        let joins = report.counter("ir.overlapped_joins").unwrap_or(0);
+        let others: Vec<(String, u64)> =
+            report.counters.into_iter().filter(|(n, _)| n != "ir.overlapped_joins").collect();
+        (report.root.signature(), others, joins)
+    };
+
+    let (sig_inline, ctr_inline, joins_inline) = run(false);
+    let (sig, ctr, joins) = run(true);
+    assert_eq!(sig, sig_inline, "span tree must not depend on overlap");
+    assert_eq!(ctr, ctr_inline, "counters must not depend on overlap");
+    assert_eq!((joins_inline, joins), (0, 1), "only a join whose gate passed counts");
+    let pair = child(&sig, "pair");
+    assert_eq!(child(child(pair, "pair.b"), "pair.inner").count, 1, "arm b nests under the caller's span");
+    assert_eq!(ctr.iter().find(|(n, _)| n == "test.join_inner").unwrap().1, 3);
 }
 
 /// The symbol-keyed port-lookup satellite: the whole measured flow —
