@@ -2,8 +2,9 @@
 //! MCR 2 — ≥10⁵ nets, well past the 64×64 paper chip) lowered through
 //! the shared IR, plus the memory gate of the interned-symbol layer.
 //!
-//! Two things are measured and merged into `BENCH_engine.json`:
+//! Three things are measured and merged into `BENCH_engine.json`:
 //!
+//! * **assembly** — `assemble` building the large macro's netlist;
 //! * **lowering throughput** — `Lowering::validated` (connectivity +
 //!   levelization + name interning) and the full `CompiledMacro`
 //!   bundle compile on the large macro, in ms and nets/s;
@@ -23,7 +24,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use syndcim_bench::merge_bench_artifact;
 use syndcim_core::{assemble, CompiledMacro, DesignChoice, MacroSpec};
 use syndcim_ir::Lowering;
-use syndcim_netlist::Module;
+use syndcim_netlist::{InstId, Module, NetId};
 use syndcim_pdk::{CellLibrary, OperatingPoint};
 use syndcim_sta::WireLoads;
 
@@ -59,13 +60,12 @@ fn large_spec() -> MacroSpec {
 /// the asserted ratio conservative.)
 fn string_table_bytes(m: &Module) -> usize {
     let s = std::mem::size_of::<String>();
-    let nets: usize = m.nets.iter().map(|n| s + n.name.len()).sum();
-    let insts: usize = m.instances.iter().map(|i| s + i.name.len()).sum();
-    let inst_groups: usize = m.instances.iter().map(|i| s + m.group_name(i.group).len()).sum();
+    let nets: usize = (0..m.net_count() as u32).map(|n| s + m.net_name(NetId(n)).len()).sum();
+    let insts: usize = (0..m.instance_count() as u32).map(|i| s + m.inst_name(InstId(i)).len()).sum();
+    let inst_groups: usize = m.instances().map(|i| s + m.group_name(i.group).len()).sum();
     let heads: usize = {
         let mut seen = std::collections::BTreeSet::new();
-        m.instances
-            .iter()
+        m.instances()
             .map(|i| {
                 let g = m.group_name(i.group);
                 let head = g.split('/').next().unwrap_or(g);
@@ -82,7 +82,10 @@ fn string_table_bytes(m: &Module) -> usize {
 
 fn bench_lowering(c: &mut Criterion) {
     let lib = CellLibrary::syn40();
-    let mac = assemble(&lib, &large_spec(), &DesignChoice::default());
+    let spec = large_spec();
+    let assembly =
+        c.bench_stats("assemble_256x256", |b| b.iter(|| assemble(&lib, &spec, &DesignChoice::default())));
+    let mac = assemble(&lib, &spec, &DesignChoice::default());
     let module = &mac.module;
     let nets = module.net_count();
     assert!(nets >= MIN_NETS, "scale tier needs >= {MIN_NETS} nets, generated only {nets}");
@@ -90,7 +93,7 @@ fn bench_lowering(c: &mut Criterion) {
         "large macro: {} nets, {} instances, {} groups",
         nets,
         module.instance_count(),
-        module.groups.len()
+        module.group_count()
     );
 
     // --- lowering throughput on the large macro ----------------------
@@ -134,8 +137,9 @@ fn bench_lowering(c: &mut Criterion) {
     println!("smoke: fmax {fmax:.0} MHz, static power {:.1} mW at 0.9 V", report.total_mw());
 
     merge_bench_artifact(
-        &["lowering_", "intern_"],
+        &["assemble_", "lowering_", "intern_"],
         &[
+            ("assemble_256x256_ms", assembly.ns_per_iter / 1e6),
             ("lowering_256x256_ms", lowering_ms),
             ("lowering_256x256_nets_vps", nets_per_s),
             ("lowering_compiled_macro_ms", bundle_ms),

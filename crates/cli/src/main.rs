@@ -17,7 +17,12 @@
 //! netlist: they load the compiled programs and evaluate — on the paper
 //! test chip a query answers in milliseconds where a fresh compile pays
 //! the full lowering + trinity cost.
+//!
+//! Reports go to stdout through one locked handle. A reader that closes
+//! the pipe early (`syndcim info chip.scim | head -1`) ends the command
+//! with status 0; any other failed write exits 1 with a message.
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use syndcim_core::{assemble, CompiledMacro, DesignChoice, MacroSpec};
@@ -38,6 +43,35 @@ fn usage() -> &'static str {
      SPEC FLAGS (default: the 64×64 paper test chip):\n\
        --h <rows> --w <cols> --mcr <n> --fmac <MHz> --vdd <V>\n"
 }
+
+/// Why a command stopped early.
+#[derive(Debug)]
+enum CmdError {
+    /// A user-facing error, printed to stderr.
+    Msg(String),
+    /// Writing the report to stdout failed.
+    Write(io::Error),
+}
+
+impl From<String> for CmdError {
+    fn from(msg: String) -> Self {
+        CmdError::Msg(msg)
+    }
+}
+
+impl From<&str> for CmdError {
+    fn from(msg: &str) -> Self {
+        CmdError::Msg(msg.to_string())
+    }
+}
+
+impl From<io::Error> for CmdError {
+    fn from(e: io::Error) -> Self {
+        CmdError::Write(e)
+    }
+}
+
+type CmdResult = Result<(), CmdError>;
 
 /// Parsed `--key value` flags after the positional arguments.
 struct Flags {
@@ -132,60 +166,67 @@ fn compile_spec(spec: &MacroSpec) -> Result<CompiledMacro, String> {
         .map_err(|e| format!("netlist failed to compile: {e}"))
 }
 
-fn cmd_compile(args: &[String]) -> Result<(), String> {
+fn cmd_compile(args: &[String], out: &mut impl Write) -> CmdResult {
     let flags = parse_flags(args)?;
-    let out = flags.out.clone().ok_or("compile needs --out <file.scim>")?;
+    let path = flags.out.clone().ok_or("compile needs --out <file.scim>")?;
     let spec = flags.spec();
     let cm = compile_spec(&spec)?;
     let bytes = cm.save_to_vec().map_err(|e| e.to_string())?;
-    std::fs::write(&out, &bytes).map_err(|e| format!("cannot write `{out}`: {e}"))?;
-    println!(
-        "compiled {}x{} mcr {} ({} nets, {} instances) -> {out} ({} bytes)",
+    std::fs::write(&path, &bytes).map_err(|e| format!("cannot write `{path}`: {e}"))?;
+    writeln!(
+        out,
+        "compiled {}x{} mcr {} ({} nets, {} instances) -> {path} ({} bytes)",
         spec.h,
         spec.w,
         spec.mcr,
         cm.lowering.net_count(),
         cm.lowering.symbols().inst_count(),
         bytes.len()
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_info(args: &[String]) -> Result<(), String> {
+fn cmd_info(args: &[String], out: &mut impl Write) -> CmdResult {
     let path = args.first().ok_or("info needs a <file.scim> argument")?;
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     let reader = ArtifactReader::parse(&bytes).map_err(|e| e.to_string())?;
     let meta = syndcim_core::artifact::read_meta(&reader).map_err(|e| e.to_string())?;
-    println!("{path}: {} v{} ({} bytes)", meta.format, syndcim_ir::artifact::FORMAT_VERSION, bytes.len());
-    println!("  producer:  {}", meta.producer);
-    println!("  nets:      {}", meta.net_count);
-    println!("  instances: {}", meta.inst_count);
-    println!("  sections:");
+    writeln!(
+        out,
+        "{path}: {} v{} ({} bytes)",
+        meta.format,
+        syndcim_ir::artifact::FORMAT_VERSION,
+        bytes.len()
+    )?;
+    writeln!(out, "  producer:  {}", meta.producer)?;
+    writeln!(out, "  nets:      {}", meta.net_count)?;
+    writeln!(out, "  instances: {}", meta.inst_count)?;
+    writeln!(out, "  sections:")?;
     for e in reader.entries() {
-        println!("    {:<8} {:>12} bytes  crc32 {:#010x}", e.id.name(), e.len, e.stored_crc);
+        writeln!(out, "    {:<8} {:>12} bytes  crc32 {:#010x}", e.id.name(), e.len, e.stored_crc)?;
     }
     let cm = CompiledMacro::load_from_bytes(&bytes).map_err(|e| e.to_string())?;
-    println!("  retained:  {} bytes in memory after load", syndcim_core::artifact::retained_bytes(&cm));
+    writeln!(out, "  retained:  {} bytes in memory after load", syndcim_core::artifact::retained_bytes(&cm))?;
     Ok(())
 }
 
-fn cmd_verify(args: &[String]) -> Result<(), String> {
+fn cmd_verify(args: &[String], out: &mut impl Write) -> CmdResult {
     let path = args.first().ok_or("verify needs a <file.scim> argument")?;
     let flags = parse_flags(&args[1..])?;
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
 
     let reader = ArtifactReader::parse(&bytes).map_err(|e| format!("framing: {e}"))?;
     let checked = reader.verify_checksums().map_err(|e| format!("checksum: {e}"))?;
-    println!("{path}: {checked} section checksums ok");
+    writeln!(out, "{path}: {checked} section checksums ok")?;
 
     let cm = CompiledMacro::load_from_bytes(&bytes).map_err(|e| format!("decode: {e}"))?;
-    println!("{path}: full decode ok ({} nets)", cm.lowering.net_count());
+    writeln!(out, "{path}: full decode ok ({} nets)", cm.lowering.net_count())?;
 
     let spec = flags.spec();
     let fresh = compile_spec(&spec)?;
     let fresh_bytes = fresh.save_to_vec().map_err(|e| e.to_string())?;
     if fresh_bytes != bytes {
-        return Err(format!(
+        return Err(CmdError::Msg(format!(
             "content differs from a fresh compile of the {}x{} mcr {} spec \
              (artifact {} bytes, fresh {} bytes) — wrong spec flags, or a stale artifact",
             spec.h,
@@ -193,13 +234,14 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
             spec.mcr,
             bytes.len(),
             fresh_bytes.len()
-        ));
+        )));
     }
-    println!("{path}: byte-identical to a fresh compile of the {}x{} mcr {} spec", spec.h, spec.w, spec.mcr);
+    let (h, w, mcr) = (spec.h, spec.w, spec.mcr);
+    writeln!(out, "{path}: byte-identical to a fresh compile of the {h}x{w} mcr {mcr} spec")?;
     Ok(())
 }
 
-fn cmd_query(args: &[String]) -> Result<(), String> {
+fn cmd_query(args: &[String], out: &mut impl Write) -> CmdResult {
     let what = args.first().ok_or("query needs a subcommand: fmax | power")?;
     let path = args.get(1).ok_or("query needs a <file.scim> argument")?;
     let flags = parse_flags(&args[2..])?;
@@ -209,55 +251,64 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     match what.as_str() {
         "fmax" => {
             let fmax = cm.sta.fmax_mhz(op);
-            println!("fmax @ {:.3} V / {:.1} C: {fmax:.3} MHz", op.vdd_v, op.temp_c);
+            writeln!(out, "fmax @ {:.3} V / {:.1} C: {fmax:.3} MHz", op.vdd_v, op.temp_c)?;
         }
         "power" => {
             let freq = flags.freq.unwrap_or(800.0);
             let alpha = flags.alpha.unwrap_or(0.2);
             let report = cm.power.report_static(alpha, freq, op);
-            println!(
+            writeln!(
+                out,
                 "power @ {:.3} V / {:.1} C, {freq:.1} MHz, alpha {alpha:.2}: {:.3} uW total",
                 op.vdd_v,
                 op.temp_c,
                 report.total_uw()
-            );
-            println!("  dynamic: {:.3} uW", report.dynamic_uw);
-            println!("  clock:   {:.3} uW", report.clock_uw);
-            println!("  leakage: {:.3} uW", report.leakage_uw);
+            )?;
+            writeln!(out, "  dynamic: {:.3} uW", report.dynamic_uw)?;
+            writeln!(out, "  clock:   {:.3} uW", report.clock_uw)?;
+            writeln!(out, "  leakage: {:.3} uW", report.leakage_uw)?;
             for (group, pj) in &report.by_group_pj {
-                println!("  group {group}: {pj:.4} pJ/cycle");
+                writeln!(out, "  group {group}: {pj:.4} pJ/cycle")?;
             }
         }
-        other => return Err(format!("unknown query `{other}` (expected fmax | power)")),
+        other => return Err(format!("unknown query `{other}` (expected fmax | power)").into()),
     }
     Ok(())
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+/// Run one command line, writing its report to `out`, and return the
+/// exit status.
+fn run(args: &[String], out: &mut impl Write) -> u8 {
     let Some(cmd) = args.first() else {
         eprint!("{}", usage());
-        return ExitCode::FAILURE;
+        return 1;
     };
     let rest = &args[1..];
     let result = match cmd.as_str() {
-        "compile" => cmd_compile(rest),
-        "info" => cmd_info(rest),
-        "verify" => cmd_verify(rest),
-        "query" => cmd_query(rest),
-        "help" | "--help" | "-h" => {
-            print!("{}", usage());
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`\n\n{}", usage())),
+        "compile" => cmd_compile(rest, out),
+        "info" => cmd_info(rest, out),
+        "verify" => cmd_verify(rest, out),
+        "query" => cmd_query(rest, out),
+        "help" | "--help" | "-h" => write!(out, "{}", usage()).map_err(CmdError::from),
+        other => Err(format!("unknown command `{other}`\n\n{}", usage()).into()),
     };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+    match result.and_then(|()| out.flush().map_err(CmdError::from)) {
+        Ok(()) => 0,
+        Err(CmdError::Write(e)) if e.kind() == io::ErrorKind::BrokenPipe => 0,
+        Err(CmdError::Write(e)) => {
+            eprintln!("syndcim: cannot write to stdout: {e}");
+            1
+        }
+        Err(CmdError::Msg(msg)) => {
             eprintln!("syndcim: {msg}");
-            ExitCode::FAILURE
+            1
         }
     }
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    ExitCode::from(run(&args, &mut io::stdout().lock()))
 }
 
 #[cfg(test)]
@@ -280,5 +331,31 @@ mod tests {
             let err = compile_spec(&spec).unwrap_err();
             assert_eq!(err, format!("invalid spec: {want}"), "{flag} {value}");
         }
+    }
+
+    /// A writer whose every write fails with `kind`.
+    struct Failing(io::ErrorKind);
+
+    impl Write for Failing {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(self.0.into())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Err(self.0.into())
+        }
+    }
+
+    /// A reader that closed the pipe ends the command cleanly; any other
+    /// write failure is an error, and so is a bad command.
+    #[test]
+    fn a_closed_pipe_is_a_clean_exit_and_other_write_errors_fail() {
+        let args = |line: &str| line.split_whitespace().map(String::from).collect::<Vec<_>>();
+        assert_eq!(run(&args("help"), &mut Failing(io::ErrorKind::BrokenPipe)), 0);
+        assert_eq!(run(&args("help"), &mut Failing(io::ErrorKind::WriteZero)), 1);
+        assert_eq!(run(&args("bogus"), &mut Failing(io::ErrorKind::BrokenPipe)), 1);
+        let mut out = Vec::new();
+        assert_eq!(run(&args("help"), &mut out), 0);
+        assert_eq!(out, usage().as_bytes());
     }
 }

@@ -127,17 +127,23 @@ pub fn implement(
         },
     );
     drc?;
-    let wires = wires?;
+    let mut wires = wires?;
 
     // Post-layout sign-off at the spec corner: compile all three
     // analysis programs (simulation, timing, power) straight from the
     // shared IR; the bundle stays with the macro so evaluation, shmoo
     // grids, fmax sweeps and power annotation never re-walk the netlist.
-    let wire_loads = WireLoads { cap_ff: wires.cap_ff.clone(), delay_ps: wires.delay_ps.clone() };
+    // The compilers only borrow the wire columns, so they move into the
+    // `WireLoads` view and back rather than being copied.
+    let wire_loads = WireLoads {
+        cap_ff: std::mem::take(&mut wires.cap_ff),
+        delay_ps: std::mem::take(&mut wires.delay_ps),
+    };
     let compiled = {
         telemetry::span!("implement.compile");
         CompiledMacro::compile_with_lowering(&mac.module, lib, &wire_loads, lowering)
     };
+    (wires.cap_ff, wires.delay_ps) = (wire_loads.cap_ff, wire_loads.delay_ps);
     let timing = {
         telemetry::span!("implement.signoff");
         compiled.sta.analyze_at(spec.mac_period_ps(), OperatingPoint::at_voltage(spec.vdd_v))

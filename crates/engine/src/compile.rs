@@ -44,7 +44,7 @@ impl Program {
         // stream from regrowing while it is written.
         let mut ops = Vec::with_capacity(low.order().len() + low.order().len() / 4);
         for &id in low.order() {
-            let inst = &module.instances[id.index()];
+            let inst = module.instance(id);
             let kind = match lib.cell(inst.cell).function {
                 CellFunction::Const(false) => OpKind::Const0,
                 CellFunction::Const(true) => OpKind::Const1,
@@ -65,7 +65,7 @@ impl Program {
                 CellFunction::MultMuxFused => OpKind::MultMux,
                 CellFunction::HalfAdder => {
                     // s = a ^ b; co = a & b — two plain ops, no scratch.
-                    let (i, o) = (&inst.inputs, &inst.outputs);
+                    let (i, o) = (inst.inputs, inst.outputs);
                     let (a, b) = (i[0].index() as u32, i[1].index() as u32);
                     ops.push(Op::new(OpKind::Xor, &[o[0].index() as u32, a, b]));
                     ops.push(Op::new(OpKind::And, &[o[1].index() as u32, a, b]));
@@ -73,7 +73,7 @@ impl Program {
                 }
                 CellFunction::SeqQ => unreachable!("sequential cells are excluded from levelize order"),
             };
-            let (outs, ins) = (&inst.outputs, &inst.inputs);
+            let (outs, ins) = (inst.outputs, inst.inputs);
             debug_assert_eq!(outs.len() + ins.len(), kind.pins(), "{kind:?} pin count");
             let mut pins = [outs[0].index() as u32; MAX_PINS];
             for (pin, net) in pins.iter_mut().zip(outs.iter().chain(ins)) {
@@ -84,7 +84,7 @@ impl Program {
 
         let mut commits = Vec::new();
         let mut seq_of_inst = vec![u32::MAX; module.instance_count()];
-        for (idx, inst) in module.instances.iter().enumerate() {
+        for (idx, inst) in module.instances().enumerate() {
             let cell = lib.cell(inst.cell);
             let Some(seq) = cell.seq else { continue };
             seq_of_inst[idx] = commits.len() as u32;
@@ -104,7 +104,7 @@ impl Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use syndcim_netlist::NetlistBuilder;
+    use syndcim_netlist::{InstId, NetId, NetlistBuilder};
     use syndcim_pdk::CellKind;
 
     #[test]
@@ -158,13 +158,13 @@ mod tests {
         let m = b.finish();
         let p = Program::compile(&m, &lib).unwrap();
         // Every slot resolves to its net name; nothing past the nets does.
-        for (i, net) in m.nets.iter().enumerate() {
-            assert_eq!(p.net_label(i as u32), Some(net.name.as_str()));
+        for i in 0..m.net_count() as u32 {
+            assert_eq!(p.net_label(i), Some(m.net_name(NetId(i))));
         }
         assert_eq!(p.net_label(m.net_count() as u32), None, "no slot past the nets");
         // The NAND is one fused op reading `a` and `c` into `y`'s net.
         assert_eq!(p.op_count(), 1);
-        assert_eq!(p.op_label(0), format!("`{}` = !(`a` & `c`)", m.nets[y.index()].name));
+        assert_eq!(p.op_label(0), format!("`{}` = !(`a` & `c`)", m.net_name(y)));
     }
 
     #[test]
@@ -176,8 +176,8 @@ mod tests {
         let y = b.and2(x, x);
         b.output("y", y);
         let mut m = b.finish();
-        let y_net = m.instances[1].outputs[0];
-        m.instances[0].inputs[1] = y_net;
+        let y_net = m.instance(InstId(1)).outputs[0];
+        m.inputs_mut(InstId(0))[1] = y_net;
         assert!(Program::compile(&m, &lib).is_err());
     }
 }

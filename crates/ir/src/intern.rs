@@ -9,32 +9,39 @@
 //! [`Symbol`]s resolved lazily against one shared, immutable
 //! [`Interner`]: the bytes of every distinct name are stored exactly
 //! once, in one arena, behind one `Arc` that the lowering and all
-//! downstream programs hand around for free.
+//! downstream programs hand around for free. Its retained memory is
+//! exactly `Σ unique name bytes + 4 bytes per symbol`; no hash table
+//! survives the build.
 //!
-//! The split is deliberate:
+//! [`Symbols::from_module`] interns a module's whole name sequence as
+//! one batch. Symbol ids are dense in first-occurrence order over that
+//! sequence, so the batch first lays the sequence out, then:
 //!
-//! * [`InternerBuilder`] — mutable, deduplicating, used only while
-//!   [`Symbols::from_module`] walks the module once;
-//! * [`Interner`] — frozen, resolve-only: a contiguous byte arena plus
-//!   an end-offset table, so its retained memory is exactly
-//!   `Σ unique name bytes + 4 bytes per symbol` with no hash-table
-//!   overhead surviving the build.
+//! 1. hashes every name with a fixed in-crate 64-bit multiplicative
+//!    hash over 8-byte chunks;
+//! 2. stable-sorts the name indices by the hash's top bits (a counting
+//!    sort), so equal names, which share a hash, share a partition and
+//!    keep their sequence order inside it;
+//! 3. finds each name's first occurrence inside its partition, in an
+//!    open-addressed table whose slot comes from the hash bits below the
+//!    partition bits;
+//! 4. walks the sequence once, giving each first occurrence the next id
+//!    and copying its bytes into the arena.
 //!
-//! The builder's dedup index is an open-addressed table of `u32`
-//! symbol ids, never of strings: a probe hashes the candidate name and
-//! compares it against the arena bytes of the id in the slot, so every
-//! name is copied exactly once, into the arena. The hash is a fixed
-//! in-crate 64-bit multiplicative hash over 8-byte chunks, and the slot
-//! is taken from its *high* bits (the well-mixed end of a product; the
-//! low bits cluster badly on counter-suffixed names such as `_n<k>` or
-//! `u<k>`). It is fixed rather than randomly seeded (`RandomState`) on
-//! purpose: symbol ids are dense in first-occurrence order whatever the
-//! hash, but a fixed hash also makes the build's probe sequence — and
-//! so its cost — identical on every run, and nothing about a build
+//! The partition count follows the name count (a small module gets one
+//! partition through the same code), sized so each partition's table
+//! stays in L2. One table over the scale tier's 779k names held 16 MiB,
+//! and random probes into it missed L2 and the TLB on nearly every
+//! name; storing the names contiguously did not change that.
+//!
+//! The hash is fixed rather than randomly seeded (`RandomState`) on
+//! purpose: ids are first-occurrence order whatever the hash, but a
+//! fixed hash also makes the build's partitions and probe sequences —
+//! and so its cost — identical on every run, and nothing about a build
 //! depends on per-process state. Ids feed every `Symbols` table and the
 //! `.scim` symbol section, whose save → load → save byte fixpoint the
 //! artifact tests pin. The names come from the netlist generators, not
-//! from outside input (decoded artifacts skip the builder), so a fixed
+//! from outside input (decoded artifacts skip the batch), so a fixed
 //! hash opens no collision-flooding attack.
 //!
 //! [`Symbols`] is the module-shaped view: per-net / per-instance /
@@ -47,7 +54,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use syndcim_netlist::Module;
+use syndcim_netlist::{GroupId, InstId, Module, NetId};
 
 /// An interned string: a 4-byte handle resolved against the
 /// [`Interner`] it was created by.
@@ -68,36 +75,25 @@ impl Symbol {
     }
 }
 
-/// Mutable, deduplicating interner used while names are collected.
-/// [`InternerBuilder::freeze`] discards the lookup index and returns
-/// the compact resolve-only [`Interner`].
-#[derive(Debug, Default)]
-pub struct InternerBuilder {
-    buf: String,
-    ends: Vec<u32>,
-    /// Build-time lookup only — dropped by `freeze`. An open-addressed
-    /// (linear-probing) table of symbol ids, `EMPTY` for a free slot;
-    /// its length is zero or a power of two kept at least
-    /// `MAX_LOAD_INV` times `ends.len()`.
-    slots: Vec<u32>,
-}
-
-/// A free slot in [`InternerBuilder`]'s index.
+/// A free slot in a partition's table.
 const EMPTY: u32 = u32::MAX;
 
-/// Inverse of the index's maximum load factor. Every probe past the
-/// home slot compares arena bytes at a random offset, so the table is
-/// kept sparse: interning the scale tier's 779k symbols makes 0.14
-/// stray compares per call in a 4M-slot table, 0.36 in a 2M-slot one.
+/// Inverse of a partition table's maximum load factor: every probe past
+/// the home slot costs a compare, so the tables are kept sparse.
 const MAX_LOAD_INV: usize = 4;
+
+/// Most names a partition holds on average. A partition's table then
+/// has about `2 × MAX_LOAD_INV × PARTITION_NAMES` 8-byte slots (256 KiB)
+/// at most, well inside L2.
+const PARTITION_NAMES: usize = 4096;
 
 /// Odd 64-bit multiplier (2⁶⁴ / φ) of the interner's hash.
 const HASH_K: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// The builder's fixed hash: each little-endian 8-byte chunk (the tail
+/// The interner's fixed hash: each little-endian 8-byte chunk (the tail
 /// zero-padded) is folded in by rotate–xor–multiply, seeded with the
 /// length, and the result gets one final xor-shift–multiply so every
-/// input bit reaches the high bits the slot index is taken from.
+/// input bit reaches the high bits partitions and slots are taken from.
 fn hash(bytes: &[u8]) -> u64 {
     let mut h = bytes.len() as u64;
     let mut chunks = bytes.chunks_exact(8);
@@ -114,90 +110,86 @@ fn hash(bytes: &[u8]) -> u64 {
     (h ^ (h >> 32)).wrapping_mul(HASH_K)
 }
 
-impl InternerBuilder {
-    /// An empty builder.
-    pub fn new() -> Self {
-        Self::default()
-    }
+/// Partition bits for a batch of `names` names: between half and all
+/// of `PARTITION_NAMES` names per partition on average, and one
+/// partition (0 bits) below `2 × PARTITION_NAMES`.
+fn partition_bits(names: usize) -> u32 {
+    (names / PARTITION_NAMES).next_power_of_two().trailing_zeros()
+}
 
-    /// An empty builder sized for `symbols` distinct names totalling
-    /// `bytes` bytes, so building that many never rehashes or regrows
-    /// the arena.
-    pub(crate) fn with_capacity(symbols: usize, bytes: usize) -> Self {
-        InternerBuilder {
-            buf: String::with_capacity(bytes),
-            ends: Vec::with_capacity(symbols),
-            slots: vec![EMPTY; (symbols * MAX_LOAD_INV).next_power_of_two().max(16)],
+/// Intern `names` as one batch over `1 << bits` hash partitions (steps
+/// 1–4 of the module docs). Returns the frozen interner and each name's
+/// symbol; ids are dense in first-occurrence order, whatever `bits`.
+fn intern_batch(names: &[&str], bits: u32) -> (Interner, Vec<Symbol>) {
+    let n = names.len();
+    assert!(n < EMPTY as usize, "more names than symbol ids");
+    // 1. Hash.
+    let hashes: Vec<u64> = names.iter().map(|s| hash(s.as_bytes())).collect();
+
+    // 2. Stable counting sort by the top `bits` bits, carrying each
+    //    hash along so step 3 reads its partition sequentially.
+    let partition = |h: u64| h.checked_shr(64 - bits).unwrap_or(0) as usize;
+    let mut start = vec![0usize; (1 << bits) + 1];
+    for &h in &hashes {
+        start[partition(h) + 1] += 1;
+    }
+    for p in 1..start.len() {
+        start[p] += start[p - 1];
+    }
+    let mut next = start.clone();
+    let mut sorted = vec![(0u64, 0u32); n];
+    for (i, &h) in hashes.iter().enumerate() {
+        let k = &mut next[partition(h)];
+        sorted[*k] = (h, i as u32);
+        *k += 1;
+    }
+    drop(hashes);
+
+    // 3. First occurrence per partition. A slot holds a name index and
+    //    its hash's low half, so only a matching half compares bytes.
+    let largest = start.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+    let mut table = vec![(EMPTY, 0u32); (largest * MAX_LOAD_INV).next_power_of_two().max(16)];
+    let mut first = vec![0u32; n];
+    for members in start.windows(2).map(|w| &sorted[w[0]..w[1]]) {
+        if members.is_empty() {
+            continue;
         }
-    }
-
-    /// The arena bytes of symbol `id`.
-    fn bytes_of(&self, id: u32) -> &[u8] {
-        let i = id as usize;
-        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
-        &self.buf.as_bytes()[start..self.ends[i] as usize]
-    }
-
-    /// The slot a hash starts probing at (its high bits).
-    fn home(&self, h: u64) -> usize {
-        (h >> (64 - self.slots.len().trailing_zeros())) as usize
-    }
-
-    /// Double the index (or create it) and re-place every id, hashing
-    /// each name again from the arena.
-    fn grow(&mut self) {
-        let len = (self.slots.len() * 2).max(16);
-        self.slots = vec![EMPTY; len];
-        let mask = len - 1;
-        for id in 0..self.ends.len() as u32 {
-            let mut slot = self.home(hash(self.bytes_of(id)));
-            while self.slots[slot] != EMPTY {
+        let len = (members.len() * MAX_LOAD_INV).next_power_of_two().max(16);
+        let slots = &mut table[..len];
+        slots.fill((EMPTY, 0));
+        let (slot_shift, mask) = (64 - len.trailing_zeros(), len - 1);
+        for &(h, i) in members {
+            let mut slot = ((h << bits) >> slot_shift) as usize;
+            first[i as usize] = loop {
+                let (j, lo) = slots[slot];
+                if j == EMPTY {
+                    slots[slot] = (i, h as u32);
+                    break i;
+                }
+                if lo == h as u32 && names[j as usize] == names[i as usize] {
+                    break j;
+                }
                 slot = (slot + 1) & mask;
-            }
-            self.slots[slot] = id;
+            };
         }
     }
+    drop((sorted, table));
 
-    /// Intern `s`, returning the existing symbol if the exact string
-    /// was interned before (dedup is by full string equality).
-    pub fn intern(&mut self, s: &str) -> Symbol {
-        if (self.ends.len() + 1) * MAX_LOAD_INV > self.slots.len() {
-            self.grow();
-        }
-        let mask = self.slots.len() - 1;
-        let mut slot = self.home(hash(s.as_bytes()));
-        loop {
-            let id = self.slots[slot];
-            if id == EMPTY {
-                break;
-            }
-            if self.bytes_of(id) == s.as_bytes() {
-                return Symbol(id);
-            }
-            slot = (slot + 1) & mask;
-        }
-        let id = self.ends.len() as u32;
-        self.buf.push_str(s);
-        self.ends.push(self.buf.len() as u32);
-        self.slots[slot] = id;
-        Symbol(id)
+    // 4. Ids in sequence order; each first occurrence joins the arena.
+    let mut buf = String::with_capacity(names.iter().map(|s| s.len()).sum());
+    let mut ends = Vec::new();
+    let mut ids: Vec<Symbol> = Vec::with_capacity(n);
+    for (i, (&f, name)) in first.iter().zip(names).enumerate() {
+        let id = if f as usize == i {
+            buf.push_str(name);
+            ends.push(buf.len() as u32);
+            Symbol(ends.len() as u32 - 1)
+        } else {
+            ids[f as usize]
+        };
+        ids.push(id);
     }
-
-    /// Number of distinct strings interned so far.
-    pub fn len(&self) -> usize {
-        self.ends.len()
-    }
-
-    /// `true` if nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
-    }
-
-    /// Freeze into the compact resolve-only [`Interner`], dropping the
-    /// build-time lookup index.
-    pub fn freeze(self) -> Interner {
-        Interner { buf: self.buf.into_boxed_str(), ends: self.ends.into_boxed_slice() }
-    }
+    (Interner { buf: buf.into_boxed_str(), ends: ends.into_boxed_slice() }, ids)
 }
 
 /// A frozen string arena: resolve-only, immutable, cheaply shared via
@@ -232,8 +224,7 @@ impl Interner {
     ///
     /// # Panics
     ///
-    /// Panics if `sym` was not produced by the builder this interner
-    /// was frozen from.
+    /// Panics if `sym` was not produced with this interner.
     pub fn resolve(&self, sym: Symbol) -> &str {
         let i = sym.index();
         let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
@@ -304,48 +295,48 @@ pub struct Symbols {
 }
 
 impl Symbols {
-    /// Intern every net, instance and group name of `module` in one
-    /// pass. Group heads (the path segment before the first `/`) and
-    /// the per-group parent links are derived here, while the
-    /// deduplicating builder index is still alive.
+    /// Intern every net, instance, group and port name of `module` as
+    /// one batch. The sequence is every net, every instance, each
+    /// distinct group path (in order of first use) followed by its
+    /// `/`-prefixes, then the ports in name order; ids are dense in
+    /// first-occurrence order over it. Group heads (the path segment
+    /// before the first `/`) and the path tree are derived from the
+    /// symbols of the paths and their prefixes.
     pub fn from_module(module: &Module) -> Symbols {
-        // Presize from the element counts: every net, instance, port
-        // and group name is one symbol at most (group-path prefixes are
-        // few), and scale-tier names are about one 8-byte hash chunk
-        // long. Both are estimates; the builder grows past them.
-        let symbols = module.nets.len() + module.instances.len() + module.ports.len() + module.groups.len();
-        let mut b = InternerBuilder::with_capacity(symbols, 8 * symbols);
-        let net_syms: Vec<Symbol> = module.nets.iter().map(|n| b.intern(&n.name)).collect();
-        let inst_syms: Vec<Symbol> = module.instances.iter().map(|i| b.intern(&i.name)).collect();
-        let inst_group: Vec<u32> = module.instances.iter().map(|i| i.group.0).collect();
+        let (nets, insts) = (module.net_count(), module.instance_count());
+        let mut port_order: Vec<usize> = (0..module.ports.len()).collect();
+        port_order.sort_by(|&a, &b| module.ports[a].name.cmp(&module.ports[b].name));
 
-        let mut group_syms = Vec::with_capacity(module.groups.len());
-        let mut group_head_syms = Vec::with_capacity(module.groups.len());
-        let mut group_node = Vec::with_capacity(module.groups.len());
-        // Path tree keyed by full-path symbol: duplicate-named groups
-        // share one node, and every `/`-prefix gets a node of its own
-        // (created before its children, so node ids are topologically
-        // ordered parents-first).
-        //
-        // Group names repeat heavily (the scale tier has 132,136 groups
-        // over 1,317 path nodes), so only a path's first occurrence is
-        // split: a path that already has a node had its head and every
-        // prefix interned with it, so re-interning them would add no
-        // symbol, and its head is the root its parent chain ends at.
+        let paths = module.path_count() as u32;
+        let mut names: Vec<&str> = Vec::with_capacity(nets + insts + 4 * paths as usize + port_order.len());
+        names.extend((0..nets as u32).map(|i| module.net_name(NetId(i))));
+        names.extend((0..insts as u32).map(|i| module.inst_name(InstId(i))));
+        for p in 0..paths {
+            let path = module.path_name(p);
+            names.push(path);
+            names.extend(path.match_indices('/').map(|(end, _)| &path[..end]));
+        }
+        names.extend(port_order.iter().map(|&i| module.ports[i].name.as_str()));
+        let (interner, ids) = intern_batch(&names, partition_bits(names.len()));
+
+        // Path tree keyed by full-path symbol: every `/`-prefix gets a
+        // node of its own, created before its children, so node ids are
+        // topologically ordered parents-first. A path that already has
+        // a node (as a prefix of an earlier path) adds none.
         let mut node_index: HashMap<Symbol, u32> = HashMap::new();
         let mut node_syms: Vec<Symbol> = Vec::new();
         let mut node_parent: Vec<u32> = Vec::new();
-        for name in &module.groups {
-            let sym = b.intern(name);
+        let (mut path_sym, mut path_head, mut path_node) = (Vec::new(), Vec::new(), Vec::new());
+        let mut k = nets + insts;
+        for p in 0..paths {
+            let prefixes = module.path_name(p).matches('/').count();
+            let (sym, prefix_syms) = (ids[k], &ids[k + 1..k + 1 + prefixes]);
+            k += 1 + prefixes;
             let node = match node_index.get(&sym) {
                 Some(&node) => node,
                 None => {
-                    // The first prefix is the head, so this interns the
-                    // same sequence as name, head, then every prefix.
                     let mut parent = NO_PARENT;
-                    let bounds = name.match_indices('/').map(|(i, _)| i).chain(std::iter::once(name.len()));
-                    for end in bounds {
-                        let prefix = b.intern(&name[..end]);
+                    for &prefix in prefix_syms.iter().chain([&sym]) {
                         parent = *node_index.entry(prefix).or_insert_with(|| {
                             node_syms.push(prefix);
                             node_parent.push(parent);
@@ -359,31 +350,25 @@ impl Symbols {
             while node_parent[root as usize] != NO_PARENT {
                 root = node_parent[root as usize];
             }
-            group_syms.push(sym);
-            group_head_syms.push(node_syms[root as usize]);
-            group_node.push(node);
+            path_sym.push(sym);
+            path_head.push(node_syms[root as usize]);
+            path_node.push(node);
         }
-
-        // Boundary ports, sorted by name once at build time so every
-        // later lookup is an allocation-free binary search against the
-        // shared table.
-        let mut port_order: Vec<usize> = (0..module.ports.len()).collect();
-        port_order.sort_by(|&a, &b| module.ports[a].name.cmp(&module.ports[b].name));
-        let port_syms: Vec<Symbol> = port_order.iter().map(|&i| b.intern(&module.ports[i].name)).collect();
-        let port_nets: Vec<u32> = port_order.iter().map(|&i| module.ports[i].net.index() as u32).collect();
+        let group_path = |g: usize| module.group_path(GroupId(g as u32)) as usize;
+        let groups = 0..module.group_count();
 
         Symbols {
-            interner: Arc::new(b.freeze()),
-            net_syms: net_syms.into(),
-            inst_syms: inst_syms.into(),
-            inst_group: inst_group.into(),
-            group_syms: group_syms.into(),
-            group_head_syms: group_head_syms.into(),
-            group_node: group_node.into(),
+            interner: Arc::new(interner),
+            net_syms: ids[..nets].into(),
+            inst_syms: ids[nets..nets + insts].into(),
+            inst_group: module.instances().map(|i| i.group.0).collect(),
+            group_syms: groups.clone().map(|g| path_sym[group_path(g)]).collect(),
+            group_head_syms: groups.clone().map(|g| path_head[group_path(g)]).collect(),
+            group_node: groups.map(|g| path_node[group_path(g)]).collect(),
             node_syms: node_syms.into(),
             node_parent: node_parent.into(),
-            port_syms: port_syms.into(),
-            port_nets: port_nets.into(),
+            port_syms: ids[k..].into(),
+            port_nets: port_order.iter().map(|&i| module.ports[i].net.index() as u32).collect(),
         }
     }
 
@@ -529,15 +514,11 @@ mod tests {
 
     #[test]
     fn intern_round_trips_and_dedups() {
-        let mut b = InternerBuilder::new();
-        let a1 = b.intern("alpha");
-        let beta = b.intern("beta");
-        let a2 = b.intern("alpha");
-        let empty = b.intern("");
+        let (frozen, ids) = intern_batch(&["alpha", "beta", "alpha", ""], 0);
+        let [a1, beta, a2, empty] = ids[..] else { panic!("one symbol per name") };
         assert_eq!(a1, a2, "equal strings must intern to one symbol");
         assert_ne!(a1, beta);
-        assert_eq!(b.len(), 3, "dedup: three distinct strings");
-        let frozen = b.freeze();
+        assert_eq!(frozen.len(), 3, "dedup: three distinct strings");
         assert_eq!(frozen.resolve(a1), "alpha");
         assert_eq!(frozen.resolve(beta), "beta");
         assert_eq!(frozen.resolve(empty), "");
@@ -558,18 +539,21 @@ mod tests {
             .collect()
     }
 
-    /// Intern `names` in order into `b` and pin every id against the
-    /// reference, then pin that the frozen arena resolves each back.
-    fn assert_matches_reference(mut b: InternerBuilder, names: &[String]) {
+    /// Intern `names` as one batch over one partition, the size-derived
+    /// count and 256 partitions; pin every id against the reference,
+    /// then pin that the frozen arena resolves each back.
+    fn assert_matches_reference(names: &[String]) {
         let want = reference_ids(names.iter().map(String::as_str));
-        let got: Vec<Symbol> = names.iter().map(|s| b.intern(s)).collect();
-        for (i, (g, &w)) in got.iter().zip(&want).enumerate() {
-            assert_eq!(g.0, w, "name #{i} {:?}", names[i]);
-        }
-        assert_eq!(b.len(), want.iter().max().map_or(0, |&m| m as usize + 1));
-        let frozen = b.freeze();
-        for (sym, name) in got.iter().zip(names) {
-            assert_eq!(frozen.resolve(*sym), name);
+        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+        for bits in [0, partition_bits(names.len()), 8] {
+            let (frozen, got) = intern_batch(&refs, bits);
+            for (i, (g, &w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(g.0, w, "name #{i} {:?} over {bits} partition bits", names[i]);
+            }
+            assert_eq!(frozen.len(), want.iter().max().map_or(0, |&m| m as usize + 1));
+            for (sym, name) in got.iter().zip(names) {
+                assert_eq!(frozen.resolve(*sym), name);
+            }
         }
     }
 
@@ -577,7 +561,7 @@ mod tests {
     fn ids_match_reference_on_long_shared_prefixes() {
         // 200k names that share a long prefix and suffix and differ in
         // the block number plus one middle byte, then a second pass of
-        // every seventh name: duplicates after many resizes.
+        // every seventh name: duplicates far from their first occurrence.
         let mut names = Vec::new();
         for block in 0..2106 {
             for c in 0x20u8..0x7F {
@@ -590,8 +574,8 @@ mod tests {
         assert!(names.len() >= 200_000);
         let again: Vec<String> = names.iter().step_by(7).cloned().collect();
         names.extend(again);
-        assert_matches_reference(InternerBuilder::default(), &names);
-        assert_matches_reference(InternerBuilder::with_capacity(names.len(), 0), &names);
+        assert!(partition_bits(names.len()) > 0, "the default splits this batch");
+        assert_matches_reference(&names);
     }
 
     #[test]
@@ -611,7 +595,7 @@ mod tests {
         names.extend(["a", "a\0", "a\0\0", "abcdefg", "abcdefg\0"].map(String::from));
         let again = names.clone();
         names.extend(again);
-        assert_matches_reference(InternerBuilder::new(), &names);
+        assert_matches_reference(&names);
     }
 
     #[test]
@@ -623,23 +607,25 @@ mod tests {
         names.extend((0..500).map(|i| format!("ächse_{i}/Ω{}", i % 17)));
         let again = names.clone();
         names.extend(again.into_iter().rev());
-        assert_matches_reference(InternerBuilder::new(), &names);
+        assert_matches_reference(&names);
     }
 
     #[test]
-    fn duplicates_spanning_a_resize_keep_their_ids() {
-        // The default builder starts with 16 slots; 1,000 names force
-        // several doublings between the first and second occurrences.
-        let mut b = InternerBuilder::default();
-        let first: Vec<Symbol> = (0..1000).map(|i| b.intern(&format!("u{i}"))).collect();
-        for (i, sym) in first.iter().enumerate() {
-            assert_eq!(sym.index(), i);
-            let _ = b.intern(&format!("_n{i}"));
-        }
-        for (i, &sym) in first.iter().enumerate() {
-            assert_eq!(b.intern(&format!("u{i}")), sym, "u{i} after resizes");
-        }
-        assert_eq!(b.len(), 2000);
+    fn ids_match_reference_on_counter_names() {
+        // Counter-suffixed names like the generators' `u<k>` and
+        // `_n<k>`, each `u<k>` repeated 2,000 names after its first.
+        let mut names: Vec<String> = (0..1000).flat_map(|i| [format!("u{i}"), format!("_n{i}")]).collect();
+        names.extend((0..1000).map(|i| format!("u{i}")));
+        assert_matches_reference(&names);
+        assert_eq!(intern_batch(&names.iter().map(String::as_str).collect::<Vec<_>>(), 3).0.len(), 2000);
+    }
+
+    #[test]
+    fn partitions_follow_the_name_count() {
+        assert_eq!(partition_bits(0), 0);
+        assert_eq!(partition_bits(2 * PARTITION_NAMES - 1), 0, "small batches take one partition");
+        assert_eq!(partition_bits(2 * PARTITION_NAMES), 1);
+        assert_eq!(partition_bits(778_796), 8, "the scale tier's ~3k names per partition");
     }
 
     #[test]
@@ -657,11 +643,11 @@ mod tests {
         let syms = Symbols::from_module(&m);
         assert_eq!(syms.net_count(), m.net_count());
         assert_eq!(syms.inst_count(), m.instance_count());
-        for (i, net) in m.nets.iter().enumerate() {
-            assert_eq!(syms.net_name(i), net.name);
+        for i in 0..m.net_count() {
+            assert_eq!(syms.net_name(i), m.net_name(NetId(i as u32)));
         }
-        for (i, inst) in m.instances.iter().enumerate() {
-            assert_eq!(syms.inst_name(i), inst.name);
+        for (i, inst) in m.instances().enumerate() {
+            assert_eq!(syms.inst_name(i), m.inst_name(InstId(i as u32)));
             assert_eq!(syms.group_of(i), inst.group.0);
             assert_eq!(syms.group_name(inst.group.0), m.group_name(inst.group));
         }

@@ -55,6 +55,6 @@ pub mod runner;
 pub use artifact::{
     ArtifactError, ArtifactMeta, ArtifactReader, ArtifactWriter, SectionId, SectionReader, SectionWriter,
 };
-pub use intern::{Interner, InternerBuilder, Symbol, Symbols};
+pub use intern::{Interner, Symbol, Symbols};
 pub use lowering::{net_loads_ff, Lowering};
 pub use runner::{default_threads, join, parallel_map, parallel_map_threads, OVERLAP_MIN_INSTANCES};

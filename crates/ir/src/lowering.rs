@@ -160,7 +160,7 @@ impl Lowering {
 /// and power analyzers, so their per-net loads agree bit for bit.
 pub fn net_loads_ff(module: &Module, lib: &CellLibrary, wire_cap_ff: &[f64]) -> Vec<f64> {
     let mut load = vec![0.0f64; module.net_count()];
-    for inst in &module.instances {
+    for inst in module.instances() {
         let cell = lib.cell(inst.cell);
         for (pin, &net) in inst.inputs.iter().enumerate() {
             load[net.index()] += cell.input_cap_ff[pin];

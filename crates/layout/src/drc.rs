@@ -61,7 +61,7 @@ pub fn check_drc_threads(module: &Module, placement: &Placement, threads: usize)
     // Die containment: serial scan, so the lowest-index offender wins.
     for pc in &placement.cells {
         if !placement.die.contains(&pc.rect) {
-            return Err(LayoutError::OutOfDie { inst: module.instances[pc.inst.index()].name.clone() });
+            return Err(LayoutError::OutOfDie { inst: module.inst_name(pc.inst).to_string() });
         }
     }
 
@@ -155,8 +155,8 @@ pub fn check_drc_threads(module: &Module, placement: &Placement, threads: usize)
 
     if let Some((i, j)) = hit {
         return Err(LayoutError::Overlap {
-            a: module.instances[placement.cells[i as usize].inst.index()].name.clone(),
-            b: module.instances[placement.cells[j as usize].inst.index()].name.clone(),
+            a: module.inst_name(placement.cells[i as usize].inst).to_string(),
+            b: module.inst_name(placement.cells[j as usize].inst).to_string(),
         });
     }
     Ok(())

@@ -36,8 +36,9 @@
 //!
 //! 1. zone assignment is resolved **once per group** into a
 //!    `Vec<Zone>` indexed by group id (from the interned
-//!    [`Symbols`] head table when available, falling back to
-//!    `module.groups`) — no per-instance string splitting;
+//!    [`Symbols`] head table when available, falling back to the
+//!    module's stored group paths, split once per path) — no
+//!    per-instance string splitting;
 //! 2. the independent strips fan across cores via
 //!    [`syndcim_ir::parallel_map_threads`], each worker writing its
 //!    instances' footprints directly into the shared cell table
@@ -53,7 +54,7 @@ use std::fmt;
 use crate::geometry::Rect;
 use crate::par::DisjointWriter;
 use syndcim_ir::{default_threads, parallel_map_threads, Symbols};
-use syndcim_netlist::{InstId, Module};
+use syndcim_netlist::{GroupId, InstId, Module};
 use syndcim_pdk::{CellLibrary, DensityClass};
 use syndcim_telemetry as telemetry;
 
@@ -207,8 +208,12 @@ enum Zone {
 
 /// Resolve the zone of every group from the module's group-path table:
 /// one `head` split + parse per **group**, never per instance.
-fn zone_table_from_groups(groups: &[String]) -> Vec<Zone> {
-    groups.iter().map(|g| zone_of(g.split('/').next().unwrap_or(g))).collect()
+fn zone_table_from_groups(module: &Module) -> Vec<Zone> {
+    let path_zones: Vec<Zone> = (0..module.path_count() as u32)
+        .map(|p| module.path_name(p))
+        .map(|g| zone_of(g.split('/').next().unwrap_or(g)))
+        .collect();
+    (0..module.group_count()).map(|g| path_zones[module.group_path(GroupId(g as u32)) as usize]).collect()
 }
 
 /// Resolve the zone of every group from the interned [`Symbols`] head
@@ -237,13 +242,13 @@ pub fn place_threads(
     config: FloorplanConfig,
     threads: usize,
 ) -> Result<Placement, LayoutError> {
-    let zones = zone_table_from_groups(&module.groups);
+    let zones = zone_table_from_groups(module);
     place_impl(module, lib, config, &zones, threads)
 }
 
 /// [`place`] resolving zones from an interned [`Symbols`] table (built
 /// by the lowering the flow already owns) instead of re-deriving group
-/// heads from `module.groups`. `symbols` must describe `module`; a
+/// heads from the module's group paths. `symbols` must describe `module`; a
 /// mismatched table (different group count) falls back to the
 /// module-derived zone table, which yields the identical placement.
 pub fn place_with_symbols(
@@ -252,10 +257,10 @@ pub fn place_with_symbols(
     config: FloorplanConfig,
     symbols: &Symbols,
 ) -> Result<Placement, LayoutError> {
-    let zones = if symbols.group_count() == module.groups.len() {
+    let zones = if symbols.group_count() == module.group_count() {
         zone_table_from_symbols(symbols)
     } else {
-        zone_table_from_groups(&module.groups)
+        zone_table_from_groups(module)
     };
     place_impl(module, lib, config, &zones, 0)
 }
@@ -288,11 +293,9 @@ fn run_strip(
             let mut y = y0;
             // 1) bitcell grid (pushed-rule SDP rows).
             if !bucket.bitcells.is_empty() {
-                let bw = lib.cell(module.instances[bucket.bitcells[0]].cell).width_um.max(0.2);
-                let bh = {
-                    let a = lib.cell(module.instances[bucket.bitcells[0]].cell).area_um2;
-                    (a / bw).max(0.2)
-                };
+                let bitcell = lib.cell(module.instance(InstId(bucket.bitcells[0] as u32)).cell);
+                let bw = bitcell.width_um.max(0.2);
+                let bh = (bitcell.area_um2 / bw).max(0.2);
                 let per_row = ((w * 0.98) / bw).floor().max(1.0) as usize;
                 for (k, &i) in bucket.bitcells.iter().enumerate() {
                     let col = k % per_row;
@@ -320,7 +323,7 @@ fn place_impl(
     zones: &[Zone],
     threads: usize,
 ) -> Result<Placement, LayoutError> {
-    if module.instances.is_empty() {
+    if module.instance_count() == 0 {
         return Err(LayoutError::EmptyModule);
     }
     let process = lib.process();
@@ -354,7 +357,7 @@ fn place_impl(
     let mut total_cell_area = 0.0f64;
     {
         telemetry::span!("place.partition");
-        for (i, inst) in module.instances.iter().enumerate() {
+        for (i, inst) in module.instances().enumerate() {
             let cell = lib.cell(inst.cell);
             total_cell_area += cell.area_um2;
             match zones[inst.group.index()] {
@@ -393,7 +396,7 @@ fn place_impl(
     let core_h = (core_area / config.aspect).sqrt();
     let w_col = (core_area / core_h / n_cols as f64).max(3.0 * row_h).max(widest_dp / config.row_util + 0.2);
 
-    let mut cells: Vec<PlacedCell> = (0..module.instances.len())
+    let mut cells: Vec<PlacedCell> = (0..module.instance_count())
         .map(|i| PlacedCell { inst: InstId(i as u32), rect: Rect::default() })
         .collect();
     let mut regions = Vec::new();
@@ -509,10 +512,10 @@ fn pack_clustered<S: Fn(usize, Rect)>(
 ) -> f64 {
     // Cluster by group id, preserving first-appearance order (indexed —
     // the OFU strip of a scale-tier macro has hundreds of groups).
-    let mut order: Vec<(syndcim_netlist::GroupId, Vec<usize>)> = Vec::new();
-    let mut index: HashMap<syndcim_netlist::GroupId, usize> = HashMap::new();
+    let mut order: Vec<(GroupId, Vec<usize>)> = Vec::new();
+    let mut index: HashMap<GroupId, usize> = HashMap::new();
     for &i in ids {
-        let g = module.instances[i].group;
+        let g = module.instance(InstId(i as u32)).group;
         match index.get(&g) {
             Some(&k) => order[k].1.push(i),
             None => {
@@ -521,7 +524,8 @@ fn pack_clustered<S: Fn(usize, Rect)>(
             }
         }
     }
-    let widest = ids.iter().map(|&i| lib.cell(module.instances[i].cell).width_um).fold(0.0f64, f64::max);
+    let widest =
+        ids.iter().map(|&i| lib.cell(module.instance(InstId(i as u32)).cell).width_um).fold(0.0f64, f64::max);
     let min_w = (widest / util + 0.2).max(3.0 * row_h);
     let per_band = ((w / min_w).floor() as usize).clamp(1, order.len().max(1));
     let strip_w = w / per_band as f64;
@@ -562,7 +566,7 @@ fn pack_rows<S: Fn(usize, Rect)>(
     let mut rightward = true;
     let mut used_any = false;
     for &i in ids {
-        let cell = lib.cell(module.instances[i].cell);
+        let cell = lib.cell(module.instance(InstId(i as u32)).cell);
         let cw = cell.width_um.max(0.2);
         let advance = cw / util;
         if rightward {
@@ -675,7 +679,7 @@ mod tests {
         let m = mini_macro(&lib);
         let p = place(&m, &lib, FloorplanConfig::default()).unwrap();
         let mut bit_rects = Vec::new();
-        for (i, inst) in m.instances.iter().enumerate() {
+        for (i, inst) in m.instances().enumerate() {
             if lib.cell(inst.cell).kind == CellKind::Sram6T2T && m.group_name(inst.group).starts_with("col0")
             {
                 bit_rects.push(p.cells[i].rect);
@@ -710,12 +714,13 @@ mod tests {
     fn zone_table_resolves_once_per_group() {
         let lib = CellLibrary::syn40();
         let m = mini_macro(&lib);
-        let zones = zone_table_from_groups(&m.groups);
-        assert_eq!(zones.len(), m.groups.len());
+        let zones = zone_table_from_groups(&m);
+        assert_eq!(zones.len(), m.group_count());
         // Every nested group under `colN` inherits the column zone.
-        for (gid, name) in m.groups.iter().enumerate() {
+        for (gid, zone) in zones.iter().enumerate() {
+            let name = m.group_name(GroupId(gid as u32));
             if name.starts_with("col1") {
-                assert_eq!(zones[gid], Zone::Column(1), "group `{name}`");
+                assert_eq!(*zone, Zone::Column(1), "group `{name}`");
             }
         }
         let syms = Symbols::from_module(&m);

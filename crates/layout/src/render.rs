@@ -34,8 +34,8 @@ pub fn render_svg(module: &Module, placement: &Placement, max_cells: usize) -> S
     let flip = |y: f64, rh: f64| h - (y + rh) * scale;
 
     if placement.cells.len() <= max_cells {
-        for (i, pc) in placement.cells.iter().enumerate() {
-            let g = module.group_name(module.instances[i].group);
+        for pc in &placement.cells {
+            let g = module.group_name(module.instance(pc.inst).group);
             let head = g.split('/').next().unwrap_or(g);
             let r = pc.rect;
             let _ = writeln!(
@@ -89,8 +89,8 @@ pub fn render_ascii(module: &Module, placement: &Placement, cols: usize, rows: u
     let bw = placement.die.w_um / cols as f64;
     let bh = placement.die.h_um / rows as f64;
     let mut occupancy: Vec<std::collections::BTreeMap<char, f64>> = vec![Default::default(); cols * rows];
-    for (i, pc) in placement.cells.iter().enumerate() {
-        let g = module.group_name(module.instances[i].group);
+    for pc in &placement.cells {
+        let g = module.group_name(module.instance(pc.inst).group);
         let head = g.split('/').next().unwrap_or(g);
         let ch = head.chars().next().unwrap_or('?');
         let (cx, cy) = pc.rect.center();

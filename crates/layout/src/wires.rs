@@ -20,7 +20,7 @@
 use crate::par::DisjointWriter;
 use crate::place::Placement;
 use syndcim_ir::{default_threads, parallel_map_threads};
-use syndcim_netlist::{Module, NetlistError};
+use syndcim_netlist::{InstId, Module, NetlistError};
 use syndcim_pdk::CellLibrary;
 use syndcim_telemetry as telemetry;
 
@@ -114,7 +114,7 @@ pub fn extract_wires_threads(
     threads: usize,
 ) -> Result<WireEstimates, NetlistError> {
     let n = module.net_count();
-    let n_inst = module.instances.len();
+    let n_inst = module.instance_count();
     let process = lib.process();
     let workers = |jobs: usize| if threads == 0 { default_threads(jobs) } else { threads };
 
@@ -128,14 +128,14 @@ pub fn extract_wires_threads(
             let mut pin_load = vec![0.0f64; n];
             let mut bbox = vec![EMPTY_BBOX; n];
             for idx in lo..hi {
-                let inst = &module.instances[idx];
+                let inst = module.instance(InstId(idx as u32));
                 let cell = lib.cell(inst.cell);
                 let (x, y) = placement.cells[idx].rect.center();
                 for (pin, &net) in inst.inputs.iter().enumerate() {
                     pin_load[net.index()] += cell.input_cap_ff[pin];
                     bbox[net.index()].grow(x, y);
                 }
-                for &net in &inst.outputs {
+                for &net in inst.outputs {
                     bbox[net.index()].grow(x, y);
                 }
             }
@@ -227,7 +227,7 @@ pub fn extract_wires_threads(
 mod tests {
     use super::*;
     use crate::place::{place, FloorplanConfig};
-    use syndcim_netlist::NetlistBuilder;
+    use syndcim_netlist::{NetId, NetlistBuilder};
 
     #[test]
     fn parasitics_are_positive_and_bounded_by_die() {
@@ -266,7 +266,8 @@ mod tests {
         let m = b.finish();
         let p = place(&m, &lib, FloorplanConfig::default()).unwrap();
         let w = extract_wires(&m, &lib, &p).unwrap();
-        let dangling_idx = m.nets.iter().position(|n| n.name == "dangling").unwrap();
+        let dangling_idx =
+            (0..m.net_count()).position(|n| m.net_name(NetId(n as u32)) == "dangling").unwrap();
         assert_eq!(w.hpwl_um[dangling_idx], 0.0);
         assert_eq!(w.cap_ff[dangling_idx], 0.0);
     }

@@ -95,8 +95,7 @@ impl Connectivity {
     /// ports, then each instance's outputs in instance order.
     pub fn build(module: &Module) -> Result<Self, NetlistError> {
         let n = module.net_count();
-        let conflict =
-            |net: NetId| NetlistError::MultipleDrivers { net: module.nets[net.index()].name.clone() };
+        let conflict = |net: NetId| NetlistError::MultipleDrivers { net: module.net_name(net).to_string() };
         let mut driver_inst = vec![UNDRIVEN; n];
         let mut driver_pin = vec![0u32; n];
         // Count each net's sinks one entry ahead, then prefix-sum.
@@ -108,7 +107,7 @@ impl Connectivity {
             }
             driver_inst[port.net.index()] = PORT_DRIVEN;
         }
-        for (i, inst) in module.instances.iter().enumerate() {
+        for (i, inst) in module.instances().enumerate() {
             for (pin, &net) in inst.outputs.iter().enumerate() {
                 if driver_inst[net.index()] != UNDRIVEN {
                     return Err(conflict(net));
@@ -116,7 +115,7 @@ impl Connectivity {
                 driver_inst[net.index()] = i as u32;
                 driver_pin[net.index()] = pin as u32;
             }
-            for &net in &inst.inputs {
+            for &net in inst.inputs {
                 sink_start[net.index() + 1] += 1;
             }
         }
@@ -127,7 +126,7 @@ impl Connectivity {
         let total = sink_start[n] as usize;
         let (mut sink_inst, mut sink_pin) = (vec![0u32; total], vec![0u32; total]);
         let mut next = sink_start[..n].to_vec();
-        for (i, inst) in module.instances.iter().enumerate() {
+        for (i, inst) in module.instances().enumerate() {
             for (pin, &net) in inst.inputs.iter().enumerate() {
                 let k = &mut next[net.index()];
                 sink_inst[*k as usize] = i as u32;
@@ -235,16 +234,17 @@ impl Connectivity {
 ///
 /// Returns the first [`NetlistError::FloatingNet`] found.
 pub fn validate(module: &Module, conn: &Connectivity) -> Result<(), NetlistError> {
-    for inst in &module.instances {
-        for &net in &inst.inputs {
+    let floating = |net: NetId| NetlistError::FloatingNet { net: module.net_name(net).to_string() };
+    for inst in module.instances() {
+        for &net in inst.inputs {
             if !conn.is_driven(net) {
-                return Err(NetlistError::FloatingNet { net: module.nets[net.index()].name.clone() });
+                return Err(floating(net));
             }
         }
     }
     for port in module.output_ports() {
         if !conn.is_driven(port.net) {
-            return Err(NetlistError::FloatingNet { net: module.nets[port.net.index()].name.clone() });
+            return Err(floating(port.net));
         }
     }
     Ok(())
@@ -262,18 +262,18 @@ pub fn levelize(
     lib: &CellLibrary,
     conn: &Connectivity,
 ) -> Result<Vec<InstId>, NetlistError> {
-    let n = module.instances.len();
+    let n = module.instance_count();
     // One pass over the cells; the sentinels of port-driven and
     // undriven nets index past the end, so they read as not
     // combinational.
-    let comb: Vec<bool> = module.instances.iter().map(|inst| !lib.cell(inst.cell).is_sequential()).collect();
+    let comb: Vec<bool> = module.instances().map(|inst| !lib.cell(inst.cell).is_sequential()).collect();
     let comb_driven = |net: &NetId| comb.get(conn.driver_inst[net.index()] as usize) == Some(&true);
     // Pending combinational fan-in count per instance.
     let mut pending = vec![0usize; n];
     let mut order = Vec::with_capacity(n);
     let mut ready = Vec::new();
 
-    for (i, inst) in module.instances.iter().enumerate() {
+    for (i, inst) in module.instances().enumerate() {
         if comb[i] {
             pending[i] = inst.inputs.iter().filter(|net| comb_driven(net)).count();
             if pending[i] == 0 {
@@ -284,7 +284,7 @@ pub fn levelize(
 
     while let Some(id) = ready.pop() {
         order.push(id);
-        for &net in &module.instances[id.index()].outputs {
+        for &net in module.instance(id).outputs {
             for &sink in &conn.sink_inst[conn.sink_range(net)] {
                 let si = sink as usize;
                 if comb[si] {
@@ -302,7 +302,9 @@ pub fn levelize(
         let culprit = (0..n)
             .find(|&i| comb[i] && pending[i] > 0)
             .expect("some combinational instance must still be pending");
-        return Err(NetlistError::CombinationalLoop { inst: module.instances[culprit].name.clone() });
+        return Err(NetlistError::CombinationalLoop {
+            inst: module.inst_name(InstId(culprit as u32)).to_string(),
+        });
     }
     Ok(order)
 }
@@ -342,7 +344,7 @@ mod tests {
         // Patch the dff input to close the loop through the register.
         b.output("q", q);
         let mut m = b.finish();
-        m.instances[0].inputs[0] = nq;
+        m.inputs_mut(InstId(0))[0] = nq;
         // Remove the now-dangling tmp net reference by redirecting: tmp is
         // unused, which is fine (it is not read by anything).
         let conn = Connectivity::build(&m).unwrap();
@@ -360,8 +362,8 @@ mod tests {
         b.output("y", y);
         let mut m = b.finish();
         // Short the first AND's second input to the second AND's output.
-        let y_net = m.instances[1].outputs[0];
-        m.instances[0].inputs[1] = y_net;
+        let y_net = m.instance(InstId(1)).outputs[0];
+        m.inputs_mut(InstId(0))[1] = y_net;
         let conn = Connectivity::build(&m).unwrap();
         let err = levelize(&m, &lib, &conn).unwrap_err();
         assert!(matches!(err, NetlistError::CombinationalLoop { .. }));
@@ -377,8 +379,8 @@ mod tests {
         let m0 = b.finish();
         let mut m = m0.clone();
         // Make the second inverter drive the same net as the first.
-        let first_out = m.instances[0].outputs[0];
-        m.instances[1].outputs[0] = first_out;
+        let first_out = m.instance(InstId(0)).outputs[0];
+        m.outputs_mut(InstId(1))[0] = first_out;
         let err = Connectivity::build(&m).unwrap_err();
         assert!(matches!(err, NetlistError::MultipleDrivers { .. }));
     }
@@ -446,33 +448,33 @@ mod tests {
             Err(NetlistError::MultipleDrivers { net }) => net,
             other => panic!("expected MultipleDrivers, got {other:?}"),
         };
-        let name = |net: NetId| m.nets[net.index()].name.clone();
+        let name = |net: NetId| m.net_name(net).to_string();
         let second_port = |m: &mut Module, net: NetId| {
             m.ports.push(Port { name: format!("again{}", net.index()), dir: PortDir::Input, net })
         };
 
         // Port/port, ahead of a later instance/instance conflict.
         let mut pp = m.clone();
-        pp.instances[3].outputs[0] = outs[2];
+        pp.outputs_mut(InstId(3))[0] = outs[2];
         second_port(&mut pp, a);
         assert_eq!(conflict(&pp), "a");
 
         // Port/instance: the port claims instance 2's net first.
         let mut pi = m.clone();
-        pi.instances[3].outputs[0] = outs[0];
+        pi.outputs_mut(InstId(3))[0] = outs[0];
         second_port(&mut pi, outs[2]);
         assert_eq!(conflict(&pi), name(outs[2]));
 
         // Instance/instance: instance 2 re-drives instance 1's net before
         // instance 3 re-drives instance 0's.
         let mut ii = m.clone();
-        ii.instances[2].outputs[0] = outs[1];
-        ii.instances[3].outputs[0] = outs[0];
+        ii.outputs_mut(InstId(2))[0] = outs[1];
+        ii.outputs_mut(InstId(3))[0] = outs[0];
         assert_eq!(conflict(&ii), name(outs[1]));
 
         // An instance driving an input port's net.
         let mut ip = m.clone();
-        ip.instances[1].outputs[0] = a;
+        ip.outputs_mut(InstId(1))[0] = a;
         assert_eq!(conflict(&ip), "a");
     }
 

@@ -2,10 +2,44 @@
 //!
 //! [`NetlistBuilder`] is the API all subcircuit generators use. It owns a
 //! [`Module`] under construction and borrows the [`CellLibrary`] so pin
-//! counts can be validated at insertion time.
+//! counts can be validated at insertion time. Names are formatted
+//! straight into the module's arenas, so adding a net or an instance
+//! makes no heap allocation of its own.
 
-use crate::graph::{GroupId, Instance, Module, Net, NetId, Port, PortDir};
+use std::collections::HashMap;
+use std::fmt;
+use std::ops::Deref;
+
+use crate::graph::{GroupId, InstId, Module, NetId, Port, PortDir};
 use syndcim_pdk::{CellKind, CellLibrary};
+
+/// Most output pins of any library cell (the 4-2 compressor's three).
+const MAX_OUTPUTS: usize = 3;
+
+/// The output nets of one added instance, in pin order: a copy type
+/// that derefs to `[NetId]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Outputs {
+    nets: [NetId; MAX_OUTPUTS],
+    len: u8,
+}
+
+impl Deref for Outputs {
+    type Target = [NetId];
+
+    fn deref(&self) -> &[NetId] {
+        &self.nets[..self.len as usize]
+    }
+}
+
+impl IntoIterator for Outputs {
+    type Item = NetId;
+    type IntoIter = std::iter::Take<std::array::IntoIter<NetId, MAX_OUTPUTS>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.nets.into_iter().take(self.len as usize)
+    }
+}
 
 /// Builder for a flat [`Module`].
 ///
@@ -32,6 +66,11 @@ pub struct NetlistBuilder<'lib> {
     module: Module,
     lib: &'lib CellLibrary,
     group_stack: Vec<GroupId>,
+    /// Path index of every distinct group path pushed so far, keyed by
+    /// the full path (the parent's path, `/`, the segment).
+    paths: HashMap<String, u32>,
+    /// Reused buffer the next full path is spelled out in.
+    scratch: String,
     const0: Option<(NetId, u32)>,
     const1: Option<(NetId, u32)>,
     anon_net: u64,
@@ -49,6 +88,8 @@ impl<'lib> NetlistBuilder<'lib> {
             module: Module::new(name),
             lib,
             group_stack: vec![GroupId::TOP],
+            paths: HashMap::from([("top".to_string(), 0)]),
+            scratch: String::new(),
             const0: None,
             const1: None,
             anon_net: 0,
@@ -74,16 +115,27 @@ impl<'lib> NetlistBuilder<'lib> {
 
     /// Push a new instance group; all instances created until the matching
     /// [`NetlistBuilder::pop_group`] belong to it. Group names nest with
-    /// `/` separators.
+    /// `/` separators. Every push makes a new [`GroupId`]; groups with
+    /// the same path share its one stored copy.
     pub fn push_group(&mut self, name: &str) -> GroupId {
-        let parent = *self.group_stack.last().expect("group stack never empty");
-        let full = if parent == GroupId::TOP {
-            name.to_string()
-        } else {
-            format!("{}/{}", self.module.groups[parent.index()], name)
+        let parent = self.current_group();
+        let full = &mut self.scratch;
+        full.clear();
+        if parent != GroupId::TOP {
+            full.push_str(self.module.group_name(parent));
+            full.push('/');
+        }
+        full.push_str(name);
+        let path = match self.paths.get(full.as_str()) {
+            Some(&path) => path,
+            None => {
+                let path = self.module.paths.push(full.as_str()) as u32;
+                self.paths.insert(full.clone(), path);
+                path
+            }
         };
-        let id = GroupId(self.module.groups.len() as u32);
-        self.module.groups.push(full);
+        let id = GroupId(self.module.group_paths.len() as u32);
+        self.module.group_paths.push(path);
         self.group_stack.push(id);
         id
     }
@@ -106,23 +158,21 @@ impl<'lib> NetlistBuilder<'lib> {
     // ---- nets and ports ------------------------------------------------
 
     /// Create a named net.
-    pub fn net(&mut self, name: impl Into<String>) -> NetId {
-        let id = NetId(self.module.nets.len() as u32);
-        self.module.nets.push(Net { name: name.into() });
-        id
+    pub fn net(&mut self, name: impl fmt::Display) -> NetId {
+        self.module.add_net(name)
     }
 
     /// Create an anonymous net (`_n<k>`).
     pub fn anon(&mut self) -> NetId {
         self.anon_net += 1;
         let n = self.anon_net;
-        self.net(format!("_n{n}"))
+        self.net(format_args!("_n{n}"))
     }
 
     /// Declare an input port and return its net.
     pub fn input(&mut self, name: impl Into<String>) -> NetId {
         let name = name.into();
-        let net = self.net(name.clone());
+        let net = self.net(&name);
         self.module.ports.push(Port { name, dir: PortDir::Input, net });
         net
     }
@@ -153,8 +203,8 @@ impl<'lib> NetlistBuilder<'lib> {
                 return n;
             }
         }
-        let k = self.module.instances.len();
-        let n = self.add_named(format!("tielo{k}"), CellKind::TieLo, &[])[0];
+        let k = self.module.instance_count();
+        let n = self.add_named(format_args!("tielo{k}"), CellKind::TieLo, &[])[0];
         self.const0 = Some((n, 1));
         n
     }
@@ -168,8 +218,8 @@ impl<'lib> NetlistBuilder<'lib> {
                 return n;
             }
         }
-        let k = self.module.instances.len();
-        let n = self.add_named(format!("tiehi{k}"), CellKind::TieHi, &[])[0];
+        let k = self.module.instance_count();
+        let n = self.add_named(format_args!("tiehi{k}"), CellKind::TieHi, &[])[0];
         self.const1 = Some((n, 1));
         n
     }
@@ -182,13 +232,15 @@ impl<'lib> NetlistBuilder<'lib> {
     /// # Panics
     ///
     /// Panics if `ins` does not match the cell's input pin count.
-    pub fn add(&mut self, kind: CellKind, ins: &[NetId]) -> Vec<NetId> {
-        let n = self.module.instances.len();
-        self.add_named(format!("u{n}"), kind, ins)
+    pub fn add(&mut self, kind: CellKind, ins: &[NetId]) -> Outputs {
+        let n = self.module.instance_count();
+        self.add_named(format_args!("u{n}"), kind, ins)
     }
 
-    /// Like [`NetlistBuilder::add`] but with an explicit instance name.
-    pub fn add_named(&mut self, name: impl Into<String>, kind: CellKind, ins: &[NetId]) -> Vec<NetId> {
+    /// Like [`NetlistBuilder::add`] but with an explicit instance name,
+    /// formatted straight into the module's name arena (pass
+    /// `format_args!` to build one without allocating).
+    pub fn add_named(&mut self, name: impl fmt::Display, kind: CellKind, ins: &[NetId]) -> Outputs {
         let cell_id = self.lib.id_of(kind);
         let cell = self.lib.cell(cell_id);
         assert_eq!(
@@ -199,14 +251,13 @@ impl<'lib> NetlistBuilder<'lib> {
             cell.inputs.len(),
             ins.len()
         );
-        let outs: Vec<NetId> = (0..cell.outputs.len()).map(|_| self.anon()).collect();
-        self.module.instances.push(Instance {
-            name: name.into(),
-            cell: cell_id,
-            inputs: ins.to_vec(),
-            outputs: outs.clone(),
-            group: self.current_group(),
-        });
+        assert!(cell.outputs.len() <= MAX_OUTPUTS, "cell {} has more than {MAX_OUTPUTS} outputs", cell.name);
+        let mut outs = Outputs { nets: [NetId(0); MAX_OUTPUTS], len: cell.outputs.len() as u8 };
+        for net in &mut outs.nets[..cell.outputs.len()] {
+            *net = self.anon();
+        }
+        let group = self.current_group();
+        self.module.add_instance(name, cell_id, group, ins, &outs);
         outs
     }
 
@@ -220,7 +271,7 @@ impl<'lib> NetlistBuilder<'lib> {
     ///
     /// Panics if the instance or pin index is out of range.
     pub fn patch_instance_input(&mut self, inst_index: usize, pin: usize, net: NetId) {
-        self.module.instances[inst_index].inputs[pin] = net;
+        self.module.inputs_mut(InstId(inst_index as u32))[pin] = net;
     }
 
     // ---- gate helpers ---------------------------------------------------
@@ -350,7 +401,51 @@ mod tests {
         let m = b.finish();
         assert_eq!(m.group_name(g1), "col0");
         assert_eq!(m.group_name(g2), "col0/tree");
-        assert_eq!(m.instances[0].group, g2);
+        assert_eq!(m.instance(InstId(0)).group, g2);
+    }
+
+    #[test]
+    fn groups_share_one_stored_path() {
+        let lib = CellLibrary::syn40();
+        let mut b = NetlistBuilder::new("t", &lib);
+        let mut ids = Vec::new();
+        for col in ["c0", "c1"] {
+            b.push_group(col);
+            for _ in 0..2 {
+                ids.push(b.push_group("bits"));
+                b.pop_group();
+            }
+            b.pop_group();
+        }
+        // A slash inside one push spells an existing path; "top" is one too.
+        ids.push(b.push_group("c0/bits"));
+        b.pop_group();
+        let top_again = b.push_group("top");
+        let m = b.finish();
+        let names: Vec<&str> = ids.iter().map(|&g| m.group_name(g)).collect();
+        assert_eq!(names, ["c0/bits", "c0/bits", "c1/bits", "c1/bits", "c0/bits"]);
+        assert_eq!(ids, [GroupId(2), GroupId(3), GroupId(5), GroupId(6), GroupId(7)], "one id per push");
+        assert_eq!((m.group_count(), m.path_count()), (9, 5), "top, c0, c0/bits, c1, c1/bits");
+        assert_eq!(m.group_path(top_again), m.group_path(GroupId::TOP));
+        assert_eq!(m.group_path(ids[4]), m.group_path(ids[0]));
+        let first_use: Vec<&str> = (0..m.path_count() as u32).map(|p| m.path_name(p)).collect();
+        assert_eq!(first_use, ["top", "c0", "c0/bits", "c1", "c1/bits"]);
+    }
+
+    #[test]
+    fn outputs_copy_derefs_and_iterates_in_pin_order() {
+        let lib = CellLibrary::syn40();
+        let mut b = NetlistBuilder::new("t", &lib);
+        let ins: Vec<NetId> = (0..5).map(|i| b.input(format!("i{i}"))).collect();
+        let o = b.add(CellKind::C42, &ins);
+        assert_eq!(o.len(), 3);
+        assert_eq!(o.into_iter().collect::<Vec<_>>(), o.to_vec());
+        let named = b.add_named(format_args!("x{}", 7), CellKind::Inv, &ins[..1]);
+        let m = b.finish();
+        assert_eq!(m.instance(InstId(0)).outputs, &o[..]);
+        assert_eq!((m.inst_name(InstId(0)), m.inst_name(InstId(1))), ("u0", "x7"));
+        assert_eq!(m.instance(InstId(1)).outputs, &named[..]);
+        assert_eq!(m.net_name(o[0]), "_n1");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! macros can be inspected or fed to external tools. Names are sanitized
 //! to Verilog identifier rules (brackets become escaped identifiers).
 
-use crate::graph::{Module, PortDir};
+use crate::graph::{InstId, Module, NetId, PortDir};
 use std::fmt::Write as _;
 use syndcim_pdk::CellLibrary;
 
@@ -32,23 +32,24 @@ pub fn to_verilog(module: &Module, lib: &CellLibrary) -> String {
         };
         let _ = writeln!(s, "  {} {};", dir, v_ident(&p.name));
     }
-    for (i, net) in module.nets.iter().enumerate() {
+    for i in 0..module.net_count() {
         // Ports already declare their nets.
         if module.ports.iter().any(|p| p.net.index() == i) {
             continue;
         }
-        let _ = writeln!(s, "  wire {};", v_ident(&net.name));
+        let _ = writeln!(s, "  wire {};", v_ident(module.net_name(NetId(i as u32))));
     }
-    for inst in &module.instances {
+    for (i, inst) in module.instances().enumerate() {
         let cell = lib.cell(inst.cell);
         let mut pins = Vec::new();
         for (k, &n) in inst.inputs.iter().enumerate() {
-            pins.push(format!(".{}({})", cell.inputs[k], v_ident(&module.nets[n.index()].name)));
+            pins.push(format!(".{}({})", cell.inputs[k], v_ident(module.net_name(n))));
         }
         for (k, &n) in inst.outputs.iter().enumerate() {
-            pins.push(format!(".{}({})", cell.outputs[k], v_ident(&module.nets[n.index()].name)));
+            pins.push(format!(".{}({})", cell.outputs[k], v_ident(module.net_name(n))));
         }
-        let _ = writeln!(s, "  {} {} ({});", cell.name, v_ident(&inst.name), pins.join(", "));
+        let name = v_ident(module.inst_name(InstId(i as u32)));
+        let _ = writeln!(s, "  {} {} ({});", cell.name, name, pins.join(", "));
     }
     let _ = writeln!(s, "endmodule");
     s

@@ -32,8 +32,8 @@ pub mod opt;
 pub mod stats;
 
 pub use analyze::{levelize, validate, Connectivity, Driver, NetlistError};
-pub use builder::NetlistBuilder;
+pub use builder::{NetlistBuilder, Outputs};
 pub use export::to_verilog;
-pub use graph::{GroupId, InstId, Instance, Module, Net, NetId, Port, PortDir};
+pub use graph::{GroupId, InstId, Instance, Module, NetId, Port, PortDir};
 pub use opt::{optimize, OptReport};
 pub use stats::NetlistStats;

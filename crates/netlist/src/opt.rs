@@ -6,7 +6,7 @@
 //! passes fold such constants through the logic and remove gates whose
 //! outputs reach no port and no sequential element.
 
-use crate::graph::{Module, NetId, PortDir};
+use crate::graph::{GroupId, InstId, Module, NetId, PortDir};
 use syndcim_pdk::{CellFunction, CellKind, CellLibrary};
 use syndcim_telemetry as telemetry;
 
@@ -76,7 +76,7 @@ pub fn optimize(module: &mut Module, lib: &CellLibrary) -> OptReport {
 fn fold_constants(module: &mut Module, lib: &CellLibrary) -> (usize, bool) {
     let mut known = vec![Known::Unknown; module.net_count()];
     // Seed with tie cells.
-    for inst in &module.instances {
+    for inst in module.instances() {
         let cell = lib.cell(inst.cell);
         if let CellFunction::Const(v) = cell.function {
             known[inst.outputs[0].index()] = Known::Const(v);
@@ -93,7 +93,7 @@ fn fold_constants(module: &mut Module, lib: &CellLibrary) -> (usize, bool) {
     while changed && evals < 8 {
         changed = false;
         evals += 1;
-        for inst in &module.instances {
+        for inst in module.instances() {
             if inst.inputs.iter().all(|n| known[n.index()] == Known::Unknown) {
                 continue;
             }
@@ -144,30 +144,30 @@ fn fold_constants(module: &mut Module, lib: &CellLibrary) -> (usize, bool) {
     // gets its sinks redirected onto the tie cell; gates all of whose
     // outputs are constant are removed outright.
     let mut subst: Vec<Option<NetId>> = vec![None; module.net_count()];
-    let mut to_fold = Vec::new();
-    for (i, inst) in module.instances.iter().enumerate() {
+    let mut to_fold: Vec<InstId> = Vec::new();
+    for (i, inst) in module.instances().enumerate() {
         let cell = lib.cell(inst.cell);
         if cell.is_sequential() || matches!(cell.function, CellFunction::Const(_)) {
             continue;
         }
         if inst.outputs.iter().any(|n| matches!(known[n.index()], Known::Const(_))) {
-            to_fold.push(i);
+            to_fold.push(InstId(i as u32));
         }
     }
     let settled = !changed;
     if to_fold.is_empty() {
         return (0, settled);
     }
-    let need0 = to_fold
-        .iter()
-        .any(|&i| module.instances[i].outputs.iter().any(|n| known[n.index()] == Known::Const(false)));
-    let need1 = to_fold
-        .iter()
-        .any(|&i| module.instances[i].outputs.iter().any(|n| known[n.index()] == Known::Const(true)));
+    let need = |v: bool| {
+        to_fold
+            .iter()
+            .any(|&i| module.instance(i).outputs.iter().any(|n| known[n.index()] == Known::Const(v)))
+    };
+    let (need0, need1) = (need(false), need(true));
     let tie0 = if need0 { Some(ensure_tie(module, lib, false)) } else { None };
     let tie1 = if need1 { Some(ensure_tie(module, lib, true)) } else { None };
     for &i in &to_fold {
-        for &out in &module.instances[i].outputs {
+        for &out in module.instance(i).outputs {
             match known[out.index()] {
                 Known::Const(false) => subst[out.index()] = Some(tie0.expect("tie0 exists")),
                 Known::Const(true) => subst[out.index()] = Some(tie1.expect("tie1 exists")),
@@ -175,8 +175,8 @@ fn fold_constants(module: &mut Module, lib: &CellLibrary) -> (usize, bool) {
             }
         }
     }
-    for inst in module.instances.iter_mut() {
-        for n in inst.inputs.iter_mut() {
+    for i in 0..module.instance_count() {
+        for n in module.inputs_mut(InstId(i as u32)) {
             if let Some(t) = subst[n.index()] {
                 *n = t;
             }
@@ -190,36 +190,22 @@ fn fold_constants(module: &mut Module, lib: &CellLibrary) -> (usize, bool) {
         }
     }
     // Remove gates whose every output folded (their nets now drive nothing).
-    let mut fully = vec![false; module.instances.len()];
+    let mut keep = vec![true; module.instance_count()];
     for &i in &to_fold {
-        fully[i] = module.instances[i].outputs.iter().all(|n| subst[n.index()].is_some());
+        keep[i.index()] = !module.instance(i).outputs.iter().all(|n| subst[n.index()].is_some());
     }
-    let before = module.instances.len();
-    let mut idx = 0;
-    module.instances.retain(|_| {
-        let drop_it = fully[idx];
-        idx += 1;
-        !drop_it
-    });
-    (before - module.instances.len(), settled)
+    let before = module.instance_count();
+    module.retain_instances(&keep);
+    (before - module.instance_count(), settled)
 }
 
 fn ensure_tie(module: &mut Module, lib: &CellLibrary, value: bool) -> NetId {
     let kind = if value { CellKind::TieHi } else { CellKind::TieLo };
-    for inst in &module.instances {
-        if lib.cell(inst.cell).kind == kind {
-            return inst.outputs[0];
-        }
+    if let Some(tie) = module.instances().find(|inst| lib.cell(inst.cell).kind == kind) {
+        return tie.outputs[0];
     }
-    let id = NetId(module.nets.len() as u32);
-    module.nets.push(crate::graph::Net { name: if value { "_tie1".into() } else { "_tie0".into() } });
-    module.instances.push(crate::graph::Instance {
-        name: if value { "_tiehi".into() } else { "_tielo".into() },
-        cell: lib.id_of(kind),
-        inputs: vec![],
-        outputs: vec![id],
-        group: crate::graph::GroupId::TOP,
-    });
+    let id = module.add_net(if value { "_tie1" } else { "_tie0" });
+    module.add_instance(if value { "_tiehi" } else { "_tielo" }, lib.id_of(kind), GroupId::TOP, &[], &[id]);
     id
 }
 
@@ -243,15 +229,15 @@ fn sweep_dead(module: &mut Module, lib: &CellLibrary) -> usize {
         }
         driver[p.net.index()] = PORT;
     }
-    for (i, inst) in module.instances.iter().enumerate() {
-        for &net in &inst.outputs {
+    for (i, inst) in module.instances().enumerate() {
+        for &net in inst.outputs {
             if driver[net.index()] != UNDRIVEN {
                 return 0;
             }
             driver[net.index()] = i as u32;
         }
     }
-    let n = module.instances.len();
+    let n = module.instance_count();
     let mut live = vec![false; n];
     let mut stack: Vec<usize> = Vec::new();
     let mark = |net: NetId, live: &mut [bool], stack: &mut Vec<usize>| {
@@ -268,26 +254,21 @@ fn sweep_dead(module: &mut Module, lib: &CellLibrary) -> usize {
     for p in module.output_ports() {
         mark(p.net, &mut live, &mut stack);
     }
-    for (i, inst) in module.instances.iter().enumerate() {
+    for (i, inst) in module.instances().enumerate() {
         if lib.cell(inst.cell).is_sequential() && !live[i] {
             live[i] = true;
             stack.push(i);
         }
     }
     while let Some(i) = stack.pop() {
-        for &net in &module.instances[i].inputs {
+        for &net in module.instance(InstId(i as u32)).inputs {
             mark(net, &mut live, &mut stack);
         }
     }
 
-    let before = module.instances.len();
-    let mut idx = 0;
-    module.instances.retain(|_| {
-        let keep = live[idx];
-        idx += 1;
-        keep
-    });
-    before - module.instances.len()
+    let before = module.instance_count();
+    module.retain_instances(&live);
+    before - module.instance_count()
 }
 
 #[cfg(test)]
@@ -326,16 +307,13 @@ mod tests {
         let mut m = b.finish();
         optimize(&mut m, &lib);
         // Everything but tie cells should be gone.
-        assert!(m
-            .instances
-            .iter()
-            .all(|i| matches!(lib.cell(i.cell).kind, CellKind::TieHi | CellKind::TieLo)));
+        assert!(m.instances().all(|i| matches!(lib.cell(i.cell).kind, CellKind::TieHi | CellKind::TieLo)));
         // And the output must now be driven by the tie-1 (1&0=0, 0^1=1).
         let conn = Connectivity::build(&m).unwrap();
         let out = m.port("y").unwrap().net;
         match conn.driver_of(out) {
             Driver::Inst { inst, .. } => {
-                assert_eq!(lib.cell(m.instances[inst.index()].cell).kind, CellKind::TieHi);
+                assert_eq!(lib.cell(m.instance(inst).cell).kind, CellKind::TieHi);
             }
             other => panic!("expected tie driver, got {other:?}"),
         }
@@ -355,7 +333,7 @@ mod tests {
         let rep = optimize(&mut m, &lib);
         assert!(rep.swept >= 1);
         assert_eq!(
-            m.instances.iter().filter(|i| lib.cell(i.cell).is_sequential()).count(),
+            m.instances().filter(|i| lib.cell(i.cell).is_sequential()).count(),
             1,
             "register must survive the sweep"
         );
@@ -373,7 +351,7 @@ mod tests {
         let a = b.input("a");
         let zero = b.const0();
         let _dead = b.not(a);
-        let first = b.module().instances.len();
+        let first = b.module().instance_count();
         let carries: Vec<NetId> = (0..DEPTH).map(|_| b.ha(a, a).1).collect();
         // Instance `first + k` is chain level `DEPTH - 1 - k`.
         for k in 0..DEPTH {
@@ -389,7 +367,7 @@ mod tests {
         let conn = Connectivity::build(&m).unwrap();
         match conn.driver_of(m.port("y").unwrap().net) {
             Driver::Inst { inst, .. } => {
-                assert_eq!(lib.cell(m.instances[inst.index()].cell).kind, CellKind::TieLo)
+                assert_eq!(lib.cell(m.instance(inst).cell).kind, CellKind::TieLo)
             }
             other => panic!("expected tie driver, got {other:?}"),
         }

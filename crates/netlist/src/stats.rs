@@ -36,13 +36,14 @@ impl NetlistStats {
     /// Compute statistics over groups whose *name* starts with `prefix`
     /// (so `"adder_tree"` aggregates `adder_tree/col0`, `adder_tree/col1` …).
     pub fn of_group_prefix(module: &Module, lib: &CellLibrary, prefix: &str) -> Self {
-        let matching: Vec<bool> = module.groups.iter().map(|g| g.starts_with(prefix)).collect();
-        Self::filtered(module, lib, |g| matching[g.index()])
+        let matching: Vec<bool> =
+            (0..module.path_count() as u32).map(|p| module.path_name(p).starts_with(prefix)).collect();
+        Self::filtered(module, lib, |g| matching[module.group_path(g) as usize])
     }
 
     fn filtered(module: &Module, lib: &CellLibrary, keep: impl Fn(GroupId) -> bool) -> Self {
         let mut s = NetlistStats::default();
-        for inst in &module.instances {
+        for inst in module.instances() {
             if !keep(inst.group) {
                 continue;
             }
@@ -63,7 +64,7 @@ impl NetlistStats {
     /// of each group name.
     pub fn area_breakdown(module: &Module, lib: &CellLibrary) -> BTreeMap<String, f64> {
         let mut map: BTreeMap<String, f64> = BTreeMap::new();
-        for inst in &module.instances {
+        for inst in module.instances() {
             let gname = module.group_name(inst.group);
             let head = gname.split('/').next().unwrap_or(gname).to_string();
             *map.entry(head).or_insert(0.0) += lib.cell(inst.cell).area_um2;

@@ -108,9 +108,9 @@ impl<'a> PowerAnalyzer<'a> {
     ) -> Self {
         debug_assert_eq!(low.net_count(), module.net_count(), "lowering belongs to a different module");
         let mut driver_internal = vec![0.0f64; module.net_count()];
-        for inst in &module.instances {
+        for inst in module.instances() {
             let cell = lib.cell(inst.cell);
-            for &net in &inst.outputs {
+            for &net in inst.outputs {
                 driver_internal[net.index()] = cell.internal_energy_fj;
             }
         }
@@ -161,9 +161,9 @@ impl<'a> PowerAnalyzer<'a> {
         // Per-instance output energy, aggregated per group.
         let mut by_group: BTreeMap<String, f64> = BTreeMap::new();
         let mut switch_fj_total = 0.0f64;
-        for (idx, inst) in self.module.instances.iter().enumerate() {
+        for (idx, inst) in self.module.instances().enumerate() {
             let mut inst_fj = 0.0;
-            for &net in &inst.outputs {
+            for &net in inst.outputs {
                 let t = toggles[net.index()] as f64 / cycles as f64;
                 let cap = self.load_ff[net.index()];
                 inst_fj += t * (0.5 * cap * v * v + self.driver_internal_fj[net.index()] * escale);
@@ -195,9 +195,9 @@ impl<'a> PowerAnalyzer<'a> {
         let v = op.vdd_v;
         let mut by_group: BTreeMap<String, f64> = BTreeMap::new();
         let mut switch_fj_total = 0.0f64;
-        for (idx, inst) in self.module.instances.iter().enumerate() {
+        for (idx, inst) in self.module.instances().enumerate() {
             let mut inst_fj = 0.0;
-            for &net in &inst.outputs {
+            for &net in inst.outputs {
                 let cap = self.load_ff[net.index()];
                 inst_fj += alpha * (0.5 * cap * v * v + self.driver_internal_fj[net.index()] * escale);
             }
@@ -225,7 +225,7 @@ impl<'a> PowerAnalyzer<'a> {
     pub fn clock_by_group_pj(&self, op: OperatingPoint) -> BTreeMap<String, f64> {
         let escale = self.lib.process().energy_scale(op.vdd_v);
         let mut raw: BTreeMap<String, f64> = BTreeMap::new();
-        for (idx, inst) in self.module.instances.iter().enumerate() {
+        for (idx, inst) in self.module.instances().enumerate() {
             let fj = raw.entry(self.inst_group_head(idx).to_string()).or_insert(0.0);
             if let Some(seq) = self.lib.cell(inst.cell).seq {
                 *fj += seq.clk_energy_fj;
@@ -236,20 +236,15 @@ impl<'a> PowerAnalyzer<'a> {
     }
 
     fn clock_energy_fj_per_cycle(&self, escale: f64) -> f64 {
-        let regs: f64 = self
-            .module
-            .instances
-            .iter()
-            .filter_map(|i| self.lib.cell(i.cell).seq)
-            .map(|s| s.clk_energy_fj)
-            .sum();
+        let regs: f64 =
+            self.module.instances().filter_map(|i| self.lib.cell(i.cell).seq).map(|s| s.clk_energy_fj).sum();
         regs * escale * (1.0 + self.clock_tree_overhead)
     }
 
     /// Leakage power in µW at a corner.
     pub fn leakage_uw(&self, op: OperatingPoint) -> f64 {
         let scale = self.lib.process().leakage_scale(op.vdd_v, op.temp_c);
-        let nw: f64 = self.module.instances.iter().map(|i| self.lib.cell(i.cell).leakage_nw).sum();
+        let nw: f64 = self.module.instances().map(|i| self.lib.cell(i.cell).leakage_nw).sum();
         nw * scale / 1000.0
     }
 }

@@ -182,9 +182,9 @@ impl CompiledPower {
         let mut node_clock_fj = vec![0.0f64; syms.node_count()];
         let mut node_leakage_nw = vec![0.0f64; syms.node_count()];
 
-        for inst in module.instances.iter() {
+        for inst in module.instances() {
             let cell = lib.cell(inst.cell);
-            for &net in &inst.outputs {
+            for &net in inst.outputs {
                 out_slot.push(net.index() as u32);
                 out_cap_ff.push(load_ff[net.index()]);
                 // Lowered netlists have one driver per net, so the
@@ -211,8 +211,8 @@ impl CompiledPower {
         let in_port_load_ff: Vec<f64> = module.input_ports().map(|p| load_ff[p.net.index()]).collect();
 
         let clock_regs_fj: f64 =
-            module.instances.iter().filter_map(|i| lib.cell(i.cell).seq).map(|s| s.clk_energy_fj).sum();
-        let leakage_total_nw: f64 = module.instances.iter().map(|i| lib.cell(i.cell).leakage_nw).sum();
+            module.instances().filter_map(|i| lib.cell(i.cell).seq).map(|s| s.clk_energy_fj).sum();
+        let leakage_total_nw: f64 = module.instances().map(|i| lib.cell(i.cell).leakage_nw).sum();
 
         let cp = CompiledPower {
             process: lib.process().clone(),

@@ -92,8 +92,7 @@ impl<'a> Simulator<'a> {
     /// Shared constructor body over a known-good levelized order.
     fn build(module: &'a Module, lib: &'a CellLibrary, order: Vec<InstId>, ports: PortLookup) -> Self {
         let seq_insts = module
-            .instances
-            .iter()
+            .instances()
             .enumerate()
             .filter(|(_, inst)| lib.cell(inst.cell).is_sequential())
             .map(|(i, _)| InstId(i as u32))
@@ -188,7 +187,7 @@ impl<'a> Simulator<'a> {
         let mut ins = Vec::with_capacity(5);
         let mut outs = Vec::with_capacity(3);
         for &id in &self.order {
-            let inst = &self.module.instances[id.index()];
+            let inst = self.module.instance(id);
             let cell = self.lib.cell(inst.cell);
             ins.clear();
             ins.extend(inst.inputs.iter().map(|n| self.values[n.index()]));
@@ -209,9 +208,9 @@ impl<'a> Simulator<'a> {
     pub fn step(&mut self) {
         self.settle();
         // Capture phase: compute every next state from pre-edge values.
-        let mut next: Vec<(usize, bool)> = Vec::with_capacity(self.seq_insts.len());
+        let mut next: Vec<(InstId, bool)> = Vec::with_capacity(self.seq_insts.len());
         for &id in &self.seq_insts {
-            let inst = &self.module.instances[id.index()];
+            let inst = self.module.instance(id);
             let cell = self.lib.cell(inst.cell);
             let seq = cell.seq.expect("seq_insts holds only sequential cells");
             let cur = self.state[id.index()];
@@ -232,12 +231,12 @@ impl<'a> Simulator<'a> {
                     }
                 }
             };
-            next.push((id.index(), nv));
+            next.push((id, nv));
         }
         // Commit phase: update states and their q nets.
-        for (idx, nv) in next {
-            self.state[idx] = nv;
-            let qnet = self.module.instances[idx].outputs[0].index();
+        for (id, nv) in next {
+            self.state[id.index()] = nv;
+            let qnet = self.module.instance(id).outputs[0].index();
             if self.values[qnet] != nv {
                 self.values[qnet] = nv;
                 self.toggles[qnet] += 1;
@@ -259,7 +258,7 @@ impl<'a> Simulator<'a> {
     /// next [`Simulator::settle`]/[`Simulator::step`].
     pub fn force_state(&mut self, inst: InstId, value: bool) {
         self.state[inst.index()] = value;
-        let qnet = self.module.instances[inst.index()].outputs[0].index();
+        let qnet = self.module.instance(inst).outputs[0].index();
         if self.values[qnet] != value {
             self.values[qnet] = value;
             self.toggles[qnet] += 1;
@@ -480,9 +479,9 @@ mod tests {
         let (s2, _c2) = b.ha(q2, c1);
         b.output_bus("q", &[q0, q1, q2]);
         let mut m = b.finish();
-        m.instances[1].inputs[0] = s0; // dff q0 (index 1; index 0 is tiehi)
-        m.instances[2].inputs[0] = s1;
-        m.instances[3].inputs[0] = s2;
+        m.inputs_mut(InstId(1))[0] = s0; // dff q0 (index 1; index 0 is tiehi)
+        m.inputs_mut(InstId(2))[0] = s1;
+        m.inputs_mut(InstId(3))[0] = s2;
         let mut sim = Simulator::new(&m, &lib).unwrap();
         for expect in 1..=10u64 {
             sim.step();

@@ -220,7 +220,7 @@ impl CompiledSta {
         let mut launch_inst = Vec::new();
         let mut seq_end_slot = Vec::new();
         let mut seq_end_setup_ps = Vec::new();
-        for (i, inst) in module.instances.iter().enumerate() {
+        for (i, inst) in module.instances().enumerate() {
             let cell = lib.cell(inst.cell);
             let Some(seq) = cell.seq else { continue };
             let qnet = inst.outputs[0];
@@ -228,7 +228,7 @@ impl CompiledSta {
             launch_base_ps.push(seq.clk_to_q_ps);
             launch_wire_ps.push(wire_delay_ps[qnet.index()]);
             launch_inst.push(i as u32);
-            for &dnet in &inst.inputs {
+            for &dnet in inst.inputs {
                 seq_end_slot.push(low.slot(dnet));
                 seq_end_setup_ps.push(seq.setup_ps);
             }
@@ -240,7 +240,7 @@ impl CompiledSta {
         let mut arc_wire_ps = Vec::new();
         let mut arc_inst = Vec::new();
         for &id in low.order() {
-            let inst = &module.instances[id.index()];
+            let inst = module.instance(id);
             let cell = lib.cell(inst.cell);
             for arc in &cell.arcs {
                 let in_net = inst.inputs[arc.from_input];

@@ -201,7 +201,7 @@ impl<'a> Sta<'a> {
         for p in self.module.input_ports() {
             arrival[p.net.index()] = 0.0;
         }
-        for (i, inst) in self.module.instances.iter().enumerate() {
+        for (i, inst) in self.module.instances().enumerate() {
             let cell = self.lib.cell(inst.cell);
             if let Some(seq) = cell.seq {
                 let qnet = inst.outputs[0];
@@ -214,7 +214,7 @@ impl<'a> Sta<'a> {
         }
 
         for &id in self.low.order() {
-            let inst = &self.module.instances[id.index()];
+            let inst = self.module.instance(id);
             let cell = self.lib.cell(inst.cell);
             for arc in &cell.arcs {
                 let in_net = inst.inputs[arc.from_input];
@@ -250,10 +250,10 @@ impl<'a> Sta<'a> {
         for p in self.module.output_ports() {
             consider(p.net, 0.0, &mut worst_net, &mut max_delay);
         }
-        for inst in &self.module.instances {
+        for inst in self.module.instances() {
             let cell = self.lib.cell(inst.cell);
             if let Some(seq) = cell.seq {
-                for &dnet in &inst.inputs {
+                for &dnet in inst.inputs {
                     consider(dnet, seq.setup_ps * scale, &mut worst_net, &mut max_delay);
                 }
             }
@@ -286,11 +286,10 @@ impl<'a> Sta<'a> {
             }
             match pred[cur.index()] {
                 Some((inst, from)) => {
-                    let i = &self.module.instances[inst.index()];
                     steps.push(PathStep {
-                        through: i.name.clone(),
-                        group: self.module.group_name(i.group).to_string(),
-                        net: self.module.nets[cur.index()].name.clone(),
+                        through: self.module.inst_name(inst).to_string(),
+                        group: self.module.group_name(self.module.instance(inst).group).to_string(),
+                        net: self.module.net_name(cur).to_string(),
                         arrival_ps: arrival[cur.index()],
                     });
                     if from == cur {
@@ -302,7 +301,7 @@ impl<'a> Sta<'a> {
                     steps.push(PathStep {
                         through: "<port>".to_string(),
                         group: "top".to_string(),
-                        net: self.module.nets[cur.index()].name.clone(),
+                        net: self.module.net_name(cur).to_string(),
                         arrival_ps: arrival[cur.index()],
                     });
                     break;

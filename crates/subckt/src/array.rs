@@ -174,7 +174,7 @@ pub fn build_array(
             b.push_group("bitcells");
             let mut rbl = Vec::with_capacity(cfg.mcr);
             for (bank, wwl_bank) in wwl.iter().enumerate().take(cfg.mcr) {
-                let out = b.add_named(format!("bc_c{c}_r{r}_b{bank}"), bitcell, &[wwl_bank[r], wbl[c]]);
+                let out = b.add_named(format_args!("bc_c{c}_r{r}_b{bank}"), bitcell, &[wwl_bank[r], wbl[c]]);
                 let inst = InstId((b.module().instance_count() - 1) as u32);
                 bitcells.push(BitcellRef { col: c, row: r, bank, inst });
                 rbl.push(out[0]);

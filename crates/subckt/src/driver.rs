@@ -131,7 +131,7 @@ mod tests {
         build_drivers(&mut b, DriverRole::WordLine, &[a], 8);
         build_drivers(&mut b, DriverRole::BitLine, &[w], 8);
         let m = b.finish();
-        let names: Vec<&str> = m.instances.iter().map(|i| m.group_name(i.group)).collect();
+        let names: Vec<&str> = m.instances().map(|i| m.group_name(i.group)).collect();
         assert!(names.contains(&"wl_drivers"));
         assert!(names.contains(&"bl_drivers"));
     }

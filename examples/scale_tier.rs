@@ -52,7 +52,7 @@ fn main() {
             "implemented 256x256 (MCR 2): {} nets, {} instances, {} groups",
             m.net_count(),
             m.instance_count(),
-            m.groups.len()
+            m.group_count()
         );
         println!(
             "placement: die {:.0}x{:.0} um ({:.3} mm2), {} regions, utilization {:.0}%, DRC clean",

@@ -30,7 +30,7 @@ use syndcim_core::{ArtifactError, ArtifactReader, CompiledMacro, SectionId};
 use syndcim_engine::artifact::decode_program;
 use syndcim_ir::artifact::{SectionReader, SectionWriter};
 use syndcim_ir::Lowering;
-use syndcim_netlist::NetlistBuilder;
+use syndcim_netlist::{InstId, NetlistBuilder};
 use syndcim_pdk::{CellKind, CellLibrary};
 use syndcim_sim::vectors::seeded_rng;
 use syndcim_sta::WireLoads;
@@ -243,8 +243,8 @@ fn decode_c42_section(ops: impl Fn(u32, [u32; 8]) -> (Vec<u8>, Vec<u32>)) -> Res
     }
     let m = b.finish();
     let low = Lowering::validated(&m, &lib).unwrap();
-    let inst = &m.instances[0];
-    let mut pins = inst.outputs.iter().chain(&inst.inputs).map(|n| n.index() as u32);
+    let inst = m.instance(InstId(0));
+    let mut pins = inst.outputs.iter().chain(inst.inputs).map(|n| n.index() as u32);
     let (tags, pin_stream) = ops(m.net_count() as u32, std::array::from_fn(|_| pins.next().unwrap()));
 
     let mut w = SectionWriter::new();

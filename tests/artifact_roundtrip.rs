@@ -103,7 +103,7 @@ fn save_load_save_is_a_byte_fixpoint_and_load_is_wiring_only() {
 fn retained_bytes_sum_the_lowering_programs_and_one_symbol_arena() {
     let (module, _, cm) = paper_chip();
     let loaded = CompiledMacro::load_from_bytes(&cm.save_to_vec().unwrap()).unwrap();
-    let sinks: usize = module.instances.iter().map(|inst| inst.inputs.len()).sum();
+    let sinks: usize = module.instances().map(|inst| inst.inputs.len()).sum();
     for (what, m) in [("compiled", &cm), ("loaded", &loaded)] {
         // Order, then driver instance + pin per net, then the sink CSR.
         let lowering =
@@ -330,12 +330,12 @@ fn assert_same_ops(
     back: &Program,
     what: &str,
 ) -> Vec<String> {
-    let ops_per_cell = |i: &syndcim_netlist::Instance| match lib.cell(i.cell) {
+    let ops_per_cell = |i: syndcim_netlist::Instance| match lib.cell(i.cell) {
         c if c.is_sequential() => 0,
         c if c.function == CellFunction::HalfAdder => 2,
         _ => 1,
     };
-    let want: usize = module.instances.iter().map(ops_per_cell).sum();
+    let want: usize = module.instances().map(ops_per_cell).sum();
     assert_eq!(fresh.op_count(), want, "{what}: one op per combinational cell, two per half adder");
     assert_eq!(back.op_count(), fresh.op_count(), "{what}: op count");
     (0..fresh.op_count())

@@ -79,7 +79,7 @@ fn engine_matches_interpreter_on_paper_test_chip_random_stimulus() {
                     sim.peek(NetId(n as u32)),
                     eng_bit,
                     "lane {l} cycle {c}: net `{}` diverges",
-                    module.nets[n].name
+                    module.net_name(NetId(n as u32))
                 );
             }
         }
@@ -162,7 +162,7 @@ fn wide_backend_matches_u64_backend_and_interpreter_on_paper_test_chip() {
                     eng.peek_word(NetId(n as u32)),
                     words[wi],
                     "chunk {wi} cycle {c}: net `{}` diverges between widths",
-                    module.nets[n].name
+                    module.net_name(NetId(n as u32))
                 );
             }
         }
@@ -190,7 +190,7 @@ fn wide_backend_matches_u64_backend_and_interpreter_on_paper_test_chip() {
                     sim.peek(NetId(n as u32)),
                     (words[l / 64] >> (l % 64)) & 1 == 1,
                     "lane {l} cycle {c}: net `{}` diverges from the interpreter",
-                    module.nets[n].name
+                    module.net_name(NetId(n as u32))
                 );
             }
         }
@@ -284,7 +284,7 @@ fn simd_backends_agree_at_every_word_seam() {
                         eng.peek_word(NetId(n as u32)),
                         net_words[wi],
                         "chunk {wi} cycle {c}: net `{}` diverges between widths",
-                        module.nets[n].name
+                        module.net_name(NetId(n as u32))
                     );
                 }
             }
@@ -309,7 +309,7 @@ fn simd_backends_agree_at_every_word_seam() {
                             sim.peek(NetId(n as u32)),
                             (net_words[l / 64] >> (l % 64)) & 1 == 1,
                             "lane {l} cycle {c}: net `{}` diverges from the interpreter",
-                            module.nets[n].name
+                            module.net_name(NetId(n as u32))
                         );
                     }
                 }
@@ -337,7 +337,7 @@ fn loaded_lane_images_equal_preparing_every_lane() {
     let in_nets: Vec<NetId> = module.input_ports().map(|p| p.net).collect();
     let seq: Vec<InstId> = (0..module.instance_count())
         .map(|i| InstId(i as u32))
-        .filter(|&i| lib.cell(module.instances[i.index()].cell).is_sequential())
+        .filter(|&i| lib.cell(module.instance(i).cell).is_sequential())
         .collect();
     let prepare = |sim: &mut EngineSim<'_>| {
         let mut rng = seeded_rng(0x1A6E);
@@ -639,11 +639,10 @@ fn skip_rules_hold_under_quiet_stimulus() {
     // holds), a second bitcell's `q`, a third bitcell to force, and the
     // gate reading a fourth for the stuck-at.
     let bank0: Vec<InstId> = mac.bitcells.iter().filter(|bc| bc.bank == 0).map(|bc| bc.inst).collect();
-    let q_of = |inst: InstId| module.instances[inst.index()].outputs[0];
+    let q_of = |inst: InstId| module.instance(inst).outputs[0];
     let gate_reading = |net: NetId| {
         let inst = module
-            .instances
-            .iter()
+            .instances()
             .find(|i| !lib.cell(i.cell).is_sequential() && i.inputs.contains(&net))
             .expect("every bitcell feeds a gate");
         inst.outputs[0]
@@ -774,7 +773,7 @@ fn skip_rules_hold_under_quiet_stimulus() {
                             sim.peek_word_at(NetId(n as u32), wi) & lanes_in_word,
                             word_of(&bits, m) & lanes_in_word,
                             "{what}, {step}: net `{}` word {wi}",
-                            module.nets[n].name
+                            module.net_name(NetId(n as u32))
                         );
                     }
                 }

@@ -9,13 +9,19 @@
 //! be **string-identical** to what the reference backends produce from
 //! the module's own tables. These tests hold that bar on the real
 //! workload, plus the structural invariants of the new hierarchical
-//! group-path tree behind `CompiledPower::by_path_pj`.
+//! group-path tree behind `CompiledPower::by_path_pj`. The symbol ids
+//! themselves are pinned on the paper chip and on seeded generated
+//! netlists whose names collide across namespaces.
+
+mod support;
 
 use std::collections::HashMap;
 
+use support::random_module;
 use syndcim_core::{assemble, DesignChoice, MacroSpec};
 use syndcim_engine::Program;
 use syndcim_ir::{Lowering, Symbols};
+use syndcim_netlist::{GroupId, InstId, Module, NetId};
 use syndcim_pdk::{CellLibrary, OperatingPoint};
 use syndcim_power::PowerAnalyzer;
 use syndcim_sim::Simulator;
@@ -46,11 +52,11 @@ fn compiled_sta_names_are_string_identical_to_reference() {
 
     // The interned tables cover the whole module, not just the path.
     let syms = csta.symbols();
-    for (i, net) in module.nets.iter().enumerate() {
-        assert_eq!(syms.net_name(i), net.name, "net slot {i}");
+    for i in 0..module.net_count() {
+        assert_eq!(syms.net_name(i), module.net_name(NetId(i as u32)), "net slot {i}");
     }
-    for (i, inst) in module.instances.iter().enumerate() {
-        assert_eq!(syms.inst_name(i), inst.name, "instance {i}");
+    for (i, inst) in module.instances().enumerate() {
+        assert_eq!(syms.inst_name(i), module.inst_name(InstId(i as u32)), "instance {i}");
         assert_eq!(syms.group_name(syms.group_of(i)), module.group_name(inst.group), "group of {i}");
     }
 }
@@ -122,8 +128,8 @@ fn program_net_labels_match_module_names() {
     let module = &mac.module;
     let low = Lowering::validated(module, &lib).unwrap();
     let prog = Program::from_lowering(&low, module, &lib);
-    for (i, net) in module.nets.iter().enumerate() {
-        assert_eq!(prog.net_label(i as u32), Some(net.name.as_str()), "slot {i}");
+    for i in 0..module.net_count() as u32 {
+        assert_eq!(prog.net_label(i), Some(module.net_name(NetId(i))), "slot {i}");
     }
     assert_eq!(prog.net_label(module.net_count() as u32), None, "no slot past the nets");
     assert!(prog.op_count() > 0);
@@ -163,17 +169,15 @@ fn interpreter_with_lowering_is_bit_identical_on_paper_chip() {
     assert_eq!(fresh.cycles(), shared.cycles());
 }
 
-/// Every symbol of the paper chip's `Symbols` — net, instance, group,
-/// group head, path-tree node and port — carries exactly the id a plain
+/// Every symbol of `m`'s `Symbols` — net, instance, group, group head,
+/// path-tree node and port — carries exactly the id a plain
 /// `HashMap<String, u32>` assigns in first-occurrence order over the
-/// same interning sequence, and the interner holds nothing else. The
-/// ids are what the `.scim` symbol section stores, so this pins the
-/// builder's index implementation out of the artifact bytes.
-#[test]
-fn paper_chip_symbol_ids_match_first_occurrence_reference() {
-    let lib = CellLibrary::syn40();
-    let mac = assemble(&lib, &MacroSpec::paper_test_chip(), &DesignChoice::default());
-    let m = &mac.module;
+/// interning sequence (every net, every instance, every group's path
+/// followed by its `/`-prefixes, the ports in name order), and the
+/// interner holds nothing else. The ids are what the `.scim` symbol
+/// section stores, so this pins the batch interner out of the artifact
+/// bytes.
+fn assert_symbol_ids_match_reference(m: &Module, what: &str) {
     let syms = Symbols::from_module(m);
 
     let mut index: HashMap<String, u32> = HashMap::new();
@@ -181,43 +185,71 @@ fn paper_chip_symbol_ids_match_first_occurrence_reference() {
         let next = index.len() as u32;
         *index.entry(s.to_string()).or_insert(next) as usize
     };
-    for (i, net) in m.nets.iter().enumerate() {
-        assert_eq!(syms.net_sym(i).index(), id(&net.name), "net {i}");
+    for i in 0..m.net_count() {
+        assert_eq!(syms.net_sym(i).index(), id(m.net_name(NetId(i as u32))), "{what}: net {i}");
     }
-    for (i, inst) in m.instances.iter().enumerate() {
-        assert_eq!(syms.inst_sym(i).index(), id(&inst.name), "instance {i}");
+    for i in 0..m.instance_count() {
+        assert_eq!(syms.inst_sym(i).index(), id(m.inst_name(InstId(i as u32))), "{what}: instance {i}");
     }
-    for (g, name) in m.groups.iter().enumerate() {
+    let groups: Vec<&str> = (0..m.group_count() as u32).map(|g| m.group_name(GroupId(g))).collect();
+    for (g, name) in groups.iter().enumerate() {
         let g = g as u32;
-        assert_eq!(syms.group_sym(g).index(), id(name), "group {name}");
-        assert_eq!(syms.group_head_sym(g).index(), id(name.split('/').next().unwrap()), "head of {name}");
+        assert_eq!(syms.group_sym(g).index(), id(name), "{what}: group {name}");
+        let head = name.split('/').next().unwrap();
+        assert_eq!(syms.group_head_sym(g).index(), id(head), "{what}: head of {name}");
         for (end, _) in name.match_indices('/') {
             id(&name[..end]);
         }
-        assert_eq!(syms.node_sym(syms.group_node(g)), syms.group_sym(g), "node of {name}");
+        assert_eq!(syms.node_sym(syms.group_node(g)), syms.group_sym(g), "{what}: node of {name}");
     }
     let mut ports: Vec<&str> = m.ports.iter().map(|p| p.name.as_str()).collect();
     ports.sort_unstable();
     assert_eq!(syms.port_count(), ports.len());
     for (i, name) in ports.iter().enumerate() {
-        assert_eq!(syms.port_sym(i).index(), id(name), "port {name}");
+        assert_eq!(syms.port_sym(i).index(), id(name), "{what}: port {name}");
     }
-    assert_eq!(syms.interner().len(), index.len(), "no symbol beyond the reference sequence");
+    assert_eq!(syms.interner().len(), index.len(), "{what}: no symbol beyond the reference sequence");
 
     // Path-tree nodes: one per distinct full path or `/`-prefix, each
     // resolving to its reference id and hanging under its parent path.
-    let mut paths: Vec<&str> = m
-        .groups
+    let mut paths: Vec<&str> = groups
         .iter()
-        .flat_map(|name| name.match_indices('/').map(|(end, _)| &name[..end]).chain([name.as_str()]))
+        .flat_map(|name| name.match_indices('/').map(|(end, _)| &name[..end]).chain([*name]))
         .collect();
     paths.sort_unstable();
     paths.dedup();
-    assert_eq!(syms.node_count(), paths.len());
+    assert_eq!(syms.node_count(), paths.len(), "{what}: path-tree nodes");
     for node in 0..syms.node_count() as u32 {
         let name = syms.node_name(node);
-        assert_eq!(syms.node_sym(node).index() as u32, index[name], "node {name}");
+        assert_eq!(syms.node_sym(node).index() as u32, index[name], "{what}: node {name}");
         let parent = syms.node_parent(node).map(|p| syms.node_name(p));
-        assert_eq!(parent, name.rsplit_once('/').map(|(head, _)| head), "parent of {name}");
+        assert_eq!(parent, name.rsplit_once('/').map(|(head, _)| head), "{what}: parent of {name}");
+    }
+}
+
+#[test]
+fn paper_chip_symbol_ids_match_first_occurrence_reference() {
+    let lib = CellLibrary::syn40();
+    let mac = assemble(&lib, &MacroSpec::paper_test_chip(), &DesignChoice::default());
+    assert_symbol_ids_match_reference(&mac.module, "paper chip");
+}
+
+/// The same pin on generated netlists: nested and repeated group paths
+/// (one segment under several parents, re-pushed paths, a segment equal
+/// to a net name), instances named like nets and a port named like a
+/// group prefix. The largest case interns over several partitions.
+#[test]
+fn generated_symbol_ids_match_first_occurrence_reference() {
+    let lib = CellLibrary::syn40();
+    for (seed, gates) in [(1, 20..300), (2, 300..2_000), (3, 12_000..12_001)] {
+        let m = random_module(&lib, seed, gates);
+        let is_net = |name: &str| (0..m.net_count() as u32).any(|n| m.net_name(NetId(n)) == name);
+        let named_like_a_net = (0..m.instance_count() as u32).any(|i| is_net(m.inst_name(InstId(i))));
+        assert!(named_like_a_net, "seed {seed}: an instance named like a net");
+        let group = |name: &str| (0..m.group_count() as u32).any(|g| m.group_name(GroupId(g)) == name);
+        assert!(group("col1/tree") && group("col1/_n3") && is_net("_n3"), "seed {seed}: nested groups");
+        assert!(m.path_count() < m.group_count(), "seed {seed}: repeated group paths");
+        assert!(m.port("col0").is_some(), "seed {seed}: a port named like a group prefix");
+        assert_symbol_ids_match_reference(&m, &format!("seed {seed}"));
     }
 }

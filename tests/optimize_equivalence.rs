@@ -21,7 +21,9 @@ use std::collections::HashMap;
 use rand::Rng;
 use support::random_module;
 use syndcim_core::{assemble, DesignChoice, MacroSpec};
-use syndcim_netlist::{optimize, validate, Connectivity, Driver, Module, NetId, NetlistBuilder, OptReport};
+use syndcim_netlist::{
+    optimize, validate, Connectivity, Driver, InstId, Module, NetId, NetlistBuilder, OptReport,
+};
 use syndcim_pdk::{CellKind, CellLibrary};
 use syndcim_sim::vectors::seeded_rng;
 use syndcim_sim::Simulator;
@@ -42,23 +44,18 @@ fn assert_equivalent(lib: &CellLibrary, before: &Module, after: &Module, seed: u
     let mut sims = [Simulator::new(before, lib).unwrap(), Simulator::new(after, lib).unwrap()];
     let inputs: Vec<&str> = before.input_ports().map(|p| p.name.as_str()).collect();
     let outputs: Vec<&str> = before.output_ports().map(|p| p.name.as_str()).collect();
-    let by_name: HashMap<&str, usize> =
-        after.instances.iter().enumerate().map(|(i, inst)| (inst.name.as_str(), i)).collect();
-    let regs: Vec<(syndcim_netlist::InstId, syndcim_netlist::InstId)> = before
-        .instances
-        .iter()
-        .enumerate()
-        .filter(|(_, inst)| lib.cell(inst.cell).is_sequential())
-        .map(|(i, inst)| {
-            let j = by_name
-                .get(inst.name.as_str())
-                .unwrap_or_else(|| panic!("{label}: register `{}` swept", inst.name));
-            (syndcim_netlist::InstId(i as u32), syndcim_netlist::InstId(*j as u32))
+    let by_name = names(after);
+    let regs: Vec<(InstId, InstId)> = (0..before.instance_count() as u32)
+        .map(InstId)
+        .filter(|&i| lib.cell(before.instance(i).cell).is_sequential())
+        .map(|i| {
+            let name = before.inst_name(i);
+            (i, *by_name.get(name).unwrap_or_else(|| panic!("{label}: register `{name}` swept")))
         })
         .collect();
     assert_eq!(
         regs.len(),
-        after.instances.iter().filter(|i| lib.cell(i.cell).is_sequential()).count(),
+        after.instances().filter(|i| lib.cell(i.cell).is_sequential()).count(),
         "{label}: register count"
     );
 
@@ -92,6 +89,60 @@ fn assert_equivalent(lib: &CellLibrary, before: &Module, after: &Module, seed: u
     }
 }
 
+/// Each instance of `m` by name.
+fn names(m: &Module) -> HashMap<&str, InstId> {
+    (0..m.instance_count() as u32).map(|i| (m.inst_name(InstId(i)), InstId(i))).collect()
+}
+
+/// `optimize` only removes instances, adds tie cells and rewires
+/// inputs: every other instance of `after` keeps its place in
+/// `before`'s order and its name, cell, group and output pins, and
+/// each input pin is its original net or a tie cell's.
+fn assert_survivors_intact(lib: &CellLibrary, before: &Module, after: &Module, label: &str) {
+    let conn = Connectivity::build(after).unwrap();
+    let is_tie =
+        |inst: InstId| matches!(lib.cell(after.instance(inst).cell).kind, CellKind::TieLo | CellKind::TieHi);
+    let tie_net = |net: NetId| matches!(conn.driver_of(net), Driver::Inst { inst, .. } if is_tie(inst));
+    let by_name = names(before);
+    let mut last = None;
+    for j in (0..after.instance_count() as u32).map(InstId) {
+        let name = after.inst_name(j);
+        let Some(&i) = by_name.get(name) else {
+            assert!(is_tie(j), "{label}: `{name}` is neither a survivor nor a new tie cell");
+            continue;
+        };
+        assert!(last < Some(i), "{label}: `{name}` moved out of order");
+        last = Some(i);
+        let (was, is) = (before.instance(i), after.instance(j));
+        assert_eq!((was.cell, was.group, was.outputs), (is.cell, is.group, is.outputs), "{label}: `{name}`");
+        for (pin, (&old, &new)) in was.inputs.iter().zip(is.inputs).enumerate() {
+            assert!(old == new || tie_net(new), "{label}: `{name}` input {pin} rewired off a tie");
+        }
+    }
+}
+
+#[test]
+fn compaction_keeps_each_survivor_on_random_netlists() {
+    let lib = CellLibrary::syn40();
+    for case in 0..cases() {
+        let seed = 0x0F7_0000 + case;
+        let before = random_module(&lib, seed, 20..300);
+        let mut rng = seeded_rng(seed ^ 0xC0);
+        let keep: Vec<bool> = (0..before.instance_count()).map(|_| rng.gen_bool(0.7)).collect();
+        let mut kept = before.clone();
+        kept.retain_instances(&keep);
+        let survivors: Vec<InstId> =
+            (0..before.instance_count() as u32).map(InstId).filter(|i| keep[i.index()]).collect();
+        assert_eq!(kept.instance_count(), survivors.len(), "case {case}");
+        for (j, &i) in survivors.iter().enumerate() {
+            let j = InstId(j as u32);
+            assert_eq!(kept.inst_name(j), before.inst_name(i), "case {case}: name of {i:?}");
+            assert_eq!(kept.instance(j), before.instance(i), "case {case}: cell, group and pins of {i:?}");
+        }
+        assert_eq!(kept.net_count(), before.net_count());
+    }
+}
+
 #[test]
 fn optimize_preserves_behaviour_on_random_netlists() {
     let lib = CellLibrary::syn40();
@@ -102,6 +153,7 @@ fn optimize_preserves_behaviour_on_random_netlists() {
         let mut after = before.clone();
         let rep = optimize(&mut after, &lib);
         validate(&after, &Connectivity::build(&after).unwrap()).unwrap();
+        assert_survivors_intact(&lib, &before, &after, &format!("case {case}"));
         assert_equivalent(&lib, &before, &after, seed, &format!("case {case} (seed {seed:#x}, {rep:?})"));
         total.folded += rep.folded;
         total.swept += rep.swept;
@@ -117,6 +169,7 @@ fn optimize_preserves_behaviour_on_the_paper_chip() {
     let mut after = before.clone();
     let rep = optimize(&mut after, &lib);
     assert!(rep.swept > 0, "{rep:?}");
+    assert_survivors_intact(&lib, &before, &after, "paper chip");
     assert_equivalent(&lib, &before, &after, 1, "paper chip");
 }
 
@@ -174,7 +227,7 @@ fn folding_ten_thousand_tie_fed_gates_is_exact() {
     let conn = Connectivity::build(&m).unwrap();
     validate(&m, &conn).unwrap();
     let tie_value = |net: NetId| match conn.driver_of(net) {
-        Driver::Inst { inst, .. } => match lib.cell(m.instances[inst.index()].cell).kind {
+        Driver::Inst { inst, .. } => match lib.cell(m.instance(inst).cell).kind {
             CellKind::TieLo => Some(false),
             CellKind::TieHi => Some(true),
             _ => None,
@@ -188,7 +241,6 @@ fn folding_ten_thousand_tie_fed_gates_is_exact() {
     let n = expect.len();
     assert_eq!(tie_value(m.port(&format!("y[{n}]")).unwrap().net), None, "the sum stays live");
     assert_eq!(tie_value(m.port(&format!("y[{}]", n + 1)).unwrap().net), Some(false), "carry of a + 0");
-    let gates =
-        m.instances.iter().filter(|i| !matches!(lib.cell(i.cell).kind, CellKind::TieLo | CellKind::TieHi));
+    let gates = m.instances().filter(|i| !matches!(lib.cell(i.cell).kind, CellKind::TieLo | CellKind::TieHi));
     assert_eq!(gates.count(), 1, "only the half adder survives");
 }

@@ -24,8 +24,8 @@ use syndcim_engine::artifact::encode_program;
 use syndcim_engine::Program;
 use syndcim_ir::artifact::encode_symbols;
 use syndcim_ir::{Lowering, SectionWriter, Symbols, OVERLAP_MIN_INSTANCES};
-use syndcim_netlist::{levelize, validate, Connectivity, InstId, Module, Net, NetId, NetlistError};
-use syndcim_pdk::CellLibrary;
+use syndcim_netlist::{levelize, validate, Connectivity, GroupId, InstId, Module, NetlistError};
+use syndcim_pdk::{CellKind, CellLibrary};
 use syndcim_power::artifact::encode_power;
 use syndcim_power::CompiledPower;
 use syndcim_sim::vectors::seeded_rng;
@@ -114,29 +114,31 @@ fn broken_copies_above_the_gate_fail_like_the_serial_composition() {
     let lib = CellLibrary::syn40();
     let m = gate_module(&lib);
     let conn = Connectivity::build(m).unwrap();
-    let comb = |i: usize| !lib.cell(m.instances[i].cell).is_sequential();
-    let last = m.instance_count() - 1;
+    let inst = |i: usize| m.instance(InstId(i as u32));
+    let comb = |i: usize| !lib.cell(inst(i).cell).is_sequential();
+    let last = InstId(m.instance_count() as u32 - 1);
 
     // The last gate reads a net nothing drives.
     let mut floating = m.clone();
-    floating.nets.push(Net { name: "dangling".into() });
-    floating.instances[last].inputs[0] = NetId(m.net_count() as u32);
+    let dangling = floating.add_net("dangling");
+    floating.inputs_mut(last)[0] = dangling;
 
-    // The last gate also drives the first gate's output net.
+    // An added tie cell also drives the first gate's output net.
     let mut shorted = m.clone();
-    shorted.instances[last].outputs[0] = m.instances[0].outputs[0];
+    let tie = lib.id_of(CellKind::TieLo);
+    shorted.add_instance("short", tie, GroupId::TOP, &[], &inst(0).outputs[..1]);
 
     // A combinational gate reads the output of a combinational gate it
     // feeds, closing a two-gate loop.
     let (x, y) = (0..m.instance_count())
-        .filter(|&x| comb(x) && !m.instances[x].inputs.is_empty())
+        .filter(|&x| comb(x) && !inst(x).inputs.is_empty())
         .find_map(|x| {
-            let net = m.instances[x].outputs[0];
+            let net = inst(x).outputs[0];
             conn.sinks(net).map(|(y, _)| y.index()).find(|&y| y != x && comb(y)).map(|y| (x, y))
         })
         .expect("the generator chains combinational gates");
     let mut looped = m.clone();
-    looped.instances[x].inputs[0] = m.instances[y].outputs[0];
+    looped.inputs_mut(InstId(x as u32))[0] = inst(y).outputs[0];
 
     for (what, broken) in [("floating read", &floating), ("second driver", &shorted), ("loop", &looped)] {
         let overlapped = Lowering::validated(broken, &lib).expect_err(what);

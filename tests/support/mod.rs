@@ -1,12 +1,14 @@
 //! The seeded random netlist generator shared by the integration tests:
 //! levelized logic over 19 combinational kinds, tie-biased constant
 //! cones, DFF/DFFE/SRAM registers closing feedback loops through state,
-//! dead logic and multi-output cells (HA/FA/C42).
+//! dead logic and multi-output cells (HA/FA/C42), spread over nested
+//! and repeated group paths, with names that collide across the net,
+//! instance, group and port namespaces.
 
 use std::ops::Range;
 
 use rand::Rng;
-use syndcim_netlist::{Module, NetId, NetlistBuilder};
+use syndcim_netlist::{InstId, Module, NetId, NetlistBuilder};
 use syndcim_pdk::{CellKind, CellLibrary};
 use syndcim_sim::vectors::seeded_rng;
 
@@ -37,12 +39,32 @@ const COMB: [CellKind; 19] = [
 /// closing feedback loops through state.
 const SEQ: [CellKind; 3] = [CellKind::Dff, CellKind::DffEn, CellKind::Sram6T2T];
 
+/// Group paths the generator moves gates into, as pushed segments: one
+/// segment under several parents (`tree`), paths re-pushed after others
+/// (`col0`, `col0/tree`), a segment equal to a net name (`_n3`) and a
+/// `/` inside one segment that spells a nested path.
+const GROUP_PATHS: [&[&str]; 7] = [
+    &["col0", "tree"],
+    &["col1", "tree"],
+    &["col0"],
+    &["_n3"],
+    &["col1", "_n3"],
+    &["mix/deep", "tree"],
+    &["col0", "tree"],
+];
+
 /// A seeded random levelized netlist with a gate count drawn from
 /// `gates`. Gates read earlier nets only (so the combinational part is
 /// acyclic), with a bias towards tie nets so constant cones form; some
 /// gate outputs reach no port (dead logic).
+///
+/// Groups and names come from a second seeded stream, so the logic is
+/// the same as without them: gates move between the `GROUP_PATHS`, some
+/// gates are named like an anonymous net (`_n<k>`), and an output port
+/// is named like the group prefix `col0`.
 pub fn random_module(lib: &CellLibrary, seed: u64, gates: Range<usize>) -> Module {
     let mut rng = seeded_rng(seed);
+    let mut names = seeded_rng(seed ^ 0x6E41_4D45);
     let mut b = NetlistBuilder::new("fuzz", lib);
     let mut pool: Vec<NetId> = b.input_bus("in", rng.gen_range(3usize..10));
     let ties = [b.const0(), b.const1()];
@@ -52,11 +74,22 @@ pub fn random_module(lib: &CellLibrary, seed: u64, gates: Range<usize>) -> Modul
     for _ in 0..rng.gen_range(2usize..12) {
         let kind = SEQ[rng.gen_range(0..SEQ.len())];
         let inputs = lib.cell(lib.id_of(kind)).inputs.len();
-        regs.push(b.module().instances.len());
+        regs.push(b.module().instance_count());
         pool.extend(b.add(kind, &vec![ties[0]; inputs]));
     }
 
+    let mut depth = 0;
     for _ in 0..rng.gen_range(gates) {
+        if names.gen_bool(0.05) {
+            for _ in 0..depth {
+                b.pop_group();
+            }
+            let path = GROUP_PATHS[names.gen_range(0..GROUP_PATHS.len())];
+            for segment in path {
+                b.push_group(segment);
+            }
+            depth = path.len();
+        }
         let kind = COMB[rng.gen_range(0..COMB.len())];
         let inputs = lib.cell(lib.id_of(kind)).inputs.len();
         let ins: Vec<NetId> = (0..inputs)
@@ -68,11 +101,19 @@ pub fn random_module(lib: &CellLibrary, seed: u64, gates: Range<usize>) -> Modul
                 }
             })
             .collect();
-        pool.extend(b.add(kind, &ins));
+        let k = b.module().instance_count();
+        pool.extend(if names.gen_bool(0.1) {
+            b.add_named(format_args!("_n{k}"), kind, &ins)
+        } else {
+            b.add(kind, &ins)
+        });
+    }
+    for _ in 0..depth {
+        b.pop_group();
     }
 
     for &r in &regs {
-        for pin in 0..b.module().instances[r].inputs.len() {
+        for pin in 0..b.module().instance(InstId(r as u32)).inputs.len() {
             let net = pool[rng.gen_range(0..pool.len())];
             b.patch_instance_input(r, pin, net);
         }
@@ -80,5 +121,6 @@ pub fn random_module(lib: &CellLibrary, seed: u64, gates: Range<usize>) -> Modul
     let outs: Vec<NetId> =
         (0..rng.gen_range(1usize..24)).map(|_| pool[rng.gen_range(0..pool.len())]).collect();
     b.output_bus("out", &outs);
+    b.output("col0", pool[names.gen_range(0..pool.len())]);
     b.finish()
 }
