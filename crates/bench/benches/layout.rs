@@ -1,5 +1,6 @@
 //! Scale-tier layout bench: the three layout phases (parallel SDP
-//! placement, CSR-sharded DRC, fused parasitic extraction) timed on the
+//! placement, banded CSR-grid DRC, net-major parasitic extraction over
+//! the module's connectivity) timed on the
 //! 256×256 MCR-2 macro (~4×10⁵ nets), plus a 64×64 paper-chip arm and
 //! one full `implement` wall-clock run.
 //!
@@ -20,7 +21,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use syndcim_bench::{int_spec, merge_bench_artifact};
 use syndcim_core::{assemble, implement, DesignChoice};
 use syndcim_layout::{check_drc_threads, extract_wires_threads, place_threads, FloorplanConfig};
-use syndcim_netlist::optimize;
+use syndcim_netlist::{optimize, Connectivity};
 use syndcim_pdk::{CellLibrary, OperatingPoint};
 
 /// The scale-tier acceptance floor (matches `--bench lowering`).
@@ -49,9 +50,11 @@ fn bench_layout(c: &mut Criterion) {
         assert!(p == placement, "placement must be bit-identical across workers (diverged at {t})");
     }
     check_drc_threads(module, &placement, 0).expect("scale-tier placement is DRC-clean");
-    let wires = extract_wires_threads(module, &lib, &placement, 1).expect("scale-tier extraction");
+    // Extraction reads the connectivity the flow's lowering holds.
+    let conn = Connectivity::build(module).expect("scale-tier connectivity");
+    let wires = extract_wires_threads(module, &lib, &placement, &conn, 1);
     for t in [2, 8] {
-        let w = extract_wires_threads(module, &lib, &placement, t).expect("scale-tier extraction");
+        let w = extract_wires_threads(module, &lib, &placement, &conn, t);
         assert!(w == wires, "wire estimates must be bit-identical across workers (diverged at {t})");
     }
     println!("determinism: placement + extraction byte-identical across 1/2/8 workers");
@@ -67,7 +70,7 @@ fn bench_layout(c: &mut Criterion) {
         b.iter(|| check_drc_threads(module, &placement, 0).expect("DRC"))
     });
     let wires_stats = c.bench_stats("layout_wires_scale", |b| {
-        b.iter(|| extract_wires_threads(module, &lib, &placement, 0).expect("extraction"))
+        b.iter(|| extract_wires_threads(module, &lib, &placement, &conn, 0))
     });
 
     // --- paper-chip arm (64×64) --------------------------------------

@@ -85,6 +85,16 @@ pub enum FlowError {
         /// Which axis was empty.
         axis: &'static str,
     },
+    /// A design choice the generators cannot build for the spec: tree
+    /// retiming without the tree/S&A register, a column split that is
+    /// not a power of two cutting H into trees of at least two rows, or
+    /// a mult/mux style that does not scale to the spec's MCR.
+    InvalidChoice {
+        /// The choice's label ([`crate::DesignChoice::label`]).
+        choice: String,
+        /// What the generators require of it.
+        reason: &'static str,
+    },
     /// A variation model's mean is not finite and positive, or its
     /// sigma is not finite and non-negative.
     Variation {
@@ -120,6 +130,7 @@ impl fmt::Display for FlowError {
             }
             FlowError::MissingFpUnit => write!(f, "macro has no FP alignment unit"),
             FlowError::EmptyAxis { axis } => write!(f, "sweep axis `{axis}` is empty"),
+            FlowError::InvalidChoice { choice, reason } => write!(f, "design choice {choice}: {reason}"),
             FlowError::Variation { mean, sigma } => write!(
                 f,
                 "variation model needs a finite mean > 0 and a finite sigma >= 0 (mean {mean}, sigma {sigma})"
@@ -185,6 +196,8 @@ mod tests {
         assert!(FlowError::PatternCount { patterns: 0, max: 256 }.to_string().contains("0"));
         assert!(FlowError::MissingFpUnit.to_string().contains("FP"));
         assert!(FlowError::EmptyAxis { axis: "voltages" }.to_string().contains("voltages"));
+        let e = FlowError::InvalidChoice { choice: "x/y/z+retime".into(), reason: "needs a register" };
+        assert_eq!(e.to_string(), "design choice x/y/z+retime: needs a register");
         assert!(FlowError::Variation { mean: 1.0, sigma: f64::NAN }.to_string().contains("sigma NaN"));
         assert!(FlowError::Dimension { what: "weight vectors", got: 3, want: 2 }
             .to_string()

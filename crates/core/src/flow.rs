@@ -4,7 +4,7 @@
 
 use syndcim_ir::{join, Lowering, OVERLAP_MIN_INSTANCES};
 use syndcim_layout::{
-    check_drc, extract_wires, place_with_symbols, FloorplanConfig, Placement, WireEstimates,
+    check_drc, extract_wires_threads, place_with_symbols, FloorplanConfig, Placement, WireEstimates,
 };
 use syndcim_netlist::{optimize, OptReport};
 use syndcim_pdk::{CellLibrary, OperatingPoint};
@@ -23,7 +23,7 @@ pub type FlowReport = telemetry::Report;
 use crate::assemble::{assemble, MacroNetlist};
 use crate::compiled::CompiledMacro;
 use crate::design::DesignChoice;
-use crate::error::CoreError;
+use crate::error::{CoreError, FlowError};
 use crate::spec::MacroSpec;
 
 /// A fully implemented macro: netlist + layout + post-layout timing.
@@ -78,8 +78,9 @@ impl ImplementedMacro {
 ///
 /// # Errors
 ///
-/// Returns [`CoreError`] if the spec is invalid, the netlist fails
-/// validation, or the layout violates design rules.
+/// Returns [`CoreError`] if the spec is invalid, the design choice
+/// cannot be built for it ([`FlowError::InvalidChoice`]), the netlist
+/// fails validation, or the layout violates design rules.
 pub fn implement(
     lib: &CellLibrary,
     spec: &MacroSpec,
@@ -87,6 +88,7 @@ pub fn implement(
 ) -> Result<ImplementedMacro, CoreError> {
     telemetry::span!("implement");
     spec.validate()?;
+    check_choice(spec, choice)?;
     let mut mac = {
         telemetry::span!("implement.assemble");
         assemble(lib, spec, choice)
@@ -113,21 +115,23 @@ pub fn implement(
         telemetry::span!("implement.place");
         place_with_symbols(&mac.module, lib, FloorplanConfig::default(), lowering.symbols())?
     };
-    // DRC and extraction only read the placement, so a large module
-    // runs them side by side; DRC's error still wins.
-    let (drc, wires) = join(
+    // DRC and extraction only read the placement (extraction walks the
+    // lowering's connectivity), so a large module runs them side by
+    // side. Extraction stays on the calling thread, which allocates the
+    // wire columns the macro keeps; DRC keeps nothing and takes the
+    // spawned thread. DRC's error still wins.
+    let (mut wires, drc) = join(
         mac.module.instance_count() >= OVERLAP_MIN_INSTANCES,
+        || {
+            telemetry::span!("implement.wires");
+            extract_wires_threads(&mac.module, lib, &placement, lowering.connectivity(), 0)
+        },
         || {
             telemetry::span!("implement.drc");
             check_drc(&mac.module, &placement)
         },
-        || {
-            telemetry::span!("implement.wires");
-            extract_wires(&mac.module, lib, &placement)
-        },
     );
     drc?;
-    let mut wires = wires?;
 
     // Post-layout sign-off at the spec corner: compile all three
     // analysis programs (simulation, timing, power) straight from the
@@ -153,10 +157,26 @@ pub fn implement(
     Ok(ImplementedMacro { mac, placement, wires, synth_report, timing, spec: spec.clone(), compiled, report })
 }
 
+/// Reject a design choice that [`assemble`] would panic on for `spec`.
+fn check_choice(spec: &MacroSpec, choice: &DesignChoice) -> Result<(), FlowError> {
+    let split = choice.column_split.max(1);
+    let reason = if choice.tree_retimed && !choice.pipe_tree_sa {
+        "tree retiming requires the tree/S&A pipeline register"
+    } else if !(split.is_power_of_two() && spec.h.is_multiple_of(split) && spec.h / split >= 2) {
+        "column split must be a power of two cutting H into trees of at least two rows"
+    } else if !choice.multmux.supports_mcr(spec.mcr) {
+        "mult/mux style does not scale to the spec's MCR"
+    } else {
+        return Ok(());
+    };
+    Err(FlowError::InvalidChoice { choice: choice.label(), reason })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use syndcim_sta::Sta;
+    use syndcim_subckt::MultMuxKind;
 
     fn tiny_spec() -> MacroSpec {
         MacroSpec {
@@ -218,6 +238,35 @@ mod tests {
             assert_eq!(fast.max_delay_ps, slow.max_delay_ps);
             assert_eq!(fast.critical_path, slow.critical_path);
         }
+    }
+
+    fn assert_invalid_choice(spec: &MacroSpec, choice: DesignChoice, reason: &str) {
+        let lib = CellLibrary::syn40();
+        match implement(&lib, spec, &choice) {
+            Err(FlowError::InvalidChoice { reason: got, .. }) => assert!(got.contains(reason), "{got}"),
+            other => panic!("expected an invalid-choice error, got {:?}", other.map(|im| im.area_mm2())),
+        }
+    }
+
+    #[test]
+    fn retiming_without_the_tree_register_is_a_typed_error() {
+        let choice = DesignChoice { tree_retimed: true, pipe_tree_sa: false, ..Default::default() };
+        assert_invalid_choice(&tiny_spec(), choice, "retiming");
+    }
+
+    #[test]
+    fn a_column_split_that_does_not_cut_h_is_a_typed_error() {
+        for column_split in [3, 16, 8] {
+            let choice = DesignChoice { column_split, ..Default::default() };
+            assert_invalid_choice(&tiny_spec(), choice, "column split");
+        }
+    }
+
+    #[test]
+    fn a_fused_mult_mux_at_mcr_4_is_a_typed_error() {
+        let spec = MacroSpec { mcr: 4, ..tiny_spec() };
+        let choice = DesignChoice { multmux: MultMuxKind::Oai22Fused, ..Default::default() };
+        assert_invalid_choice(&spec, choice, "MCR");
     }
 
     #[test]

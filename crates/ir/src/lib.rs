@@ -57,4 +57,6 @@ pub use artifact::{
 };
 pub use intern::{Interner, Symbol, Symbols};
 pub use lowering::{net_loads_ff, Lowering};
-pub use runner::{default_threads, join, parallel_map, parallel_map_threads, OVERLAP_MIN_INSTANCES};
+pub use runner::{
+    default_threads, join, parallel_map, parallel_map_threads, split_lengths, OVERLAP_MIN_INSTANCES,
+};

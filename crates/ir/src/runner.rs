@@ -23,8 +23,9 @@ pub fn default_threads(jobs: usize) -> usize {
     cores.min(jobs).max(1)
 }
 
-/// Apply `f` to every job on a pool of scoped worker threads, returning
-/// results in job order. `f` receives `(job_index, job)`.
+/// Apply `f` to every job on the calling thread and scoped worker
+/// threads, returning results in job order. `f` receives
+/// `(job_index, job)`.
 ///
 /// # Panics
 ///
@@ -41,12 +42,15 @@ where
 }
 
 /// [`parallel_map`] with an explicit worker-thread count (≤ 1 runs
-/// inline on the calling thread). Telemetry spans opened inside `f`
-/// nest under the *caller's* current span regardless of `threads`:
-/// each worker adopts the caller's span before running jobs, and the
-/// collector merges same-named spans, so the aggregated span tree and
-/// counters are identical for any thread count — pinned by
-/// `tests/telemetry.rs`.
+/// inline on the calling thread). The caller is one of the `threads`
+/// workers and spawns the other `threads - 1`: a spawned thread takes
+/// an allocator arena of its own, so every extra spawn leaves memory
+/// behind in one more arena (measured on the scale tier's `implement`
+/// under glibc). Telemetry spans opened inside `f` nest under the
+/// *caller's* current span regardless of `threads`: each spawned worker
+/// adopts the caller's span before running jobs, and the collector
+/// merges same-named spans, so the aggregated span tree and counters
+/// are identical for any thread count — pinned by `tests/telemetry.rs`.
 pub fn parallel_map_threads<T, R, F>(jobs: Vec<T>, threads: usize, f: F) -> Vec<R>
 where
     T: Send,
@@ -62,27 +66,45 @@ where
     let results: Vec<Mutex<Option<R>>> = slots.iter().map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
 
+    let work = || loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= slots.len() {
+            break;
+        }
+        let job = slots[i].lock().expect("job mutex poisoned").take().expect("each job claimed once");
+        let r = f(i, job);
+        *results[i].lock().expect("result mutex poisoned") = Some(r);
+    };
     std::thread::scope(|scope| {
-        for _ in 0..threads {
+        for _ in 1..threads {
             scope.spawn(|| {
                 let _adopt = telemetry::adopt(parent);
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= slots.len() {
-                        break;
-                    }
-                    let job =
-                        slots[i].lock().expect("job mutex poisoned").take().expect("each job claimed once");
-                    let r = f(i, job);
-                    *results[i].lock().expect("result mutex poisoned") = Some(r);
-                }
+                work()
             });
         }
+        work();
     });
 
     results
         .into_iter()
         .map(|m| m.into_inner().expect("result mutex poisoned").expect("worker filled every slot"))
+        .collect()
+}
+
+/// Cut `slice` into consecutive sub-slices of the given lengths — the
+/// disjoint outputs of the jobs of one [`parallel_map`] pass. A
+/// remainder past the last length is left out.
+///
+/// # Panics
+///
+/// Panics if the lengths add up to more than `slice.len()`.
+pub fn split_lengths<T>(mut slice: &mut [T], lens: impl IntoIterator<Item = usize>) -> Vec<&mut [T]> {
+    lens.into_iter()
+        .map(|len| {
+            let (head, rest) = std::mem::take(&mut slice).split_at_mut(len);
+            slice = rest;
+            head
+        })
         .collect()
 }
 
@@ -152,6 +174,18 @@ mod tests {
             j * j
         });
         assert_eq!(out, (0..100).map(|j| j * j).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn split_lengths_cuts_consecutive_disjoint_slices() {
+        let mut data: Vec<u32> = (0..10).collect();
+        let parts = split_lengths(&mut data, [3, 0, 4]);
+        assert_eq!(
+            parts.iter().map(|p| p.to_vec()).collect::<Vec<_>>(),
+            [vec![0, 1, 2], vec![], vec![3, 4, 5, 6]]
+        );
+        parallel_map(parts, |_, part| part.iter_mut().for_each(|x| *x += 100));
+        assert_eq!(data, [100, 101, 102, 103, 104, 105, 106, 7, 8, 9]);
     }
 
     #[test]

@@ -10,22 +10,34 @@
 //!   agree by construction; the check validates that invariant and
 //!   reports [`LayoutError::CoverageMismatch`] instead of panicking.
 //!
-//! ## Sharded overlap checking
+//! ## Banded overlap checking
 //!
-//! Overlap detection builds a uniform grid as a **two-pass counting-sort
-//! CSR structure**: one pass counts how many footprints touch each bin,
-//! a prefix sum turns the counts into bin offsets, and a second pass
-//! drops instance indices into one flat `entries` array — zero per-bin
-//! `Vec`s, and entries within each bin are ascending by instance index
-//! by construction. Grid rows are then grouped into fixed-size bands
-//! (a geometry-derived count, never the worker count) and the bands fan
-//! across [`syndcim_ir::parallel_map_threads`] workers; each band
-//! reports its lexicographically smallest violating `(a, b)` index pair
-//! and the fold over bands (in band order) keeps the global minimum, so
-//! the reported violation is **identical for any thread count**.
+//! Overlap detection bins footprints on a uniform grid whose rows group
+//! into fixed-size bands (a geometry-derived count, never the worker
+//! count). Every pass runs on [`syndcim_ir::parallel_map_threads`]
+//! workers over fixed jobs:
+//!
+//! 1. fixed chunks of footprints check die containment, compute each
+//!    footprint's bin span once and count their footprints per band;
+//! 2. a prefix sum over (band, chunk) gives every chunk its write
+//!    cursors, and the chunks bucket their footprints by band — one
+//!    counting sort that keeps each band's footprints in index order;
+//! 3. each band builds its own **counting-sort CSR grid** over its rows
+//!    (one pass counts how many of its footprints touch each bin, a
+//!    prefix sum turns the counts into bin offsets, a second pass drops
+//!    footprint indices into one flat `entries` array — zero per-bin
+//!    `Vec`s, and each bin's slice ascends by footprint index) and
+//!    reports its lexicographically smallest violating `(a, b)` index
+//!    pair.
+//!
+//! The fold over bands keeps the global minimum, and the first chunk
+//! with a footprint outside the die names the lowest-index one, so the
+//! reported violation is **identical for any thread count** (and equal
+//! to an all-pairs scan's).
 
+use crate::par::DisjointWriter;
 use crate::place::{LayoutError, Placement};
-use syndcim_ir::{default_threads, parallel_map_threads};
+use syndcim_ir::{default_threads, parallel_map_threads, split_lengths};
 use syndcim_netlist::Module;
 use syndcim_telemetry as telemetry;
 
@@ -33,6 +45,10 @@ use syndcim_telemetry as telemetry;
 /// count depends only on die geometry, so work decomposition — and the
 /// reported violation — never varies with the worker count.
 const BAND_ROWS: usize = 8;
+
+/// Footprints per job of the span and bucket passes (fixed for the same
+/// reason).
+const SPAN_CHUNK: usize = 1 << 10;
 
 /// Run all layout checks (auto worker count).
 ///
@@ -58,13 +74,6 @@ pub fn check_drc_threads(module: &Module, placement: &Placement, threads: usize)
         });
     }
 
-    // Die containment: serial scan, so the lowest-index offender wins.
-    for pc in &placement.cells {
-        if !placement.die.contains(&pc.rect) {
-            return Err(LayoutError::OutOfDie { inst: module.inst_name(pc.inst).to_string() });
-        }
-    }
-
     let n = placement.cells.len();
     if n == 0 {
         return Ok(());
@@ -78,70 +87,140 @@ pub fn check_drc_threads(module: &Module, placement: &Placement, threads: usize)
     let nx = (placement.die.w_um / bin).ceil().max(1.0) as usize;
     let ny = (placement.die.h_um / bin).ceil().max(1.0) as usize;
     telemetry::gauge("layout.drc_bins").set((nx * ny) as u64);
-    let clamp = |v: f64, n: usize| -> usize { (v / bin).floor().max(0.0).min((n - 1) as f64) as usize };
-    let span_of = |i: usize| -> (usize, usize, usize, usize) {
-        let r = &placement.cells[i].rect;
-        (clamp(r.x_um, nx), clamp(r.right(), nx), clamp(r.y_um, ny), clamp(r.top(), ny))
+    // `floor`, then clamp to `0..n`: the cast truncates toward zero and
+    // saturates, sending NaN and negatives to 0.
+    let clamp = |v: f64, n: usize| -> u32 { ((v / bin) as u32).min(n as u32 - 1) };
+    let bands = ny.div_ceil(BAND_ROWS);
+    let band_rows = |band: usize| band * BAND_ROWS..(band * BAND_ROWS + BAND_ROWS).min(ny);
+    let band_range = |s: &[u32; 4]| s[2] as usize / BAND_ROWS..=s[3] as usize / BAND_ROWS;
+    // The rows of a footprint's span inside a band, local to the band.
+    let local_rows = |s: &[u32; 4], band: usize| {
+        let rows = band_rows(band);
+        (s[2] as usize).max(rows.start) - rows.start..(s[3] as usize + 1).min(rows.end) - rows.start
     };
+    let workers = |jobs: usize| if threads == 0 { default_threads(jobs) } else { threads };
+    let chunks = n.div_ceil(SPAN_CHUNK);
 
-    // Counting-sort CSR grid: count pass → prefix sum → fill pass.
-    let (starts, entries) = {
-        telemetry::span!("drc.grid");
-        let mut counts = vec![0u32; nx * ny + 1];
-        for i in 0..n {
-            let (x0, x1, y0, y1) = span_of(i);
-            for gy in y0..=y1 {
-                for gx in x0..=x1 {
-                    counts[gy * nx + gx + 1] += 1;
+    // Die containment and each footprint's bin span `[x0, x1, y0, y1]`
+    // (inclusive), over fixed chunks of footprints. Each chunk counts,
+    // per band, its footprints and the grid entries they add (bins
+    // covered in the band's rows), or stops at its first footprint
+    // outside the die; the first such chunk holds the lowest-index one.
+    // Every buffer is allocated here and only written by the workers.
+    let mut spans = vec![[0u32; 4]; n];
+    let mut counts = vec![[0u32; 2]; chunks * bands];
+    {
+        telemetry::span!("drc.spans");
+        let jobs: Vec<_> = spans.chunks_mut(SPAN_CHUNK).zip(counts.chunks_mut(bands)).enumerate().collect();
+        let outside = parallel_map_threads(jobs, workers(chunks), |_, (c, (spans, counts))| {
+            for (i, span) in (c * SPAN_CHUNK..).zip(spans) {
+                let r = &placement.cells[i].rect;
+                if !placement.die.contains(r) {
+                    return Some(i);
+                }
+                *span = [clamp(r.x_um, nx), clamp(r.right(), nx), clamp(r.y_um, ny), clamp(r.top(), ny)];
+                for band in band_range(span) {
+                    let [footprints, entries] = &mut counts[band];
+                    *footprints += 1;
+                    *entries += (span[1] - span[0] + 1) * local_rows(span, band).len() as u32;
                 }
             }
+            None
+        });
+        if let Some(i) = outside.into_iter().flatten().next() {
+            let inst = module.inst_name(placement.cells[i].inst).to_string();
+            return Err(LayoutError::OutOfDie { inst });
         }
-        for b in 1..counts.len() {
-            counts[b] += counts[b - 1];
+    }
+
+    // The footprints of every band as one CSR table: bands in order,
+    // chunks in order within a band, so each band's footprints ascend.
+    // Each chunk's footprint counts turn into its write cursors.
+    let mut band_start = vec![0u32; bands + 1];
+    let mut band_entries = vec![0usize; bands];
+    let mut next = 0u32;
+    for band in 0..bands {
+        for chunk in counts.chunks_mut(bands) {
+            let [footprints, entries] = &mut chunk[band];
+            next += std::mem::replace(footprints, next);
+            band_entries[band] += *entries as usize;
         }
-        let starts = counts.clone();
-        let total = starts[nx * ny] as usize;
-        let mut cursors = starts.clone();
-        let mut entries = vec![0u32; total];
-        // Cells visited in index order, so each bin's slice is ascending.
-        for i in 0..n {
-            let (x0, x1, y0, y1) = span_of(i);
-            for gy in y0..=y1 {
-                for gx in x0..=x1 {
-                    let c = &mut cursors[gy * nx + gx];
-                    entries[*c as usize] = i as u32;
-                    *c += 1;
+        band_start[band + 1] = next;
+    }
+    let mut members = vec![0u32; next as usize];
+    {
+        telemetry::span!("drc.bucket");
+        let out = DisjointWriter::new(&mut members);
+        let jobs: Vec<_> = counts.chunks_mut(bands).enumerate().collect();
+        parallel_map_threads(jobs, workers(chunks), |_, (c, cursors)| {
+            let lo = c * SPAN_CHUNK;
+            for (i, span) in (lo..).zip(&spans[lo..n.min(lo + SPAN_CHUNK)]) {
+                for band in band_range(span) {
+                    let cursor = &mut cursors[band][0];
+                    out.set(*cursor as usize, i as u32);
+                    *cursor += 1;
                 }
             }
-        }
-        (starts, entries)
-    };
+        });
+    }
 
-    // Shard by fixed-size row bands; each band keeps its lexicographic
-    // minimum (i, j) violation, the fold keeps the global minimum.
-    let bands: Vec<usize> = (0..ny.div_ceil(BAND_ROWS)).collect();
-    let t = if threads == 0 { default_threads(bands.len()) } else { threads };
+    // Each band grids its own footprints and keeps its lexicographic
+    // minimum (i, j) violation; the fold keeps the global minimum.
+    let mut entries = vec![0u32; band_entries.iter().sum()];
+    let mut starts = vec![0u32; ny * nx + bands];
+    let jobs: Vec<_> = split_lengths(&mut entries, band_entries)
+        .into_iter()
+        .zip(split_lengths(&mut starts, (0..bands).map(|band| band_rows(band).len() * nx + 1)))
+        .enumerate()
+        .collect();
     let hit = {
         telemetry::span!("drc.bands");
-        parallel_map_threads(bands, t, |_, band| {
+        parallel_map_threads(jobs, workers(bands), |_, (band, (entries, starts))| {
             telemetry::span!("drc.band");
+            let members = &members[band_start[band] as usize..band_start[band + 1] as usize];
+            // The band's bins a footprint covers in one of its rows.
+            let row_bins = |s: &[u32; 4], gy: usize| gy * nx + s[0] as usize..gy * nx + s[1] as usize + 1;
+
+            // Counting-sort CSR grid: count pass → prefix sum → fill
+            // pass. The fill advances each bin's start to its end, so
+            // bin `b`'s slot ends up `starts[b - 1]..starts[b]` (from 0
+            // for the first bin).
+            for &i in members {
+                let s = &spans[i as usize];
+                for gy in local_rows(s, band) {
+                    let bins = row_bins(s, gy);
+                    for count in &mut starts[bins.start + 1..bins.end + 1] {
+                        *count += 1;
+                    }
+                }
+            }
+            for b in 1..starts.len() {
+                starts[b] += starts[b - 1];
+            }
+            for &i in members {
+                let s = &spans[i as usize];
+                for gy in local_rows(s, band) {
+                    for c in &mut starts[row_bins(s, gy)] {
+                        entries[*c as usize] = i;
+                        *c += 1;
+                    }
+                }
+            }
+
             let mut best: Option<(u32, u32)> = None;
-            let row0 = band * BAND_ROWS;
-            let row1 = (row0 + BAND_ROWS).min(ny);
-            for gy in row0..row1 {
-                for gx in 0..nx {
-                    let b = gy * nx + gx;
-                    let slot = &entries[starts[b] as usize..starts[b + 1] as usize];
-                    for (p, &i) in slot.iter().enumerate() {
-                        let ri = &placement.cells[i as usize].rect;
-                        for &j in &slot[p + 1..] {
-                            if best.is_some_and(|m| m <= (i, j)) {
-                                break; // entries ascend: (i, j) only grows
-                            }
-                            if ri.overlaps(&placement.cells[j as usize].rect) {
-                                best = Some((i, j));
-                                break;
-                            }
+            let mut lo = 0;
+            for &hi in &starts[..starts.len() - 1] {
+                let slot = &entries[lo..hi as usize];
+                lo = hi as usize;
+                for (p, &i) in slot.iter().enumerate() {
+                    let ri = &placement.cells[i as usize].rect;
+                    for &j in &slot[p + 1..] {
+                        if best.is_some_and(|m| m <= (i, j)) {
+                            break; // entries ascend: (i, j) only grows
+                        }
+                        if ri.overlaps(&placement.cells[j as usize].rect) {
+                            best = Some((i, j));
+                            break;
                         }
                     }
                 }

@@ -3,12 +3,13 @@
 //! The layout phases fan independent work items across
 //! [`syndcim_ir::parallel_map_threads`] workers, and every item owns a
 //! *disjoint* set of output indices by construction (each instance
-//! belongs to exactly one floorplan strip; each net range belongs to
-//! exactly one merge chunk). [`DisjointWriter`] lets those workers
-//! write their slots of one shared output buffer directly — no
-//! per-worker result vectors, no serial scatter pass afterwards —
-//! which is what keeps the serial fraction of placement small enough
-//! for the ≥2× multi-core bar the layout bench pins.
+//! belongs to exactly one floorplan strip; in the DRC member table,
+//! each band's slice holds one cursor range per footprint chunk).
+//! [`DisjointWriter`] lets those workers write their slots of one
+//! shared output buffer directly — no per-worker result vectors, no
+//! serial scatter pass afterwards — which is what keeps the serial
+//! fraction of placement small enough for the ≥2× multi-core bar the
+//! layout bench pins.
 
 /// A raw shared view of a `&mut [T]` for workers that write disjoint
 /// index sets.

@@ -6,21 +6,33 @@
 //! back-annotates STA and power analysis — the "post-layout simulation"
 //! step of the paper's flow.
 //!
-//! ## Fused parallel sweep
+//! ## Net-major parallel pass
 //!
-//! Pin-load and bounding-box accumulation are one fused pass: the
-//! instance table is cut into a **fixed** number of contiguous stripes
-//! (never a function of the worker count), each stripe accumulates both
-//! quantities into private per-net arrays, and a second parallel pass
-//! merges the stripes **in stripe order** per net chunk. Pin-load sums
-//! therefore fold in a fixed order and bbox merges are min/max (exactly
-//! associative), so the extracted parasitics are bit-identical for any
-//! thread count.
+//! Extraction reads each net's pins from the connectivity tables
+//! ([`Connectivity`]: the net's driver and its CSR sink rows) and
+//! finishes the net in one visit. Fixed chunks of 8,192 nets run in
+//! parallel. Per net, the driver's and every sink's cell centre grow
+//! the pin bounding box, the net's ports are projected onto the die
+//! edge in port order, and the HPWL, wire capacitance and Elmore delay
+//! go straight into the three output columns. No other per-net array
+//! is built.
+//!
+//! Every fold has a fixed order. A net's sinks come in instance order
+//! (pin order within an instance), and their pin caps sum into one
+//! partial per instance quarter (four fixed ranges of the instance
+//! table), which then fold in quarter order. Bounding boxes grow by
+//! min/max, exact in any order, and each chunk's wirelength total folds
+//! in chunk order. No fold order depends on the worker count, so the
+//! estimates are bit-identical for any thread count. The quarter fold
+//! keeps the wire delays bit-identical to the instance-major stripe
+//! scatter that `tests/extraction_oracle.rs` holds as the oracle;
+//! folding the loads as one running sum would move some delays by an
+//! ulp.
 
-use crate::par::DisjointWriter;
+use crate::geometry::Rect;
 use crate::place::Placement;
 use syndcim_ir::{default_threads, parallel_map_threads};
-use syndcim_netlist::{InstId, Module, NetlistError};
+use syndcim_netlist::{Connectivity, Driver, InstId, Module, NetId, NetlistError};
 use syndcim_pdk::CellLibrary;
 use syndcim_telemetry as telemetry;
 
@@ -41,12 +53,12 @@ pub struct WireEstimates {
 /// perfectly L-shaped).
 pub const DETOUR: f64 = 1.15;
 
-/// Instance stripes for the fused sweep. Fixed so the floating-point
-/// fold order — and thus every extracted value — is independent of the
-/// worker count.
+/// Instance quarters whose pin-load partials fold in order. Fixed, so
+/// the floating-point fold order — and thus every extracted value — is
+/// independent of the worker count.
 const STRIPES: usize = 4;
 
-/// Nets per merge/derive chunk (fixed for the same reason).
+/// Nets per parallel chunk (fixed for the same reason).
 const NET_CHUNK: usize = 8192;
 
 /// Per-net pin bounding box.
@@ -64,7 +76,7 @@ const EMPTY_BBOX: BBox =
 
 impl BBox {
     #[inline]
-    fn grow(&mut self, x: f64, y: f64) {
+    fn grow(&mut self, (x, y): (f64, f64)) {
         self.x0 = self.x0.min(x);
         self.y0 = self.y0.min(y);
         self.x1 = self.x1.max(x);
@@ -72,116 +84,19 @@ impl BBox {
         self.pins += 1;
     }
 
-    #[inline]
-    fn union(mut self, o: &BBox) -> BBox {
-        self.x0 = self.x0.min(o.x0);
-        self.y0 = self.y0.min(o.y0);
-        self.x1 = self.x1.max(o.x1);
-        self.y1 = self.y1.max(o.y1);
-        self.pins += o.pins;
-        self
-    }
-}
-
-/// Extract wire parasitics for `module` under `placement` (auto worker
-/// count).
-///
-/// Pins are approximated at cell centres; port pins sit on the die edge
-/// nearest the net's internal centroid, which reproduces the
-/// boundary-driver wire loads of an abutment-ready hard macro.
-///
-/// # Errors
-///
-/// The `NetlistError` contract is kept for callers that extract from
-/// unvalidated netlists; inside the `implement` flow the module has
-/// already passed `Lowering::validated`, and extraction itself performs
-/// no fallible connectivity work (the former redundant
-/// `Connectivity::build` was removed).
-pub fn extract_wires(
-    module: &Module,
-    lib: &CellLibrary,
-    placement: &Placement,
-) -> Result<WireEstimates, NetlistError> {
-    extract_wires_threads(module, lib, placement, 0)
-}
-
-/// [`extract_wires`] with an explicit worker-thread count (`0` = auto).
-/// The estimates are bit-identical for every thread count.
-pub fn extract_wires_threads(
-    module: &Module,
-    lib: &CellLibrary,
-    placement: &Placement,
-    threads: usize,
-) -> Result<WireEstimates, NetlistError> {
-    let n = module.net_count();
-    let n_inst = module.instance_count();
-    let process = lib.process();
-    let workers = |jobs: usize| if threads == 0 { default_threads(jobs) } else { threads };
-
-    // Fused sweep: each stripe accumulates pin load AND pin bboxes for
-    // its contiguous instance range in one walk over the instances.
-    let stripe_jobs: Vec<(usize, usize)> =
-        (0..STRIPES).map(|s| (s * n_inst / STRIPES, (s + 1) * n_inst / STRIPES)).collect();
-    let stripes: Vec<(Vec<f64>, Vec<BBox>)> = {
-        telemetry::span!("wires.sweep");
-        parallel_map_threads(stripe_jobs, workers(STRIPES), |_, (lo, hi)| {
-            let mut pin_load = vec![0.0f64; n];
-            let mut bbox = vec![EMPTY_BBOX; n];
-            for idx in lo..hi {
-                let inst = module.instance(InstId(idx as u32));
-                let cell = lib.cell(inst.cell);
-                let (x, y) = placement.cells[idx].rect.center();
-                for (pin, &net) in inst.inputs.iter().enumerate() {
-                    pin_load[net.index()] += cell.input_cap_ff[pin];
-                    bbox[net.index()].grow(x, y);
-                }
-                for &net in inst.outputs {
-                    bbox[net.index()].grow(x, y);
-                }
-            }
-            (pin_load, bbox)
-        })
-    };
-
-    // Deterministic merge: per net, fold the stripes in stripe order.
-    let chunk_jobs: Vec<(usize, usize)> =
-        (0..n.div_ceil(NET_CHUNK)).map(|c| (c * NET_CHUNK, ((c + 1) * NET_CHUNK).min(n))).collect();
-    let mut pin_load = vec![0.0f64; n];
-    let mut bbox = vec![EMPTY_BBOX; n];
-    {
-        telemetry::span!("wires.merge");
-        let load_w = DisjointWriter::new(&mut pin_load);
-        let bbox_w = DisjointWriter::new(&mut bbox);
-        parallel_map_threads(chunk_jobs.clone(), workers(chunk_jobs.len()), |_, (lo, hi)| {
-            for i in lo..hi {
-                let mut load = 0.0f64;
-                let mut b = EMPTY_BBOX;
-                for (stripe_load, stripe_bbox) in &stripes {
-                    load += stripe_load[i];
-                    b = b.union(&stripe_bbox[i]);
-                }
-                load_w.set(i, load);
-                bbox_w.set(i, b);
-            }
-        });
-    }
-    drop(stripes);
-
-    // Macro pins sit on the die edge nearest the logic they connect to
-    // (as an abutment-ready hard macro places them): project each port
-    // net's internal centroid onto the closest edge. Serial — the port
-    // list is a handful of nets.
-    for p in &module.ports {
-        let b = bbox[p.net.index()];
+    /// Add a macro pin on the die edge nearest the logic the net
+    /// connects to (as an abutment-ready hard macro places it): the
+    /// box's centre, or the die's for a net with no pin yet, projected
+    /// onto the closest edge.
+    fn grow_port(&mut self, die: Rect) {
         let (cx, cy) =
-            if b.pins > 0 { ((b.x0 + b.x1) / 2.0, (b.y0 + b.y1) / 2.0) } else { placement.die.center() };
-        let die = placement.die;
+            if self.pins > 0 { ((self.x0 + self.x1) / 2.0, (self.y0 + self.y1) / 2.0) } else { die.center() };
         let d_left = cx - die.x_um;
         let d_right = die.right() - cx;
         let d_bot = cy - die.y_um;
         let d_top = die.top() - cy;
         let min = d_left.min(d_right).min(d_bot).min(d_top);
-        let (x, y) = if min == d_left {
+        self.grow(if min == d_left {
             (die.x_um, cy)
         } else if min == d_right {
             (die.right(), cy)
@@ -189,38 +104,110 @@ pub fn extract_wires_threads(
             (cx, die.y_um)
         } else {
             (cx, die.top())
-        };
-        bbox[p.net.index()].grow(x, y);
+        });
     }
+}
 
-    // Derive per-net parasitics in parallel chunks; partial wirelength
-    // totals merge in chunk order.
+/// Extract wire parasitics for `module` under `placement` (auto worker
+/// count), building the module's connectivity first.
+///
+/// Pins are approximated at cell centres; port pins sit on the die edge
+/// nearest the net's internal centroid, which reproduces the
+/// boundary-driver wire loads of an abutment-ready hard macro. Callers
+/// that already hold the module's lowering pass its connectivity to
+/// [`extract_wires_threads`] instead.
+///
+/// # Errors
+///
+/// Returns [`NetlistError::MultipleDrivers`] if a net has more than one
+/// driver ([`Connectivity::build`]).
+pub fn extract_wires(
+    module: &Module,
+    lib: &CellLibrary,
+    placement: &Placement,
+) -> Result<WireEstimates, NetlistError> {
+    let conn = Connectivity::build(module)?;
+    Ok(extract_wires_threads(module, lib, placement, &conn, 0))
+}
+
+/// [`extract_wires`] over the module's prebuilt connectivity `conn`
+/// (for example `Lowering::connectivity`), with an explicit
+/// worker-thread count (`0` = auto). The estimates are bit-identical
+/// for every thread count.
+///
+/// # Panics
+///
+/// Panics if `conn` does not cover every net of `module`, or if the
+/// placement has fewer footprints than `module` has instances.
+pub fn extract_wires_threads(
+    module: &Module,
+    lib: &CellLibrary,
+    placement: &Placement,
+    conn: &Connectivity,
+    threads: usize,
+) -> WireEstimates {
+    let n = module.net_count();
+    let process = lib.process();
+    let (sink_start, sink_inst, sink_pin) = conn.sink_columns();
+    assert_eq!(sink_start.len(), n + 1, "connectivity belongs to a different module");
+    // First instance of every quarter after the first.
+    let n_inst = module.instance_count();
+    let quarters: [usize; STRIPES - 1] = std::array::from_fn(|s| (s + 1) * n_inst / STRIPES);
+    // Port indices by net, in port order within a net (stable sort).
+    let port_net = |p: u32| module.ports[p as usize].net.index();
+    let mut ports: Vec<u32> = (0..module.ports.len() as u32).collect();
+    ports.sort_by_key(|&p| port_net(p));
+    let centre = |inst: usize| placement.cells[inst].rect.center();
+
     let mut hpwl = vec![0.0f64; n];
     let mut cap = vec![0.0f64; n];
     let mut delay = vec![0.0f64; n];
+    let jobs: Vec<_> = hpwl
+        .chunks_mut(NET_CHUNK)
+        .zip(cap.chunks_mut(NET_CHUNK))
+        .zip(delay.chunks_mut(NET_CHUNK))
+        .enumerate()
+        .map(|(c, ((h, cf), d))| (c * NET_CHUNK, h, cf, d))
+        .collect();
+    let workers = if threads == 0 { default_threads(jobs.len()) } else { threads };
     let totals: Vec<f64> = {
-        telemetry::span!("wires.derive");
-        let hpwl_w = DisjointWriter::new(&mut hpwl);
-        let cap_w = DisjointWriter::new(&mut cap);
-        let delay_w = DisjointWriter::new(&mut delay);
-        parallel_map_threads(chunk_jobs, workers(n.div_ceil(NET_CHUNK)), |_, (lo, hi)| {
+        telemetry::span!("wires.extract");
+        parallel_map_threads(jobs, workers, |_, (lo, hpwl, cap, delay)| {
             let mut total = 0.0f64;
-            for i in lo..hi {
-                let b = bbox[i];
+            let mut port = ports.partition_point(|&p| port_net(p) < lo);
+            for k in 0..hpwl.len() {
+                let net = lo + k;
+                let mut b = EMPTY_BBOX;
+                if let Driver::Inst { inst, .. } = conn.driver_of(NetId(net as u32)) {
+                    b.grow(centre(inst.index()));
+                }
+                let mut partial = [0.0f64; STRIPES];
+                for s in sink_start[net] as usize..sink_start[net + 1] as usize {
+                    let inst = sink_inst[s] as usize;
+                    b.grow(centre(inst));
+                    let cell = lib.cell(module.instance(InstId(inst as u32)).cell);
+                    let quarter = quarters.iter().filter(|&&first| inst >= first).count();
+                    partial[quarter] += cell.input_cap_ff[sink_pin[s] as usize];
+                }
+                while ports.get(port).is_some_and(|&p| port_net(p) == net) {
+                    b.grow_port(placement.die);
+                    port += 1;
+                }
                 if b.pins < 2 {
                     continue;
                 }
+                let load = partial.iter().fold(0.0f64, |acc, p| acc + p);
                 let l = ((b.x1 - b.x0) + (b.y1 - b.y0)) * DETOUR;
-                hpwl_w.set(i, l / DETOUR);
-                cap_w.set(i, l * process.wire_cap_ff_per_um);
-                delay_w.set(i, process.wire_delay_ps(l, pin_load[i]));
+                hpwl[k] = l / DETOUR;
+                cap[k] = l * process.wire_cap_ff_per_um;
+                delay[k] = process.wire_delay_ps(l, load);
                 total += l;
             }
             total
         })
     };
     let total = totals.iter().sum();
-    Ok(WireEstimates { hpwl_um: hpwl, cap_ff: cap, delay_ps: delay, total_wirelength_um: total })
+    WireEstimates { hpwl_um: hpwl, cap_ff: cap, delay_ps: delay, total_wirelength_um: total }
 }
 
 #[cfg(test)]
@@ -286,9 +273,10 @@ mod tests {
         b.output("y", x);
         let m = b.finish();
         let p = place(&m, &lib, FloorplanConfig::default()).unwrap();
-        let serial = extract_wires_threads(&m, &lib, &p, 1).unwrap();
+        let conn = Connectivity::build(&m).unwrap();
+        let serial = extract_wires_threads(&m, &lib, &p, &conn, 1);
         for t in [2, 4, 8] {
-            let par = extract_wires_threads(&m, &lib, &p, t).unwrap();
+            let par = extract_wires_threads(&m, &lib, &p, &conn, t);
             assert_eq!(serial, par, "estimates must be bit-identical at {t} workers");
         }
     }

@@ -30,7 +30,7 @@
 //! should order their points corner-major: a voltage-major shmoo grid
 //! then costs one pass per voltage, not one per (V, f) point.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use syndcim_ir::{net_loads_ff, Lowering, Symbol, Symbols};
 use syndcim_netlist::Module;
@@ -38,6 +38,9 @@ use syndcim_pdk::{CellLibrary, OperatingPoint, Process};
 use syndcim_telemetry as telemetry;
 
 use crate::analyzer::{PowerAnalyzer, PowerReport, CLOCK_TREE_OVERHEAD, DEFAULT_GLITCH_FACTOR};
+
+/// Head-table entry of a group-head symbol no instance has used yet.
+const NO_HEAD: u32 = u32::MAX;
 
 /// A power analyzer compiled into struct-of-arrays form.
 ///
@@ -161,23 +164,25 @@ impl CompiledPower {
         Self::emit(module, lib, &load_ff, low.symbols().clone(), DEFAULT_GLITCH_FACTOR)
     }
 
-    /// The emitter both compile paths share: one pass over the
-    /// instances turning per-net loads (`load_ff`) into the
-    /// struct-of-arrays columns.
+    /// The emitter both compile paths share: it counts the output rows
+    /// first, then fills presized struct-of-arrays columns from the
+    /// per-net loads (`load_ff`) in one pass over the instances.
     fn emit(module: &Module, lib: &CellLibrary, load_ff: &[f64], syms: Symbols, glitch_factor: f64) -> Self {
-        let mut out_slot = Vec::new();
-        let mut out_cap_ff = Vec::new();
-        let mut out_internal_fj = Vec::new();
-        let mut inst_out_start = vec![0u32];
+        let outputs = module.instances().map(|i| i.outputs.len()).sum();
+        let mut out_slot = Vec::with_capacity(outputs);
+        let mut out_cap_ff = Vec::with_capacity(outputs);
+        let mut out_internal_fj = Vec::with_capacity(outputs);
+        let mut inst_out_start = Vec::with_capacity(module.instance_count() + 1);
+        inst_out_start.push(0u32);
         let mut inst_group = Vec::with_capacity(module.instance_count());
         // Dense head ids in first-encounter order — the exact dense
         // assignment the pre-interning compiler produced from head
         // strings, so the `by_group_pj` accumulation order (and thus
         // its floating-point result) is unchanged. Interning makes
-        // symbol equality string equality, so keying by `Symbol` is
-        // keying by name.
+        // symbol equality string equality, so a table indexed by
+        // `Symbol::index` is keyed by name.
         let mut group_head_syms: Vec<Symbol> = Vec::new();
-        let mut head_index: HashMap<Symbol, u32> = HashMap::new();
+        let mut head_index = vec![NO_HEAD; syms.interner().len()];
         let mut head_clock_fj: Vec<f64> = Vec::new();
         let mut node_clock_fj = vec![0.0f64; syms.node_count()];
         let mut node_leakage_nw = vec![0.0f64; syms.node_count()];
@@ -193,11 +198,13 @@ impl CompiledPower {
             }
             inst_out_start.push(out_slot.len() as u32);
             let head = syms.group_head_sym(inst.group.0);
-            let g = *head_index.entry(head).or_insert_with(|| {
+            let g = &mut head_index[head.index()];
+            if *g == NO_HEAD {
+                *g = group_head_syms.len() as u32;
                 group_head_syms.push(head);
                 head_clock_fj.push(0.0);
-                group_head_syms.len() as u32 - 1
-            });
+            }
+            let g = *g;
             inst_group.push(g);
             let node = syms.group_node(inst.group.0) as usize;
             node_leakage_nw[node] += cell.leakage_nw;

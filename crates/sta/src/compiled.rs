@@ -59,8 +59,11 @@
 //! non-finite base or setup. They also run for 64 corners or fewer,
 //! where a prune costs more than it saves.
 
-use syndcim_ir::{net_loads_ff, parallel_map, Lowering, Symbols};
-use syndcim_netlist::Module;
+use syndcim_ir::{
+    default_threads, net_loads_ff, parallel_map, parallel_map_threads, split_lengths, Lowering, Symbols,
+    OVERLAP_MIN_INSTANCES,
+};
+use syndcim_netlist::{InstId, Module};
 use syndcim_pdk::{CellLibrary, OperatingPoint, Process};
 use syndcim_telemetry as telemetry;
 
@@ -73,6 +76,10 @@ const NO_PRED: u32 = u32::MAX;
 /// Corners per arrival row of the die-major `f_max` pass: one walk of
 /// the arc columns serves this many corners.
 const LANES: usize = 8;
+
+/// Levelized instances per job of the arc emitter (fixed, so the jobs
+/// never depend on the worker count).
+const ARC_CHUNK: usize = 1 << 14;
 
 /// Corners per `parallel_map` job of the batched `f_max` path (eight
 /// lane passes sharing one row table); a batch this size or smaller
@@ -200,9 +207,10 @@ impl CompiledSta {
         Self::emit(low, module, lib, &wires.delay_ps, &load_ff)
     }
 
-    /// The emitter both compile paths share: one pass over the
-    /// instances turning per-net loads (`load_ff`) and unscaled wire
-    /// delays into the struct-of-arrays columns.
+    /// The emitter both compile paths share: it counts the launch,
+    /// endpoint and arc rows first, then fills presized
+    /// struct-of-arrays columns from the per-net loads (`load_ff`) and
+    /// unscaled wire delays.
     fn emit(
         low: &Lowering,
         module: &Module,
@@ -214,12 +222,19 @@ impl CompiledSta {
 
         let input_slots = module.input_ports().map(|p| low.slot(p.net)).collect();
 
-        let mut launch_slot = Vec::new();
-        let mut launch_base_ps = Vec::new();
-        let mut launch_wire_ps = Vec::new();
-        let mut launch_inst = Vec::new();
-        let mut seq_end_slot = Vec::new();
-        let mut seq_end_setup_ps = Vec::new();
+        let (mut launches, mut seq_ends) = (0, 0);
+        for inst in module.instances() {
+            if lib.cell(inst.cell).seq.is_some() {
+                launches += 1;
+                seq_ends += inst.inputs.len();
+            }
+        }
+        let mut launch_slot = Vec::with_capacity(launches);
+        let mut launch_base_ps = Vec::with_capacity(launches);
+        let mut launch_wire_ps = Vec::with_capacity(launches);
+        let mut launch_inst = Vec::with_capacity(launches);
+        let mut seq_end_slot = Vec::with_capacity(seq_ends);
+        let mut seq_end_setup_ps = Vec::with_capacity(seq_ends);
         for (i, inst) in module.instances().enumerate() {
             let cell = lib.cell(inst.cell);
             let Some(seq) = cell.seq else { continue };
@@ -234,24 +249,49 @@ impl CompiledSta {
             }
         }
 
-        let mut arc_src = Vec::new();
-        let mut arc_dst = Vec::new();
-        let mut arc_base_ps = Vec::new();
-        let mut arc_wire_ps = Vec::new();
-        let mut arc_inst = Vec::new();
-        for &id in low.order() {
-            let inst = module.instance(id);
-            let cell = lib.cell(inst.cell);
-            for arc in &cell.arcs {
-                let in_net = inst.inputs[arc.from_input];
-                let out_net = inst.outputs[arc.to_output];
-                arc_src.push(low.slot(in_net));
-                arc_dst.push(low.slot(out_net));
-                arc_base_ps.push(cell.arc_delay_ps(arc, process.tau_ps, load_ff[out_net.index()]));
-                arc_wire_ps.push(wire_delay_ps[out_net.index()]);
-                arc_inst.push(id.index() as u32);
+        // Arc rows per fixed chunk of the levelized order. A row depends
+        // only on its own instance, so above the overlap gate the chunks
+        // fill their rows of the columns in parallel, with the same
+        // result.
+        let arcs_of_cell: Vec<usize> = lib.cells().iter().map(|c| c.arcs.len()).collect();
+        let chunks: Vec<&[InstId]> = low.order().chunks(ARC_CHUNK).collect();
+        let rows: Vec<usize> = chunks
+            .iter()
+            .map(|ids| ids.iter().map(|&id| arcs_of_cell[module.instance(id).cell.index()]).sum())
+            .collect();
+        let arcs = rows.iter().sum();
+        let mut arc_src = vec![0u32; arcs];
+        let mut arc_dst = vec![0u32; arcs];
+        let mut arc_base_ps = vec![0.0f64; arcs];
+        let mut arc_wire_ps = vec![0.0f64; arcs];
+        let mut arc_inst = vec![0u32; arcs];
+        let jobs: Vec<_> = chunks
+            .into_iter()
+            .zip(split_lengths(&mut arc_src, rows.iter().copied()))
+            .zip(split_lengths(&mut arc_dst, rows.iter().copied()))
+            .zip(split_lengths(&mut arc_base_ps, rows.iter().copied()))
+            .zip(split_lengths(&mut arc_wire_ps, rows.iter().copied()))
+            .zip(split_lengths(&mut arc_inst, rows.iter().copied()))
+            .collect();
+        let threads =
+            if module.instance_count() >= OVERLAP_MIN_INSTANCES { default_threads(jobs.len()) } else { 1 };
+        parallel_map_threads(jobs, threads, |_, (((((ids, src), dst), base), wire), arc_inst)| {
+            let mut k = 0;
+            for &id in ids {
+                let inst = module.instance(id);
+                let cell = lib.cell(inst.cell);
+                for arc in &cell.arcs {
+                    let in_net = inst.inputs[arc.from_input];
+                    let out_net = inst.outputs[arc.to_output];
+                    src[k] = low.slot(in_net);
+                    dst[k] = low.slot(out_net);
+                    base[k] = cell.arc_delay_ps(arc, process.tau_ps, load_ff[out_net.index()]);
+                    wire[k] = wire_delay_ps[out_net.index()];
+                    arc_inst[k] = id.index() as u32;
+                    k += 1;
+                }
             }
-        }
+        });
 
         let port_end_slot = module.output_ports().map(|p| low.slot(p.net)).collect();
 

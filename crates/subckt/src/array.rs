@@ -172,12 +172,13 @@ pub fn build_array(
         for r in 0..cfg.h {
             // Bitcells for each bank.
             b.push_group("bitcells");
-            let mut rbl = Vec::with_capacity(cfg.mcr);
+            // Read bit lines of the row's banks (MCR ≤ 4, asserted above).
+            let mut rbl = [NetId(0); 4];
             for (bank, wwl_bank) in wwl.iter().enumerate().take(cfg.mcr) {
                 let out = b.add_named(format_args!("bc_c{c}_r{r}_b{bank}"), bitcell, &[wwl_bank[r], wbl[c]]);
                 let inst = InstId((b.module().instance_count() - 1) as u32);
                 bitcells.push(BitcellRef { col: c, row: r, bank, inst });
-                rbl.push(out[0]);
+                rbl[bank] = out[0];
             }
             b.pop_group();
 

@@ -1,10 +1,11 @@
 //! Allocation pin for `assemble`: building a macro's netlist makes
-//! fewer heap allocations than the macro has instances.
+//! fewer heap allocations than half the macro's instance count.
 //!
 //! The netlist stores names in byte arenas, pins in one table and each
 //! distinct group path once, so no net, instance or group allocates on
-//! its own; what remains is the arenas' amortised growth and the
-//! generators' per-row and per-column scratch vectors. A counting
+//! its own, and the array generator keeps each row's read bit lines in
+//! a fixed array; what remains is the arenas' amortised growth and the
+//! generators' per-column scratch vectors. A counting
 //! global allocator wraps `System` for this whole test binary (it holds
 //! one test, so no other test allocates concurrently) and counts every
 //! `alloc`, `alloc_zeroed` and `realloc` call.
@@ -81,7 +82,7 @@ fn assemble_allocates_less_than_once_per_instance() {
             allocations as f64 / instances as f64
         );
         assert!(
-            allocations < instances as u64,
+            allocations < instances as u64 / 2,
             "{what}: assemble made {allocations} allocations for {instances} instances"
         );
     }

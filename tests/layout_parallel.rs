@@ -17,7 +17,7 @@ use syndcim_layout::{
     check_drc, check_drc_threads, extract_wires, extract_wires_threads, place, place_threads,
     place_with_symbols, FloorplanConfig, LayoutError, Rect,
 };
-use syndcim_netlist::{optimize, Module};
+use syndcim_netlist::{optimize, Connectivity, Module};
 use syndcim_pdk::{CellLibrary, OperatingPoint};
 
 /// The paper's 64×64 MCR-2 macro.
@@ -75,10 +75,11 @@ fn paper_chip_extraction_is_byte_identical_across_worker_counts() {
     let lib = CellLibrary::syn40();
     let m = paper_module(&lib);
     let p = place(&m, &lib, FloorplanConfig::default()).expect("paper chip places");
-    let serial = extract_wires_threads(&m, &lib, &p, 1).expect("paper chip extracts");
+    let conn = Connectivity::build(&m).expect("paper chip connectivity");
+    let serial = extract_wires_threads(&m, &lib, &p, &conn, 1);
     assert!(serial.total_wirelength_um > 0.0);
     for t in [2, 8] {
-        let par = extract_wires_threads(&m, &lib, &p, t).expect("paper chip extracts");
+        let par = extract_wires_threads(&m, &lib, &p, &conn, t);
         assert!(serial == par, "wire estimates diverged at {t} workers");
     }
 }
