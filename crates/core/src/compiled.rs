@@ -64,7 +64,9 @@ impl CompiledMacro {
     ///
     /// The three compilers only read the lowering, so on modules of at
     /// least [`OVERLAP_MIN_INSTANCES`] instances the timing compiler
-    /// runs beside the simulation and power compilers ([`join`]).
+    /// runs beside the simulation and power compilers ([`join`]);
+    /// `implement` runs its sign-off on the timing arm of the same
+    /// join.
     ///
     /// # Panics
     ///
@@ -75,18 +77,37 @@ impl CompiledMacro {
         wires: &WireLoads,
         lowering: Lowering,
     ) -> Self {
-        let (sta, (program, power)) = join(
-            module.instance_count() >= OVERLAP_MIN_INSTANCES,
-            || CompiledSta::from_lowering(&lowering, module, lib, wires),
-            || {
-                (
-                    Program::from_lowering(&lowering, module, lib),
-                    CompiledPower::from_lowering(&lowering, module, lib, &wires.cap_ff),
-                )
-            },
-        );
-        CompiledMacro { lowering, program, sta, power }
+        compile_then(module, lib, wires, lowering, |_| ()).0
     }
+}
+
+/// The three compilers over one lowering, timing beside simulation and
+/// power on modules of at least [`OVERLAP_MIN_INSTANCES`] instances
+/// ([`join`]). `after_sta` runs on the timing arm as soon as the timing
+/// program exists, so `implement`'s sign-off overlaps the other two
+/// compilers instead of waiting for the whole bundle.
+pub(crate) fn compile_then<T>(
+    module: &Module,
+    lib: &CellLibrary,
+    wires: &WireLoads,
+    lowering: Lowering,
+    after_sta: impl FnOnce(&CompiledSta) -> T,
+) -> (CompiledMacro, T) {
+    let ((sta, after), (program, power)) = join(
+        module.instance_count() >= OVERLAP_MIN_INSTANCES,
+        || {
+            let sta = CompiledSta::from_lowering(&lowering, module, lib, wires);
+            let after = after_sta(&sta);
+            (sta, after)
+        },
+        || {
+            (
+                Program::from_lowering(&lowering, module, lib),
+                CompiledPower::from_lowering(&lowering, module, lib, &wires.cap_ff),
+            )
+        },
+    );
+    (CompiledMacro { lowering, program, sta, power }, after)
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@ use syndcim_telemetry as telemetry;
 pub type FlowReport = telemetry::Report;
 
 use crate::assemble::{assemble, MacroNetlist};
-use crate::compiled::CompiledMacro;
+use crate::compiled::{compile_then, CompiledMacro};
 use crate::design::DesignChoice;
 use crate::error::{CoreError, FlowError};
 use crate::spec::MacroSpec;
@@ -138,20 +138,24 @@ pub fn implement(
     // shared IR; the bundle stays with the macro so evaluation, shmoo
     // grids, fmax sweeps and power annotation never re-walk the netlist.
     // The compilers only borrow the wire columns, so they move into the
-    // `WireLoads` view and back rather than being copied.
+    // `WireLoads` view and back rather than being copied. Sign-off reads
+    // only the timing program, so it runs on the timing arm as soon as
+    // that exists, beside the simulation and power compilers; it adopts
+    // the flow's span to stay a phase of `implement`.
     let wire_loads = WireLoads {
         cap_ff: std::mem::take(&mut wires.cap_ff),
         delay_ps: std::mem::take(&mut wires.delay_ps),
     };
-    let compiled = {
+    let flow = telemetry::current_span();
+    let (compiled, timing) = {
         telemetry::span!("implement.compile");
-        CompiledMacro::compile_with_lowering(&mac.module, lib, &wire_loads, lowering)
+        compile_then(&mac.module, lib, &wire_loads, lowering, |sta| {
+            let _flow = telemetry::adopt(flow);
+            telemetry::span!("implement.signoff");
+            sta.analyze_at(spec.mac_period_ps(), OperatingPoint::at_voltage(spec.vdd_v))
+        })
     };
     (wires.cap_ff, wires.delay_ps) = (wire_loads.cap_ff, wire_loads.delay_ps);
-    let timing = {
-        telemetry::span!("implement.signoff");
-        compiled.sta.analyze_at(spec.mac_period_ps(), OperatingPoint::at_voltage(spec.vdd_v))
-    };
 
     let report = telemetry::snapshot();
     Ok(ImplementedMacro { mac, placement, wires, synth_report, timing, spec: spec.clone(), compiled, report })

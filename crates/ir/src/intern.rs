@@ -15,16 +15,26 @@
 //!
 //! [`Symbols::from_module`] interns a module's whole name sequence as
 //! one batch. Symbol ids are dense in first-occurrence order over that
-//! sequence, so the batch first lays the sequence out, then:
+//! sequence. The batch reads the nets and instances in place from the
+//! module's name arenas (only the group paths, their prefixes and the
+//! ports are listed apart), then:
 //!
-//! 1. hashes every name with a fixed in-crate 64-bit multiplicative
-//!    hash over 8-byte chunks;
-//! 2. stable-sorts the name indices by the hash's top bits (a counting
-//!    sort), so equal names, which share a hash, share a partition and
-//!    keep their sequence order inside it;
-//! 3. finds each name's first occurrence inside its partition, in an
-//!    open-addressed table whose slot comes from the hash bits below the
-//!    partition bits;
+//! 0. finds the first occurrence of every canonical counter name — `u`
+//!    or `_n`, then a decimal number with no leading zero whose value is
+//!    below the sequence length, as the netlist builder spells its
+//!    instances and anonymous nets — in one of two direct-indexed
+//!    tables (one per prefix), walked in sequence order. On the scale
+//!    tier that is 636,781 of 780,381 names. Whether a name is a counter
+//!    depends on its bytes alone, so equal names always take the same
+//!    path, and an explicit `u5` meets the builder's `u5` in the table;
+//! 1. hashes every other name with a fixed in-crate 64-bit
+//!    multiplicative hash over 8-byte chunks;
+//! 2. stable-sorts those names' indices by the hash's top bits (a
+//!    counting sort), so equal names, which share a hash, share a
+//!    partition and keep their sequence order inside it;
+//! 3. finds each hashed name's first occurrence inside its partition,
+//!    in an open-addressed table whose slot comes from the hash bits
+//!    below the partition bits;
 //! 4. walks the sequence once, giving each first occurrence the next id
 //!    and copying its bytes into the arena.
 //!
@@ -117,39 +127,86 @@ fn partition_bits(names: usize) -> u32 {
     (names / PARTITION_NAMES).next_power_of_two().trailing_zeros()
 }
 
-/// Intern `names` as one batch over `1 << bits` hash partitions (steps
-/// 1–4 of the module docs). Returns the frozen interner and each name's
-/// symbol; ids are dense in first-occurrence order, whatever `bits`.
-fn intern_batch(names: &[&str], bits: u32) -> (Interner, Vec<Symbol>) {
-    let n = names.len();
+/// The table and value of a canonical counter name: `u` (table 0) or
+/// `_n` (table 1), then ASCII digits with no leading zero spelling a
+/// value below `limit`. Every other name — `u`, `u01`, `U5`, `u5x`, a
+/// non-ASCII digit, a value at or past `limit` — is `None`.
+fn counter(name: &[u8], limit: usize) -> Option<(usize, usize)> {
+    let (table, digits) = match name {
+        [b'u', digits @ ..] => (0, digits),
+        [b'_', b'n', digits @ ..] => (1, digits),
+        _ => return None,
+    };
+    if digits.is_empty() || (digits[0] == b'0' && digits.len() > 1) {
+        return None;
+    }
+    let mut value = 0u64;
+    for &d in digits {
+        if !d.is_ascii_digit() {
+            return None;
+        }
+        // `value < limit < 2³²` before this step, so it cannot overflow.
+        value = value * 10 + u64::from(d - b'0');
+        if value >= limit as u64 {
+            return None;
+        }
+    }
+    Some((table, value as usize))
+}
+
+/// Intern the `n` names `name(0..n)` as one batch over `1 << bits` hash
+/// partitions (steps 0–4 of the module docs). Returns the frozen
+/// interner and each name's symbol; ids are dense in first-occurrence
+/// order, whatever `bits`.
+fn intern_batch<'a>(n: usize, name: impl Fn(usize) -> &'a str, bits: u32) -> (Interner, Vec<Symbol>) {
     assert!(n < EMPTY as usize, "more names than symbol ids");
-    // 1. Hash.
-    let hashes: Vec<u64> = names.iter().map(|s| hash(s.as_bytes())).collect();
+    // 0. Counters find their first occurrence by value (a table entry
+    //    holds that index plus one, so a zeroed table is empty); 1.
+    //    every other name is hashed, in sequence order.
+    let mut first = vec![0u32; n];
+    let mut hashed: Vec<(u64, u32)> = Vec::new();
+    let mut bytes = 0;
+    {
+        let mut tables = [vec![0u32; n], vec![0u32; n]];
+        for (i, f) in first.iter_mut().enumerate() {
+            let name = name(i).as_bytes();
+            bytes += name.len();
+            match counter(name, n) {
+                Some((table, value)) => {
+                    let seen = &mut tables[table][value];
+                    if *seen == 0 {
+                        *seen = i as u32 + 1;
+                    }
+                    *f = *seen - 1;
+                }
+                None => hashed.push((hash(name), i as u32)),
+            }
+        }
+    }
 
     // 2. Stable counting sort by the top `bits` bits, carrying each
     //    hash along so step 3 reads its partition sequentially.
     let partition = |h: u64| h.checked_shr(64 - bits).unwrap_or(0) as usize;
     let mut start = vec![0usize; (1 << bits) + 1];
-    for &h in &hashes {
+    for &(h, _) in &hashed {
         start[partition(h) + 1] += 1;
     }
     for p in 1..start.len() {
         start[p] += start[p - 1];
     }
     let mut next = start.clone();
-    let mut sorted = vec![(0u64, 0u32); n];
-    for (i, &h) in hashes.iter().enumerate() {
+    let mut sorted = vec![(0u64, 0u32); hashed.len()];
+    for &(h, i) in &hashed {
         let k = &mut next[partition(h)];
-        sorted[*k] = (h, i as u32);
+        sorted[*k] = (h, i);
         *k += 1;
     }
-    drop(hashes);
+    drop(hashed);
 
     // 3. First occurrence per partition. A slot holds a name index and
     //    its hash's low half, so only a matching half compares bytes.
     let largest = start.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
     let mut table = vec![(EMPTY, 0u32); (largest * MAX_LOAD_INV).next_power_of_two().max(16)];
-    let mut first = vec![0u32; n];
     for members in start.windows(2).map(|w| &sorted[w[0]..w[1]]) {
         if members.is_empty() {
             continue;
@@ -166,7 +223,7 @@ fn intern_batch(names: &[&str], bits: u32) -> (Interner, Vec<Symbol>) {
                     slots[slot] = (i, h as u32);
                     break i;
                 }
-                if lo == h as u32 && names[j as usize] == names[i as usize] {
+                if lo == h as u32 && name(j as usize) == name(i as usize) {
                     break j;
                 }
                 slot = (slot + 1) & mask;
@@ -176,19 +233,21 @@ fn intern_batch(names: &[&str], bits: u32) -> (Interner, Vec<Symbol>) {
     drop((sorted, table));
 
     // 4. Ids in sequence order; each first occurrence joins the arena.
-    let mut buf = String::with_capacity(names.iter().map(|s| s.len()).sum());
+    //    `first` turns into the ids in place: a name's first occurrence
+    //    is never later than the name, so its id is already there.
+    let mut buf = String::with_capacity(bytes);
     let mut ends = Vec::new();
-    let mut ids: Vec<Symbol> = Vec::with_capacity(n);
-    for (i, (&f, name)) in first.iter().zip(names).enumerate() {
-        let id = if f as usize == i {
-            buf.push_str(name);
+    for i in 0..n {
+        let f = first[i] as usize;
+        first[i] = if f == i {
+            buf.push_str(name(i));
             ends.push(buf.len() as u32);
-            Symbol(ends.len() as u32 - 1)
+            ends.len() as u32 - 1
         } else {
-            ids[f as usize]
+            first[f]
         };
-        ids.push(id);
     }
+    let ids = first.into_iter().map(Symbol).collect();
     (Interner { buf: buf.into_boxed_str(), ends: ends.into_boxed_slice() }, ids)
 }
 
@@ -307,17 +366,27 @@ impl Symbols {
         let mut port_order: Vec<usize> = (0..module.ports.len()).collect();
         port_order.sort_by(|&a, &b| module.ports[a].name.cmp(&module.ports[b].name));
 
+        // The nets and instances are read from the module's arenas in
+        // place; the group paths, their prefixes and the ports follow.
         let paths = module.path_count() as u32;
-        let mut names: Vec<&str> = Vec::with_capacity(nets + insts + 4 * paths as usize + port_order.len());
-        names.extend((0..nets as u32).map(|i| module.net_name(NetId(i))));
-        names.extend((0..insts as u32).map(|i| module.inst_name(InstId(i))));
+        let mut tail: Vec<&str> = Vec::with_capacity(4 * paths as usize + port_order.len());
         for p in 0..paths {
             let path = module.path_name(p);
-            names.push(path);
-            names.extend(path.match_indices('/').map(|(end, _)| &path[..end]));
+            tail.push(path);
+            tail.extend(path.match_indices('/').map(|(end, _)| &path[..end]));
         }
-        names.extend(port_order.iter().map(|&i| module.ports[i].name.as_str()));
-        let (interner, ids) = intern_batch(&names, partition_bits(names.len()));
+        tail.extend(port_order.iter().map(|&i| module.ports[i].name.as_str()));
+        let n = nets + insts + tail.len();
+        let name = |i: usize| {
+            if i < nets {
+                module.net_name(NetId(i as u32))
+            } else if i < nets + insts {
+                module.inst_name(InstId((i - nets) as u32))
+            } else {
+                tail[i - nets - insts]
+            }
+        };
+        let (interner, ids) = intern_batch(n, name, partition_bits(n));
 
         // Path tree keyed by full-path symbol: every `/`-prefix gets a
         // node of its own, created before its children, so node ids are
@@ -512,9 +581,13 @@ mod tests {
     use syndcim_netlist::NetlistBuilder;
     use syndcim_pdk::CellLibrary;
 
+    fn intern_slice(names: &[&str], bits: u32) -> (Interner, Vec<Symbol>) {
+        intern_batch(names.len(), |i| names[i], bits)
+    }
+
     #[test]
     fn intern_round_trips_and_dedups() {
-        let (frozen, ids) = intern_batch(&["alpha", "beta", "alpha", ""], 0);
+        let (frozen, ids) = intern_slice(&["alpha", "beta", "alpha", ""], 0);
         let [a1, beta, a2, empty] = ids[..] else { panic!("one symbol per name") };
         assert_eq!(a1, a2, "equal strings must intern to one symbol");
         assert_ne!(a1, beta);
@@ -546,7 +619,7 @@ mod tests {
         let want = reference_ids(names.iter().map(String::as_str));
         let refs: Vec<&str> = names.iter().map(String::as_str).collect();
         for bits in [0, partition_bits(names.len()), 8] {
-            let (frozen, got) = intern_batch(&refs, bits);
+            let (frozen, got) = intern_slice(&refs, bits);
             for (i, (g, &w)) in got.iter().zip(&want).enumerate() {
                 assert_eq!(g.0, w, "name #{i} {:?} over {bits} partition bits", names[i]);
             }
@@ -617,7 +690,36 @@ mod tests {
         let mut names: Vec<String> = (0..1000).flat_map(|i| [format!("u{i}"), format!("_n{i}")]).collect();
         names.extend((0..1000).map(|i| format!("u{i}")));
         assert_matches_reference(&names);
-        assert_eq!(intern_batch(&names.iter().map(String::as_str).collect::<Vec<_>>(), 3).0.len(), 2000);
+        assert_eq!(intern_slice(&names.iter().map(String::as_str).collect::<Vec<_>>(), 3).0.len(), 2000);
+    }
+
+    #[test]
+    fn ids_match_reference_on_counter_shaped_names() {
+        // Names one byte away from a canonical counter, each in its own
+        // right and next to the counter it resembles.
+        let odd = ["u0", "u00", "u01", "u", "_n", "_n0", "_n007", "U5", "u5x", "u٣", "u18446744073709551616"];
+        // An explicit `_n3` and `u5` before the synthetic ones.
+        let mut names: Vec<String> = ["_n3", "u5"].into_iter().chain(odd).map(String::from).collect();
+        for k in 0..40 {
+            names.extend([format!("u{k}"), format!("_n{k}")]);
+        }
+        // ... and after them, then every odd name again.
+        names.extend(["_n3", "u5"].into_iter().chain(odd).map(String::from));
+        // Counters just below, at and above the sequence length.
+        let len = names.len() as u64 + 6;
+        for v in [len - 1, len, len + 1] {
+            names.extend([format!("u{v}"), format!("_n{v}")]);
+        }
+        assert_eq!(names.len() as u64, len);
+        assert_matches_reference(&names);
+
+        let limit = len as usize;
+        assert_eq!(counter(b"u0", limit), Some((0, 0)));
+        assert_eq!(counter(format!("_n{}", len - 1).as_bytes(), limit), Some((1, limit - 1)));
+        for name in ["u00", "u01", "u", "_n", "_n007", "U5", "u5x", "u٣", "u18446744073709551616"] {
+            assert_eq!(counter(name.as_bytes(), limit), None, "{name}");
+        }
+        assert_eq!(counter(format!("u{len}").as_bytes(), limit), None, "at the sequence length");
     }
 
     #[test]

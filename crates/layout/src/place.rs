@@ -48,7 +48,7 @@
 //!    count** — pinned by `tests/layout_parallel.rs` and the layout
 //!    bench.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 
 use crate::geometry::Rect;
@@ -344,10 +344,25 @@ fn place_impl(
         })
         .collect();
 
+    // Every distinct column of the zone table gets a dense slot in
+    // column order, and each group's zone names its column by that
+    // slot, so the partition indexes a bucket table per instance.
+    let mut column_ids: Vec<usize> =
+        zones.iter().filter_map(|z| if let Zone::Column(c) = *z { Some(c) } else { None }).collect();
+    column_ids.sort_unstable();
+    column_ids.dedup();
+    let zones: Vec<Zone> = zones
+        .iter()
+        .map(|&z| match z {
+            Zone::Column(c) => Zone::Column(column_ids.binary_search(&c).expect("listed above")),
+            other => other,
+        })
+        .collect();
+    let mut buckets: Vec<Bucket> = column_ids.iter().map(|_| Bucket::default()).collect();
+
     // Partition instances by zone via the per-group table, accumulating
     // every sizing sum in the same pass (instance order, so the
     // floating-point totals are walk-order exact).
-    let mut columns: BTreeMap<usize, Bucket> = BTreeMap::new();
     let mut left: Vec<usize> = Vec::new();
     let mut top: Vec<usize> = Vec::new();
     let mut bottom: Vec<usize> = Vec::new();
@@ -361,8 +376,8 @@ fn place_impl(
             let cell = lib.cell(inst.cell);
             total_cell_area += cell.area_um2;
             match zones[inst.group.index()] {
-                Zone::Column(c) => {
-                    let bucket = columns.entry(c).or_default();
+                Zone::Column(slot) => {
+                    let bucket = &mut buckets[slot];
                     if is_bitcell[inst.cell.index()] {
                         bucket.bitcells.push(i);
                         bucket.bitcell_area += cell.area_um2;
@@ -383,12 +398,20 @@ fn place_impl(
         }
     }
 
+    // The column strips in column order: the columns that hold an
+    // instance.
+    let columns: Vec<(usize, Bucket)> = column_ids
+        .into_iter()
+        .zip(buckets)
+        .filter(|(_, b)| !b.bitcells.is_empty() || !b.datapath.is_empty())
+        .collect();
+
     // Core sizing.
     let n_cols = columns.len().max(1);
     telemetry::gauge("layout.columns").set(n_cols as u64);
     let core_area: f64 = columns
-        .values()
-        .map(|b| b.bitcell_area / 0.98 + b.datapath_area / config.row_util)
+        .iter()
+        .map(|(_, b)| b.bitcell_area / 0.98 + b.datapath_area / config.row_util)
         .sum::<f64>()
         .max(1.0);
     // Left/top/bottom strips consume width/height; aim the *core* at the
@@ -416,7 +439,7 @@ fn place_impl(
     // so they all run concurrently and write their footprints in place.
     let out = DisjointWriter::new(&mut cells);
     let mut jobs: Vec<StripJob<'_>> = Vec::with_capacity(columns.len() + 1);
-    for (slot, bucket) in columns.values().enumerate() {
+    for (slot, (_, bucket)) in columns.iter().enumerate() {
         jobs.push(StripJob::Column { x0: core_x0 + slot as f64 * w_col, y0: core_y0, w: w_col, bucket });
     }
     if !left.is_empty() {

@@ -2,15 +2,19 @@
 //!
 //! [`NetlistBuilder`] is the API all subcircuit generators use. It owns a
 //! [`Module`] under construction and borrows the [`CellLibrary`] so pin
-//! counts can be validated at insertion time. Names are formatted
+//! counts can be validated at insertion time. Names are written
 //! straight into the module's arenas, so adding a net or an instance
-//! makes no heap allocation of its own.
+//! makes no heap allocation of its own, and the synthetic names
+//! (`u<n>`, `_n<k>`, `tielo<k>`, `tiehi<k>`) are [`Counter`]s spelled
+//! without `core::fmt`. The cell of a kind is one table lookup
+//! ([`CellLibrary::id_of`]), and a generator that re-enters the same
+//! group path row after row pushes it by path
+//! ([`NetlistBuilder::push_group_like`]) instead of spelling it again.
 
 use std::collections::HashMap;
-use std::fmt;
 use std::ops::Deref;
 
-use crate::graph::{GroupId, InstId, Module, NetId, Port, PortDir};
+use crate::graph::{Counter, GroupId, InstId, Module, Name, NetId, Port, PortDir};
 use syndcim_pdk::{CellKind, CellLibrary};
 
 /// Most output pins of any library cell (the 4-2 compressor's three).
@@ -134,6 +138,19 @@ impl<'lib> NetlistBuilder<'lib> {
                 path
             }
         };
+        self.push_path(path)
+    }
+
+    /// Push a new group on the same path as `group`, without spelling
+    /// or looking the path up: the group a generator re-enters on every
+    /// row. Like [`NetlistBuilder::push_group`] it makes a new
+    /// [`GroupId`]; the path is `group`'s full path, whatever group is
+    /// current.
+    pub fn push_group_like(&mut self, group: GroupId) -> GroupId {
+        self.push_path(self.module.group_path(group))
+    }
+
+    fn push_path(&mut self, path: u32) -> GroupId {
         let id = GroupId(self.module.group_paths.len() as u32);
         self.module.group_paths.push(path);
         self.group_stack.push(id);
@@ -158,15 +175,14 @@ impl<'lib> NetlistBuilder<'lib> {
     // ---- nets and ports ------------------------------------------------
 
     /// Create a named net.
-    pub fn net(&mut self, name: impl fmt::Display) -> NetId {
+    pub fn net(&mut self, name: impl Name) -> NetId {
         self.module.add_net(name)
     }
 
     /// Create an anonymous net (`_n<k>`).
     pub fn anon(&mut self) -> NetId {
         self.anon_net += 1;
-        let n = self.anon_net;
-        self.net(format_args!("_n{n}"))
+        self.net(Counter(&[("_n", self.anon_net)]))
     }
 
     /// Declare an input port and return its net.
@@ -203,8 +219,8 @@ impl<'lib> NetlistBuilder<'lib> {
                 return n;
             }
         }
-        let k = self.module.instance_count();
-        let n = self.add_named(format_args!("tielo{k}"), CellKind::TieLo, &[])[0];
+        let k = self.module.instance_count() as u64;
+        let n = self.add_named(Counter(&[("tielo", k)]), CellKind::TieLo, &[])[0];
         self.const0 = Some((n, 1));
         n
     }
@@ -218,8 +234,8 @@ impl<'lib> NetlistBuilder<'lib> {
                 return n;
             }
         }
-        let k = self.module.instance_count();
-        let n = self.add_named(format_args!("tiehi{k}"), CellKind::TieHi, &[])[0];
+        let k = self.module.instance_count() as u64;
+        let n = self.add_named(Counter(&[("tiehi", k)]), CellKind::TieHi, &[])[0];
         self.const1 = Some((n, 1));
         n
     }
@@ -233,14 +249,14 @@ impl<'lib> NetlistBuilder<'lib> {
     ///
     /// Panics if `ins` does not match the cell's input pin count.
     pub fn add(&mut self, kind: CellKind, ins: &[NetId]) -> Outputs {
-        let n = self.module.instance_count();
-        self.add_named(format_args!("u{n}"), kind, ins)
+        let n = self.module.instance_count() as u64;
+        self.add_named(Counter(&[("u", n)]), kind, ins)
     }
 
     /// Like [`NetlistBuilder::add`] but with an explicit instance name,
-    /// formatted straight into the module's name arena (pass
-    /// `format_args!` to build one without allocating).
-    pub fn add_named(&mut self, name: impl fmt::Display, kind: CellKind, ins: &[NetId]) -> Outputs {
+    /// written straight into the module's name arena (pass a
+    /// [`Counter`] or `format_args!` to build one without allocating).
+    pub fn add_named(&mut self, name: impl Name, kind: CellKind, ins: &[NetId]) -> Outputs {
         let cell_id = self.lib.id_of(kind);
         let cell = self.lib.cell(cell_id);
         assert_eq!(

@@ -12,6 +12,13 @@
 //! end offsets, every instance's pins (inputs, then outputs) in one
 //! [`NetId`] table, and each distinct group path once, however many
 //! groups share it. Instances are read through [`Instance`] views.
+//!
+//! A name is appended to its arena through [`Name`]. Any
+//! [`fmt::Display`] value goes through `core::fmt`; a [`Counter`] — the
+//! builder's synthetic `u<n>` and `_n<k>`, the array's bitcell names —
+//! is spelled by a small decimal writer with no formatter at all, in
+//! the same bytes `format!` would write. Compaction moves the surviving
+//! names' bytes down in place.
 
 use std::fmt::{self, Write as _};
 
@@ -86,6 +93,53 @@ pub struct Instance<'m> {
     pub outputs: &'m [NetId],
 }
 
+/// Append `n` in decimal to `buf`: the bytes `format!("{n}")` writes,
+/// without `core::fmt`.
+pub(crate) fn push_decimal(buf: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    buf.push_str(std::str::from_utf8(&digits[start..]).expect("decimal digits are ASCII"));
+}
+
+/// A name a [`Module`] appends straight into one of its name arenas.
+pub trait Name {
+    /// Append the name's bytes to `arena`.
+    fn append_to(&self, arena: &mut String);
+}
+
+/// Every `Display` value is a name, written through `core::fmt`
+/// (`"a"`, `format_args!("x{i}")`, a `String`).
+impl<T: fmt::Display + ?Sized> Name for T {
+    fn append_to(&self, arena: &mut String) {
+        write!(arena, "{self}").expect("formatting into a String cannot fail");
+    }
+}
+
+/// A synthetic name: literal pieces, each followed by a decimal number.
+/// `Counter(&[("u", 17)])` is `u17`, and
+/// `Counter(&[("bc_c", 3), ("_r", 5), ("_b", 1)])` is `bc_c3_r5_b1`.
+/// It is appended by a small decimal writer, never through
+/// `core::fmt`, and spells the same bytes as the equivalent `format!`.
+#[derive(Debug, Clone, Copy)]
+pub struct Counter<'a>(pub &'a [(&'a str, u64)]);
+
+impl Name for Counter<'_> {
+    fn append_to(&self, arena: &mut String) {
+        for &(piece, n) in self.0 {
+            arena.push_str(piece);
+            push_decimal(arena, n);
+        }
+    }
+}
+
 /// Strings stored back to back in one arena: string `i` is
 /// `bytes[ends[i - 1]..ends[i]]` (from 0 for the first).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -95,9 +149,9 @@ pub(crate) struct Names {
 }
 
 impl Names {
-    /// Append `name`, formatted straight into the arena.
-    pub(crate) fn push(&mut self, name: impl fmt::Display) -> usize {
-        write!(self.bytes, "{name}").expect("formatting into a String cannot fail");
+    /// Append `name`, written straight into the arena.
+    pub(crate) fn push(&mut self, name: impl Name) -> usize {
+        name.append_to(&mut self.bytes);
         self.ends.push(u32::try_from(self.bytes.len()).expect("name arena past 4 GiB"));
         self.ends.len() - 1
     }
@@ -111,13 +165,28 @@ impl Names {
         self.ends.len()
     }
 
-    /// Keep the strings whose `keep` entry is true, in order.
+    /// Keep the strings whose `keep` entry is true, in order, moving each
+    /// survivor's bytes down in place from the first dropped string on.
     fn retain(&mut self, keep: &[bool]) {
-        let mut kept = Names { bytes: String::with_capacity(self.bytes.len()), ends: Vec::new() };
-        for (i, _) in keep.iter().enumerate().filter(|(_, &k)| k) {
-            kept.push(self.get(i));
+        let Some(first) = keep.iter().position(|&k| !k) else {
+            return;
+        };
+        let mut bytes = std::mem::take(&mut self.bytes).into_bytes();
+        let mut start = if first == 0 { 0 } else { self.ends[first - 1] as usize };
+        let (mut end, mut kept) = (start, first);
+        for (i, &k) in keep.iter().enumerate().skip(first) {
+            let next = self.ends[i] as usize;
+            if k {
+                bytes.copy_within(start..next, end);
+                end += next - start;
+                self.ends[kept] = end as u32;
+                kept += 1;
+            }
+            start = next;
         }
-        *self = kept;
+        bytes.truncate(end);
+        self.ends.truncate(kept);
+        self.bytes = String::from_utf8(bytes).expect("whole strings moved, so the arena stays UTF-8");
     }
 }
 
@@ -242,8 +311,8 @@ impl Module {
         &mut self.pins[mid..mid + r.outputs as usize]
     }
 
-    /// Append a net named `name`, formatted straight into the name arena.
-    pub fn add_net(&mut self, name: impl fmt::Display) -> NetId {
+    /// Append a net named `name`, written straight into the name arena.
+    pub fn add_net(&mut self, name: impl Name) -> NetId {
         NetId(self.net_names.push(name) as u32)
     }
 
@@ -255,7 +324,7 @@ impl Module {
     /// Panics if either pin list is longer than 255.
     pub fn add_instance(
         &mut self,
-        name: impl fmt::Display,
+        name: impl Name,
         cell: CellId,
         group: GroupId,
         inputs: &[NetId],
@@ -330,6 +399,19 @@ impl Module {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn decimal_writer_spells_like_format() {
+        for n in [0, 9, 10, 99, 100, u64::from(u32::MAX), u64::MAX] {
+            let mut buf = String::from("x");
+            push_decimal(&mut buf, n);
+            assert_eq!(buf, format!("x{n}"));
+        }
+        let mut arena = String::new();
+        Counter(&[("bc_c", 3), ("_r", 10), ("_b", 0)]).append_to(&mut arena);
+        Counter(&[]).append_to(&mut arena);
+        assert_eq!(arena, "bc_c3_r10_b0");
+    }
 
     #[test]
     fn new_module_has_top_group() {

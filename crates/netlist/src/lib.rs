@@ -34,6 +34,6 @@ pub mod stats;
 pub use analyze::{levelize, validate, Connectivity, Driver, NetlistError};
 pub use builder::{NetlistBuilder, Outputs};
 pub use export::to_verilog;
-pub use graph::{GroupId, InstId, Instance, Module, NetId, Port, PortDir};
+pub use graph::{Counter, GroupId, InstId, Instance, Module, Name, NetId, Port, PortDir};
 pub use opt::{optimize, OptReport};
 pub use stats::NetlistStats;

@@ -36,6 +36,9 @@ impl CellId {
 pub struct CellLibrary {
     process: Process,
     cells: Vec<Cell>,
+    /// The first cell of each kind, indexed by the kind's position in
+    /// [`CellKind::ALL`] (its discriminant).
+    by_kind: [Option<CellId>; CellKind::ALL.len()],
 }
 
 impl CellLibrary {
@@ -43,8 +46,12 @@ impl CellLibrary {
     /// running every [`CellSpec`] through the characterization flow.
     pub fn syn40() -> Self {
         let process = Process::syn40();
-        let cells = cell_specs().iter().map(|s| characterize(s, &process)).collect();
-        CellLibrary { process, cells }
+        let cells: Vec<Cell> = cell_specs().iter().map(|s| characterize(s, &process)).collect();
+        let mut by_kind = [None; CellKind::ALL.len()];
+        for (i, cell) in cells.iter().enumerate().rev() {
+            by_kind[cell.kind as usize] = Some(CellId(i as u32));
+        }
+        CellLibrary { process, cells, by_kind }
     }
 
     /// The process this library was characterized against.
@@ -66,7 +73,8 @@ impl CellLibrary {
         &self.cells[id.index()]
     }
 
-    /// Find the id of the (unique) cell with the given kind.
+    /// Find the id of the (unique) cell with the given kind: one table
+    /// lookup, made for every instance a generator adds.
     ///
     /// # Panics
     ///
@@ -74,11 +82,7 @@ impl CellLibrary {
     /// covers every [`CellKind`], so this only fires on a malformed custom
     /// library.
     pub fn id_of(&self, kind: CellKind) -> CellId {
-        self.cells
-            .iter()
-            .position(|c| c.kind == kind)
-            .map(|i| CellId(i as u32))
-            .unwrap_or_else(|| panic!("cell library has no cell of kind {kind}"))
+        self.by_kind[kind as usize].unwrap_or_else(|| panic!("cell library has no cell of kind {kind}"))
     }
 
     /// Number of cells in the library.
@@ -514,9 +518,12 @@ mod tests {
     #[test]
     fn library_covers_every_cell_kind() {
         let lib = CellLibrary::syn40();
-        for &kind in CellKind::ALL {
+        for (i, &kind) in CellKind::ALL.iter().enumerate() {
+            assert_eq!(kind as usize, i, "`id_of` indexes its table by discriminant");
             let id = lib.id_of(kind);
             assert_eq!(lib.cell(id).kind, kind);
+            let first = lib.cells().iter().position(|c| c.kind == kind);
+            assert_eq!(Some(id.index()), first, "{kind}: the first cell of the kind");
         }
         assert_eq!(lib.len(), CellKind::ALL.len());
     }

@@ -176,9 +176,17 @@ impl Sta<'_> {
     }
 }
 
-/// Reusable per-analysis scratch buffers (arrival + predecessor
-/// tables), so batch entry points allocate once per grid instead of
-/// once per point.
+/// The launch or arc (by index into its columns) that raised a net's
+/// arrival in [`CompiledSta::propagate`].
+#[derive(Debug, Clone, Copy)]
+enum Winner {
+    Launch(usize),
+    Arc(usize),
+}
+
+/// Per-analysis scratch buffers: the predecessor tables, which batch
+/// entry points allocate once per grid instead of once per point, and
+/// the arrival table, which each report takes with it.
 #[derive(Debug, Default)]
 struct Scratch {
     arrival: Vec<f64>,
@@ -386,9 +394,15 @@ impl CompiledSta {
     }
 
     /// `f_max` in MHz at an operating point (mirrors
-    /// [`Sta::fmax_mhz`]).
+    /// [`Sta::fmax_mhz`]). The same arrival pass as
+    /// [`CompiledSta::analyze_at`], arc for arc, without the
+    /// predecessor tables and the critical path only a report needs.
     pub fn fmax_mhz(&self, op: OperatingPoint) -> f64 {
-        self.analyze_at(1.0, op).fmax_mhz
+        let scale = op.delay_scale(&self.process);
+        // `propagate` fills every entry first.
+        let mut arrival = vec![0.0; self.net_count];
+        self.propagate(scale, &mut arrival, |_, _| {});
+        fmax_from_delay(self.reduce_endpoints(scale, &arrival).0)
     }
 
     /// `f_max` in MHz at each operating point of a batch, in corner
@@ -590,7 +604,7 @@ impl CompiledSta {
         scratch.pred_from.clear();
         scratch.pred_from.resize(self.net_count, 0);
 
-        self.propagate(scale, &mut scratch.arrival, &mut scratch.pred_inst, &mut scratch.pred_from);
+        self.propagate_paths(scale, &mut scratch.arrival, &mut scratch.pred_inst, &mut scratch.pred_from);
         let (max_delay, worst_slot) = self.reduce_endpoints(scale, &scratch.arrival);
 
         let critical_path = worst_slot
@@ -598,7 +612,7 @@ impl CompiledSta {
             .unwrap_or_default();
         let fmax_mhz = fmax_from_delay(max_delay);
         TimingReport {
-            arrival_ps: scratch.arrival.clone(),
+            arrival_ps: std::mem::take(&mut scratch.arrival),
             max_delay_ps: max_delay,
             wns_ps: period_ps - max_delay,
             fmax_mhz,
@@ -608,10 +622,10 @@ impl CompiledSta {
     }
 
     /// Forward arrival propagation at one corner: launches, then the
-    /// levelized arc stream, with the predecessor tables recording the
-    /// winning arc per net for path reconstruction. The die-major
+    /// levelized arc stream. `won(net, winner)` sees every launch or arc
+    /// that raises a net's arrival, in pass order. The die-major
     /// `propagate_lanes` is pinned to this pass.
-    fn propagate(&self, scale: f64, arrival: &mut [f64], pred_inst: &mut [u32], pred_from: &mut [u32]) {
+    fn propagate(&self, scale: f64, arrival: &mut [f64], mut won: impl FnMut(usize, Winner)) {
         arrival.fill(f64::NEG_INFINITY);
         for &s in &self.input_slots {
             arrival[s as usize] = 0.0;
@@ -623,8 +637,7 @@ impl CompiledSta {
             let a = base * scale + wire;
             if a > arrival[q] {
                 arrival[q] = a;
-                pred_inst[q] = self.launch_inst[k];
-                pred_from[q] = slot; // from == self: launch point
+                won(q, Winner::Launch(k));
             }
         }
 
@@ -638,10 +651,21 @@ impl CompiledSta {
             let dst = dst as usize;
             if cand > arrival[dst] {
                 arrival[dst] = cand;
-                pred_inst[dst] = self.arc_inst[k];
-                pred_from[dst] = src;
+                won(dst, Winner::Arc(k));
             }
         }
+    }
+
+    /// [`CompiledSta::propagate`], with the predecessor tables recording
+    /// the winning launch or arc per net for path reconstruction.
+    fn propagate_paths(&self, scale: f64, arrival: &mut [f64], pred_inst: &mut [u32], pred_from: &mut [u32]) {
+        self.propagate(scale, arrival, |net, winner| {
+            (pred_inst[net], pred_from[net]) = match winner {
+                // from == self: launch point
+                Winner::Launch(k) => (self.launch_inst[k], self.launch_slot[k]),
+                Winner::Arc(k) => (self.arc_inst[k], self.arc_src[k]),
+            };
+        });
     }
 
     /// Max-reduce the endpoint set (ports, then sequential data pins
@@ -941,7 +965,7 @@ mod tests {
         scales
             .iter()
             .map(|&scale| {
-                csta.propagate(scale, &mut arrival, &mut pred_inst, &mut pred_from);
+                csta.propagate_paths(scale, &mut arrival, &mut pred_inst, &mut pred_from);
                 fmax_from_delay(csta.reduce_endpoints(scale, &arrival).0)
             })
             .collect()
@@ -1019,7 +1043,7 @@ mod tests {
         let n = csta.net_count;
         let (mut arrival, mut pred_inst, mut pred_from) = (vec![0.0; n], vec![NO_PRED; n], vec![0; n]);
         for (l, &s) in lanes.iter().enumerate() {
-            csta.propagate(s, &mut arrival, &mut pred_inst, &mut pred_from);
+            csta.propagate_paths(s, &mut arrival, &mut pred_inst, &mut pred_from);
             let column: Vec<f64> = rows.iter().map(|r| r[l]).collect();
             assert_eq!(bits(&column), bits(&arrival), "lane {l} arrivals");
             assert_eq!(max_delay[l].to_bits(), csta.reduce_endpoints(s, &arrival).0.to_bits(), "lane {l}");
@@ -1126,7 +1150,7 @@ mod tests {
             let n = csta.net_count;
             let (mut arrival, mut pred_inst, mut pred_from) = (vec![0.0; n], vec![NO_PRED; n], vec![0; n]);
             let mut timed_through = |scale: f64| {
-                csta.propagate(scale, &mut arrival, &mut pred_inst, &mut pred_from);
+                csta.propagate_paths(scale, &mut arrival, &mut pred_inst, &mut pred_from);
                 let mut net = csta.reduce_endpoints(scale, &arrival).1.unwrap();
                 while net != gates && net != wire {
                     net = pred_from[net as usize];

@@ -23,6 +23,8 @@
 //!   *retime*: "moving the registers at the output of the adder to the
 //!   front of the last RCA stage".
 
+use std::collections::VecDeque;
+
 use crate::arith::{count_bits, rca, zero_extend};
 use syndcim_netlist::{NetId, NetlistBuilder};
 
@@ -178,17 +180,24 @@ fn build_rca_tree(b: &mut NetlistBuilder<'_>, inputs: &[NetId], final_cpa: bool)
     }
 }
 
-fn pick<const N: usize>(col: &mut Vec<Bit>, reorder: bool) -> [Bit; N] {
-    // With reorder: feed the *earliest* bits to the slow inputs and keep
-    // the latest for the fast cin port (the caller passes cin last).
-    if reorder {
-        col.sort_by(|a, b| a.arr.partial_cmp(&b.arr).expect("finite arrivals"));
+/// A column of bits of one weight, consumed from the front.
+type Column = VecDeque<Bit>;
+
+/// Prepare a column for its round. With reorder, a column that will feed
+/// a cell (three bits or more, in either kind of round) is sorted by
+/// arrival once, so the *earliest* bits feed the slow inputs and the
+/// latest the fast cin port (the caller picks cin last). That equals
+/// sorting before every pick: a stable sort leaves a sorted column, and
+/// what remains of it after picks from the front, as it is.
+fn order(col: &mut Column, reorder: bool) {
+    if reorder && col.len() >= 3 {
+        col.make_contiguous().sort_by(|a, b| a.arr.partial_cmp(&b.arr).expect("finite arrivals"));
     }
-    let mut out = [Bit { net: NetId(0), arr: 0.0 }; N];
-    for slot in out.iter_mut() {
-        *slot = col.remove(0);
-    }
-    out
+}
+
+/// Take the next `N` bits from the front of a column.
+fn pick<const N: usize>(col: &mut Column) -> [Bit; N] {
+    std::array::from_fn(|_| col.pop_front().expect("the caller checked the column's length"))
 }
 
 fn build_csa(
@@ -198,27 +207,28 @@ fn build_csa(
     cfg: AdderTreeConfig,
 ) -> TreeOutput {
     let width = count_bits(inputs.len());
-    let mut cols: Vec<Vec<Bit>> = vec![Vec::new(); width + 2];
+    let mut cols: Vec<Column> = vec![Column::new(); width + 2];
     for &n in inputs {
-        cols[0].push(Bit { net: n, arr: 0.0 });
+        cols[0].push_back(Bit { net: n, arr: 0.0 });
     }
 
     let mut round = 0usize;
     while cols.iter().any(|c| c.len() > 2) {
         let use_fa = round < fa_rounds;
         round += 1;
-        let mut next: Vec<Vec<Bit>> = vec![Vec::new(); cols.len()];
+        let mut next: Vec<Column> = vec![Column::new(); cols.len()];
         if use_fa {
             // 3:2 full-adder round.
             for w in 0..cols.len() {
                 let col = &mut cols[w];
+                order(col, cfg.carry_reorder);
                 while col.len() >= 3 {
-                    let [x, y, z] = pick::<3>(col, cfg.carry_reorder);
+                    let [x, y, z] = pick::<3>(col);
                     let (s, c) = b.fa(x.net, y.net, z.net);
                     let s_arr = (x.arr + FA_SUM).max(y.arr + FA_SUM).max(z.arr + FA_CIN_SUM);
                     let c_arr = (x.arr + FA_CARRY).max(y.arr + FA_CARRY).max(z.arr + FA_CIN_CARRY);
-                    next[w].push(Bit { net: s, arr: s_arr });
-                    next[w + 1].push(Bit { net: c, arr: c_arr });
+                    next[w].push_back(Bit { net: s, arr: s_arr });
+                    next[w + 1].push_back(Bit { net: c, arr: c_arr });
                 }
                 next[w].append(col);
             }
@@ -230,52 +240,53 @@ fn build_csa(
             let mut chain: Vec<Option<Bit>> = vec![None; cols.len() + 1];
             for w in 0..cols.len() {
                 let col = &mut cols[w];
+                order(col, cfg.carry_reorder);
                 // An unconsumed chained cout becomes an ordinary bit.
                 let mut pending = chain[w].take();
                 while col.len() >= 5 || (col.len() >= 4 && pending.is_some()) {
-                    let [p, q, r, s4] = pick::<4>(col, cfg.carry_reorder);
+                    let [p, q, r, s4] = pick::<4>(col);
                     let cin = match pending.take() {
                         Some(bit) => bit,
-                        None => pick::<1>(col, cfg.carry_reorder)[0],
+                        None => pick::<1>(col)[0],
                     };
                     let (s, carry, cout) = b.c42(p.net, q.net, r.net, s4.net, cin.net);
                     let slow = p.arr.max(q.arr).max(r.arr).max(s4.arr);
-                    next[w].push(Bit { net: s, arr: (slow + C42_SUM).max(cin.arr + C42_CIN_SUM) });
+                    next[w].push_back(Bit { net: s, arr: (slow + C42_SUM).max(cin.arr + C42_CIN_SUM) });
                     next[w + 1]
-                        .push(Bit { net: carry, arr: (slow + C42_CARRY).max(cin.arr + C42_CIN_CARRY) });
+                        .push_back(Bit { net: carry, arr: (slow + C42_CARRY).max(cin.arr + C42_CIN_CARRY) });
                     let cout_arr = p.arr.max(q.arr).max(r.arr) + C42_COUT;
                     if chain[w + 1].is_none() {
                         chain[w + 1] = Some(Bit { net: cout, arr: cout_arr });
                     } else {
-                        next[w + 1].push(Bit { net: cout, arr: cout_arr });
+                        next[w + 1].push_back(Bit { net: cout, arr: cout_arr });
                     }
                 }
                 if let Some(bit) = pending {
-                    next[w].push(bit);
+                    next[w].push_back(bit);
                 }
                 // Tail cases: 4 leftover bits use a compressor with a
                 // grounded cin (4:3), 3 use an FA; 1–2 pass through.
                 if col.len() == 4 {
-                    let [p, q, r, s4] = pick::<4>(col, cfg.carry_reorder);
+                    let [p, q, r, s4] = pick::<4>(col);
                     let zero = b.const0();
                     let (s, carry, cout) = b.c42(p.net, q.net, r.net, s4.net, zero);
                     let slow = p.arr.max(q.arr).max(r.arr).max(s4.arr);
-                    next[w].push(Bit { net: s, arr: slow + C42_SUM });
-                    next[w + 1].push(Bit { net: carry, arr: slow + C42_CARRY });
-                    next[w + 1].push(Bit { net: cout, arr: p.arr.max(q.arr).max(r.arr) + C42_COUT });
+                    next[w].push_back(Bit { net: s, arr: slow + C42_SUM });
+                    next[w + 1].push_back(Bit { net: carry, arr: slow + C42_CARRY });
+                    next[w + 1].push_back(Bit { net: cout, arr: p.arr.max(q.arr).max(r.arr) + C42_COUT });
                 }
                 if col.len() == 3 {
-                    let [x, y, z] = pick::<3>(col, cfg.carry_reorder);
+                    let [x, y, z] = pick::<3>(col);
                     let (s, c) = b.fa(x.net, y.net, z.net);
-                    next[w].push(Bit { net: s, arr: x.arr.max(y.arr).max(z.arr) + FA_SUM });
-                    next[w + 1].push(Bit { net: c, arr: x.arr.max(y.arr).max(z.arr) + FA_CARRY });
+                    next[w].push_back(Bit { net: s, arr: x.arr.max(y.arr).max(z.arr) + FA_SUM });
+                    next[w + 1].push_back(Bit { net: c, arr: x.arr.max(y.arr).max(z.arr) + FA_CARRY });
                 }
                 next[w].append(col);
             }
             for (w, slot) in chain.into_iter().enumerate() {
                 if let Some(bit) = slot {
                     if w < next.len() {
-                        next[w].push(bit);
+                        next[w].push_back(bit);
                     }
                 }
             }
@@ -290,7 +301,7 @@ fn build_csa(
     let mut op_a = Vec::with_capacity(width);
     let mut op_b = Vec::with_capacity(width);
     for col in cols.iter().take(width) {
-        op_a.push(col.first().map(|x| x.net).unwrap_or(zero));
+        op_a.push(col.front().map(|x| x.net).unwrap_or(zero));
         op_b.push(col.get(1).map(|x| x.net).unwrap_or(zero));
     }
     // Columns beyond `width` cannot carry real weight for a sum ≤ H; any

@@ -12,7 +12,7 @@
 //!
 //! and the three bitcell styles (6T+2T SRAM, 8T D-latch, 12T OAI).
 
-use syndcim_netlist::{InstId, NetId, NetlistBuilder};
+use syndcim_netlist::{Counter, GroupId, InstId, NetId, NetlistBuilder};
 use syndcim_pdk::CellKind;
 
 /// Bitcell topology selector.
@@ -136,7 +136,9 @@ pub struct ArrayOut {
 ///   MCR = 1).
 ///
 /// Instances are grouped `col{c}/bitcells` and `col{c}/mult` so SDP
-/// placement tiles them correctly.
+/// placement tiles them correctly. Each row pushes both groups anew
+/// (one [`GroupId`] per push), by the paths the column's first row
+/// spelled.
 ///
 /// # Panics
 ///
@@ -169,20 +171,31 @@ pub fn build_array(
     for c in 0..cfg.w {
         b.push_group(&format!("col{c}"));
         let mut col_products = Vec::with_capacity(cfg.h);
+        // The column's `bitcells` and `mult` groups of row 0, whose paths
+        // every later row re-enters.
+        let mut row0: Option<(GroupId, GroupId)> = None;
         for r in 0..cfg.h {
             // Bitcells for each bank.
-            b.push_group("bitcells");
+            let cells_group = match row0 {
+                Some((cells, _)) => b.push_group_like(cells),
+                None => b.push_group("bitcells"),
+            };
             // Read bit lines of the row's banks (MCR ≤ 4, asserted above).
             let mut rbl = [NetId(0); 4];
             for (bank, wwl_bank) in wwl.iter().enumerate().take(cfg.mcr) {
-                let out = b.add_named(format_args!("bc_c{c}_r{r}_b{bank}"), bitcell, &[wwl_bank[r], wbl[c]]);
+                let name = Counter(&[("bc_c", c as u64), ("_r", r as u64), ("_b", bank as u64)]);
+                let out = b.add_named(name, bitcell, &[wwl_bank[r], wbl[c]]);
                 let inst = InstId((b.module().instance_count() - 1) as u32);
                 bitcells.push(BitcellRef { col: c, row: r, bank, inst });
                 rbl[bank] = out[0];
             }
             b.pop_group();
 
-            b.push_group("mult");
+            let mult_group = match row0 {
+                Some((_, mult)) => b.push_group_like(mult),
+                None => b.push_group("mult"),
+            };
+            row0.get_or_insert((cells_group, mult_group));
             let product = match (cfg.multmux, cfg.mcr) {
                 (MultMuxKind::Oai22Fused, 1) => {
                     let zero = b.const0();

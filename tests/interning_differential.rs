@@ -234,22 +234,43 @@ fn paper_chip_symbol_ids_match_first_occurrence_reference() {
     assert_symbol_ids_match_reference(&mac.module, "paper chip");
 }
 
+/// Generated netlists the pin below runs on: the three fixed ones by
+/// default, `SYNDCIM_FUZZ_CASES` in all when that is larger (CI runs
+/// 500).
+fn generated_cases() -> u64 {
+    std::env::var("SYNDCIM_FUZZ_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(3).max(3)
+}
+
 /// The same pin on generated netlists: nested and repeated group paths
 /// (one segment under several parents, re-pushed paths, a segment equal
-/// to a net name), instances named like nets and a port named like a
-/// group prefix. The largest case interns over several partitions.
+/// to a net name), instances named like nets, explicit names shaped
+/// like the builder's counters (canonical, with a leading zero, past the
+/// sequence length, in both namespaces) and a port named like a group
+/// prefix. The largest fixed case interns over several partitions;
+/// further seeds only run the pin.
 #[test]
 fn generated_symbol_ids_match_first_occurrence_reference() {
     let lib = CellLibrary::syn40();
-    for (seed, gates) in [(1, 20..300), (2, 300..2_000), (3, 12_000..12_001)] {
+    let fixed = [(1, 20..300), (2, 300..2_000), (3, 12_000..12_001)];
+    for (seed, gates) in fixed.iter().cloned() {
         let m = random_module(&lib, seed, gates);
         let is_net = |name: &str| (0..m.net_count() as u32).any(|n| m.net_name(NetId(n)) == name);
+        let is_inst = |name: &str| (0..m.instance_count() as u32).any(|i| m.inst_name(InstId(i)) == name);
         let named_like_a_net = (0..m.instance_count() as u32).any(|i| is_net(m.inst_name(InstId(i))));
         assert!(named_like_a_net, "seed {seed}: an instance named like a net");
+        let net_like_an_inst = (0..m.net_count() as u32).any(|n| is_inst(m.net_name(NetId(n))));
+        let shaped = |name: &str| name.starts_with("u0") || name.starts_with("_n0") || name.len() > 12;
+        let odd_counters = (0..m.instance_count() as u32).any(|i| shaped(m.inst_name(InstId(i))))
+            && (0..m.net_count() as u32).any(|n| shaped(m.net_name(NetId(n))));
+        assert!(net_like_an_inst && odd_counters, "seed {seed}: counter-shaped names in both namespaces");
         let group = |name: &str| (0..m.group_count() as u32).any(|g| m.group_name(GroupId(g)) == name);
         assert!(group("col1/tree") && group("col1/_n3") && is_net("_n3"), "seed {seed}: nested groups");
         assert!(m.path_count() < m.group_count(), "seed {seed}: repeated group paths");
         assert!(m.port("col0").is_some(), "seed {seed}: a port named like a group prefix");
+        assert_symbol_ids_match_reference(&m, &format!("seed {seed}"));
+    }
+    for seed in fixed.len() as u64 + 1..=generated_cases() {
+        let m = random_module(&lib, seed, 20..3_000);
         assert_symbol_ids_match_reference(&m, &format!("seed {seed}"));
     }
 }

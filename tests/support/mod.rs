@@ -3,7 +3,8 @@
 //! cones, DFF/DFFE/SRAM registers closing feedback loops through state,
 //! dead logic and multi-output cells (HA/FA/C42), spread over nested
 //! and repeated group paths, with names that collide across the net,
-//! instance, group and port namespaces.
+//! instance, group and port namespaces and explicit names shaped like
+//! the builder's `u<k>` and `_n<k>` counters.
 
 use std::ops::Range;
 
@@ -60,8 +61,9 @@ const GROUP_PATHS: [&[&str]; 7] = [
 ///
 /// Groups and names come from a second seeded stream, so the logic is
 /// the same as without them: gates move between the `GROUP_PATHS`, some
-/// gates are named like an anonymous net (`_n<k>`), and an output port
-/// is named like the group prefix `col0`.
+/// gates get explicit counter-shaped names ([`counter_shaped`]), an
+/// output port is named like the group prefix `col0`, and six unread
+/// input ports are named like counters in both namespaces.
 pub fn random_module(lib: &CellLibrary, seed: u64, gates: Range<usize>) -> Module {
     let mut rng = seeded_rng(seed);
     let mut names = seeded_rng(seed ^ 0x6E41_4D45);
@@ -101,9 +103,9 @@ pub fn random_module(lib: &CellLibrary, seed: u64, gates: Range<usize>) -> Modul
                 }
             })
             .collect();
-        let k = b.module().instance_count();
+        let k = b.module().instance_count() as u64;
         pool.extend(if names.gen_bool(0.1) {
-            b.add_named(format_args!("_n{k}"), kind, &ins)
+            b.add_named(counter_shaped(names.gen_range(0u32..6), k), kind, &ins)
         } else {
             b.add(kind, &ins)
         });
@@ -122,5 +124,32 @@ pub fn random_module(lib: &CellLibrary, seed: u64, gates: Range<usize>) -> Modul
         (0..rng.gen_range(1usize..24)).map(|_| pool[rng.gen_range(0..pool.len())]).collect();
     b.output_bus("out", &outs);
     b.output("col0", pool[names.gen_range(0..pool.len())]);
+    // Unread inputs, one per shape: nets named like an instance (`u<j>`)
+    // and like another net (`_n<j>`), then the non-canonical and
+    // out-of-range shapes.
+    let instances = b.module().instance_count() as u64;
+    for shape in 0..6 {
+        let j = names.gen_range(0..instances);
+        b.input(match shape {
+            0 => format!("u{j}"),
+            1 => format!("_n{}", j + 1),
+            shape => counter_shaped(shape, j),
+        });
+    }
     b.finish()
+}
+
+/// A name shaped like a counter, unique per `k` within its shape:
+/// `_n<k>` (canonical, and within the interner's range on any generated
+/// module), `u0<k>` and `_n0<k>` (a leading zero), `u<k + 2⁴⁰>` (past any
+/// generated module's name count) and `_n18446744073709551615<k>` (past
+/// `u64`).
+pub fn counter_shaped(shape: u32, k: u64) -> String {
+    match shape {
+        0 | 1 => format!("_n{k}"),
+        2 => format!("u0{k}"),
+        3 => format!("_n0{k}"),
+        4 => format!("u{}", k + (1 << 40)),
+        _ => format!("_n{}{k}", u64::MAX),
+    }
 }
