@@ -48,7 +48,7 @@ fn bench_faults(c: &mut Criterion) {
         let mut state = 0x5EED;
         b.iter(|| {
             for &net in &in_nets {
-                sim.poke_word(net, next_word(&mut state));
+                sim.poke_word_at(net, 0, next_word(&mut state));
             }
             sim.step();
         });
@@ -60,7 +60,7 @@ fn bench_faults(c: &mut Criterion) {
         let mut state = 0x5EED;
         b.iter(|| {
             for &net in &in_nets {
-                sim.poke_word(net, next_word(&mut state));
+                sim.poke_word_at(net, 0, next_word(&mut state));
             }
             sim.step();
         });
@@ -74,7 +74,7 @@ fn bench_faults(c: &mut Criterion) {
         let mut state = 0x5EED;
         b.iter(|| {
             for &net in &in_nets {
-                sim.poke_word(net, next_word(&mut state));
+                sim.poke_word_at(net, 0, next_word(&mut state));
             }
             sim.step();
         });

@@ -146,12 +146,23 @@ impl Flags {
 
     /// The operating point for query commands (defaults to the spec
     /// voltage at 25 °C).
-    fn op(&self, default_vdd: f64) -> OperatingPoint {
-        let mut op = OperatingPoint::at_voltage(self.vdd.unwrap_or(default_vdd));
+    fn op(&self, default_vdd: f64) -> Result<OperatingPoint, String> {
+        let vdd = checked("--vdd", self.vdd.unwrap_or(default_vdd), |v| v > 0.0, "finite and positive")?;
+        let mut op = OperatingPoint::at_voltage(vdd);
         if let Some(t) = self.temp {
-            op.temp_c = t;
+            op.temp_c = checked("--temp", t, |_| true, "finite")?;
         }
-        op
+        Ok(op)
+    }
+}
+
+/// `value` of the query flag `flag`, or an error naming the flag unless
+/// the value is finite and `ok`.
+fn checked(flag: &str, value: f64, ok: fn(f64) -> bool, want: &str) -> Result<f64, String> {
+    if value.is_finite() && ok(value) {
+        Ok(value)
+    } else {
+        Err(format!("flag `{flag}` must be {want}, got `{value}`"))
     }
 }
 
@@ -245,17 +256,17 @@ fn cmd_query(args: &[String], out: &mut impl Write) -> CmdResult {
     let what = args.first().ok_or("query needs a subcommand: fmax | power")?;
     let path = args.get(1).ok_or("query needs a <file.scim> argument")?;
     let flags = parse_flags(&args[2..])?;
+    let op = flags.op(0.9)?;
+    let freq = checked("--freq", flags.freq.unwrap_or(800.0), |f| f > 0.0, "finite and positive")?;
+    let alpha = checked("--alpha", flags.alpha.unwrap_or(0.2), |a| a >= 0.0, "finite and non-negative")?;
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     let cm = CompiledMacro::load_from_bytes(&bytes).map_err(|e| e.to_string())?;
-    let op = flags.op(0.9);
     match what.as_str() {
         "fmax" => {
             let fmax = cm.sta.fmax_mhz(op);
             writeln!(out, "fmax @ {:.3} V / {:.1} C: {fmax:.3} MHz", op.vdd_v, op.temp_c)?;
         }
         "power" => {
-            let freq = flags.freq.unwrap_or(800.0);
-            let alpha = flags.alpha.unwrap_or(0.2);
             let report = cm.power.report_static(alpha, freq, op);
             writeln!(
                 out,
@@ -325,12 +336,60 @@ mod tests {
             ("--h", "0", SpecError::BadDimensions),
             ("--h", "3", SpecError::BadDimensions),
             ("--w", "2", SpecError::BadDimensions),
+            ("--vdd", "nan", SpecError::BadSupply),
+            ("--fmac", "0", SpecError::BadFrequency),
         ] {
             let spec = parse_flags(&[flag.to_string(), value.to_string()]).unwrap().spec();
             assert_eq!(spec.validate(), Err(want.clone()), "{flag} {value}");
             let err = compile_spec(&spec).unwrap_err();
             assert_eq!(err, format!("invalid spec: {want}"), "{flag} {value}");
         }
+    }
+
+    /// The message `query` stops with on `line`, which names no file on
+    /// disk: the flag checks run before the artifact is read.
+    fn query_error(line: &str) -> String {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        match cmd_query(&args, &mut Vec::new()) {
+            Err(CmdError::Msg(msg)) => msg,
+            other => panic!("{line}: {other:?}"),
+        }
+    }
+
+    /// Each bad value is rejected with a message naming `flag`, for both
+    /// queries; each good value passes the checks (and fails on the
+    /// missing file instead).
+    fn assert_query_flag(flag: &str, bad: &[&str], good: &[&str]) {
+        for what in ["fmax", "power"] {
+            for v in bad {
+                let msg = query_error(&format!("{what} missing.scim {flag} {v}"));
+                assert!(msg.starts_with(&format!("flag `{flag}` must be")), "{flag} {v}: {msg}");
+            }
+            for v in good {
+                let msg = query_error(&format!("{what} missing.scim {flag} {v}"));
+                assert!(msg.starts_with("cannot read `missing.scim`"), "{flag} {v}: {msg}");
+            }
+        }
+    }
+
+    #[test]
+    fn query_rejects_a_non_finite_or_non_positive_vdd() {
+        assert_query_flag("--vdd", &["nan", "inf", "0", "-1"], &["0.9", "0.05"]);
+    }
+
+    #[test]
+    fn query_rejects_a_non_finite_temperature() {
+        assert_query_flag("--temp", &["nan", "-inf"], &["-40", "125"]);
+    }
+
+    #[test]
+    fn query_rejects_a_non_finite_or_non_positive_frequency() {
+        assert_query_flag("--freq", &["nan", "inf", "0", "-5"], &["800", "0.5"]);
+    }
+
+    #[test]
+    fn query_rejects_a_non_finite_or_negative_activity() {
+        assert_query_flag("--alpha", &["nan", "inf", "-0.1"], &["0", "0.2", "1"]);
     }
 
     /// A writer whose every write fails with `kind`.

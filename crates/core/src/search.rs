@@ -54,9 +54,7 @@ pub struct SearchResult {
 impl SearchResult {
     /// The frontier point that best matches the spec's PPA weights.
     pub fn best(&self, spec: &MacroSpec) -> Option<&DesignPoint> {
-        self.frontier
-            .iter()
-            .min_by(|a, b| a.score(&spec.ppa).partial_cmp(&b.score(&spec.ppa)).expect("finite scores"))
+        self.frontier.iter().min_by(|a, b| a.score(&spec.ppa).total_cmp(&b.score(&spec.ppa)))
     }
 }
 
@@ -95,8 +93,14 @@ impl StageDelays {
 /// afterwards. Characterization is deterministic per key, so the result
 /// — feasible list, frontier, rejection count and the final cache — is
 /// identical to the sequential evaluation order.
+///
+/// A spec that [`MacroSpec::validate`] rejects has no designs, so the
+/// result is empty; call `validate` for the reason.
 pub fn search(spec: &MacroSpec, scl: &mut Scl) -> SearchResult {
     telemetry::span!("search");
+    if spec.validate().is_err() {
+        return SearchResult { feasible: Vec::new(), frontier: Vec::new(), rejected: 0 };
+    }
     // Constraints are specified at spec.vdd_v: scale nominal-corner SCL
     // delays to that supply.
     let scale = scl.cell_library().process().delay_scale(spec.vdd_v);
@@ -506,6 +510,42 @@ mod tests {
         assert_eq!(cold.rejected, warm.rejected);
         assert_eq!(cold.feasible, warm.feasible);
         assert_eq!(cold.frontier, warm.frontier);
+    }
+
+    /// `search` on a spec `validate` rejects returns no designs.
+    fn assert_searches_to_nothing(spec: MacroSpec) {
+        assert!(spec.validate().is_err(), "{spec:?}");
+        let res = search(&spec, &mut Scl::new());
+        assert!(res.feasible.is_empty() && res.frontier.is_empty() && res.rejected == 0, "{spec:?}");
+    }
+
+    #[test]
+    fn unsupported_mcr_searches_to_nothing() {
+        assert_searches_to_nothing(MacroSpec { mcr: 3, ..small_spec(700.0) });
+    }
+
+    #[test]
+    fn zero_mac_frequency_searches_to_nothing() {
+        assert_searches_to_nothing(small_spec(0.0));
+    }
+
+    #[test]
+    fn bad_dimensions_search_to_nothing() {
+        assert_searches_to_nothing(MacroSpec { h: 3, ..small_spec(700.0) });
+        assert_searches_to_nothing(MacroSpec { w: 2, ..small_spec(700.0) });
+    }
+
+    #[test]
+    fn a_spec_without_precisions_searches_to_nothing() {
+        assert_searches_to_nothing(MacroSpec { int_precisions: vec![], ..small_spec(700.0) });
+    }
+
+    #[test]
+    fn best_picks_a_point_under_nan_weights() {
+        let mut spec = small_spec(700.0);
+        let res = search(&spec, &mut Scl::new());
+        spec.ppa.power = f64::NAN;
+        assert!(res.best(&spec).is_some());
     }
 
     #[test]

@@ -75,6 +75,13 @@ pub enum SpecError {
     /// The array width must hold at least one output channel at the
     /// widest weight precision.
     WidthTooNarrow,
+    /// The supply must be finite and positive.
+    BadSupply,
+    /// The MAC and weight-update frequencies must be finite and
+    /// positive.
+    BadFrequency,
+    /// PPA weights must be finite and non-negative.
+    BadPpaWeights,
 }
 
 impl fmt::Display for SpecError {
@@ -87,6 +94,11 @@ impl fmt::Display for SpecError {
             SpecError::WidthTooNarrow => {
                 write!(f, "array width cannot hold one channel at the widest weight precision")
             }
+            SpecError::BadSupply => write!(f, "supply voltage must be finite and positive"),
+            SpecError::BadFrequency => {
+                write!(f, "MAC and weight-update frequencies must be finite and positive")
+            }
+            SpecError::BadPpaWeights => write!(f, "PPA weights must be finite and non-negative"),
         }
     }
 }
@@ -132,6 +144,17 @@ impl MacroSpec {
         }
         if self.w < self.weight_bits() as usize {
             return Err(SpecError::WidthTooNarrow);
+        }
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        if !positive(self.vdd_v) {
+            return Err(SpecError::BadSupply);
+        }
+        if !positive(self.f_mac_mhz) || !positive(self.f_wu_mhz) {
+            return Err(SpecError::BadFrequency);
+        }
+        let PpaWeights { power, area, latency } = self.ppa;
+        if [power, area, latency].iter().any(|w| !w.is_finite() || *w < 0.0) {
+            return Err(SpecError::BadPpaWeights);
         }
         Ok(())
     }
@@ -213,6 +236,36 @@ mod tests {
         let mut s = MacroSpec::paper_test_chip();
         s.int_precisions = vec![6];
         assert_eq!(s.validate().unwrap_err(), SpecError::BadIntPrecision);
+    }
+
+    #[test]
+    fn non_finite_or_non_positive_supplies_and_frequencies_are_rejected() {
+        for vdd_v in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
+            let s = MacroSpec { vdd_v, ..MacroSpec::paper_test_chip() };
+            assert_eq!(s.validate().unwrap_err(), SpecError::BadSupply, "vdd {vdd_v}");
+        }
+        for f in [f64::NAN, f64::INFINITY, 0.0, -5.0] {
+            let s = MacroSpec { f_mac_mhz: f, ..MacroSpec::paper_test_chip() };
+            assert_eq!(s.validate().unwrap_err(), SpecError::BadFrequency, "f_mac {f}");
+            let s = MacroSpec { f_wu_mhz: f, ..MacroSpec::paper_test_chip() };
+            assert_eq!(s.validate().unwrap_err(), SpecError::BadFrequency, "f_wu {f}");
+        }
+    }
+
+    #[test]
+    fn non_finite_or_negative_ppa_weights_are_rejected() {
+        let zero = PpaWeights { power: 0.0, area: 0.0, latency: 0.0 };
+        MacroSpec { ppa: zero, ..MacroSpec::paper_test_chip() }.validate().unwrap();
+        for w in [f64::NAN, f64::INFINITY, -1.0] {
+            for ppa in [
+                PpaWeights { power: w, ..zero },
+                PpaWeights { area: w, ..zero },
+                PpaWeights { latency: w, ..zero },
+            ] {
+                let s = MacroSpec { ppa, ..MacroSpec::paper_test_chip() };
+                assert_eq!(s.validate().unwrap_err(), SpecError::BadPpaWeights, "{ppa:?}");
+            }
+        }
     }
 
     #[test]

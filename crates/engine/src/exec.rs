@@ -635,14 +635,6 @@ impl<W: LaneWord> SimBackend for BatchExec<'_, W> {
         self.module
     }
 
-    fn poke_word(&mut self, net: NetId, word: u64) {
-        self.poke_word_at(net, 0, word);
-    }
-
-    fn peek_word(&self, net: NetId) -> u64 {
-        self.slots[net.index()].get_u64(0)
-    }
-
     fn poke_word_at(&mut self, net: NetId, word_idx: usize, word: u64) {
         assert!(word_idx < self.words(), "word {word_idx} out of range ({} lane words)", self.words());
         let mut val = self.slots[net.index()];
@@ -684,14 +676,6 @@ impl<W: LaneWord> SimBackend for BatchExec<'_, W> {
         self.ctr_captures_skipped.add((self.prog.commits.len() - captured) as u64);
         self.lane_cycles += self.lanes as u64;
         self.settle();
-    }
-
-    fn force_state_word(&mut self, inst: InstId, word: u64) {
-        self.force_state_word_at(inst, 0, word);
-    }
-
-    fn state_word(&self, inst: InstId) -> u64 {
-        self.state_word_at(inst, 0)
     }
 
     fn force_state_word_at(&mut self, inst: InstId, word_idx: usize, word: u64) {
@@ -834,25 +818,7 @@ impl<'a> EngineSim<'a> {
     /// when `lanes` exceeds [`EngineSim::MAX_LANES`], and
     /// [`EngineError::ZeroLanes`] for an empty lane set.
     pub fn try_new(prog: &'a Program, module: &'a Module, lanes: usize) -> Result<Self, EngineError> {
-        Self::with_policy(prog, module, lanes, SimdPolicy::from_env()?)
-    }
-
-    /// [`EngineSim::try_new`] with an explicit [`SimdPolicy`] instead
-    /// of the environment.
-    ///
-    /// # Errors
-    ///
-    /// As [`EngineSim::try_new`], minus the environment parse.
-    pub fn with_policy(
-        prog: &'a Program,
-        module: &'a Module,
-        lanes: usize,
-        policy: SimdPolicy,
-    ) -> Result<Self, EngineError> {
-        if lanes == 0 {
-            return Err(EngineError::ZeroLanes);
-        }
-        Self::with_backend(prog, module, lanes, policy.select(lanes)?)
+        Self::with_backend(prog, module, lanes, SimdPolicy::from_env()?.select(lanes)?)
     }
 
     /// Construct in an explicit [`SimdBackend`]'s frame — the knob the
@@ -967,14 +933,6 @@ impl SimBackend for EngineSim<'_> {
         delegate!(self, s => SimBackend::module(s))
     }
 
-    fn poke_word(&mut self, net: NetId, word: u64) {
-        delegate!(self, s => s.poke_word(net, word))
-    }
-
-    fn peek_word(&self, net: NetId) -> u64 {
-        delegate!(self, s => s.peek_word(net))
-    }
-
     fn poke_word_at(&mut self, net: NetId, word_idx: usize, word: u64) {
         delegate!(self, s => s.poke_word_at(net, word_idx, word))
     }
@@ -989,14 +947,6 @@ impl SimBackend for EngineSim<'_> {
 
     fn step(&mut self) {
         delegate!(self, s => s.step())
-    }
-
-    fn force_state_word(&mut self, inst: InstId, word: u64) {
-        delegate!(self, s => s.force_state_word(inst, word))
-    }
-
-    fn state_word(&self, inst: InstId) -> u64 {
-        delegate!(self, s => s.state_word(inst))
     }
 
     fn force_state_word_at(&mut self, inst: InstId, word_idx: usize, word: u64) {

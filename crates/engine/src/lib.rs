@@ -156,10 +156,10 @@ mod tests {
                 for (l, stim) in stimulus.iter().enumerate() {
                     word |= (stim[c][i] as u64) << l;
                 }
-                eng.poke_word(net, word);
+                eng.poke_word_at(net, 0, word);
             }
             eng.step();
-            let w = eng.peek_word(y_net);
+            let w = eng.peek_word_at(y_net, 0);
             for (l, out) in eng_outputs.iter_mut().enumerate() {
                 out.push((w >> l) & 1 == 1);
             }
@@ -197,7 +197,7 @@ mod tests {
         let prog = Program::compile(&m, &lib).unwrap();
         let mut eng = EngineSim::new(&prog, &m, 2);
         let inst = syndcim_netlist::InstId(0);
-        eng.force_state_word(inst, 0b01);
+        eng.force_state_word_at(inst, 0, 0b01);
         assert!(eng.state_of_lane(inst, 0));
         assert!(!eng.state_of_lane(inst, 1));
         eng.settle();
@@ -231,8 +231,7 @@ mod tests {
         // Pin the portable backend: this test is about width semantics;
         // the ISA frames get the same treatment in the workspace
         // differential suites.
-        let mut eng =
-            EngineSim::with_policy(&prog, &m, lanes, SimdPolicy::Pin(SimdBackend::Portable)).unwrap();
+        let mut eng = EngineSim::with_backend(&prog, &m, lanes, SimdBackend::Portable).unwrap();
         assert!(matches!(eng, EngineSim::Wide(_)), "65..=256 lanes must select the 256-lane word");
         eng.enable_lane_toggles();
         let mut snapshots: Vec<Vec<Vec<u64>>> = Vec::new(); // [cycle][net][word]
@@ -296,9 +295,9 @@ mod tests {
         let prog = Program::compile(&m, &lib).unwrap();
         // ≤64 lanes always ride the scalar u64 word, whatever the ISA.
         assert!(matches!(EngineSim::new(&prog, &m, 64), EngineSim::Narrow(_)));
-        let portable = SimdPolicy::Pin(SimdBackend::Portable);
-        assert!(matches!(EngineSim::with_policy(&prog, &m, 65, portable).unwrap(), EngineSim::Wide(_)));
-        assert!(matches!(EngineSim::with_policy(&prog, &m, 257, portable).unwrap(), EngineSim::Wide512(_)));
+        let portable = SimdBackend::Portable;
+        assert!(matches!(EngineSim::with_backend(&prog, &m, 65, portable).unwrap(), EngineSim::Wide(_)));
+        assert!(matches!(EngineSim::with_backend(&prog, &m, 257, portable).unwrap(), EngineSim::Wide512(_)));
         let narrow = EngineSim::new(&prog, &m, 64);
         let wide = EngineSim::new(&prog, &m, 65);
         let widest = EngineSim::new(&prog, &m, 300);
@@ -372,13 +371,13 @@ mod tests {
             Err(EngineError::SimdLaneCap { lanes: 513, max: 512, .. })
         ));
         for backend in [SimdBackend::Portable, SimdBackend::Avx2, SimdBackend::Avx512] {
-            assert_eq!(
-                EngineSim::with_policy(&prog, &m, 513, SimdPolicy::Pin(backend)).unwrap_err(),
-                EngineError::SimdLaneCap { backend, lanes: 513, max: 512 }
-            );
             if backend.detected() {
+                assert_eq!(
+                    EngineSim::with_backend(&prog, &m, 513, backend).unwrap_err(),
+                    EngineError::SimdLaneCap { backend, lanes: 513, max: 512 }
+                );
                 // Every frame carries the 512-lane word.
-                let sim = EngineSim::with_policy(&prog, &m, 300, SimdPolicy::Pin(backend)).unwrap();
+                let sim = EngineSim::with_backend(&prog, &m, 300, backend).unwrap();
                 assert_eq!((sim.simd_backend(), sim.word_lanes()), (backend, 512));
             } else {
                 assert!(matches!(
@@ -405,13 +404,13 @@ mod tests {
         let mut driven = EngineSim::new(&prog, &m, 64);
         let words = [0xDEAD, 0xDEAD, 0, 0, 0xBEEF];
         for &w in &words {
-            poked.poke_word(a_net, w);
+            poked.poke_word_at(a_net, 0, w);
             poked.settle();
             driven.drive_word_at(a_net, 0, w);
             driven.settle();
         }
         assert_eq!(poked.toggle_table(), driven.toggle_table());
-        assert_eq!(poked.peek_word(a_net), driven.peek_word(a_net));
+        assert_eq!(poked.peek_word_at(a_net, 0), driven.peek_word_at(a_net, 0));
     }
 
     /// Deactivated lanes stop contributing toggles.
@@ -430,7 +429,7 @@ mod tests {
         eng.settle(); // y rises in all 64 lanes
         assert_eq!(eng.toggle_table()[y_net.index()], 64);
         eng.set_lanes(4).unwrap();
-        eng.poke_word(a_net, !0); // flips a (and y) in every lane, 4 active
+        eng.poke_word_at(a_net, 0, !0); // flips a (and y) in every lane, 4 active
         eng.settle();
         assert_eq!(eng.toggle_table()[a_net.index()], 4);
         assert_eq!(eng.toggle_table()[y_net.index()], 64 + 4);

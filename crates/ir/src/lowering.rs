@@ -9,14 +9,16 @@
 //! so downstream compilers only decide what to emit *per instance*,
 //! never how to walk the netlist.
 //!
-//! The slot assignment is deliberately trivial — slot `i` is net `i` —
-//! which keeps every per-net side table (toggle counts, arrival times,
-//! switched capacitance, wire parasitics) directly indexable by
-//! [`NetId::index`] with no remapping step between backends.
+//! The slot assignment is deliberately trivial — slot `i` is net `i`,
+//! written `net.index() as u32` by every emitter — which keeps every
+//! per-net side table (toggle counts, arrival times, switched
+//! capacitance, wire parasitics) directly indexable by
+//! [`NetId::index`](syndcim_netlist::NetId::index) with no remapping
+//! step between backends.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use syndcim_netlist::{levelize, validate, Connectivity, InstId, Module, NetId, NetlistError, PortDir};
+use syndcim_netlist::{levelize, validate, Connectivity, InstId, Module, NetlistError, PortDir};
 use syndcim_pdk::CellLibrary;
 use syndcim_telemetry as telemetry;
 
@@ -34,8 +36,7 @@ static BUILDS: AtomicU64 = AtomicU64::new(0);
 pub(crate) static TEST_BUILDS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// The shared front half of netlist compilation: connectivity tables,
-/// the levelized combinational instance order and the dense net→slot
-/// map.
+/// the levelized combinational instance order and the interned names.
 ///
 /// Build one with [`Lowering::validated`], which also rejects nets that
 /// are read but never driven — the contract every backend shares.
@@ -127,12 +128,6 @@ impl Lowering {
         self.order.len() * std::mem::size_of::<InstId>() + self.conn.heap_bytes()
     }
 
-    /// Dense slot of a net. Slots are stable across backends: slot `i`
-    /// always mirrors net `i`.
-    pub fn slot(&self, net: NetId) -> u32 {
-        net.index() as u32
-    }
-
     /// Reassemble a lowering from already-built tables. Crate-internal:
     /// the artifact decoder is the only caller. Deliberately does *not*
     /// bump the build counter — loading an artifact is wiring-only, and
@@ -151,7 +146,8 @@ impl Lowering {
     }
 }
 
-/// Total capacitive load per net in fF, indexed by [`NetId::index`]:
+/// Total capacitive load per net in fF, indexed by
+/// [`NetId::index`](syndcim_netlist::NetId::index):
 /// every sink pin's input capacitance (instance order), plus
 /// `4 × cin_unit` per output port, plus the net's entry of
 /// `wire_cap_ff` (missing entries count as zero), summed in that order.
@@ -195,7 +191,6 @@ mod tests {
         let conn = Connectivity::build(&m).unwrap();
         assert_eq!(low.order(), levelize(&m, &lib, &conn).unwrap());
         assert_eq!(low.net_count(), m.net_count());
-        assert_eq!(low.slot(a), a.index() as u32);
     }
 
     #[test]

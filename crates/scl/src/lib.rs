@@ -13,15 +13,14 @@
 //! characterized dimension ("the PPA data for other configurations can
 //! be estimated and scaled from synthesis data").
 //!
-//! Energy characterization runs on the compiled bit-parallel engine by
-//! default ([`SclBackend::Engine`]): the subcircuit is compiled once
-//! and 256 random stimulus lanes evaluate per pass on the wide
-//! (`[u64; 4]`) word, which both cuts `Scl::new()` warm-up by orders of
-//! magnitude and tightens the energy estimate (hundreds of samples per
-//! record instead of 32). [`Scl::interpreted`] keeps the seed's
-//! sequential `Simulator` path as the reference; both backends sample
-//! the same stationary random-stimulus distribution, so their records
-//! agree within sampling tolerance (pinned by a test below).
+//! Every record is characterized on the compiled trinity, built once
+//! from the record's lowering: compiled STA for delay, and the
+//! bit-parallel engine for energy. The engine compiles the subcircuit
+//! once and evaluates 256 random stimulus lanes per pass on the wide
+//! (`[u64; 4]`) word, so each record averages over hundreds of samples
+//! at a small cost; the compiled power model turns its toggle tables
+//! into energy. Each compiled program is pinned bit-identical to its
+//! reference analyzer by the workspace's differential suites.
 //!
 //! ```
 //! use syndcim_scl::Scl;
@@ -39,10 +38,10 @@ use syndcim_engine::{EngineSim, Program};
 use syndcim_ir::Lowering;
 use syndcim_netlist::{Module, NetId, NetlistBuilder, NetlistStats};
 use syndcim_pdk::{CellLibrary, OperatingPoint};
-use syndcim_power::{CompiledPower, PowerAnalyzer};
+use syndcim_power::CompiledPower;
 use syndcim_sim::vectors::seeded_rng;
-use syndcim_sim::{FpFormat, SimBackend, Simulator};
-use syndcim_sta::{CompiledSta, Sta, WireLoads};
+use syndcim_sim::{FpFormat, SimBackend};
+use syndcim_sta::{CompiledSta, WireLoads};
 use syndcim_subckt::{
     build_adder_tree, build_array, build_drivers, build_ofu, build_shift_add, AdderTreeConfig, ArrayConfig,
     BitcellKind, DriverRole, FpRowPorts, MultMuxKind, OfuConfig, ShiftAddConfig, TreeOutput,
@@ -112,16 +111,6 @@ pub enum SclKey {
     },
 }
 
-/// Which simulation substrate characterizes switching energy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SclBackend {
-    /// Compiled wide-word engine: 256 random lanes per pass (default).
-    #[default]
-    Engine,
-    /// Interpreted sequential simulator — the seed's reference path.
-    Interpreter,
-}
-
 /// The subcircuit library: characterization engine + PPA cache.
 ///
 /// Owns its [`CellLibrary`]; records are characterized lazily on first
@@ -132,14 +121,6 @@ pub enum SclBackend {
 pub struct Scl {
     lib: CellLibrary,
     table: BTreeMap<SclKey, PpaRecord>,
-    /// Random-stimulus sample target per energy characterization (the
-    /// interpreter takes this many sequential cycles; the engine rounds
-    /// up to whole wide-word passes, so it takes at least this many).
-    /// The seed used 32 — affordable for the sequential interpreter;
-    /// the engine makes 512 cheaper than the interpreter's 32, so both
-    /// backends now sample the same count and compare like-for-like.
-    energy_cycles: u64,
-    backend: SclBackend,
 }
 
 impl Default for Scl {
@@ -149,39 +130,15 @@ impl Default for Scl {
 }
 
 impl Scl {
-    /// Create an empty library over the syn40 process, characterizing
-    /// energy on the compiled wide-word engine.
+    /// Create an empty library over the syn40 process.
     pub fn new() -> Self {
-        Self::with_backend(SclBackend::Engine)
-    }
-
-    /// Create an empty library characterizing on the interpreted
-    /// reference simulator (the seed's original sequential path).
-    pub fn interpreted() -> Self {
-        Self::with_backend(SclBackend::Interpreter)
-    }
-
-    /// Create an empty library over an explicit backend choice.
-    pub fn with_backend(backend: SclBackend) -> Self {
-        Scl { lib: CellLibrary::syn40(), table: BTreeMap::new(), energy_cycles: 512, backend }
-    }
-
-    /// The characterization backend in use.
-    pub fn backend(&self) -> SclBackend {
-        self.backend
+        Scl { lib: CellLibrary::syn40(), table: BTreeMap::new() }
     }
 
     /// Merge another library's cached records into this one. Records are
-    /// deterministic per `(key, backend)`, so absorbing caches grown
-    /// from clones of the same `Scl` (the parallel-search pattern) is
-    /// lossless.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two caches were characterized on different
-    /// backends — their records sample differently and must not mix.
+    /// deterministic per key, so absorbing caches grown from clones of
+    /// the same `Scl` (the parallel-search pattern) is lossless.
     pub fn absorb(&mut self, other: Scl) {
-        assert_eq!(self.backend, other.backend, "cannot merge caches characterized on different backends");
         self.table.extend(other.table);
     }
 
@@ -206,7 +163,7 @@ impl Scl {
         if let Some(r) = self.table.get(&key) {
             return *r;
         }
-        let r = characterize_module(&self.lib, self.energy_cycles, self.backend, |b| {
+        let r = characterize_module(&self.lib, |b| {
             let ins = b.input_bus("in", h);
             match build_adder_tree(b, &ins, cfg) {
                 TreeOutput::Binary(s) => b.output_bus("sum", &s),
@@ -227,7 +184,7 @@ impl Scl {
         if let Some(r) = self.table.get(&key) {
             return *r;
         }
-        let r = characterize_module(&self.lib, self.energy_cycles, self.backend, |b| {
+        let r = characterize_module(&self.lib, |b| {
             let act = b.input_bus("act", h);
             let wwl: Vec<Vec<NetId>> = (0..mcr).map(|k| b.input_bus(&format!("wwl{k}"), h)).collect();
             let wbl = b.input_bus("wbl", 1);
@@ -246,7 +203,7 @@ impl Scl {
         if let Some(r) = self.table.get(&key) {
             return *r;
         }
-        let r = characterize_module(&self.lib, self.energy_cycles, self.backend, |b| {
+        let r = characterize_module(&self.lib, |b| {
             let psum = b.input_bus("psum", cfg.psum_bits);
             let neg = b.input("neg");
             let clear = b.input("clear");
@@ -263,7 +220,7 @@ impl Scl {
         if let Some(r) = self.table.get(&key) {
             return *r;
         }
-        let r = characterize_module(&self.lib, self.energy_cycles, self.backend, |b| {
+        let r = characterize_module(&self.lib, |b| {
             let sa: Vec<Vec<NetId>> =
                 (0..cfg.w_bits).map(|j| b.input_bus(&format!("sa{j}"), cfg.sa_bits)).collect();
             let prec = b.input_bus("prec", cfg.levels() + 1);
@@ -284,7 +241,7 @@ impl Scl {
         if let Some(r) = self.table.get(&key) {
             return *r;
         }
-        let r = characterize_module(&self.lib, self.energy_cycles, self.backend, |b| {
+        let r = characterize_module(&self.lib, |b| {
             let rows: Vec<FpRowPorts> = (0..h)
                 .map(|r| FpRowPorts {
                     sign: b.input(format!("s{r}")),
@@ -310,7 +267,7 @@ impl Scl {
         if let Some(r) = self.table.get(&key) {
             return *r;
         }
-        let r = characterize_module(&self.lib, self.energy_cycles, self.backend, |b| {
+        let r = characterize_module(&self.lib, |b| {
             let a = b.input("a");
             let driven = build_drivers(b, DriverRole::WordLine, &[a], bucket)[0];
             // Emulate the fanout load with parallel multiplier pins.
@@ -353,8 +310,12 @@ impl Scl {
     }
 }
 
-/// Lanes one engine-backed characterization pass evaluates at once.
+/// Lanes one characterization pass evaluates at once.
 const ENERGY_LANES: usize = 256;
+
+/// Random-stimulus lane-cycle samples each energy record takes at
+/// least; the engine rounds up to whole wide-word passes.
+const ENERGY_CYCLES: u64 = 512;
 
 /// Warm-up cycles before the engine's measured window — enough to pull
 /// every lane off the all-zero reset state into the stationary
@@ -364,59 +325,22 @@ const ENERGY_WARMUP_CYCLES: u64 = 4;
 /// Characterize one freshly built module: STA for delay, random-vector
 /// simulation for energy, stats for area/leakage.
 ///
-/// The netlist is lowered **once** per record — the shared [`Lowering`]
-/// feeds the timing analyzer, the compiled simulation program and the
-/// power model, where the seed walked the connectivity three separate
-/// times (`Sta::new`, `Program::compile`, `PowerAnalyzer::new`) for
-/// every record of every characterization sweep. The hoist applies to
-/// both backends; what differs per backend is which analyzer consumes
-/// the IR (compiled vs reference), never how often the netlist is
-/// walked.
-fn characterize_module(
-    lib: &CellLibrary,
-    energy_cycles: u64,
-    backend: SclBackend,
-    build: impl FnOnce(&mut NetlistBuilder<'_>),
-) -> PpaRecord {
+/// The netlist is lowered **once** per record: the shared [`Lowering`]
+/// feeds the compiled timing, simulation and power programs.
+fn characterize_module(lib: &CellLibrary, build: impl FnOnce(&mut NetlistBuilder<'_>)) -> PpaRecord {
     let mut b = NetlistBuilder::new("dut", lib);
     build(&mut b);
     let module: Module = b.finish();
 
     let stats = NetlistStats::of(&module, lib);
     let low = Lowering::validated(&module, lib).expect("generated subcircuits are well-formed");
-    // Delay rides the backend choice like energy does: the engine path
-    // compiles the timing program straight from the lowering
-    // (bit-identical to the reference walk, pinned by the
-    // `backends_agree` test), so the search ladder's timing gates are
-    // fed by compiled STA while `Scl::interpreted()` keeps the seed's
-    // reference analyzer.
-    let delay = match backend {
-        SclBackend::Engine => {
-            let wires = WireLoads::zero(module.net_count());
-            CompiledSta::from_lowering(&low, &module, lib, &wires).analyze(1e9).max_delay_ps
-        }
-        SclBackend::Interpreter => Sta::with_lowering(&module, lib, low.clone()).analyze(1e9).max_delay_ps,
-    };
+    let wires = WireLoads::zero(module.net_count());
+    let delay = CompiledSta::from_lowering(&low, &module, lib, &wires).analyze(1e9).max_delay_ps;
 
-    let (toggles, lane_cycles) = match backend {
-        SclBackend::Engine => engine_energy_activity(lib, &module, &low, energy_cycles),
-        SclBackend::Interpreter => interpreter_energy_activity(lib, &module, energy_cycles),
-    };
+    let (toggles, lane_cycles) = energy_activity(lib, &module, &low);
     let op = OperatingPoint::nominal(lib.process());
-    // The engine backend completes the compiled trinity (sim + STA +
-    // power all compiled from the shared IR); the reference path keeps
-    // the seed's module-walking report over the same lowering.
-    let report = match backend {
-        SclBackend::Engine => {
-            CompiledPower::from_lowering(&low, &module, lib, &[]).report(&toggles, lane_cycles, 1000.0, op)
-        }
-        SclBackend::Interpreter => PowerAnalyzer::from_lowering(&module, lib, &low, &[]).from_activity(
-            &toggles,
-            lane_cycles,
-            1000.0,
-            op,
-        ),
-    };
+    let report =
+        CompiledPower::from_lowering(&low, &module, lib, &[]).report(&toggles, lane_cycles, 1000.0, op);
 
     PpaRecord {
         delay_ps: delay,
@@ -427,41 +351,17 @@ fn characterize_module(
     }
 }
 
-/// The seed's sequential reference sampler: one interpreted run,
-/// `energy_cycles` cycles of fresh random vectors.
-fn interpreter_energy_activity(lib: &CellLibrary, module: &Module, energy_cycles: u64) -> (Vec<u64>, u64) {
-    let mut sim = Simulator::new(module, lib).expect("generated subcircuits simulate");
-    let mut rng = seeded_rng(0xC1A0 ^ module.net_count() as u64);
-    let inputs: Vec<String> = module.input_ports().map(|p| p.name.clone()).collect();
-    sim.step();
-    sim.reset_activity();
-    for _ in 0..energy_cycles {
-        for name in &inputs {
-            let v = rng.gen_bool(0.5);
-            sim.set(name, v);
-        }
-        sim.step();
-    }
-    (sim.toggle_table().to_vec(), sim.cycles())
-}
-
-/// Engine sampler: compile once (from the record's shared [`Lowering`]),
+/// Energy sampler: compile once (from the record's shared [`Lowering`]),
 /// then evaluate [`ENERGY_LANES`] independent random-stimulus lanes per
 /// pass on the wide word. After a short warm-up the measured window
-/// takes at least `energy_cycles` lane-cycle samples (one wide pass
-/// already covers 256), so each record averages over far more stimulus
-/// than the sequential path at a small fraction of its cost.
-fn engine_energy_activity(
-    lib: &CellLibrary,
-    module: &Module,
-    low: &Lowering,
-    energy_cycles: u64,
-) -> (Vec<u64>, u64) {
+/// takes at least [`ENERGY_CYCLES`] lane-cycle samples (one wide pass
+/// already covers 256).
+fn energy_activity(lib: &CellLibrary, module: &Module, low: &Lowering) -> (Vec<u64>, u64) {
     let prog = Program::from_lowering(low, module, lib);
     let mut sim = EngineSim::new(&prog, module, ENERGY_LANES);
     let mut rng = seeded_rng(0xC1A0 ^ module.net_count() as u64);
     let in_nets: Vec<NetId> = module.input_ports().map(|p| p.net).collect();
-    let measured = energy_cycles.div_ceil(ENERGY_LANES as u64).max(2);
+    let measured = ENERGY_CYCLES.div_ceil(ENERGY_LANES as u64).max(2);
     for cycle in 0..ENERGY_WARMUP_CYCLES + measured {
         if cycle == ENERGY_WARMUP_CYCLES {
             sim.reset_activity();
@@ -480,44 +380,6 @@ fn engine_energy_activity(
 mod tests {
     use super::*;
     use syndcim_subckt::AdderTreeKind;
-
-    /// Both characterization backends sample the same stationary
-    /// random-stimulus distribution; delay/area/leakage are computed
-    /// identically and energy must agree within sampling tolerance.
-    #[test]
-    fn engine_energy_matches_interpreter_within_tolerance() {
-        let mut eng = Scl::new();
-        let mut itp = Scl::interpreted();
-        assert_eq!(eng.backend(), SclBackend::Engine);
-        assert_eq!(itp.backend(), SclBackend::Interpreter);
-        let cfg = AdderTreeConfig::default();
-        let pairs = [
-            (eng.adder_tree(32, cfg), itp.adder_tree(32, cfg)),
-            (
-                eng.column(16, 2, BitcellKind::Sram6T2T, MultMuxKind::TgNor),
-                itp.column(16, 2, BitcellKind::Sram6T2T, MultMuxKind::TgNor),
-            ),
-            (
-                eng.shift_add(ShiftAddConfig { psum_bits: 7, act_bits: 8 }),
-                itp.shift_add(ShiftAddConfig { psum_bits: 7, act_bits: 8 }),
-            ),
-            (eng.driver(16), itp.driver(16)),
-        ];
-        for (e, i) in pairs {
-            assert_eq!(e.delay_ps, i.delay_ps, "delay comes from the same STA");
-            assert_eq!(e.area_um2, i.area_um2, "area comes from the same stats");
-            assert_eq!(e.leakage_nw, i.leakage_nw);
-            assert_eq!(e.seq_cells, i.seq_cells);
-            let rel = (e.energy_fj_per_cycle - i.energy_fj_per_cycle).abs() / i.energy_fj_per_cycle;
-            assert!(
-                rel < 0.15,
-                "energy off by {:.1}% (engine {} vs interpreter {})",
-                rel * 100.0,
-                e.energy_fj_per_cycle,
-                i.energy_fj_per_cycle
-            );
-        }
-    }
 
     /// Cloned caches grown independently merge back losslessly.
     #[test]

@@ -16,9 +16,7 @@
 //! the same module, packed 64 per `u64` word. A backend exposes
 //! [`SimBackend::words`] 64-lane words per net; the word-indexed
 //! accessors ([`SimBackend::poke_word_at`] / [`SimBackend::peek_word_at`])
-//! address lane `l` as bit `l % 64` of word `l / 64`. The unindexed
-//! [`SimBackend::poke_word`] / [`SimBackend::peek_word`] operate on word
-//! 0, which keeps every ≤64-lane caller unchanged; a 1-lane backend
+//! address lane `l` as bit `l % 64` of word `l / 64`; a 1-lane backend
 //! simply uses bit 0 of word 0. Per-net toggle counts aggregate
 //! transitions across all active lanes, so an L-lane backend reports the
 //! same totals as L separate 1-lane runs over the same per-lane stimulus
@@ -44,34 +42,20 @@ pub trait SimBackend {
     /// The module being simulated.
     fn module(&self) -> &Module;
 
-    /// Drive word 0 of a net (bit `l` = value in lane `l`, lanes 0..64),
-    /// counting one toggle per lane whose value changes.
-    fn poke_word(&mut self, net: NetId, word: u64);
-
-    /// Read word 0 of a net.
-    fn peek_word(&self, net: NetId) -> u64;
-
     /// Drive 64-lane word `word_idx` of a net (lane `word_idx*64 + b` is
     /// bit `b`), counting one toggle per lane whose value changes.
-    /// Backends with a single word (the default) only accept index 0.
     ///
     /// # Panics
     ///
     /// Panics if `word_idx >= self.words()`.
-    fn poke_word_at(&mut self, net: NetId, word_idx: usize, word: u64) {
-        assert_eq!(word_idx, 0, "backend carries {} lane word(s)", self.words());
-        self.poke_word(net, word);
-    }
+    fn poke_word_at(&mut self, net: NetId, word_idx: usize, word: u64);
 
     /// Read 64-lane word `word_idx` of a net.
     ///
     /// # Panics
     ///
     /// Panics if `word_idx >= self.words()`.
-    fn peek_word_at(&self, net: NetId, word_idx: usize) -> u64 {
-        assert_eq!(word_idx, 0, "backend carries {} lane word(s)", self.words());
-        self.peek_word(net)
-    }
+    fn peek_word_at(&self, net: NetId, word_idx: usize) -> u64;
 
     /// Incremental-stimulus poke: drive 64-lane word `word_idx` of a net
     /// only if it differs from the current value. Because toggle
@@ -90,31 +74,19 @@ pub trait SimBackend {
     /// Advance one clock cycle in every lane.
     fn step(&mut self);
 
-    /// Force word 0 of the stored state of a sequential instance.
-    fn force_state_word(&mut self, inst: InstId, word: u64);
-
-    /// Word 0 of the stored state of a sequential instance.
-    fn state_word(&self, inst: InstId) -> u64;
-
     /// Force 64-lane word `word_idx` of a sequential instance's state.
     ///
     /// # Panics
     ///
     /// Panics if `word_idx >= self.words()`.
-    fn force_state_word_at(&mut self, inst: InstId, word_idx: usize, word: u64) {
-        assert_eq!(word_idx, 0, "backend carries {} lane word(s)", self.words());
-        self.force_state_word(inst, word);
-    }
+    fn force_state_word_at(&mut self, inst: InstId, word_idx: usize, word: u64);
 
     /// 64-lane word `word_idx` of a sequential instance's state.
     ///
     /// # Panics
     ///
     /// Panics if `word_idx >= self.words()`.
-    fn state_word_at(&self, inst: InstId, word_idx: usize) -> u64 {
-        assert_eq!(word_idx, 0, "backend carries {} lane word(s)", self.words());
-        self.state_word(inst)
-    }
+    fn state_word_at(&self, inst: InstId, word_idx: usize) -> u64;
 
     /// Total *lane-cycles* completed since the last
     /// [`SimBackend::reset_activity`]: each [`SimBackend::step`] adds
@@ -242,11 +214,13 @@ impl SimBackend for crate::Simulator<'_> {
         self.port_net(port).unwrap_or_else(|| panic!("no port named `{port}`"))
     }
 
-    fn poke_word(&mut self, net: NetId, word: u64) {
+    fn poke_word_at(&mut self, net: NetId, word_idx: usize, word: u64) {
+        assert_eq!(word_idx, 0, "the interpreter carries one lane word");
         self.poke(net, word & 1 == 1);
     }
 
-    fn peek_word(&self, net: NetId) -> u64 {
+    fn peek_word_at(&self, net: NetId, word_idx: usize) -> u64 {
+        assert_eq!(word_idx, 0, "the interpreter carries one lane word");
         self.peek(net) as u64
     }
 
@@ -258,11 +232,13 @@ impl SimBackend for crate::Simulator<'_> {
         crate::Simulator::step(self);
     }
 
-    fn force_state_word(&mut self, inst: InstId, word: u64) {
+    fn force_state_word_at(&mut self, inst: InstId, word_idx: usize, word: u64) {
+        assert_eq!(word_idx, 0, "the interpreter carries one lane word");
         self.force_state(inst, word & 1 == 1);
     }
 
-    fn state_word(&self, inst: InstId) -> u64 {
+    fn state_word_at(&self, inst: InstId, word_idx: usize) -> u64 {
+        assert_eq!(word_idx, 0, "the interpreter carries one lane word");
         self.state_of(inst) as u64
     }
 
@@ -308,7 +284,7 @@ mod tests {
         // {s, co} read as a 2-bit bus: 1 + 1 + 1 = 0b11, signed −1.
         let sum = [be.net_of("s"), be.net_of("co")];
         assert_eq!(be.read_bus(&sum), vec![-1]);
-        assert_eq!(be.peek_word(sum[0]) & 1, 1);
+        assert_eq!(be.peek_word_at(sum[0], 0) & 1, 1);
     }
 
     #[test]

@@ -7,36 +7,9 @@
 //! playing the role gate-level simulation + SAIF plays in the paper's
 //! PrimeTime sign-off.
 
-use std::collections::HashMap;
-
 use syndcim_ir::{Lowering, Symbols};
-use syndcim_netlist::{levelize, validate, Connectivity, InstId, Module, NetId, NetlistError};
+use syndcim_netlist::{InstId, Module, NetId, NetlistError};
 use syndcim_pdk::{CellLibrary, SeqUpdate};
-use syndcim_telemetry as telemetry;
-
-/// Port-name → net resolution strategy.
-///
-/// Simulators built from a shared [`Lowering`] resolve ports through
-/// the lowering's interned [`Symbols`] table — an `Arc` handle, so the
-/// constructor allocates **no** per-simulator name map. Only the
-/// standalone [`Simulator::new`] path (no lowering available) still
-/// builds an owned `HashMap`; each such build bumps the
-/// `sim.port_table_allocs` telemetry counter, which the telemetry
-/// tests use to prove the shared paths stopped allocating.
-#[derive(Debug)]
-enum PortLookup {
-    Shared(Symbols),
-    Owned(HashMap<String, NetId>),
-}
-
-impl PortLookup {
-    fn net(&self, port: &str) -> Option<NetId> {
-        match self {
-            PortLookup::Shared(syms) => syms.port_net(port).map(NetId),
-            PortLookup::Owned(map) => map.get(port).copied(),
-        }
-    }
-}
 
 /// Cycle-accurate simulator bound to one module.
 #[derive(Debug)]
@@ -52,45 +25,34 @@ pub struct Simulator<'a> {
     toggles: Vec<u64>,
     /// Completed clock cycles since the last reset.
     cycles: u64,
-    ports: PortLookup,
+    /// The lowering's interned name tables, through which ports resolve.
+    symbols: Symbols,
     seq_insts: Vec<InstId>,
 }
 
 impl<'a> Simulator<'a> {
-    /// Build a simulator for `module`.
+    /// Build a simulator for `module`, lowering it with
+    /// [`Lowering::validated`].
     ///
     /// # Errors
     ///
-    /// Returns an error if the netlist fails validation (floating nets,
-    /// multiple drivers) or contains a combinational loop.
+    /// Returns [`Lowering::validated`]'s error: a net with multiple
+    /// drivers, a combinational loop, or a net that is read but never
+    /// driven.
     pub fn new(module: &'a Module, lib: &'a CellLibrary) -> Result<Self, NetlistError> {
-        let conn = Connectivity::build(module)?;
-        validate(module, &conn)?;
-        let order = levelize(module, lib, &conn)?;
-        telemetry::counter("sim.port_table_allocs").incr();
-        let ports = PortLookup::Owned(module.ports.iter().map(|p| (p.name.clone(), p.net)).collect());
-        Ok(Self::build(module, lib, order, ports))
+        Ok(Self::with_lowering(module, lib, &Lowering::validated(module, lib)?))
     }
 
-    /// Build a simulator over an already-performed
-    /// [`Lowering`] of `module`, mirroring `Sta::with_lowering` /
-    /// `PowerAnalyzer::from_lowering` — the shared-IR path: the
-    /// connectivity walk and levelization are reused, so differential
-    /// tests that run many interpreter instances against one compiled
-    /// program stop paying a redundant traversal per instantiation.
-    /// The lowering must have been built from the same `module`;
-    /// `Lowering::validated` has already run the floating-net check
-    /// [`Simulator::new`] runs, so construction cannot fail.
+    /// Build a simulator over an already-performed [`Lowering`] of
+    /// `module`, mirroring `Sta::with_lowering` /
+    /// `PowerAnalyzer::from_lowering`: differential tests that run many
+    /// interpreter instances against one compiled program reuse one
+    /// connectivity walk and levelization. The lowering must have been
+    /// built from the same `module`; it has already been validated, so
+    /// construction cannot fail. Ports resolve through the lowering's
+    /// shared [`Symbols`], a few `Arc` bumps per simulator.
     pub fn with_lowering(module: &'a Module, lib: &'a CellLibrary, low: &Lowering) -> Self {
         debug_assert_eq!(low.net_count(), module.net_count(), "lowering belongs to a different module");
-        // Port names resolve through the lowering's shared symbol
-        // table: a few `Arc` bumps, no owned name map per simulator.
-        let ports = PortLookup::Shared(low.symbols().clone());
-        Self::build(module, lib, low.order().to_vec(), ports)
-    }
-
-    /// Shared constructor body over a known-good levelized order.
-    fn build(module: &'a Module, lib: &'a CellLibrary, order: Vec<InstId>, ports: PortLookup) -> Self {
         let seq_insts = module
             .instances()
             .enumerate()
@@ -100,12 +62,12 @@ impl<'a> Simulator<'a> {
         Simulator {
             module,
             lib,
-            order,
+            order: low.order().to_vec(),
             values: vec![false; module.net_count()],
             state: vec![false; module.instance_count()],
             toggles: vec![0; module.net_count()],
             cycles: 0,
-            ports,
+            symbols: low.symbols().clone(),
             seq_insts,
         }
     }
@@ -116,11 +78,9 @@ impl<'a> Simulator<'a> {
     }
 
     /// Net bound to boundary port `port`, resolved through the
-    /// simulator's port table (the lowering's shared `Symbols` when
-    /// built with [`Simulator::with_lowering`], an owned map
-    /// otherwise).
+    /// lowering's shared [`Symbols`].
     pub fn port_net(&self, port: &str) -> Option<NetId> {
-        self.ports.net(port)
+        self.symbols.port_net(port).map(NetId)
     }
 
     /// Set an input port by name.
@@ -129,7 +89,7 @@ impl<'a> Simulator<'a> {
     ///
     /// Panics if no port with that name exists.
     pub fn set(&mut self, port: &str, value: bool) {
-        let net = self.ports.net(port).unwrap_or_else(|| panic!("no port named `{port}`"));
+        let net = self.port_net(port).unwrap_or_else(|| panic!("no port named `{port}`"));
         self.poke(net, value);
     }
 
@@ -160,7 +120,7 @@ impl<'a> Simulator<'a> {
     ///
     /// Panics if no port with that name exists.
     pub fn get(&self, port: &str) -> bool {
-        let net = self.ports.net(port).unwrap_or_else(|| panic!("no port named `{port}`"));
+        let net = self.port_net(port).unwrap_or_else(|| panic!("no port named `{port}`"));
         self.peek(net)
     }
 
@@ -297,7 +257,7 @@ impl<'a> Simulator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use syndcim_netlist::NetlistBuilder;
+    use syndcim_netlist::{NetlistBuilder, Port, PortDir};
     use syndcim_pdk::CellKind;
 
     fn lib() -> CellLibrary {
@@ -413,37 +373,42 @@ mod tests {
         assert_eq!(sim.cycles(), 0);
     }
 
+    /// `Simulator::new` fails with exactly [`Lowering::validated`]'s
+    /// error, including which fault wins when a module has several.
     #[test]
-    fn with_lowering_matches_new_and_skips_revalidation() {
+    fn new_fails_exactly_like_lowering() {
         let lib = lib();
-        let mut b = NetlistBuilder::new("wl", &lib);
+        let mut b = NetlistBuilder::new("faults", &lib);
         let a = b.input("a");
-        let x = b.not(a);
-        let q = b.dff(x);
-        b.output("q", q);
-        let m = b.finish();
-        let low = Lowering::validated(&m, &lib).unwrap();
-
-        let mut fresh = Simulator::new(&m, &lib).unwrap();
-        let mut shared = Simulator::with_lowering(&m, &lib, &low);
-        for i in 0..20 {
-            fresh.set("a", i % 3 == 0);
-            shared.set("a", i % 3 == 0);
-            fresh.step();
-            shared.step();
-            assert_eq!(fresh.get("q"), shared.get("q"), "cycle {i}");
-        }
-        assert_eq!(fresh.toggle_table(), shared.toggle_table(), "toggles must be bit-identical");
-
-        // A floating-read module never reaches `with_lowering`: it fails
-        // to lower, with the simulator's own contract.
-        let mut b = NetlistBuilder::new("float", &lib);
+        let x = b.and2(a, a);
+        let y = b.and2(x, x);
+        let z = b.not(a);
         let dangling = b.net("dangling");
-        let y = b.not(dangling);
         b.output("y", y);
-        let m = b.finish();
-        assert!(matches!(Lowering::validated(&m, &lib), Err(NetlistError::FloatingNet { .. })));
-        assert!(matches!(Simulator::new(&m, &lib), Err(NetlistError::FloatingNet { .. })));
+        b.output("z", z);
+        let clean = b.finish();
+        assert!(Simulator::new(&clean, &lib).is_ok());
+
+        let mut multi = clean.clone();
+        multi.ports.push(Port { name: "x".into(), dir: PortDir::Input, net: x });
+        let mut looped = clean.clone();
+        looped.inputs_mut(InstId(0))[1] = y;
+        let mut floating = clean.clone();
+        floating.inputs_mut(InstId(2))[0] = dangling;
+        let mut both = looped.clone();
+        both.inputs_mut(InstId(2))[0] = dangling;
+
+        // The error both constructors return for `m`.
+        let error = |m: &Module| {
+            let err = Lowering::validated(m, &lib).unwrap_err();
+            assert_eq!(Simulator::new(m, &lib).unwrap_err(), err);
+            err
+        };
+        assert!(matches!(error(&multi), NetlistError::MultipleDrivers { .. }));
+        assert!(matches!(error(&looped), NetlistError::CombinationalLoop { .. }));
+        assert!(matches!(error(&floating), NetlistError::FloatingNet { .. }));
+        // Levelization runs before the floating-read check.
+        assert!(matches!(error(&both), NetlistError::CombinationalLoop { .. }));
     }
 
     #[test]

@@ -228,7 +228,7 @@ impl CompiledSta {
     ) -> Self {
         let process = lib.process();
 
-        let input_slots = module.input_ports().map(|p| low.slot(p.net)).collect();
+        let input_slots = module.input_ports().map(|p| p.net.index() as u32).collect();
 
         let (mut launches, mut seq_ends) = (0, 0);
         for inst in module.instances() {
@@ -247,12 +247,12 @@ impl CompiledSta {
             let cell = lib.cell(inst.cell);
             let Some(seq) = cell.seq else { continue };
             let qnet = inst.outputs[0];
-            launch_slot.push(low.slot(qnet));
+            launch_slot.push(qnet.index() as u32);
             launch_base_ps.push(seq.clk_to_q_ps);
             launch_wire_ps.push(wire_delay_ps[qnet.index()]);
             launch_inst.push(i as u32);
             for &dnet in inst.inputs {
-                seq_end_slot.push(low.slot(dnet));
+                seq_end_slot.push(dnet.index() as u32);
                 seq_end_setup_ps.push(seq.setup_ps);
             }
         }
@@ -291,8 +291,8 @@ impl CompiledSta {
                 for arc in &cell.arcs {
                     let in_net = inst.inputs[arc.from_input];
                     let out_net = inst.outputs[arc.to_output];
-                    src[k] = low.slot(in_net);
-                    dst[k] = low.slot(out_net);
+                    src[k] = in_net.index() as u32;
+                    dst[k] = out_net.index() as u32;
                     base[k] = cell.arc_delay_ps(arc, process.tau_ps, load_ff[out_net.index()]);
                     wire[k] = wire_delay_ps[out_net.index()];
                     arc_inst[k] = id.index() as u32;
@@ -301,7 +301,7 @@ impl CompiledSta {
             }
         });
 
-        let port_end_slot = module.output_ports().map(|p| low.slot(p.net)).collect();
+        let port_end_slot = module.output_ports().map(|p| p.net.index() as u32).collect();
 
         let csta = CompiledSta {
             process: process.clone(),

@@ -164,7 +164,7 @@ fn loaded_power_is_bit_identical_across_corners() {
     };
     for _ in 0..6 {
         for &net in &in_nets {
-            sim.poke_word(net, next());
+            sim.poke_word_at(net, 0, next());
         }
         sim.step();
     }

@@ -56,10 +56,10 @@ fn engine_matches_interpreter_on_paper_test_chip_random_stimulus() {
             for (l, stim) in stimulus.iter().enumerate() {
                 word |= (stim[c][pi] as u64) << l;
             }
-            eng.poke_word(net, word);
+            eng.poke_word_at(net, 0, word);
         }
         eng.step();
-        snapshots.push((0..module.net_count()).map(|n| eng.peek_word(NetId(n as u32))).collect());
+        snapshots.push((0..module.net_count()).map(|n| eng.peek_word_at(NetId(n as u32), 0)).collect());
     }
 
     // Interpreter: one independent run per lane; every net must agree
@@ -154,12 +154,12 @@ fn wide_backend_matches_u64_backend_and_interpreter_on_paper_test_chip() {
         let mut eng = EngineSim::new(&prog, module, 64);
         for (c, snap) in snapshots.iter().enumerate() {
             for (pi, &net) in in_nets.iter().enumerate() {
-                eng.poke_word(net, word_of(c, pi, wi));
+                eng.poke_word_at(net, 0, word_of(c, pi, wi));
             }
             eng.step();
             for (n, words) in snap.iter().enumerate() {
                 assert_eq!(
-                    eng.peek_word(NetId(n as u32)),
+                    eng.peek_word_at(NetId(n as u32), 0),
                     words[wi],
                     "chunk {wi} cycle {c}: net `{}` diverges between widths",
                     module.net_name(NetId(n as u32))
@@ -276,12 +276,12 @@ fn simd_backends_agree_at_every_word_seam() {
             let mut eng = EngineSim::new(&prog, module, (lanes - wi * 64).min(64));
             for (c, snap) in snapshots.iter().enumerate() {
                 for (pi, &net) in in_nets.iter().enumerate() {
-                    eng.poke_word(net, word_of(c, pi, wi));
+                    eng.poke_word_at(net, 0, word_of(c, pi, wi));
                 }
                 eng.step();
                 for (n, net_words) in snap.iter().enumerate() {
                     assert_eq!(
-                        eng.peek_word(NetId(n as u32)),
+                        eng.peek_word_at(NetId(n as u32), 0),
                         net_words[wi],
                         "chunk {wi} cycle {c}: net `{}` diverges between widths",
                         module.net_name(NetId(n as u32))
@@ -420,35 +420,6 @@ fn loaded_lane_images_equal_preparing_every_lane() {
     assert_eq!(sim.load_image(&image), Err(EngineError::FaultPlanPinned));
     sim.clear_faults();
     assert_eq!(sim.load_image(&image), Ok(()));
-}
-
-/// Engine-backed SCL characterization must reproduce the seed's
-/// (interpreter-backed) energy records within sampling tolerance —
-/// delay, area and leakage are computed by the same STA/stats either
-/// way and must match exactly.
-#[test]
-fn engine_backed_scl_reproduces_seed_energy_records() {
-    use syndcim_scl::Scl;
-    use syndcim_subckt::AdderTreeConfig;
-
-    let mut eng = Scl::new();
-    let mut itp = Scl::interpreted();
-    let cfg = AdderTreeConfig::default();
-    // Tolerance note: both backends now take the same 512-sample
-    // stimulus target, but from different random streams and warm-up
-    // schedules — large records (trees, columns) land within ~1%, tiny
-    // driver chains spread up to ~10%. 15% bounds every record kind.
-    for (e, i) in [
-        (eng.adder_tree(16, cfg), itp.adder_tree(16, cfg)),
-        (eng.adder_tree(64, cfg), itp.adder_tree(64, cfg)),
-        (eng.driver(64), itp.driver(64)),
-    ] {
-        assert_eq!(e.delay_ps, i.delay_ps);
-        assert_eq!(e.area_um2, i.area_um2);
-        assert_eq!(e.leakage_nw, i.leakage_nw);
-        let rel = (e.energy_fj_per_cycle - i.energy_fj_per_cycle).abs() / i.energy_fj_per_cycle;
-        assert!(rel < 0.15, "energy off by {:.1}%", rel * 100.0);
-    }
 }
 
 #[test]

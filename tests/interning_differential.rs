@@ -24,7 +24,6 @@ use syndcim_ir::{Lowering, Symbols};
 use syndcim_netlist::{GroupId, InstId, Module, NetId};
 use syndcim_pdk::{CellLibrary, OperatingPoint};
 use syndcim_power::PowerAnalyzer;
-use syndcim_sim::Simulator;
 use syndcim_sta::Sta;
 
 /// Critical-path and group names from the compiled STA must equal the
@@ -137,36 +136,6 @@ fn program_net_labels_match_module_names() {
     // at least one real net.
     let rendered = prog.op_label(0);
     assert!(rendered.contains('='), "op label must describe an assignment: {rendered}");
-}
-
-/// `Simulator::with_lowering` (the satellite API) is bit-identical to
-/// `Simulator::new` on the paper chip — same values, same toggles —
-/// while reusing the compiled program's traversal.
-#[test]
-fn interpreter_with_lowering_is_bit_identical_on_paper_chip() {
-    let lib = CellLibrary::syn40();
-    let mac = assemble(&lib, &MacroSpec::paper_test_chip(), &DesignChoice::default());
-    let module = &mac.module;
-    let low = Lowering::validated(module, &lib).unwrap();
-
-    let mut fresh = Simulator::new(module, &lib).unwrap();
-    let mut shared = Simulator::with_lowering(module, &lib, &low);
-    let in_nets: Vec<_> = module.input_ports().map(|p| p.net).collect();
-    for c in 0..8u64 {
-        for (k, &net) in in_nets.iter().enumerate() {
-            let bit = (c.wrapping_mul(0x9E37_79B9) >> (k % 31)) & 1 == 1;
-            fresh.poke(net, bit);
-            shared.poke(net, bit);
-        }
-        fresh.step();
-        shared.step();
-    }
-    for n in 0..module.net_count() {
-        let id = syndcim_netlist::NetId(n as u32);
-        assert_eq!(fresh.peek(id), shared.peek(id), "net {n} diverges");
-    }
-    assert_eq!(fresh.toggle_table(), shared.toggle_table(), "toggle tables must be bit-identical");
-    assert_eq!(fresh.cycles(), shared.cycles());
 }
 
 /// Every symbol of `m`'s `Symbols` — net, instance, group, group head,

@@ -54,7 +54,7 @@ fn measured_toggles(module: &Module, lib: &CellLibrary) -> (Vec<u64>, u64) {
     };
     for _ in 0..6 {
         for &net in &in_nets {
-            sim.poke_word(net, next());
+            sim.poke_word_at(net, 0, next());
         }
         sim.step();
     }

@@ -11,7 +11,6 @@ use std::sync::Mutex;
 use syndcim_core::{implement, measure_int, shmoo_with_power, DesignChoice, MacroSpec};
 use syndcim_ir::{join, parallel_map_threads};
 use syndcim_pdk::{CellLibrary, OperatingPoint};
-use syndcim_sim::Simulator;
 use syndcim_sta::VariationModel;
 use syndcim_telemetry as telemetry;
 
@@ -178,34 +177,6 @@ fn join_aggregation_is_overlap_invariant() {
     let pair = child(&sig, "pair");
     assert_eq!(child(child(pair, "pair.b"), "pair.inner").count, 1, "arm b nests under the caller's span");
     assert_eq!(ctr.iter().find(|(n, _)| n == "test.join_inner").unwrap().1, 3);
-}
-
-/// The symbol-keyed port-lookup satellite: the whole measured flow —
-/// implement, engine measurement, interpreter passes riding the shared
-/// lowering — allocates **zero** per-instance owned port tables; only
-/// the standalone `Simulator::new` path still builds one.
-#[test]
-fn shared_port_lookup_allocates_no_owned_tables() {
-    let _guard = LOCK.lock().unwrap();
-    telemetry::set_mode(telemetry::Mode::Summary);
-    telemetry::reset();
-
-    let lib = CellLibrary::syn40();
-    let im = implement(&lib, &tiny_spec(), &DesignChoice::default()).unwrap();
-    let weights = vec![vec![3, -2, 1, 0, -4, 5, 2, -1], vec![1; 8]];
-    let passes = vec![vec![1; 8], vec![-3; 8]];
-    measure_int(&im, &lib, 4, &passes, &weights, OperatingPoint::at_voltage(0.9), 400.0).unwrap();
-    let report = telemetry::snapshot();
-    assert_eq!(
-        report.counter("sim.port_table_allocs").unwrap_or(0),
-        0,
-        "shared-lowering paths own no port maps"
-    );
-    assert!(report.counter("engine.executors").unwrap() > 0, "the engine measurement ran");
-
-    // The standalone constructor is the one remaining owned-table path.
-    let _sim = Simulator::new(&im.mac.module, &lib).unwrap();
-    assert_eq!(telemetry::snapshot().counter("sim.port_table_allocs"), Some(1));
 }
 
 /// The die-major `f_max` pass reports its lane utilisation: 2,051 dies
