@@ -1,6 +1,6 @@
 //! Weight-update study (§II-B bitcell variants): write energy per bit,
 //! write bandwidth and the update-frequency limit for each memory cell.
-use syndcim_core::{implement, measure_weight_update, DesignChoice, MacroSpec};
+use syndcim_core::{implement, measure_weight_update, DesignChoice, MacroSpec, DEFAULT_WU_PATTERNS};
 use syndcim_pdk::{CellLibrary, OperatingPoint};
 use syndcim_subckt::BitcellKind;
 
@@ -26,7 +26,8 @@ fn main() {
         let choice = DesignChoice { bitcell: *bitcell, ..DesignChoice::default() };
         let im = implement(&lib, &spec, &choice).expect("flow");
         let m =
-            measure_weight_update(&im, &lib, OperatingPoint::at_voltage(0.9), 400.0, 7).expect("verified");
+            measure_weight_update(&im, &lib, OperatingPoint::at_voltage(0.9), 400.0, 7, DEFAULT_WU_PATTERNS)
+                .expect("verified");
         let setup = lib.cell(lib.id_of(bitcell.cell_kind())).seq.unwrap().setup_ps;
         println!(
             "{:<12}{:>16.1}{:>12.2}{:>16.1}{:>18.0}",

@@ -90,7 +90,13 @@ fn parse_value<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, Strin
     value.parse().map_err(|_| format!("flag `{flag}`: cannot parse `{value}`"))
 }
 
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
+/// The spec flags `compile` and `verify` read.
+const SPEC_FLAGS: [&str; 5] = ["--h", "--w", "--mcr", "--fmac", "--vdd"];
+
+/// Parse the flags of subcommand `cmd`, which reads only the flags in
+/// `reads`; any other flag, or a stray argument, is an error naming it
+/// and `cmd`.
+fn parse_flags(cmd: &str, args: &[String], reads: &[&str]) -> Result<Flags, String> {
     let mut f = Flags {
         h: None,
         w: None,
@@ -104,6 +110,9 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
     };
     let mut it = args.iter();
     while let Some(flag) = it.next() {
+        if !reads.contains(&flag.as_str()) {
+            return Err(format!("`{cmd}` does not read `{flag}`"));
+        }
         let value = it.next().ok_or_else(|| format!("flag `{flag}` needs a value"))?;
         match flag.as_str() {
             "--h" => f.h = Some(parse_value(flag, value)?),
@@ -178,7 +187,7 @@ fn compile_spec(spec: &MacroSpec) -> Result<CompiledMacro, String> {
 }
 
 fn cmd_compile(args: &[String], out: &mut impl Write) -> CmdResult {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags("compile", args, &[&SPEC_FLAGS[..], &["--out"]].concat())?;
     let path = flags.out.clone().ok_or("compile needs --out <file.scim>")?;
     let spec = flags.spec();
     let cm = compile_spec(&spec)?;
@@ -199,6 +208,7 @@ fn cmd_compile(args: &[String], out: &mut impl Write) -> CmdResult {
 
 fn cmd_info(args: &[String], out: &mut impl Write) -> CmdResult {
     let path = args.first().ok_or("info needs a <file.scim> argument")?;
+    parse_flags("info", &args[1..], &[])?;
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     let reader = ArtifactReader::parse(&bytes).map_err(|e| e.to_string())?;
     let meta = syndcim_core::artifact::read_meta(&reader).map_err(|e| e.to_string())?;
@@ -223,7 +233,7 @@ fn cmd_info(args: &[String], out: &mut impl Write) -> CmdResult {
 
 fn cmd_verify(args: &[String], out: &mut impl Write) -> CmdResult {
     let path = args.first().ok_or("verify needs a <file.scim> argument")?;
-    let flags = parse_flags(&args[1..])?;
+    let flags = parse_flags("verify", &args[1..], &SPEC_FLAGS)?;
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
 
     let reader = ArtifactReader::parse(&bytes).map_err(|e| format!("framing: {e}"))?;
@@ -254,35 +264,37 @@ fn cmd_verify(args: &[String], out: &mut impl Write) -> CmdResult {
 
 fn cmd_query(args: &[String], out: &mut impl Write) -> CmdResult {
     let what = args.first().ok_or("query needs a subcommand: fmax | power")?;
+    let power = match what.as_str() {
+        "fmax" => false,
+        "power" => true,
+        other => return Err(format!("unknown query `{other}` (expected fmax | power)").into()),
+    };
     let path = args.get(1).ok_or("query needs a <file.scim> argument")?;
-    let flags = parse_flags(&args[2..])?;
+    let reads: &[&str] = if power { &["--vdd", "--temp", "--freq", "--alpha"] } else { &["--vdd", "--temp"] };
+    let flags = parse_flags(&format!("query {what}"), &args[2..], reads)?;
     let op = flags.op(0.9)?;
     let freq = checked("--freq", flags.freq.unwrap_or(800.0), |f| f > 0.0, "finite and positive")?;
     let alpha = checked("--alpha", flags.alpha.unwrap_or(0.2), |a| a >= 0.0, "finite and non-negative")?;
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     let cm = CompiledMacro::load_from_bytes(&bytes).map_err(|e| e.to_string())?;
-    match what.as_str() {
-        "fmax" => {
-            let fmax = cm.sta.fmax_mhz(op);
-            writeln!(out, "fmax @ {:.3} V / {:.1} C: {fmax:.3} MHz", op.vdd_v, op.temp_c)?;
+    if power {
+        let report = cm.power.report_static(alpha, freq, op);
+        writeln!(
+            out,
+            "power @ {:.3} V / {:.1} C, {freq:.1} MHz, alpha {alpha:.2}: {:.3} uW total",
+            op.vdd_v,
+            op.temp_c,
+            report.total_uw()
+        )?;
+        writeln!(out, "  dynamic: {:.3} uW", report.dynamic_uw)?;
+        writeln!(out, "  clock:   {:.3} uW", report.clock_uw)?;
+        writeln!(out, "  leakage: {:.3} uW", report.leakage_uw)?;
+        for (group, pj) in &report.by_group_pj {
+            writeln!(out, "  group {group}: {pj:.4} pJ/cycle")?;
         }
-        "power" => {
-            let report = cm.power.report_static(alpha, freq, op);
-            writeln!(
-                out,
-                "power @ {:.3} V / {:.1} C, {freq:.1} MHz, alpha {alpha:.2}: {:.3} uW total",
-                op.vdd_v,
-                op.temp_c,
-                report.total_uw()
-            )?;
-            writeln!(out, "  dynamic: {:.3} uW", report.dynamic_uw)?;
-            writeln!(out, "  clock:   {:.3} uW", report.clock_uw)?;
-            writeln!(out, "  leakage: {:.3} uW", report.leakage_uw)?;
-            for (group, pj) in &report.by_group_pj {
-                writeln!(out, "  group {group}: {pj:.4} pJ/cycle")?;
-            }
-        }
-        other => return Err(format!("unknown query `{other}` (expected fmax | power)").into()),
+    } else {
+        let fmax = cm.sta.fmax_mhz(op);
+        writeln!(out, "fmax @ {:.3} V / {:.1} C: {fmax:.3} MHz", op.vdd_v, op.temp_c)?;
     }
     Ok(())
 }
@@ -339,7 +351,8 @@ mod tests {
             ("--vdd", "nan", SpecError::BadSupply),
             ("--fmac", "0", SpecError::BadFrequency),
         ] {
-            let spec = parse_flags(&[flag.to_string(), value.to_string()]).unwrap().spec();
+            let spec =
+                parse_flags("compile", &[flag.to_string(), value.to_string()], &SPEC_FLAGS).unwrap().spec();
             assert_eq!(spec.validate(), Err(want.clone()), "{flag} {value}");
             let err = compile_spec(&spec).unwrap_err();
             assert_eq!(err, format!("invalid spec: {want}"), "{flag} {value}");
@@ -356,40 +369,76 @@ mod tests {
         }
     }
 
-    /// Each bad value is rejected with a message naming `flag`, for both
-    /// queries; each good value passes the checks (and fails on the
-    /// missing file instead).
-    fn assert_query_flag(flag: &str, bad: &[&str], good: &[&str]) {
+    /// For each query in `reads`, each bad value is rejected with a
+    /// message naming `flag`, and each good value passes the checks (and
+    /// fails on the missing file instead); the other query rejects the
+    /// flag whatever its value, because it does not read it.
+    fn assert_query_flag(flag: &str, reads: &[&str], bad: &[&str], good: &[&str]) {
         for what in ["fmax", "power"] {
-            for v in bad {
-                let msg = query_error(&format!("{what} missing.scim {flag} {v}"));
-                assert!(msg.starts_with(&format!("flag `{flag}` must be")), "{flag} {v}: {msg}");
-            }
-            for v in good {
-                let msg = query_error(&format!("{what} missing.scim {flag} {v}"));
-                assert!(msg.starts_with("cannot read `missing.scim`"), "{flag} {v}: {msg}");
+            for (values, want) in
+                [(bad, format!("flag `{flag}` must be")), (good, "cannot read `missing.scim`".into())]
+            {
+                let want = if reads.contains(&what) {
+                    want
+                } else {
+                    format!("`query {what}` does not read `{flag}`")
+                };
+                for v in values {
+                    let msg = query_error(&format!("{what} missing.scim {flag} {v}"));
+                    assert!(msg.starts_with(&want), "{what} {flag} {v}: {msg}");
+                }
             }
         }
     }
 
     #[test]
     fn query_rejects_a_non_finite_or_non_positive_vdd() {
-        assert_query_flag("--vdd", &["nan", "inf", "0", "-1"], &["0.9", "0.05"]);
+        assert_query_flag("--vdd", &["fmax", "power"], &["nan", "inf", "0", "-1"], &["0.9", "0.05"]);
     }
 
     #[test]
     fn query_rejects_a_non_finite_temperature() {
-        assert_query_flag("--temp", &["nan", "-inf"], &["-40", "125"]);
+        assert_query_flag("--temp", &["fmax", "power"], &["nan", "-inf"], &["-40", "125"]);
     }
 
     #[test]
     fn query_rejects_a_non_finite_or_non_positive_frequency() {
-        assert_query_flag("--freq", &["nan", "inf", "0", "-5"], &["800", "0.5"]);
+        assert_query_flag("--freq", &["power"], &["nan", "inf", "0", "-5"], &["800", "0.5"]);
     }
 
     #[test]
     fn query_rejects_a_non_finite_or_negative_activity() {
-        assert_query_flag("--alpha", &["nan", "inf", "-0.1"], &["0", "0.2", "1"]);
+        assert_query_flag("--alpha", &["power"], &["nan", "inf", "-0.1"], &["0", "0.2", "1"]);
+    }
+
+    /// A flag the subcommand does not read exits 1 with a message naming
+    /// the flag and the subcommand, before any file is read or written.
+    #[test]
+    fn a_subcommand_rejects_a_flag_it_does_not_read() {
+        let args = |line: &str| line.split_whitespace().map(String::from).collect::<Vec<_>>();
+        for (line, cmd, flag) in [
+            ("query fmax x.scim --mcr 3", "query fmax", "--mcr"),
+            ("compile --out x.scim --alpha 0.2", "compile", "--alpha"),
+            ("info x.scim --h 4", "info", "--h"),
+            ("verify x.scim --out y.scim", "verify", "--out"),
+            ("query power x.scim --w 8", "query power", "--w"),
+        ] {
+            let (name, rest) = line.split_once(' ').unwrap();
+            let result = match name {
+                "query" => cmd_query(&args(rest), &mut Vec::new()),
+                "compile" => cmd_compile(&args(rest), &mut Vec::new()),
+                "info" => cmd_info(&args(rest), &mut Vec::new()),
+                _ => cmd_verify(&args(rest), &mut Vec::new()),
+            };
+            match result {
+                Err(CmdError::Msg(msg)) => {
+                    assert_eq!(msg, format!("`{cmd}` does not read `{flag}`"), "{line}")
+                }
+                other => panic!("{line}: {other:?}"),
+            }
+            assert_eq!(run(&args(line), &mut Vec::new()), 1, "{line}");
+        }
+        assert!(!std::path::Path::new("x.scim").exists(), "a rejected compile writes nothing");
     }
 
     /// A writer whose every write fails with `kind`.

@@ -2,8 +2,8 @@
 //!
 //! This module assembles the per-crate `.scim` section codecs into a
 //! whole-bundle container: one [`ArtifactMeta`] section, the shared
-//! [`Symbols`] arena, the [`syndcim_ir::Lowering`] tables, and the three compiled
-//! programs, in canonical section order. The division of labour is the
+//! [`syndcim_ir::Symbols`] arena, the [`syndcim_ir::Lowering`] tables,
+//! and the three compiled programs, in canonical section order. The division of labour is the
 //! same as at compile time — each crate owns its own program's bytes,
 //! `core` owns the bundle.
 //!
@@ -20,8 +20,8 @@ use std::io::Write as _;
 use std::path::Path;
 
 use crate::compiled::CompiledMacro;
+use syndcim_ir::artifact as ir_artifact;
 use syndcim_ir::artifact::{ArtifactError, ArtifactMeta, ArtifactReader, ArtifactWriter, SectionId};
-use syndcim_ir::{artifact as ir_artifact, Symbols};
 
 /// The `format` string stored in every artifact's meta section.
 pub const ARTIFACT_FORMAT: &str = "syndcim-artifact";
@@ -65,8 +65,8 @@ impl CompiledMacro {
     /// Decoding validates everything — framing, checksums, and every
     /// cross-table index — and is *wiring-only*: no lowering, no
     /// levelization, no interning runs; the three programs come back
-    /// sharing one freshly decoded [`Symbols`] arena exactly as the
-    /// in-memory compile shares the lowering's.
+    /// sharing one freshly decoded [`syndcim_ir::Symbols`] arena exactly
+    /// as the in-memory compile shares the lowering's.
     pub fn load_from_bytes(bytes: &[u8]) -> Result<Self, ArtifactError> {
         let reader = ArtifactReader::parse(bytes)?;
         let meta = read_meta(&reader)?;
@@ -125,16 +125,6 @@ pub fn read_meta(reader: &ArtifactReader<'_>) -> Result<ArtifactMeta, ArtifactEr
         });
     }
     Ok(meta)
-}
-
-/// The decoded [`Symbols`] of an already-parsed container — shared by
-/// the CLI's `info` command, which wants name-layer statistics without
-/// decoding the full bundle.
-pub fn read_symbols(reader: &ArtifactReader<'_>) -> Result<Symbols, ArtifactError> {
-    let mut r = reader.reader(SectionId::Symbols)?;
-    let symbols = ir_artifact::decode_symbols(&mut r)?;
-    r.finish()?;
-    Ok(symbols)
 }
 
 /// Retained in-memory footprint of a bundle in bytes: the lowering's

@@ -18,12 +18,12 @@
 use syndcim_netlist::{Module, NetId, NetlistBuilder};
 use syndcim_pdk::CellLibrary;
 use syndcim_sim::FpFormat;
+use syndcim_subckt::arith::{count_bits, rca, zero_extend};
 use syndcim_subckt::{
     build_adder_tree, build_array, build_drivers, build_ofu, build_shift_add, negate_levels, AdderTreeConfig,
     ArrayConfig, BitcellRef, DriverRole, FpRowPorts, OfuConfig, ShiftAddConfig, TreeOutput,
 };
 
-use crate::arithmetic_support::{combine_counts, cpa};
 use crate::design::DesignChoice;
 use crate::spec::MacroSpec;
 
@@ -99,7 +99,7 @@ pub fn assemble(lib: &CellLibrary, spec: &MacroSpec, choice: &DesignChoice) -> M
     let act_bits = spec.act_bits();
     let w_bits = spec.weight_bits() as usize;
     let groups = w / w_bits;
-    let psum_bits = crate::arithmetic_support::count_bits(h);
+    let psum_bits = count_bits(h);
     let sa_bits = psum_bits + act_bits as usize;
     let levels = w_bits.trailing_zeros() as usize;
 
@@ -229,8 +229,9 @@ pub fn assemble(lib: &CellLibrary, spec: &MacroSpec, choice: &DesignChoice) -> M
                     // Retimed: register the redundant pair here.
                     let ra = b.dff_bus(&a);
                     let rb = b.dff_bus(&bb);
-                    // CPA after the register (runs in the S&A stage).
-                    parts.push(cpa(&mut b, &ra, &rb));
+                    // CPA after the register (runs in the S&A stage); the
+                    // tree guarantees no overflow past the pair's width.
+                    parts.push(rca(&mut b, &ra, &rb, None).0);
                 }
             }
         }
@@ -328,10 +329,59 @@ pub fn assemble(lib: &CellLibrary, spec: &MacroSpec, choice: &DesignChoice) -> M
     }
 }
 
+/// Combine several unsigned partial counts into their total by pairwise
+/// ripple-carry addition (used when a column is split into H/2 or H/4
+/// trees).
+fn combine_counts(b: &mut NetlistBuilder<'_>, mut parts: Vec<Vec<NetId>>) -> Vec<NetId> {
+    assert!(!parts.is_empty());
+    while parts.len() > 1 {
+        let mut next = Vec::with_capacity(parts.len().div_ceil(2));
+        let mut it = parts.into_iter();
+        while let Some(p) = it.next() {
+            match it.next() {
+                Some(q) => {
+                    let wid = p.len().max(q.len());
+                    let zero = b.const0();
+                    let pe = zero_extend(&p, wid, zero);
+                    let qe = zero_extend(&q, wid, zero);
+                    let (mut s, c) = rca(b, &pe, &qe, None);
+                    s.push(c);
+                    next.push(s);
+                }
+                None => next.push(p),
+            }
+        }
+        parts = next;
+    }
+    parts.pop().expect("one total remains")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use syndcim_netlist::{validate, Connectivity};
+    use syndcim_sim::Simulator;
+
+    #[test]
+    fn combine_counts_totals_correctly() {
+        let lib = CellLibrary::syn40();
+        let mut b = NetlistBuilder::new("t", &lib);
+        let p0 = b.input_bus("p0", 3);
+        let p1 = b.input_bus("p1", 3);
+        let p2 = b.input_bus("p2", 3);
+        let total = combine_counts(&mut b, vec![p0, p1, p2]);
+        b.output_bus("t", &total);
+        let width = total.len() as u32;
+        let m = b.finish();
+        let mut sim = Simulator::new(&m, &lib).unwrap();
+        for (a, c, d) in [(7u64, 7u64, 7u64), (1, 2, 3), (0, 0, 0), (5, 0, 6)] {
+            sim.set_bus("p0", 3, a as i64);
+            sim.set_bus("p1", 3, c as i64);
+            sim.set_bus("p2", 3, d as i64);
+            sim.settle();
+            assert_eq!(sim.get_bus_unsigned("t", width), a + c + d);
+        }
+    }
 
     fn tiny_spec() -> MacroSpec {
         MacroSpec {

@@ -193,16 +193,7 @@ pub(crate) fn int_activity(
     if !pa.is_power_of_two() || pa > mac.w_bits {
         return Err(CoreError::Precision { pa, max: mac.w_bits });
     }
-    let channels = mac.w / pa as usize;
-    if weights.len() != channels {
-        return Err(CoreError::Dimension { what: "weight vectors", got: weights.len(), want: channels });
-    }
-    if let Some(w) = weights.iter().find(|w| w.len() != mac.h) {
-        return Err(CoreError::Dimension { what: "weight vector entries", got: w.len(), want: mac.h });
-    }
-    if let Some(a) = passes.iter().find(|a| a.len() != mac.h) {
-        return Err(CoreError::Dimension { what: "activation vector entries", got: a.len(), want: mac.h });
-    }
+    check_shape(mac, mac.w / pa as usize, passes, weights, false)?;
     let range = -(1i64 << (pa - 1))..=(1i64 << (pa - 1)) - 1;
     for (what, vectors) in [("activation", passes), ("weight", weights)] {
         if let Some(&value) = vectors.iter().flatten().find(|v| !range.contains(v)) {
@@ -214,6 +205,38 @@ pub(crate) fn int_activity(
         run_pass_lanes(sim, mac, pa, chunk);
         check_channels(sim, mac, pa, pa, chunk, weights)
     })
+}
+
+/// Check a MAC workload's shape: `channels` weight vectors, and `h`
+/// entries in every weight and activation vector. `fp` names the
+/// vectors of an FP workload in the error.
+///
+/// # Errors
+///
+/// [`CoreError::Dimension`] for the first check that fails, in that
+/// order.
+fn check_shape<T>(
+    mac: &MacroNetlist,
+    channels: usize,
+    passes: &[Vec<T>],
+    weights: &[Vec<T>],
+    fp: bool,
+) -> Result<(), CoreError> {
+    let [vectors, weight_entries, activation_entries] = if fp {
+        ["FP weight vectors", "FP weight vector entries", "FP activation vector entries"]
+    } else {
+        ["weight vectors", "weight vector entries", "activation vector entries"]
+    };
+    if weights.len() != channels {
+        return Err(CoreError::Dimension { what: vectors, got: weights.len(), want: channels });
+    }
+    if let Some(w) = weights.iter().find(|w| w.len() != mac.h) {
+        return Err(CoreError::Dimension { what: weight_entries, got: w.len(), want: mac.h });
+    }
+    if let Some(a) = passes.iter().find(|a| a.len() != mac.h) {
+        return Err(CoreError::Dimension { what: activation_entries, got: a.len(), want: mac.h });
+    }
+    Ok(())
 }
 
 /// The chunk runner behind every engine measurement: split `passes`
@@ -303,16 +326,7 @@ pub fn measure_fp(
     };
     let pa = fmt.aligned_bits();
     let pw = pa.next_power_of_two().max(2);
-    let channels = mac.w / pw as usize;
-    if weights.len() != channels {
-        return Err(CoreError::Dimension { what: "FP weight vectors", got: weights.len(), want: channels });
-    }
-    if let Some(w) = weights.iter().find(|w| w.len() != mac.h) {
-        return Err(CoreError::Dimension { what: "FP weight vector entries", got: w.len(), want: mac.h });
-    }
-    if let Some(a) = passes.iter().find(|a| a.len() != mac.h) {
-        return Err(CoreError::Dimension { what: "FP activation vector entries", got: a.len(), want: mac.h });
-    }
+    check_shape(mac, mac.w / pw as usize, passes, weights, true)?;
 
     // Pre-align weights per channel (offline, like the paper's flow).
     let aligned_w: Vec<Vec<i64>> = weights.iter().map(|wv| fp_align(wv, fmt).0).collect();
@@ -371,8 +385,8 @@ pub struct WeightUpdateMeasurement {
     pub bits_written: usize,
 }
 
-/// Independent write patterns [`measure_weight_update`] drives by
-/// default — each occupies one engine lane.
+/// Independent write patterns [`measure_weight_update`] usually
+/// drives — each occupies one engine lane.
 pub const DEFAULT_WU_PATTERNS: usize = 8;
 
 /// Measure the weight-update path on the compiled engine: stream random
@@ -380,27 +394,11 @@ pub const DEFAULT_WU_PATTERNS: usize = 8;
 /// drivers + address decoder + bitcell capture) and account the
 /// switching energy — the dimension-dependent driver cost the paper
 /// attributes to WL/BL drivers, and the per-bitcell write cost that
-/// differentiates the cell variants. [`DEFAULT_WU_PATTERNS`] independent
-/// random data patterns run simultaneously as engine lanes; the result
-/// reports the mean and spread of the per-bit write energy across them.
-///
-/// # Errors
-///
-/// Returns [`CoreError::FunctionalMismatch`] if any bitcell fails to
-/// capture its written value.
-pub fn measure_weight_update(
-    im: &ImplementedMacro,
-    lib: &CellLibrary,
-    op: OperatingPoint,
-    f_mhz: f64,
-    seed: u64,
-) -> Result<WeightUpdateMeasurement, CoreError> {
-    measure_weight_update_patterns(im, lib, op, f_mhz, seed, DEFAULT_WU_PATTERNS)
-}
-
-/// [`measure_weight_update`] over an explicit number of independent
-/// write patterns. Every pattern occupies one lane of a single engine
-/// executor, and per-lane toggle accounting attributes the energy. The
+/// differentiates the cell variants. `patterns` independent random data
+/// patterns ([`DEFAULT_WU_PATTERNS`] unless a caller needs more) run
+/// simultaneously, pattern `l` in engine lane `l`; per-lane toggle
+/// accounting attributes the energy, and the result reports the mean
+/// and spread of the per-bit write energy across the patterns. The
 /// library goes unused: the macro carries its compiled programs.
 ///
 /// # Errors
@@ -409,7 +407,7 @@ pub fn measure_weight_update(
 /// capture its written value in any pattern, and
 /// [`CoreError::PatternCount`] if `patterns` is zero or exceeds the
 /// engine's lane capacity.
-pub fn measure_weight_update_patterns(
+pub fn measure_weight_update(
     im: &ImplementedMacro,
     _lib: &CellLibrary,
     op: OperatingPoint,
@@ -423,34 +421,20 @@ pub fn measure_weight_update_patterns(
     let mac = &im.mac;
     let mut sim = EngineSim::try_new(&im.compiled.program, &mac.module, patterns)?;
     sim.enable_lane_toggles();
-    let per_pattern = run_weight_update_lanes(&mut sim, mac, seed, patterns)?;
-    Ok(summarize_weight_update(mac, &per_pattern, f_mhz, |a| {
-        im.compiled.power.report(&a.toggles, a.lane_cycles, f_mhz, op)
-    }))
-}
-
-/// Mean and spread of the per-bit write energy over per-pattern
-/// activities, each converted to power by `power`.
-fn summarize_weight_update(
-    mac: &MacroNetlist,
-    per_pattern: &[Activity],
-    f_mhz: f64,
-    power: impl Fn(&Activity) -> PowerReport,
-) -> WeightUpdateMeasurement {
-    let bits = mac.w * mac.h * mac.mcr;
-    let energies: Vec<f64> = per_pattern
-        .iter()
-        .map(|a| power(a).energy_per_cycle_pj * 1000.0 * a.lane_cycles as f64 / bits as f64)
-        .collect();
-    let mean = energies.iter().sum::<f64>() / energies.len() as f64;
-    let var = energies.iter().map(|e| (e - mean) * (e - mean)).sum::<f64>() / energies.len() as f64;
-    WeightUpdateMeasurement {
+    configure_precision(&mut sim, mac, mac.w_bits);
+    quiesce(&mut sim, mac);
+    sim.reset_activity();
+    let streams = (0..patterns).map(|l| pattern_seed(seed, l as u64) | 1).collect();
+    let written = write_burst(&mut sim, mac, WriteData::PerLane(streams));
+    check_written(&sim, mac, &written)?;
+    let (mean, std) = write_energy(im, &sim, 0..patterns, op, f_mhz);
+    Ok(WeightUpdateMeasurement {
         energy_per_bit_fj: mean,
-        energy_per_bit_std_fj: var.sqrt(),
-        patterns: per_pattern.len(),
+        energy_per_bit_std_fj: std,
+        patterns,
         bandwidth_gbps: mac.w as f64 * f_mhz * 1e6 / 1e9,
-        bits_written: bits,
-    }
+        bits_written: mac.w * mac.h * mac.mcr,
+    })
 }
 
 /// Derive the xorshift stream of one write pattern. Pattern 0 keeps the
@@ -460,41 +444,69 @@ pub(crate) fn pattern_seed(seed: u64, pattern: u64) -> u64 {
     seed.wrapping_add(pattern.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// Drive `patterns` independent random write streams simultaneously —
-/// pattern `l` in lane `l` — and split the activity per pattern via the
-/// engine's per-lane toggle accounting. The address sequence is shared
-/// (it is data-independent); the written data differs per lane.
-#[allow(clippy::needless_range_loop)] // bank/row index `expect` AND drive the address buses
-fn run_weight_update_lanes(
-    sim: &mut EngineSim<'_>,
-    mac: &MacroNetlist,
-    seed: u64,
-    patterns: usize,
-) -> Result<Vec<Activity>, CoreError> {
-    use rand_like::next_bit;
-    configure_precision(sim, mac, mac.w_bits);
-    quiesce(sim, mac);
-    sim.reset_activity();
+/// How a weight-update write burst draws the data bits of each lane
+/// word, from xorshift stream states (`pattern_seed(..) | 1`).
+pub(crate) enum WriteData {
+    /// One stream per lane: lane `l` writes the bits of stream `l`.
+    PerLane(Vec<u64>),
+    /// One stream whose every bit goes to all lanes (and every bit of
+    /// every lane word).
+    Broadcast(u64),
+}
 
+impl WriteData {
+    /// Draw one write bitline's lane words into `words`, appending each
+    /// stream's bit to `written[stream]`.
+    fn draw(&mut self, words: &mut [u64], written: &mut [Vec<bool>]) {
+        match self {
+            WriteData::PerLane(streams) => {
+                let lane_words = streams.chunks_mut(64).zip(written.chunks_mut(64));
+                for (word, (states, bits)) in words.iter_mut().zip(lane_words) {
+                    *word = 0;
+                    for (b, (state, bits)) in states.iter_mut().zip(bits).enumerate() {
+                        let bit = next_bit(state);
+                        bits.push(bit);
+                        *word |= (bit as u64) << b;
+                    }
+                }
+            }
+            WriteData::Broadcast(state) => {
+                let bit = next_bit(state);
+                written[0].push(bit);
+                words.fill(if bit { !0 } else { 0 });
+            }
+        }
+    }
+}
+
+/// The write burst behind every weight-update measurement: `wr_en`
+/// high, then one step per (bank, row) that drives the row and bank
+/// address and one word per write bitline and lane word, the data drawn
+/// from `data`; `wr_en` low again. Returns the bits each stream wrote,
+/// `written[stream][(bank * h + row) * w + col]`.
+pub(crate) fn write_burst<B: SimBackend + ?Sized>(
+    sim: &mut B,
+    mac: &MacroNetlist,
+    mut data: WriteData,
+) -> Vec<Vec<bool>> {
+    let lanes = sim.lanes();
     let wbl = sim.bus("wbl", mac.w as u32);
     let wr_row = sim.bus("wr_row", mac.h.trailing_zeros());
     let wr_bank = sim.bus("wr_bank", mac.mcr.trailing_zeros());
-    let mut streams: Vec<u64> = (0..patterns).map(|l| pattern_seed(seed, l as u64) | 1).collect();
-    // expect[lane][bank][row][col]
-    let mut expect = vec![vec![vec![vec![false; mac.w]; mac.h]; mac.mcr]; patterns];
+    let streams = match &data {
+        WriteData::PerLane(states) => states.len(),
+        WriteData::Broadcast(_) => 1,
+    };
+    let mut written = vec![Vec::new(); streams];
+    let mut words = vec![0u64; sim.words()];
     sim.set_all("wr_en", true);
     for bank in 0..mac.mcr {
         for row in 0..mac.h {
-            sim.drive_bus(&wr_row, &vec![row as i64; patterns]);
-            sim.drive_bus(&wr_bank, &vec![bank as i64; patterns]);
-            for (col, &net) in wbl.iter().enumerate() {
-                for wi in 0..sim.words() {
-                    let mut word = 0u64;
-                    for l in wi * 64..patterns.min(wi * 64 + 64) {
-                        let bit = next_bit(&mut streams[l]);
-                        expect[l][bank][row][col] = bit;
-                        word |= (bit as u64) << (l - wi * 64);
-                    }
+            sim.drive_bus(&wr_row, &vec![row as i64; lanes]);
+            sim.drive_bus(&wr_bank, &vec![bank as i64; lanes]);
+            for &net in &wbl {
+                data.draw(&mut words, &mut written);
+                for (wi, &word) in words.iter().enumerate() {
                     sim.drive_word_at(net, wi, word);
                 }
             }
@@ -502,38 +514,74 @@ fn run_weight_update_lanes(
         }
     }
     sim.set_all("wr_en", false);
+    written
+}
 
-    // Verify every bitcell captured its bit in every lane.
+/// Check that every bitcell captured, in every lane, the bit that
+/// lane's stream wrote (`written` from a one-stream-per-lane
+/// [`write_burst`]).
+///
+/// # Errors
+///
+/// [`CoreError::FunctionalMismatch`] for the first bitcell, then lane,
+/// that holds another value.
+fn check_written<B: SimBackend + ?Sized>(
+    sim: &B,
+    mac: &MacroNetlist,
+    written: &[Vec<bool>],
+) -> Result<(), CoreError> {
     for bc in &mac.bitcells {
-        for (l, expect_lane) in expect.iter().enumerate() {
-            let want = expect_lane[bc.bank][bc.row][bc.col];
-            if sim.state_of_lane(bc.inst, l) != want {
+        let at = (bc.bank * mac.h + bc.row) * mac.w + bc.col;
+        for (l, bits) in written.iter().enumerate() {
+            let (got, want) = (sim.state_of_lane(bc.inst, l), bits[at]);
+            if got != want {
                 return Err(CoreError::FunctionalMismatch {
                     channel: bc.col,
-                    got: sim.state_of_lane(bc.inst, l) as i64,
+                    got: got as i64,
                     want: want as i64,
                 });
             }
         }
     }
-    let cycles = sim.lane_cycles() / patterns as u64;
-    Ok((0..patterns)
+    Ok(())
+}
+
+/// The reducer behind every weight-update measurement: the mean and
+/// population standard deviation ((0, 0) for no lane) of the per-bit
+/// write energy, in fJ, of each lane in `lanes` of an executor that ran
+/// one [`write_burst`] with per-lane toggles enabled. A lane's energy
+/// comes from its own toggles over its share of the lane-cycles, on the
+/// macro's compiled power program.
+pub(crate) fn write_energy(
+    im: &ImplementedMacro,
+    sim: &EngineSim<'_>,
+    lanes: impl Iterator<Item = usize>,
+    op: OperatingPoint,
+    f_mhz: f64,
+) -> (f64, f64) {
+    let bits = im.mac.w * im.mac.h * im.mac.mcr;
+    let cycles = sim.lane_cycles() / sim.lanes() as u64;
+    let energies: Vec<f64> = lanes
         .map(|l| {
-            let toggles =
-                sim.lane_toggle_table(l).expect("per-lane toggles were enabled before driving stimulus");
-            Activity { toggles, lane_cycles: cycles, checked: 0 }
+            let toggles = sim.lane_toggle_table(l).expect("per-lane toggles were enabled before the burst");
+            let power = im.compiled.power.report(&toggles, cycles, f_mhz, op);
+            power.energy_per_cycle_pj * 1000.0 * cycles as f64 / bits as f64
         })
-        .collect())
+        .collect();
+    if energies.is_empty() {
+        return (0.0, 0.0);
+    }
+    let mean = energies.iter().sum::<f64>() / energies.len() as f64;
+    let var = energies.iter().map(|e| (e - mean) * (e - mean)).sum::<f64>() / energies.len() as f64;
+    (mean, var.sqrt())
 }
 
 /// Tiny xorshift bit source (keeps `rand` out of the library API).
-pub(crate) mod rand_like {
-    pub fn next_bit(state: &mut u64) -> bool {
-        *state ^= *state << 13;
-        *state ^= *state >> 7;
-        *state ^= *state << 17;
-        *state & 1 == 1
-    }
+fn next_bit(state: &mut u64) -> bool {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    *state & 1 == 1
 }
 
 // ----------------------------------------------------------------------
@@ -723,53 +771,6 @@ mod tests {
     /// extracted wire caps.
     fn reference_power<'a>(im: &'a ImplementedMacro, lib: &'a CellLibrary) -> PowerAnalyzer<'a> {
         PowerAnalyzer::from_lowering(&im.mac.module, lib, &im.compiled.lowering, &im.wires.cap_ff)
-    }
-
-    /// The single-pattern weight-update driver: the same write stream
-    /// as lane `l` of `run_weight_update_lanes` when `seed` is
-    /// `pattern_seed(.., l)`, on any backend.
-    fn run_weight_update<B: SimBackend>(
-        sim: &mut B,
-        mac: &MacroNetlist,
-        seed: u64,
-    ) -> Result<Activity, CoreError> {
-        use rand_like::next_bit;
-        configure_precision(sim, mac, mac.w_bits);
-        quiesce(sim, mac);
-        sim.reset_activity();
-
-        let wbl = sim.bus("wbl", mac.w as u32);
-        let wr_row = sim.bus("wr_row", mac.h.trailing_zeros());
-        let wr_bank = sim.bus("wr_bank", mac.mcr.trailing_zeros());
-        let mut state = seed | 1;
-        let mut expect: Vec<Vec<Vec<bool>>> = vec![vec![vec![false; mac.w]; mac.h]; mac.mcr];
-        sim.set_all("wr_en", true);
-        for (bank, expect_bank) in expect.iter_mut().enumerate() {
-            for (row, expect_row) in expect_bank.iter_mut().enumerate() {
-                sim.drive_bus(&wr_row, &[row as i64]);
-                sim.drive_bus(&wr_bank, &[bank as i64]);
-                for (&net, e) in wbl.iter().zip(expect_row.iter_mut()) {
-                    let bit = next_bit(&mut state);
-                    *e = bit;
-                    sim.drive_word_at(net, 0, if bit { !0 } else { 0 });
-                }
-                sim.step();
-            }
-        }
-        sim.set_all("wr_en", false);
-
-        // Verify every bitcell captured its bit.
-        for bc in &mac.bitcells {
-            let want = expect[bc.bank][bc.row][bc.col];
-            if sim.state_of_lane(bc.inst, 0) != want {
-                return Err(CoreError::FunctionalMismatch {
-                    channel: bc.col,
-                    got: sim.state_of_lane(bc.inst, 0) as i64,
-                    want: want as i64,
-                });
-            }
-        }
-        Ok(Activity { toggles: sim.toggle_table().to_vec(), lane_cycles: sim.lane_cycles(), checked: 0 })
     }
 
     #[test]
@@ -1053,7 +1054,7 @@ mod tests {
         for bitcell in [BitcellKind::Sram6T2T, BitcellKind::Latch8T] {
             let im =
                 implement(&lib, &spec_int(), &DesignChoice { bitcell, ..DesignChoice::default() }).unwrap();
-            let m = measure_weight_update(&im, &lib, op, 400.0, 99).unwrap();
+            let m = measure_weight_update(&im, &lib, op, 400.0, 99, DEFAULT_WU_PATTERNS).unwrap();
             assert_eq!(m.bits_written, 8 * 8 * 2);
             assert_eq!(m.patterns, DEFAULT_WU_PATTERNS);
             assert!(m.energy_per_bit_fj > 0.0);
@@ -1068,30 +1069,52 @@ mod tests {
         assert!(per_cell[1] > per_cell[0] * 0.9, "{per_cell:?}");
     }
 
+    /// Pattern `l` runs the same write burst on the engine's lane `l`
+    /// and on its own interpreter: every lane captures its stream, the
+    /// engine's per-lane toggle tables equal the interpreter's, and the
+    /// compiled power program converts them to the reference analyzer's
+    /// energy bit for bit, so the measurement's mean and spread are the
+    /// reference's.
     #[test]
     fn weight_update_backends_are_bit_identical() {
         let lib = CellLibrary::syn40();
         let op = OperatingPoint::at_voltage(0.9);
         let im = implement(&lib, &spec_int(), &DesignChoice::default()).unwrap();
-        let eng = measure_weight_update(&im, &lib, op, 400.0, 1234).unwrap();
-        // The reference: pattern l's stimulus stream on its own
-        // interpreter, converted by the reference power analyzer.
-        let per_pattern: Vec<Activity> = (0..DEFAULT_WU_PATTERNS)
-            .map(|l| run_weight_update(&mut interpreter(&im, &lib), &im.mac, pattern_seed(1234, l as u64)))
-            .collect::<Result<_, _>>()
-            .unwrap();
+        let mac = &im.mac;
+        let streams: Vec<u64> = (0..DEFAULT_WU_PATTERNS).map(|l| pattern_seed(1234, l as u64) | 1).collect();
+        let mut eng = EngineSim::try_new(&im.compiled.program, &mac.module, streams.len()).unwrap();
+        eng.enable_lane_toggles();
+        configure_precision(&mut eng, mac, mac.w_bits);
+        quiesce(&mut eng, mac);
+        eng.reset_activity();
+        let written = write_burst(&mut eng, mac, WriteData::PerLane(streams.clone()));
+        check_written(&eng, mac, &written).unwrap();
+        let cycles = eng.lane_cycles() / streams.len() as u64;
+
         let pa = reference_power(&im, &lib);
-        let itp = summarize_weight_update(&im.mac, &per_pattern, 400.0, |a| {
-            pa.from_activity(&a.toggles, a.lane_cycles, 400.0, op)
-        });
-        // Pattern l runs the same stimulus stream on both backends: the
-        // engine's per-lane toggle tables match the interpreter's
-        // per-pattern runs, so mean AND spread agree exactly.
-        assert_eq!(eng.bits_written, itp.bits_written);
-        assert_eq!(eng.patterns, itp.patterns);
-        assert!((eng.energy_per_bit_fj - itp.energy_per_bit_fj).abs() < 1e-12, "{eng:?} vs {itp:?}");
-        assert!((eng.energy_per_bit_std_fj - itp.energy_per_bit_std_fj).abs() < 1e-12, "{eng:?} vs {itp:?}");
-        assert_eq!(eng.bandwidth_gbps, itp.bandwidth_gbps);
+        for (l, &stream) in streams.iter().enumerate() {
+            let mut itp = interpreter(&im, &lib);
+            configure_precision(&mut itp, mac, mac.w_bits);
+            quiesce(&mut itp, mac);
+            itp.reset_activity();
+            let itp_written = write_burst(&mut itp, mac, WriteData::PerLane(vec![stream]));
+            assert_eq!(itp_written[0], written[l], "pattern {l} writes its own stream");
+            check_written(&itp, mac, &itp_written).unwrap();
+            assert_eq!(itp.lane_cycles(), cycles);
+            let lane_toggles = eng.lane_toggle_table(l).unwrap();
+            assert_eq!(
+                lane_toggles,
+                itp.toggle_table(),
+                "pattern {l}: per-lane toggles must be bit-identical"
+            );
+            let fast = im.compiled.power.report(&lane_toggles, cycles, 400.0, op);
+            let slow = pa.from_activity(itp.toggle_table(), cycles, 400.0, op);
+            assert_eq!(fast.energy_per_cycle_pj, slow.energy_per_cycle_pj, "pattern {l}");
+        }
+        let m = measure_weight_update(&im, &lib, op, 400.0, 1234, DEFAULT_WU_PATTERNS).unwrap();
+        let (mean, std) = write_energy(&im, &eng, 0..streams.len(), op, 400.0);
+        assert_eq!((m.energy_per_bit_fj, m.energy_per_bit_std_fj), (mean, std));
+        assert_eq!((m.patterns, m.bits_written), (DEFAULT_WU_PATTERNS, 8 * 8 * 2));
     }
 
     /// A wide-word pattern set (>64 lanes) still verifies every bitcell
@@ -1101,8 +1124,8 @@ mod tests {
         let lib = CellLibrary::syn40();
         let op = OperatingPoint::at_voltage(0.9);
         let im = implement(&lib, &spec_int(), &DesignChoice::default()).unwrap();
-        let narrow = measure_weight_update_patterns(&im, &lib, op, 400.0, 7, 8).unwrap();
-        let wide = measure_weight_update_patterns(&im, &lib, op, 400.0, 7, 72).unwrap();
+        let narrow = measure_weight_update(&im, &lib, op, 400.0, 7, 8).unwrap();
+        let wide = measure_weight_update(&im, &lib, op, 400.0, 7, 72).unwrap();
         assert_eq!(wide.patterns, 72);
         // Pattern 0..8 share streams with the narrow run; the means are
         // estimates of the same distribution.

@@ -29,8 +29,7 @@ use syndcim_sim::SimBackend;
 use syndcim_telemetry as telemetry;
 
 use crate::error::CoreError;
-use crate::eval::rand_like::next_bit;
-use crate::eval::{configure_precision, pattern_seed, quiesce};
+use crate::eval::{configure_precision, pattern_seed, quiesce, write_burst, write_energy, WriteData};
 use crate::flow::ImplementedMacro;
 use crate::shmoo::push_json_floats;
 
@@ -147,27 +146,9 @@ pub fn measure_weight_update_coverage(
     sim.install_faults(&plan)?;
     sim.reset_activity();
 
-    // Identical write stream in every lane (the golden lane's pattern-0
-    // stream), broadcast across all lane words.
-    let wbl = sim.bus("wbl", mac.w as u32);
-    let wr_row = sim.bus("wr_row", mac.h.trailing_zeros());
-    let wr_bank = sim.bus("wr_bank", mac.mcr.trailing_zeros());
-    let mut state = pattern_seed(seed, 0) | 1;
-    sim.set_all("wr_en", true);
-    for bank in 0..mac.mcr {
-        for row in 0..mac.h {
-            sim.drive_bus(&wr_row, &vec![row as i64; lanes]);
-            sim.drive_bus(&wr_bank, &vec![bank as i64; lanes]);
-            for &net in &wbl {
-                let word = if next_bit(&mut state) { !0u64 } else { 0 };
-                for wi in 0..sim.words() {
-                    sim.drive_word_at(net, wi, word);
-                }
-            }
-            sim.step();
-        }
-    }
-    sim.set_all("wr_en", false);
+    // Identical write stream in every lane: the golden lane's pattern-0
+    // stream, broadcast across all lane words.
+    write_burst(&mut sim, mac, WriteData::Broadcast(pattern_seed(seed, 0) | 1));
 
     // A fault is detected when any bitcell diverged from the golden
     // lane — the write-readback observation a tester has.
@@ -183,23 +164,9 @@ pub fn measure_weight_update_coverage(
         }
     }
 
-    let bits = mac.w * mac.h * mac.mcr;
-    let cycles = sim.lane_cycles() / lanes as u64;
-    let energy_of_lane = |l: usize| -> f64 {
-        let toggles = sim.lane_toggle_table(l).expect("per-lane toggles enabled before stimulus");
-        let power = im.compiled.power.report(&toggles, cycles, f_mhz, op);
-        power.energy_per_cycle_pj * 1000.0 * cycles as f64 / bits as f64
-    };
-    let golden_energy = energy_of_lane(0);
-    let survivor_energies: Vec<f64> = survivors.iter().map(|&i| energy_of_lane(i + 1)).collect();
-    let (mean, std) = if survivor_energies.is_empty() {
-        (0.0, 0.0)
-    } else {
-        let mean = survivor_energies.iter().sum::<f64>() / survivor_energies.len() as f64;
-        let var = survivor_energies.iter().map(|e| (e - mean) * (e - mean)).sum::<f64>()
-            / survivor_energies.len() as f64;
-        (mean, var.sqrt())
-    };
+    // The mean of the golden lane alone is its energy.
+    let golden_energy = write_energy(im, &sim, 0..1, op, f_mhz).0;
+    let (mean, std) = write_energy(im, &sim, survivors.iter().map(|&i| i + 1), op, f_mhz);
 
     Ok(FaultCoverageReport {
         injected: faults.len(),
@@ -208,7 +175,7 @@ pub fn measure_weight_update_coverage(
         survivor_energy_per_bit_fj: mean,
         survivor_energy_per_bit_std_fj: std,
         golden_energy_per_bit_fj: golden_energy,
-        bits_written: bits,
+        bits_written: mac.w * mac.h * mac.mcr,
         seed,
     })
 }
@@ -289,7 +256,7 @@ mod tests {
         assert!(r.golden_energy_per_bit_fj > 0.0);
         // And the golden lane's energy matches the plain single-pattern
         // weight-update measurement (same stream, same accounting).
-        let wu = crate::eval::measure_weight_update_patterns(
+        let wu = crate::eval::measure_weight_update(
             &im,
             &CellLibrary::syn40(),
             OperatingPoint::at_voltage(0.9),

@@ -3,9 +3,7 @@
 //! STA — the Design-Compiler + Innovus + PrimeTime loop of the paper.
 
 use syndcim_ir::{join, Lowering, OVERLAP_MIN_INSTANCES};
-use syndcim_layout::{
-    check_drc, extract_wires_threads, place_with_symbols, FloorplanConfig, Placement, WireEstimates,
-};
+use syndcim_layout::{check_drc, extract_wires_threads, place, FloorplanConfig, Placement, WireEstimates};
 use syndcim_netlist::{optimize, OptReport};
 use syndcim_pdk::{CellLibrary, OperatingPoint};
 use syndcim_sta::{TimingReport, WireLoads};
@@ -65,12 +63,6 @@ impl ImplementedMacro {
     pub fn fmax_mhz(&self, _lib: &CellLibrary, op: OperatingPoint) -> f64 {
         self.compiled.sta.fmax_mhz(op)
     }
-
-    /// Post-layout timing report at an arbitrary period/corner, on the
-    /// macro's compiled timing program.
-    pub fn timing_at(&self, _lib: &CellLibrary, period_ps: f64, op: OperatingPoint) -> TimingReport {
-        self.compiled.sta.analyze_at(period_ps, op)
-    }
 }
 
 /// Run the full implementation flow for one design choice, signing off
@@ -101,10 +93,9 @@ pub fn implement(
         optimize(&mut mac.module, lib)
     };
 
-    // Lower the cleaned netlist exactly once, *before* layout: the
-    // placer resolves floorplan zones from the lowering's interned
-    // symbol table, and sign-off compiles its analysis programs from
-    // the same IR afterwards.
+    // Lower the cleaned netlist exactly once, *before* layout:
+    // extraction walks the lowering's connectivity, and sign-off
+    // compiles its analysis programs from the same IR afterwards.
     let lowering = {
         telemetry::span!("implement.lower");
         Lowering::validated(&mac.module, lib)?
@@ -113,7 +104,7 @@ pub fn implement(
     // SDP place-and-route + checks.
     let placement = {
         telemetry::span!("implement.place");
-        place_with_symbols(&mac.module, lib, FloorplanConfig::default(), lowering.symbols())?
+        place(&mac.module, lib, FloorplanConfig::default())?
     };
     // DRC and extraction only read the placement (extraction walks the
     // lowering's connectivity), so a large module runs them side by
@@ -214,7 +205,7 @@ mod tests {
         let lib = CellLibrary::syn40();
         let im = implement(&lib, &tiny_spec(), &DesignChoice::default()).unwrap();
         let pre = Sta::new(&im.mac.module, &lib).unwrap().analyze(1e6).max_delay_ps;
-        let post = im.timing_at(&lib, 1e6, OperatingPoint::at_voltage(0.9)).max_delay_ps;
+        let post = im.compiled.sta.analyze_at(1e6, OperatingPoint::at_voltage(0.9)).max_delay_ps;
         assert!(post > pre, "wires must add delay: pre={pre} post={post}");
     }
 
@@ -237,7 +228,7 @@ mod tests {
         for v in [0.7, 0.9, 1.2] {
             let op = OperatingPoint::at_voltage(v);
             assert_eq!(im.fmax_mhz(&lib, op), reference.fmax_mhz(op), "fmax must be bit-identical at {v} V");
-            let fast = im.timing_at(&lib, 1_000.0, op);
+            let fast = im.compiled.sta.analyze_at(1_000.0, op);
             let slow = reference.analyze_at(1_000.0, op);
             assert_eq!(fast.max_delay_ps, slow.max_delay_ps);
             assert_eq!(fast.critical_path, slow.critical_path);

@@ -35,7 +35,6 @@
 
 #![warn(missing_docs)]
 
-pub mod arithmetic_support;
 pub mod artifact;
 pub mod assemble;
 pub mod baseline;
@@ -58,8 +57,8 @@ pub use compiled::CompiledMacro;
 pub use design::{DesignChoice, DesignPoint, PpaEstimate};
 pub use error::{CoreError, FlowError};
 pub use eval::{
-    measure_fp, measure_int, measure_weight_update, measure_weight_update_patterns, MacMeasurement,
-    WeightUpdateMeasurement, DEFAULT_WU_PATTERNS,
+    measure_fp, measure_int, measure_weight_update, MacMeasurement, WeightUpdateMeasurement,
+    DEFAULT_WU_PATTERNS,
 };
 pub use faults::{measure_weight_update_coverage, port_net, FaultCoverageReport};
 pub use flow::{implement, FlowReport, ImplementedMacro};

@@ -18,13 +18,12 @@
 //! subcircuits."
 
 use syndcim_ir::parallel_map;
-use syndcim_pdk::OperatingPoint;
-use syndcim_scl::Scl;
+use syndcim_scl::{PpaRecord, Scl};
 use syndcim_sim::Precision;
+use syndcim_subckt::arith::count_bits;
 use syndcim_subckt::{AdderTreeConfig, AdderTreeKind, BitcellKind, MultMuxKind, OfuConfig, ShiftAddConfig};
 use syndcim_telemetry as telemetry;
 
-use crate::arithmetic_support::count_bits;
 use crate::design::{DesignChoice, DesignPoint, PpaEstimate};
 use crate::pareto::pareto_frontier;
 use crate::spec::MacroSpec;
@@ -270,9 +269,30 @@ fn search_site(
     SiteResult { feasible, rejected }
 }
 
-/// Assemble stage-delay estimates for one choice from SCL records
-/// (derated for routing; exposed for diagnostics and ablations).
-pub fn estimate(spec: &MacroSpec, scl: &mut Scl, choice: &DesignChoice) -> StageDelays {
+/// The widths and SCL records one choice is estimated from.
+struct ChoiceRecords {
+    /// Psum width: bits of a count of `h` products.
+    psum_bits: usize,
+    /// Serial activation bits.
+    act_bits: usize,
+    /// Weight bits.
+    w_bits: usize,
+    /// Word-line driver into `w` columns.
+    driver: PpaRecord,
+    /// One column slice, characterized at up to 16 rows.
+    column: PpaRecord,
+    /// One adder tree over the column's split chunk.
+    tree: PpaRecord,
+    /// The shift-and-adder.
+    sa: PpaRecord,
+    /// The output fusion unit.
+    ofu: PpaRecord,
+    /// The alignment unit of the widest FP format, if any.
+    align: Option<PpaRecord>,
+}
+
+/// Derive the widths and look up the SCL records of `choice` for `spec`.
+fn choice_records(spec: &MacroSpec, scl: &mut Scl, choice: &DesignChoice) -> ChoiceRecords {
     let h = spec.h;
     let chunk = h / choice.column_split.max(1);
     let psum_bits = count_bits(h);
@@ -285,16 +305,30 @@ pub fn estimate(spec: &MacroSpec, scl: &mut Scl, choice: &DesignChoice) -> Stage
         carry_reorder: choice.carry_reorder,
         final_cpa: !choice.tree_retimed,
     };
-    let driver = scl.driver(spec.w);
-    let column = scl.column(h.min(16), spec.mcr, choice.bitcell, choice.multmux);
-    let tree = scl.adder_tree(chunk, tree_cfg);
-    let sa = scl.shift_add(ShiftAddConfig { psum_bits, act_bits });
-    let ofu = scl.ofu(OfuConfig {
+    ChoiceRecords {
+        psum_bits,
+        act_bits,
         w_bits,
-        sa_bits,
-        negate_stage: !choice.ofu_negate_retimed,
-        extra_pipeline: choice.ofu_extra_pipe,
-    });
+        driver: scl.driver(spec.w),
+        column: scl.column(h.min(16), spec.mcr, choice.bitcell, choice.multmux),
+        tree: scl.adder_tree(chunk, tree_cfg),
+        sa: scl.shift_add(ShiftAddConfig { psum_bits, act_bits }),
+        ofu: scl.ofu(OfuConfig {
+            w_bits,
+            sa_bits,
+            negate_stage: !choice.ofu_negate_retimed,
+            extra_pipeline: choice.ofu_extra_pipe,
+        }),
+        align: spec.widest_fp().map(|fmt| scl.align(h.min(16), fmt, choice.align_pipelined)),
+    }
+}
+
+/// Assemble stage-delay estimates for one choice from SCL records
+/// (derated for routing; exposed for diagnostics and ablations).
+pub fn estimate(spec: &MacroSpec, scl: &mut Scl, choice: &DesignChoice) -> StageDelays {
+    let h = spec.h;
+    let ChoiceRecords { psum_bits, driver, column, tree, sa, ofu, align, .. } =
+        choice_records(spec, scl, choice);
 
     // Split recombination: log2(split) ripple levels of ~psum_bits FAs.
     let combine_ps = if choice.column_split > 1 {
@@ -316,8 +350,8 @@ pub fn estimate(spec: &MacroSpec, scl: &mut Scl, choice: &DesignChoice) -> Stage
     };
     let ofu_ps = ofu.delay_ps * WIRE_DERATE + REG_MARGIN_PS;
     let write_ps = scl.driver(h * spec.mcr).delay_ps + bitcell_setup_ps(scl, choice.bitcell) + 60.0; // decoder margin
-    let align_ps = match spec.widest_fp() {
-        Some(fmt) => scl.align(h.min(16), fmt, choice.align_pipelined).delay_ps * WIRE_DERATE + REG_MARGIN_PS,
+    let align_ps = match align {
+        Some(al) => al.delay_ps * WIRE_DERATE + REG_MARGIN_PS,
         None => 0.0,
     };
 
@@ -334,29 +368,9 @@ fn bitcell_setup_ps(scl: &Scl, bitcell: BitcellKind) -> f64 {
 fn point(spec: &MacroSpec, scl: &mut Scl, choice: &DesignChoice, stages: &StageDelays) -> DesignPoint {
     let h = spec.h;
     let w = spec.w;
-    let psum_bits = count_bits(h);
-    let act_bits = spec.act_bits() as usize;
-    let sa_bits = psum_bits + act_bits;
-    let w_bits = spec.weight_bits() as usize;
-    let chunk = h / choice.column_split.max(1);
-    let tree_cfg = AdderTreeConfig {
-        kind: choice.tree_kind,
-        carry_reorder: choice.carry_reorder,
-        final_cpa: !choice.tree_retimed,
-    };
-
-    let column = scl.column(h.min(16), spec.mcr, choice.bitcell, choice.multmux);
+    let ChoiceRecords { act_bits, w_bits, driver, column, tree, sa, ofu, align, .. } =
+        choice_records(spec, scl, choice);
     let col_scale = h as f64 / h.min(16) as f64;
-    let tree = scl.adder_tree(chunk, tree_cfg);
-    let sa = scl.shift_add(ShiftAddConfig { psum_bits, act_bits });
-    let ofu_cfg = OfuConfig {
-        w_bits,
-        sa_bits,
-        negate_stage: !choice.ofu_negate_retimed,
-        extra_pipeline: choice.ofu_extra_pipe,
-    };
-    let ofu = scl.ofu(ofu_cfg);
-    let driver = scl.driver(w);
     let groups = (w / w_bits) as f64;
 
     let mut area = w as f64
@@ -369,8 +383,7 @@ fn point(spec: &MacroSpec, scl: &mut Scl, choice: &DesignChoice, stages: &StageD
             + sa.energy_fj_per_cycle)
         + groups * ofu.energy_fj_per_cycle;
     let mut leak_nw = w as f64 * (column.leakage_nw * col_scale + tree.leakage_nw + sa.leakage_nw);
-    if let Some(fmt) = spec.widest_fp() {
-        let al = scl.align(h.min(16), fmt, choice.align_pipelined);
+    if let Some(al) = align {
         let al_scale = h as f64 / h.min(16) as f64;
         area += al.area_um2 * al_scale;
         energy_fj += al.energy_fj_per_cycle * al_scale / act_bits as f64; // once per pass
@@ -385,7 +398,6 @@ fn point(spec: &MacroSpec, scl: &mut Scl, choice: &DesignChoice, stages: &StageD
 
     let tput = syndcim_power::MacThroughput { h, w, act: Precision::Int(1), weight: Precision::Int(1) };
     let scale = process.delay_scale(spec.vdd_v);
-    let _ = OperatingPoint::at_voltage(spec.vdd_v);
     DesignPoint {
         choice: *choice,
         est: PpaEstimate {

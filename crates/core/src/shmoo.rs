@@ -75,21 +75,29 @@ impl Shmoo {
     /// Render the classic shmoo plot (rows = voltage descending,
     /// columns = frequency ascending; `■` pass, `·` fail).
     pub fn render(&self) -> String {
-        let mut s = String::new();
-        s.push_str("  V\\f(MHz) ");
-        for f in &self.freqs_mhz {
-            s.push_str(&format!("{f:>6.0}"));
+        render_grid(&self.voltages, &self.freqs_mhz, &self.pass, |&p| if p { '■' } else { '·' })
+    }
+}
+
+/// The shmoo plot behind both renderers: the frequency axis, then one
+/// row per voltage, highest first, with `mark` of every cell of that
+/// voltage's row.
+fn render_grid<T>(voltages: &[f64], freqs_mhz: &[f64], rows: &[Vec<T>], mark: impl Fn(&T) -> char) -> String {
+    let mut s = String::new();
+    s.push_str("  V\\f(MHz) ");
+    for f in freqs_mhz {
+        s.push_str(&format!("{f:>6.0}"));
+    }
+    s.push('\n');
+    for (vi, v) in voltages.iter().enumerate().rev() {
+        s.push_str(&format!("  {v:>7.2}V "));
+        for cell in &rows[vi] {
+            s.push_str("     ");
+            s.push(mark(cell));
         }
         s.push('\n');
-        for (vi, v) in self.voltages.iter().enumerate().rev() {
-            s.push_str(&format!("  {v:>7.2}V "));
-            for p in &self.pass[vi] {
-                s.push_str(if *p { "     ■" } else { "     ·" });
-            }
-            s.push('\n');
-        }
-        s
     }
+    s
 }
 
 /// Sweep the shmoo grid for `im` on the compiled STA: the macro's
@@ -99,7 +107,7 @@ impl Shmoo {
 pub fn shmoo(im: &ImplementedMacro, _lib: &CellLibrary, voltages: &[f64], freqs_mhz: &[f64]) -> Shmoo {
     telemetry::span!("shmoo");
     let ops: Vec<OperatingPoint> = functional_corners(voltages).collect();
-    pass_grid(voltages, freqs_mhz, im.compiled.sta.fmax_many(&ops))
+    pass_grid(voltages, freqs_mhz, &im.compiled.sta.fmax_many(&ops))
 }
 
 /// The operating point of every voltage at or above the bitcell
@@ -110,22 +118,38 @@ fn functional_corners(voltages: &[f64]) -> impl Iterator<Item = OperatingPoint> 
 
 /// The pass/fail grid from one `fmax` per [`functional_corners`] entry;
 /// voltages below the retention limit fail at every frequency.
-fn pass_grid(voltages: &[f64], freqs_mhz: &[f64], fmaxes: Vec<f64>) -> Shmoo {
+fn pass_grid(voltages: &[f64], freqs_mhz: &[f64], fmaxes: &[f64]) -> Shmoo {
+    let pass = walk_grid(voltages, freqs_mhz, fmaxes, 1, false, |fmax, f| f <= fmax[0]);
+    Shmoo { voltages: voltages.to_vec(), freqs_mhz: freqs_mhz.to_vec(), pass }
+}
+
+/// The voltage-axis walk behind every shmoo grid. `fmaxes` holds one
+/// chunk of `dies` per-die `f_max` values per [`functional_corners`]
+/// entry, in axis order; `cell(chunk, f)` fills each point of that
+/// voltage's row, and a voltage below the retention limit gets `below`
+/// at every frequency. Counts the grid and its points.
+fn walk_grid<T: Clone>(
+    voltages: &[f64],
+    freqs_mhz: &[f64],
+    fmaxes: &[f64],
+    dies: usize,
+    below: T,
+    cell: impl Fn(&[f64], f64) -> T,
+) -> Vec<Vec<T>> {
     telemetry::counter("shmoo.grids").incr();
     telemetry::counter("shmoo.points").add((voltages.len() * freqs_mhz.len()) as u64);
-    let mut fmaxes = fmaxes.into_iter();
-    let pass = voltages
+    let mut chunks = fmaxes.chunks(dies);
+    voltages
         .iter()
         .map(|&v| {
             if v >= V_MIN_FUNCTIONAL {
-                let fmax = fmaxes.next().expect("one fmax per functional voltage");
-                freqs_mhz.iter().map(|&f| f <= fmax).collect()
+                let chunk = chunks.next().expect("one fmax chunk per functional voltage");
+                freqs_mhz.iter().map(|&f| cell(chunk, f)).collect()
             } else {
-                vec![false; freqs_mhz.len()]
+                vec![below.clone(); freqs_mhz.len()]
             }
         })
-        .collect();
-    Shmoo { voltages: voltages.to_vec(), freqs_mhz: freqs_mhz.to_vec(), pass }
+        .collect()
 }
 
 /// A shmoo grid annotated with measured power at every passing point.
@@ -211,11 +235,8 @@ pub fn shmoo_with_power_on(
             let wires = WireLoads { cap_ff: im.wires.cap_ff.clone(), delay_ps: im.wires.delay_ps.clone() };
             let reference =
                 Sta::with_lowering(&im.mac.module, lib, im.compiled.lowering.clone()).with_wire_loads(wires);
-            pass_grid(
-                voltages,
-                freqs_mhz,
-                functional_corners(voltages).map(|op| reference.fmax_mhz(op)).collect(),
-            )
+            let fmaxes: Vec<f64> = functional_corners(voltages).map(|op| reference.fmax_mhz(op)).collect();
+            pass_grid(voltages, freqs_mhz, &fmaxes)
         }
     };
     let activity = int_activity(im, pa, passes, weights)?;
@@ -311,32 +332,19 @@ impl YieldShmoo {
     /// descending): `■` every die passes, `▓` ≥ 75 %, `▒` ≥ 25 %, `░`
     /// some dies, `·` none.
     pub fn render(&self) -> String {
-        let mut s = String::new();
-        s.push_str("  V\\f(MHz) ");
-        for f in &self.freqs_mhz {
-            s.push_str(&format!("{f:>6.0}"));
-        }
-        s.push('\n');
-        for (vi, v) in self.voltages.iter().enumerate().rev() {
-            s.push_str(&format!("  {v:>7.2}V "));
-            for &y in &self.pass_fraction[vi] {
-                let mark = if y >= 1.0 {
-                    '■'
-                } else if y >= 0.75 {
-                    '▓'
-                } else if y >= 0.25 {
-                    '▒'
-                } else if y > 0.0 {
-                    '░'
-                } else {
-                    '·'
-                };
-                s.push_str("     ");
-                s.push(mark);
+        render_grid(&self.voltages, &self.freqs_mhz, &self.pass_fraction, |&y| {
+            if y >= 1.0 {
+                '■'
+            } else if y >= 0.75 {
+                '▓'
+            } else if y >= 0.25 {
+                '▒'
+            } else if y > 0.0 {
+                '░'
+            } else {
+                '·'
             }
-            s.push('\n');
-        }
-        s
+        })
     }
 }
 
@@ -382,8 +390,6 @@ pub fn shmoo_yield(
     if !(mean.is_finite() && mean > 0.0 && sigma.is_finite() && sigma >= 0.0) {
         return Err(CoreError::Variation { mean, sigma });
     }
-    telemetry::counter("shmoo.grids").incr();
-    telemetry::counter("shmoo.points").add((voltages.len() * freqs_mhz.len()) as u64);
     telemetry::counter("shmoo.yield_samples").add(samples as u64);
 
     // One multiplier per virtual die, shared across the voltage axis
@@ -392,21 +398,9 @@ pub fn shmoo_yield(
     let points: Vec<(OperatingPoint, f64)> =
         functional_corners(voltages).flat_map(|op| scales.iter().map(move |&s| (op, s))).collect();
     let fmaxes = im.compiled.sta.fmax_many_scaled(&points);
-    let mut per_voltage = fmaxes.chunks(samples);
-
-    let pass_fraction = voltages
-        .iter()
-        .map(|&v| {
-            if v < V_MIN_FUNCTIONAL {
-                return vec![0.0; freqs_mhz.len()];
-            }
-            let die_fmaxes = per_voltage.next().expect("one fmax chunk per functional voltage");
-            freqs_mhz
-                .iter()
-                .map(|&f| die_fmaxes.iter().filter(|&&fm| f <= fm).count() as f64 / samples as f64)
-                .collect()
-        })
-        .collect();
+    let pass_fraction = walk_grid(voltages, freqs_mhz, &fmaxes, samples, 0.0, |dies, f| {
+        dies.iter().filter(|&&fm| f <= fm).count() as f64 / samples as f64
+    });
     Ok(YieldShmoo { voltages: voltages.to_vec(), freqs_mhz: freqs_mhz.to_vec(), pass_fraction, samples })
 }
 
@@ -491,7 +485,8 @@ mod tests {
         let wires = WireLoads { cap_ff: im.wires.cap_ff.clone(), delay_ps: im.wires.delay_ps.clone() };
         let sta =
             Sta::with_lowering(&im.mac.module, lib, im.compiled.lowering.clone()).with_wire_loads(wires);
-        pass_grid(vs, fs, functional_corners(vs).map(|op| sta.fmax_mhz(op)).collect())
+        let fmaxes: Vec<f64> = functional_corners(vs).map(|op| sta.fmax_mhz(op)).collect();
+        pass_grid(vs, fs, &fmaxes)
     }
 
     fn implemented() -> (ImplementedMacro, CellLibrary) {

@@ -709,11 +709,6 @@ impl<'a> ArtifactReader<'a> {
         &self.entries
     }
 
-    /// Total container size in bytes.
-    pub fn total_bytes(&self) -> usize {
-        self.bytes.len()
-    }
-
     /// The checksum-verified payload of section `id`.
     pub fn section(&self, id: SectionId) -> Result<&'a [u8], ArtifactError> {
         let e =

@@ -34,10 +34,9 @@
 //! and the three wrap strips (left / top / bottom) are disjoint from the
 //! columns and from each other. Placement exploits that:
 //!
-//! 1. zone assignment is resolved **once per group** into a
-//!    `Vec<Zone>` indexed by group id (from the interned
-//!    [`Symbols`] head table when available, falling back to the
-//!    module's stored group paths, split once per path) — no
+//! 1. zone assignment is resolved **once per stored group path** (the
+//!    module keeps each distinct path once; its head is split off and
+//!    parsed there) into a `Vec<Zone>` indexed by group id — no
 //!    per-instance string splitting;
 //! 2. the independent strips fan across cores via
 //!    [`syndcim_ir::parallel_map_threads`], each worker writing its
@@ -121,11 +120,6 @@ impl Placement {
     /// Die area in mm².
     pub fn die_area_mm2(&self) -> f64 {
         self.die_area_um2() * 1e-6
-    }
-
-    /// Centre of an instance's footprint.
-    pub fn position_of(&self, inst: InstId) -> (f64, f64) {
-        self.cells[inst.index()].rect.center()
     }
 }
 
@@ -216,13 +210,6 @@ fn zone_table_from_groups(module: &Module) -> Vec<Zone> {
     (0..module.group_count()).map(|g| path_zones[module.group_path(GroupId(g as u32)) as usize]).collect()
 }
 
-/// Resolve the zone of every group from the interned [`Symbols`] head
-/// table (PR 5's parents-first group tree): the head of each group path
-/// is already a dedicated symbol, so this never re-splits a path.
-fn zone_table_from_symbols(symbols: &Symbols) -> Vec<Zone> {
-    (0..symbols.group_count() as u32).map(|g| zone_of(symbols.resolve(symbols.group_head_sym(g)))).collect()
-}
-
 /// Run SDP placement on `module` (auto worker count).
 ///
 /// # Errors
@@ -246,23 +233,17 @@ pub fn place_threads(
     place_impl(module, lib, config, &zones, threads)
 }
 
-/// [`place`] resolving zones from an interned [`Symbols`] table (built
-/// by the lowering the flow already owns) instead of re-deriving group
-/// heads from the module's group paths. `symbols` must describe `module`; a
-/// mismatched table (different group count) falls back to the
-/// module-derived zone table, which yields the identical placement.
+/// [`place`]; `symbols` goes unused (the zones come from the module's
+/// stored group paths). The parameter stays until the next benchmark
+/// change, like the unused `_lib` parameters, because the benchmark
+/// calls this signature.
 pub fn place_with_symbols(
     module: &Module,
     lib: &CellLibrary,
     config: FloorplanConfig,
-    symbols: &Symbols,
+    _symbols: &Symbols,
 ) -> Result<Placement, LayoutError> {
-    let zones = if symbols.group_count() == module.group_count() {
-        zone_table_from_symbols(symbols)
-    } else {
-        zone_table_from_groups(module)
-    };
-    place_impl(module, lib, config, &zones, 0)
+    place(module, lib, config)
 }
 
 /// One parallel placement job: a strip owning a disjoint instance set
@@ -724,16 +705,6 @@ mod tests {
     }
 
     #[test]
-    fn symbol_keyed_zoning_matches_string_zoning() {
-        let lib = CellLibrary::syn40();
-        let m = mini_macro(&lib);
-        let syms = Symbols::from_module(&m);
-        let via_strings = place(&m, &lib, FloorplanConfig::default()).unwrap();
-        let via_symbols = place_with_symbols(&m, &lib, FloorplanConfig::default(), &syms).unwrap();
-        assert_eq!(via_strings, via_symbols);
-    }
-
-    #[test]
     fn zone_table_resolves_once_per_group() {
         let lib = CellLibrary::syn40();
         let m = mini_macro(&lib);
@@ -746,7 +717,5 @@ mod tests {
                 assert_eq!(*zone, Zone::Column(1), "group `{name}`");
             }
         }
-        let syms = Symbols::from_module(&m);
-        assert_eq!(zones, zone_table_from_symbols(&syms));
     }
 }

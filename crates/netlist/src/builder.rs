@@ -327,11 +327,6 @@ impl<'lib> NetlistBuilder<'lib> {
         self.add(CellKind::Xor2, &[a, b])[0]
     }
 
-    /// `!(a ^ b)`
-    pub fn xnor2(&mut self, a: NetId, b: NetId) -> NetId {
-        self.add(CellKind::Xnor2, &[a, b])[0]
-    }
-
     /// `s ? d1 : d0`
     pub fn mux2(&mut self, d0: NetId, d1: NetId, s: NetId) -> NetId {
         self.add(CellKind::Mux2, &[d0, d1, s])[0]

@@ -157,13 +157,20 @@ impl Scl {
         self.table.is_empty()
     }
 
-    /// Characterized record for an adder tree.
-    pub fn adder_tree(&mut self, h: usize, cfg: AdderTreeConfig) -> PpaRecord {
-        let key = SclKey::Tree { h, cfg };
+    /// The record cached under `key`, characterized on first lookup
+    /// from the netlist `build` makes.
+    fn record(&mut self, key: SclKey, build: impl FnOnce(&mut NetlistBuilder<'_>)) -> PpaRecord {
         if let Some(r) = self.table.get(&key) {
             return *r;
         }
-        let r = characterize_module(&self.lib, |b| {
+        let r = characterize_module(&self.lib, build);
+        self.table.insert(key, r);
+        r
+    }
+
+    /// Characterized record for an adder tree.
+    pub fn adder_tree(&mut self, h: usize, cfg: AdderTreeConfig) -> PpaRecord {
+        self.record(SclKey::Tree { h, cfg }, |b| {
             let ins = b.input_bus("in", h);
             match build_adder_tree(b, &ins, cfg) {
                 TreeOutput::Binary(s) => b.output_bus("sum", &s),
@@ -172,19 +179,13 @@ impl Scl {
                     b.output_bus("csa_b", &bb);
                 }
             }
-        });
-        self.table.insert(key, r);
-        r
+        })
     }
 
     /// Characterized record for one array column slice (bitcells, mux,
     /// multiplier for `h` rows). Delay is the activation→product path.
     pub fn column(&mut self, h: usize, mcr: usize, bitcell: BitcellKind, multmux: MultMuxKind) -> PpaRecord {
-        let key = SclKey::Column { h, mcr, bitcell, multmux };
-        if let Some(r) = self.table.get(&key) {
-            return *r;
-        }
-        let r = characterize_module(&self.lib, |b| {
+        self.record(SclKey::Column { h, mcr, bitcell, multmux }, |b| {
             let act = b.input_bus("act", h);
             let wwl: Vec<Vec<NetId>> = (0..mcr).map(|k| b.input_bus(&format!("wwl{k}"), h)).collect();
             let wbl = b.input_bus("wbl", 1);
@@ -192,35 +193,23 @@ impl Scl {
             let cfg = ArrayConfig { h, w: 1, mcr, bitcell, multmux };
             let out = build_array(b, cfg, &act, &wwl, &wbl, &[sel]);
             b.output_bus("p", &out.products[0]);
-        });
-        self.table.insert(key, r);
-        r
+        })
     }
 
     /// Characterized record for a shift-and-adder.
     pub fn shift_add(&mut self, cfg: ShiftAddConfig) -> PpaRecord {
-        let key = SclKey::ShiftAdd { cfg };
-        if let Some(r) = self.table.get(&key) {
-            return *r;
-        }
-        let r = characterize_module(&self.lib, |b| {
+        self.record(SclKey::ShiftAdd { cfg }, |b| {
             let psum = b.input_bus("psum", cfg.psum_bits);
             let neg = b.input("neg");
             let clear = b.input("clear");
             let out = build_shift_add(b, cfg, &psum, neg, clear);
             b.output_bus("acc", &out.acc);
-        });
-        self.table.insert(key, r);
-        r
+        })
     }
 
     /// Characterized record for an output fusion unit.
     pub fn ofu(&mut self, cfg: OfuConfig) -> PpaRecord {
-        let key = SclKey::Ofu { cfg };
-        if let Some(r) = self.table.get(&key) {
-            return *r;
-        }
-        let r = characterize_module(&self.lib, |b| {
+        self.record(SclKey::Ofu { cfg }, |b| {
             let sa: Vec<Vec<NetId>> =
                 (0..cfg.w_bits).map(|j| b.input_bus(&format!("sa{j}"), cfg.sa_bits)).collect();
             let prec = b.input_bus("prec", cfg.levels() + 1);
@@ -230,18 +219,12 @@ impl Scl {
                     b.output_bus(&format!("l{k}_{i}"), bus);
                 }
             }
-        });
-        self.table.insert(key, r);
-        r
+        })
     }
 
     /// Characterized record for an FP&INT alignment unit.
     pub fn align(&mut self, h: usize, fmt: FpFormat, pipelined: bool) -> PpaRecord {
-        let key = SclKey::Align { h, exp_bits: fmt.exp_bits, man_bits: fmt.man_bits, pipelined };
-        if let Some(r) = self.table.get(&key) {
-            return *r;
-        }
-        let r = characterize_module(&self.lib, |b| {
+        self.record(SclKey::Align { h, exp_bits: fmt.exp_bits, man_bits: fmt.man_bits, pipelined }, |b| {
             let rows: Vec<FpRowPorts> = (0..h)
                 .map(|r| FpRowPorts {
                     sign: b.input(format!("s{r}")),
@@ -253,9 +236,7 @@ impl Scl {
             for (r, bus) in out.aligned.iter().enumerate() {
                 b.output_bus(&format!("a{r}"), bus);
             }
-        });
-        self.table.insert(key, r);
-        r
+        })
     }
 
     /// Characterized record for a driver chain into `fanout` pins.
@@ -263,11 +244,7 @@ impl Scl {
     /// small.
     pub fn driver(&mut self, fanout: usize) -> PpaRecord {
         let bucket = fanout.next_power_of_two().max(4);
-        let key = SclKey::Driver { fanout: bucket };
-        if let Some(r) = self.table.get(&key) {
-            return *r;
-        }
-        let r = characterize_module(&self.lib, |b| {
+        self.record(SclKey::Driver { fanout: bucket }, |b| {
             let a = b.input("a");
             let driven = build_drivers(b, DriverRole::WordLine, &[a], bucket)[0];
             // Emulate the fanout load with parallel multiplier pins.
@@ -277,9 +254,7 @@ impl Scl {
                 outs.push(b.add(syndcim_pdk::CellKind::MultNor, &[driven, w])[0]);
             }
             b.output("y", outs[0]);
-        });
-        self.table.insert(key, r);
-        r
+        })
     }
 
     /// Estimate a tree record for an uncharacterized height by scaling

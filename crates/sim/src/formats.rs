@@ -80,14 +80,6 @@ impl Precision {
     /// INT8 shorthand.
     pub const INT8: Precision = Precision::Int(8);
 
-    /// Storage bits of one operand.
-    pub fn storage_bits(&self) -> u32 {
-        match self {
-            Precision::Int(b) => *b,
-            Precision::Fp(f) => f.total_bits(),
-        }
-    }
-
     /// Width of the integer the datapath actually processes: the operand
     /// width for INT, or the signed aligned mantissa width for FP.
     pub fn datapath_bits(&self) -> u32 {
@@ -95,21 +87,6 @@ impl Precision {
             Precision::Int(b) => *b,
             Precision::Fp(f) => f.aligned_bits(),
         }
-    }
-
-    /// `true` for floating-point precisions (they require the FP&INT
-    /// alignment unit and exponent-aware output fusion).
-    pub fn is_fp(&self) -> bool {
-        matches!(self, Precision::Fp(_))
-    }
-
-    /// Number of MAC operations counted per multiply-accumulate at this
-    /// precision when normalizing to 1b×1b ops — the scaling used by the
-    /// paper's "(scaling to 1b-1b)" TOPS numbers (ops scale with the
-    /// product of operand widths).
-    pub fn one_bit_op_scale(&self) -> f64 {
-        let b = self.datapath_bits() as f64;
-        b * b
     }
 }
 
@@ -253,13 +230,9 @@ mod tests {
     }
 
     #[test]
-    fn precision_display_and_scale() {
+    fn precision_display() {
         assert_eq!(Precision::INT4.to_string(), "INT4");
         assert_eq!(Precision::Fp(FpFormat::BF16).to_string(), "BF16");
-        assert_eq!(Precision::Int(1).one_bit_op_scale(), 1.0);
-        assert_eq!(Precision::INT8.one_bit_op_scale(), 64.0);
-        // FP8 datapath is the 5-bit aligned mantissa.
-        assert_eq!(Precision::Fp(FpFormat::FP8).one_bit_op_scale(), 25.0);
     }
 
     #[test]

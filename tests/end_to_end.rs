@@ -91,7 +91,7 @@ fn post_layout_timing_slower_but_consistent() {
     let lib = syndcim_pdk::CellLibrary::syn40();
     let im = implement(&lib, &s, &DesignChoice::default()).unwrap();
     let pre = Sta::new(&im.mac.module, &lib).unwrap().analyze(1e6).max_delay_ps;
-    let post = im.timing_at(&lib, 1e6, OperatingPoint::at_voltage(0.9)).max_delay_ps;
+    let post = im.compiled.sta.analyze_at(1e6, OperatingPoint::at_voltage(0.9)).max_delay_ps;
     assert!(post > pre);
     assert!(post < pre * 3.0, "wire overhead should be bounded: pre={pre} post={post}");
 }

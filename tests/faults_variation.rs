@@ -22,7 +22,7 @@
 
 use rand::Rng;
 use syndcim_core::{
-    assemble, implement, measure_fp, measure_int, measure_weight_update_patterns, shmoo_yield, CompiledMacro,
+    assemble, implement, measure_fp, measure_int, measure_weight_update, shmoo_yield, CompiledMacro,
     DesignChoice, FaultPlan, FlowError, MacroSpec, VariationModel,
 };
 use syndcim_engine::{EngineError, EngineSim, Program, SimdBackend};
@@ -358,7 +358,7 @@ fn malformed_plans_lanes_and_corners_error_instead_of_aborting() {
     ));
     assert!(matches!(measure_fp(&im, &lib, &[], &[], op, 400.0).unwrap_err(), FlowError::MissingFpUnit));
     assert!(matches!(
-        measure_weight_update_patterns(&im, &lib, op, 400.0, 1, 0).unwrap_err(),
+        measure_weight_update(&im, &lib, op, 400.0, 1, 0).unwrap_err(),
         FlowError::PatternCount { patterns: 0, .. }
     ));
 
@@ -366,6 +366,10 @@ fn malformed_plans_lanes_and_corners_error_instead_of_aborting() {
     // no aborts.
     let y = shmoo_yield(&im, &[0.3], &[100.0], VariationModel::nominal(), 4, 0).unwrap();
     assert_eq!(y.pass_fraction, vec![vec![0.0]]);
+    // A NaN supply is no functional corner either: it yields nothing,
+    // as the binary shmoo fails it, and the next voltage keeps its dies.
+    let y = shmoo_yield(&im, &[f64::NAN, 0.9], &[100.0], VariationModel::nominal(), 4, 0).unwrap();
+    assert_eq!(y.pass_fraction, vec![vec![0.0], vec![1.0]]);
     let fmax = im.compiled.sta.fmax_distribution(OperatingPoint::at_voltage(0.3), &[1.0]);
     assert_eq!(fmax, vec![0.0]);
 }
