@@ -59,7 +59,7 @@ fn time_ms<F: FnOnce()>(f: F) -> f64 {
 }
 
 /// Warm one SCL with a fixed, search-representative record set.
-fn warm_scl(scl: &mut Scl) {
+fn warm_scl(scl: &Scl) {
     let cfg = AdderTreeConfig::default();
     for h in [8, 16, 32, 64] {
         scl.adder_tree(h, cfg);
@@ -206,7 +206,7 @@ fn bench_engine(c: &mut Criterion) {
 
     // SCL characterization over a fixed, search-representative record
     // set.
-    let scl_eng_stats = c.bench_stats("scl_warmup_engine", |b| b.iter(|| warm_scl(&mut Scl::new())));
+    let scl_eng_stats = c.bench_stats("scl_warmup_engine", |b| b.iter(|| warm_scl(&Scl::new())));
     let scl_engine_ms = scl_eng_stats.ns_per_iter / 1e6;
     println!("scl warm-up:  {scl_engine_ms:>9.1} ms");
 
@@ -222,13 +222,13 @@ fn bench_engine(c: &mut Criterion) {
         vdd_v: 0.9,
         ppa: Default::default(),
     };
-    let mut scl = Scl::new();
+    let scl = Scl::new();
     let search_cold_ms = time_ms(|| {
-        let r = search(&search_spec, &mut scl);
+        let r = search(&search_spec, &scl);
         assert!(!r.frontier.is_empty());
     });
     let search_warm_ms = time_ms(|| {
-        let r = search(&search_spec, &mut scl);
+        let r = search(&search_spec, &scl);
         assert!(!r.frontier.is_empty());
     });
     println!("search 16x16: cold {search_cold_ms:>9.1} ms   warm {search_warm_ms:>9.1} ms");

@@ -17,8 +17,8 @@ fn main() {
     // A tight clock exercises every move.
     let mut spec = MacroSpec::paper_test_chip();
     spec.f_mac_mhz = 850.0;
-    let mut scl = Scl::new();
-    let res = search(&spec, &mut scl);
+    let scl = Scl::new();
+    let res = search(&spec, &scl);
     println!("Search-move ablation @ {} MHz ({} feasible points)", spec.f_mac_mhz, res.feasible.len());
     println!("{:<34}{:>10}{:>16}{:>16}", "allowed moves", "frontier", "min power uW", "min area um2");
     let all = frontier_stats(&res.feasible);

@@ -5,8 +5,8 @@ use syndcim_scl::Scl;
 
 fn main() {
     let spec = MacroSpec::paper_test_chip();
-    let mut scl = Scl::new();
-    let res = search(&spec, &mut scl);
+    let scl = Scl::new();
+    let res = search(&spec, &scl);
     let lib = scl.cell_library().clone();
     println!(
         "Fig. 8: MSO search over H=W=64, MCR=2, INT4/8+FP4/8, 800 MHz @0.9V — {} feasible, {} on the frontier",

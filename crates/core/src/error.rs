@@ -85,6 +85,13 @@ pub enum FlowError {
         /// Which axis was empty.
         axis: &'static str,
     },
+    /// A sweep axis held a NaN or infinite value.
+    NonFiniteAxis {
+        /// Which axis held it.
+        axis: &'static str,
+        /// The first such value.
+        value: f64,
+    },
     /// A design choice the generators cannot build for the spec: tree
     /// retiming without the tree/S&A register, a column split that is
     /// not a power of two cutting H into trees of at least two rows, or
@@ -130,6 +137,9 @@ impl fmt::Display for FlowError {
             }
             FlowError::MissingFpUnit => write!(f, "macro has no FP alignment unit"),
             FlowError::EmptyAxis { axis } => write!(f, "sweep axis `{axis}` is empty"),
+            FlowError::NonFiniteAxis { axis, value } => {
+                write!(f, "sweep axis `{axis}` holds non-finite value {value}")
+            }
             FlowError::InvalidChoice { choice, reason } => write!(f, "design choice {choice}: {reason}"),
             FlowError::Variation { mean, sigma } => write!(
                 f,
@@ -196,6 +206,10 @@ mod tests {
         assert!(FlowError::PatternCount { patterns: 0, max: 256 }.to_string().contains("0"));
         assert!(FlowError::MissingFpUnit.to_string().contains("FP"));
         assert!(FlowError::EmptyAxis { axis: "voltages" }.to_string().contains("voltages"));
+        assert_eq!(
+            FlowError::NonFiniteAxis { axis: "freqs_mhz", value: f64::INFINITY }.to_string(),
+            "sweep axis `freqs_mhz` holds non-finite value inf"
+        );
         let e = FlowError::InvalidChoice { choice: "x/y/z+retime".into(), reason: "needs a register" };
         assert_eq!(e.to_string(), "design choice x/y/z+retime: needs a register");
         assert!(FlowError::Variation { mean: 1.0, sigma: f64::NAN }.to_string().contains("sigma NaN"));

@@ -19,7 +19,7 @@
 
 use syndcim_ir::parallel_map;
 use syndcim_scl::{PpaRecord, Scl};
-use syndcim_sim::Precision;
+use syndcim_sim::{FpFormat, Precision};
 use syndcim_subckt::arith::count_bits;
 use syndcim_subckt::{AdderTreeConfig, AdderTreeKind, BitcellKind, MultMuxKind, OfuConfig, ShiftAddConfig};
 use syndcim_telemetry as telemetry;
@@ -85,17 +85,20 @@ impl StageDelays {
 /// come from the SCL lookup tables; the implementation flow
 /// (`crate::flow`) later signs off the selected points with full STA.
 ///
-/// Evaluation fans out across cores: every `(bitcell, multmux)` site is
-/// one job on the engine's [`parallel_map`] runner. Each worker climbs
-/// its site's adder ladder against a clone of the caller's (pre-warmed)
-/// SCL cache; the per-worker caches merge back via [`Scl::absorb`]
-/// afterwards. Characterization is deterministic per key, so the result
-/// — feasible list, frontier, rejection count and the final cache — is
-/// identical to the sequential evaluation order.
+/// Evaluation is one pass on the engine's [`parallel_map`] runner over
+/// the caller's `scl`, whose lookups share one cache that characterizes
+/// each record once. Its jobs are the records every site reads (the
+/// drivers, the S&A, every ladder kind's entry-point tree, the OFU
+/// variants the fine-tuning always touches and the alignment unit),
+/// then one job per `(bitcell, multmux)` site, which climbs that site's
+/// adder ladder; a site that needs a record another worker is still
+/// characterizing waits for it. Records are deterministic per key, so
+/// the result (feasible list, frontier, rejection count) and the final
+/// cache are identical for any worker count.
 ///
 /// A spec that [`MacroSpec::validate`] rejects has no designs, so the
 /// result is empty; call `validate` for the reason.
-pub fn search(spec: &MacroSpec, scl: &mut Scl) -> SearchResult {
+pub fn search(spec: &MacroSpec, scl: &Scl) -> SearchResult {
     telemetry::span!("search");
     if spec.validate().is_err() {
         return SearchResult { feasible: Vec::new(), frontier: Vec::new(), rejected: 0 };
@@ -106,59 +109,79 @@ pub fn search(spec: &MacroSpec, scl: &mut Scl) -> SearchResult {
     let period = spec.mac_period_ps();
     let wu_period = spec.wu_period_ps();
 
-    // Pre-warm the site-independent records so every worker inherits
-    // them instead of re-characterizing per thread: drivers, the S&A,
-    // every ladder kind's entry-point tree, the OFU variants the
-    // fine-tuning always touches, and the alignment unit.
     let psum_bits = count_bits(spec.h);
     let act_bits = spec.act_bits() as usize;
     let sa_bits = psum_bits + act_bits;
     let w_bits = spec.weight_bits() as usize;
-    scl.driver(spec.w);
-    scl.driver(spec.h * spec.mcr);
-    scl.shift_add(ShiftAddConfig { psum_bits, act_bits });
     let carry_reorder = DesignChoice::default().carry_reorder;
-    let mut warm_ladder = AdderTreeKind::speed_ladder(MAX_FA_ROUNDS);
-    warm_ladder.push(AdderTreeKind::RcaTree);
-    for kind in warm_ladder {
-        scl.adder_tree(spec.h, AdderTreeConfig { kind, carry_reorder, final_cpa: true });
-    }
-    for negate_stage in [true, false] {
-        scl.ofu(OfuConfig { w_bits, sa_bits, negate_stage, extra_pipeline: false });
-    }
-    if let Some(fmt) = spec.widest_fp() {
-        scl.align(spec.h.min(16), fmt, false);
-    }
+    let mut jobs = vec![
+        Job::Driver(spec.w),
+        Job::Driver(spec.h * spec.mcr),
+        Job::ShiftAdd(ShiftAddConfig { psum_bits, act_bits }),
+    ];
+    jobs.extend(
+        ladder().into_iter().map(|kind| Job::Tree(AdderTreeConfig { kind, carry_reorder, final_cpa: true })),
+    );
+    jobs.extend(
+        [true, false]
+            .map(|negate_stage| Job::Ofu(OfuConfig { w_bits, sa_bits, negate_stage, extra_pipeline: false })),
+    );
+    jobs.extend(spec.widest_fp().map(Job::Align));
+    let record_jobs = jobs.len();
+    jobs.extend(BitcellKind::ALL.iter().flat_map(|&bitcell| {
+        MultMuxKind::ALL
+            .iter()
+            .filter(|multmux| multmux.supports_mcr(spec.mcr))
+            .map(move |&multmux| Job::Site(bitcell, multmux))
+    }));
 
-    let sites: Vec<(BitcellKind, MultMuxKind)> = BitcellKind::ALL
-        .iter()
-        .flat_map(|&bitcell| {
-            MultMuxKind::ALL
-                .iter()
-                .filter(|multmux| multmux.supports_mcr(spec.mcr))
-                .map(move |&multmux| (bitcell, multmux))
-        })
-        .collect();
-
-    telemetry::counter("search.sites").add(sites.len() as u64);
-    let base: &Scl = scl;
-    let site_results = parallel_map(sites, |_, (bitcell, multmux)| {
-        telemetry::span!("search.site");
-        let mut local = base.clone();
-        let r = search_site(spec, &mut local, bitcell, multmux, scale, period, wu_period);
-        (r, local)
+    telemetry::counter("search.sites").add((jobs.len() - record_jobs) as u64);
+    let site_results = parallel_map(jobs, |_, job| {
+        match job {
+            Job::Driver(fanout) => scl.driver(fanout),
+            Job::ShiftAdd(cfg) => scl.shift_add(cfg),
+            Job::Tree(cfg) => scl.adder_tree(spec.h, cfg),
+            Job::Ofu(cfg) => scl.ofu(cfg),
+            Job::Align(fmt) => scl.align(spec.h.min(16), fmt, false),
+            Job::Site(bitcell, multmux) => {
+                telemetry::span!("search.site");
+                return Some(search_site(spec, scl, bitcell, multmux, scale, period, wu_period));
+            }
+        };
+        None
     });
 
     let mut feasible: Vec<DesignPoint> = Vec::new();
     let mut rejected = 0usize;
-    for (site, cache) in site_results {
+    for site in site_results.into_iter().flatten() {
         feasible.extend(site.feasible);
         rejected += site.rejected;
-        scl.absorb(cache);
     }
 
     let frontier = pareto_frontier(&feasible);
     SearchResult { feasible, frontier, rejected }
+}
+
+/// One job of the search's parallel pass: a record every site reads,
+/// or one site's ladder climb.
+enum Job {
+    /// A driver chain into this many pins.
+    Driver(usize),
+    ShiftAdd(ShiftAddConfig),
+    /// An entry-point adder tree over the full column height.
+    Tree(AdderTreeConfig),
+    Ofu(OfuConfig),
+    /// The unpipelined alignment unit over at most 16 rows.
+    Align(FpFormat),
+    Site(BitcellKind, MultMuxKind),
+}
+
+/// The adder ladder from the cheapest topology up; the RCA baseline
+/// rides along so it stays searchable.
+fn ladder() -> Vec<AdderTreeKind> {
+    let mut ladder = AdderTreeKind::speed_ladder(MAX_FA_ROUNDS);
+    ladder.push(AdderTreeKind::RcaTree);
+    ladder
 }
 
 /// Feasible points and rejections of one `(bitcell, multmux)` site.
@@ -172,7 +195,7 @@ struct SiteResult {
 /// OFU pipeline), register pruning and fine-tuning.
 fn search_site(
     spec: &MacroSpec,
-    scl: &mut Scl,
+    scl: &Scl,
     bitcell: BitcellKind,
     multmux: MultMuxKind,
     scale: f64,
@@ -182,13 +205,9 @@ fn search_site(
     let mut feasible: Vec<DesignPoint> = Vec::new();
     let mut rejected = 0usize;
 
-    // Climb the adder ladder from the cheapest topology; the RCA
-    // baseline rides along so it stays searchable.
-    let mut ladder = AdderTreeKind::speed_ladder(MAX_FA_ROUNDS);
-    ladder.push(AdderTreeKind::RcaTree);
     let ladder_steps = telemetry::counter("search.ladder_steps");
     let mut found_for_site = false;
-    for kind in ladder {
+    for kind in ladder() {
         ladder_steps.incr();
         let mut choice = DesignChoice { bitcell, multmux, tree_kind: kind, ..DesignChoice::default() };
 
@@ -292,7 +311,7 @@ struct ChoiceRecords {
 }
 
 /// Derive the widths and look up the SCL records of `choice` for `spec`.
-fn choice_records(spec: &MacroSpec, scl: &mut Scl, choice: &DesignChoice) -> ChoiceRecords {
+fn choice_records(spec: &MacroSpec, scl: &Scl, choice: &DesignChoice) -> ChoiceRecords {
     let h = spec.h;
     let chunk = h / choice.column_split.max(1);
     let psum_bits = count_bits(h);
@@ -325,7 +344,7 @@ fn choice_records(spec: &MacroSpec, scl: &mut Scl, choice: &DesignChoice) -> Cho
 
 /// Assemble stage-delay estimates for one choice from SCL records
 /// (derated for routing; exposed for diagnostics and ablations).
-pub fn estimate(spec: &MacroSpec, scl: &mut Scl, choice: &DesignChoice) -> StageDelays {
+pub fn estimate(spec: &MacroSpec, scl: &Scl, choice: &DesignChoice) -> StageDelays {
     let h = spec.h;
     let ChoiceRecords { psum_bits, driver, column, tree, sa, ofu, align, .. } =
         choice_records(spec, scl, choice);
@@ -365,7 +384,7 @@ fn bitcell_setup_ps(scl: &Scl, bitcell: BitcellKind) -> f64 {
 
 /// Build the full design point (PPA estimate) for a timing-feasible
 /// choice.
-fn point(spec: &MacroSpec, scl: &mut Scl, choice: &DesignChoice, stages: &StageDelays) -> DesignPoint {
+fn point(spec: &MacroSpec, scl: &Scl, choice: &DesignChoice, stages: &StageDelays) -> DesignPoint {
     let h = spec.h;
     let w = spec.w;
     let ChoiceRecords { act_bits, w_bits, driver, column, tree, sa, ofu, align, .. } =
@@ -434,8 +453,8 @@ mod tests {
     /// fresh speed ladder, silently skipping it — fixed in PR 2).
     #[test]
     fn rca_baseline_stays_searchable() {
-        let mut scl = Scl::new();
-        let res = search(&small_spec(200.0), &mut scl);
+        let scl = Scl::new();
+        let res = search(&small_spec(200.0), &scl);
         assert!(
             res.feasible.iter().any(|p| p.choice.tree_kind == AdderTreeKind::RcaTree),
             "a relaxed clock must keep the RCA baseline feasible"
@@ -444,8 +463,8 @@ mod tests {
 
     #[test]
     fn relaxed_spec_keeps_cheap_trees() {
-        let mut scl = Scl::new();
-        let res = search(&small_spec(200.0), &mut scl);
+        let scl = Scl::new();
+        let res = search(&small_spec(200.0), &scl);
         assert!(!res.feasible.is_empty());
         assert!(!res.frontier.is_empty());
         // At 200 MHz the pure-compressor tree must be feasible somewhere.
@@ -459,9 +478,9 @@ mod tests {
 
     #[test]
     fn tight_spec_triggers_timing_moves() {
-        let mut scl = Scl::new();
-        let relaxed = search(&small_spec(200.0), &mut scl);
-        let tight = search(&small_spec(1150.0), &mut scl);
+        let scl = Scl::new();
+        let relaxed = search(&small_spec(200.0), &scl);
+        let tight = search(&small_spec(1150.0), &scl);
         let moves = |r: &SearchResult| {
             r.feasible.iter().filter(|p| p.choice.tree_retimed || p.choice.column_split > 1).count()
         };
@@ -475,8 +494,8 @@ mod tests {
 
     #[test]
     fn frontier_points_meet_timing() {
-        let mut scl = Scl::new();
-        let res = search(&small_spec(700.0), &mut scl);
+        let scl = Scl::new();
+        let res = search(&small_spec(700.0), &scl);
         for p in &res.frontier {
             assert!(p.est.timing_met, "{:?}", p.choice);
             assert!(p.est.power_uw > 0.0 && p.est.area_um2 > 0.0);
@@ -485,9 +504,9 @@ mod tests {
 
     #[test]
     fn best_respects_ppa_preference() {
-        let mut scl = Scl::new();
+        let scl = Scl::new();
         let mut spec = small_spec(500.0);
-        let res = search(&spec, &mut scl);
+        let res = search(&spec, &scl);
         spec.ppa = crate::spec::PpaWeights::energy_leaning();
         let p_energy = res.best(&spec).unwrap().est.power_uw;
         spec.ppa = crate::spec::PpaWeights::area_leaning();
@@ -507,17 +526,17 @@ mod tests {
         let _ = (p_energy, p_area);
     }
 
-    /// The parallel site fan-out must be invisible: records are
-    /// deterministic per key, so a cold cache, a warm cache and repeated
-    /// runs all produce identical results, and the per-worker caches
-    /// merge back into the caller's `Scl`.
+    /// The parallel pass must be invisible: records are deterministic
+    /// per key, so a cold cache, a warm cache and repeated runs all
+    /// produce identical results, and the cold run leaves its records in
+    /// the caller's `Scl`.
     #[test]
-    fn parallel_search_is_deterministic_and_merges_caches() {
-        let mut scl = Scl::new();
-        let cold = search(&small_spec(700.0), &mut scl);
+    fn parallel_search_is_deterministic_cold_and_warm() {
+        let scl = Scl::new();
+        let cold = search(&small_spec(700.0), &scl);
         let cached = scl.len();
-        assert!(cached > 0, "worker caches must merge back");
-        let warm = search(&small_spec(700.0), &mut scl);
+        assert!(cached > 0, "the cold search fills the caller's cache");
+        let warm = search(&small_spec(700.0), &scl);
         assert_eq!(scl.len(), cached, "warm rerun characterizes nothing new");
         assert_eq!(cold.rejected, warm.rejected);
         assert_eq!(cold.feasible, warm.feasible);
@@ -527,7 +546,7 @@ mod tests {
     /// `search` on a spec `validate` rejects returns no designs.
     fn assert_searches_to_nothing(spec: MacroSpec) {
         assert!(spec.validate().is_err(), "{spec:?}");
-        let res = search(&spec, &mut Scl::new());
+        let res = search(&spec, &Scl::new());
         assert!(res.feasible.is_empty() && res.frontier.is_empty() && res.rejected == 0, "{spec:?}");
     }
 
@@ -555,17 +574,17 @@ mod tests {
     #[test]
     fn best_picks_a_point_under_nan_weights() {
         let mut spec = small_spec(700.0);
-        let res = search(&spec, &mut Scl::new());
+        let res = search(&spec, &Scl::new());
         spec.ppa.power = f64::NAN;
         assert!(res.best(&spec).is_some());
     }
 
     #[test]
     fn infeasible_weight_update_rejects_slow_bitcells() {
-        let mut scl = Scl::new();
+        let scl = Scl::new();
         let mut spec = small_spec(300.0);
         spec.f_wu_mhz = 4000.0; // 250 ps period: slower bitcells can't write
-        let res = search(&spec, &mut scl);
+        let res = search(&spec, &scl);
         assert!(
             res.feasible.iter().all(|p| p.choice.bitcell != BitcellKind::Oai12T),
             "the 12T OAI cell (slowest write) must be rejected at 4 GHz updates"

@@ -362,7 +362,9 @@ impl YieldShmoo {
 /// # Errors
 ///
 /// Returns [`CoreError::EmptyAxis`] for an empty voltage or frequency
-/// axis, [`CoreError::PatternCount`] when `samples` is zero or
+/// axis, [`CoreError::NonFiniteAxis`] for a NaN or infinite value on
+/// either axis (the report's JSON could not hold it),
+/// [`CoreError::PatternCount`] when `samples` is zero or
 /// exceeds the engine lane capacity (the cap keeps yield grids
 /// commensurate with fault-injection runs, which map samples to lanes),
 /// and [`CoreError::Variation`] when `model`'s mean is not finite and
@@ -377,11 +379,13 @@ pub fn shmoo_yield(
     seed: u64,
 ) -> Result<YieldShmoo, CoreError> {
     telemetry::span!("shmoo.yield");
-    if voltages.is_empty() {
-        return Err(CoreError::EmptyAxis { axis: "voltages" });
-    }
-    if freqs_mhz.is_empty() {
-        return Err(CoreError::EmptyAxis { axis: "freqs_mhz" });
+    for (axis, values) in [("voltages", voltages), ("freqs_mhz", freqs_mhz)] {
+        if values.is_empty() {
+            return Err(CoreError::EmptyAxis { axis });
+        }
+        if let Some(&value) = values.iter().find(|v| !v.is_finite()) {
+            return Err(CoreError::NonFiniteAxis { axis, value });
+        }
     }
     if !(1..=EngineSim::MAX_LANES).contains(&samples) {
         return Err(CoreError::PatternCount { patterns: samples, max: EngineSim::MAX_LANES });
@@ -701,6 +705,31 @@ mod tests {
             let err = shmoo_yield(&im, &[0.9], &[100.0], model, 8, 0).unwrap_err();
             assert!(matches!(err, CoreError::Variation { .. }), "mean {mean}, sigma {sigma}: got {err}");
             assert!(YieldReport::generate(&im, &[0.9], &[100.0], model, 8, 0).is_err());
+        }
+    }
+
+    /// A NaN or infinite axis value is a typed error naming the axis
+    /// and the value, so `YieldReport::to_json` never writes `NaN` or
+    /// `inf`, which JSON cannot hold.
+    #[test]
+    fn yield_shmoo_rejects_non_finite_axis_values() {
+        let (im, _lib) = implemented();
+        let m = VariationModel::nominal();
+        for (voltages, freqs, axis, value) in [
+            (&[f64::NAN, 0.9][..], &[100.0, f64::INFINITY][..], "voltages", f64::NAN),
+            (&[0.9], &[100.0, f64::INFINITY], "freqs_mhz", f64::INFINITY),
+            (&[0.9, f64::NEG_INFINITY], &[100.0], "voltages", f64::NEG_INFINITY),
+            (&[0.9], &[f64::NAN], "freqs_mhz", f64::NAN),
+        ] {
+            for err in [
+                shmoo_yield(&im, voltages, freqs, m, 8, 0).unwrap_err(),
+                YieldReport::generate(&im, voltages, freqs, m, 8, 0).unwrap_err(),
+            ] {
+                let CoreError::NonFiniteAxis { axis: got, value: v } = err else {
+                    panic!("{voltages:?} x {freqs:?}: got {err}");
+                };
+                assert_eq!((got, v.to_bits()), (axis, value.to_bits()), "{voltages:?} x {freqs:?}");
+            }
         }
     }
 

@@ -6,8 +6,8 @@ use syndcim_scl::Scl;
 
 fn main() {
     let spec = MacroSpec::paper_test_chip();
-    let mut scl = Scl::new();
-    let res = search(&spec, &mut scl);
+    let scl = Scl::new();
+    let res = search(&spec, &scl);
     println!("spec: H=W=64, MCR=2, INT4/8+FP4/8, 800 MHz @0.9V");
     println!("frontier ({} points of {} feasible):\n", res.frontier.len(), res.feasible.len());
     println!("{:<56}{:>12}{:>12}{:>9}", "design", "power uW", "area um2", "latency");

@@ -16,8 +16,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         vdd_v: 0.9,
         ppa: Default::default(),
     };
-    let mut scl = Scl::new();
-    let res = search(&spec, &mut scl);
+    let scl = Scl::new();
+    let res = search(&spec, &scl);
     let best = res.best(&spec).expect("feasible");
     let lib = scl.cell_library().clone();
     let im = implement(&lib, &spec, &best.choice)?;

@@ -366,10 +366,12 @@ fn malformed_plans_lanes_and_corners_error_instead_of_aborting() {
     // no aborts.
     let y = shmoo_yield(&im, &[0.3], &[100.0], VariationModel::nominal(), 4, 0).unwrap();
     assert_eq!(y.pass_fraction, vec![vec![0.0]]);
-    // A NaN supply is no functional corner either: it yields nothing,
-    // as the binary shmoo fails it, and the next voltage keeps its dies.
-    let y = shmoo_yield(&im, &[f64::NAN, 0.9], &[100.0], VariationModel::nominal(), 4, 0).unwrap();
-    assert_eq!(y.pass_fraction, vec![vec![0.0], vec![1.0]]);
+    // A NaN supply is a typed error naming its axis, not a zero row that
+    // the yield report would write as `NaN`, which is not JSON.
+    assert!(matches!(
+        shmoo_yield(&im, &[f64::NAN, 0.9], &[100.0], VariationModel::nominal(), 4, 0).unwrap_err(),
+        FlowError::NonFiniteAxis { axis: "voltages", .. }
+    ));
     let fmax = im.compiled.sta.fmax_distribution(OperatingPoint::at_voltage(0.3), &[1.0]);
     assert_eq!(fmax, vec![0.0]);
 }

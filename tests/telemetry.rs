@@ -8,9 +8,10 @@
 
 use std::sync::Mutex;
 
-use syndcim_core::{implement, measure_int, shmoo_with_power, DesignChoice, MacroSpec};
+use syndcim_core::{implement, measure_int, search, shmoo_with_power, DesignChoice, MacroSpec};
 use syndcim_ir::{join, parallel_map_threads};
 use syndcim_pdk::{CellLibrary, OperatingPoint};
+use syndcim_scl::Scl;
 use syndcim_sta::VariationModel;
 use syndcim_telemetry as telemetry;
 
@@ -266,6 +267,28 @@ fn measure_int_counts_evaluated_and_skipped_engine_work() {
     assert!(skipped > 0, "weight-stationary passes skip ops ({executed} evaluated)");
     assert!(captures_skipped > 0, "weight-stationary passes skip state captures");
     assert_eq!(run(), counts, "the counts repeat");
+}
+
+/// The search characterizes each SCL record once: a cold paper-chip
+/// search counts one `scl.characterized` per cached record (25), however
+/// many of its sites read each record, and a warm rerun on the same
+/// `Scl` counts none.
+#[test]
+fn search_characterizes_each_scl_record_once() {
+    let _guard = LOCK.lock().unwrap();
+    telemetry::set_mode(telemetry::Mode::Summary);
+
+    let spec = MacroSpec::paper_test_chip();
+    let scl = Scl::new();
+    let characterized = || {
+        telemetry::reset();
+        assert!(!search(&spec, &scl).frontier.is_empty());
+        telemetry::snapshot().counter("scl.characterized").unwrap_or(0)
+    };
+    assert_eq!(characterized(), 25, "a cold search");
+    assert_eq!(scl.len(), 25);
+    assert_eq!(characterized(), 0, "a warm rerun");
+    assert_eq!(scl.len(), 25);
 }
 
 /// Disabled mode records nothing — spans, counters, gauges all stay
