@@ -21,16 +21,16 @@ fn small_spec() -> MacroSpec {
 fn bench_search(c: &mut Criterion) {
     c.bench_function("mso_search_16x16_warm_scl", |b| {
         let spec = small_spec();
-        let scl = Scl::new();
-        search(&spec, &scl); // warm the LUTs
-        b.iter(|| search(&spec, &scl));
+        let mut scl = Scl::new();
+        search(&spec, &mut scl); // warm the LUTs
+        b.iter(|| search(&spec, &mut scl));
     });
 }
 
 fn bench_characterize(c: &mut Criterion) {
     c.bench_function("characterize_tree64", |b| {
         b.iter(|| {
-            let scl = Scl::new();
+            let mut scl = Scl::new();
             scl.adder_tree(64, AdderTreeConfig::default())
         });
     });

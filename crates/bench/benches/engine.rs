@@ -1,7 +1,6 @@
 //! Interpreter vs. compiled-engine vector throughput on the paper
 //! test-chip MAC netlist (64×64, MCR 2, INT1–8 + FP4/FP8), plus the
-//! engine-backed SCL characterization and parallel Pareto-search
-//! timings.
+//! engine-backed SCL characterization and Pareto-search timings.
 //!
 //! One "vector" is a full random input assignment stepped through one
 //! clock cycle. The interpreter simulates one vector per step; the
@@ -59,7 +58,7 @@ fn time_ms<F: FnOnce()>(f: F) -> f64 {
 }
 
 /// Warm one SCL with a fixed, search-representative record set.
-fn warm_scl(scl: &Scl) {
+fn warm_scl(scl: &mut Scl) {
     let cfg = AdderTreeConfig::default();
     for h in [8, 16, 32, 64] {
         scl.adder_tree(h, cfg);
@@ -206,11 +205,11 @@ fn bench_engine(c: &mut Criterion) {
 
     // SCL characterization over a fixed, search-representative record
     // set.
-    let scl_eng_stats = c.bench_stats("scl_warmup_engine", |b| b.iter(|| warm_scl(&Scl::new())));
+    let scl_eng_stats = c.bench_stats("scl_warmup_engine", |b| b.iter(|| warm_scl(&mut Scl::new())));
     let scl_engine_ms = scl_eng_stats.ns_per_iter / 1e6;
     println!("scl warm-up:  {scl_engine_ms:>9.1} ms");
 
-    // Parallel Pareto search, cold cache and warm rerun.
+    // Pareto search, cold cache and warm rerun.
     let search_spec = MacroSpec {
         h: 16,
         w: 16,
@@ -222,13 +221,13 @@ fn bench_engine(c: &mut Criterion) {
         vdd_v: 0.9,
         ppa: Default::default(),
     };
-    let scl = Scl::new();
+    let mut scl = Scl::new();
     let search_cold_ms = time_ms(|| {
-        let r = search(&search_spec, &scl);
+        let r = search(&search_spec, &mut scl);
         assert!(!r.frontier.is_empty());
     });
     let search_warm_ms = time_ms(|| {
-        let r = search(&search_spec, &scl);
+        let r = search(&search_spec, &mut scl);
         assert!(!r.frontier.is_empty());
     });
     println!("search 16x16: cold {search_cold_ms:>9.1} ms   warm {search_warm_ms:>9.1} ms");

@@ -4,7 +4,7 @@ use syndcim_scl::Scl;
 use syndcim_subckt::{AdderTreeConfig, AdderTreeKind};
 
 fn main() {
-    let scl = Scl::new();
+    let mut scl = Scl::new();
     println!("Adder-tree ablation (per-column tree, pre-layout SCL characterization)");
     println!(
         "{:<16}{:>6}{:>12}{:>12}{:>14}{:>10}",

@@ -59,8 +59,8 @@ pub fn merge_bench_artifact(stale_prefixes: &[&str], entries: &[(&str, f64)]) {
 /// macro and the cell library (panics on infeasible specs — the bench
 /// specs are known-good).
 pub fn implement_best(spec: &MacroSpec) -> (ImplementedMacro, syndcim_pdk::CellLibrary) {
-    let scl = Scl::new();
-    let res = syndcim_core::search(spec, &scl);
+    let mut scl = Scl::new();
+    let res = syndcim_core::search(spec, &mut scl);
     let best = res.best(spec).expect("bench specs are feasible");
     let lib = scl.cell_library().clone();
     let im = implement(&lib, spec, &best.choice).expect("flow succeeds");

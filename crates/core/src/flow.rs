@@ -170,6 +170,8 @@ fn check_choice(spec: &MacroSpec, choice: &DesignChoice) -> Result<(), FlowError
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::SpecError;
+    use syndcim_sim::FpFormat;
     use syndcim_sta::Sta;
     use syndcim_subckt::MultMuxKind;
 
@@ -270,5 +272,12 @@ mod tests {
         let mut spec = tiny_spec();
         spec.mcr = 3;
         assert!(implement(&lib, &spec, &DesignChoice::default()).is_err());
+        // An FP format without exponent bits has no alignment unit to
+        // build; it is a spec error, not a panic in the generator.
+        let spec = MacroSpec { fp_precisions: vec![FpFormat { exp_bits: 0, man_bits: 1 }], ..tiny_spec() };
+        assert_eq!(
+            implement(&lib, &spec, &DesignChoice::default()).err(),
+            Some(FlowError::Spec(SpecError::BadFpFormat))
+        );
     }
 }

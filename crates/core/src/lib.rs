@@ -23,8 +23,8 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let spec = MacroSpec::paper_test_chip();
-//! let scl = Scl::new();
-//! let result = search(&spec, &scl);
+//! let mut scl = Scl::new();
+//! let result = search(&spec, &mut scl);
 //! let best = result.best(&spec).expect("spec is feasible");
 //! let lib = scl.cell_library().clone();
 //! let macro_impl = implement(&lib, &spec, &best.choice)?;

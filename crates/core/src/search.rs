@@ -17,9 +17,8 @@
 //! for power or area are applied by substituting power/area-efficient
 //! subcircuits."
 
-use syndcim_ir::parallel_map;
 use syndcim_scl::{PpaRecord, Scl};
-use syndcim_sim::{FpFormat, Precision};
+use syndcim_sim::Precision;
 use syndcim_subckt::arith::count_bits;
 use syndcim_subckt::{AdderTreeConfig, AdderTreeKind, BitcellKind, MultMuxKind, OfuConfig, ShiftAddConfig};
 use syndcim_telemetry as telemetry;
@@ -85,20 +84,16 @@ impl StageDelays {
 /// come from the SCL lookup tables; the implementation flow
 /// (`crate::flow`) later signs off the selected points with full STA.
 ///
-/// Evaluation is one pass on the engine's [`parallel_map`] runner over
-/// the caller's `scl`, whose lookups share one cache that characterizes
-/// each record once. Its jobs are the records every site reads (the
-/// drivers, the S&A, every ladder kind's entry-point tree, the OFU
-/// variants the fine-tuning always touches and the alignment unit),
-/// then one job per `(bitcell, multmux)` site, which climbs that site's
-/// adder ladder; a site that needs a record another worker is still
-/// characterizing waits for it. Records are deterministic per key, so
-/// the result (feasible list, frontier, rejection count) and the final
-/// cache are identical for any worker count.
+/// Evaluation climbs each `(bitcell, multmux)` site's adder ladder in
+/// turn on the caller's thread, and every estimate reads its records
+/// through `scl`, which characterizes a key on its first lookup and
+/// caches it. Records are deterministic per key, so a cold and a warm
+/// `scl` give the same result (feasible list, frontier, rejection
+/// count).
 ///
 /// A spec that [`MacroSpec::validate`] rejects has no designs, so the
 /// result is empty; call `validate` for the reason.
-pub fn search(spec: &MacroSpec, scl: &Scl) -> SearchResult {
+pub fn search(spec: &MacroSpec, scl: &mut Scl) -> SearchResult {
     telemetry::span!("search");
     if spec.validate().is_err() {
         return SearchResult { feasible: Vec::new(), frontier: Vec::new(), rejected: 0 };
@@ -109,79 +104,21 @@ pub fn search(spec: &MacroSpec, scl: &Scl) -> SearchResult {
     let period = spec.mac_period_ps();
     let wu_period = spec.wu_period_ps();
 
-    let psum_bits = count_bits(spec.h);
-    let act_bits = spec.act_bits() as usize;
-    let sa_bits = psum_bits + act_bits;
-    let w_bits = spec.weight_bits() as usize;
-    let carry_reorder = DesignChoice::default().carry_reorder;
-    let mut jobs = vec![
-        Job::Driver(spec.w),
-        Job::Driver(spec.h * spec.mcr),
-        Job::ShiftAdd(ShiftAddConfig { psum_bits, act_bits }),
-    ];
-    jobs.extend(
-        ladder().into_iter().map(|kind| Job::Tree(AdderTreeConfig { kind, carry_reorder, final_cpa: true })),
-    );
-    jobs.extend(
-        [true, false]
-            .map(|negate_stage| Job::Ofu(OfuConfig { w_bits, sa_bits, negate_stage, extra_pipeline: false })),
-    );
-    jobs.extend(spec.widest_fp().map(Job::Align));
-    let record_jobs = jobs.len();
-    jobs.extend(BitcellKind::ALL.iter().flat_map(|&bitcell| {
-        MultMuxKind::ALL
-            .iter()
-            .filter(|multmux| multmux.supports_mcr(spec.mcr))
-            .map(move |&multmux| Job::Site(bitcell, multmux))
-    }));
-
-    telemetry::counter("search.sites").add((jobs.len() - record_jobs) as u64);
-    let site_results = parallel_map(jobs, |_, job| {
-        match job {
-            Job::Driver(fanout) => scl.driver(fanout),
-            Job::ShiftAdd(cfg) => scl.shift_add(cfg),
-            Job::Tree(cfg) => scl.adder_tree(spec.h, cfg),
-            Job::Ofu(cfg) => scl.ofu(cfg),
-            Job::Align(fmt) => scl.align(spec.h.min(16), fmt, false),
-            Job::Site(bitcell, multmux) => {
-                telemetry::span!("search.site");
-                return Some(search_site(spec, scl, bitcell, multmux, scale, period, wu_period));
-            }
-        };
-        None
-    });
-
+    let sites = telemetry::counter("search.sites");
     let mut feasible: Vec<DesignPoint> = Vec::new();
     let mut rejected = 0usize;
-    for site in site_results.into_iter().flatten() {
-        feasible.extend(site.feasible);
-        rejected += site.rejected;
+    for &bitcell in BitcellKind::ALL {
+        for &multmux in MultMuxKind::ALL.iter().filter(|multmux| multmux.supports_mcr(spec.mcr)) {
+            sites.incr();
+            telemetry::span!("search.site");
+            let site = search_site(spec, scl, bitcell, multmux, scale, period, wu_period);
+            feasible.extend(site.feasible);
+            rejected += site.rejected;
+        }
     }
 
     let frontier = pareto_frontier(&feasible);
     SearchResult { feasible, frontier, rejected }
-}
-
-/// One job of the search's parallel pass: a record every site reads,
-/// or one site's ladder climb.
-enum Job {
-    /// A driver chain into this many pins.
-    Driver(usize),
-    ShiftAdd(ShiftAddConfig),
-    /// An entry-point adder tree over the full column height.
-    Tree(AdderTreeConfig),
-    Ofu(OfuConfig),
-    /// The unpipelined alignment unit over at most 16 rows.
-    Align(FpFormat),
-    Site(BitcellKind, MultMuxKind),
-}
-
-/// The adder ladder from the cheapest topology up; the RCA baseline
-/// rides along so it stays searchable.
-fn ladder() -> Vec<AdderTreeKind> {
-    let mut ladder = AdderTreeKind::speed_ladder(MAX_FA_ROUNDS);
-    ladder.push(AdderTreeKind::RcaTree);
-    ladder
 }
 
 /// Feasible points and rejections of one `(bitcell, multmux)` site.
@@ -195,7 +132,7 @@ struct SiteResult {
 /// OFU pipeline), register pruning and fine-tuning.
 fn search_site(
     spec: &MacroSpec,
-    scl: &Scl,
+    scl: &mut Scl,
     bitcell: BitcellKind,
     multmux: MultMuxKind,
     scale: f64,
@@ -205,9 +142,13 @@ fn search_site(
     let mut feasible: Vec<DesignPoint> = Vec::new();
     let mut rejected = 0usize;
 
+    // Climb the adder ladder from the cheapest topology; the RCA
+    // baseline rides along so it stays searchable.
+    let mut ladder = AdderTreeKind::speed_ladder(MAX_FA_ROUNDS);
+    ladder.push(AdderTreeKind::RcaTree);
     let ladder_steps = telemetry::counter("search.ladder_steps");
     let mut found_for_site = false;
-    for kind in ladder() {
+    for kind in ladder {
         ladder_steps.incr();
         let mut choice = DesignChoice { bitcell, multmux, tree_kind: kind, ..DesignChoice::default() };
 
@@ -311,7 +252,7 @@ struct ChoiceRecords {
 }
 
 /// Derive the widths and look up the SCL records of `choice` for `spec`.
-fn choice_records(spec: &MacroSpec, scl: &Scl, choice: &DesignChoice) -> ChoiceRecords {
+fn choice_records(spec: &MacroSpec, scl: &mut Scl, choice: &DesignChoice) -> ChoiceRecords {
     let h = spec.h;
     let chunk = h / choice.column_split.max(1);
     let psum_bits = count_bits(h);
@@ -344,7 +285,7 @@ fn choice_records(spec: &MacroSpec, scl: &Scl, choice: &DesignChoice) -> ChoiceR
 
 /// Assemble stage-delay estimates for one choice from SCL records
 /// (derated for routing; exposed for diagnostics and ablations).
-pub fn estimate(spec: &MacroSpec, scl: &Scl, choice: &DesignChoice) -> StageDelays {
+pub fn estimate(spec: &MacroSpec, scl: &mut Scl, choice: &DesignChoice) -> StageDelays {
     let h = spec.h;
     let ChoiceRecords { psum_bits, driver, column, tree, sa, ofu, align, .. } =
         choice_records(spec, scl, choice);
@@ -384,7 +325,7 @@ fn bitcell_setup_ps(scl: &Scl, bitcell: BitcellKind) -> f64 {
 
 /// Build the full design point (PPA estimate) for a timing-feasible
 /// choice.
-fn point(spec: &MacroSpec, scl: &Scl, choice: &DesignChoice, stages: &StageDelays) -> DesignPoint {
+fn point(spec: &MacroSpec, scl: &mut Scl, choice: &DesignChoice, stages: &StageDelays) -> DesignPoint {
     let h = spec.h;
     let w = spec.w;
     let ChoiceRecords { act_bits, w_bits, driver, column, tree, sa, ofu, align, .. } =
@@ -433,6 +374,7 @@ fn point(spec: &MacroSpec, scl: &Scl, choice: &DesignChoice, stages: &StageDelay
 #[cfg(test)]
 mod tests {
     use super::*;
+    use syndcim_sim::FpFormat;
 
     fn small_spec(f_mac_mhz: f64) -> MacroSpec {
         MacroSpec {
@@ -453,8 +395,8 @@ mod tests {
     /// fresh speed ladder, silently skipping it — fixed in PR 2).
     #[test]
     fn rca_baseline_stays_searchable() {
-        let scl = Scl::new();
-        let res = search(&small_spec(200.0), &scl);
+        let mut scl = Scl::new();
+        let res = search(&small_spec(200.0), &mut scl);
         assert!(
             res.feasible.iter().any(|p| p.choice.tree_kind == AdderTreeKind::RcaTree),
             "a relaxed clock must keep the RCA baseline feasible"
@@ -463,8 +405,8 @@ mod tests {
 
     #[test]
     fn relaxed_spec_keeps_cheap_trees() {
-        let scl = Scl::new();
-        let res = search(&small_spec(200.0), &scl);
+        let mut scl = Scl::new();
+        let res = search(&small_spec(200.0), &mut scl);
         assert!(!res.feasible.is_empty());
         assert!(!res.frontier.is_empty());
         // At 200 MHz the pure-compressor tree must be feasible somewhere.
@@ -478,9 +420,9 @@ mod tests {
 
     #[test]
     fn tight_spec_triggers_timing_moves() {
-        let scl = Scl::new();
-        let relaxed = search(&small_spec(200.0), &scl);
-        let tight = search(&small_spec(1150.0), &scl);
+        let mut scl = Scl::new();
+        let relaxed = search(&small_spec(200.0), &mut scl);
+        let tight = search(&small_spec(1150.0), &mut scl);
         let moves = |r: &SearchResult| {
             r.feasible.iter().filter(|p| p.choice.tree_retimed || p.choice.column_split > 1).count()
         };
@@ -494,8 +436,8 @@ mod tests {
 
     #[test]
     fn frontier_points_meet_timing() {
-        let scl = Scl::new();
-        let res = search(&small_spec(700.0), &scl);
+        let mut scl = Scl::new();
+        let res = search(&small_spec(700.0), &mut scl);
         for p in &res.frontier {
             assert!(p.est.timing_met, "{:?}", p.choice);
             assert!(p.est.power_uw > 0.0 && p.est.area_um2 > 0.0);
@@ -504,9 +446,9 @@ mod tests {
 
     #[test]
     fn best_respects_ppa_preference() {
-        let scl = Scl::new();
+        let mut scl = Scl::new();
         let mut spec = small_spec(500.0);
-        let res = search(&spec, &scl);
+        let res = search(&spec, &mut scl);
         spec.ppa = crate::spec::PpaWeights::energy_leaning();
         let p_energy = res.best(&spec).unwrap().est.power_uw;
         spec.ppa = crate::spec::PpaWeights::area_leaning();
@@ -526,17 +468,16 @@ mod tests {
         let _ = (p_energy, p_area);
     }
 
-    /// The parallel pass must be invisible: records are deterministic
-    /// per key, so a cold cache, a warm cache and repeated runs all
-    /// produce identical results, and the cold run leaves its records in
-    /// the caller's `Scl`.
+    /// Records are deterministic per key, so a cold cache, a warm cache
+    /// and repeated runs all produce identical results, and the cold run
+    /// leaves its records in the caller's `Scl`.
     #[test]
-    fn parallel_search_is_deterministic_cold_and_warm() {
-        let scl = Scl::new();
-        let cold = search(&small_spec(700.0), &scl);
+    fn search_is_deterministic_cold_and_warm() {
+        let mut scl = Scl::new();
+        let cold = search(&small_spec(700.0), &mut scl);
         let cached = scl.len();
         assert!(cached > 0, "the cold search fills the caller's cache");
-        let warm = search(&small_spec(700.0), &scl);
+        let warm = search(&small_spec(700.0), &mut scl);
         assert_eq!(scl.len(), cached, "warm rerun characterizes nothing new");
         assert_eq!(cold.rejected, warm.rejected);
         assert_eq!(cold.feasible, warm.feasible);
@@ -546,8 +487,27 @@ mod tests {
     /// `search` on a spec `validate` rejects returns no designs.
     fn assert_searches_to_nothing(spec: MacroSpec) {
         assert!(spec.validate().is_err(), "{spec:?}");
-        let res = search(&spec, &Scl::new());
+        let res = search(&spec, &mut Scl::new());
         assert!(res.feasible.is_empty() && res.frontier.is_empty() && res.rejected == 0, "{spec:?}");
+    }
+
+    /// A cache warmed by another spec's search reads like a fresh one:
+    /// `SclKey` holds every dimension a record depends on, so no record
+    /// of the 200 MHz search stands in for one of a tighter clock, a
+    /// different MCR or an FP format.
+    #[test]
+    fn a_cache_warmed_by_another_spec_searches_like_a_fresh_one() {
+        let mut warm = Scl::new();
+        search(&small_spec(200.0), &mut warm);
+        let fp8 = MacroSpec { fp_precisions: vec![FpFormat::FP8], ..small_spec(500.0) };
+        for spec in [small_spec(1150.0), MacroSpec { mcr: 4, ..small_spec(500.0) }, fp8] {
+            let fresh = search(&spec, &mut Scl::new());
+            let reused = search(&spec, &mut warm);
+            assert!(!fresh.feasible.is_empty(), "{spec:?}");
+            assert_eq!(reused.feasible, fresh.feasible, "{spec:?}");
+            assert_eq!(reused.frontier, fresh.frontier, "{spec:?}");
+            assert_eq!(reused.rejected, fresh.rejected, "{spec:?}");
+        }
     }
 
     #[test]
@@ -572,19 +532,27 @@ mod tests {
     }
 
     #[test]
+    fn an_fp_format_without_exponent_bits_searches_to_nothing() {
+        for man_bits in [1, 3] {
+            let fp = vec![FpFormat { exp_bits: 0, man_bits }];
+            assert_searches_to_nothing(MacroSpec { fp_precisions: fp, ..small_spec(700.0) });
+        }
+    }
+
+    #[test]
     fn best_picks_a_point_under_nan_weights() {
         let mut spec = small_spec(700.0);
-        let res = search(&spec, &Scl::new());
+        let res = search(&spec, &mut Scl::new());
         spec.ppa.power = f64::NAN;
         assert!(res.best(&spec).is_some());
     }
 
     #[test]
     fn infeasible_weight_update_rejects_slow_bitcells() {
-        let scl = Scl::new();
+        let mut scl = Scl::new();
         let mut spec = small_spec(300.0);
         spec.f_wu_mhz = 4000.0; // 250 ps period: slower bitcells can't write
-        let res = search(&spec, &scl);
+        let res = search(&spec, &mut scl);
         assert!(
             res.feasible.iter().all(|p| p.choice.bitcell != BitcellKind::Oai12T),
             "the 12T OAI cell (slowest write) must be rejected at 4 GHz updates"

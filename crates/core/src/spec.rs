@@ -72,6 +72,9 @@ pub enum SpecError {
     NoPrecision,
     /// Integer precisions must be powers of two in 1..=8.
     BadIntPrecision,
+    /// Every FP format needs at least one exponent bit: the alignment
+    /// unit compares exponents.
+    BadFpFormat,
     /// The array width must hold at least one output channel at the
     /// widest weight precision.
     WidthTooNarrow,
@@ -91,6 +94,7 @@ impl fmt::Display for SpecError {
             SpecError::BadMcr => write!(f, "memory-compute ratio must be 1, 2 or 4"),
             SpecError::NoPrecision => write!(f, "at least one INT or FP precision is required"),
             SpecError::BadIntPrecision => write!(f, "integer precisions must be powers of two in 1..=8"),
+            SpecError::BadFpFormat => write!(f, "FP formats need at least one exponent bit"),
             SpecError::WidthTooNarrow => {
                 write!(f, "array width cannot hold one channel at the widest weight precision")
             }
@@ -141,6 +145,9 @@ impl MacroSpec {
             if !p.is_power_of_two() || p > 8 {
                 return Err(SpecError::BadIntPrecision);
             }
+        }
+        if self.fp_precisions.iter().any(|f| f.exp_bits == 0) {
+            return Err(SpecError::BadFpFormat);
         }
         if self.w < self.weight_bits() as usize {
             return Err(SpecError::WidthTooNarrow);
@@ -236,6 +243,9 @@ mod tests {
         let mut s = MacroSpec::paper_test_chip();
         s.int_precisions = vec![6];
         assert_eq!(s.validate().unwrap_err(), SpecError::BadIntPrecision);
+        let mut s = MacroSpec::paper_test_chip();
+        s.fp_precisions.push(FpFormat { exp_bits: 0, man_bits: 3 });
+        assert_eq!(s.validate().unwrap_err(), SpecError::BadFpFormat);
     }
 
     #[test]

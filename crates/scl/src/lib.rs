@@ -8,10 +8,11 @@
 //! netlist and running the sign-off substrates on it: STA for delay,
 //! cycle simulation with random vectors for switching energy, netlist
 //! statistics for area/leakage. Results are cached in a lookup table
-//! keyed by `(topology, dimensions)`; configurations that were never
-//! characterized are estimated by scaling from the nearest
-//! characterized dimension ("the PPA data for other configurations can
-//! be estimated and scaled from synthesis data").
+//! keyed by `(topology, dimensions)`, and every lookup characterizes its
+//! exact key on first use; scaling a record to a configuration it was
+//! not characterized at ("the PPA data for other configurations can be
+//! estimated and scaled from synthesis data") is the caller's step, as
+//! the search does for columns and aligners taller than 16 rows.
 //!
 //! Every record is characterized on the compiled trinity, built once
 //! from the record's lowering: compiled STA for delay, and the
@@ -26,13 +27,12 @@
 //! use syndcim_scl::Scl;
 //! use syndcim_subckt::AdderTreeConfig;
 //!
-//! let scl = Scl::new();
+//! let mut scl = Scl::new();
 //! let rec = scl.adder_tree(64, AdderTreeConfig::default());
 //! assert!(rec.delay_ps > 0.0 && rec.area_um2 > 0.0);
 //! ```
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock, RwLock};
 
 use rand::Rng;
 use syndcim_engine::{EngineSim, Program};
@@ -115,16 +115,14 @@ pub enum SclKey {
 
 /// The subcircuit library: characterization engine + PPA cache.
 ///
-/// Owns its [`CellLibrary`]; records are characterized lazily on first
-/// lookup and cached. Lookups take `&self`, so one `Scl` is shared by
-/// every worker of the parallel Pareto search: each key owns a
-/// once-cell, the first caller of a key characterizes it with the table
-/// unlocked, and concurrent callers of the same key wait for that
-/// record instead of characterizing it again.
+/// Owns its [`CellLibrary`] and one table from each [`SclKey`] to its
+/// record. Lookups take `&mut self`: the first lookup of a key
+/// characterizes it and caches the record, so a key is characterized
+/// once however many lookups (and searches) read it.
 #[derive(Debug)]
 pub struct Scl {
     lib: CellLibrary,
-    table: RwLock<BTreeMap<SclKey, Arc<OnceLock<PpaRecord>>>>,
+    table: BTreeMap<SclKey, PpaRecord>,
 }
 
 impl Default for Scl {
@@ -136,7 +134,7 @@ impl Default for Scl {
 impl Scl {
     /// Create an empty library over the syn40 process.
     pub fn new() -> Self {
-        Scl { lib: CellLibrary::syn40(), table: RwLock::new(BTreeMap::new()) }
+        Scl { lib: CellLibrary::syn40(), table: BTreeMap::new() }
     }
 
     /// The cell library used for characterization.
@@ -146,39 +144,26 @@ impl Scl {
 
     /// Number of cached records.
     pub fn len(&self) -> usize {
-        self.records().len()
+        self.table.len()
     }
 
     /// `true` before anything has been characterized.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Every characterized record, in key order (a key still being
-    /// characterized is left out).
-    fn records(&self) -> Vec<(SclKey, PpaRecord)> {
-        let table = self.table.read().expect("SCL table poisoned");
-        table.iter().filter_map(|(k, cell)| cell.get().map(|r| (*k, *r))).collect()
+        self.table.is_empty()
     }
 
     /// The record cached under `key`, characterized on first lookup
-    /// from the netlist `build` makes. A cached record is read under the
-    /// shared lock, since the search's workers look records up thousands
-    /// of times; a miss takes the exclusive lock only to find the key's
-    /// once-cell, and characterization runs outside the lock.
-    fn record(&self, key: SclKey, build: impl FnOnce(&mut NetlistBuilder<'_>)) -> PpaRecord {
-        if let Some(r) = self.table.read().expect("SCL table poisoned").get(&key).and_then(|c| c.get()) {
-            return *r;
-        }
-        let cell = Arc::clone(self.table.write().expect("SCL table poisoned").entry(key).or_default());
-        *cell.get_or_init(|| {
+    /// from the netlist `build` makes.
+    fn record(&mut self, key: SclKey, build: impl FnOnce(&mut NetlistBuilder<'_>)) -> PpaRecord {
+        let lib = &self.lib;
+        *self.table.entry(key).or_insert_with(|| {
             telemetry::counter("scl.characterized").incr();
-            characterize_module(&self.lib, build)
+            characterize_module(lib, build)
         })
     }
 
     /// Characterized record for an adder tree.
-    pub fn adder_tree(&self, h: usize, cfg: AdderTreeConfig) -> PpaRecord {
+    pub fn adder_tree(&mut self, h: usize, cfg: AdderTreeConfig) -> PpaRecord {
         self.record(SclKey::Tree { h, cfg }, |b| {
             let ins = b.input_bus("in", h);
             match build_adder_tree(b, &ins, cfg) {
@@ -193,7 +178,7 @@ impl Scl {
 
     /// Characterized record for one array column slice (bitcells, mux,
     /// multiplier for `h` rows). Delay is the activation→product path.
-    pub fn column(&self, h: usize, mcr: usize, bitcell: BitcellKind, multmux: MultMuxKind) -> PpaRecord {
+    pub fn column(&mut self, h: usize, mcr: usize, bitcell: BitcellKind, multmux: MultMuxKind) -> PpaRecord {
         self.record(SclKey::Column { h, mcr, bitcell, multmux }, |b| {
             let act = b.input_bus("act", h);
             let wwl: Vec<Vec<NetId>> = (0..mcr).map(|k| b.input_bus(&format!("wwl{k}"), h)).collect();
@@ -206,7 +191,7 @@ impl Scl {
     }
 
     /// Characterized record for a shift-and-adder.
-    pub fn shift_add(&self, cfg: ShiftAddConfig) -> PpaRecord {
+    pub fn shift_add(&mut self, cfg: ShiftAddConfig) -> PpaRecord {
         self.record(SclKey::ShiftAdd { cfg }, |b| {
             let psum = b.input_bus("psum", cfg.psum_bits);
             let neg = b.input("neg");
@@ -217,7 +202,7 @@ impl Scl {
     }
 
     /// Characterized record for an output fusion unit.
-    pub fn ofu(&self, cfg: OfuConfig) -> PpaRecord {
+    pub fn ofu(&mut self, cfg: OfuConfig) -> PpaRecord {
         self.record(SclKey::Ofu { cfg }, |b| {
             let sa: Vec<Vec<NetId>> =
                 (0..cfg.w_bits).map(|j| b.input_bus(&format!("sa{j}"), cfg.sa_bits)).collect();
@@ -232,7 +217,7 @@ impl Scl {
     }
 
     /// Characterized record for an FP&INT alignment unit.
-    pub fn align(&self, h: usize, fmt: FpFormat, pipelined: bool) -> PpaRecord {
+    pub fn align(&mut self, h: usize, fmt: FpFormat, pipelined: bool) -> PpaRecord {
         self.record(SclKey::Align { h, exp_bits: fmt.exp_bits, man_bits: fmt.man_bits, pipelined }, |b| {
             let rows: Vec<FpRowPorts> = (0..h)
                 .map(|r| FpRowPorts {
@@ -251,7 +236,7 @@ impl Scl {
     /// Characterized record for a driver chain into `fanout` pins.
     /// Fanouts are bucketed to the next power of two so the table stays
     /// small.
-    pub fn driver(&self, fanout: usize) -> PpaRecord {
+    pub fn driver(&mut self, fanout: usize) -> PpaRecord {
         let bucket = fanout.next_power_of_two().max(4);
         self.record(SclKey::Driver { fanout: bucket }, |b| {
             let a = b.input("a");
@@ -263,33 +248,6 @@ impl Scl {
                 outs.push(b.add(syndcim_pdk::CellKind::MultNor, &[driven, w])[0]);
             }
             b.output("y", outs[0]);
-        })
-    }
-
-    /// Estimate a tree record for an uncharacterized height by scaling
-    /// from the nearest characterized height with the same topology
-    /// (delay ∝ log₂ h, area/energy/leakage ∝ h).
-    pub fn adder_tree_estimate(&self, h: usize, cfg: AdderTreeConfig) -> Option<PpaRecord> {
-        let nearest = self
-            .records()
-            .into_iter()
-            .filter_map(|(k, r)| match k {
-                SclKey::Tree { h: hh, cfg: cc } if cc == cfg => Some((hh, r)),
-                _ => None,
-            })
-            .min_by_key(|(hh, _)| hh.abs_diff(h))?;
-        let (h0, r0) = nearest;
-        if h0 == h {
-            return Some(r0);
-        }
-        let lin = h as f64 / h0 as f64;
-        let log = (h as f64).log2() / (h0 as f64).log2();
-        Some(PpaRecord {
-            delay_ps: r0.delay_ps * log,
-            area_um2: r0.area_um2 * lin,
-            energy_fj_per_cycle: r0.energy_fj_per_cycle * lin,
-            leakage_nw: r0.leakage_nw * lin,
-            seq_cells: r0.seq_cells,
         })
     }
 }
@@ -363,60 +321,10 @@ fn energy_activity(lib: &CellLibrary, module: &Module, low: &Lowering) -> (Vec<u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Barrier;
-    use syndcim_subckt::AdderTreeKind;
-
-    /// The record bits, field by field.
-    fn bits(r: &PpaRecord) -> [u64; 5] {
-        let [d, a, e, l] = [r.delay_ps, r.area_um2, r.energy_fj_per_cycle, r.leakage_nw].map(f64::to_bits);
-        [d, a, e, l, r.seq_cells as u64]
-    }
-
-    /// A 16-input tree with a final CPA.
-    fn tree16(b: &mut NetlistBuilder<'_>) {
-        let ins = b.input_bus("in", 16);
-        match build_adder_tree(b, &ins, AdderTreeConfig::default()) {
-            TreeOutput::Binary(s) => b.output_bus("sum", &s),
-            TreeOutput::CarrySave { .. } => unreachable!("a final CPA sums to binary"),
-        }
-    }
-
-    /// One `&Scl` shared by racing threads characterizes a key once:
-    /// 8 scoped threads released together look one key up, its build
-    /// runs once, and every thread reads the bits a lookup on a fresh
-    /// library reads.
-    #[test]
-    fn concurrent_lookups_characterize_a_key_once() {
-        let key = SclKey::Tree { h: 16, cfg: AdderTreeConfig::default() };
-        let scl = Scl::new();
-        let builds = AtomicUsize::new(0);
-        let start = Barrier::new(8);
-        let records: Vec<PpaRecord> = std::thread::scope(|s| {
-            let threads: Vec<_> = (0..8)
-                .map(|_| {
-                    s.spawn(|| {
-                        start.wait();
-                        scl.record(key, |b| {
-                            builds.fetch_add(1, Ordering::Relaxed);
-                            tree16(b);
-                        })
-                    })
-                })
-                .collect();
-            threads.into_iter().map(|t| t.join().expect("lookup thread panicked")).collect()
-        });
-        assert_eq!(builds.load(Ordering::Relaxed), 1, "one build for 8 lookups");
-        assert_eq!(scl.len(), 1);
-        let fresh = bits(&Scl::new().record(key, tree16));
-        for r in &records {
-            assert_eq!(bits(r), fresh);
-        }
-    }
 
     #[test]
     fn records_are_cached() {
-        let scl = Scl::new();
+        let mut scl = Scl::new();
         let a = scl.adder_tree(16, AdderTreeConfig::default());
         assert_eq!(scl.len(), 1);
         let b = scl.adder_tree(16, AdderTreeConfig::default());
@@ -426,7 +334,7 @@ mod tests {
 
     #[test]
     fn tree_ppa_scales_with_height() {
-        let scl = Scl::new();
+        let mut scl = Scl::new();
         let small = scl.adder_tree(16, AdderTreeConfig::default());
         let big = scl.adder_tree(64, AdderTreeConfig::default());
         assert!(big.area_um2 > 2.0 * small.area_um2);
@@ -436,7 +344,7 @@ mod tests {
 
     #[test]
     fn column_variants_follow_cell_tradeoffs() {
-        let scl = Scl::new();
+        let mut scl = Scl::new();
         let pg = scl.column(16, 2, BitcellKind::Sram6T2T, MultMuxKind::PassGate1T);
         let tg = scl.column(16, 2, BitcellKind::Sram6T2T, MultMuxKind::TgNor);
         let fused = scl.column(16, 2, BitcellKind::Sram6T2T, MultMuxKind::Oai22Fused);
@@ -453,7 +361,7 @@ mod tests {
 
     #[test]
     fn shift_add_and_ofu_have_registers() {
-        let scl = Scl::new();
+        let mut scl = Scl::new();
         let sa = scl.shift_add(ShiftAddConfig { psum_bits: 7, act_bits: 8 });
         assert_eq!(sa.seq_cells, 15);
         let ofu = scl.ofu(OfuConfig { w_bits: 4, sa_bits: 10, negate_stage: true, extra_pipeline: true });
@@ -462,7 +370,7 @@ mod tests {
 
     #[test]
     fn align_grows_with_format() {
-        let scl = Scl::new();
+        let mut scl = Scl::new();
         let fp8 = scl.align(8, FpFormat::FP8, false);
         let bf16 = scl.align(8, FpFormat::BF16, false);
         assert!(bf16.area_um2 > fp8.area_um2);
@@ -470,27 +378,8 @@ mod tests {
     }
 
     #[test]
-    fn estimate_interpolates_between_characterized_heights() {
-        let scl = Scl::new();
-        let cfg = AdderTreeConfig::default();
-        let r32 = scl.adder_tree(32, cfg);
-        let est64 = scl.adder_tree_estimate(64, cfg).unwrap();
-        assert!((est64.area_um2 - 2.0 * r32.area_um2).abs() < 1e-9);
-        assert!(est64.delay_ps > r32.delay_ps);
-        // Exact hits return the measured record.
-        let exact = scl.adder_tree_estimate(32, cfg).unwrap();
-        assert_eq!(exact, r32);
-        // Unknown topology yields None.
-        let missing = scl.adder_tree_estimate(
-            128,
-            AdderTreeConfig { kind: AdderTreeKind::MixedCsa { fa_rounds: 7 }, ..cfg },
-        );
-        assert!(missing.is_none());
-    }
-
-    #[test]
     fn driver_buckets_cover_fanouts() {
-        let scl = Scl::new();
+        let mut scl = Scl::new();
         let d8 = scl.driver(8);
         let d64 = scl.driver(64);
         assert!(d64.delay_ps > d8.delay_ps * 0.5, "sized chains stay shallow");

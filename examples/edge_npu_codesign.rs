@@ -27,8 +27,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             vdd_v: 0.7,
             ppa: PpaWeights::energy_leaning(),
         };
-        let scl = Scl::new();
-        let res = search(&spec, &scl);
+        let mut scl = Scl::new();
+        let res = search(&spec, &mut scl);
         let Some(best) = res.best(&spec) else {
             println!("{:<6}infeasible", mcr);
             continue;

@@ -22,8 +22,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     spec.validate()?;
 
     // 2. Multi-spec-oriented search over the subcircuit library.
-    let scl = Scl::new();
-    let result = search(&spec, &scl);
+    let mut scl = Scl::new();
+    let result = search(&spec, &mut scl);
     println!(
         "search: {} feasible points, {} on the Pareto frontier",
         result.feasible.len(),

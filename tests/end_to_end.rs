@@ -25,8 +25,8 @@ fn spec(h: usize, w: usize, mcr: usize) -> MacroSpec {
 #[test]
 fn search_implement_verify_16x16() {
     let s = spec(16, 16, 2);
-    let scl = Scl::new();
-    let res = search(&s, &scl);
+    let mut scl = Scl::new();
+    let res = search(&s, &mut scl);
     assert!(!res.frontier.is_empty());
     let best = res.best(&s).unwrap();
     let lib = scl.cell_library().clone();
@@ -47,8 +47,8 @@ fn search_implement_verify_16x16() {
 #[test]
 fn every_frontier_point_implements_cleanly() {
     let s = spec(8, 8, 2);
-    let scl = Scl::new();
-    let res = search(&s, &scl);
+    let mut scl = Scl::new();
+    let res = search(&s, &mut scl);
     let lib = scl.cell_library().clone();
     for p in res.frontier.iter().take(6) {
         let im = implement(&lib, &s, &p.choice).unwrap_or_else(|e| panic!("{}: {e}", p.choice.label()));
@@ -101,7 +101,7 @@ fn weight_update_and_mac_frequencies_both_checked() {
     // A spec demanding impossibly fast weight updates must fail search.
     let mut s = spec(8, 8, 2);
     s.f_wu_mhz = 50_000.0;
-    let scl = Scl::new();
-    let res = search(&s, &scl);
+    let mut scl = Scl::new();
+    let res = search(&s, &mut scl);
     assert!(res.feasible.is_empty());
 }

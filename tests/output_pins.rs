@@ -134,8 +134,8 @@ fn fault_coverage_report_and_weight_update_energy_are_pinned() {
 #[test]
 fn paper_chip_search_is_pinned() {
     let spec = MacroSpec::paper_test_chip();
-    let scl = Scl::new();
-    let res = search(&spec, &scl);
+    let mut scl = Scl::new();
+    let res = search(&spec, &mut scl);
     let mut h = Fnv::new();
     h.u64(res.feasible.len() as u64);
     for p in &res.feasible {

@@ -279,15 +279,15 @@ fn search_characterizes_each_scl_record_once() {
     telemetry::set_mode(telemetry::Mode::Summary);
 
     let spec = MacroSpec::paper_test_chip();
-    let scl = Scl::new();
-    let characterized = || {
+    let mut scl = Scl::new();
+    let characterized = |scl: &mut Scl| {
         telemetry::reset();
-        assert!(!search(&spec, &scl).frontier.is_empty());
+        assert!(!search(&spec, scl).frontier.is_empty());
         telemetry::snapshot().counter("scl.characterized").unwrap_or(0)
     };
-    assert_eq!(characterized(), 25, "a cold search");
+    assert_eq!(characterized(&mut scl), 25, "a cold search");
     assert_eq!(scl.len(), 25);
-    assert_eq!(characterized(), 0, "a warm rerun");
+    assert_eq!(characterized(&mut scl), 0, "a warm rerun");
     assert_eq!(scl.len(), 25);
 }
 
